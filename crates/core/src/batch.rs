@@ -14,7 +14,7 @@
 
 use bohm_common::{ASlice, Arena, Timestamp, Txn};
 use bohm_mvstore::Version;
-use bohm_sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use bohm_sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use bohm_sync::{Condvar, Mutex};
 use std::ptr;
 use std::sync::Arc;
@@ -62,6 +62,11 @@ pub(crate) struct Completion {
     /// each written once.
     slots: Slots,
     state: Mutex<DoneState>,
+    /// Lock-free mirror of "`wait_done` would return (or panic) now": set
+    /// once, under `state`'s lock, at the same sites that notify. Lets
+    /// [`is_done`](Self::is_done) — polled oldest-first by reaping sessions
+    /// — skip the mutex.
+    done: AtomicBool,
     cv: Condvar,
 }
 
@@ -136,8 +141,16 @@ impl Completion {
                 retired: n == 0 || !needs_barrier,
                 failed: false,
             }),
+            done: AtomicBool::new(n == 0),
             cv: Condvar::new(),
         })
+    }
+
+    /// Publish doneness and wake waiters. Called with `state` locked, so
+    /// the flag can never run ahead of what `wait_done` observes.
+    fn signal_done(&self) {
+        self.done.store(true, Ordering::Release);
+        self.cv.notify_all();
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -163,7 +176,7 @@ impl Completion {
             let mut st = self.state.lock();
             st.outcomes_done = true;
             if st.retired {
-                self.cv.notify_all();
+                self.signal_done();
             }
         }
     }
@@ -175,7 +188,7 @@ impl Completion {
         let mut st = self.state.lock();
         st.retired = true;
         if st.outcomes_done {
-            self.cv.notify_all();
+            self.signal_done();
         }
     }
 
@@ -186,7 +199,7 @@ impl Completion {
     pub(crate) fn poison(&self) {
         let mut st = self.state.lock();
         st.failed = true;
-        self.cv.notify_all();
+        self.signal_done();
     }
 
     pub(crate) fn wait_done(&self) {
@@ -201,9 +214,11 @@ impl Completion {
         );
     }
 
+    /// Non-blocking [`wait_done`](Self::wait_done) probe; one Acquire load.
+    /// A `true` synchronizes with the completing thread, so outcomes (and,
+    /// in barrier mode, the retired batch's effects) are visible.
     pub(crate) fn is_done(&self) -> bool {
-        let st = self.state.lock();
-        st.failed || (st.outcomes_done && st.retired)
+        self.done.load(Ordering::Acquire)
     }
 
     /// Outcome of transaction `idx`; valid only after [`wait_done`](Self::wait_done).
@@ -711,6 +726,40 @@ pub(crate) mod tests {
         let late =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| completion.wait_done()));
         assert!(late.is_err(), "late waiters observe the fault too");
+    }
+
+    #[test]
+    fn done_flag_follows_both_halves_in_either_order() {
+        // Retirement first, outcome last: the retired barrier alone must
+        // not report done, the final outcome must.
+        let c = Completion::new(2, true);
+        c.record(0, true, 1);
+        c.batch_retired();
+        assert!(!c.is_done(), "one outcome still outstanding");
+        c.record(1, true, 2);
+        assert!(c.is_done());
+        c.wait_done(); // agrees with the flag: must not block
+
+        // Outcomes first, retirement last.
+        let c = Completion::new(1, true);
+        c.record(0, false, 0);
+        assert!(!c.is_done(), "batch not retired yet");
+        c.batch_retired();
+        assert!(c.is_done());
+        c.wait_done();
+    }
+
+    #[test]
+    fn poison_sets_the_done_flag_without_outcomes() {
+        let c = Completion::new(3, true);
+        assert!(!c.is_done());
+        c.poison();
+        assert!(c.is_done(), "pollers must not spin on a failed engine");
+        c.poison(); // idempotent
+        assert!(c.is_done());
+        // A straggling outcome after the fault changes nothing.
+        c.record(0, true, 0);
+        assert!(c.is_done());
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! * annotate each read-set entry in its partition with the current latest
 //!   version (§3.2.3 — this *is* the version a reader at this timestamp
 //!   must observe, because CC threads process transactions sequentially),
-//! * install an uninitialized placeholder version for each write-set entry
-//!   in its partition (§3.2.2), and
-//! * opportunistically truncate the record's dead version tail under the
-//!   Condition-3 GC bound (§3.3.2 — GC triggers on update).
+//! * truncate the record's dead version tail under the Condition-3 GC
+//!   bound into the thread's own [`VersionPool`] (§3.3.2 — GC triggers on
+//!   update, at most one chain walk per chain per bound value), and
+//! * install an uninitialized placeholder version — the one just retired,
+//!   when there is one — for each write-set entry in its partition
+//!   (§3.2.2).
 //!
 //! The per-transaction scan iterates the sequencer-built packed plan
 //! (see `PlanEntry` in `crate::batch`): every CC thread examines
@@ -26,10 +28,10 @@
 use crate::batch::Batch;
 use crate::engine::Inner;
 use bohm_common::RecordId;
-use bohm_mvstore::{Version, VersionIndex};
+use bohm_mvstore::{Version, VersionIndex, VersionPool};
 use bohm_sync::atomic::Ordering;
 use crossbeam_channel::{Receiver, Sender};
-use crossbeam_epoch::{self as epoch, Owned};
+use crossbeam_epoch as epoch;
 use std::sync::Arc;
 
 /// Main loop of CC thread `me`. Exits when the submission side hangs up.
@@ -39,14 +41,16 @@ pub(crate) fn cc_loop(
     rx: Receiver<Arc<Batch>>,
     exec_senders: Vec<Sender<Arc<Batch>>>,
 ) {
-    let mut probe_tick = me as u64; // desynchronize threads' probe phases
-                                    // Round-robin cursor of this thread's key-reclamation sweep (each CC
-                                    // thread eventually visits every bucket, reclaiming only its own keys).
+    // Versions this thread retired and has not re-installed yet. Strictly
+    // thread-local: a chain's installer is also its truncator.
+    let mut pool = VersionPool::new();
+    // Round-robin cursor of this thread's key-reclamation sweep (each CC
+    // thread eventually visits every bucket, reclaiming only its own keys).
     let mut sweep_cursor = 0usize;
     while let Ok(batch) = rx.recv() {
         let t0 = std::time::Instant::now();
-        process_batch(&inner, me, &batch, &mut probe_tick);
-        sweep_keys(&inner, me, &mut sweep_cursor);
+        process_batch(&inner, me, &batch, &mut pool);
+        sweep_keys(&inner, me, &mut sweep_cursor, &mut pool);
         inner
             .cc_busy_ns
             // RELAXED: monotonic statistics counter.
@@ -72,10 +76,13 @@ pub(crate) fn cc_loop(
 /// annotation-safe lifetime rule; annotations are not epoch-protected).
 /// Only the key's partition owner may judge this, because only it installs
 /// into the chain: owner-run reclamation cannot race an install. Dead
-/// suffixes are truncated first so a deleted-then-idle key can reach its
-/// sole-tombstone shape without waiting for a write probe that will never
-/// come.
-pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize) {
+/// suffixes are truncated first (into `pool`, like any other version) so a
+/// deleted-then-idle key can reach its sole-tombstone shape without waiting
+/// for a write probe that will never come. The entry itself — and the sole
+/// tombstone inside it — is still retired through the epoch collector:
+/// bucket lists are walked by every thread, which Condition 3 says nothing
+/// about.
+pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize, pool: &mut VersionPool) {
     let budget = inner.config.key_gc_buckets;
     if budget == 0 || !inner.config.enable_gc {
         return;
@@ -100,7 +107,9 @@ pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize) {
             if (rid.stable_hash() >> 32) % m as u64 != me as u64 {
                 return false;
             }
-            versions += chain.truncate(bound, &guard);
+            // SAFETY: this thread owns `rid`'s partition (checked above),
+            // and `bound` is the Acquire-loaded Condition-3 watermark.
+            versions += unsafe { pool.reclaim(chain, bound, &guard) };
             chain.annotated_ts() <= bound
                 && chain.sole_tombstone(&guard).is_some_and(|b| b <= bound)
         });
@@ -125,11 +134,12 @@ pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize) {
 }
 
 /// Process every transaction of `batch` for partition `me`.
-pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, probe_tick: &mut u64) {
+pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, pool: &mut VersionPool) {
     let mut guard = epoch::pin();
     let annotate = inner.config.annotate_reads;
     let gc = inner.config.enable_gc;
     let m = inner.config.cc_threads;
+    let mut retired = 0usize;
     for (i, t) in batch.txns.iter().enumerate() {
         // Scans are annotated before the plan (i.e. before this
         // transaction's own placeholders install): for every key of the
@@ -173,6 +183,15 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, probe_tick:
                 }
             }
         }
+        // The Condition-3 watermark for this transaction's installs. Acquire:
+        // recycling a version rewrites memory that transactions at or below
+        // the bound read, so their reads must happen-before this load (the
+        // exec side publishes the bound with Release after they complete).
+        let bound = if gc {
+            inner.gc_bound.load(Ordering::Acquire)
+        } else {
+            0
+        };
         // Plan order is reads-then-writes, so an RMW resolves its read to
         // the predecessor version before its own placeholder is installed.
         for e in t.plan.iter() {
@@ -183,32 +202,16 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, probe_tick:
                 let wi = e.idx();
                 let rid = t.txn.writes[wi];
                 let chain = inner.index.get_or_insert(rid, &guard);
+                // GC triggers on update (§3.3.2): retire first, so the
+                // version that just died is the placeholder installed next
+                // (bound 0 — GC off, or nothing executed yet — is a no-op).
+                // SAFETY: this thread owns the entry's partition (checked
+                // above), and `bound` is the Acquire-loaded Condition-3
+                // watermark — see `VersionPool`'s reuse-safety argument.
+                retired += unsafe { pool.reclaim(chain, bound, &guard) };
                 let size = inner.record_size(rid.table);
-                let v = chain.install(Owned::new(Version::placeholder(t.ts, size)), &guard);
+                let v = chain.install(pool.take(t.ts, size), &guard);
                 t.write_refs[wi].store(v.as_raw() as *mut Version, Ordering::Release);
-                // GC triggers on update (§3.3.2) but is attempted on a
-                // 1-in-8 sample of installs: each truncate probe costs a
-                // coherence miss on the old head's line, and Condition 3
-                // only ever *delays* reclamation, never unsafely hastens
-                // it. The sample counter is per-thread (not ts-derived) so
-                // it cannot correlate with any record-to-timestamp pattern
-                // and starve a chain of probes.
-                *probe_tick += 1;
-                if gc && *probe_tick & 0x7 == 0 {
-                    // RELAXED: a stale (smaller) bound only truncates less
-                    // this probe; the Acquire load in `sweep_keys` is the
-                    // edge that guards key retirement.
-                    let bound = inner.gc_bound.load(Ordering::Relaxed);
-                    if bound > 0 {
-                        let retired = chain.truncate(bound, &guard);
-                        if retired > 0 {
-                            inner
-                                .gc_retired
-                                // RELAXED: monotonic statistics counter.
-                                .fetch_add(retired as u64, Ordering::Relaxed);
-                        }
-                    }
-                }
             } else if annotate {
                 let ri = e.idx();
                 // A key absent from the index at CC time (a record nobody
@@ -230,5 +233,11 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, probe_tick:
         if i % 512 == 511 {
             guard.repin();
         }
+    }
+    if retired > 0 {
+        inner
+            .gc_retired
+            // RELAXED: monotonic statistics counter.
+            .fetch_add(retired as u64, Ordering::Relaxed);
     }
 }

@@ -8,10 +8,10 @@ use crate::window::Window;
 use crate::{cc, exec};
 use bohm_common::{RecordId, TableId, Txn};
 use bohm_mvstore::{HashIndex, Version, VersionIndex, VersionState};
-use bohm_sync::atomic::{AtomicU64, Ordering};
+use bohm_sync::atomic::{fence, AtomicU64, Ordering};
 use crossbeam_channel::unbounded;
 use crossbeam_epoch::{self as epoch, Owned};
-use crossbeam_utils::CachePadded;
+use crossbeam_utils::{Backoff, CachePadded};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -363,22 +363,68 @@ impl Bohm {
     /// (secondary-index posting lists are ordinary records and ride
     /// along).
     ///
+    /// Waits for in-flight batches to retire first, like
+    /// [`read_record`](Self::read_record).
+    ///
     /// # Panics
     ///
-    /// Panics on a pending (unexecuted) chain head, like
-    /// [`read_record`](Self::read_record): snapshotting a non-quiescent
-    /// engine is a harness bug.
+    /// Panics if a batch entered the pipeline while the snapshot ran:
+    /// snapshotting an engine that is still being submitted to is a
+    /// harness bug.
     pub fn snapshot_records(&self, f: &mut dyn FnMut(RecordId, &[u8])) {
-        let guard = epoch::pin();
-        self.inner.index.for_each(&guard, &mut |rid, chain| {
-            if let Some(v) = chain.latest(&guard) {
-                match v.state() {
-                    VersionState::Ready => f(rid, v.data()),
-                    VersionState::Tombstone => {}
-                    VersionState::Pending => panic!("snapshot_records on a non-quiescent engine"),
+        self.read_quiescent("snapshot_records", |guard| {
+            self.inner.index.for_each(guard, &mut |rid, chain| {
+                if let Some(v) = chain.latest(guard) {
+                    match v.state() {
+                        VersionState::Ready => f(rid, v.data()),
+                        VersionState::Tombstone => {}
+                        VersionState::Pending => {
+                            panic!("snapshot_records on a non-quiescent engine")
+                        }
+                    }
                 }
-            }
-        });
+            });
+        })
+    }
+
+    /// Run `read` — a reader *outside* the transaction pipeline — over a
+    /// span in which no CC thread touches version memory.
+    ///
+    /// Condition 3 accounts for transactions only, so nothing holds the
+    /// watermark back for such a reader: were a batch in flight, the
+    /// version it is copying could be superseded, retired and recycled
+    /// under it. Everything a CC thread does to a chain (install, reclaim,
+    /// key sweep) happens between its batch's `Window::push` and
+    /// `Window::retire`, and precedes execution thread 0's `finished_ts`
+    /// store for that batch. So: wait until the window is empty (batches in
+    /// flight retire on their own — this is what lets a caller come here
+    /// straight from per-transaction session handles, which complete before
+    /// their batch retires), stamp `finished_ts[0]`, read, and check that
+    /// the window is still empty and the stamp unchanged. A batch whose CC
+    /// work did not happen-before the stamp is then either still in the
+    /// window or has moved the stamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics, rather than return what `read` saw, if that check fails:
+    /// somebody submitted while a diagnostic read was running.
+    fn read_quiescent<R>(&self, what: &str, read: impl FnOnce(&epoch::Guard) -> R) -> R {
+        let inner = &*self.inner;
+        let finished = || inner.finished_ts[0].load(Ordering::Acquire);
+        let backoff = Backoff::new();
+        while !inner.window.is_empty() {
+            backoff.snooze();
+        }
+        let stamp = finished();
+        let out = read(&epoch::pin());
+        // Order the plain payload reads above before the re-check below.
+        fence(Ordering::Acquire);
+        assert!(
+            inner.window.is_empty() && finished() == stamp,
+            "{what} raced a submission: quiesce the engine first (a group \
+             submission's wait() is the barrier)"
+        );
+        out
     }
 
     /// Open a submission session: the per-client handle for enqueueing
@@ -421,16 +467,27 @@ impl Bohm {
     }
 
     /// Read the latest committed value of `rid` (diagnostics / verification;
-    /// intended for quiescent moments, e.g. after draining all batches).
+    /// for quiescent moments, e.g. after draining all batches).
+    ///
+    /// This reader is not a transaction, so it must not overlap one: it
+    /// first waits for every in-flight batch to retire (a no-op after a
+    /// group submission's [`wait`](BatchHandle::wait), a short spin after
+    /// per-transaction session handles).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch entered the pipeline while the read ran (see
+    /// `read_quiescent`): reading an engine that another thread is
+    /// submitting to is a harness bug, and the bytes copied could be torn.
     pub fn read_record(&self, rid: RecordId) -> Option<Box<[u8]>> {
-        let guard = epoch::pin();
-        let chain = self.inner.index.get(rid, &guard)?;
-        let v = chain.latest(&guard)?;
-        match v.state() {
-            VersionState::Ready => Some(v.data().into()),
-            VersionState::Tombstone => None,
-            VersionState::Pending => panic!("read_record on a non-quiescent engine"),
-        }
+        self.read_quiescent("read_record", |guard| {
+            let v = self.inner.index.get(rid, guard)?.latest(guard)?;
+            match v.state() {
+                VersionState::Ready => Some(v.data().into()),
+                VersionState::Tombstone => None,
+                VersionState::Pending => panic!("read_record on a non-quiescent engine"),
+            }
+        })
     }
 
     /// `u64` prefix of the latest committed value of `rid`.
@@ -471,8 +528,8 @@ impl Bohm {
 
     /// Current GC low watermark (largest timestamp known fully executed).
     pub fn gc_bound(&self) -> u64 {
-        // RELAXED: monotone watermark snapshot for diagnostics; internal
-        // consumers use the Acquire load in `sweep_keys`.
+        // RELAXED: monotone watermark snapshot for diagnostics; the CC
+        // threads, which recycle memory under it, load it with Acquire.
         self.inner.gc_bound.load(Ordering::Relaxed)
     }
 
@@ -640,6 +697,35 @@ mod tests {
         let total: u64 = (0..4).map(|k| e.read_u64(rid(k)).unwrap() - k * 10).sum();
         assert_eq!(total, 200);
         e.shutdown();
+    }
+
+    #[test]
+    fn diagnostic_reads_wait_for_in_flight_batches() {
+        // Per-transaction handles complete before their batch retires, so
+        // the reads below can arrive with a batch still in the window: they
+        // wait it out instead of reading beside it.
+        let e = small_engine();
+        let session = e.session();
+        for round in 1..=20u64 {
+            let handles: Vec<_> = (0..50).map(|i| session.submit(rmw(&[i % 4], 1))).collect();
+            for h in &handles {
+                assert!(h.wait().committed);
+            }
+            let total: u64 = (0..4).map(|k| e.read_u64(rid(k)).unwrap() - k * 10).sum();
+            assert_eq!(total, round * 50);
+        }
+        e.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "read_record raced a submission")]
+    fn diagnostic_read_overlapping_a_batch_panics() {
+        // A whole batch goes through the pipeline while the "read" runs:
+        // the window is empty again afterwards, but the stamp has moved.
+        let e = small_engine();
+        e.read_quiescent("read_record", |_| {
+            e.execute_sync(vec![rmw(&[1], 1)]);
+        });
     }
 
     #[test]

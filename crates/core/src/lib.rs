@@ -40,9 +40,14 @@
 //!
 //! Old versions are reclaimed with the paper's **Condition 3** (§3.3.2):
 //! once every execution thread has finished batch `b`, versions superseded
-//! by transactions of batches `≤ b` are unreachable and are truncated by the
-//! owning CC thread, deferring physical frees to `crossbeam-epoch` (RCU).
-//! Batch retirement releases the window ring slot and advances that bound.
+//! by transactions of batches `≤ b` are unreachable — through annotation
+//! pointers and through any live transaction's chain walk alike — so the
+//! owning CC thread truncates them on its next write to the record and
+//! reuses them, header and payload, as its next placeholders (a per-thread
+//! `VersionPool`; no allocator, no epoch collector on that path). Batch
+//! retirement releases the window ring slot and advances that bound.
+//! `crossbeam-epoch` (RCU) still protects what every thread traverses:
+//! hash-index entries and the window ring.
 //!
 //! See `DESIGN.md` at the repository root for the system map.
 //!

@@ -175,7 +175,16 @@ impl Window {
         }
     }
 
-    /// Number of occupied slots (diagnostics/tests; racy by nature).
+    /// True when no batch is between `push` and `retire` — each slot looked
+    /// at once, so racy by nature; see `Bohm::read_quiescent` for how a
+    /// caller makes the answer stick.
+    pub fn is_empty(&self) -> bool {
+        self.slots
+            .iter()
+            .all(|s| s.load(Ordering::Acquire).is_null())
+    }
+
+    /// Number of occupied slots (tests; racy by nature).
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.slots

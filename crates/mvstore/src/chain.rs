@@ -8,6 +8,15 @@
 //! truncation need no compare-and-swap, only release stores. Readers
 //! traverse under a `crossbeam_epoch` guard and perform no shared-memory
 //! writes whatsoever (paper §2.2, design goal 2).
+//!
+//! Truncation has one implementation, [`Chain::truncate_with`], which
+//! unlinks the dead tail and hands each version to a sink. Two sinks exist:
+//! [`Chain::truncate`] defers destruction through the epoch collector (safe
+//! for *any* bound and any pinned reader), and
+//! [`VersionPool::reclaim`](crate::pool::VersionPool::reclaim) takes the
+//! versions back for immediate reuse, which is sound only for a true
+//! Condition-3 bound — the BOHM engine's path, and the only one that skips
+//! repeat walks under an unchanged bound (`gc_mark`).
 
 // HOT-PATH: install/visible run per write and per read of every
 // transaction; no clocks, no syscalls, no I/O (enforced by the lint).
@@ -33,6 +42,15 @@ pub struct Chain {
     /// retired once every possible annotation holder has executed
     /// (`annotated_ts ≤ GC bound`) — the annotation-safe lifetime rule.
     annotated_ts: AtomicU64,
+    /// The Condition-3 bound the engine last walked this chain under
+    /// ([`mark_gc`](Self::mark_gc)). Same single writer and reader as
+    /// `annotated_ts`. The engine installs above every bound already
+    /// published, so a version installed after a walk ends its predecessor
+    /// *above* that walk's bound: re-walking under an unchanged bound can
+    /// find nothing new, and
+    /// [`VersionPool::reclaim`](crate::pool::VersionPool::reclaim) skips it.
+    /// That is what lets the engine probe on every install.
+    gc_mark: AtomicU64,
 }
 
 impl Default for Chain {
@@ -47,6 +65,7 @@ impl Chain {
         Self {
             head: Atomic::null(),
             annotated_ts: AtomicU64::new(0),
+            gc_mark: AtomicU64::new(0),
         }
     }
 
@@ -67,6 +86,27 @@ impl Chain {
         self.annotated_ts.load(Ordering::Relaxed)
     }
 
+    /// Note that the owning CC thread is about to walk this chain under the
+    /// Condition-3 bound `bound`; `false` if it already has, in which case
+    /// the walk can find nothing (see the `gc_mark` field) and is skipped.
+    ///
+    /// Only sound for a caller whose installs arrive above every bound it
+    /// walks under — the engine's invariant, not a property of the chain —
+    /// so it stays out of [`truncate`](Self::truncate), which promises to
+    /// work for any bound in any order.
+    #[inline]
+    pub(crate) fn mark_gc(&self, bound: Timestamp) -> bool {
+        // RELAXED: same-thread read of a single-writer word (this thread is
+        // the writer); nothing is published through it. A fresh chain's
+        // mark is 0, and no version ends at or below 0.
+        if self.gc_mark.load(Ordering::Relaxed) == bound {
+            return false;
+        }
+        // RELAXED: as above.
+        self.gc_mark.store(bound, Ordering::Relaxed);
+        true
+    }
+
     /// If the whole chain is exactly one *resolved tombstone*, return its
     /// begin timestamp. This is the reclaimable shape of a fully-deleted
     /// key: combined with `begin ≤ GC bound` (every reader that could still
@@ -74,9 +114,8 @@ impl Chain {
     /// the key's index entry can be retired outright.
     pub fn sole_tombstone(&self, guard: &Guard) -> Option<Timestamp> {
         let head = self.head.load(Ordering::Acquire, guard);
-        // SAFETY: `head` was loaded from the chain under `guard`; versions
-        // are unlinked before being deferred, so anything reachable here
-        // outlives the pin.
+        // SAFETY: the head has end = ∞ and is never truncated; only key
+        // retirement frees it, epoch-deferred past `guard`.
         let v = unsafe { head.as_ref() }?;
         if v.state() == crate::version::VersionState::Tombstone
             && v.prev.load(Ordering::Acquire, guard).is_null()
@@ -119,8 +158,10 @@ impl Chain {
     /// Latest version, if any.
     #[inline]
     pub fn latest<'g>(&self, guard: &'g Guard) -> Option<&'g Version> {
-        // SAFETY: loaded under `guard`; epoch reclamation defers the head's
-        // destruction past every live pin.
+        // SAFETY: loaded under `guard`. While it is the head a version is
+        // never truncated; once superseded it is retired either through
+        // the epoch collector (past every live pin) or under Condition 3,
+        // whose bound a live reader of this version holds back.
         unsafe { self.head.load(Ordering::Acquire, guard).as_ref() }
     }
 
@@ -133,12 +174,27 @@ impl Chain {
     /// precisely what its read-modify-write must observe. Returns `None` if
     /// the record did not exist at `ts` (including tombstoned versions —
     /// callers distinguish via [`Version::state`]).
+    ///
+    /// # What the walk touches (the reuse-safety argument)
+    /// Every version the walk dereferences except the last has
+    /// `begin ≥ ts`, hence `end > ts`. The last one (the first with
+    /// `begin < ts`) was reached either from a successor with `begin ≥ ts`,
+    /// so its `end ≥ ts`, or from the head, where its end was ∞ — and a
+    /// successor installed later begins above `ts`, because BOHM's CC phase
+    /// installs everything at or below a reader's timestamp before that
+    /// reader runs. Its `prev` edge is never loaded. A walk at `ts`
+    /// therefore never dereferences, or even loads a pointer to, a version
+    /// whose end is (or will become) below `ts`. Truncation under a bound
+    /// `B` removes exactly the versions with `end ≤ B`, so a walker with
+    /// `ts > B` cannot meet it at all (Condition 3), and a walker with
+    /// `ts ≤ B` must be covered by the epoch-deferred sink.
     pub fn visible<'g>(&self, ts: Timestamp, guard: &'g Guard) -> Option<&'g Version> {
         let mut cur = self.head.load(Ordering::Acquire, guard);
         loop {
             // SAFETY: `cur` came from the head or a `prev` edge under
-            // `guard`; truncation unlinks before deferring destruction, so
-            // every pointer we can still reach stays live for this pin.
+            // `guard`. Epoch-deferred truncation unlinks before deferring,
+            // so what we reach stays live for this pin; Condition-3
+            // recycling only takes versions this walk cannot reach (above).
             let v = unsafe { cur.as_ref() }?;
             if v.begin() < ts {
                 // Ends decrease monotonically as we walk older versions, so
@@ -162,18 +218,47 @@ impl Chain {
         n
     }
 
-    /// Garbage-collect versions unreachable under paper Condition 3.
+    /// Garbage-collect versions unreachable under paper Condition 3,
+    /// deferring their destruction to the epoch collector.
     ///
     /// `bound` is the largest timestamp of the current low-watermark batch:
     /// every transaction with `ts ≤ bound` has finished executing. A version
     /// whose `end ≤ bound` can no longer be read by any active or future
     /// transaction (its readers all have `ts ≤ end ≤ bound` and are done),
-    /// so the tail starting at the first such version is unlinked and
-    /// deferred to the epoch collector. Returns the number of versions
-    /// retired.
+    /// so the tail starting at the first such version is unlinked. Returns
+    /// the number of versions retired.
+    ///
+    /// Because destruction waits for every pin, this sink stays memory-safe
+    /// even if `bound` is *not* a true low watermark (a pinned reader below
+    /// it merely stops seeing the truncated history) — the right choice
+    /// for tests, tools and any caller that cannot prove Condition 3. The
+    /// engine's CC threads use
+    /// [`VersionPool::reclaim`](crate::pool::VersionPool::reclaim) instead.
     ///
     /// Like `install`, this must only be called by the owning CC thread.
     pub fn truncate(&self, bound: Timestamp, guard: &Guard) -> usize {
+        self.truncate_with(bound, guard, &mut |dead| {
+            // SAFETY: `dead` was just unlinked by its only writer, so it is
+            // unreachable from the head; any in-flight traversal holds an
+            // epoch guard, and physical destruction is deferred past it.
+            unsafe { guard.defer_destroy(dead) }
+        })
+    }
+
+    /// The one truncation walk: unlink the tail starting at the first
+    /// version with `end ≤ bound` and hand every version in it to `sink`,
+    /// newest first. Returns how many were handed over. What the sink may
+    /// do with an unlinked version depends on what `bound` guarantees —
+    /// see [`truncate`](Self::truncate) and
+    /// [`VersionPool::reclaim`](crate::pool::VersionPool::reclaim).
+    ///
+    /// Owning-CC-thread only, like `install`.
+    pub fn truncate_with<'g>(
+        &self,
+        bound: Timestamp,
+        guard: &'g Guard,
+        sink: &mut impl FnMut(Shared<'g, Version>),
+    ) -> usize {
         // The head always has end = ∞, so the truncation point is strictly
         // below the head and `pred` is always valid.
         let head = self.head.load(Ordering::Acquire, guard);
@@ -194,14 +279,12 @@ impl Chain {
                 pred.prev.store(Shared::null(), Ordering::Release);
                 let mut retired = 0;
                 let mut cur = next;
-                // SAFETY: the tail was just unlinked by its only writer;
-                // our own guard keeps the memory live while we walk it.
+                // SAFETY: the tail was just unlinked by its only writer and
+                // nothing has been handed to the sink yet; each version is
+                // read before it is handed over.
                 while let Some(vv) = unsafe { cur.as_ref() } {
                     let older = vv.prev.load(Ordering::Acquire, guard);
-                    // SAFETY: the tail is unreachable from the head; any
-                    // in-flight traversal holds an epoch guard, so physical
-                    // destruction is deferred past it.
-                    unsafe { guard.defer_destroy(cur) };
+                    sink(cur);
                     retired += 1;
                     cur = older;
                 }
@@ -323,6 +406,23 @@ mod tests {
         assert_eq!(c.truncate(300, &g), 1);
         assert_eq!(c.depth(&g), 1);
         assert_eq!(get_u64(c.latest(&g).unwrap().data(), 0), 3);
+    }
+
+    #[test]
+    fn truncate_walks_again_under_a_repeated_bound() {
+        // `truncate` works for any bound in any order: a caller that
+        // installs *below* a bound it already truncated under gets the
+        // newly dead version on the repeat call. (The engine never does
+        // that, which is why its once-per-bound skip lives in
+        // `VersionPool::reclaim` and not here.)
+        let c = Chain::new();
+        let g = epoch::pin();
+        c.install(ready(100, 1), &g);
+        c.install(ready(200, 2), &g);
+        assert_eq!(c.truncate(250, &g), 1);
+        c.install(ready(240, 3), &g); // version(200) now ends at 240 ≤ 250
+        assert_eq!(c.truncate(250, &g), 1);
+        assert_eq!(c.depth(&g), 1);
     }
 
     #[test]

@@ -13,18 +13,24 @@
 //!   [`DenseIndex`], the fixed-size array alternative (§4: the baselines'
 //!   array index; used here for ablations).
 //!
-//! Physical reclamation uses `crossbeam-epoch`, mirroring the paper's
-//! RCU-based garbage collection (§3.3.2). *Logical* reclamation safety comes
-//! from Condition 3 (batch low-watermark): by the time a version is
-//! truncated, no active or future transaction can resolve to it. The epoch
-//! guard additionally protects physically-overlapping chain traversals
-//! (e.g. a reader walking past the truncation point because no version is
-//! visible at its timestamp).
+//! * [`VersionPool`]: a CC thread's private free list of retired versions.
+//!
+//! Version reclamation follows the paper's Condition 3 (§3.3.2, batch
+//! low-watermark): by the time a version's end timestamp is at or below the
+//! watermark, no active or future transaction can resolve to it *or walk
+//! over it*, so the owning CC thread takes it back and reuses it at once
+//! ([`VersionPool::reclaim`] — the argument is in [`pool`] and
+//! [`Chain::visible`]). `crossbeam-epoch` covers what Condition 3 does not:
+//! hash-index entries (and the sole tombstone retired with one), whose
+//! bucket lists are traversed by every thread, and [`Chain::truncate`], the
+//! deferred-destruction sink for callers that cannot prove a watermark.
 
 pub mod chain;
 pub mod index;
+pub mod pool;
 pub mod version;
 
 pub use chain::Chain;
 pub use index::{DenseIndex, HashIndex, VersionIndex};
+pub use pool::VersionPool;
 pub use version::{Version, VersionState};

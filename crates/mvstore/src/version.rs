@@ -9,11 +9,17 @@
 //! producer *is* the transaction whose timestamp equals `begin`, so the
 //! engine resolves blocked reads by looking the timestamp up in its batch
 //! window.
+//!
+//! A version object may live several lives: once Condition 3 retires it
+//! (see [`VersionPool`](crate::pool::VersionPool)) its owning CC thread
+//! resets the header and installs it again as a fresh placeholder, payload
+//! buffer and all. `begin` and the payload are therefore plain data in
+//! race-audited cells, written only while the object is thread-private.
 
 use bohm_common::{Timestamp, INFINITY_TS};
 use bohm_sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use crossbeam_epoch::Atomic;
-use std::cell::UnsafeCell;
+use bohm_sync::cell::UnsafeCell;
+use crossbeam_epoch::{Atomic, Shared};
 
 /// Lifecycle of a version's payload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,14 +39,17 @@ pub enum VersionState {
 /// NOTE on layout: an earlier revision cache-line-aligned this struct
 /// (`repr(align(64))`), but 64-byte-aligned heap allocations take glibc's
 /// slow aligned path and measurably bottlenecked the CC threads (~5 µs per
-/// placeholder). The natural 8-byte alignment keeps allocation on the
-/// malloc fast path; the fields that racing threads touch are still grouped
-/// at the front of the object.
+/// placeholder). The natural 8-byte alignment keeps the (cold) allocator
+/// fallback on the malloc fast path; the fields that racing threads touch
+/// are still grouped at the front of the object. Header and payload are two
+/// allocations that travel together: a recycled version keeps its payload
+/// buffer, so the steady-state CC path allocates neither.
 pub struct Version {
-    /// Timestamp of the creating transaction (immutable). Doubles as the
-    /// paper's *txn pointer*: the producer is the transaction at this
+    /// Timestamp of the creating transaction (immutable for one life of the
+    /// object; rewritten only by [`recycle`](Self::recycle)). Doubles as
+    /// the paper's *txn pointer*: the producer is the transaction at this
     /// position of the input log.
-    begin: Timestamp,
+    begin: UnsafeCell<Timestamp>,
     /// Timestamp of the invalidating transaction; [`INFINITY_TS`] while this
     /// is the latest version. Written only by the owning CC thread; read by
     /// everyone.
@@ -58,19 +67,28 @@ pub struct Version {
 }
 
 // SAFETY: `data` is raced only under the documented protocol — one writer,
-// publication via the `state` release/acquire edge. All other fields are
-// atomics or immutable.
+// publication via the `state` release/acquire edge. `begin` is written only
+// while the object is thread-private (construction, `recycle`) and published
+// with the chain-head / annotation Release store. All other fields are
+// atomics.
 unsafe impl Send for Version {}
 // SAFETY: same argument as `Send` above.
 unsafe impl Sync for Version {}
 
 impl Version {
-    /// Create a placeholder for a write by transaction `begin` on a record
+    /// Allocate a placeholder for a write by transaction `begin` on a record
     /// whose payload is `size` bytes (paper §3.2.3 steps 1-4; the prev link,
     /// step 5, is set by [`Chain::install`](crate::chain::Chain::install)).
+    ///
+    /// This is the allocator path — database loading, tests, and the
+    /// fallback of [`VersionPool::take`](crate::pool::VersionPool::take)
+    /// when its free list is empty. A fresh payload is zero-filled, a
+    /// recycled one keeps its previous life's bytes; neither is observable,
+    /// because [`data`](Self::data) refuses to expose a `Pending` payload
+    /// and every producer overwrites the whole record.
     pub fn placeholder(begin: Timestamp, size: usize) -> Self {
         Self {
-            begin,
+            begin: UnsafeCell::new(begin),
             end: AtomicU64::new(INFINITY_TS),
             state: AtomicU32::new(VersionState::Pending as u32),
             prev: Atomic::null(),
@@ -81,7 +99,7 @@ impl Version {
     /// Create an already-`Ready` version (database preloading, tests).
     pub fn ready(begin: Timestamp, data: Box<[u8]>) -> Self {
         Self {
-            begin,
+            begin: UnsafeCell::new(begin),
             end: AtomicU64::new(INFINITY_TS),
             state: AtomicU32::new(VersionState::Ready as u32),
             prev: Atomic::null(),
@@ -89,9 +107,34 @@ impl Version {
         }
     }
 
+    /// Start this object's next life as the placeholder of transaction
+    /// `begin`: header reset, payload bytes left as they are (no zero-fill
+    /// — see [`placeholder`](Self::placeholder)). `&mut self` is the
+    /// caller's proof that Condition 3 has made the object thread-private
+    /// again.
+    pub(crate) fn recycle(&mut self, begin: Timestamp) {
+        // SAFETY: exclusive access via `&mut self`. The write goes through
+        // the audited accessor (not `get_mut`) on purpose: under the model
+        // checker a reader that could still see the previous life is
+        // reported as a race right here.
+        unsafe { self.begin.with_mut(|p| *p = begin) };
+        // RELAXED: the object is thread-private; the Release store that
+        // publishes it again (chain head / annotation slot) carries this
+        // with it, exactly as for a freshly built one.
+        self.end.store(INFINITY_TS, Ordering::Relaxed);
+        self.state
+            // RELAXED: thread-private, as above.
+            .store(VersionState::Pending as u32, Ordering::Relaxed);
+        // RELAXED: thread-private, as above.
+        self.prev.store(Shared::null(), Ordering::Relaxed);
+    }
+
     #[inline]
     pub fn begin(&self) -> Timestamp {
-        self.begin
+        // SAFETY: `begin` is only written while the object is
+        // thread-private; a shared reference exists only between
+        // publication and Condition-3 retirement.
+        unsafe { self.begin.with(|p| *p) }
     }
 
     #[inline]
@@ -108,7 +151,7 @@ impl Version {
         // RELAXED: debug-only sanity probe; release builds elide it and
         // correctness never hangs off this load.
         debug_assert_eq!(self.end.load(Ordering::Relaxed), INFINITY_TS);
-        debug_assert!(end > self.begin);
+        debug_assert!(end > self.begin());
         self.end.store(end, Ordering::Release);
     }
 
@@ -152,11 +195,10 @@ impl Version {
             self.state.load(Ordering::Relaxed),
             VersionState::Pending as u32
         );
+        debug_assert_eq!(self.len(), src.len(), "fixed-size records per table");
         // SAFETY: unique producer per the protocol above; readers are
         // excluded until the release-store below.
-        let dst = unsafe { &mut *self.data.get() };
-        debug_assert_eq!(dst.len(), src.len(), "fixed-size records per table");
-        dst.copy_from_slice(src);
+        unsafe { self.data.with_mut(|p| (*p).copy_from_slice(src)) };
         self.state
             .store(VersionState::Ready as u32, Ordering::Release);
     }
@@ -171,8 +213,7 @@ impl Version {
             VersionState::Pending as u32
         );
         // SAFETY: see `fill`.
-        let dst = unsafe { &mut *self.data.get() };
-        f(dst);
+        unsafe { self.data.with_mut(|p| f(&mut *p)) };
         self.state
             .store(VersionState::Ready as u32, Ordering::Release);
     }
@@ -196,8 +237,10 @@ impl Version {
     #[inline]
     pub fn prev<'g>(&self, guard: &'g crossbeam_epoch::Guard) -> Option<&'g Version> {
         // SAFETY: `prev` edges are only unlinked by the owning CC thread's
-        // truncate, which defers destruction — anything loaded under
-        // `guard` stays live for the guard's lifetime.
+        // truncation, which either defers destruction past `guard` or
+        // recycles under Condition 3 — and a Condition-3 bound never
+        // reaches the predecessor of a version whose reader is still live
+        // (see `Chain::visible`).
         unsafe { self.prev.load(Ordering::Acquire, guard).as_ref() }
     }
 
@@ -234,19 +277,20 @@ impl Version {
         assert!(
             self.is_resolved(),
             "read of uninitialized version placeholder (begin ts {})",
-            self.begin
+            self.begin()
         );
-        // SAFETY: `Ready`/`Tombstone` are terminal states published with
-        // release ordering; after the acquire-load above the payload is
-        // immutable.
-        unsafe { &*self.data.get() }
+        // SAFETY: `Ready`/`Tombstone` are terminal for this life of the
+        // object and published with release ordering; after the
+        // acquire-load above the payload is immutable until Condition 3
+        // retires the version, which no live reader outlasts.
+        unsafe { self.data.with(|p| &**p) }
     }
 }
 
 impl std::fmt::Debug for Version {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Version")
-            .field("begin", &self.begin)
+            .field("begin", &self.begin())
             // RELAXED: diagnostic snapshot; Debug output is allowed to race.
             .field("end", &self.end.load(Ordering::Relaxed))
             .field("state", &self.state())
@@ -303,6 +347,24 @@ mod tests {
         let v = Version::ready(100, bohm_common::value::of_u64(1, 8));
         v.supersede(200);
         assert_eq!(v.end(), 200);
+    }
+
+    #[test]
+    fn recycle_resets_the_header_and_keeps_the_payload_buffer() {
+        let mut v = Version::ready(100, bohm_common::value::of_u64(7, 8));
+        v.supersede(200);
+        let buf = v.data().as_ptr();
+        v.recycle(300);
+        assert_eq!(v.begin(), 300);
+        assert_eq!(v.end(), INFINITY_TS);
+        assert_eq!(v.state(), VersionState::Pending);
+        assert!(v.prev(&crossbeam_epoch::pin()).is_none());
+        assert_eq!(v.len(), 8);
+        // Stale bytes are unobservable: the payload is Pending again, and
+        // the producer overwrites all of it — in the same buffer.
+        v.fill(&9u64.to_le_bytes());
+        assert_eq!(bohm_common::value::get_u64(v.data(), 0), 9);
+        assert_eq!(v.data().as_ptr(), buf, "no reallocation");
     }
 
     #[test]

@@ -416,7 +416,17 @@ fn teardown_locked(st: &mut RtState) {
     }
 }
 
-fn dead_panic() -> ! {
+/// Leave a torn-down execution: panic, so the thread unwinds out of the
+/// harness. A thread that is *already* unwinding — its destructors (epoch
+/// guards, pooled objects) reach instrumented primitives on the way out —
+/// must not panic a second time, which would abort the whole test process:
+/// it detaches from the model instead and finishes on the real primitives.
+/// Callers return right after this does.
+fn dead_panic() {
+    if std::thread::panicking() {
+        set_current(None);
+        return;
+    }
     panic!("bohm-sync model: execution torn down after a failure (see the primary report)");
 }
 
@@ -439,7 +449,7 @@ pub(crate) fn yield_point() {
     }
     if st.dead {
         drop(st);
-        dead_panic();
+        return dead_panic();
     }
     st.steps += 1;
     if st.steps > st.max_steps {
@@ -552,7 +562,7 @@ pub(crate) fn register_child(me: usize) -> (u64, usize, std::sync::Arc<Parker>) 
     let mut st = lock_state();
     if st.dead {
         drop(st);
-        dead_panic();
+        panic!("bohm-sync model: spawn in a torn-down execution (see the primary report)");
     }
     let tid = st.threads.len();
     assert!(
@@ -644,7 +654,7 @@ pub(crate) fn join_thread(target: usize) {
         }
         if st.dead {
             drop(st);
-            dead_panic();
+            return dead_panic();
         }
         if st.threads[target].status == Status::Finished {
             let child_clock = st.threads[target].clock.clone();
@@ -933,7 +943,7 @@ pub(crate) fn lock_acquire(meta: &StdMutex<LockMeta>, key: usize, shared: bool) 
         }
         if st.dead {
             drop(st);
-            dead_panic();
+            return dead_panic();
         }
         let mut m = meta.lock().unwrap_or_else(PoisonError::into_inner);
         if m.gen != st.gen {
@@ -1046,6 +1056,7 @@ pub(crate) fn condvar_wait(
     if st.dead {
         drop(st);
         dead_panic();
+        return false;
     }
     st.threads[me].timed_out = false;
     block_current(st, me, Block::Condvar { key: cv_key, timed });

@@ -6,7 +6,7 @@
 //! RUSTFLAGS="--cfg bohm_modelcheck" cargo test --test modelcheck
 //! ```
 //!
-//! Three groups:
+//! Four groups:
 //!
 //! * **Detector self-tests** — the deliberately broken [`MiniRing`]
 //!   variant (its consumer drops the Acquire load) must be reported as a
@@ -17,6 +17,13 @@
 //!   reader's `visible` walks: the visibility predicate and the
 //!   unlink-before-defer reclamation protocol hold in every explored
 //!   schedule.
+//! * **mvstore recycling model** — the owning writer truncates into a
+//!   [`VersionPool`](bohm_mvstore::VersionPool) under a Condition-3
+//!   watermark and reuses the version at once, next to a reader above the
+//!   watermark and one that finished below it: the vector-clock detector
+//!   stays silent. A twin whose low reader is *still running* when the
+//!   watermark passes it (Condition 3 broken) must be reported as a data
+//!   race on the recycled object, with a replayable seed.
 //! * **lock-manager model** — `RwSpin` guarding a facade
 //!   [`UnsafeCell`](bohm_sync::cell::UnsafeCell) payload: the vector-clock
 //!   detector proves the lock's Acquire/Release edges actually order the
@@ -107,10 +114,22 @@ mod chain {
     /// The owning CC thread installs versions at ts 5 and 9 over a seeded
     /// ts-1 version, then truncates at bound 8 (unlinking the superseded
     /// ts-1 version). A reader walks `visible` at timestamps spanning the
-    /// whole history. In every schedule a hit must satisfy the visibility
-    /// predicate `begin < ts ≤ end`, and the walk must never touch freed
-    /// memory (truncation unlinks before deferring destruction).
+    /// whole history — including below the bound, which is why this model
+    /// stays on the epoch-deferred `truncate`. In every schedule a hit must
+    /// satisfy the visibility predicate `begin < ts ≤ end`, and the walk
+    /// must never touch freed memory (truncation unlinks before deferring
+    /// destruction).
+    ///
+    /// The reader looks at `end` a second time, after `visible` decided,
+    /// and this writer — unlike BOHM's CC phase — installs *below* some of
+    /// the reader's timestamps while it reads. So the predicate is checked
+    /// in the strongest form that holds in every schedule: exactly, for the
+    /// reads at or below every racing install (ts 2 and the `ts = end`
+    /// boundary 5, the BOHM-ordered reads); and for the reads above one
+    /// (ts 6, 10, 100), `end` may have dropped since the decision, but only
+    /// once, from ∞ to the begin of a racing install.
     fn install_truncate_scan() {
+        const RACING_INSTALLS: [u64; 2] = [5, 9];
         let chain = Arc::new(Chain::new());
         {
             let g = epoch::pin();
@@ -120,19 +139,27 @@ mod chain {
             let chain = Arc::clone(&chain);
             bohm_sync::thread::spawn(move || {
                 let g = epoch::pin();
-                chain.install(epoch::Owned::new(Version::ready(5, payload(5))), &g);
-                chain.install(epoch::Owned::new(Version::ready(9, payload(9))), &g);
+                for ts in RACING_INSTALLS {
+                    chain.install(epoch::Owned::new(Version::ready(ts, payload(ts))), &g);
+                }
                 chain.truncate(8, &g);
             })
         };
         let reader = {
             let chain = Arc::clone(&chain);
             bohm_sync::thread::spawn(move || {
-                for ts in [2u64, 6, 10, 100] {
+                for ts in [2u64, 5, 6, 10, 100] {
                     let g = epoch::pin();
                     if let Some(v) = chain.visible(ts, &g) {
-                        assert!(v.begin() < ts, "visible({ts}) returned begin {}", v.begin());
-                        assert!(v.end() >= ts, "visible({ts}) returned end {}", v.end());
+                        let (begin, end) = (v.begin(), v.end());
+                        assert!(begin < ts, "visible({ts}) returned begin {begin}");
+                        let superseded_since = RACING_INSTALLS
+                            .iter()
+                            .any(|&w| begin < w && w < ts && end == w);
+                        assert!(
+                            end >= ts || superseded_since,
+                            "visible({ts}) returned begin {begin}, end {end}"
+                        );
                     }
                 }
             })
@@ -150,6 +177,135 @@ mod chain {
     #[test]
     fn install_truncate_vs_scan_explored() {
         model::explore(model::Options::default(), install_truncate_scan);
+    }
+
+    // -----------------------------------------------------------------------
+    // Recycle under Condition 3: reclaim into a pool, reuse immediately
+    // -----------------------------------------------------------------------
+
+    use bohm_common::Timestamp;
+    use bohm_mvstore::VersionPool;
+    use bohm_sync::atomic::{AtomicU64, Ordering};
+
+    /// One `visible(ts)` read the way an execution thread does it: resolve,
+    /// and if the version is filled in, read the payload. Every version in
+    /// these models carries its own begin timestamp as payload, so a read
+    /// that lands on a recycled object's next life is also a wrong answer.
+    fn read_at(chain: &Chain, ts: Timestamp) {
+        let g = epoch::pin();
+        if let Some(v) = chain.visible(ts, &g) {
+            let begin = v.begin();
+            assert!(begin < ts, "visible({ts}) returned begin {begin}");
+            if v.is_resolved() {
+                assert_eq!(bohm_common::value::get_u64(v.data(), 0), begin);
+            }
+        }
+    }
+
+    /// The engine's reclamation protocol in miniature. Batch 1 (ts 5 and
+    /// ts 9 over a seeded ts-1 version) is already through the CC phase
+    /// when the threads start — BOHM installs everything at or below a
+    /// reader's timestamp before that reader runs.
+    ///
+    /// * The **low reader** is the batch-1 transaction at ts 3, whose read
+    ///   resolves to the ts-1 version (end 5). It publishes the watermark 8
+    ///   with Release — in the correct model *after* its read, as
+    ///   `exec_loop` does once a batch is done.
+    /// * The **writer** is the owning CC thread working on batch 2 (and the
+    ///   producer of its placeholders): per write it Acquire-loads the
+    ///   watermark, reclaims under it — only the ts-1 version has
+    ///   end 5 ≤ 8 — and installs whatever `take` hands back: the
+    ///   just-retired object if the watermark was up, a fresh one if not
+    ///   (or on the second write, which the per-bound mark skips).
+    /// * The **live reader** is batch 1 still executing above the
+    ///   watermark, at ts 10 and ts 11: its walks may meet the recycled
+    ///   object's next life at the head, never its previous one.
+    ///
+    /// `condition3_holds = false` moves the watermark store *before* the
+    /// low reader's read: a reader at ts ≤ bound that has not finished,
+    /// which is exactly what Condition 3 rules out.
+    fn recycle_under_watermark(condition3_holds: bool) {
+        let chain = Arc::new(Chain::new());
+        let watermark = Arc::new(AtomicU64::new(0));
+        {
+            let g = epoch::pin();
+            for ts in [1, 5, 9] {
+                chain.install(epoch::Owned::new(Version::ready(ts, payload(ts))), &g);
+            }
+        }
+        let writer = {
+            let chain = Arc::clone(&chain);
+            let watermark = Arc::clone(&watermark);
+            bohm_sync::thread::spawn(move || {
+                let mut pool = VersionPool::new();
+                let g = epoch::pin();
+                for ts in [12u64, 14] {
+                    let bound = watermark.load(Ordering::Acquire);
+                    // SAFETY: this thread is the chain's only writer, and
+                    // `bound` is the Acquire-loaded watermark — the very
+                    // contract under test (deliberately false in the twin).
+                    unsafe { pool.reclaim(&chain, bound, &g) };
+                    let v = chain.install(pool.take(ts, 8), &g);
+                    // SAFETY: just installed under `g`; a version at the
+                    // head is never truncated.
+                    unsafe { v.as_ref() }.unwrap().fill(&ts.to_le_bytes());
+                }
+            })
+        };
+        let low_reader = {
+            let chain = Arc::clone(&chain);
+            let watermark = Arc::clone(&watermark);
+            bohm_sync::thread::spawn(move || {
+                if !condition3_holds {
+                    watermark.store(8, Ordering::Release);
+                }
+                read_at(&chain, 3);
+                if condition3_holds {
+                    watermark.store(8, Ordering::Release);
+                }
+            })
+        };
+        let live_reader = {
+            let chain = Arc::clone(&chain);
+            bohm_sync::thread::spawn(move || {
+                read_at(&chain, 10);
+                read_at(&chain, 11);
+            })
+        };
+        writer.join().unwrap();
+        low_reader.join().unwrap();
+        live_reader.join().unwrap();
+        // Quiescent: [14, 12, 9, 5], plus ts 1 if the watermark arrived
+        // after the writer's last look.
+        let g = epoch::pin();
+        assert_eq!(chain.visible(100, &g).map(|v| v.begin()), Some(14));
+        assert!((4..=5).contains(&chain.depth(&g)));
+    }
+
+    #[test]
+    fn recycle_under_condition3_explored() {
+        model::explore(model::Options::default(), || recycle_under_watermark(true));
+    }
+
+    /// The broken twin: the detector must catch the still-running low
+    /// reader racing the recycled object's reset/refill within a bounded
+    /// seed scan, and the failing seed must fail identically on replay.
+    #[test]
+    fn recycle_below_the_watermark_is_a_replayable_race() {
+        let failing = |seed| {
+            catch_unwind(AssertUnwindSafe(|| {
+                model::run(seed, || recycle_under_watermark(false));
+            }))
+        };
+        let seed = (1..=256)
+            .find(|&s| failing(s).is_err())
+            .expect("no seed in 1..=256 exposed the reader below the watermark");
+        for _ in 0..2 {
+            let err = failing(seed).expect_err("the failing seed must fail deterministically");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("data race detected"), "got: {msg}");
+            assert!(msg.contains(&format!("seed {seed}")), "got: {msg}");
+        }
     }
 }
 

@@ -20,6 +20,11 @@
 //!
 //! Exit status: 0 clean, 2 findings (printed human-readable, or as a JSON
 //! array with `--json`), 1 usage/IO error.
+//!
+//! `--loc` instead prints the workspace's size — non-test, non-comment,
+//! non-blank Rust lines under each member's `src/` (so nothing under
+//! `tests/`, `benches/` or `examples/`), and their total — the
+//! lower-is-better line ROADMAP item 4 tracks.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -31,18 +36,20 @@ mod rules;
 use rules::Finding;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: analysis [--check] [--json] [--root <dir>]");
+    eprintln!("usage: analysis [--check | --loc] [--json] [--root <dir>]");
     ExitCode::from(1)
 }
 
 fn main() -> ExitCode {
     let mut json = false;
+    let mut loc = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--check" => {}
             "--json" => json = true,
+            "--loc" => loc = true,
             "--root" => match args.next() {
                 Some(r) => root = Some(PathBuf::from(r)),
                 None => return usage(),
@@ -61,6 +68,10 @@ fn main() -> ExitCode {
             },
         )
     });
+
+    if loc {
+        return print_loc(&root);
+    }
 
     let mut files = Vec::new();
     collect_rs_files(&root, &mut files);
@@ -93,6 +104,36 @@ fn main() -> ExitCode {
     } else {
         ExitCode::from(2)
     }
+}
+
+/// `--loc`: one row per workspace member (the `members` array of the root
+/// manifest, plus the root package itself), then the total.
+fn print_loc(root: &Path) -> ExitCode {
+    let Ok(manifest) = std::fs::read_to_string(root.join("Cargo.toml")) else {
+        eprintln!("analysis: no Cargo.toml under {}", root.display());
+        return ExitCode::from(1);
+    };
+    let members = manifest
+        .split_once("members")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map_or("", |(list, _)| list);
+    let mut total = 0;
+    for member in members.split('"').skip(1).step_by(2).chain(["."]) {
+        let mut files = Vec::new();
+        collect_rs_files(&root.join(member).join("src"), &mut files);
+        let mut lines = 0;
+        for f in &files {
+            let Ok(src) = std::fs::read_to_string(f) else {
+                eprintln!("analysis: unreadable file {}", f.display());
+                return ExitCode::from(1);
+            };
+            lines += rules::code_lines(&src);
+        }
+        println!("{lines:>7}  {member}");
+        total += lines;
+    }
+    println!("{total:>7}  total");
+    ExitCode::SUCCESS
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {

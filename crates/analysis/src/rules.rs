@@ -34,6 +34,21 @@ fn is_test_file(rel: &str) -> bool {
     rel.starts_with("tests/") || rel.contains("/tests/")
 }
 
+/// The `--loc` metric for one file: lines on which a code token starts (so
+/// neither blank nor comment-only, nor the inside of a multi-line string
+/// literal) outside `#[cfg(test)]` items.
+pub fn code_lines(src: &str) -> usize {
+    let toks = lex(src);
+    let code: Vec<&Tok<'_>> = toks.iter().filter(|t| t.kind != Kind::Comment).collect();
+    let regions = test_regions(&code);
+    let mut lines: Vec<u32> = (0..code.len())
+        .filter(|&i| !in_region(&regions, i))
+        .map(|i| code[i].line)
+        .collect();
+    lines.dedup(); // tokens arrive in line order
+    lines.len()
+}
+
 /// Run every rule over one file.
 pub fn check_file(rel: &str, src: &str, out: &mut Vec<Finding>) {
     let toks = lex(src);
@@ -496,6 +511,15 @@ mod tests {
     fn facade_rule_ignores_pattern_in_strings() {
         let ok = "const P: &str = \"std::sync::atomic\"; // std::sync::Mutex in a comment";
         assert!(findings("crates/x/src/lib.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn code_lines_skips_blanks_comments_and_test_items() {
+        let src = "// header\n\nuse a::b; // trailing\n/* block\n   comment */\nfn f() {\n    g(\"three\nwhole\nlines\");\n}\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n#[cfg(all(test, bohm_modelcheck))]\nmod m { fn t() {} }\nconst X: u8 = 1;\n";
+        // use, fn, the literal's first and last lines (no token starts on
+        // its middle one), the closing brace of f, const — and nothing from
+        // either test module.
+        assert_eq!(code_lines(src), 6);
     }
 
     #[test]

@@ -190,11 +190,6 @@ impl Txn {
     /// order. Called by the sequencer as transactions join a batch, so the
     /// CC and execution phases walk densely packed memory and the client's
     /// `Vec`s are freed up front instead of living as long as the batch.
-    ///
-    /// Under the `plain-alloc` feature this is a no-op: every set stays in
-    /// its original `Vec`, which is the A side of the arena-equivalence
-    /// regression test.
-    #[cfg(not(feature = "plain-alloc"))]
     pub fn repack(&mut self, arena: &mut Arena) {
         if !self.reads.is_packed() {
             self.reads = SetBuf::Packed(arena.alloc_copy(&self.reads));
@@ -209,10 +204,6 @@ impl Txn {
             self.index_scans = SetBuf::Packed(arena.alloc_copy(&self.index_scans));
         }
     }
-
-    /// `plain-alloc` build: sets keep their client-built `Vec`s.
-    #[cfg(feature = "plain-alloc")]
-    pub fn repack(&mut self, _arena: &mut Arena) {}
 
     /// True if the transaction declares no writes (long read-only YCSB
     /// transactions, SmallBank `Balance`).

@@ -58,6 +58,10 @@ pub(crate) struct Completion {
     remaining: AtomicUsize,
     /// Submission size (`remaining` counts down; this doesn't).
     count: usize,
+    /// Created in barrier mode: `wait_done` also waits for the batch holding
+    /// the submission's last transaction to retire, so that batch must
+    /// signal [`batch_retired`](Self::batch_retired).
+    needs_barrier: bool,
     /// Per-transaction decision (`txn_outcome` values) + fingerprint,
     /// each written once.
     slots: Slots,
@@ -134,6 +138,7 @@ impl Completion {
         Arc::new(Self {
             remaining: AtomicUsize::new(n),
             count: n,
+            needs_barrier,
             slots,
             state: Mutex::new(DoneState {
                 outcomes_done: n == 0,
@@ -237,10 +242,10 @@ impl Completion {
 #[derive(Clone)]
 pub(crate) struct TxnHook {
     pub completion: Arc<Completion>,
+    /// Position within the submission. The batch sealed around the *last*
+    /// transaction of a barrier-mode submission owes the completion a
+    /// retirement signal (see [`Batch::barriers`]).
     pub index: u32,
-    /// Is this the submission's last transaction? If so, the batch sealed
-    /// around it owes the completion a retirement signal.
-    pub last_of_submission: bool,
 }
 
 impl TxnHook {
@@ -519,8 +524,8 @@ pub struct Batch {
     pub(crate) cc_pending: AtomicUsize,
     /// Execution threads yet to finish their responsibilities.
     pub(crate) exec_pending: AtomicUsize,
-    /// Completions whose last transaction lives in this batch; signalled at
-    /// retirement (see [`Completion::batch_retired`]).
+    /// Barrier-mode completions whose last transaction lives in this batch;
+    /// signalled at retirement (see [`Completion::batch_retired`]).
     pub(crate) barriers: Box<[Arc<Completion>]>,
 }
 
@@ -542,7 +547,8 @@ impl Batch {
         let mut barriers = Vec::new();
         let mut states: Vec<TxnState> = Vec::with_capacity(entries.len());
         for (i, (txn, hook)) in entries.into_iter().enumerate() {
-            if hook.last_of_submission {
+            let c = &hook.completion;
+            if c.needs_barrier && hook.index as usize + 1 == c.count {
                 barriers.push(Arc::clone(&hook.completion));
             }
             states.push(TxnState::new(
@@ -611,7 +617,6 @@ pub(crate) mod tests {
                     TxnHook {
                         completion: Arc::clone(&completion),
                         index: i as u32,
-                        last_of_submission: i + 1 == n,
                     },
                 )
             })
@@ -688,6 +693,37 @@ pub(crate) mod tests {
             }
         );
         assert!(!completion.outcome(1).committed);
+    }
+
+    #[test]
+    fn only_barrier_mode_completions_register_as_barriers() {
+        // N session submissions: each is the last (only) transaction of its
+        // own completion, but none was created in barrier mode — nobody
+        // waits on retirement, so the retiring thread owes them nothing.
+        let sessions: Vec<_> = (0..5)
+            .map(|_| {
+                let hook = TxnHook {
+                    completion: Completion::new(1, false),
+                    index: 0,
+                };
+                (txn(), hook)
+            })
+            .collect();
+        let b = Batch::new(sessions, 1, 0, 0, 1, 1, 64, &mut test_arena());
+        assert!(b.barriers.is_empty());
+        // A group submission of N registers exactly once, and its handle's
+        // wait still implies the batch retired.
+        let (entries, completion) = hooked(5);
+        let b = Batch::new(entries, 1, 0, 0, 1, 1, 64, &mut test_arena());
+        assert_eq!(b.barriers.len(), 1);
+        for t in b.txns.iter() {
+            assert!(t.try_claim());
+            t.complete(true, 0);
+        }
+        let handle = BatchHandle { completion };
+        assert!(!handle.completion.is_done(), "not retired yet");
+        b.barriers[0].batch_retired();
+        handle.wait(); // must not block
     }
 
     #[test]

@@ -19,50 +19,37 @@
 //! — so the examination itself is a tight pass over one contiguous array.
 //!
 //! Threads never coordinate per transaction or per record; the only
-//! synchronization is one atomic countdown per batch (§3.2.4). Whichever
-//! thread finishes a batch last hands it to every execution thread. (The
-//! sequencer already registered the batch in the window ring before any CC
-//! thread saw it, so execution can always resolve read dependencies into
-//! in-flight batches.)
+//! synchronization is one atomic countdown per batch (§3.2.4). Each thread
+//! chases the window ring for its next batch id; whichever thread counts a
+//! batch down to zero wakes the execution threads chasing the same ring.
+//! (A batch is in the ring before any CC thread sees it, so execution can
+//! always resolve read dependencies into in-flight batches.)
 
 use crate::batch::Batch;
 use crate::engine::Inner;
 use bohm_common::RecordId;
 use bohm_mvstore::{Version, VersionIndex, VersionPool};
 use bohm_sync::atomic::Ordering;
-use crossbeam_channel::{Receiver, Sender};
 use crossbeam_epoch as epoch;
-use std::sync::Arc;
 
-/// Main loop of CC thread `me`. Exits when the submission side hangs up.
-pub(crate) fn cc_loop(
-    inner: Arc<Inner>,
-    me: usize,
-    rx: Receiver<Arc<Batch>>,
-    exec_senders: Vec<Sender<Arc<Batch>>>,
-) {
+/// Main loop of CC thread `me`. Exits once the sequencer has closed the
+/// window and every batch it pushed has been through here.
+pub(crate) fn cc_loop(inner: &Inner, me: usize) {
     // Versions this thread retired and has not re-installed yet. Strictly
     // thread-local: a chain's installer is also its truncator.
     let mut pool = VersionPool::new();
     // Round-robin cursor of this thread's key-reclamation sweep (each CC
     // thread eventually visits every bucket, reclaiming only its own keys).
     let mut sweep_cursor = 0usize;
-    while let Ok(batch) = rx.recv() {
+    for batch in (0..).map_while(|id| inner.window.next_for_cc(id)) {
         let t0 = std::time::Instant::now();
-        process_batch(&inner, me, &batch, &mut pool);
-        sweep_keys(&inner, me, &mut sweep_cursor, &mut pool);
+        process_batch(inner, me, &batch, &mut pool);
+        sweep_keys(inner, me, &mut sweep_cursor, &mut pool);
         inner
             .cc_busy_ns
             // RELAXED: monotonic statistics counter.
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        // The §3.2.4 barrier, amortized over the whole batch: the last CC
-        // thread through publishes the batch to the execution layer.
-        if batch.cc_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            for s in &exec_senders {
-                // Receivers only disappear at shutdown.
-                let _ = s.send(Arc::clone(&batch));
-            }
-        }
+        inner.window.cc_done(&batch);
     }
 }
 

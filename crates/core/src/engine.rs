@@ -1,4 +1,4 @@
-//! Engine assembly: threads, channels, ingest queue, public API.
+//! Engine assembly: threads, ingest queue, public API.
 
 use crate::batch::{BatchHandle, Completion, TxnOutcome};
 use crate::config::{BohmConfig, CatalogSpec};
@@ -9,7 +9,6 @@ use crate::{cc, exec};
 use bohm_common::{RecordId, TableId, Txn};
 use bohm_mvstore::{HashIndex, Version, VersionIndex, VersionState};
 use bohm_sync::atomic::{fence, AtomicU64, Ordering};
-use crossbeam_channel::unbounded;
 use crossbeam_epoch::{self as epoch, Owned};
 use crossbeam_utils::{Backoff, CachePadded};
 use std::sync::Arc;
@@ -127,47 +126,27 @@ impl Bohm {
             config,
         });
 
-        let mut threads = Vec::new();
-        let mut exec_senders = Vec::new();
-        for i in 0..inner.config.exec_threads {
-            let (tx, rx) = unbounded();
-            exec_senders.push(tx);
-            let inner2 = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("bohm-exec-{i}"))
-                    .spawn(move || exec::exec_loop(inner2, i, rx))
-                    .expect("spawn execution thread"),
-            );
-        }
-        let mut cc_senders = Vec::new();
-        for i in 0..inner.config.cc_threads {
-            let (tx, rx) = unbounded();
-            cc_senders.push(tx);
-            let inner2 = Arc::clone(&inner);
-            let exec_senders2 = exec_senders.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("bohm-cc-{i}"))
-                    .spawn(move || cc::cc_loop(inner2, i, rx, exec_senders2))
-                    .expect("spawn CC thread"),
-            );
-        }
-        // Worker threads now hold the only long-lived exec senders (via the
-        // CC threads); the sequencer holds the only CC senders. When the
-        // ingest queue closes, the whole pipeline drains and unwinds.
-        drop(exec_senders);
-
+        // Nothing connects the threads but `inner`: the sequencer publishes
+        // batches in the window ring, and the CC and execution threads
+        // chase it (see `crate::window`).
         let (ingest, rx) = ingest::ingest_queue(inner.config.ingest_capacity);
-        {
-            let inner2 = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("bohm-seq".into())
-                    .spawn(move || ingest::seq_loop(inner2, rx, cc_senders))
-                    .expect("spawn sequencer thread"),
-            );
+        let mut threads = Vec::new();
+        let mut spawn = |name: String, role: Box<dyn FnOnce(&Inner) + Send>| {
+            let inner = Arc::clone(&inner);
+            let builder = std::thread::Builder::new().name(name);
+            let spawned = builder.spawn(move || role(&inner));
+            threads.push(spawned.expect("spawn engine thread"));
+        };
+        for i in 0..inner.config.exec_threads {
+            let role = move |inner: &Inner| exec::exec_loop(inner, i);
+            spawn(format!("bohm-exec-{i}"), Box::new(role));
         }
+        for i in 0..inner.config.cc_threads {
+            let role = move |inner: &Inner| cc::cc_loop(inner, i);
+            spawn(format!("bohm-cc-{i}"), Box::new(role));
+        }
+        let role = move |inner: &Inner| ingest::seq_loop(inner, rx);
+        spawn("bohm-seq".into(), Box::new(role));
 
         Self {
             inner,
@@ -580,15 +559,16 @@ impl Bohm {
         }
     }
 
-    /// Stop accepting work, drain the pipeline, and join all threads.
-    pub fn shutdown(mut self) {
-        self.shutdown_impl();
-    }
+    /// Stop accepting work, drain the pipeline, and join all threads —
+    /// which is what dropping the engine does.
+    pub fn shutdown(self) {}
+}
 
-    fn shutdown_impl(&mut self) {
-        // Closing the ingest queue lets the sequencer drain and exit; its
-        // CC senders drop with it, CC threads exit, their exec-sender
-        // clones drop, and the execution channels close in turn.
+impl Drop for Bohm {
+    fn drop(&mut self) {
+        // Closing the ingest queue lets the sequencer drain and exit; on
+        // its way out it closes the window, and the CC and execution
+        // threads exit once they are through every batch it pushed.
         self.ingest.close();
         for h in self.threads.drain(..) {
             let _ = h.join();
@@ -599,12 +579,6 @@ impl Bohm {
             use bohm_common::wal::LogSink as _;
             let _ = wal.sync();
         }
-    }
-}
-
-impl Drop for Bohm {
-    fn drop(&mut self) {
-        self.shutdown_impl();
     }
 }
 
@@ -1400,8 +1374,9 @@ mod tests {
     #[test]
     fn tight_inflight_budget_still_completes() {
         // Budget of 2 with single-txn batches: the sequencer must block on
-        // the ring and resume as execution retires slots.
-        let mut cfg = BohmConfig::with_threads(1, 1);
+        // the ring and resume as execution retires slots, while three
+        // chasers per layer park on (and are woken through) the same ring.
+        let mut cfg = BohmConfig::with_threads(3, 3);
         cfg.batch_size = 1; // every transaction is its own batch
         cfg.max_inflight_batches = 2;
         cfg.ingest_capacity = 4;
@@ -1412,6 +1387,34 @@ mod tests {
         }
         let total: u64 = (0..4).map(|k| e.read_u64(rid(k)).unwrap()).sum();
         assert_eq!(total, 64);
+        e.shutdown();
+    }
+
+    #[test]
+    fn drop_with_batches_in_flight_drains_everything() {
+        // Dropping the engine closes the ingest queue, not the pipeline:
+        // the sequencer drains what was accepted, closes the window at the
+        // count it pushed, and every consumer finishes those batches first.
+        let mut cfg = BohmConfig::with_threads(2, 2);
+        cfg.batch_size = 8;
+        cfg.max_inflight_batches = 2;
+        let e = Bohm::start(cfg, CatalogSpec::new().table(4, 8, |_| 0));
+        let session = e.session();
+        let handles: Vec<_> = (0..500).map(|i| session.submit(rmw(&[i % 4], 1))).collect();
+        drop(e);
+        for h in &handles {
+            assert!(h.wait().committed, "accepted work must still execute");
+        }
+    }
+
+    #[test]
+    fn idle_engine_shutdown_joins_parked_consumers() {
+        // No batch ever pushed: every consumer is waiting on the empty ring
+        // for batch 0 and must be released by the close alone.
+        small_engine().shutdown();
+        // Same after some traffic: consumers wait for a batch id > 0.
+        let e = small_engine();
+        e.execute_sync(vec![rmw(&[1], 1)]);
         e.shutdown();
     }
 }

@@ -24,31 +24,30 @@ use crate::batch::{txn_status, Batch, TxnState};
 use crate::engine::Inner;
 use bohm_common::{execute_procedure, AbortReason, ExecScratch};
 use bohm_sync::atomic::Ordering;
-use crossbeam_channel::Receiver;
 use crossbeam_epoch as epoch;
 use crossbeam_utils::Backoff;
-use std::sync::Arc;
 
-/// Main loop of execution thread `me`.
-pub(crate) fn exec_loop(inner: Arc<Inner>, me: usize, rx: Receiver<Arc<Batch>>) {
+/// Main loop of execution thread `me`. Exits once the sequencer has closed
+/// the window and every batch it pushed has been through here.
+pub(crate) fn exec_loop(inner: &Inner, me: usize) {
     let mut scratch = ExecScratch::new();
     let mut remaining: Vec<usize> = Vec::new();
-    while let Ok(batch) = rx.recv() {
+    for batch in (0..).map_while(|id| inner.window.next_for_exec(id)) {
         let t0 = std::time::Instant::now();
-        run_batch(&inner, me, &batch, &mut scratch, &mut remaining);
+        run_batch(inner, me, &batch, &mut scratch, &mut remaining);
         inner
             .exec_busy_ns
             // RELAXED: monotonic statistics counter.
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         inner.finished_ts[me].store(batch.last_ts(), Ordering::Release);
         if me == 0 {
-            refresh_gc_bound(&inner);
+            refresh_gc_bound(inner);
         }
         if batch.exec_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Every thread's `finished_ts` store happened before its
             // countdown decrement, so this refresh observes them all: slot
             // release and GC-bound advance travel together.
-            refresh_gc_bound(&inner);
+            refresh_gc_bound(inner);
             // Publish the epoch high-water mark before releasing the ring
             // slot: a waiter unblocked by retirement must observe it.
             inner.retired_epoch.fetch_max(batch.epoch, Ordering::AcqRel);

@@ -23,8 +23,11 @@
 //!   per-batch barriers and sparse traffic is not held hostage.
 //! * Sealed batches are registered in the `Window` ring
 //!   (`crate::window`) — which blocks while the in-flight-batch budget is
-//!   exhausted, completing the backpressure chain — and then handed to
-//!   every CC thread.
+//!   exhausted, completing the backpressure chain. Registration *is* the
+//!   hand-off: every CC thread chases the ring for its next batch id. When
+//!   the sequencer leaves (queue closed and drained, or a WAL fault) it
+//!   closes the window at the number of batches it pushed, which is what
+//!   lets the CC and execution threads finish those batches and exit.
 //!
 //! Timestamps are strided: batch `b` owns `1 + b·batch_size ..=
 //! (b+1)·batch_size`, and a partially-filled batch leaves the tail of its
@@ -35,7 +38,6 @@ use crate::batch::{Batch, Completion, TxnHook};
 use crate::engine::Inner;
 use bohm_common::Txn;
 use bohm_sync::{Condvar, Mutex};
-use crossbeam_channel::Sender;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -57,31 +59,15 @@ impl SubmitTxns {
     }
 }
 
-impl IntoIterator for SubmitTxns {
-    type Item = Txn;
-    type IntoIter = SubmitTxnsIter;
-
-    fn into_iter(self) -> SubmitTxnsIter {
-        match self {
-            SubmitTxns::One(t) => SubmitTxnsIter::One(std::iter::once(t)),
-            SubmitTxns::Many(v) => SubmitTxnsIter::Many(v.into_iter()),
-        }
-    }
-}
-
-pub(crate) enum SubmitTxnsIter {
-    One(std::iter::Once<Txn>),
-    Many(std::vec::IntoIter<Txn>),
-}
-
-impl Iterator for SubmitTxnsIter {
-    type Item = Txn;
-
-    fn next(&mut self) -> Option<Txn> {
-        match self {
-            SubmitTxnsIter::One(i) => i.next(),
-            SubmitTxnsIter::Many(i) => i.next(),
-        }
+impl SubmitTxns {
+    /// The transactions in submission order (an empty `Vec` allocates
+    /// nothing, so the one-transaction case stays allocation-free).
+    pub fn drain(self) -> impl Iterator<Item = Txn> {
+        let (one, many) = match self {
+            SubmitTxns::One(t) => (Some(t), Vec::new()),
+            SubmitTxns::Many(v) => (None, v),
+        };
+        one.into_iter().chain(many)
     }
 }
 
@@ -107,6 +93,16 @@ struct QueueShared {
     not_full: Condvar,
     not_empty: Condvar,
     capacity: usize,
+}
+
+impl QueueShared {
+    /// Stop accepting submissions: blocked senders wake up and error out,
+    /// the receiver drains what is queued. Idempotent.
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.not_full.notify_all();
+        self.not_empty.notify_all();
+    }
 }
 
 /// Submitting half of the ingest queue (cloned into every session).
@@ -181,28 +177,13 @@ impl IngestTx {
     }
 
     /// Stop accepting submissions; the sequencer drains what is queued and
-    /// exits. Idempotent.
+    /// exits.
     pub fn close(&self) {
-        let mut st = self.shared.state.lock();
-        st.closed = true;
-        drop(st);
-        self.shared.not_full.notify_all();
-        self.shared.not_empty.notify_all();
+        self.shared.close();
     }
 }
 
 impl IngestRx {
-    /// Receiver-side close: stop accepting submissions (senders blocked on
-    /// a full queue wake up and error out). The sequencer uses this when
-    /// the engine faults and can no longer execute accepted work.
-    pub fn close(&self) {
-        let mut st = self.shared.state.lock();
-        st.closed = true;
-        drop(st);
-        self.shared.not_full.notify_all();
-        self.shared.not_empty.notify_all();
-    }
-
     /// Pop the oldest submission; with a deadline, give up at the deadline
     /// (the sequencer's linger timer). `Closed` only after the queue has
     /// fully drained, so no accepted submission is ever dropped.
@@ -239,8 +220,8 @@ impl IngestRx {
 // The sequencer role
 // ---------------------------------------------------------------------------
 
-/// Main loop of the sequencer thread: drain → bind → seal → dispatch.
-pub(crate) fn seq_loop(inner: Arc<Inner>, rx: IngestRx, cc_senders: Vec<Sender<Arc<Batch>>>) {
+/// Main loop of the sequencer thread: drain → bind → seal → publish.
+pub(crate) fn seq_loop(inner: &Inner, rx: IngestRx) {
     let stride = inner.config.batch_size;
     let linger = inner.config.batch_linger;
     let mut next_batch: u64 = 0;
@@ -296,25 +277,21 @@ pub(crate) fn seq_loop(inner: Arc<Inner>, rx: IngestRx, cc_senders: Vec<Sender<A
                 arena,
             );
             *next_batch += 1;
-            // Ring registration first (it may block on the in-flight budget —
-            // that stall is the backpressure), and *before* any CC thread can
-            // install a placeholder whose producer must be resolvable.
-            inner.window.push(Arc::clone(&batch));
-            for s in &cc_senders {
-                // Worker channels only close after this thread drops its
-                // senders at exit.
-                let _ = s.send(Arc::clone(&batch));
-            }
+            // Ring registration (it may block on the in-flight budget — that
+            // stall is the backpressure) publishes the batch to the CC
+            // threads, so no placeholder is ever installed whose producer is
+            // not resolvable through the ring.
+            inner.window.push(batch);
             true
         };
 
-    'run: loop {
+    // Runs until the queue is closed and drained (`true`) or a seal fails.
+    let sealed_all = 'run: loop {
         let deadline = (!open.is_empty()).then(|| open_since + linger);
         match rx.recv_deadline(deadline) {
             RecvOutcome::Req(req) => {
-                let n = req.txns.len();
-                debug_assert!(n > 0, "empty submissions complete client-side");
-                for (i, mut txn) in req.txns.into_iter().enumerate() {
+                debug_assert!(req.txns.len() > 0, "empty submissions complete client-side");
+                for (i, mut txn) in req.txns.drain().enumerate() {
                     if open.is_empty() {
                         open_since = Instant::now();
                     }
@@ -327,35 +304,29 @@ pub(crate) fn seq_loop(inner: Arc<Inner>, rx: IngestRx, cc_senders: Vec<Sender<A
                         TxnHook {
                             completion: Arc::clone(&req.completion),
                             index: i as u32,
-                            last_of_submission: i + 1 == n,
                         },
                     ));
-                    if open.len() >= stride {
-                        // size trigger
-                        if !seal(&mut open, &mut next_batch, &mut arena) {
-                            fail_engine(open, &rx);
-                            break 'run;
-                        }
+                    // size trigger
+                    if open.len() >= stride && !seal(&mut open, &mut next_batch, &mut arena) {
+                        break 'run false;
                     }
                 }
             }
             // time trigger
             RecvOutcome::TimedOut => {
                 if !seal(&mut open, &mut next_batch, &mut arena) {
-                    fail_engine(open, &rx);
-                    break 'run;
+                    break 'run false;
                 }
             }
-            RecvOutcome::Closed => {
-                if !seal(&mut open, &mut next_batch, &mut arena) {
-                    fail_engine(open, &rx);
-                }
-                break 'run;
-            }
+            RecvOutcome::Closed => break 'run seal(&mut open, &mut next_batch, &mut arena),
         }
+    };
+    if !sealed_all {
+        fail_engine(open, &rx);
     }
-    // Dropping `cc_senders` here closes the CC channels; CC threads exit,
-    // their exec-sender clones drop, and the pipeline drains itself.
+    // Every pushed batch is still fully processed and retired; a consumer
+    // whose next batch id equals this count then exits.
+    inner.window.close(next_batch);
 }
 
 /// Stop-the-world engine fault (the WAL refused an append): nothing
@@ -368,7 +339,7 @@ fn fail_engine(open: Vec<(Txn, TxnHook)>, rx: &IngestRx) {
     for (_, hook) in open {
         hook.completion.poison();
     }
-    rx.close();
+    rx.shared.close();
     loop {
         match rx.recv_deadline(None) {
             RecvOutcome::Req(req) => req.completion.poison(),

@@ -1,11 +1,14 @@
-//! The batch window: a lock-free bounded ring of in-flight batches.
+//! The batch window: a lock-free bounded ring of in-flight batches, and the
+//! pipeline's only batch hand-off.
 //!
 //! Execution and concurrency control operate on different batches
 //! concurrently (paper §3.3.1), and a thread on batch `b+1` may hit a read
 //! dependency on a still-pending version produced in batch `b`. The window
 //! resolves a producer *timestamp* (a version's `begin` — the paper's "txn
 //! pointer") back to its batch so the dependency can be executed
-//! recursively.
+//! recursively. The same registry delivers the batches: the sequencer
+//! publishes a batch once, here, and every CC and execution thread *chases*
+//! the ring with a private `next` batch id instead of being mailed a copy.
 //!
 //! # Design
 //!
@@ -18,6 +21,12 @@
 //!   store. Capacity is the in-flight-batch budget — a full ring *is* the
 //!   pipeline's backpressure, propagating to the ingest queue and from
 //!   there to submitting sessions.
+//! * **next_for_cc / next_for_exec** (the chasers): wait until slot
+//!   `next & mask` holds batch `next` — and, for execution, until that
+//!   batch's `cc_pending` countdown reached zero (Acquire, pairing with the
+//!   countdown's AcqRel in `Window::cc_done`). `None` once the sequencer
+//!   `close`d the ring at exactly `next` batches: every pushed batch is
+//!   still handed to every consumer, then they exit.
 //! * **lookup** (execution threads, blocked-read path): one load + two
 //!   field checks under an epoch pin. No lock, no scan, no shared-memory
 //!   write.
@@ -26,47 +35,48 @@
 //!   slot release also advances the Condition-3 GC bound (the caller
 //!   refreshes the watermark before retiring).
 //!
+//! Every wait is spin-then-park on one mutex + condvar meaning "the ring
+//! changed"; push, the last CC countdown, retire and close each notify it
+//! with the mutex held, and a waiter re-probes under the mutex before every
+//! wait, so a wakeup cannot slip between its check and its wait — no
+//! timeouts anywhere.
+//!
 //! A lookup that finds a vacant slot (or a different batch id) means the
 //! asked-for batch already retired — every transaction in it is `Complete`
 //! — so the caller can simply retry its read. Slot reuse cannot alias: ids
 //! mapping to the same slot are `capacity` apart, and at most `capacity`
 //! batches are in flight, with the sequencer blocked until the previous
-//! occupant retired.
+//! occupant retired. A chaser cannot miss its batch for the same reason: a
+//! batch stays in its slot until every execution thread — hence, before
+//! them, every CC thread — has counted itself out of it.
 
 // HOT-PATH: the blocked-read lookup runs per dependency resolution; no
 // clocks, no syscalls, no I/O in non-test code (enforced by the lint).
 
 use crate::batch::Batch;
 use bohm_common::Timestamp;
-use bohm_sync::atomic::{AtomicPtr, Ordering};
+use bohm_sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use bohm_sync::{Condvar, Mutex};
 use crossbeam_epoch as epoch;
-use crossbeam_utils::Backoff;
+use crossbeam_utils::{Backoff, CachePadded};
 use std::sync::Arc;
 
-/// One ring slot, padded out to a cache line. Adjacent slots belong to
-/// *different* in-flight batches touched by different threads (the sequencer
-/// stores slot `i` while execution retires slot `i-1`); without the padding
-/// a retire's swap would false-share with the neighbouring slot's lookups.
-#[repr(align(64))]
-struct Slot(AtomicPtr<Batch>);
-
-impl std::ops::Deref for Slot {
-    type Target = AtomicPtr<Batch>;
-
-    fn deref(&self) -> &AtomicPtr<Batch> {
-        &self.0
-    }
-}
-
 pub(crate) struct Window {
-    slots: Box<[Slot]>,
+    /// One padded slot per in-flight batch. Adjacent slots belong to
+    /// *different* batches touched by different threads (the sequencer
+    /// stores slot `i` while execution retires slot `i-1`); without the
+    /// padding a retire's swap would false-share with the neighbouring
+    /// slot's lookups.
+    slots: Box<[CachePadded<AtomicPtr<Batch>>]>,
     mask: u64,
     /// Timestamp stride per batch id (`BohmConfig::batch_size`).
     stride: u64,
-    /// Slow-path parking for a sequencer waiting on a full ring.
-    vacancy: Mutex<()>,
-    vacated: Condvar,
+    /// How many batches the sequencer pushed before it left; `u64::MAX`
+    /// while it is still running.
+    closed_at: AtomicU64,
+    /// Slow-path parking for every ring waiter: "the ring changed".
+    lock: Mutex<()>,
+    changed: Condvar,
 }
 
 impl Window {
@@ -76,43 +86,71 @@ impl Window {
         assert!(capacity >= 2 && stride >= 1);
         let n = capacity.next_power_of_two();
         let mut slots = Vec::with_capacity(n);
-        slots.resize_with(n, || Slot(AtomicPtr::new(std::ptr::null_mut())));
+        slots.resize_with(n, || CachePadded::new(AtomicPtr::new(std::ptr::null_mut())));
         Self {
             slots: slots.into_boxed_slice(),
             mask: (n - 1) as u64,
             stride,
-            vacancy: Mutex::new(()),
-            vacated: Condvar::new(),
+            closed_at: AtomicU64::new(u64::MAX),
+            lock: Mutex::new(()),
+            changed: Condvar::new(),
         }
     }
 
-    /// Register a batch; blocks while the batch's slot is still occupied by
-    /// the batch `capacity` ids older (the in-flight budget). Sequencer
-    /// only.
-    pub fn push(&self, b: Arc<Batch>) {
-        let slot = &self.slots[(b.id & self.mask) as usize];
-        let ptr = Arc::into_raw(b) as *mut Batch;
-        // Fast path: spin briefly — retirement is usually imminent.
+    /// Block until `probe` yields: spin briefly — the awaited change is
+    /// usually imminent — then park. The parked re-probe happens *under*
+    /// the lock and [`notify`](Self::notify) signals while holding it, so a
+    /// wakeup cannot slip between the probe and the wait — no timeout
+    /// crutch needed.
+    fn wait_for<T>(&self, mut probe: impl FnMut() -> Option<T>) -> T {
         let backoff = Backoff::new();
-        loop {
-            if slot.load(Ordering::Acquire).is_null() {
-                break;
-            }
-            if backoff.is_completed() {
-                // Park until a retire signals. The final slot re-check
-                // happens *under* the vacancy lock and `retire` notifies
-                // while holding it, so the wakeup cannot slip between the
-                // check and the wait — no timeout crutch needed.
-                let mut g = self.vacancy.lock();
-                while !slot.load(Ordering::Acquire).is_null() {
-                    self.vacated.wait(&mut g);
-                }
-                break;
+        while !backoff.is_completed() {
+            if let Some(v) = probe() {
+                return v;
             }
             backoff.snooze();
         }
-        debug_assert!(slot.load(Ordering::Acquire).is_null());
-        slot.store(ptr, Ordering::Release);
+        let mut g = self.lock.lock();
+        loop {
+            if let Some(v) = probe() {
+                return v;
+            }
+            self.changed.wait(&mut g);
+        }
+    }
+
+    /// Wake every parked waiter to re-probe. Called *after* the state
+    /// change it announces; holding the lock pairs with `wait_for`'s locked
+    /// re-probe: either the waiter sees the change, or it is already
+    /// waiting and receives this notification.
+    fn notify(&self) {
+        let _g = self.lock.lock();
+        self.changed.notify_all();
+    }
+
+    /// Register a batch — which hands it to every CC thread; blocks while
+    /// the batch's slot is still occupied by the batch `capacity` ids older
+    /// (the in-flight budget). Sequencer only.
+    pub fn push(&self, b: Arc<Batch>) {
+        let slot = &self.slots[(b.id & self.mask) as usize];
+        self.wait_for(|| slot.load(Ordering::Acquire).is_null().then_some(()));
+        slot.store(Arc::into_raw(b) as *mut Batch, Ordering::Release);
+        self.notify();
+    }
+
+    /// The sequencer is leaving after `pushed` batches (ids `0..pushed`):
+    /// a chaser whose `next` reaches `pushed` exits instead of waiting.
+    pub fn close(&self, pushed: u64) {
+        self.closed_at.store(pushed, Ordering::Release);
+        self.notify();
+    }
+
+    /// One CC thread finished `b` — the §3.2.4 barrier, amortized over the
+    /// whole batch: the last one through hands it to the execution layer.
+    pub fn cc_done(&self, b: &Batch) {
+        if b.cc_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.notify();
+        }
     }
 
     /// Deregister a fully-executed batch and release its slot.
@@ -123,36 +161,19 @@ impl Window {
         // SAFETY: the swap made us the unique unlinker; the Arc reference
         // the slot held keeps the batch alive until the deferred drop.
         debug_assert_eq!(unsafe { &*ptr }.id, id);
-        // Readers racing `lookup` may still hold the raw pointer; drop the
+        // Readers racing `get` may still hold the raw pointer; drop the
         // window's reference only after their epoch pins release.
-        let guard = epoch::pin();
         // SAFETY: `ptr` came from `Arc::into_raw` in `push` and was just
-        // unlinked from the slot; any concurrent `lookup` upgraded its own
+        // unlinked from the slot; any concurrent `get` upgraded its own
         // reference under an epoch pin taken before this defer runs.
-        unsafe {
-            guard.defer_unchecked(move || drop(Arc::from_raw(ptr)));
-        }
-        drop(guard);
-        // Wake a sequencer parked on the full ring. Signalling while the
-        // vacancy lock is held pairs with `push`'s locked re-check: either
-        // the pusher sees the nulled slot, or it is already waiting and
-        // receives this notification — a wakeup can't be lost between its
-        // check and its wait.
-        let _g = self.vacancy.lock();
-        self.vacated.notify_all();
+        unsafe { epoch::pin().defer_unchecked(move || drop(Arc::from_raw(ptr))) };
+        // Wake a sequencer parked on the full ring.
+        self.notify();
     }
 
-    /// Find the batch containing timestamp `ts` — O(1): one divide, one
-    /// load, two checks.
-    ///
-    /// `None` means the batch already completed (retired) — the producing
-    /// transaction is `Complete` and its versions are resolved, so the
-    /// caller can simply retry its read.
-    pub fn lookup(&self, ts: Timestamp) -> Option<Arc<Batch>> {
-        if ts == 0 {
-            return None; // preloaded versions have no producing batch
-        }
-        let id = (ts - 1) / self.stride;
+    /// Batch `id`, if its slot currently holds it and it passes `ok` — the
+    /// one slot-load-and-upgrade body behind `lookup` and both chasers.
+    fn get(&self, id: u64, ok: impl FnOnce(&Batch) -> bool) -> Option<Arc<Batch>> {
         let slot = &self.slots[(id & self.mask) as usize];
         let guard = epoch::pin();
         let ptr = slot.load(Ordering::Acquire);
@@ -162,8 +183,8 @@ impl Window {
         // SAFETY: non-null slot pointers are valid while our epoch pin
         // predates any retire's deferred drop (see `retire`).
         let b = unsafe { &*ptr };
-        if b.id != id || !b.contains(ts) {
-            return None; // slot reused by a newer batch, or ts in the stride gap
+        if b.id != id || !ok(b) {
+            return None; // vacated and reused by a newer batch, or not `ok` yet
         }
         // Upgrade to an owned reference while the pin protects the count.
         // SAFETY: the window's own reference keeps the count ≥ 1 until the
@@ -173,6 +194,39 @@ impl Window {
             drop(guard);
             Some(Arc::from_raw(ptr))
         }
+    }
+
+    /// Find the batch containing timestamp `ts` — O(1): one divide, one
+    /// load, two checks.
+    ///
+    /// `None` means the batch already completed (retired) — the producing
+    /// transaction is `Complete` and its versions are resolved, so the
+    /// caller can simply retry its read.
+    pub fn lookup(&self, ts: Timestamp) -> Option<Arc<Batch>> {
+        // Preloaded versions (`ts == 0`) have no producing batch; `contains`
+        // fails for a timestamp in a partial batch's stride gap.
+        self.get(ts.checked_sub(1)? / self.stride, |b| b.contains(ts))
+    }
+
+    /// Block until batch `id` is registered and `ready`, or the ring closed
+    /// at `id` batches (`None`).
+    fn chase(&self, id: u64, ready: impl Fn(&Batch) -> bool) -> Option<Arc<Batch>> {
+        self.wait_for(|| match self.get(id, &ready) {
+            Some(b) => Some(Some(b)),
+            None => (self.closed_at.load(Ordering::Acquire) == id).then_some(None),
+        })
+    }
+
+    /// A CC thread's next batch: `id` as soon as the sequencer pushed it.
+    pub fn next_for_cc(&self, id: u64) -> Option<Arc<Batch>> {
+        self.chase(id, |_| true)
+    }
+
+    /// An execution thread's next batch: `id` once every CC thread is done
+    /// with it. The Acquire load pairs with [`cc_done`](Self::cc_done)'s
+    /// AcqRel countdown, so all their installs and annotations are visible.
+    pub fn next_for_exec(&self, id: u64) -> Option<Arc<Batch>> {
+        self.chase(id, |b| b.cc_pending.load(Ordering::Acquire) == 0)
     }
 
     /// True when no batch is between `push` and `retire` — each slot looked
@@ -324,6 +378,65 @@ mod tests {
     }
 
     #[test]
+    fn chasers_get_every_batch_in_order_and_exit_on_close() {
+        // The hand-off under the OS scheduler (the modelcheck module
+        // enumerates the same protocol): a capacity-2 ring keeps the
+        // sequencer, two CC chasers and two retiring exec chasers parking
+        // on one another constantly.
+        let batches: u64 = bohm_common::stress_iters(2_000);
+        let w = Arc::new(Window::new(2, STRIDE));
+        let mut chasers = Vec::new();
+        for _ in 0..2 {
+            let w2 = Arc::clone(&w);
+            chasers.push(std::thread::spawn(move || {
+                let mut next = 0;
+                while let Some(b) = w2.next_for_cc(next) {
+                    assert_eq!(b.id, next);
+                    next += 1;
+                    w2.cc_done(&b);
+                }
+                next
+            }));
+            let w2 = Arc::clone(&w);
+            chasers.push(std::thread::spawn(move || {
+                let mut next = 0;
+                while let Some(b) = w2.next_for_exec(next) {
+                    assert_eq!(b.id, next);
+                    assert_eq!(b.cc_pending.load(Ordering::Acquire), 0);
+                    next += 1;
+                    if b.exec_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        w2.retire(b.id);
+                    }
+                }
+                next
+            }));
+        }
+        for id in 0..batches {
+            let (entries, _c) = hooked(1);
+            let mut arena = crate::batch::tests::test_arena();
+            w.push(Batch::new(
+                entries,
+                1 + id * STRIDE,
+                id,
+                0,
+                2,
+                2,
+                64,
+                &mut arena,
+            ));
+        }
+        w.close(batches);
+        for c in chasers {
+            assert_eq!(
+                c.join().unwrap(),
+                batches,
+                "every pushed batch is handed off"
+            );
+        }
+        assert_eq!(w.len(), 0, "and retired");
+    }
+
+    #[test]
     fn concurrent_push_lookup_retire_stress() {
         // The satellite stress test: one producer pushing/one retirer
         // releasing slots in retirement order while readers hammer lookups
@@ -393,11 +506,12 @@ mod tests {
 ///
 /// The stress tests above rely on the OS scheduler to stumble into bad
 /// interleavings; these models *enumerate* them. The interesting window
-/// bug class is the lost wakeup on the vacancy condvar: a retire whose
-/// notification slips between a parking pusher's slot re-check and its
-/// wait would strand the pusher forever. Under the model checker that is
-/// not a hang — every thread is blocked with no timed waiter, so the run
-/// is reported as a deadlock with a replayable seed.
+/// bug class is the lost wakeup on the ring condvar: a notification (of a
+/// retire to a parked pusher, of a push, a last CC countdown or a close to
+/// a parked chaser) that slips between the waiter's re-probe and its wait
+/// would strand the waiter forever. Under the model checker that is not a
+/// hang — every thread is blocked with no timed waiter, so the run is
+/// reported as a deadlock with a replayable seed.
 #[cfg(all(test, bohm_modelcheck))]
 mod modelcheck {
     use super::*;
@@ -492,5 +606,100 @@ mod modelcheck {
     #[test]
     fn vacancy_condvar_has_no_lost_wakeup() {
         model::explore(model::Options::default(), vacancy_wakeup_model);
+    }
+
+    /// Spawn a CC chaser and a retiring exec chaser over `w` (one thread
+    /// per layer, matching `mk_batch`'s countdowns); each returns the ids
+    /// it was handed, in order.
+    fn spawn_chasers(w: &Arc<Window>) -> [bohm_sync::thread::JoinHandle<Vec<u64>>; 2] {
+        let cc = {
+            let w = Arc::clone(w);
+            bohm_sync::thread::spawn(move || {
+                let mut seen = Vec::new();
+                while let Some(b) = w.next_for_cc(seen.len() as u64) {
+                    seen.push(b.id);
+                    w.cc_done(&b);
+                }
+                seen
+            })
+        };
+        let exec = {
+            let w = Arc::clone(w);
+            bohm_sync::thread::spawn(move || {
+                let mut seen = Vec::new();
+                while let Some(b) = w.next_for_exec(seen.len() as u64) {
+                    // Never handed over before the CC countdown finished.
+                    assert_eq!(b.cc_pending.load(Ordering::Acquire), 0);
+                    seen.push(b.id);
+                    w.retire(b.id);
+                }
+                seen
+            })
+        };
+        [cc, exec]
+    }
+
+    /// Sequencer-side prelude: yield (a PCT demotion below every other
+    /// thread) often enough that in most schedules both chasers are through
+    /// their short spin phase and *parked* on the empty ring before the
+    /// first push or the close — the state a lost wakeup needs. Priority
+    /// change points still produce the schedules where they are not.
+    fn let_chasers_park() {
+        for _ in 0..6 {
+            bohm_sync::thread::yield_now();
+        }
+    }
+
+    /// The whole hand-off on a capacity-2 ring: the sequencer pushes three
+    /// batches (the third parks on the full ring) and closes; a CC chaser
+    /// and a retiring exec chaser must each be handed ids 0,1,2 exactly
+    /// once, in order, and everyone must terminate. A lost wakeup on the
+    /// push, countdown, retire or close notification deadlocks the model.
+    fn handoff_model() {
+        let w = Arc::new(Window::new(2, STRIDE));
+        let chasers = spawn_chasers(&w);
+        let sequencer = {
+            let w = Arc::clone(&w);
+            bohm_sync::thread::spawn(move || {
+                let_chasers_park();
+                for id in 0..3 {
+                    w.push(mk_batch(id, 1));
+                }
+                w.close(3);
+            })
+        };
+        sequencer.join().unwrap();
+        for c in chasers {
+            assert_eq!(c.join().unwrap(), [0, 1, 2]);
+        }
+        assert_eq!(w.len(), 0, "every pushed batch was retired");
+    }
+
+    #[test]
+    fn ring_chase_hands_off_every_batch_in_order() {
+        model::explore(model::Options::default(), handoff_model);
+    }
+
+    /// Shutdown of an idle engine: both chasers are (in most schedules)
+    /// parked on an empty ring when the sequencer closes it at zero.
+    fn close_while_parked_model() {
+        let w = Arc::new(Window::new(2, STRIDE));
+        let chasers = spawn_chasers(&w);
+        let sequencer = {
+            let w = Arc::clone(&w);
+            bohm_sync::thread::spawn(move || {
+                let_chasers_park();
+                w.close(0)
+            })
+        };
+        sequencer.join().unwrap();
+        for c in chasers {
+            assert!(c.join().unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn close_wakes_parked_chasers() {
+        model::explore(model::Options::default(), close_while_parked_model);
     }
 }

@@ -40,7 +40,12 @@ impl<T> From<T> for CachePadded<T> {
 }
 
 const SPIN_LIMIT: u32 = 6;
-const YIELD_LIMIT: u32 = 10;
+/// Under the model checker a waiter escalates to parking after two probes:
+/// a spin-then-park loop that yields eleven times first (each yield
+/// demoting it below every other model thread) practically never reaches
+/// its park path before the peer has finished, and the park path's lost
+/// wakeups are exactly what the bounded exploration is for.
+const YIELD_LIMIT: u32 = if cfg!(bohm_modelcheck) { 1 } else { 10 };
 
 /// Exponential spin/yield backoff for optimistic retry loops.
 pub struct Backoff {

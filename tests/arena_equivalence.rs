@@ -1,15 +1,12 @@
-//! Arena A/B equivalence: the batch-arena packing must be semantically
+//! Arena equivalence: the batch-arena packing must be semantically
 //! invisible.
 //!
 //! The same deterministic TPC-C-lite stream runs through all five engines
 //! and the serial oracle, and every per-transaction fingerprint — folded
 //! into one order-sensitive digest per engine — must match the oracle's
-//! exactly. CI runs this binary twice: once with arenas on (default) and
-//! once with `--features plain-alloc`, which turns the sequencer's set
-//! repacking into a no-op so read/write/scan sets stay Vec-backed end to
-//! end. The oracle never repacks in either build, so oracle-equality in
-//! both modes proves the two builds produce **bit-identical** results:
-//! the arena refactor changes memory layout, not semantics.
+//! exactly. The oracle never repacks a transaction's sets into an arena,
+//! so oracle-equality proves the sequencer's repacking changes memory
+//! layout, not semantics.
 
 use bohm_bench::engines::EngineKind;
 use bohm_common::engine::{BatchEngine, ExecOutcome};
@@ -50,7 +47,7 @@ fn digest(outcomes: &[ExecOutcome]) -> u64 {
 }
 
 #[test]
-fn all_engines_fingerprint_identical_to_oracle_with_and_without_arenas() {
+fn all_engines_fingerprint_identical_to_oracle() {
     let cfg = cfg();
     let spec = cfg.spec();
     let mut gen = TpccGen::new(cfg, 0xA12E7A, 0);
@@ -72,20 +69,11 @@ fn all_engines_fingerprint_identical_to_oracle_with_and_without_arenas() {
         assert_eq!(
             digest(&got),
             want_digest,
-            "{} ({}): outcome stream diverged from the serial oracle",
+            "{}: outcome stream diverged from the serial oracle",
             kind.name(),
-            mode(),
         );
         check_serial_equivalence(&spec, &txns, &got, |rid| engine.read_u64(rid))
-            .unwrap_or_else(|e| panic!("{} ({}): {e}", kind.name(), mode()));
+            .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         engine.shutdown();
-    }
-}
-
-fn mode() -> &'static str {
-    if cfg!(feature = "plain-alloc") {
-        "plain-alloc"
-    } else {
-        "arena"
     }
 }

@@ -1,7 +1,7 @@
 //! Steady-state allocation audit of the BOHM pipeline.
 //!
 //! The arena refactor's core claim is that once the pipeline is warm —
-//! chunk pool populated, channels and queues at capacity, epoch bags
+//! chunk pool populated, the ingest queue at capacity, epoch bags
 //! allocated — a read-only workload runs **allocation-free** per
 //! transaction: read/write sets, CC plans and placeholder-pointer buffers
 //! all live in recycled batch arenas, and execution reuses per-thread
@@ -83,7 +83,7 @@ fn steady_state_allocations(n: usize, rmw: bool) -> u64 {
     };
     let engine = Bohm::start(cfg, CatalogSpec::new().table(ROWS, 8, |r| r));
 
-    // Warmup: fills the arena chunk pool, channel/queue capacities, epoch
+    // Warmup: fills the arena chunk pool, the ingest queue's capacity, epoch
     // thread-locals, the exec threads' scratch buffers and (RMW) the CC
     // thread's version pool.
     for group in build_groups(n.min(2048), 7, rmw) {

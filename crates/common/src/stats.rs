@@ -1,4 +1,4 @@
-//! Measurement utilities: run statistics and a latency histogram.
+//! Measurement utilities: run statistics.
 
 use std::time::Duration;
 
@@ -50,90 +50,6 @@ impl RunStats {
     }
 }
 
-/// Power-of-two bucketed latency histogram (nanoseconds).
-///
-/// Fixed 64 buckets, no allocation after construction, mergeable across
-/// threads — suitable for per-transaction latency capture on the hot path.
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self {
-            buckets: [0; 64],
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Fresh, empty histogram (equivalent to `Default`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one latency observation.
-    #[inline]
-    pub fn record(&mut self, d: Duration) {
-        let ns = d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let bucket = 64 - ns.max(1).leading_zeros() as usize - 1;
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum_ns = self.sum_ns.saturating_add(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean of all observations.
-    pub fn mean(&self) -> Duration {
-        self.sum_ns
-            .checked_div(self.count)
-            .map_or(Duration::ZERO, Duration::from_nanos)
-    }
-
-    /// Largest observation recorded.
-    pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_ns)
-    }
-
-    /// Upper bound of the bucket containing the q-quantile (0 < q ≤ 1).
-    pub fn quantile(&self, q: f64) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((self.count as f64) * q).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Duration::from_nanos(1u64 << (i + 1).min(63));
-            }
-        }
-        self.max()
-    }
-
-    /// Fold `other` into this histogram (per-worker merge).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,35 +97,5 @@ mod tests {
         assert_eq!(a.committed, 30);
         assert_eq!(a.cc_aborts, 3);
         assert_eq!(a.duration, Duration::from_secs(2));
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone() {
-        let mut h = LatencyHistogram::new();
-        for i in 1..=1000u64 {
-            h.record(Duration::from_nanos(i * 100));
-        }
-        assert_eq!(h.count(), 1000);
-        assert!(h.quantile(0.5) <= h.quantile(0.99));
-        assert!(h.quantile(0.99) <= h.max().max(h.quantile(0.99)));
-        assert!(h.mean() > Duration::ZERO);
-    }
-
-    #[test]
-    fn histogram_merge_combines_counts() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(Duration::from_micros(1));
-        b.record(Duration::from_micros(1000));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!(a.max() >= Duration::from_micros(1000));
-    }
-
-    #[test]
-    fn histogram_empty_is_zeroes() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.mean(), Duration::ZERO);
-        assert_eq!(h.quantile(0.99), Duration::ZERO);
     }
 }

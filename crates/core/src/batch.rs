@@ -7,14 +7,16 @@
 //! write containing the correct version reference for a read is to
 //! pre-allocated space within a transaction" (§3.2.3).
 //!
-//! Completion is delivered **per transaction**: every transaction carries a
-//! hook into the `Completion` of the submission it arrived in, signalled
-//! the moment its executor marks it `Complete`. Batch boundaries are an
-//! engine-internal amortization artifact; submitters never see them.
+//! Completion is *published* **per transaction**: every transaction carries
+//! a hook into the `Completion` of the submission it arrived in, and its
+//! outcome is there to be polled the moment its executor marks it
+//! `Complete`. A *wake-up* is paid only when a thread is actually parked on
+//! that completion. Batch boundaries are an engine-internal amortization
+//! artifact; submitters never see them.
 
 use bohm_common::{ASlice, Arena, Timestamp, Txn};
 use bohm_mvstore::Version;
-use bohm_sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use bohm_sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use bohm_sync::{Condvar, Mutex};
 use std::ptr;
 use std::sync::Arc;
@@ -50,28 +52,43 @@ pub struct TxnOutcome {
 
 /// Shared completion state of one submission.
 ///
-/// Outcome slots are written lock-free by whichever execution thread
-/// completes each transaction; the mutex/condvar pair only carries the
-/// *edge* (wake-up), never the data.
+/// Outcome slots and the `state` word are written lock-free by whichever
+/// execution thread completes each transaction; the mutex/condvar pair only
+/// carries the *edge* (wake-up), never the data — and only to a waiter that
+/// registered itself as parked (see [`publish`](Self::publish)).
 pub(crate) struct Completion {
     /// Transactions not yet `Complete`.
     remaining: AtomicUsize,
     /// Submission size (`remaining` counts down; this doesn't).
     count: usize,
-    /// Created in barrier mode: `wait_done` also waits for the batch holding
-    /// the submission's last transaction to retire, so that batch must
-    /// signal [`batch_retired`](Self::batch_retired).
-    needs_barrier: bool,
+    /// The `state` bits that together mean "done": `OUTCOMES`, plus
+    /// `RETIRED` in barrier mode — `wait_done` then also waits for the batch
+    /// holding the submission's last transaction to retire, so that batch
+    /// must signal [`batch_retired`](Self::batch_retired).
+    need: u8,
     /// Per-transaction decision (`txn_outcome` values) + fingerprint,
     /// each written once.
     slots: Slots,
-    state: Mutex<DoneState>,
-    /// Lock-free mirror of "`wait_done` would return (or panic) now": set
-    /// once, under `state`'s lock, at the same sites that notify. Lets
-    /// [`is_done`](Self::is_done) — polled oldest-first by reaping sessions
-    /// — skip the mutex.
-    done: AtomicBool,
+    /// `OUTCOMES | RETIRED | FAILED`, each bit set once with `fetch_or`.
+    state: AtomicU8,
+    /// Threads inside [`wait_done`](Self::wait_done)'s slow path.
+    waiters: AtomicUsize,
+    lock: Mutex<()>,
     cv: Condvar,
+}
+
+/// Every transaction of the submission has recorded its outcome.
+const OUTCOMES: u8 = 1;
+/// The batch holding the submission's last transaction retired.
+const RETIRED: u8 = 2;
+/// Engine fault (e.g. a WAL append failure): the submission will never
+/// execute. Waiters panic with a clear message instead of blocking forever.
+const FAILED: u8 = 4;
+
+#[cfg(test)]
+thread_local! {
+    /// Condvar waits this thread entered in [`Completion::wait_done`].
+    pub(crate) static PARKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Outcome storage. The per-transaction session path submits
@@ -109,16 +126,6 @@ impl Slots {
     }
 }
 
-#[derive(Default)]
-struct DoneState {
-    outcomes_done: bool,
-    retired: bool,
-    /// Engine fault (e.g. a WAL append failure): the submission will
-    /// never execute. Waiters panic with a clear message instead of
-    /// blocking forever.
-    failed: bool,
-}
-
 impl Completion {
     /// `needs_barrier`: batch handles additionally wait for the *batches*
     /// holding their transactions to retire (all execution threads past
@@ -138,24 +145,40 @@ impl Completion {
         Arc::new(Self {
             remaining: AtomicUsize::new(n),
             count: n,
-            needs_barrier,
+            need: OUTCOMES | if needs_barrier { RETIRED } else { 0 },
             slots,
-            state: Mutex::new(DoneState {
-                outcomes_done: n == 0,
-                // An empty submission reaches no batch; nothing to wait for.
-                retired: n == 0 || !needs_barrier,
-                failed: false,
-            }),
-            done: AtomicBool::new(n == 0),
+            // An empty submission reaches no batch; nothing to wait for.
+            state: AtomicU8::new(if n == 0 { OUTCOMES | RETIRED } else { 0 }),
+            waiters: AtomicUsize::new(0),
+            lock: Mutex::new(()),
             cv: Condvar::new(),
         })
     }
 
-    /// Publish doneness and wake waiters. Called with `state` locked, so
-    /// the flag can never run ahead of what `wait_done` observes.
-    fn signal_done(&self) {
-        self.done.store(true, Ordering::Release);
-        self.cv.notify_all();
+    /// Would [`wait_done`](Self::wait_done) return (or panic) at `state`?
+    fn done_at(&self, state: u8) -> bool {
+        state & FAILED != 0 || state & self.need == self.need
+    }
+
+    /// Set `bit`; wake parked waiters if that made the submission done.
+    ///
+    /// The completer's half of a Dekker handshake with `wait_done`: it
+    /// publishes the bit and then reads `waiters`; the waiter registers and
+    /// then re-reads `state`. Both sides are SeqCst, so at least one of the
+    /// two reads sees the other side's write — either the waiter finds the
+    /// submission done and never sleeps, or the completer finds a waiter and
+    /// takes the mutex (which the waiter holds from its re-check until it is
+    /// inside `Condvar::wait`) to notify it. With nobody registered — every
+    /// transaction a pipelining session has not caught up with — completion
+    /// is this one `fetch_or` and one load.
+    fn publish(&self, bit: u8) {
+        let state = self.state.fetch_or(bit, Ordering::SeqCst) | bit;
+        // A fault notifies unconditionally: it is rare, and a hang is the
+        // one outcome the failure path must not have.
+        if bit == FAILED || (self.done_at(state) && self.waiters.load(Ordering::SeqCst) != 0) {
+            let _g = self.lock.lock();
+            self.cv.notify_all();
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -178,11 +201,7 @@ impl Completion {
             Ordering::Release,
         );
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut st = self.state.lock();
-            st.outcomes_done = true;
-            if st.retired {
-                self.signal_done();
-            }
+            self.publish(OUTCOMES);
         }
     }
 
@@ -190,11 +209,7 @@ impl Completion {
     /// transaction. Batches retire in id order (execution consumes them
     /// FIFO), so the last batch retiring implies every earlier one did.
     pub(crate) fn batch_retired(&self) {
-        let mut st = self.state.lock();
-        st.retired = true;
-        if st.outcomes_done {
-            self.signal_done();
-        }
+        self.publish(RETIRED);
     }
 
     /// Mark the submission as never-executing because the engine failed
@@ -202,18 +217,30 @@ impl Completion {
     /// every waiter; their `wait_done` panics with the fault instead of
     /// hanging on outcomes that will never arrive. Idempotent.
     pub(crate) fn poison(&self) {
-        let mut st = self.state.lock();
-        st.failed = true;
-        self.signal_done();
+        self.publish(FAILED);
     }
 
+    /// Block until the submission is done — the one wait body for session
+    /// and barrier completions (`need` is the only difference).
     pub(crate) fn wait_done(&self) {
-        let mut st = self.state.lock();
-        while !(st.failed || st.outcomes_done && st.retired) {
-            self.cv.wait(&mut st);
+        if !self.is_done() {
+            // Register, *then* re-check (see `publish`); the mutex is held
+            // from the re-check into the wait, so a completer that saw the
+            // registration cannot notify in between.
+            self.waiters.fetch_add(1, Ordering::SeqCst);
+            let mut g = self.lock.lock();
+            while !self.done_at(self.state.load(Ordering::SeqCst)) {
+                #[cfg(test)]
+                PARKS.with(|p| p.set(p.get() + 1));
+                self.cv.wait(&mut g);
+            }
+            drop(g);
+            // RELAXED: deregistration publishes nothing; a completer that
+            // still sees the stale count only pays one spare notify.
+            self.waiters.fetch_sub(1, Ordering::Relaxed);
         }
         assert!(
-            !st.failed,
+            self.state.load(Ordering::Acquire) & FAILED == 0,
             "BOHM engine failed (write-ahead log append error): \
              this submission was never executed"
         );
@@ -223,7 +250,7 @@ impl Completion {
     /// A `true` synchronizes with the completing thread, so outcomes (and,
     /// in barrier mode, the retired batch's effects) are visible.
     pub(crate) fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
+        self.done_at(self.state.load(Ordering::Acquire))
     }
 
     /// Outcome of transaction `idx`; valid only after [`wait_done`](Self::wait_done).
@@ -262,14 +289,21 @@ impl TxnHook {
 /// Handle to one submitted transaction
 /// (returned by [`BohmSession::submit`](crate::BohmSession::submit)).
 ///
-/// Completion is signalled per transaction, the moment an execution thread
-/// finishes it — not when its (engine-internal) batch drains.
+/// Completion is published per transaction, the moment an execution thread
+/// finishes it — not when its (engine-internal) batch drains — so
+/// [`is_done`](Self::is_done) turns true exactly then. The executing thread
+/// pays for a wake-up only if somebody is parked in [`wait`](Self::wait).
 pub struct TxnHandle {
     pub(crate) completion: Arc<Completion>,
 }
 
 impl TxnHandle {
     /// Block until the transaction has executed and return its outcome.
+    ///
+    /// Precise: the caller parks on *this* transaction and is woken by the
+    /// thread that completes it (a `submit(txn).wait()` round trip waits for
+    /// nothing else). The handle may be moved to, and waited on from, any
+    /// thread.
     pub fn wait(&self) -> TxnOutcome {
         self.completion.wait_done();
         self.completion.outcome(0)
@@ -548,7 +582,7 @@ impl Batch {
         let mut states: Vec<TxnState> = Vec::with_capacity(entries.len());
         for (i, (txn, hook)) in entries.into_iter().enumerate() {
             let c = &hook.completion;
-            if c.needs_barrier && hook.index as usize + 1 == c.count {
+            if c.need & RETIRED != 0 && hook.index as usize + 1 == c.count {
                 barriers.push(Arc::clone(&hook.completion));
             }
             states.push(TxnState::new(
@@ -819,5 +853,83 @@ pub(crate) mod tests {
             .map(|h| h.join().unwrap())
             .collect();
         assert_eq!(winners.iter().filter(|&&w| w).count(), 1);
+    }
+}
+
+/// Model-checked completion handshake (`RUSTFLAGS="--cfg bohm_modelcheck"
+/// cargo test -p bohm modelcheck`): `publish` and `wait_done` are a Dekker
+/// pair, so a lost wake-up is a model *deadlock* with a replayable seed.
+/// Mutation-checked: dropping the waiter's re-check after registering, or
+/// weakening either side's SeqCst pair to AcqRel/Acquire (the model's
+/// store-buffering window, `bohm_sync` `stale_load`), deadlocks a harness
+/// here within the CI seed budget.
+#[cfg(all(test, bohm_modelcheck))]
+mod modelcheck {
+    use super::*;
+    use bohm_sync::{model, thread};
+
+    /// Session mode: one completer, one waiter.
+    fn session_model() {
+        let c = Completion::new(1, false);
+        let completer = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || c.record(0, true, 7))
+        };
+        c.wait_done();
+        let out = c.outcome(0);
+        assert!(out.committed && out.fingerprint == 7);
+        completer.join().unwrap();
+    }
+
+    /// Barrier mode: the last outcome and the retirement signal arrive from
+    /// two threads in either order; only the second may end the wait.
+    fn barrier_model() {
+        let c = Completion::new(2, true);
+        c.record(0, false, 0);
+        let recorder = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || c.record(1, true, 9))
+        };
+        let retirer = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || c.batch_retired())
+        };
+        c.wait_done();
+        assert!(!c.outcome(0).committed && c.outcome(1).fingerprint == 9);
+        recorder.join().unwrap();
+        retirer.join().unwrap();
+    }
+
+    /// A fault racing a waiter on its way to sleep: the waiter must wake and
+    /// report the fault, whichever side gets to the mutex first.
+    fn poison_model() {
+        let c = Completion::new(1, true);
+        let sequencer = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || c.poison())
+        };
+        let woke = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.wait_done()));
+        let msg = woke.expect_err("a poisoned wait must panic, not return");
+        assert!(
+            msg.downcast_ref::<&str>()
+                .is_some_and(|m| m.contains("engine failed")),
+            "woken by something other than the fault"
+        );
+        sequencer.join().unwrap();
+    }
+
+    #[test]
+    fn session_completion_handshake_explored() {
+        model::explore(model::Options::default(), session_model);
+    }
+
+    #[test]
+    fn barrier_completion_either_order_explored() {
+        model::explore(model::Options::default(), barrier_model);
+    }
+
+    #[test]
+    fn poison_racing_a_parking_waiter_explored() {
+        model::explore(model::Options::default(), poison_model);
     }
 }

@@ -13,11 +13,13 @@
 //! batch's last timestamp in its slot of `finished_ts` (the designated
 //! thread 0 refreshes the global Condition-3 GC bound,
 //! `min_i finished_ts[i]`, §3.3.2). The last thread out *retires* the
-//! batch: it refreshes the GC bound once more, releases the batch's window
-//! ring slot (unblocking a sequencer waiting on the in-flight budget), and
-//! signals the retirement barriers of submissions whose last transaction
-//! lived in this batch. Per-transaction completion was already delivered as
-//! each transaction finished (`TxnState::complete`).
+//! batch: it refreshes the GC bound (once more, unless it is thread 0 and
+//! just did), releases the batch's window ring slot (unblocking a sequencer
+//! waiting on the in-flight budget), and signals the retirement barriers of
+//! submissions whose last transaction lived in this batch. Per-transaction
+//! completion was already published as each transaction finished
+//! (`TxnState::complete`) — a store, plus a wake-up only for a waiter
+//! parked on that very transaction.
 
 use crate::access::BohmAccess;
 use crate::batch::{txn_status, Batch, TxnState};
@@ -40,14 +42,16 @@ pub(crate) fn exec_loop(inner: &Inner, me: usize) {
             // RELAXED: monotonic statistics counter.
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         inner.finished_ts[me].store(batch.last_ts(), Ordering::Release);
-        if me == 0 {
+        let last_out = batch.exec_pending.fetch_sub(1, Ordering::AcqRel) == 1;
+        // Thread 0 refreshes per batch (§3.3.2); the last thread out does
+        // because every thread's `finished_ts` store happened before its
+        // countdown decrement, so its refresh observes them all — slot
+        // release and GC-bound advance travel together. When they are the
+        // same thread (always, with one execution thread), once is enough.
+        if me == 0 || last_out {
             refresh_gc_bound(inner);
         }
-        if batch.exec_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Every thread's `finished_ts` store happened before its
-            // countdown decrement, so this refresh observes them all: slot
-            // release and GC-bound advance travel together.
-            refresh_gc_bound(inner);
+        if last_out {
             // Publish the epoch high-water mark before releasing the ring
             // slot: a waiter unblocked by retirement must observe it.
             inner.retired_epoch.fetch_max(batch.epoch, Ordering::AcqRel);

@@ -15,7 +15,10 @@
 //!   queue blocks the submitting client — backpressure instead of
 //!   unbounded growth.
 //! * **The sequencer** drains the queue in arrival order (arrival order
-//!   *is* the serialization order), packs transactions into batches, and
+//!   *is* the serialization order) — one lock acquisition per *refill*,
+//!   which moves up to the open batch's remaining room into the
+//!   sequencer's own buffer, so the bound on accepted-but-unsealed work
+//!   stays "queue + one open batch" — packs transactions into batches, and
 //!   seals a batch when it reaches
 //!   [`batch_size`](crate::BohmConfig::batch_size) **or** when
 //!   [`batch_linger`](crate::BohmConfig::batch_linger) elapses with the
@@ -28,6 +31,13 @@
 //!   the sequencer leaves (queue closed and drained, or a WAL fault) it
 //!   closes the window at the number of batches it pushed, which is what
 //!   lets the CC and execution threads finish those batches and exit.
+//!
+//! Who sleeps where: a sender on `not_full`, the sequencer on `not_empty`,
+//! each announcing itself in a flag under the queue mutex first; the other
+//! side notifies only when it finds (and takes) that flag. A streaming
+//! session and a busy sequencer therefore exchange no wake-ups at all — per
+//! transaction the queue costs the sender one uncontended lock and the
+//! sequencer one `VecDeque` pop of its own buffer.
 //!
 //! Timestamps are strided: batch `b` owns `1 + b·batch_size ..=
 //! (b+1)·batch_size`, and a partially-filled batch leaves the tail of its
@@ -86,6 +96,13 @@ struct QueueState {
     /// Total transactions queued (the budget is per transaction).
     queued_txns: usize,
     closed: bool,
+    /// A sender is (about to be) asleep on `not_full`. Set by the sender
+    /// before it waits, taken by whoever notifies — like `receiver_parked`,
+    /// a plain field under the queue mutex, so neither condvar is ever
+    /// notified (a syscall, waiter or not) unless its peer is parked.
+    sender_blocked: bool,
+    /// The sequencer is (about to be) asleep on `not_empty`.
+    receiver_parked: bool,
 }
 
 struct QueueShared {
@@ -114,6 +131,9 @@ pub(crate) struct IngestTx {
 /// Draining half (owned by the sequencer thread).
 pub(crate) struct IngestRx {
     shared: Arc<QueueShared>,
+    /// Submissions already moved out of the shared queue, oldest first;
+    /// worked through without the lock.
+    taken: VecDeque<SubmitReq>,
 }
 
 pub(crate) enum RecvOutcome {
@@ -128,6 +148,8 @@ pub(crate) fn ingest_queue(capacity: usize) -> (IngestTx, IngestRx) {
             reqs: VecDeque::new(),
             queued_txns: 0,
             closed: false,
+            sender_blocked: false,
+            receiver_parked: false,
         }),
         not_full: Condvar::new(),
         not_empty: Condvar::new(),
@@ -137,7 +159,10 @@ pub(crate) fn ingest_queue(capacity: usize) -> (IngestTx, IngestRx) {
         IngestTx {
             shared: Arc::clone(&shared),
         },
-        IngestRx { shared },
+        IngestRx {
+            shared,
+            taken: VecDeque::new(),
+        },
     )
 }
 
@@ -156,14 +181,15 @@ impl IngestTx {
             }
             if st.queued_txns + n <= self.shared.capacity || st.reqs.is_empty() {
                 st.queued_txns += n;
-                let was_empty = st.reqs.is_empty();
                 st.reqs.push_back(req);
+                let wake = std::mem::take(&mut st.receiver_parked);
                 drop(st);
-                if was_empty {
+                if wake {
                     self.shared.not_empty.notify_one();
                 }
                 return Ok(());
             }
+            st.sender_blocked = true;
             self.shared.not_full.wait(&mut st);
         }
     }
@@ -187,30 +213,54 @@ impl IngestRx {
     /// Pop the oldest submission; with a deadline, give up at the deadline
     /// (the sequencer's linger timer). `Closed` only after the queue has
     /// fully drained, so no accepted submission is ever dropped.
-    pub fn recv_deadline(&self, deadline: Option<Instant>) -> RecvOutcome {
+    ///
+    /// The shared queue is locked once per *refill*, not per submission: a
+    /// refill moves submissions worth up to `room` transactions (the open
+    /// batch's remaining room; at least one submission) into the receiver's
+    /// own buffer, so what has left the bounded queue never exceeds one
+    /// open batch.
+    pub fn recv_deadline(&mut self, deadline: Option<Instant>, room: usize) -> RecvOutcome {
+        if let Some(req) = self.taken.pop_front() {
+            return RecvOutcome::Req(req);
+        }
         let mut st = self.shared.state.lock();
         loop {
-            if let Some(req) = st.reqs.pop_front() {
-                st.queued_txns -= req.txns.len();
+            let mut moved = 0;
+            while let Some(n) = st.reqs.front().map(|r| r.txns.len()) {
+                if moved != 0 && moved + n > room {
+                    break;
+                }
+                moved += n;
+                self.taken.extend(st.reqs.pop_front());
+            }
+            if let Some(req) = self.taken.pop_front() {
+                st.queued_txns -= moved;
+                let wake = std::mem::take(&mut st.sender_blocked);
                 drop(st);
-                self.shared.not_full.notify_all();
+                if wake {
+                    self.shared.not_full.notify_all();
+                }
                 return RecvOutcome::Req(req);
             }
             if st.closed {
                 return RecvOutcome::Closed;
             }
-            match deadline {
-                None => self.shared.not_empty.wait(&mut st),
-                Some(d) => {
-                    // Re-check the clock before re-arming: a spurious (or
-                    // data-less) wakeup near the deadline must not start
-                    // another full wait and overshoot the linger.
-                    if Instant::now() >= d
-                        || self.shared.not_empty.wait_until(&mut st, d).timed_out()
-                    {
-                        return RecvOutcome::TimedOut;
-                    }
+            st.receiver_parked = true;
+            // Re-check the clock before re-arming: a spurious (or
+            // data-less) wakeup near the deadline must not start
+            // another full wait and overshoot the linger.
+            let timed_out = match deadline {
+                None => {
+                    self.shared.not_empty.wait(&mut st);
+                    false
                 }
+                Some(d) => {
+                    Instant::now() >= d || self.shared.not_empty.wait_until(&mut st, d).timed_out()
+                }
+            };
+            st.receiver_parked = false;
+            if timed_out {
+                return RecvOutcome::TimedOut;
             }
         }
     }
@@ -221,7 +271,7 @@ impl IngestRx {
 // ---------------------------------------------------------------------------
 
 /// Main loop of the sequencer thread: drain → bind → seal → publish.
-pub(crate) fn seq_loop(inner: &Inner, rx: IngestRx) {
+pub(crate) fn seq_loop(inner: &Inner, mut rx: IngestRx) {
     let stride = inner.config.batch_size;
     let linger = inner.config.batch_linger;
     let mut next_batch: u64 = 0;
@@ -288,7 +338,7 @@ pub(crate) fn seq_loop(inner: &Inner, rx: IngestRx) {
     // Runs until the queue is closed and drained (`true`) or a seal fails.
     let sealed_all = 'run: loop {
         let deadline = (!open.is_empty()).then(|| open_since + linger);
-        match rx.recv_deadline(deadline) {
+        match rx.recv_deadline(deadline, stride - open.len()) {
             RecvOutcome::Req(req) => {
                 debug_assert!(req.txns.len() > 0, "empty submissions complete client-side");
                 for (i, mut txn) in req.txns.drain().enumerate() {
@@ -322,7 +372,7 @@ pub(crate) fn seq_loop(inner: &Inner, rx: IngestRx) {
         }
     };
     if !sealed_all {
-        fail_engine(open, &rx);
+        fail_engine(open, rx);
     }
     // Every pushed batch is still fully processed and retired; a consumer
     // whose next batch id equals this count then exits.
@@ -335,13 +385,13 @@ pub(crate) fn seq_loop(inner: &Inner, rx: IngestRx) {
 /// deadlocking on outcomes that will never arrive — and the ingest queue
 /// is closed so new submissions fail fast. Batches already sealed (and
 /// therefore logged) keep executing; they are recoverable.
-fn fail_engine(open: Vec<(Txn, TxnHook)>, rx: &IngestRx) {
+fn fail_engine(open: Vec<(Txn, TxnHook)>, mut rx: IngestRx) {
     for (_, hook) in open {
         hook.completion.poison();
     }
     rx.shared.close();
     loop {
-        match rx.recv_deadline(None) {
+        match rx.recv_deadline(None, usize::MAX) {
             RecvOutcome::Req(req) => req.completion.poison(),
             RecvOutcome::Closed => break,
             RecvOutcome::TimedOut => unreachable!("no deadline given"),
@@ -374,23 +424,31 @@ mod tests {
 
     #[test]
     fn queue_is_fifo_and_counts_txns() {
-        let (tx, rx) = ingest_queue(100);
+        let (tx, mut rx) = ingest_queue(100);
         tx.send(req(3)).map_err(|_| ()).unwrap();
         tx.send(req(5)).map_err(|_| ()).unwrap();
-        let RecvOutcome::Req(a) = rx.recv_deadline(None) else {
+        let RecvOutcome::Req(a) = rx.recv_deadline(None, usize::MAX) else {
             panic!()
         };
         assert_eq!(a.txns.len(), 3);
-        let RecvOutcome::Req(b) = rx.recv_deadline(None) else {
+        let RecvOutcome::Req(b) = rx.recv_deadline(None, usize::MAX) else {
             panic!()
         };
         assert_eq!(b.txns.len(), 5);
     }
 
+    /// Spin until the queue state satisfies `p` — a forced interleaving
+    /// instead of a sleep.
+    fn await_state(shared: &QueueShared, p: impl Fn(&QueueState) -> bool) {
+        while !p(&shared.state.lock()) {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn saturated_queue_blocks_sender_until_drained() {
         use bohm_sync::atomic::{AtomicBool, Ordering};
-        let (tx, rx) = ingest_queue(4);
+        let (tx, mut rx) = ingest_queue(4);
         tx.send(req(4)).map_err(|_| ()).unwrap(); // budget exhausted
         let sent = Arc::new(AtomicBool::new(false));
         let (tx2, sent2) = (tx.clone(), Arc::clone(&sent));
@@ -398,23 +456,72 @@ mod tests {
             tx2.send(req(2)).map_err(|_| ()).unwrap(); // must block
             sent2.store(true, Ordering::SeqCst);
         });
-        std::thread::sleep(Duration::from_millis(20));
+        // The sender announces itself before it sleeps ...
+        await_state(&tx.shared, |st| st.sender_blocked);
         assert!(
             !sent.load(Ordering::SeqCst),
             "send must block on a saturated queue (backpressure)"
         );
-        let RecvOutcome::Req(_) = rx.recv_deadline(None) else {
+        // ... and the refill that makes room takes the flag and wakes it.
+        let RecvOutcome::Req(_) = rx.recv_deadline(None, usize::MAX) else {
             panic!()
         };
+        assert!(!tx.shared.state.lock().sender_blocked);
         t.join().unwrap();
         assert!(sent.load(Ordering::SeqCst));
     }
 
     #[test]
+    fn parked_receiver_is_woken_by_the_send_that_finds_it() {
+        let (tx, mut rx) = ingest_queue(4);
+        let t = std::thread::spawn(move || {
+            let RecvOutcome::Req(r) = rx.recv_deadline(None, usize::MAX) else {
+                panic!("expected the submission")
+            };
+            r.txns.len()
+        });
+        await_state(&tx.shared, |st| st.receiver_parked);
+        tx.send(req(3)).map_err(|_| ()).unwrap();
+        assert_eq!(t.join().unwrap(), 3);
+        // Nobody is parked any more: this send must leave the flag alone
+        // (and so notify nobody).
+        tx.send(req(1)).map_err(|_| ()).unwrap();
+        assert!(!tx.shared.state.lock().receiver_parked);
+    }
+
+    #[test]
+    fn refill_takes_the_open_batch_room_under_one_lock() {
+        let (tx, mut rx) = ingest_queue(100);
+        for n in [2, 2, 2, 5] {
+            tx.send(req(n)).map_err(|_| ()).unwrap();
+        }
+        // Room 5: two whole submissions fit, the third would overshoot.
+        let RecvOutcome::Req(_) = rx.recv_deadline(None, 5) else {
+            panic!()
+        };
+        assert_eq!(rx.taken.len(), 1, "second submission already taken");
+        assert_eq!(tx.shared.state.lock().queued_txns, 7);
+        // Served from the receiver's own buffer: the queue is untouched.
+        let RecvOutcome::Req(_) = rx.recv_deadline(None, 1) else {
+            panic!()
+        };
+        assert_eq!(tx.shared.state.lock().queued_txns, 7);
+        // A submission larger than the room still moves (alone).
+        let RecvOutcome::Req(_) = rx.recv_deadline(None, 1) else {
+            panic!()
+        };
+        let RecvOutcome::Req(big) = rx.recv_deadline(None, 1) else {
+            panic!()
+        };
+        assert_eq!((big.txns.len(), rx.taken.len()), (5, 0));
+        assert_eq!(tx.shared.state.lock().queued_txns, 0);
+    }
+
+    #[test]
     fn oversized_group_admitted_when_queue_empty() {
-        let (tx, rx) = ingest_queue(4);
+        let (tx, mut rx) = ingest_queue(4);
         tx.send(req(32)).map_err(|_| ()).unwrap(); // larger than the budget
-        let RecvOutcome::Req(r) = rx.recv_deadline(None) else {
+        let RecvOutcome::Req(r) = rx.recv_deadline(None, usize::MAX) else {
             panic!()
         };
         assert_eq!(r.txns.len(), 32);
@@ -422,9 +529,11 @@ mod tests {
 
     #[test]
     fn recv_deadline_times_out_when_idle() {
-        let (_tx, rx) = ingest_queue(4);
+        let (_tx, mut rx) = ingest_queue(4);
         let t0 = Instant::now();
-        let RecvOutcome::TimedOut = rx.recv_deadline(Some(t0 + Duration::from_millis(10))) else {
+        let RecvOutcome::TimedOut =
+            rx.recv_deadline(Some(t0 + Duration::from_millis(10)), usize::MAX)
+        else {
             panic!("expected timeout")
         };
         assert!(t0.elapsed() >= Duration::from_millis(8));
@@ -436,7 +545,7 @@ mod tests {
         // wait past the deadline. A hammering notifier emulates spurious
         // wakeups; the receiver must still time out close to the deadline.
         use bohm_sync::atomic::{AtomicBool, Ordering};
-        let (tx, rx) = ingest_queue(4);
+        let (tx, mut rx) = ingest_queue(4);
         let stop = Arc::new(AtomicBool::new(false));
         let hammer = {
             let (tx, stop) = (tx.clone(), Arc::clone(&stop));
@@ -449,12 +558,16 @@ mod tests {
         };
         let linger = Duration::from_millis(40);
         let t0 = Instant::now();
-        let RecvOutcome::TimedOut = rx.recv_deadline(Some(t0 + linger)) else {
+        let RecvOutcome::TimedOut = rx.recv_deadline(Some(t0 + linger), usize::MAX) else {
             panic!("expected timeout")
         };
         let elapsed = t0.elapsed();
         stop.store(true, Ordering::Relaxed);
         hammer.join().unwrap();
+        assert!(
+            !tx.shared.state.lock().receiver_parked,
+            "a timed-out receiver must not leave itself announced as parked"
+        );
         assert!(
             elapsed >= Duration::from_millis(35),
             "woke early: {elapsed:?}"
@@ -467,14 +580,14 @@ mod tests {
 
     #[test]
     fn close_drains_then_reports_closed() {
-        let (tx, rx) = ingest_queue(10);
+        let (tx, mut rx) = ingest_queue(10);
         tx.send(req(1)).map_err(|_| ()).unwrap();
         tx.close();
         assert!(tx.send(req(1)).is_err(), "send after close must fail");
-        let RecvOutcome::Req(_) = rx.recv_deadline(None) else {
+        let RecvOutcome::Req(_) = rx.recv_deadline(None, usize::MAX) else {
             panic!("queued submission must survive close")
         };
-        let RecvOutcome::Closed = rx.recv_deadline(None) else {
+        let RecvOutcome::Closed = rx.recv_deadline(None, usize::MAX) else {
             panic!("expected Closed after drain")
         };
     }

@@ -18,11 +18,23 @@ use std::sync::Arc;
 /// number of threads) may feed one engine; the sequencer's arrival order is
 /// the serialization order. A saturated ingest queue blocks `submit` —
 /// engine backpressure reaches the client instead of unbounded queueing.
+///
+/// The session path costs the pipeline plain stores per transaction: a
+/// completion is one atomic word the executing thread sets, and nobody is
+/// woken unless a thread is parked on that very handle. A pipelining client
+/// should therefore poll ([`TxnHandle::is_done`]) or reap through the
+/// [`Session`] facade, whose [`reap`](Session::reap) parks rarely (see
+/// there); `submit(txn).wait()` stays a precise round trip.
 pub struct BohmSession {
     ingest: IngestTx,
     /// FIFO of handles for the [`Session`] facade (`submit`+`reap`).
     pending: VecDeque<TxnHandle>,
 }
+
+/// [`Session::reap`]'s low-water mark: a blocked reap parks on
+/// `pending[len / REAP_PARK_DIVISOR]`. A constant, not an option — the
+/// offset sweep behind it is in DESIGN.md ("Session path").
+const REAP_PARK_DIVISOR: usize = 4;
 
 impl BohmSession {
     pub(crate) fn new(ingest: IngestTx) -> Self {
@@ -62,11 +74,24 @@ impl Session for BohmSession {
         self.pending.len()
     }
 
+    /// Outcome of the **oldest** outstanding transaction — never reorders.
+    ///
+    /// May block until a quarter of the pending queue has completed: when
+    /// the front is not done yet, the session first parks on the handle a
+    /// quarter of the way into its FIFO (on the front itself while fewer
+    /// than four are outstanding), so one park — and one wake-up issued by
+    /// an execution thread — pays for a quarter of the queue instead of for
+    /// a handful of transactions.
     fn reap(&mut self) -> ExecOutcome {
-        let handle = self
-            .pending
-            .pop_front()
-            .expect("reap with nothing in flight");
+        let front = self.pending.front().expect("reap with nothing in flight");
+        if !front.is_done() {
+            self.pending[self.pending.len() / REAP_PARK_DIVISOR]
+                .completion
+                .wait_done();
+        }
+        let handle = self.pending.pop_front().expect("front was just read");
+        // Still a precise wait: with several execution threads the handle
+        // parked on above may complete before the front does.
         let out = handle.wait();
         ExecOutcome {
             committed: out.committed,
@@ -148,6 +173,76 @@ mod tests {
             .map(|k| Bohm::read_u64(&e, RecordId::new(0, k)).unwrap())
             .sum();
         assert_eq!(total, 101);
+        e.shutdown();
+    }
+
+    /// Closed loop at `depth` over `n` RMWs of one key on one execution
+    /// thread; returns how often the session thread parked. A single-key
+    /// RMW fingerprints the value it read, so in submission order the
+    /// outcome at position `i` — and no other — carries `i`.
+    fn parks_of_closed_loop(depth: usize, n: u64) -> usize {
+        use crate::batch::PARKS;
+        let mut cfg = BohmConfig::with_threads(1, 1);
+        cfg.batch_size = 256;
+        let e = Bohm::start(cfg, CatalogSpec::new().table(8, 8, |_| 0));
+        let mut s: BohmSession = e.open_session();
+        let before = PARKS.with(|p| p.get());
+        let mut reaped = 0;
+        let mut check = |out: ExecOutcome| {
+            assert!(out.committed);
+            assert_eq!(out.fingerprint, reaped, "reap reordered outcomes");
+            reaped += 1;
+        };
+        for _ in 0..n {
+            Session::submit(&mut s, rmw(3));
+            while s.in_flight() >= depth {
+                check(s.reap());
+            }
+        }
+        while s.in_flight() > 0 {
+            check(s.reap());
+        }
+        assert_eq!(reaped, n);
+        let parks = PARKS.with(|p| p.get()) - before;
+        e.shutdown();
+        parks
+    }
+
+    #[test]
+    fn deep_pipeline_parks_once_per_quarter_queue_not_per_transaction() {
+        // Two parks per blocking episode (the quarter handle, then perhaps
+        // the front), one episode per quarter of the queue.
+        let (depth, n) = (1024, 50_000);
+        let parks = parks_of_closed_loop(depth, n);
+        assert!(
+            parks <= n as usize / (depth / 8),
+            "{parks} parks for {n} transactions at depth {depth}"
+        );
+    }
+
+    #[test]
+    fn shallow_pipelines_wait_on_the_front_only() {
+        // A closed loop at `depth` reaps with `depth` handles pending; below
+        // the divisor `len / 4 == 0`, so the handle parked on is the front
+        // itself and no other transaction's completion is waited for.
+        for depth in 1..REAP_PARK_DIVISOR {
+            assert_eq!(depth / REAP_PARK_DIVISOR, 0);
+            parks_of_closed_loop(depth, 300);
+        }
+    }
+
+    #[test]
+    fn handle_can_be_waited_on_from_another_thread() {
+        let e = Bohm::start(BohmConfig::small(), CatalogSpec::new().table(8, 8, |_| 0));
+        let s = e.session();
+        let (tx, rx) = std::sync::mpsc::channel::<TxnHandle>();
+        let waiter = std::thread::spawn(move || rx.iter().filter(|h| h.wait().committed).count());
+        // The session thread keeps submitting while the other one waits.
+        for i in 0..2_000u64 {
+            tx.send(s.submit(rmw(i % 8))).unwrap();
+        }
+        drop(tx);
+        assert_eq!(waiter.join().unwrap(), 2_000);
         e.shutdown();
     }
 }

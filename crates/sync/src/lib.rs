@@ -16,7 +16,12 @@
 //!   *scheduling point* of a deterministic controlled scheduler, and the
 //!   runtime carries a vector-clock happens-before tracker that flags data
 //!   races on [`cell::UnsafeCell`] payloads whose accesses are not ordered
-//!   by the synchronization actually present in the execution. See
+//!   by the synchronization actually present in the execution. Values are
+//!   sequentially consistent but for a one-store-deep *store-buffering*
+//!   window on integer and bool atomics (a load the newest store does not
+//!   happen-before may, by seeded choice, return the overwritten value
+//!   unless both are `SeqCst`) — enough to tell a `SeqCst` Dekker
+//!   handshake from a Release/Acquire one. See
 //!   [`model`] for the harness API (seeded PCT-style and random scheduling,
 //!   exhaustive small-bound DFS, replayable seeds).
 //!

@@ -16,7 +16,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Mutex as StdMutex;
 
 use super::rt;
-use super::rt::AtomMeta;
+use super::rt::{AtomMeta, Op};
 
 macro_rules! instrumented_int {
     ($(#[$doc:meta])* $name:ident, $std:ident, $prim:ty) => {
@@ -38,23 +38,28 @@ macro_rules! instrumented_int {
             /// Atomic load.
             pub fn load(&self, ord: Ordering) -> $prim {
                 rt::yield_point();
+                if let Some(bits) = rt::stale_load(&self.meta, ord) {
+                    return bits as $prim;
+                }
                 let r = self.v.load(ord);
-                rt::atomic_edges(&self.meta, rt::is_acquire(ord), false, false, false);
+                rt::atomic_edges(&self.meta, ord, Op::Load);
                 r
             }
 
             /// Atomic store.
             pub fn store(&self, val: $prim, ord: Ordering) {
                 rt::yield_point();
-                self.v.store(val, ord);
-                rt::atomic_edges(&self.meta, false, rt::is_release(ord), true, false);
+                // A swap, to learn the overwritten value (the stale-read
+                // window); at least as strong as the store it stands for.
+                let old = self.v.swap(val, ord);
+                rt::atomic_edges(&self.meta, ord, Op::Store(old as u64));
             }
 
             /// Atomic swap.
             pub fn swap(&self, val: $prim, ord: Ordering) -> $prim {
                 rt::yield_point();
                 let r = self.v.swap(val, ord);
-                rt::atomic_edges(&self.meta, rt::is_acquire(ord), rt::is_release(ord), true, true);
+                rt::atomic_edges(&self.meta, ord, Op::Rmw(r as u64));
                 r
             }
 
@@ -62,7 +67,7 @@ macro_rules! instrumented_int {
             pub fn fetch_add(&self, val: $prim, ord: Ordering) -> $prim {
                 rt::yield_point();
                 let r = self.v.fetch_add(val, ord);
-                rt::atomic_edges(&self.meta, rt::is_acquire(ord), rt::is_release(ord), true, true);
+                rt::atomic_edges(&self.meta, ord, Op::Rmw(r as u64));
                 r
             }
 
@@ -70,7 +75,7 @@ macro_rules! instrumented_int {
             pub fn fetch_sub(&self, val: $prim, ord: Ordering) -> $prim {
                 rt::yield_point();
                 let r = self.v.fetch_sub(val, ord);
-                rt::atomic_edges(&self.meta, rt::is_acquire(ord), rt::is_release(ord), true, true);
+                rt::atomic_edges(&self.meta, ord, Op::Rmw(r as u64));
                 r
             }
 
@@ -78,7 +83,7 @@ macro_rules! instrumented_int {
             pub fn fetch_or(&self, val: $prim, ord: Ordering) -> $prim {
                 rt::yield_point();
                 let r = self.v.fetch_or(val, ord);
-                rt::atomic_edges(&self.meta, rt::is_acquire(ord), rt::is_release(ord), true, true);
+                rt::atomic_edges(&self.meta, ord, Op::Rmw(r as u64));
                 r
             }
 
@@ -86,7 +91,7 @@ macro_rules! instrumented_int {
             pub fn fetch_and(&self, val: $prim, ord: Ordering) -> $prim {
                 rt::yield_point();
                 let r = self.v.fetch_and(val, ord);
-                rt::atomic_edges(&self.meta, rt::is_acquire(ord), rt::is_release(ord), true, true);
+                rt::atomic_edges(&self.meta, ord, Op::Rmw(r as u64));
                 r
             }
 
@@ -94,7 +99,7 @@ macro_rules! instrumented_int {
             pub fn fetch_max(&self, val: $prim, ord: Ordering) -> $prim {
                 rt::yield_point();
                 let r = self.v.fetch_max(val, ord);
-                rt::atomic_edges(&self.meta, rt::is_acquire(ord), rt::is_release(ord), true, true);
+                rt::atomic_edges(&self.meta, ord, Op::Rmw(r as u64));
                 r
             }
 
@@ -102,7 +107,7 @@ macro_rules! instrumented_int {
             pub fn fetch_min(&self, val: $prim, ord: Ordering) -> $prim {
                 rt::yield_point();
                 let r = self.v.fetch_min(val, ord);
-                rt::atomic_edges(&self.meta, rt::is_acquire(ord), rt::is_release(ord), true, true);
+                rt::atomic_edges(&self.meta, ord, Op::Rmw(r as u64));
                 r
             }
 
@@ -117,16 +122,8 @@ macro_rules! instrumented_int {
                 rt::yield_point();
                 let r = self.v.compare_exchange(current, new, success, failure);
                 match r {
-                    Ok(_) => rt::atomic_edges(
-                        &self.meta,
-                        rt::is_acquire(success),
-                        rt::is_release(success),
-                        true,
-                        true,
-                    ),
-                    Err(_) => {
-                        rt::atomic_edges(&self.meta, rt::is_acquire(failure), false, false, false)
-                    }
+                    Ok(old) => rt::atomic_edges(&self.meta, success, Op::Rmw(old as u64)),
+                    Err(_) => rt::atomic_edges(&self.meta, failure, Op::Load),
                 }
                 r
             }
@@ -223,29 +220,27 @@ impl AtomicBool {
     /// Atomic load.
     pub fn load(&self, ord: Ordering) -> bool {
         rt::yield_point();
+        if let Some(bits) = rt::stale_load(&self.meta, ord) {
+            return bits != 0;
+        }
         let r = self.v.load(ord);
-        rt::atomic_edges(&self.meta, rt::is_acquire(ord), false, false, false);
+        rt::atomic_edges(&self.meta, ord, Op::Load);
         r
     }
 
     /// Atomic store.
     pub fn store(&self, val: bool, ord: Ordering) {
         rt::yield_point();
-        self.v.store(val, ord);
-        rt::atomic_edges(&self.meta, false, rt::is_release(ord), true, false);
+        // A swap, as in the integer twins: fetches the overwritten value.
+        let old = self.v.swap(val, ord);
+        rt::atomic_edges(&self.meta, ord, Op::Store(old as u64));
     }
 
     /// Atomic swap.
     pub fn swap(&self, val: bool, ord: Ordering) -> bool {
         rt::yield_point();
         let r = self.v.swap(val, ord);
-        rt::atomic_edges(
-            &self.meta,
-            rt::is_acquire(ord),
-            rt::is_release(ord),
-            true,
-            true,
-        );
+        rt::atomic_edges(&self.meta, ord, Op::Rmw(r as u64));
         r
     }
 
@@ -253,13 +248,7 @@ impl AtomicBool {
     pub fn fetch_or(&self, val: bool, ord: Ordering) -> bool {
         rt::yield_point();
         let r = self.v.fetch_or(val, ord);
-        rt::atomic_edges(
-            &self.meta,
-            rt::is_acquire(ord),
-            rt::is_release(ord),
-            true,
-            true,
-        );
+        rt::atomic_edges(&self.meta, ord, Op::Rmw(r as u64));
         r
     }
 
@@ -267,13 +256,7 @@ impl AtomicBool {
     pub fn fetch_and(&self, val: bool, ord: Ordering) -> bool {
         rt::yield_point();
         let r = self.v.fetch_and(val, ord);
-        rt::atomic_edges(
-            &self.meta,
-            rt::is_acquire(ord),
-            rt::is_release(ord),
-            true,
-            true,
-        );
+        rt::atomic_edges(&self.meta, ord, Op::Rmw(r as u64));
         r
     }
 
@@ -288,14 +271,8 @@ impl AtomicBool {
         rt::yield_point();
         let r = self.v.compare_exchange(current, new, success, failure);
         match r {
-            Ok(_) => rt::atomic_edges(
-                &self.meta,
-                rt::is_acquire(success),
-                rt::is_release(success),
-                true,
-                true,
-            ),
-            Err(_) => rt::atomic_edges(&self.meta, rt::is_acquire(failure), false, false, false),
+            Ok(old) => rt::atomic_edges(&self.meta, success, Op::Rmw(old as u64)),
+            Err(_) => rt::atomic_edges(&self.meta, failure, Op::Load),
         }
         r
     }
@@ -357,7 +334,7 @@ impl<T> AtomicPtr<T> {
     pub fn load(&self, ord: Ordering) -> *mut T {
         rt::yield_point();
         let r = self.v.load(ord);
-        rt::atomic_edges(&self.meta, rt::is_acquire(ord), false, false, false);
+        rt::atomic_edges(&self.meta, ord, Op::Load);
         r
     }
 
@@ -365,20 +342,14 @@ impl<T> AtomicPtr<T> {
     pub fn store(&self, p: *mut T, ord: Ordering) {
         rt::yield_point();
         self.v.store(p, ord);
-        rt::atomic_edges(&self.meta, false, rt::is_release(ord), true, false);
+        rt::atomic_edges(&self.meta, ord, Op::Store(0));
     }
 
     /// Atomic swap.
     pub fn swap(&self, p: *mut T, ord: Ordering) -> *mut T {
         rt::yield_point();
         let r = self.v.swap(p, ord);
-        rt::atomic_edges(
-            &self.meta,
-            rt::is_acquire(ord),
-            rt::is_release(ord),
-            true,
-            true,
-        );
+        rt::atomic_edges(&self.meta, ord, Op::Rmw(0));
         r
     }
 
@@ -393,14 +364,8 @@ impl<T> AtomicPtr<T> {
         rt::yield_point();
         let r = self.v.compare_exchange(current, new, success, failure);
         match r {
-            Ok(_) => rt::atomic_edges(
-                &self.meta,
-                rt::is_acquire(success),
-                rt::is_release(success),
-                true,
-                true,
-            ),
-            Err(_) => rt::atomic_edges(&self.meta, rt::is_acquire(failure), false, false, false),
+            Ok(_) => rt::atomic_edges(&self.meta, success, Op::Rmw(0)),
+            Err(_) => rt::atomic_edges(&self.meta, failure, Op::Load),
         }
         r
     }

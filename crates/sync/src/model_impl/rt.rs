@@ -74,10 +74,12 @@ impl VClock {
 // ---------------------------------------------------------------------------
 
 /// Metadata of one instrumented atomic: the clock released by the last
-/// release-store (and carried forward by RMWs — the release sequence).
+/// release-store (and carried forward by RMWs — the release sequence), and
+/// the value that store overwrote while a load may still legally return it.
 pub(crate) struct AtomMeta {
     pub gen: u64,
     pub release: VClock,
+    pub stale: Option<Stale>,
 }
 
 impl AtomMeta {
@@ -85,8 +87,34 @@ impl AtomMeta {
         Self {
             gen: 0,
             release: VClock::new(),
+            stale: None,
         }
     }
+}
+
+/// The store-buffering window of one atomic: the newest store has executed,
+/// but a thread it does not happen-before may still read the old value (see
+/// [`stale_load`]). One store deep.
+pub(crate) struct Stale {
+    /// The overwritten value and the release clock that travelled with it.
+    bits: u64,
+    release: VClock,
+    /// The overwriting thread and its clock component at that store: a
+    /// thread whose clock has reached it has synchronized past the store.
+    writer: usize,
+    stamp: u64,
+    /// The overwriting store was `SeqCst` (no `SeqCst` load may miss it).
+    sc: bool,
+    /// Threads that read the new value or spent their one stale read.
+    seen: u16,
+}
+
+/// What an instrumented atomic operation did, for [`atomic_edges`]; stores
+/// and read-modify-writes carry the bits they overwrote.
+pub(crate) enum Op {
+    Load,
+    Store(u64),
+    Rmw(u64),
 }
 
 /// Metadata of one virtual lock (mutex or rwlock).
@@ -807,15 +835,9 @@ pub(crate) fn is_release(ord: Ordering) -> bool {
 }
 
 /// Clock effects of one atomic operation, applied after the real op ran.
-/// `rmw`: read-modify-write ops keep the existing release clock alive even
-/// when relaxed (the release-sequence rule); plain relaxed stores kill it.
-pub(crate) fn atomic_edges(
-    meta: &StdMutex<AtomMeta>,
-    acquire: bool,
-    release: bool,
-    store: bool,
-    rmw: bool,
-) {
+/// Read-modify-write ops keep the existing release clock alive even when
+/// relaxed (the release-sequence rule); plain relaxed stores kill it.
+pub(crate) fn atomic_edges(meta: &StdMutex<AtomMeta>, ord: Ordering, op: Op) {
     let Some((gen, me)) = current() else { return };
     let mut st = lock_state();
     if st.gen != gen {
@@ -825,25 +847,81 @@ pub(crate) fn atomic_edges(
     let mut m = meta.lock().unwrap_or_else(PoisonError::into_inner);
     if m.gen != st.gen {
         m.release.clear();
+        m.stale = None;
         m.gen = st.gen;
     }
-    if acquire {
+    let (old, rmw) = match op {
+        Op::Load => {
+            if let Some(s) = &mut m.stale {
+                s.seen |= 1 << me;
+            }
+            (None, false)
+        }
+        Op::Store(old) => (Some(old), false),
+        Op::Rmw(old) => (Some(old), true),
+    };
+    if is_acquire(ord) && (rmw || old.is_none()) {
         // Split-borrow: clone the release clock out first.
         let rel = m.release.clone();
         st.threads[me].clock.join(&rel);
     }
-    if release {
-        let clock = st.threads[me].clock.clone();
+    let Some(bits) = old else { return };
+    let clock = st.threads[me].clock.clone();
+    m.stale = Some(Stale {
+        bits,
+        release: m.release.clone(),
+        writer: me,
+        stamp: clock.get(me),
+        sc: ord == Ordering::SeqCst,
+        seen: 1 << me,
+    });
+    if is_release(ord) {
         if rmw {
             m.release.join(&clock);
         } else {
             m.release = clock;
         }
-    } else if store && !rmw {
+    } else if !rmw {
         // A relaxed plain store: later acquire loads of the new value
         // synchronize with nothing.
         m.release.clear();
     }
+}
+
+/// Store buffering: may this load — and, by seeded choice, does it — return
+/// the value the newest store overwrote? It may unless the store
+/// happens-before the loading thread, both are `SeqCst` (the single total
+/// order), or the thread already read the new value (coherence). Each thread
+/// gets one stale read per store, so spin loops still make progress. Values
+/// are otherwise sequentially consistent; this window is what makes a Dekker
+/// handshake weakened to Release/Acquire lose its wake-up under the model as
+/// it can on hardware. Integers and bools only: a stale *pointer* could
+/// already be freed, because the epoch collector's fences that forbid such a
+/// read on hardware are invisible to the model. Off under DFS, which
+/// enumerates schedules, not weak behaviours.
+pub(crate) fn stale_load(meta: &StdMutex<AtomMeta>, ord: Ordering) -> Option<u64> {
+    let (gen, me) = current()?;
+    let mut st = lock_state();
+    let mut m = meta.lock().unwrap_or_else(PoisonError::into_inner);
+    if st.gen != gen || m.gen != gen || st.mode == Mode::Dfs {
+        return None;
+    }
+    let s = m.stale.as_mut()?;
+    if s.seen & (1 << me) != 0
+        || st.threads[me].clock.get(s.writer) >= s.stamp
+        || (s.sc && ord == Ordering::SeqCst)
+    {
+        return None;
+    }
+    s.seen |= 1 << me;
+    if st.rng_next() & 1 == 0 {
+        return None;
+    }
+    st.mix(0x57A1E);
+    if is_acquire(ord) {
+        st.threads[me].clock.join(&s.release);
+    }
+    Some(s.bits)
 }
 
 /// Fence clock effects (coarse; see `RtState::fence_release`).
@@ -857,6 +935,15 @@ pub(crate) fn fence_edges(ord: Ordering) {
     if is_acquire(ord) {
         let rel = st.fence_release.clone();
         st.threads[me].clock.join(&rel);
+    }
+    if ord == Ordering::SeqCst {
+        // Coarse again: past a SeqCst fence a thread has seen every store
+        // executed so far, which rules out the stale reads that a pair of
+        // such fences forbids (and some that a lone one does not).
+        for t in 0..st.threads.len() {
+            let seen = st.threads[t].clock.clone();
+            st.threads[me].clock.join(&seen);
+        }
     }
     if is_release(ord) {
         let clock = st.threads[me].clock.clone();

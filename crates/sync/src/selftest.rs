@@ -73,6 +73,7 @@ impl MiniRing {
 #[cfg(test)]
 mod tests {
     use super::MiniRing;
+    use crate::atomic::{AtomicUsize, Ordering};
     use crate::model;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
@@ -166,6 +167,43 @@ mod tests {
         .expect_err("DFS must find the dropped-Acquire race");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("data race detected"), "got: {msg}");
+    }
+
+    /// The store-buffering litmus (Dekker's core): each thread stores its
+    /// own flag, then loads the other's. Returns whether both read 0.
+    fn both_missed(ord_store: Ordering, ord_load: Ordering) -> bool {
+        let flags = Arc::new((AtomicUsize::new(0), AtomicUsize::new(0)));
+        let t = {
+            let flags = Arc::clone(&flags);
+            crate::thread::spawn(move || {
+                flags.0.store(1, ord_store);
+                flags.1.load(ord_load)
+            })
+        };
+        flags.1.store(1, ord_store);
+        let mine = flags.0.load(ord_load);
+        t.join().unwrap() == 0 && mine == 0
+    }
+
+    #[test]
+    fn store_buffering_is_modelled_below_seqcst_only() {
+        let missed = |s, l| {
+            (1..=256).any(|seed| {
+                let mut hit = false;
+                model::run(seed, || hit = both_missed(s, l));
+                hit
+            })
+        };
+        assert!(
+            !missed(Ordering::SeqCst, Ordering::SeqCst),
+            "SeqCst forbids both threads missing the other's store"
+        );
+        assert!(
+            missed(Ordering::Release, Ordering::Acquire),
+            "Release/Acquire allows it; no seed in 1..=256 showed it"
+        );
+        // One weakened side is enough to lose the guarantee.
+        assert!(missed(Ordering::SeqCst, Ordering::Acquire));
     }
 
     #[test]

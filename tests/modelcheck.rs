@@ -31,8 +31,9 @@
 //!
 //! In-crate models live next to their structures:
 //! `bohm::window::modelcheck` (push/retire vs. the vacancy condvar — a
-//! lost wakeup surfaces as a model deadlock) and
-//! `bohm_hekaton::store::modelcheck` (push vs. prune vs. scan).
+//! lost wakeup surfaces as a model deadlock), `bohm::batch::modelcheck`
+//! (the completion handshake: a completer that notifies only a registered
+//! waiter) and `bohm_hekaton::store::modelcheck` (push vs. prune vs. scan).
 #![cfg(bohm_modelcheck)]
 
 use bohm_sync::model;

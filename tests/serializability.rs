@@ -290,6 +290,26 @@ fn session_single_txn_submission_matches_serial_order() {
 }
 
 #[test]
+fn facade_reap_returns_the_fronts_outcome_under_out_of_order_completion() {
+    // Three execution threads finish a session's transactions out of
+    // order, and a blocked `reap` parks a quarter of the way into its FIFO
+    // rather than on the front; what it returns must still be the front's
+    // outcome, position for position, as the serial order has it.
+    use bohm_bench::engines::AnyEngine;
+    use bohm_suite::common::engine::BatchEngine;
+    let spec = one_table(64);
+    let txns = rmw_mix(64, 20_000, true, 0xF1F0);
+    let mut cfg = BohmConfig::with_threads(1, 3);
+    cfg.batch_size = 64;
+    let engine = AnyEngine::Bohm(Bohm::start(cfg, catalog_of(&spec)));
+    let outcomes = engine.run_stream(&txns);
+    engine.quiesce();
+    let res = check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid));
+    engine.shutdown();
+    res.unwrap();
+}
+
+#[test]
 fn concurrent_sessions_preserve_counter_conservation() {
     // Many sessions race through the bounded ingest queue. Their global
     // interleaving is decided by the sequencer, so we check an

@@ -22,8 +22,9 @@
 //! [`crate::exec`]'s copy-through path debug-asserts it.
 
 use crate::batch::TxnState;
-use bohm_common::{AbortReason, Access};
-use bohm_mvstore::{HashIndex, Version, VersionIndex, VersionState};
+use crate::lookahead::LookAhead;
+use bohm_common::{AbortReason, Access, RecordId};
+use bohm_mvstore::{HashIndex, ProbeFor, Version, VersionIndex, VersionState};
 use bohm_sync::atomic::Ordering;
 use crossbeam_epoch::Guard;
 
@@ -34,9 +35,17 @@ pub(crate) struct BohmAccess<'a> {
     /// `Inner::deletes_seen` — bumped when a tombstone is published, which
     /// arms the CC threads' key sweep (a pure gate; see `cc::sweep_keys`).
     pub deletes: &'a bohm_sync::atomic::AtomicU64,
+    /// Look-ahead over an un-annotated read set, started by its first read
+    /// (see [`version_for_read`](Self::version_for_read)).
+    pub ahead: Option<FallbackAhead<'a>>,
 }
 
-impl BohmAccess<'_> {
+/// The un-annotated fallback's look-ahead: the reads to come through four
+/// stages — slot, entry, head, payload; a fifth, for keys behind a
+/// collision, cost the reader more than it saved — four reads apart.
+type FallbackAhead<'a> = LookAhead<std::slice::Iter<'a, RecordId>, 4, 4>;
+
+impl<'a> BohmAccess<'a> {
     /// Resolve read-set entry `idx` to its version, or `None` if the record
     /// does not exist at this transaction's timestamp.
     ///
@@ -46,10 +55,31 @@ impl BohmAccess<'_> {
     /// transaction — whose chain and placeholder may well exist by now,
     /// installed between CC time and execution — correctly reads as absent
     /// rather than as that later version.
-    fn version_for_read(&self, idx: usize) -> Option<&Version> {
+    ///
+    /// A read set with no annotation slots at all (larger than
+    /// `annotate_max_reads` — the paper's 10,000-read transactions) would
+    /// make every read a serial four-deep miss chain: bucket, entry, head
+    /// version, payload. But the set is declared, and procedures walk it in
+    /// order, so the first such read starts a [`LookAhead`] over the reads
+    /// after it and every later one advances it — the same staged hints the
+    /// CC thread runs in front of its probes, ending at the payload instead
+    /// of the predecessor. The hints dereference a head version, which is
+    /// sound while this transaction is executing: every install at or below
+    /// its timestamp happened before it started, so whatever supersedes
+    /// that head begins above it, and the Condition-3 bound cannot pass a
+    /// version that ends above a transaction still running.
+    fn version_for_read(&mut self, idx: usize) -> Option<&'a Version> {
         // Large read sets carry no annotation slots (BohmConfig::
         // annotate_max_reads): go straight to traversal.
         let ptr = if self.t.read_refs.is_empty() {
+            let (t, index, guard) = (self.t, self.index, self.guard);
+            let hint = |stage, rid: &RecordId| {
+                index.look_ahead(stage, rid.stable_hash(), ProbeFor::Read, guard);
+            };
+            match &mut self.ahead {
+                Some(ahead) => ahead.step(hint),
+                None => self.ahead = Some(LookAhead::start(t.txn.reads[idx + 1..].iter(), hint)),
+            }
             std::ptr::null_mut()
         } else {
             self.t.read_refs[idx].load(Ordering::Acquire)
@@ -61,7 +91,11 @@ impl BohmAccess<'_> {
         }
         // Fallback traversal (annotations disabled, or record not yet
         // present at CC time).
-        let rid = self.t.txn.reads[idx];
+        self.visible(self.t.txn.reads[idx])
+    }
+
+    /// The ts-filtered probe every un-annotated access goes through.
+    fn visible(&self, rid: RecordId) -> Option<&'a Version> {
         self.index
             .get(rid, self.guard)?
             .visible(self.t.ts, self.guard)
@@ -148,12 +182,7 @@ impl Access for BohmAccess<'_> {
                 std::ptr::null_mut()
             };
             let v = if ptr.is_null() {
-                let rid = s.rid(row);
-                match self
-                    .index
-                    .get(rid, self.guard)
-                    .and_then(|c| c.visible(self.t.ts, self.guard))
-                {
+                match self.visible(s.rid(row)) {
                     Some(v) => v,
                     None => continue,
                 }
@@ -213,15 +242,11 @@ impl Access for BohmAccess<'_> {
         };
         let mut n = 0;
         for row in bohm_common::index::posting_rows(list) {
-            let rid = bohm_common::RecordId {
+            let rid = RecordId {
                 table: s.table,
                 row,
             };
-            let Some(v) = self
-                .index
-                .get(rid, self.guard)
-                .and_then(|c| c.visible(self.t.ts, self.guard))
-            else {
+            let Some(v) = self.visible(rid) else {
                 continue; // contract violation tolerance: skip
             };
             if !v.is_resolved() {

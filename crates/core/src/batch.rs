@@ -14,7 +14,7 @@
 //! that completion. Batch boundaries are an engine-internal amortization
 //! artifact; submitters never see them.
 
-use bohm_common::{ASlice, Arena, Timestamp, Txn};
+use bohm_common::{ASlice, Arena, RecordId, Timestamp, Txn};
 use bohm_mvstore::Version;
 use bohm_sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use bohm_sync::{Condvar, Mutex};
@@ -351,51 +351,72 @@ impl BatchHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Plan entries (unchanged from the paper machinery)
+// Plan entries
 // ---------------------------------------------------------------------------
 
-/// One packed access-plan entry scanned by every CC thread.
+/// One access-plan entry — **one per record the CC phase must probe** —
+/// scanned by every CC thread.
 ///
 /// Every CC thread must examine every transaction's sets (paper §3.2.2 —
 /// the acknowledged Amdahl component of the design), so that scan has to be
-/// cheap: the sequencer pre-hashes each access into a compact word
-/// (`[hash32 | write-flag | set-index]`), and the CC threads iterate a
-/// contiguous array doing one modulo per entry instead of re-hashing
-/// `RecordId`s out of pointer-chased `Vec`s `m` times over. Read entries
-/// come first so an RMW's read is annotated before its own placeholder is
-/// installed.
-#[derive(Clone, Copy)]
-pub(crate) struct PlanEntry(u64);
+/// cheap: the sequencer pre-hashes each record once, and the CC threads
+/// iterate a contiguous array doing one modulo per entry instead of
+/// re-hashing `RecordId`s out of the sets `m` times over. The entry keeps
+/// the **whole** [`stable_hash`](bohm_common::RecordId::stable_hash): the
+/// top half picks the partition, the bottom half the index bucket, so
+/// neither the probe nor the look-ahead in front of it hashes again.
+///
+/// A record the transaction both reads and writes gets a single *fused*
+/// entry carrying both set positions: the CC thread probes once, annotates
+/// the read with the chain's latest version and installs the placeholder
+/// over it. A plan is the transaction's pure reads (`write` is none)
+/// followed by one entry per write (`read` is none for a blind write).
+/// Order between the two groups is what keeps the un-fusable leftovers
+/// correct — a read the sequencer did not pair with its write (see
+/// [`TxnState::new`]) is annotated before that write installs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PlanEntry {
+    /// `stable_hash` of the record.
+    pub hash: u64,
+    read: u32,
+    write: u32,
+}
 
 impl PlanEntry {
-    const WRITE_BIT: u64 = 1 << 31;
+    /// "No such position" in `read` / `write`.
+    const NONE: u32 = u32::MAX;
 
-    fn new(hash: u64, is_write: bool, idx: usize) -> Self {
-        debug_assert!(idx < (1 << 31));
-        let mut w = (hash << 32) | (idx as u64);
-        if is_write {
-            w |= Self::WRITE_BIT;
-        }
-        PlanEntry(w)
+    fn new(hash: u64, read: Option<usize>, write: Option<usize>) -> Self {
+        let pack = |i: Option<usize>| i.map_or(Self::NONE, |i| i as u32);
+        let (read, write) = (pack(read), pack(write));
+        PlanEntry { hash, read, write }
     }
 
-    /// CC partition owning this access, for `m` CC threads.
+    /// CC partition owning this record, for `m` CC threads.
     #[inline]
     pub fn partition(self, m: usize) -> usize {
-        ((self.0 >> 32) % m as u64) as usize
+        ((self.hash >> 32) % m as u64) as usize
     }
 
+    /// Read-set position to annotate, if the transaction reads the record.
     #[inline]
-    pub fn is_write(self) -> bool {
-        self.0 & Self::WRITE_BIT != 0
+    pub fn read(self) -> Option<usize> {
+        (self.read != Self::NONE).then_some(self.read as usize)
     }
 
-    /// Index into the transaction's read set or write set.
+    /// Write-set position to install a placeholder for, if it writes it.
     #[inline]
-    pub fn idx(self) -> usize {
-        (self.0 & (Self::WRITE_BIT - 1)) as usize
+    pub fn write(self) -> Option<usize> {
+        (self.write != Self::NONE).then_some(self.write as usize)
     }
 }
+
+/// Comparisons the sequencer will spend pairing one transaction's reads
+/// with its writes when they do not line up position by position. Within
+/// it every RMW is fused; beyond it (nothing in the paper's workloads is)
+/// only positional pairs are, and the rest stay correct as separate
+/// read-then-write entries.
+const FUSE_SEARCH_BUDGET: usize = 1024;
 
 /// A transaction plus its engine-side runtime state.
 ///
@@ -409,7 +430,8 @@ pub struct TxnState {
     /// Serialization timestamp = position in the input log (§3.2.1).
     pub ts: Timestamp,
     pub(crate) state: AtomicU8,
-    /// Packed access plan: reads first, then writes (see [`PlanEntry`]).
+    /// Access plan: pure reads, then writes carrying their read (see
+    /// [`PlanEntry`]).
     pub(crate) plan: ASlice<PlanEntry>,
     /// One slot per read-set entry: direct pointer to the version this read
     /// must observe, written by the owning CC thread (§3.2.3 optimization).
@@ -442,7 +464,16 @@ pub struct TxnState {
 
 impl TxnState {
     /// `annotate_max_reads`: see [`BohmConfig`](crate::BohmConfig); larger
-    /// read sets get no annotation slots and no read plan entries.
+    /// read sets get no annotation slots and no read plan entries — their
+    /// plan is one blind entry per write, and nothing is paired.
+    ///
+    /// Pairing a write with the read of the same record tries the same
+    /// position first (`reads[i] == writes[i]`, the shape every generator
+    /// here produces for its RMWs) and otherwise searches, within
+    /// [`FUSE_SEARCH_BUDGET`]. A read is *pure* — gets an entry of its own —
+    /// iff no write names its record; a second read of a fused record is
+    /// neither pure nor carried, so its slot stays null and the executor's
+    /// `visible(ts)` fallback serves it, as it does any null slot.
     pub(crate) fn new(
         txn: Txn,
         ts: Timestamp,
@@ -452,12 +483,24 @@ impl TxnState {
     ) -> Self {
         let annotate = txn.reads.len() <= annotate_max_reads;
         let (nr, nw) = (if annotate { txn.reads.len() } else { 0 }, txn.writes.len());
-        let plan = arena.alloc_with(nr + nw, |i| {
-            if i < nr {
-                PlanEntry::new(txn.reads[i].stable_hash() >> 32, false, i)
-            } else {
-                PlanEntry::new(txn.writes[i - nr].stable_hash() >> 32, true, i - nr)
+        debug_assert!(nr.max(nw) < PlanEntry::NONE as usize);
+        // Only the reads that get slots take part in pairing.
+        let (reads, writes) = (&txn.reads[..nr], &*txn.writes);
+        let search = nr * nw <= FUSE_SEARCH_BUDGET;
+        // Position in `of` of the record at `at[i]`: same position first.
+        let paired = |at: &[RecordId], i: usize, of: &[RecordId]| match of.get(i) {
+            Some(r) if *r == at[i] => Some(i),
+            _ if search => of.iter().position(|r| *r == at[i]),
+            _ => None,
+        };
+        let mut pure_reads = (0..nr).filter(|&r| paired(reads, r, writes).is_none());
+        let n_pure = pure_reads.clone().count();
+        let plan = arena.alloc_with(n_pure + nw, |i| match i.checked_sub(n_pure) {
+            None => {
+                let r = pure_reads.next().expect("counted above");
+                PlanEntry::new(reads[r].stable_hash(), Some(r), None)
             }
+            Some(w) => PlanEntry::new(writes[w].stable_hash(), paired(writes, w, reads), Some(w)),
         });
         let nulls = |arena: &mut Arena, n: usize| -> ASlice<AtomicPtr<Version>> {
             arena.alloc_with(n, |_| AtomicPtr::new(ptr::null_mut()))
@@ -627,7 +670,7 @@ impl Batch {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use bohm_common::{Procedure, RecordId};
+    use bohm_common::Procedure;
 
     fn txn() -> Txn {
         let rid = RecordId::new(0, 1);
@@ -690,6 +733,99 @@ pub(crate) mod tests {
         assert_eq!(t.read_refs.len(), 1);
         assert_eq!(t.write_refs.len(), 1);
         assert!(t.read_refs[0].load(Ordering::Relaxed).is_null());
+    }
+
+    /// `(read, write)` positions of each plan entry of a transaction with
+    /// the given sets (rows of table 0), annotated up to 64 reads.
+    fn plan_of(reads: &[u64], writes: &[u64]) -> Vec<(Option<usize>, Option<usize>)> {
+        let rids = |rows: &[u64]| rows.iter().map(|&r| RecordId::new(0, r)).collect();
+        let t = Txn::new(rids(reads), rids(writes), Procedure::ReadOnly);
+        let (mut entries, _c) = hooked(1);
+        let hook = entries.pop().unwrap().1;
+        let t = TxnState::new(t, 9, 64, hook, &mut test_arena());
+        for e in t.plan.iter() {
+            let rid = match (e.read(), e.write()) {
+                (_, Some(w)) => t.txn.writes[w],
+                (Some(r), None) => t.txn.reads[r],
+                (None, None) => panic!("empty plan entry"),
+            };
+            assert_eq!(e.hash, rid.stable_hash(), "entries carry the full hash");
+            if let (Some(r), Some(w)) = (e.read(), e.write()) {
+                assert_eq!(t.txn.reads[r], t.txn.writes[w], "fused across records");
+            }
+        }
+        let annotated = if reads.len() <= 64 { reads.len() } else { 0 };
+        assert_eq!(t.read_refs.len(), annotated);
+        assert_eq!(t.write_refs.len(), writes.len());
+        t.plan.iter().map(|e| (e.read(), e.write())).collect()
+    }
+
+    #[test]
+    fn plan_is_one_entry_per_record_pure_reads_then_writes_carrying_their_read() {
+        assert_eq!(std::mem::size_of::<PlanEntry>(), 16);
+        // micro_rmw10 / YCSB 10RMW: ten fused entries, not twenty.
+        let keys: Vec<u64> = (0..10).map(|k| k * 7 + 3).collect();
+        let fused: Vec<_> = (0..10).map(|i| (Some(i), Some(i))).collect();
+        assert_eq!(plan_of(&keys, &keys), fused);
+        // YCSB 2RMW+8R: writes are the first two reads — eight pure reads,
+        // then the two fused entries.
+        let mut want: Vec<_> = (2..10).map(|r| (Some(r), None)).collect();
+        want.extend([(Some(0), Some(0)), (Some(1), Some(1))]);
+        assert_eq!(plan_of(&keys, &keys[..2]), want);
+        // Read-only and write-only keys.
+        assert_eq!(plan_of(&[1, 2], &[]), [(Some(0), None), (Some(1), None)]);
+        assert_eq!(plan_of(&[], &[1, 2]), [(None, Some(0)), (None, Some(1))]);
+        assert_eq!(
+            plan_of(&[1], &[2]),
+            [(Some(0), None), (None, Some(0))],
+            "different records at the same position do not fuse"
+        );
+        // The same keys at different positions are found by search.
+        assert_eq!(
+            plan_of(&[1, 2, 3], &[3, 1]),
+            [(Some(1), None), (Some(2), Some(0)), (Some(0), Some(1))]
+        );
+        // A second read of a fused record is neither pure nor carried: its
+        // slot stays null for the executor's fallback. The write carries the
+        // read at its own position when there is one, else the first.
+        assert_eq!(plan_of(&[5, 5], &[5]), [(Some(0), Some(0))]);
+        assert_eq!(
+            plan_of(&[5, 5], &[6, 5]),
+            [(None, Some(0)), (Some(1), Some(1))]
+        );
+        assert_eq!(
+            plan_of(&[4, 5, 5], &[5]),
+            [(Some(0), None), (Some(1), Some(0))]
+        );
+    }
+
+    #[test]
+    fn unannotated_read_sets_get_blind_write_entries_and_no_pairing() {
+        // 65 reads > annotate_max_reads (64 in `plan_of`): no read entries,
+        // no annotation slots, and the RMW'd key is a plain write entry.
+        let reads: Vec<u64> = (0..65).collect();
+        assert_eq!(
+            plan_of(&reads, &[7, 64]),
+            [(None, Some(0)), (None, Some(1))]
+        );
+    }
+
+    #[test]
+    fn pairing_beyond_the_search_budget_is_positional_only() {
+        // 64 reads × 17 writes > FUSE_SEARCH_BUDGET: the write at its read's
+        // position fuses, the displaced one does not — its read stays a pure
+        // read *ahead of* the blind write, which is just as correct.
+        let reads: Vec<u64> = (0..64).collect();
+        let mut writes: Vec<u64> = (100..117).collect();
+        writes[3] = 3; // positional pair
+        writes[5] = 40; // same record as reads[40], different position
+        assert!(reads.len() * writes.len() > FUSE_SEARCH_BUDGET);
+        let plan = plan_of(&reads, &writes);
+        assert_eq!(plan.len(), 63 + 17);
+        assert!(plan[..63].iter().all(|e| e.1.is_none()) && !plan[..63].contains(&(Some(3), None)));
+        assert!(plan[..63].contains(&(Some(40), None)));
+        assert_eq!(plan[63 + 3], (Some(3), Some(3)));
+        assert_eq!(plan[63 + 5], (None, Some(5)));
     }
 
     #[test]

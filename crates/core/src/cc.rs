@@ -2,21 +2,33 @@
 //!
 //! Each CC thread owns a static hash partition of the key space and runs
 //! the same loop: for every transaction of every batch, in timestamp order,
+//! for every record of its partition the transaction declared — **one index
+//! probe per record** —
 //!
-//! * annotate each read-set entry in its partition with the current latest
-//!   version (§3.2.3 — this *is* the version a reader at this timestamp
-//!   must observe, because CC threads process transactions sequentially),
-//! * truncate the record's dead version tail under the Condition-3 GC
-//!   bound into the thread's own [`VersionPool`] (§3.3.2 — GC triggers on
-//!   update, at most one chain walk per chain per bound value), and
-//! * install an uninitialized placeholder version — the one just retired,
-//!   when there is one — for each write-set entry in its partition
-//!   (§3.2.2).
+//! * annotate the read-set entry, if the transaction reads the record, with
+//!   the current latest version (§3.2.3 — this *is* the version a reader at
+//!   this timestamp must observe, because CC threads process transactions
+//!   sequentially),
+//! * and, if it writes the record, truncate the dead version tail under
+//!   the Condition-3 GC bound into the thread's own [`VersionPool`] (§3.3.2
+//!   — GC triggers on update, at most one chain walk per chain per bound
+//!   value) and install an uninitialized placeholder version — the one just
+//!   retired, when there is one — over the version just annotated (§3.2.2).
 //!
-//! The per-transaction scan iterates the sequencer-built packed plan
-//! (see `PlanEntry` in `crate::batch`): every CC thread examines
-//! every transaction — the design's acknowledged serial component (§3.2.2)
-//! — so the examination itself is a tight pass over one contiguous array.
+//! The per-transaction scan iterates the sequencer-built plan (see
+//! `PlanEntry` in `crate::batch`): pure reads, then writes carrying their
+//! read. Every CC thread examines every transaction — the design's
+//! acknowledged serial component (§3.2.2) — so the examination itself is a
+//! tight pass over one contiguous array.
+//!
+//! The loop's time is cache misses, not instructions: a probe is a chain of
+//! dependent loads (bucket slot → entry → head version → predecessor) over
+//! a table far larger than the caches. Because the plan is known in full
+//! before the loop starts, a `LookAhead` walks the same entries a fixed
+//! distance in front of it — across transaction boundaries, same partition
+//! filter — issuing those loads one stage at a time, so the probe itself
+//! finds its lines in flight or already there (see `crate::lookahead` for
+//! the rule that keeps this a pure hint).
 //!
 //! Threads never coordinate per transaction or per record; the only
 //! synchronization is one atomic countdown per batch (§3.2.4). Each thread
@@ -25,10 +37,11 @@
 //! (A batch is in the ring before any CC thread sees it, so execution can
 //! always resolve read dependencies into in-flight batches.)
 
-use crate::batch::Batch;
+use crate::batch::{Batch, PlanEntry};
 use crate::engine::Inner;
+use crate::lookahead::LookAhead;
 use bohm_common::RecordId;
-use bohm_mvstore::{Version, VersionIndex, VersionPool};
+use bohm_mvstore::{HashIndex, ProbeFor, Version, VersionIndex, VersionPool};
 use bohm_sync::atomic::Ordering;
 use crossbeam_epoch as epoch;
 
@@ -90,11 +103,11 @@ pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize, pool: &mu
     let mut versions = 0usize;
     let retired = inner
         .index
-        .sweep_retire(*cursor, budget, &guard, &mut |rid, chain| {
-            if (rid.stable_hash() >> 32) % m as u64 != me as u64 {
+        .sweep_retire(*cursor, budget, &guard, &mut |_, hash, chain| {
+            if (hash >> 32) % m as u64 != me as u64 {
                 return false;
             }
-            // SAFETY: this thread owns `rid`'s partition (checked above),
+            // SAFETY: this thread owns the key's partition (checked above),
             // and `bound` is the Acquire-loaded Condition-3 watermark.
             versions += unsafe { pool.reclaim(chain, bound, &guard) };
             chain.annotated_ts() <= bound
@@ -120,13 +133,41 @@ pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize, pool: &mu
     }
 }
 
+/// Plan entries between two look-ahead stages. With five stages the probe
+/// runs 20 entries — two transactions of `micro_rmw10` — behind the first
+/// hint for its record; 2 and 4 measure the same, and the stage *count* is
+/// what matters (DESIGN.md, "Look-ahead").
+const STAGE_DISTANCE: usize = 4;
+
+#[cfg(test)]
+thread_local! {
+    /// Index probes this thread made in [`process_batch`]'s plan loop.
+    pub(crate) static PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Process every transaction of `batch` for partition `me`.
 pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, pool: &mut VersionPool) {
     let mut guard = epoch::pin();
-    let annotate = inner.config.annotate_reads;
     let gc = inner.config.enable_gc;
     let m = inner.config.cc_threads;
     let mut retired = 0usize;
+    // This thread's entries of the whole batch, in the order the loop below
+    // meets them.
+    let mine = batch
+        .txns
+        .iter()
+        .flat_map(|t| t.plan.iter().copied())
+        .filter(|e| e.partition(m) == me);
+    // One look-ahead stage for an entry this thread will probe later.
+    let hint = |guard: &epoch::Guard, stage, e: PlanEntry| {
+        let probe = match e.write() {
+            Some(_) => ProbeFor::Install,
+            None => ProbeFor::Annotate,
+        };
+        inner.index.look_ahead(stage, e.hash, probe, guard);
+    };
+    let mut ahead: LookAhead<_, { HashIndex::LOOK_AHEAD_STAGES }, STAGE_DISTANCE> =
+        LookAhead::start(mine, |stage, e| hint(&guard, stage, e));
     for (i, t) in batch.txns.iter().enumerate() {
         // Scans are annotated before the plan (i.e. before this
         // transaction's own placeholders install): for every key of the
@@ -179,42 +220,51 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, pool: &mut 
         } else {
             0
         };
-        // Plan order is reads-then-writes, so an RMW resolves its read to
-        // the predecessor version before its own placeholder is installed.
         for e in t.plan.iter() {
             if e.partition(m) != me {
                 continue;
             }
-            if e.is_write() {
-                let wi = e.idx();
-                let rid = t.txn.writes[wi];
-                let chain = inner.index.get_or_insert(rid, &guard);
-                // GC triggers on update (§3.3.2): retire first, so the
-                // version that just died is the placeholder installed next
-                // (bound 0 — GC off, or nothing executed yet — is a no-op).
-                // SAFETY: this thread owns the entry's partition (checked
-                // above), and `bound` is the Acquire-loaded Condition-3
-                // watermark — see `VersionPool`'s reuse-safety argument.
-                retired += unsafe { pool.reclaim(chain, bound, &guard) };
-                let size = inner.record_size(rid.table);
-                let v = chain.install(pool.take(t.ts, size), &guard);
-                t.write_refs[wi].store(v.as_raw() as *mut Version, Ordering::Release);
-            } else if annotate {
-                let ri = e.idx();
-                // A key absent from the index at CC time (a record nobody
-                // has inserted yet, in timestamp order up to this txn)
-                // leaves the annotation slot null on purpose: the executor
-                // falls back to a ts-filtered re-probe, which reports
-                // "absent" even if a later transaction's placeholder has
-                // appeared on the chain by then (see `BohmAccess`).
-                if let Some(chain) = inner.index.get(t.txn.reads[ri], &guard) {
-                    if let Some(v) = chain.latest(&guard) {
-                        chain.note_annotation(t.ts);
-                        t.read_refs[ri]
-                            .store(v as *const Version as *mut Version, Ordering::Release);
+            ahead.step(|stage, e| hint(&guard, stage, e));
+            #[cfg(test)]
+            PROBES.with(|p| p.set(p.get() + 1));
+            let (ri, wi) = (e.read(), e.write());
+            // One probe. A read of a key absent from the index (a record
+            // nobody has inserted yet, in timestamp order up to this txn)
+            // leaves the annotation slot null on purpose: the executor
+            // falls back to a ts-filtered re-probe, which reports "absent"
+            // even though a placeholder — this transaction's own, for an
+            // RMW, or a later one's — has appeared on the chain by then
+            // (see `BohmAccess`).
+            let chain = match wi {
+                Some(wi) => inner
+                    .index
+                    .get_or_insert_hashed(t.txn.writes[wi], e.hash, &guard),
+                None => {
+                    let ri = ri.expect("a plan entry names a read or a write");
+                    match inner.index.get_hashed(t.txn.reads[ri], e.hash, &guard) {
+                        Some(chain) => chain,
+                        None => continue,
                     }
                 }
+            };
+            // An RMW resolves its read to the predecessor version before
+            // its own placeholder goes on top of it.
+            if let (Some(ri), Some(v)) = (ri, chain.latest(&guard)) {
+                chain.note_annotation(t.ts);
+                t.read_refs[ri].store(v as *const Version as *mut Version, Ordering::Release);
             }
+            let Some(wi) = wi else { continue };
+            // GC triggers on update (§3.3.2): retire first, so the version
+            // that just died is the placeholder installed next (bound 0 —
+            // GC off, or nothing executed yet — is a no-op; the head, which
+            // an RMW has just annotated, is never part of the dead tail).
+            // SAFETY: this thread owns the entry's partition (checked
+            // above), and `bound` is the Acquire-loaded Condition-3
+            // watermark — see `VersionPool`'s reuse-safety argument.
+            retired += unsafe { pool.reclaim(chain, bound, &guard) };
+            let size = inner.record_size(t.txn.writes[wi].table);
+            let v = chain.install(pool.take(t.ts, size), &guard);
+            t.write_refs[wi].store(v.as_raw() as *mut Version, Ordering::Release);
         }
         // Bound how long one epoch pin lives on big batches.
         if i % 512 == 511 {

@@ -939,6 +939,97 @@ mod tests {
         e.shutdown();
     }
 
+    /// Run the CC phase of a hand-built batch (timestamps from 1) on the
+    /// calling thread, as the engine's only CC thread would.
+    fn cc_phase_of(e: &Bohm, txns: Vec<Txn>) -> Arc<crate::batch::Batch> {
+        let completion = Completion::new(txns.len(), false);
+        let entries = txns
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let completion = Arc::clone(&completion);
+                let index = i as u32;
+                (t, crate::batch::TxnHook { completion, index })
+            })
+            .collect();
+        let mut arena = e.inner.arena_pool.arena();
+        let batch = crate::batch::Batch::new(entries, 1, 0, 0, 1, 1, 64, &mut arena);
+        cc::process_batch(&e.inner, 0, &batch, &mut bohm_mvstore::VersionPool::new());
+        batch
+    }
+
+    #[test]
+    fn cc_probes_the_index_once_per_record_not_once_per_access() {
+        let e = Bohm::start(
+            BohmConfig::with_threads(1, 1),
+            CatalogSpec::new().table(64, 8, |r| r),
+        );
+        let keys: Vec<u64> = (0..10).map(|k| k * 5 + 1).collect();
+        cc::PROBES.with(|p| p.set(0));
+        let batch = cc_phase_of(&e, vec![rmw(&keys, 1), rmw(&keys[..3], 1)]);
+        assert_eq!(cc::PROBES.with(|p| p.get()), 10 + 3, "one probe per RMW");
+        // Every read is annotated with the version its own placeholder
+        // went on top of.
+        let guard = epoch::pin();
+        for t in batch.txns.iter() {
+            for (r, w) in t.read_refs.iter().zip(t.write_refs.iter()) {
+                let (r, w) = (r.load(Ordering::Acquire), w.load(Ordering::Acquire));
+                // SAFETY: nothing has executed; every installed version is live.
+                let placeholder = unsafe { w.as_ref() }.expect("installed");
+                assert_eq!(placeholder.begin(), t.ts);
+                let under = placeholder.prev(&guard).expect("a predecessor");
+                assert!(std::ptr::eq(under, r), "annotated = superseded");
+            }
+        }
+        // The second transaction read the first one's placeholders.
+        let first = batch.txns[0].write_refs[0].load(Ordering::Acquire);
+        assert_eq!(batch.txns[1].read_refs[0].load(Ordering::Acquire), first);
+        drop(guard);
+        e.shutdown();
+    }
+
+    #[test]
+    fn rmw_of_a_key_absent_at_cc_time_reads_absence_not_its_own_placeholder() {
+        use bohm_common::Access;
+        let e = Bohm::start(
+            BohmConfig::with_threads(1, 1),
+            CatalogSpec::new().table(4, 8, |r| r),
+        );
+        let fresh = rid(500);
+        let insert_with_read = Txn::new(vec![fresh], vec![fresh], Procedure::ReadOnly);
+        let batch = cc_phase_of(&e, vec![insert_with_read.clone(), insert_with_read]);
+        let guard = epoch::pin();
+        let read_of = |i: usize| {
+            let t = &batch.txns[i];
+            assert!(!t.write_refs[0].load(Ordering::Acquire).is_null());
+            let mut access = crate::access::BohmAccess {
+                t,
+                index: &e.inner.index,
+                guard: &guard,
+                deletes: &e.inner.deletes_seen,
+                ahead: None,
+            };
+            (
+                t.read_refs[0].load(Ordering::Acquire),
+                access.read_maybe(0, &mut |_| panic!("nothing to read")),
+            )
+        };
+        // First transaction: the chain did not exist; the fused entry
+        // created it, found no latest version and left the slot null. By
+        // now its own placeholder (and a later one) sit on the chain; the
+        // ts-filtered fallback must see past both.
+        let (slot, got) = read_of(0);
+        assert!(slot.is_null());
+        assert_eq!(got, Ok(false), "absent at its timestamp");
+        // Second transaction: annotated with the first one's placeholder,
+        // which has not been produced — a dependency, not absence.
+        let (slot, got) = read_of(1);
+        assert_eq!(slot, batch.txns[0].write_refs[0].load(Ordering::Acquire));
+        assert_eq!(got, Err(bohm_common::AbortReason::NotReady(1)));
+        drop(guard);
+        e.shutdown();
+    }
+
     #[test]
     fn aborted_fresh_insert_reads_as_absent_via_tombstone() {
         use bohm_common::SmallBankProc;

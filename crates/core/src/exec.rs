@@ -24,8 +24,10 @@
 use crate::access::BohmAccess;
 use crate::batch::{txn_status, Batch, TxnState};
 use crate::engine::Inner;
+use crate::lookahead::LookAhead;
 use bohm_common::{execute_procedure, AbortReason, ExecScratch};
 use bohm_sync::atomic::Ordering;
+use bohm_sync::hint::prefetch_read;
 use crossbeam_epoch as epoch;
 use crossbeam_utils::Backoff;
 
@@ -75,6 +77,36 @@ pub(crate) fn refresh_gc_bound(inner: &Inner) {
     inner.gc_bound.store(min, Ordering::Release);
 }
 
+/// Transactions between the execution look-ahead's two stages (header,
+/// then payload); 1, 2 and 4 measure the same (DESIGN.md, "Look-ahead").
+const STAGE_DISTANCE: usize = 2;
+
+/// One look-ahead stage for a transaction of the batch this thread is
+/// executing: (0) the header of every version its annotated reads and its
+/// writes resolved to, (1) their payloads. "Reads perform no book-keeping"
+/// (§3.2.3) — the CC phase already wrote down where each one lives.
+///
+/// Stage 0 uses the annotation as an address only. Stage 1 follows it to
+/// find the payload, which is sound for the same reason the transaction's
+/// own reads and writes are: a version annotated for (or installed by) a
+/// transaction of this batch ends at or above that transaction's
+/// timestamp, and the Condition-3 bound stays below the whole batch until
+/// this very thread has finished it — whether or not the transaction
+/// itself has already run.
+fn hint_txn(stage: usize, t: &TxnState) {
+    for slot in t.read_refs.iter().chain(t.write_refs.iter()) {
+        let v = slot.load(Ordering::Acquire);
+        if stage == 0 {
+            prefetch_read(v);
+            continue;
+        }
+        // SAFETY: liveness per the Condition-3 argument above.
+        if let Some(v) = unsafe { v.as_ref() } {
+            v.prefetch_payload();
+        }
+    }
+}
+
 /// Drive every transaction this thread is responsible for to `Complete`.
 /// `remaining` is caller-owned scratch (reused across batches, alloc-free
 /// once warmed).
@@ -86,13 +118,19 @@ pub(crate) fn run_batch(
     remaining: &mut Vec<usize>,
 ) {
     let k = inner.config.exec_threads;
-    let n = batch.txns.len();
+    let mine = || (me..batch.txns.len()).step_by(k);
     remaining.clear();
-    remaining.extend((me..n).step_by(k));
+    remaining.extend(mine());
+    // The first round visits this thread's transactions in timestamp order,
+    // behind a look-ahead over the annotations of the ones coming up (later
+    // rounds find it drained: a step is then a few empty-slot checks).
+    let hint = |stage, i: usize| hint_txn(stage, &batch.txns[i]);
+    let mut ahead: LookAhead<_, 2, STAGE_DISTANCE> = LookAhead::start(mine(), hint);
     let backoff = Backoff::new();
     while !remaining.is_empty() {
         let before = remaining.len();
         remaining.retain(|&i| {
+            ahead.step(hint);
             let t = &batch.txns[i];
             match t.status() {
                 txn_status::COMPLETE => false,
@@ -133,6 +171,7 @@ pub(crate) fn run_claimed(
             index: &inner.index,
             guard: &guard,
             deletes: &inner.deletes_seen,
+            ahead: None,
         };
         let result = execute_procedure(
             &t.txn.proc,

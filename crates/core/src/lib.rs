@@ -98,6 +98,7 @@ pub mod config;
 pub mod engine;
 pub mod exec;
 pub mod ingest;
+mod lookahead;
 pub mod session;
 pub mod window;
 

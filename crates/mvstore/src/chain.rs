@@ -28,11 +28,11 @@ use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
 
 /// The version chain of one record.
 ///
-/// Padded to a cache line: chains sit densely packed in index storage
-/// (`ArrayIndex` holds a `Box<[Chain]>` per table, the hash index inlines
-/// one per entry), and head installs by one CC thread would otherwise
-/// false-share with reads and installs on the three neighbouring records.
-#[repr(align(64))]
+/// Three words, naturally aligned: the chain is not padded itself. The
+/// hash index inlines one per entry and aligns the *entry* to a cache line,
+/// so a probe that found the key has the chain's words in the line it
+/// already holds, and installs on one record never false-share with a
+/// neighbour's.
 pub struct Chain {
     head: Atomic<Version>,
     /// Largest timestamp of any transaction whose read or scan the owning
@@ -163,6 +163,14 @@ impl Chain {
         // the epoch collector (past every live pin) or under Condition 3,
         // whose bound a live reader of this version holds back.
         unsafe { self.head.load(Ordering::Acquire, guard).as_ref() }
+    }
+
+    /// Look-ahead stage: start fetching the head version's header. The head
+    /// pointer is a prefetch operand only — safe for any caller at any time.
+    #[inline]
+    pub fn prefetch_head(&self, guard: &Guard) {
+        // RELAXED: hint-stage load; the pointer is never dereferenced.
+        bohm_sync::hint::prefetch_read(self.head.load(Ordering::Relaxed, guard).as_raw());
     }
 
     /// The version visible to a reader with timestamp `ts`: the version with

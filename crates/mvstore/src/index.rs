@@ -1,14 +1,11 @@
-//! Record indexes mapping [`RecordId`]s to version [`Chain`]s.
+//! The record index mapping [`RecordId`]s to version [`Chain`]s.
 //!
-//! Two implementations, matching the paper's setups:
-//!
-//! * [`HashIndex`] — the "standard latch-free hash-table" (§3.3.1): readers
-//!   are lock-free and write nothing; inserts are CAS-pushes onto bucket
-//!   lists. BOHM's protocol additionally guarantees that each *key* is only
-//!   ever inserted by one CC thread, but the index is safe for arbitrary
-//!   concurrent inserters (different keys may share a bucket).
-//! * [`DenseIndex`] — the fixed-size array index the paper's Hekaton/SI
-//!   baselines use (§4); also handy for ablations.
+//! [`HashIndex`] is the "standard latch-free hash-table" of the paper
+//! (§3.3.1): readers are lock-free and write nothing; inserts are
+//! CAS-pushes onto bucket lists. BOHM's protocol additionally guarantees
+//! that each *key* is only ever inserted by one CC thread, but the index is
+//! safe for arbitrary concurrent inserters (different keys may share a
+//! bucket).
 //!
 //! Index entries live until the key is *reclaimed*: a fully-deleted key
 //! whose chain has collapsed to a sole committed tombstone older than the
@@ -20,28 +17,33 @@
 //! [`VersionIndex::get`]/[`VersionIndex::get_or_insert`] take the
 //! caller's `Guard` and tie the returned chain borrow to it. The caller
 //! contract on `sweep_retire` restricts *who* may approve a reclamation.
+//!
+//! A probe is a chain of dependent loads — bucket slot → entry → head
+//! version → what lies behind it — and BOHM's callers know their keys long
+//! before they probe. [`HashIndex::look_ahead`] lets them walk that chain
+//! one load at a time, some distance ahead of the probe itself, so the
+//! probe finds every line already on its way.
 
 // HOT-PATH: every record access resolves its chain here; no clocks, no
 // syscalls, no I/O (enforced by the lint).
 
 use crate::chain::Chain;
-use bohm_common::{RecordId, TableId};
+use bohm_common::RecordId;
 use bohm_sync::atomic::{AtomicPtr, AtomicU8, AtomicUsize, Ordering};
+use bohm_sync::hint::prefetch_read;
 use crossbeam_epoch::Guard;
 use std::ptr;
 
-/// Common interface over the two index kinds.
+/// The index interface.
 ///
 /// # Reclamation safety — enforced by signature
 /// [`HashIndex`] entries can be retired by [`HashIndex::sweep_retire`]
 /// with epoch-deferred frees, so any traversal racing a sweeper must run
-/// under a `crossbeam_epoch` pin. This used to be a doc-comment caveat;
-/// the signatures now *make pin-less racing use impossible*:
-/// `get`/`get_or_insert` take the caller's epoch [`Guard`], and the
-/// returned [`Chain`] borrow is tied to it — the chain reference cannot
-/// outlive the pin that keeps a concurrently-retired entry's memory
-/// alive. `DenseIndex` never retires entries and ignores the guard, but
-/// shares the contract so the two kinds stay interchangeable.
+/// under a `crossbeam_epoch` pin. The signatures *make pin-less racing use
+/// impossible*: `get`/`get_or_insert` take the caller's epoch [`Guard`],
+/// and the returned [`Chain`] borrow is tied to it — the chain reference
+/// cannot outlive the pin that keeps a concurrently-retired entry's memory
+/// alive.
 pub trait VersionIndex: Send + Sync {
     /// Chain for `rid`, if the key has ever been inserted.
     fn get<'g>(&'g self, rid: RecordId, guard: &'g Guard) -> Option<&'g Chain>;
@@ -54,13 +56,46 @@ pub trait VersionIndex: Send + Sync {
     }
 }
 
+/// One key of the index. Aligned to — and exactly — one cache line: the
+/// bucket walk's key compare, the `next` hop and the chain's three words all
+/// land in the line the bucket pointer led to, so a probe that hits on the
+/// first entry costs two dependent misses (slot, entry) before it reaches
+/// version memory, and neighbouring records never share a line. The line
+/// has room to spare, so the key's hash rides along: bucket walks compare it
+/// before the 16-byte key, look-ahead stages compare nothing else, and the
+/// key sweep's ownership test does not hash again.
+#[repr(align(64))]
 struct Entry {
     rid: RecordId,
-    chain: Chain,
+    /// `rid.stable_hash()`.
+    hash: u64,
     next: AtomicPtr<Entry>,
+    chain: Chain,
 }
 
-/// Latch-free chained hash table.
+/// What the probe a caller is looking ahead for will touch once it has the
+/// chain — i.e. how far [`HashIndex::look_ahead`]'s later stages reach.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ProbeFor {
+    /// Nothing past the entry: the CC thread annotating a pure read stores
+    /// the head pointer without following it.
+    Annotate,
+    /// The head version and its predecessor: `reclaim` + `install`
+    /// supersede the first and unlink, reset and re-install the second.
+    Install,
+    /// The head version and its payload: a reader's `visible` + `data`.
+    Read,
+}
+
+/// Latch-free chained hash table: a power-of-two array of bucket heads over
+/// singly linked, cache-line-sized entries (load factor ≤ 1 at the sized
+/// capacity). Probes come in two spellings — by key
+/// ([`VersionIndex::get`]/[`get_or_insert`](VersionIndex::get_or_insert))
+/// and by key plus the hash the caller already holds
+/// ([`get_hashed`](Self::get_hashed)/[`get_or_insert_hashed`](Self::get_or_insert_hashed),
+/// what the BOHM CC phase uses: its plan entries carry the hash) — and a
+/// probe's dependent loads can be requested ahead of time, one per call,
+/// with [`look_ahead`](Self::look_ahead).
 pub struct HashIndex {
     buckets: Box<[AtomicPtr<Entry>]>,
     mask: u64,
@@ -120,7 +155,8 @@ impl HashIndex {
     }
 
     /// Visit `count` buckets starting at `start` (wrapping) and retire
-    /// every entry `reclaim` approves, returning how many were retired.
+    /// every entry `reclaim(key, key's stable_hash, chain)` approves,
+    /// returning how many were retired.
     /// Entry destruction (and the destruction of the chain and versions
     /// inside it) is deferred through `guard`'s epoch.
     ///
@@ -138,7 +174,7 @@ impl HashIndex {
         start: usize,
         count: usize,
         guard: &Guard,
-        reclaim: &mut dyn FnMut(RecordId, &Chain) -> bool,
+        reclaim: &mut dyn FnMut(RecordId, u64, &Chain) -> bool,
     ) -> usize {
         let nbuckets = self.buckets.len();
         let count = count.min(nbuckets);
@@ -164,7 +200,7 @@ impl HashIndex {
                     // past `guard` and every concurrent pin.
                     let e = unsafe { &*cur };
                     let next = e.next.load(Ordering::Acquire);
-                    if reclaim(e.rid, &e.chain) {
+                    if reclaim(e.rid, e.hash, &e.chain) {
                         if pred.is_null() {
                             if bucket
                                 .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire)
@@ -201,49 +237,103 @@ impl HashIndex {
         retired
     }
 
-    #[inline]
-    fn bucket(&self, rid: RecordId) -> &AtomicPtr<Entry> {
-        &self.buckets[(rid.stable_hash() & self.mask) as usize]
-    }
+    /// Stages [`look_ahead`](Self::look_ahead) distinguishes: enough to
+    /// cover the whole path of a key with one collision in front of it. A
+    /// caller keeps a key up to this many stage-distances ahead of its
+    /// probe (fewer, if it does not care about the collision case).
+    pub const LOOK_AHEAD_STAGES: usize = 5;
 
+    /// Stage `stage` of the look-ahead for a later probe of the key whose
+    /// [`stable_hash`](RecordId::stable_hash) is `hash`. The probe is a path
+    /// of dependent loads — bucket slot, the bucket's entries up to the
+    /// key's, its head version, then what `probe` needs behind the head —
+    /// and stage `s` walks the first `s` of them, which earlier stages have
+    /// already asked for, and asks for the next: (0) the slot, (1) the first
+    /// entry, (2) the head version if the key is first in its bucket,
+    /// otherwise the second entry, (3) and (4) one load further each. A key
+    /// first in its bucket is done after stage 3 (stage 4 finds nothing
+    /// left to ask for), one behind a single collision after stage 4; each
+    /// further collision leaves one more load to the probe. **Hints only**:
+    /// nothing is returned and nothing the probe does depends on a stage
+    /// having run — which is why entries are told apart by hash alone (two
+    /// keys of one bucket sharing all 64 bits would cost a useless
+    /// prefetch, and share a CC partition anyway).
+    ///
+    /// Every stage starts again from the bucket slot, under the caller's
+    /// current pin, and carries nothing forward — so it does not matter
+    /// what happened to the key, its entry or its versions since the
+    /// previous stage (same key written again inside the look-ahead
+    /// window, head recycled, entry retired, the caller re-pinned): a
+    /// stale hint fetches a line nobody needs, and that is all. Each stage
+    /// is O(1).
+    ///
+    /// What is dereferenced, and why it is live: bucket entries (a bucket
+    /// walk under `guard`, exactly as in `get`), and in the last stage the
+    /// head version through [`Chain::latest`] — so that stage is for
+    /// callers `latest` is for: the chain's owner, or a reader whose
+    /// transaction has not finished executing (the Condition-3 bound cannot
+    /// pass a head while a transaction that may have to read it is live).
     #[inline]
-    fn find(&self, rid: RecordId) -> Option<&Entry> {
-        let mut cur = self.bucket(rid).load(Ordering::Acquire);
-        while !cur.is_null() {
-            // SAFETY: entries are heap-allocated and published with release
-            // stores. Since [`sweep_retire`](Self::sweep_retire) exists,
-            // entries CAN be freed — epoch-deferred — which is why the
-            // public entry points (`get`/`get_or_insert`) demand the
-            // caller's epoch `Guard` by signature and tie the returned
-            // borrow to it; this private walk is only reachable through
-            // them (or under `&mut self`).
-            let e = unsafe { &*cur };
-            if e.rid == rid {
-                return Some(e);
+    pub fn look_ahead(&self, stage: usize, hash: u64, probe: ProbeFor, guard: &Guard) {
+        let slot = self.bucket(hash);
+        if stage == 0 {
+            return prefetch_read(slot);
+        }
+        if stage > 1 && probe == ProbeFor::Annotate {
+            return; // the entry is as far as an annotation goes
+        }
+        let mut cur = slot.load(Ordering::Acquire);
+        for hops_left in (0..stage - 1).rev() {
+            // SAFETY: reached from the bucket head under `guard`'s pin,
+            // like any step of `find`.
+            let Some(e) = (unsafe { cur.as_ref() }) else {
+                return;
+            };
+            if e.hash == hash {
+                return match (hops_left, e.chain.latest(guard)) {
+                    (0, _) => e.chain.prefetch_head(guard),
+                    (1, Some(head)) if probe == ProbeFor::Install => head.prefetch_prev(guard),
+                    (1, Some(head)) => head.prefetch_payload(),
+                    _ => {} // an earlier stage reached the end of the path
+                };
             }
             cur = e.next.load(Ordering::Acquire);
         }
-        None
+        prefetch_read(cur);
     }
-}
 
-impl VersionIndex for HashIndex {
-    fn get<'g>(&'g self, rid: RecordId, _guard: &'g Guard) -> Option<&'g Chain> {
+    /// [`VersionIndex::get`] for a caller that already holds `rid`'s
+    /// [`stable_hash`](RecordId::stable_hash).
+    #[inline]
+    pub fn get_hashed<'g>(
+        &'g self,
+        rid: RecordId,
+        hash: u64,
+        _guard: &'g Guard,
+    ) -> Option<&'g Chain> {
         // `_guard` is what makes the traversal sound against a concurrent
         // `sweep_retire`: retired entries are freed through the epoch
         // collector, and the returned borrow cannot outlive the pin.
-        self.find(rid).map(|e| &e.chain)
+        self.find(rid, hash).map(|e| &e.chain)
     }
 
-    fn get_or_insert<'g>(&'g self, rid: RecordId, _guard: &'g Guard) -> &'g Chain {
-        if let Some(e) = self.find(rid) {
+    /// [`VersionIndex::get_or_insert`] for a caller that already holds
+    /// `rid`'s [`stable_hash`](RecordId::stable_hash).
+    pub fn get_or_insert_hashed<'g>(
+        &'g self,
+        rid: RecordId,
+        hash: u64,
+        _guard: &'g Guard,
+    ) -> &'g Chain {
+        if let Some(e) = self.find(rid, hash) {
             return &e.chain;
         }
-        let bucket = self.bucket(rid);
+        let bucket = self.bucket(hash);
         let mut new = Box::into_raw(Box::new(Entry {
             rid,
-            chain: Chain::new(),
+            hash,
             next: AtomicPtr::new(ptr::null_mut()),
+            chain: Chain::new(),
         }));
         loop {
             let head = bucket.load(Ordering::Acquire);
@@ -284,6 +374,42 @@ impl VersionIndex for HashIndex {
         }
     }
 
+    #[inline]
+    fn bucket(&self, hash: u64) -> &AtomicPtr<Entry> {
+        &self.buckets[(hash & self.mask) as usize]
+    }
+
+    #[inline]
+    fn find(&self, rid: RecordId, hash: u64) -> Option<&Entry> {
+        debug_assert_eq!(hash, rid.stable_hash());
+        let mut cur = self.bucket(hash).load(Ordering::Acquire);
+        while !cur.is_null() {
+            // SAFETY: entries are heap-allocated and published with release
+            // stores. Since [`sweep_retire`](Self::sweep_retire) exists,
+            // entries CAN be freed — epoch-deferred — which is why the
+            // public entry points (`get`/`get_or_insert`) demand the
+            // caller's epoch `Guard` by signature and tie the returned
+            // borrow to it; this private walk is only reachable through
+            // them (or under `&mut self`).
+            let e = unsafe { &*cur };
+            if e.hash == hash && e.rid == rid {
+                return Some(e);
+            }
+            cur = e.next.load(Ordering::Acquire);
+        }
+        None
+    }
+}
+
+impl VersionIndex for HashIndex {
+    fn get<'g>(&'g self, rid: RecordId, guard: &'g Guard) -> Option<&'g Chain> {
+        self.get_hashed(rid, rid.stable_hash(), guard)
+    }
+
+    fn get_or_insert<'g>(&'g self, rid: RecordId, guard: &'g Guard) -> &'g Chain {
+        self.get_or_insert_hashed(rid, rid.stable_hash(), guard)
+    }
+
     fn len(&self) -> usize {
         // RELAXED: racy gauge by design; callers use it for sizing hints.
         self.len.load(Ordering::Relaxed)
@@ -302,51 +428,6 @@ impl Drop for HashIndex {
                 cur = e.next.load(Ordering::Relaxed);
             }
         }
-    }
-}
-
-/// Fixed-size array index: table sizes are declared up front and rows are
-/// addressed directly. Rejects out-of-range rows with `None`/panic.
-pub struct DenseIndex {
-    tables: Vec<Box<[Chain]>>,
-}
-
-impl DenseIndex {
-    /// `sizes[t]` is the row count of table `t`.
-    pub fn new(sizes: &[usize]) -> Self {
-        Self {
-            tables: sizes
-                .iter()
-                .map(|&n| {
-                    let mut v = Vec::with_capacity(n);
-                    v.resize_with(n, Chain::new);
-                    v.into_boxed_slice()
-                })
-                .collect(),
-        }
-    }
-
-    /// Row count of one table.
-    pub fn table_len(&self, table: TableId) -> usize {
-        self.tables[table.index()].len()
-    }
-}
-
-impl VersionIndex for DenseIndex {
-    fn get<'g>(&'g self, rid: RecordId, _guard: &'g Guard) -> Option<&'g Chain> {
-        // Dense entries are never retired; the guard is contract-only.
-        self.tables
-            .get(rid.table.index())
-            .and_then(|t| t.get(rid.row as usize))
-    }
-
-    fn get_or_insert<'g>(&'g self, rid: RecordId, guard: &'g Guard) -> &'g Chain {
-        self.get(rid, guard)
-            .expect("DenseIndex is fixed-size; row out of declared bounds")
-    }
-
-    fn len(&self) -> usize {
-        self.tables.iter().map(|t| t.len()).sum()
     }
 }
 
@@ -467,7 +548,7 @@ mod tests {
         }
         assert_eq!(idx.len(), 6);
         // Retire the even keys wherever they sit in the bucket list.
-        let retired = idx.sweep_retire(0, idx.bucket_count(), &g, &mut |r, _| r.row % 2 == 0);
+        let retired = idx.sweep_retire(0, idx.bucket_count(), &g, &mut |r, _, _| r.row % 2 == 0);
         assert_eq!(retired, 3);
         assert_eq!(idx.len(), 3);
         for k in 0..6 {
@@ -490,7 +571,7 @@ mod tests {
             idx.get_or_insert(rid(0, k), &g);
         }
         // Sweeping every bucket from an offset start must still see all.
-        let retired = idx.sweep_retire(37, usize::MAX, &g, &mut |_, _| true);
+        let retired = idx.sweep_retire(37, usize::MAX, &g, &mut |r, h, _| h == r.stable_hash());
         assert_eq!(retired, 100);
         assert_eq!(idx.len(), 0);
     }
@@ -511,7 +592,7 @@ mod tests {
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     let g = epoch::pin();
-                    idx.sweep_retire(0, idx.bucket_count(), &g, &mut |r, _| r.table == TableId(9));
+                    idx.sweep_retire(0, idx.bucket_count(), &g, &mut |r, _, _| r.table.0 == 9);
                 }
             })
         };
@@ -550,33 +631,63 @@ mod tests {
     }
 
     #[test]
-    fn dense_index_addresses_by_row() {
-        let idx = DenseIndex::new(&[10, 5]);
-        let g = epoch::pin();
-        assert_eq!(idx.len(), 15);
-        assert_eq!(idx.table_len(TableId(0)), 10);
-        assert!(idx.get(rid(0, 9), &g).is_some());
-        assert!(idx.get(rid(0, 10), &g).is_none());
-        assert!(idx.get(rid(1, 4), &g).is_some());
-        assert!(idx.get(rid(2, 0), &g).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed-size")]
-    fn dense_index_rejects_inserts_out_of_bounds() {
-        let idx = DenseIndex::new(&[4]);
-        let g = epoch::pin();
-        idx.get_or_insert(rid(0, 4), &g);
-    }
-
-    #[test]
     fn trait_object_usable() {
         let hash: Box<dyn VersionIndex> = Box::new(HashIndex::with_capacity(4));
-        let dense: Box<dyn VersionIndex> = Box::new(DenseIndex::new(&[4]));
         let g = epoch::pin();
         hash.get_or_insert(rid(0, 1), &g);
-        dense.get_or_insert(rid(0, 1), &g);
         assert_eq!(hash.len(), 1);
-        assert_eq!(dense.len(), 4);
+    }
+
+    #[test]
+    fn an_entry_is_exactly_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Entry>(), 64);
+        assert_eq!(std::mem::align_of::<Entry>(), 64);
+        assert!(
+            std::mem::align_of::<Chain>() < 64,
+            "the entry is padded, not the chain"
+        );
+    }
+
+    #[test]
+    fn hashed_entry_points_agree_with_the_trait() {
+        let idx = HashIndex::with_capacity(16);
+        let g = epoch::pin();
+        let r = rid(3, 77);
+        assert!(idx.get_hashed(r, r.stable_hash(), &g).is_none());
+        let a = idx.get_or_insert_hashed(r, r.stable_hash(), &g) as *const Chain;
+        assert_eq!(idx.get(r, &g).map(|c| c as *const Chain), Some(a));
+        assert_eq!(idx.get_or_insert(r, &g) as *const Chain, a);
+        assert_eq!(idx.len(), 1);
+    }
+
+    #[test]
+    fn look_ahead_is_harmless_for_present_absent_and_colliding_keys() {
+        // Hints only: every stage, for every probe kind, over an empty
+        // bucket, a first-entry hit, a collision behind another key, and an
+        // empty chain — nothing to observe but the absence of a crash, and
+        // the index afterwards answers exactly as before.
+        let idx = HashIndex::with_capacity(1); // one bucket: all keys collide
+        let g = epoch::pin();
+        let stages = |r: RecordId| {
+            for probe in [ProbeFor::Annotate, ProbeFor::Install, ProbeFor::Read] {
+                for stage in 0..HashIndex::LOOK_AHEAD_STAGES {
+                    idx.look_ahead(stage, r.stable_hash(), probe, &g);
+                }
+            }
+        };
+        stages(rid(0, 1)); // empty bucket
+        idx.get_or_insert(rid(0, 1), &g);
+        stages(rid(0, 1)); // first entry, empty chain
+        for ts in [1, 2] {
+            let v = Version::ready(ts, bohm_common::value::of_u64(ts, 8));
+            idx.get_or_insert(rid(0, 1), &g).install(Owned::new(v), &g);
+        }
+        stages(rid(0, 1)); // first entry, head with a predecessor
+        idx.get_or_insert(rid(0, 2), &g);
+        stages(rid(0, 1)); // now second in its bucket: the hint misses
+        stages(rid(0, 3)); // absent behind two others
+        assert_eq!(idx.len(), 2);
+        assert_eq!(idx.get(rid(0, 1), &g).unwrap().depth(&g), 2);
+        assert!(idx.get(rid(0, 3), &g).is_none());
     }
 }

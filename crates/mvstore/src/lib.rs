@@ -9,10 +9,9 @@
 //!   record's partition, paper §3.2.2) and traversed by many readers with
 //!   no shared-memory writes (paper §2.2 goal 2),
 //! * [`HashIndex`]: the "standard latch-free hash-table" the paper uses to
-//!   index data (§3.3.1) — one inserter per key, lock-free readers — and
-//!   [`DenseIndex`], the fixed-size array alternative (§4: the baselines'
-//!   array index; used here for ablations).
-//!
+//!   index data (§3.3.1) — one inserter per key, lock-free readers, one
+//!   cache line per key, and a staged look-ahead for callers that know
+//!   their keys before they probe.
 //! * [`VersionPool`]: a CC thread's private free list of retired versions.
 //!
 //! Version reclamation follows the paper's Condition 3 (§3.3.2, batch
@@ -31,6 +30,6 @@ pub mod pool;
 pub mod version;
 
 pub use chain::Chain;
-pub use index::{DenseIndex, HashIndex, VersionIndex};
+pub use index::{HashIndex, ProbeFor, VersionIndex};
 pub use pool::VersionPool;
 pub use version::{Version, VersionState};

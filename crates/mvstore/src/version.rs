@@ -19,7 +19,8 @@
 use bohm_common::{Timestamp, INFINITY_TS};
 use bohm_sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use bohm_sync::cell::UnsafeCell;
-use crossbeam_epoch::{Atomic, Shared};
+use bohm_sync::hint::prefetch_read;
+use crossbeam_epoch::{Atomic, Guard, Shared};
 
 /// Lifecycle of a version's payload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -235,13 +236,31 @@ impl Version {
 
     /// The previous (older) version, if still linked.
     #[inline]
-    pub fn prev<'g>(&self, guard: &'g crossbeam_epoch::Guard) -> Option<&'g Version> {
+    pub fn prev<'g>(&self, guard: &'g Guard) -> Option<&'g Version> {
         // SAFETY: `prev` edges are only unlinked by the owning CC thread's
         // truncation, which either defers destruction past `guard` or
         // recycles under Condition 3 — and a Condition-3 bound never
         // reaches the predecessor of a version whose reader is still live
         // (see `Chain::visible`).
         unsafe { self.prev.load(Ordering::Acquire, guard).as_ref() }
+    }
+
+    /// Look-ahead hint for a reader: start fetching the first payload line.
+    /// The caller holds a reference, so it has already argued liveness; the
+    /// payload *bytes* are not touched, whatever their state.
+    #[inline]
+    pub fn prefetch_payload(&self) {
+        // SAFETY: as in `len` — the box (pointer + length) is written only
+        // at construction; producers race on the pointed-to bytes alone.
+        prefetch_read(unsafe { (*self.data.get()).as_ptr() });
+    }
+
+    /// Look-ahead hint for the installer: start fetching the predecessor's
+    /// header, which `install` + `reclaim` will supersede, unlink and reset.
+    #[inline]
+    pub fn prefetch_prev(&self, guard: &Guard) {
+        // RELAXED: the pointer is a prefetch operand only, never followed.
+        prefetch_read(self.prev.load(Ordering::Relaxed, guard).as_raw());
     }
 
     /// Publish this placeholder as a deletion tombstone.

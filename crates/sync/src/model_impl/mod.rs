@@ -32,6 +32,13 @@ pub mod hint {
             std::hint::spin_loop();
         }
     }
+
+    /// The prefetch hint is a no-op under the model: it has no observable
+    /// effect, so it is neither a scheduling point nor an access. The loads
+    /// a look-ahead stage performs to *compute* the address are real and
+    /// instrumented like any other.
+    #[inline(always)]
+    pub fn prefetch_read<T>(_p: *const T) {}
 }
 
 /// Model-aware thread spawning and yielding.

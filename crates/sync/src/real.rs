@@ -16,9 +16,35 @@ pub mod atomic {
     };
 }
 
-/// Spin hints (`std::hint`, verbatim).
+/// Spin hints (`std::hint`, verbatim) and the cache-line prefetch hint.
 pub mod hint {
     pub use std::hint::spin_loop;
+
+    /// Ask the memory system to start fetching the cache line holding `p`
+    /// for reading. Purely a hint: it never faults and nothing may depend
+    /// on it, so `p` can be any address — null, dangling, or memory another
+    /// thread has since recycled. Compiles to `prefetcht0` on x86-64,
+    /// `prfm pldl1keep` on aarch64, and to nothing elsewhere (and under
+    /// `--cfg bohm_modelcheck`, where only the loads that *compute* `p`
+    /// are of interest).
+    #[inline(always)]
+    pub fn prefetch_read<T>(p: *const T) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE is part of the x86-64 baseline, and a prefetch of an
+        // invalid address is architecturally a no-op, not a fault.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
+        }
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: `prfm` is a hint instruction; it touches no architectural
+        // state and never faults, whatever the address.
+        unsafe {
+            std::arch::asm!("prfm pldl1keep, [{0}]", in(reg) p, options(nostack, readonly, preserves_flags));
+        }
+        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        let _ = p;
+    }
 }
 
 /// Thread spawning and yielding (`std::thread`, verbatim).

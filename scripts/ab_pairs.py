@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating parent/change benchmark pairs, judged by the section-8 rule.
 
-    scripts/ab_pairs.py PARENT_REF --workload NAME [--pairs 10] [--first-seed S]
+    scripts/ab_pairs.py PARENT_REF --workload NAME [--pairs 10] [--first-seed S] [--budget]
 
 Run from the repository root. The *change* is the working tree; the *parent*
 is PARENT_REF, exported with `git archive` into a disposable directory,
@@ -23,6 +23,14 @@ distance between the parent's quartiles, and a verdict:
     regression    the change's median is worse than the parent's by more than
                   `bound`
     within bound  none of the above
+
+With --budget it also prints, for both sides, where BOHM's CPU went: µs per
+transaction on each thread (driver, core.seq, core.cc, core.exec and their
+sum). Every BOHM child record in a run's `--json` output carries the
+thread's `cpu_share` and the child's throughput windows; a child's figure is
+`cpu_share` ÷ its median window, a run's is the median over its children
+(one per round), and a side's is the median [q1, q3] over its runs. Layer
+figures are reported, never judged: the verdicts above are the result.
 
 Exits non-zero only on usage errors; a failed run is reported and its pair
 dropped.
@@ -58,6 +66,24 @@ def export_parent(ref):
     return sha, tree
 
 
+BUDGET_THREADS = ["driver", "core.seq", "core.cc", "core.exec"]
+
+
+def budget_of(path):
+    """One run's CPU µs per transaction by thread, from its --json file."""
+    with open(path) as f:
+        children = json.load(f)["children"]
+    per_child = {t: [] for t in BUDGET_THREADS}
+    for name, child in children.items():
+        if name.startswith("bohm."):
+            txn_per_s = statistics.median(child["windows"])
+            for t in BUDGET_THREADS:
+                per_child[t].append(1e6 * child["per_layer"][t + ".cpu_share"] / txn_per_s)
+    run = {t: statistics.median(v) for t, v in per_child.items()}
+    run["total"] = sum(run.values())
+    return run
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -91,6 +117,7 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
+    ap.add_argument("--budget", action="store_true", help="also print CPU µs per transaction by thread")
     args = ap.parse_args()
 
     try:
@@ -117,14 +144,15 @@ def main():
     # The progress line follows one metric: the first throughput.
     shown = next((d["name"] for d in defs if d["better"] == "higher"), defs[0]["name"])
     values = {side: {d["name"]: [] for d in defs} for side in trees}
+    budgets = {side: [] for side in trees}
     failed_ops = {side: 0 for side in trees}
     runs, dropped = [], []
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        got = {}
+        got, paths = {}, {}
         for side in order:
-            path = os.path.join(out_dir, f"ab-{args.workload}-{seed}-{side}.json")
+            path = paths[side] = os.path.join(out_dir, f"ab-{args.workload}-{seed}-{side}.json")
             cmd = bench["command"] + [
                 "--workload", args.workload, "--seed", str(seed),
                 "--seconds", str(bench["run_seconds"]), "--trace", "0", "--json", path,
@@ -140,6 +168,8 @@ def main():
         if None in got.values():
             continue
         for side, result in got.items():
+            if args.budget:
+                budgets[side].append(budget_of(paths[side]))
             failed_ops[side] += result["failed"]
             for d in defs:
                 values[side][d["name"]].append(result["metrics"][d["name"]]["value"])
@@ -167,6 +197,14 @@ def main():
             f"  {d['name']:<24} {cells[0]:<38} {cells[1]:<38} {won:>2}/{len(p):<3}"
             f"{gap:>+12.6g} ({rel:+.1f}%) / {iqr:<10.6g} {word}"
         )
+    if args.budget:
+        print("  BOHM CPU us per transaction by thread (cpu_share / throughput; reported, not judged):")
+        print(f"  {'thread':<24} {'parent median [q1, q3]':<38} {'change median [q1, q3]':<38} change - parent")
+        for t in BUDGET_THREADS + ["total"]:
+            sides = [[run[t] for run in budgets[side]] for side in ("parent", "change")]
+            cells = ["{1:.3f} [{0:.3f}, {2:.3f}]".format(*quartiles(side)) for side in sides]
+            delta = statistics.median(sides[1]) - statistics.median(sides[0])
+            print(f"  {t:<24} {cells[0]:<38} {cells[1]:<38} {delta:+.3f}")
     print("  raw values per pair, parent/change:")
     for d in defs:
         pairs = " ".join(

@@ -6,7 +6,7 @@
 //! RUSTFLAGS="--cfg bohm_modelcheck" cargo test --test modelcheck
 //! ```
 //!
-//! Four groups:
+//! Five groups:
 //!
 //! * **Detector self-tests** — the deliberately broken [`MiniRing`]
 //!   variant (its consumer drops the Acquire load) must be reported as a
@@ -24,6 +24,15 @@
 //!   stays silent. A twin whose low reader is *still running* when the
 //!   watermark passes it (Condition 3 broken) must be reported as a data
 //!   race on the recycled object, with a replayable seed.
+//! * **mvstore look-ahead models** — the staged hint walk
+//!   ([`HashIndex::look_ahead`](bohm_mvstore::HashIndex::look_ahead); the
+//!   prefetch itself compiles to nothing here, the loads that compute its
+//!   operand are real): a chain's owner walking its stages through a bucket
+//!   a neighbour is being CAS-inserted into and swept out of, and a
+//!   reader's stages racing the owner's reclaim → take → install under a
+//!   watermark held below the reader. A twin whose stage *keeps* the head
+//!   reference it looked at and reads through it after the watermark has
+//!   passed must be reported as a race on the recycled object.
 //! * **lock-manager model** — `RwSpin` guarding a facade
 //!   [`UnsafeCell`](bohm_sync::cell::UnsafeCell) payload: the vector-clock
 //!   detector proves the lock's Acquire/Release edges actually order the
@@ -301,6 +310,214 @@ mod chain {
         let seed = (1..=256)
             .find(|&s| failing(s).is_err())
             .expect("no seed in 1..=256 exposed the reader below the watermark");
+        for _ in 0..2 {
+            let err = failing(seed).expect_err("the failing seed must fail deterministically");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("data race detected"), "got: {msg}");
+            assert!(msg.contains(&format!("seed {seed}")), "got: {msg}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// mvstore: staged look-ahead vs. bucket churn and version recycling
+// ---------------------------------------------------------------------------
+
+mod look_ahead {
+    use super::*;
+    use bohm_common::{RecordId, Timestamp};
+    use bohm_mvstore::{HashIndex, ProbeFor, Version, VersionIndex, VersionPool};
+    use bohm_sync::atomic::{AtomicU64, Ordering};
+    use crossbeam_epoch as epoch;
+
+    fn ready(ts: Timestamp) -> epoch::Owned<Version> {
+        epoch::Owned::new(Version::ready(ts, bohm_common::value::of_u64(ts, 8)))
+    }
+
+    /// Two rows of table 0 that share a bucket of the smallest index.
+    fn bucket_mates(index: &HashIndex) -> (RecordId, RecordId) {
+        let mask = index.bucket_count() as u64 - 1;
+        let a = RecordId::new(0, 0);
+        let b = (1..)
+            .map(|row| RecordId::new(0, row))
+            .find(|b| b.stable_hash() & mask == a.stable_hash() & mask)
+            .unwrap();
+        (a, b)
+    }
+
+    /// Every stage, in order, the way a `LookAhead` runs them for one key.
+    fn stages(index: &HashIndex, rid: RecordId, probe: ProbeFor, g: &epoch::Guard) {
+        for stage in 0..HashIndex::LOOK_AHEAD_STAGES {
+            index.look_ahead(stage, rid.stable_hash(), probe, g);
+        }
+    }
+
+    /// The owner of `mine` runs its staged walk, probes and installs — twice
+    /// — while another thread CAS-inserts `neighbour` at the head of the
+    /// same bucket (so the owner's walk goes *through* the neighbour's
+    /// entry) and then sweeps it out again, freeing the entry through the
+    /// epoch collector. The walk dereferences entries only under its pin, so
+    /// nothing it touches can be freed under it; the owner's chain comes out
+    /// intact and the neighbour gone.
+    fn owner_walk_vs_neighbour_churn() {
+        let index = Arc::new(HashIndex::with_capacity(1));
+        let (mine, neighbour) = bucket_mates(&index);
+        {
+            let g = epoch::pin();
+            index.get_or_insert(mine, &g).install(ready(1), &g);
+        }
+        let owner = {
+            let index = Arc::clone(&index);
+            bohm_sync::thread::spawn(move || {
+                let mut pool = VersionPool::new();
+                for ts in [5u64, 9] {
+                    let g = epoch::pin();
+                    stages(&index, mine, ProbeFor::Install, &g);
+                    let chain = index.get_or_insert_hashed(mine, mine.stable_hash(), &g);
+                    // SAFETY: this thread is the chain's only writer, and
+                    // every reader below `ts - 1` has finished (there are
+                    // none at all).
+                    unsafe { pool.reclaim(chain, ts - 1, &g) };
+                    let v = chain.install(pool.take(ts, 8), &g);
+                    // SAFETY: just installed under `g`.
+                    unsafe { v.as_ref() }.unwrap().fill(&ts.to_le_bytes());
+                }
+            })
+        };
+        let churn = {
+            let index = Arc::clone(&index);
+            bohm_sync::thread::spawn(move || {
+                let g = epoch::pin();
+                index.get_or_insert(neighbour, &g);
+                let n = index.sweep_retire(0, index.bucket_count(), &g, &mut |rid, _, _| {
+                    rid == neighbour
+                });
+                assert_eq!(n, 1);
+            })
+        };
+        owner.join().unwrap();
+        churn.join().unwrap();
+        let g = epoch::pin();
+        assert!(index.get(neighbour, &g).is_none());
+        let chain = index.get(mine, &g).expect("the owner's key survives");
+        assert_eq!(chain.latest(&g).map(|v| v.begin()), Some(9));
+        assert_eq!(index.len(), 1);
+    }
+
+    #[test]
+    fn owner_walk_through_a_churning_bucket_explored() {
+        model::explore(model::Options::default(), owner_walk_vs_neighbour_churn);
+    }
+
+    /// A reader's look-ahead next to the owner's reclaim → take → install.
+    ///
+    /// The chain starts as `[5, 10]`, both produced. The **owner** (CC
+    /// thread and producer in one) installs ts 20 and ts 30 — two batches,
+    /// with a yield between them — each time reclaiming first under the
+    /// watermark it Acquire-loads. The **reader** is an execution thread: it
+    /// runs every look-ahead stage for the key and then its transaction at
+    /// ts 15 — the stages dereference whatever head they find, which is
+    /// sound because no head can end at or below a watermark that has not
+    /// passed ts 15 — and publishes its batch's watermark, 19. Execution
+    /// follows CC, so it waits for ts 20 to be on the chain, does the same
+    /// for ts 25 and publishes 29. Under 29 the ts-10 version (end 20) dies,
+    /// and an owner that gets to ts 30 late enough recycles it as that
+    /// placeholder.
+    ///
+    /// `carry_nothing = false` is the bug the look-ahead's rule exists to
+    /// exclude: a stage that *keeps* the head reference it looked at (here:
+    /// before the first transaction) and reads through it later, after the
+    /// watermarks went out — by which time it may be the recycled object.
+    fn reader_stages_vs_recycling(carry_nothing: bool) {
+        let index = Arc::new(HashIndex::with_capacity(1));
+        let key = RecordId::new(0, 0);
+        let watermark = Arc::new(AtomicU64::new(0));
+        {
+            let g = epoch::pin();
+            let chain = index.get_or_insert(key, &g);
+            for ts in [5, 10] {
+                chain.install(ready(ts), &g);
+            }
+        }
+        let owner = {
+            let index = Arc::clone(&index);
+            let watermark = Arc::clone(&watermark);
+            bohm_sync::thread::spawn(move || {
+                let mut pool = VersionPool::new();
+                let g = epoch::pin();
+                let chain = index.get(key, &g).unwrap();
+                for ts in [20u64, 30] {
+                    let bound = watermark.load(Ordering::Acquire);
+                    // SAFETY: only writer of the chain; `bound` is the
+                    // Acquire-loaded watermark, published only after every
+                    // transaction at or below it finished.
+                    unsafe { pool.reclaim(chain, bound, &g) };
+                    let v = chain.install(pool.take(ts, 8), &g);
+                    // SAFETY: just installed under `g`; heads are not
+                    // truncated.
+                    unsafe { v.as_ref() }.unwrap().fill(&ts.to_le_bytes());
+                    bohm_sync::thread::yield_now();
+                }
+            })
+        };
+        let reader = {
+            let index = Arc::clone(&index);
+            let watermark = Arc::clone(&watermark);
+            bohm_sync::thread::spawn(move || {
+                let g = epoch::pin();
+                let chain = index.get(key, &g).unwrap();
+                let read_at = |ts: Timestamp| {
+                    stages(&index, key, ProbeFor::Read, &g);
+                    let v = chain.visible(ts, &g).expect("the key exists at every ts");
+                    let begin = v.begin();
+                    assert!(begin < ts);
+                    if v.is_resolved() {
+                        assert_eq!(bohm_common::value::get_u64(v.data(), 0), begin);
+                    }
+                    begin
+                };
+                let kept = chain.latest(&g);
+                assert_eq!(read_at(15), 10);
+                watermark.store(19, Ordering::Release);
+                while chain.latest(&g).map(|v| v.begin()) < Some(20) {
+                    bohm_sync::thread::yield_now();
+                }
+                assert_eq!(read_at(25), 20);
+                watermark.store(29, Ordering::Release);
+                if !carry_nothing {
+                    // Reads through a reference carried across the
+                    // watermarks instead of re-deriving it.
+                    let _ = kept.map(|v| v.begin());
+                }
+            })
+        };
+        owner.join().unwrap();
+        reader.join().unwrap();
+        let g = epoch::pin();
+        let chain = index.get(key, &g).unwrap();
+        assert_eq!(chain.visible(100, &g).map(|v| v.begin()), Some(30));
+    }
+
+    #[test]
+    fn reader_stages_beside_reclaim_take_install_explored() {
+        model::explore(model::Options::default(), || {
+            reader_stages_vs_recycling(true)
+        });
+    }
+
+    /// The broken twin: a head reference carried across the owner's reclaim
+    /// is caught as a race with the recycled object's reset, within a
+    /// bounded seed scan, and the failing seed fails identically on replay.
+    #[test]
+    fn a_stage_that_keeps_its_head_reference_is_a_replayable_race() {
+        let failing = |seed| {
+            catch_unwind(AssertUnwindSafe(|| {
+                model::run(seed, || reader_stages_vs_recycling(false));
+            }))
+        };
+        let seed = (1..=256)
+            .find(|&s| failing(s).is_err())
+            .expect("no seed in 1..=256 exposed the carried head reference");
         for _ in 0..2 {
             let err = failing(seed).expect_err("the failing seed must fail deterministically");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();

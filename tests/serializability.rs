@@ -146,6 +146,120 @@ fn gc_off_matches_serial_order() {
     run_and_check(one_table(128), rmw_mix(128, 3_000, true, 6), cfg, 300);
 }
 
+/// Every access-plan shape the sequencer distinguishes, over keys with a
+/// lifecycle: rows `0..16` always exist, rows `16..32` start absent and are
+/// inserted and deleted as the stream goes (the generator tracks which
+/// exist, since `ReadModifyWrite` and `GuardedDelete` may only read
+/// existing rows). One key in three is drawn from a hot pair, so fused
+/// RMWs of one record land in adjacent transactions — inside one CC
+/// look-ahead window, where the hints for the second are computed before
+/// the first has installed.
+fn fusion_shapes(n: usize, seed: u64) -> Vec<Txn> {
+    use Procedure::{BlindWrite, GuardedDelete, ProbeAll, ReadModifyWrite};
+    let mut rng = FastRng::seed_from(seed);
+    let mut exists = [false; 32];
+    exists[..16].fill(true);
+    let rid = |k: u64| RecordId::new(0, k);
+    let mut txns = Vec::with_capacity(n);
+    while txns.len() < n {
+        // Distinct existing keys, hot-biased.
+        let live = |rng: &mut FastRng, exists: &[bool; 32], want: usize| {
+            let mut keys: Vec<u64> = Vec::new();
+            while keys.len() < want {
+                let k = if rng.below(3) == 0 {
+                    rng.below(2)
+                } else {
+                    rng.below(32)
+                };
+                if exists[k as usize] && !keys.contains(&k) {
+                    keys.push(k);
+                }
+            }
+            keys.into_iter().map(rid).collect::<Vec<_>>()
+        };
+        let delta = 1 + rng.below(9);
+        let lifecycle = 16 + rng.below(16);
+        txns.push(match rng.below(9) {
+            // Positional RMWs: every entry fused.
+            0 | 1 => {
+                let k = live(&mut rng, &exists, 3);
+                Txn::new(k.clone(), k, ReadModifyWrite { delta })
+            }
+            // 2RMW + pure reads.
+            2 => {
+                let k = live(&mut rng, &exists, 4);
+                Txn::new(k.clone(), k[..2].to_vec(), ReadModifyWrite { delta })
+            }
+            // The same records at different positions: paired by search.
+            3 => {
+                let k = live(&mut rng, &exists, 3);
+                Txn::new(k.clone(), vec![k[2], k[0]], ReadModifyWrite { delta })
+            }
+            // A duplicated read of a written record. The write fuses with
+            // the read at its own position (1); the procedure reads the
+            // *first* occurrence (0), whose slot nobody annotates.
+            4 => {
+                let k = live(&mut rng, &exists, 2);
+                Txn::new(
+                    vec![k[1], k[1]],
+                    vec![k[0], k[1]],
+                    ReadModifyWrite { delta },
+                )
+            }
+            // Insert-with-read: a fused entry for a record that may not
+            // exist at CC time (the chain is created, the slot stays null).
+            5 => {
+                exists[lifecycle as usize] = true;
+                let k = rid(lifecycle);
+                Txn::new(vec![k], vec![k], BlindWrite { value: delta })
+            }
+            // Delete as an RMW: the guard read and the delete are one entry.
+            6 if exists[lifecycle as usize] => {
+                exists[lifecycle as usize] = false;
+                let k = rid(lifecycle);
+                Txn::new(vec![k], vec![k], GuardedDelete { min: 0 })
+            }
+            // Absence-tolerant probes across the lifecycle rows.
+            6 | 7 => {
+                let k = (0..3).map(|_| rid(16 + rng.below(16))).collect();
+                Txn::new(k, vec![], ProbeAll)
+            }
+            // A read set too large to annotate, two of its records written:
+            // write entries only, every read through the fallback.
+            _ => {
+                let k: Vec<RecordId> = (0..70).map(|i| rid(i % 16)).collect();
+                Txn::new(k.clone(), k[..2].to_vec(), ReadModifyWrite { delta })
+            }
+        });
+    }
+    txns
+}
+
+#[test]
+fn fused_plan_shapes_match_serial_order() {
+    let spec = || {
+        DatabaseSpec::new(vec![TableDef {
+            rows: 16,
+            spare_rows: 16,
+            record_size: 8,
+            seed: |r| r * 3,
+            growable: false,
+        }])
+    };
+    for (case, (cc, annotate)) in [(1, true), (3, true), (1, false), (3, false)]
+        .into_iter()
+        .enumerate()
+    {
+        let mut cfg = BohmConfig::with_threads(cc, 3);
+        cfg.annotate_reads = annotate;
+        // Small keyspace, so the key sweep reclaims deleted rows' entries
+        // under the look-ahead as well.
+        cfg.index_capacity = 8;
+        let txns = fusion_shapes(4_000, 0xF05E + case as u64);
+        run_and_check(spec(), txns, cfg, 128);
+    }
+}
+
 #[test]
 fn smallbank_with_aborts_matches_serial_order() {
     // TransactSaving overdrafts force user aborts whose copy-through

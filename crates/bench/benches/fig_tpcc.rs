@@ -26,7 +26,7 @@ use bohm_bench::driver::{run_engine, DriverConfig};
 use bohm_bench::engines::{build_sharded, shutdown_sharded, EngineKind};
 use bohm_bench::figure::measure;
 use bohm_bench::params::Params;
-use bohm_bench::report::{print_figure, sweep_series, write_bench_json, Series};
+use bohm_bench::report::{print_figure, sweep_series, Series};
 use bohm_workloads::tpcc::{self, TpccConfig, TpccGen};
 
 /// The shared workload shape; figures vary only warehouses + generator.
@@ -99,7 +99,6 @@ fn main() {
         ("High Contention", 2),
         ("Low Contention", if p.smoke { 4 } else { 16 }),
     ];
-    let mut artifact: Vec<(String, Vec<Series>)> = Vec::new();
     for (name, warehouses) in warehouse_counts {
         let cfg = config(&p, warehouses);
         let series = engine_sweep(&p, &cfg, &format!("warehouses={warehouses}"), |cfg, i| {
@@ -107,12 +106,11 @@ fn main() {
         });
         let title = format!("TPC-C-lite ({name} ({warehouses} warehouses))");
         print_figure(&title, "threads", &series);
-        artifact.push((title, series));
     }
     // OrderHistory scan throughput: the scan-heavy mix (50% range scans
     // with phantom protection, racing NewOrder inserts and Delivery
     // deletes at the window edges). Regressions in any engine's scan path
-    // show up in this figure of the uploaded artifact.
+    // show up in this figure.
     {
         let cfg = config(&p, 4);
         let series = engine_sweep(&p, &cfg, "scan-mix", |cfg, i| {
@@ -120,14 +118,13 @@ fn main() {
         });
         let title = "TPC-C-lite OrderHistory scan mix".to_string();
         print_figure(&title, "threads", &series);
-        artifact.push((title, series));
     }
     // Secondary-index scan throughput: the index-heavy mix (50%
     // CustomerStatus index scans through the customer→orders posting
     // lists, with every NewOrder/Delivery churning the scanned keys).
     // Regressions in any engine's index_scan path — or in the
     // transactional maintenance it races — land in this `index_scan`
-    // figure of the uploaded artifact.
+    // figure.
     {
         let cfg = config(&p, 4);
         let series = engine_sweep(&p, &cfg, "index-mix", |cfg, i| {
@@ -135,7 +132,6 @@ fn main() {
         });
         let title = "TPC-C-lite CustomerStatus index_scan mix".to_string();
         print_figure(&title, "threads", &series);
-        artifact.push((title, series));
     }
     // Shard-count scalability: BOHM behind the ShardedEngine facade with
     // per-shard sequencers/CC/exec pools, driven by the shard-affine
@@ -187,14 +183,12 @@ fn main() {
         }
         let title = "TPC-C-lite shard-count scalability (Bohm)".to_string();
         print_figure(&title, "shards", &series);
-        artifact.push((title, series));
     }
     // Zipfian hot-customer Payments (ROADMAP 5c): sweep the skew θ and
     // report every engine's throughput *and* abort rate — BOHM never
     // aborts (pre-ordered writes), the validating engines (OCC, Hekaton,
     // SI) pay increasingly for the hot district/customer counters, and
-    // 2PL serializes on them without aborting. Both figures ride in the
-    // artifact so contention-handling regressions gate like any other.
+    // 2PL serializes on them without aborting.
     {
         let cfg = config(&p, 2);
         let spec = cfg.spec();
@@ -229,10 +223,8 @@ fn main() {
         }
         let title = "TPC-C-lite hot-customer zipf mix".to_string();
         print_figure(&title, "theta", &tput);
-        artifact.push((title, tput));
         let title = "TPC-C-lite hot-customer zipf abort rate (%)".to_string();
         print_figure(&title, "theta", &aborts);
-        artifact.push((title, aborts));
     }
     // WAL fsync-policy cost (fig_wal): BOHM with durability off vs. the
     // three fsync policies, same workload and threads. The x axis is the
@@ -287,7 +279,6 @@ fn main() {
         })];
         let title = "TPC-C-lite WAL fsync policy (Bohm)".to_string();
         print_figure(&title, "policy (0=off,1=nosync,2=every64,3=batch)", &series);
-        artifact.push((title, series));
     }
     // Recovery time vs. log length (fig_recovery): durable BOHM runs of
     // increasing logged-transaction counts; after shutdown, wall-clock
@@ -367,21 +358,16 @@ fn main() {
                     .iter()
                     .map(|&n| (n, run_case(n as usize, false, "no-ckp")))
                     .collect(),
-            )
-            .lower_is_better(),
+            ),
             Series::new(
                 "mid-run checkpoint",
                 counts
                     .iter()
                     .map(|&n| (n, run_case(n as usize, true, "mid-ckp")))
                     .collect(),
-            )
-            .lower_is_better(),
+            ),
         ];
         let title = "Recovery time vs. log length (Bohm, ms)".to_string();
         print_figure(&title, "logged txns", &series);
-        artifact.push((title, series));
     }
-    // Seed the perf trajectory: CI sets BOHM_BENCH_JSON and uploads the file.
-    write_bench_json(&artifact, "threads");
 }

@@ -135,8 +135,8 @@ pub fn build_occ(spec: &DatabaseSpec) -> SiloOcc {
 
 /// The harness builds Hekaton/SI **without** the idle-time background
 /// sweeper: every engine then runs on exactly the driver-provided thread
-/// budget, keeping the cross-engine throughput figures (and the
-/// `BENCH_tpcc.json` trend baselines) comparable. Commit-riding chain
+/// budget, keeping the cross-engine throughput figures comparable.
+/// Commit-riding chain
 /// pruning stays on, as in the prior configuration; the sweeper is a
 /// memory-bound fix for idle keys, which a driven benchmark never has.
 pub fn build_hekaton(spec: &DatabaseSpec) -> Hekaton {

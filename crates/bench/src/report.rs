@@ -10,13 +10,8 @@ pub struct Series {
     /// counted). `1` for single-shot figures.
     pub runs: usize,
     /// Per-point relative dispersion, `(max − min) / median` over the
-    /// repetitions; empty for single-shot figures. Downstream gating scales
-    /// its regression threshold by this, so noisy hosts don't fail CI.
+    /// repetitions; empty for single-shot figures.
     pub spread: Vec<f64>,
-    /// `true` when smaller y is better (latencies, recovery times). The
-    /// artifact carries it as `"better":"lower"` and the trend gate flips
-    /// its regression direction; throughput figures leave it `false`.
-    pub lower_is_better: bool,
 }
 
 impl Series {
@@ -27,17 +22,7 @@ impl Series {
             points,
             runs: 1,
             spread: Vec::new(),
-            lower_is_better: false,
         }
-    }
-
-    /// Mark this series as lower-is-better (latency/recovery-time style):
-    /// the JSON artifact gains `"better":"lower"` and the CI trend gate
-    /// treats an *increase* as the regression.
-    #[must_use]
-    pub fn lower_is_better(mut self) -> Self {
-        self.lower_is_better = true;
-        self
     }
 }
 
@@ -56,8 +41,7 @@ pub fn median(samples: &mut [f64]) -> f64 {
 /// `runs` measurements after one discarded warmup run** — the warmup pays
 /// the cold-cache/page-fault cost that makes first iterations land
 /// systematically low — and the per-point `(max − min) / median`
-/// dispersion rides along in the artifact so the CI trend gate can scale
-/// its regression threshold to the host's actual noise.
+/// dispersion rides along in the series.
 ///
 /// `sample(x, run)` performs one measurement; `run` 0 is the discarded
 /// warmup, `1..=runs` are kept. With `runs == 1` the figure stays
@@ -91,7 +75,6 @@ pub fn sweep_series(
         points,
         runs,
         spread: if runs == 1 { Vec::new() } else { spread },
-        lower_is_better: false,
     }
 }
 
@@ -137,81 +120,6 @@ pub fn print_figure(title: &str, x_label: &str, series: &[Series]) {
         println!();
     }
     println!("--- end csv ---");
-}
-
-/// Write figures as a machine-readable JSON benchmark artifact to the path
-/// named by the `BOHM_BENCH_JSON` environment variable (no-op when unset).
-/// CI uploads the file so every run seeds the performance trajectory; the
-/// schema is deliberately tiny and hand-rolled (no serde in the hermetic
-/// build): `{"figures": [{"title", "x_label", "series": [{"label",
-/// "points": [[x, txns_per_sec], …], "runs": N,
-/// "spread": [rel_dispersion, …]}]}]}`. `runs`/`spread` carry the
-/// repetition count and per-point `(max−min)/median` of median-of-N
-/// figures; single-shot figures emit `"runs":1,"spread":[]`. A series
-/// marked [`Series::lower_is_better`] additionally carries
-/// `"better":"lower"` so the trend gate flips its regression direction
-/// (absent ⇒ higher is better). Consumers reading only `points` are
-/// unaffected.
-pub fn write_bench_json(figures: &[(String, Vec<Series>)], x_label: &str) {
-    let Ok(path) = std::env::var("BOHM_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    write_bench_json_to(std::path::Path::new(&path), figures, x_label);
-}
-
-/// [`write_bench_json`] with an explicit destination (testable without the
-/// process-global environment).
-pub fn write_bench_json_to(
-    path: &std::path::Path,
-    figures: &[(String, Vec<Series>)],
-    x_label: &str,
-) {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut out = String::from("{\"figures\":[");
-    for (fi, (title, series)) in figures.iter().enumerate() {
-        if fi > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"title\":\"{}\",\"x_label\":\"{}\",\"series\":[",
-            esc(title),
-            esc(x_label)
-        ));
-        for (si, s) in series.iter().enumerate() {
-            if si > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"label\":\"{}\",", esc(&s.label)));
-            if s.lower_is_better {
-                out.push_str("\"better\":\"lower\",");
-            }
-            out.push_str("\"points\":[");
-            for (pi, &(x, y)) in s.points.iter().enumerate() {
-                if pi > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{x},{y:.1}]"));
-            }
-            out.push_str(&format!("],\"runs\":{},\"spread\":[", s.runs));
-            for (pi, sp) in s.spread.iter().enumerate() {
-                if pi > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{sp:.4}"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("failed to write bench artifact {}: {e}", path.display());
-    } else {
-        eprintln!("bench artifact written to {}", path.display());
-    }
 }
 
 /// Human throughput formatting (matches the paper's "M txns/sec" axes).
@@ -275,82 +183,6 @@ mod tests {
         assert_eq!(fmt_tput(1_500_000.0), "1.50M");
         assert_eq!(fmt_tput(12_345.0), "12.3k");
         assert_eq!(fmt_tput(42.0), "42");
-    }
-
-    #[test]
-    fn bench_json_roundtrips_through_env() {
-        let dir = std::env::temp_dir().join(format!("bohm-bench-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
-        write_bench_json_to(
-            &path,
-            &[(
-                "High \"Contention\"".into(),
-                vec![Series::new("Bohm", vec![(2.0, 1000.5), (4.0, 2000.0)])],
-            )],
-            "threads",
-        );
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert!(got.contains("\"x_label\":\"threads\""), "{got}");
-        assert!(got.contains("[2,1000.5]"), "{got}");
-        assert!(got.contains("High \\\"Contention\\\""), "escaping: {got}");
-        assert!(
-            got.contains("\"runs\":1,\"spread\":[]"),
-            "single-shot dispersion fields: {got}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bench_json_carries_dispersion_of_median_series() {
-        let dir = std::env::temp_dir().join(format!("bohm-bench-spread-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_spread.json");
-        write_bench_json_to(
-            &path,
-            &[(
-                "Fig".into(),
-                vec![Series {
-                    label: "Bohm".into(),
-                    points: vec![(2.0, 1000.0)],
-                    runs: 3,
-                    spread: vec![0.0375],
-                    lower_is_better: false,
-                }],
-            )],
-            "threads",
-        );
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert!(got.contains("\"runs\":3,\"spread\":[0.0375]"), "{got}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bench_json_marks_lower_is_better_series() {
-        let dir = std::env::temp_dir().join(format!("bohm-bench-lower-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_lower.json");
-        write_bench_json_to(
-            &path,
-            &[(
-                "Recovery".into(),
-                vec![
-                    Series::new("no checkpoint", vec![(1000.0, 3.5)]).lower_is_better(),
-                    Series::new("throughput", vec![(1000.0, 9.0)]),
-                ],
-            )],
-            "txns logged",
-        );
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            got.contains("\"label\":\"no checkpoint\",\"better\":\"lower\","),
-            "{got}"
-        );
-        assert!(
-            !got.contains("\"label\":\"throughput\",\"better\""),
-            "higher-is-better series must not carry the marker: {got}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -246,6 +246,30 @@ pub fn load_latest(dir: &Path) -> io::Result<Option<Checkpoint>> {
     Ok(None)
 }
 
+/// The tail every checkpoint ends in, once the caller has quiesced its
+/// engine by its own rule and chosen the cut `epoch` (every batch logged so
+/// far is stamped below it, every later one at or above): collect the
+/// records `snapshot` visits, make them durable, rotate the log so all
+/// pre-cut records sit in sealed segments, and reclaim those.
+pub fn cut(
+    wal: &crate::wal::Wal,
+    epoch: u64,
+    snapshot: impl FnOnce(&mut dyn FnMut(RecordId, &[u8])),
+) -> io::Result<crate::durable::CheckpointStats> {
+    let mut records: Vec<(RecordId, Box<[u8]>)> = Vec::new();
+    snapshot(&mut |rid, data| records.push((rid, data.into())));
+    let count = records.len();
+    // Order matters: the snapshot must be durable (atomic write, ending in
+    // a dir-fsync) before any log bytes it supersedes are reclaimed.
+    Checkpoint { epoch, records }.write(wal.dir())?;
+    wal.rotate()?;
+    Ok(crate::durable::CheckpointStats {
+        epoch,
+        records: count,
+        freed_bytes: wal.truncate_before(epoch)?,
+    })
+}
+
 /// Replay a snapshot into a (freshly started, seeded) engine through its
 /// normal write path: every snapshotted record becomes a full-record
 /// `Apply` write, and every row of `seeded_rows` (per-table seeded row

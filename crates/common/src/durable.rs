@@ -16,7 +16,8 @@
 //!   commit decision* ([`TxnDecision`]) to the WAL before releasing the
 //!   outcome. Holding the lock across execute-and-log makes log order
 //!   equal commit order by construction.
-//! * Recovery restores the newest valid [`Checkpoint`], then replays the
+//! * Recovery restores the newest valid
+//!   [`Checkpoint`](checkpoint::Checkpoint), then replays the
 //!   log suffix stamped at or after the checkpoint epoch — executing
 //!   exactly the transactions whose logged decision says *committed*, in
 //!   log (= commit) order, and cross-checking each replayed fingerprint
@@ -42,13 +43,13 @@
 //!
 //! [`DurableEngine::checkpoint`] snapshots the inner engine's full
 //! record state (through [`Engine::snapshot_records`]) under the commit
-//! lock, writes it atomically ([`Checkpoint::write`]), rotates the WAL
-//! so every pre-checkpoint record sits in a sealed segment, and then
-//! reclaims those segments via
+//! lock and hands it to [`checkpoint::cut`], which writes it atomically,
+//! rotates the WAL so every pre-checkpoint record sits in a sealed
+//! segment, and then reclaims those segments via
 //! [`Wal::truncate_before`](crate::wal::Wal::truncate_before). Recovery
 //! after that replays only the post-checkpoint suffix.
 
-use crate::checkpoint::{self, Checkpoint};
+use crate::checkpoint;
 use crate::engine::{Engine, ExecOutcome};
 use crate::txn::Txn;
 use crate::wal::{DurabilityConfig, LogSink, TxnDecision, Wal};
@@ -229,24 +230,7 @@ impl<E: Engine> DurableEngine<E> {
         let cut = self.epoch.load(Ordering::Relaxed) + 1;
         // RELAXED: as above — still under `commit_lock`.
         self.epoch.store(cut, Ordering::Relaxed);
-        let mut records: Vec<(crate::RecordId, Box<[u8]>)> = Vec::new();
-        self.inner
-            .snapshot_records(&mut |rid, data| records.push((rid, data.into())));
-        let count = records.len();
-        let ckp = Checkpoint {
-            epoch: cut,
-            records,
-        };
-        // Order matters: the snapshot must be durable (write is atomic,
-        // ends in dir-fsync) before any log bytes it supersedes go away.
-        ckp.write(self.wal.dir())?;
-        self.wal.rotate()?;
-        let freed = self.wal.truncate_before(cut)?;
-        Ok(CheckpointStats {
-            epoch: cut,
-            records: count,
-            freed_bytes: freed,
-        })
+        checkpoint::cut(&self.wal, cut, |f| self.inner.snapshot_records(f))
     }
 
     /// The wrapped engine (verification hooks).

@@ -598,8 +598,8 @@ impl LogSink for Wal {
 /// double-applies it. The BOHM engine packages that protocol as
 /// `Bohm::recover`; replaying into a memory-only or fresh-directory
 /// engine needs no such care.
-pub fn replay_into<E: BatchEngine + ?Sized>(
-    batches: &[LoggedBatch],
+pub fn replay_into<'a, E: BatchEngine + ?Sized>(
+    batches: impl IntoIterator<Item = &'a LoggedBatch>,
     engine: &E,
 ) -> Vec<ExecOutcome> {
     let mut session = engine.open_session();

@@ -8,11 +8,11 @@
 //! pre-allocated space within a transaction" (§3.2.3).
 //!
 //! Completion is *published* **per transaction**: every transaction carries
-//! a hook into the `Completion` of the submission it arrived in, and its
-//! outcome is there to be polled the moment its executor marks it
-//! `Complete`. A *wake-up* is paid only when a thread is actually parked on
-//! that completion. Batch boundaries are an engine-internal amortization
-//! artifact; submitters never see them.
+//! the `Completion` word of the submission it arrived as, and its outcome is
+//! there to be polled the moment its executor marks it `Complete`. A
+//! *wake-up* is paid only when a thread is actually parked on that word.
+//! Batch boundaries are an engine-internal amortization artifact;
+//! submitters never see them.
 
 use bohm_common::{ASlice, Arena, RecordId, Timestamp, Txn};
 use bohm_mvstore::Version;
@@ -28,13 +28,6 @@ pub(crate) mod txn_status {
     pub const COMPLETE: u8 = 2;
 }
 
-/// Commit decision of a completed transaction.
-pub(crate) mod txn_outcome {
-    pub const UNKNOWN: u8 = 0;
-    pub const COMMITTED: u8 = 1;
-    pub const USER_ABORT: u8 = 2;
-}
-
 /// Result of one transaction, readable once its handle reports done.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TxnOutcome {
@@ -47,243 +40,124 @@ pub struct TxnOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Completion: one per submission (single transaction or group)
+// Completion: one word per submitted transaction
 // ---------------------------------------------------------------------------
 
-/// Shared completion state of one submission.
+/// Completion state of one submitted transaction.
 ///
-/// Outcome slots and the `state` word are written lock-free by whichever
-/// execution thread completes each transaction; the mutex/condvar pair only
-/// carries the *edge* (wake-up), never the data — and only to a waiter that
-/// registered itself as parked (see [`publish`](Self::publish)).
+/// `state` holds at most one decision — `COMMITTED`, `USER_ABORT` or
+/// `FAILED` — plus the waiter's `PARKED` announcement. The completer and a
+/// waiter each do **one RMW on that word**, so its modification order
+/// decides the race between them: whichever `fetch_or` comes second sees
+/// the other's bit in the value it returns. Either the waiter finds the
+/// decision and never sleeps, or the completer finds `PARKED` and takes the
+/// mutex — which the waiter holds from its re-check until it is inside
+/// `Condvar::wait` — to notify it. The mutex/condvar pair carries only that
+/// edge, never the data; with nobody parked — every transaction a
+/// pipelining session has not caught up with — completion is a store and
+/// one `fetch_or`.
 pub(crate) struct Completion {
-    /// Transactions not yet `Complete`.
-    remaining: AtomicUsize,
-    /// Submission size (`remaining` counts down; this doesn't).
-    count: usize,
-    /// The `state` bits that together mean "done": `OUTCOMES`, plus
-    /// `RETIRED` in barrier mode — `wait_done` then also waits for the batch
-    /// holding the submission's last transaction to retire, so that batch
-    /// must signal [`batch_retired`](Self::batch_retired).
-    need: u8,
-    /// Per-transaction decision (`txn_outcome` values) + fingerprint,
-    /// each written once.
-    slots: Slots,
-    /// `OUTCOMES | RETIRED | FAILED`, each bit set once with `fetch_or`.
     state: AtomicU8,
-    /// Threads inside [`wait_done`](Self::wait_done)'s slow path.
-    waiters: AtomicUsize,
+    /// Written once, before the decision is published.
+    fingerprint: AtomicU64,
     lock: Mutex<()>,
     cv: Condvar,
 }
 
-/// Every transaction of the submission has recorded its outcome.
-const OUTCOMES: u8 = 1;
-/// The batch holding the submission's last transaction retired.
-const RETIRED: u8 = 2;
-/// Engine fault (e.g. a WAL append failure): the submission will never
+const COMMITTED: u8 = 1;
+const USER_ABORT: u8 = 2;
+/// Engine fault (e.g. a WAL append failure): the transaction will never
 /// execute. Waiters panic with a clear message instead of blocking forever.
 const FAILED: u8 = 4;
+/// A waiter is (about to be) asleep on `cv`.
+const PARKED: u8 = 8;
+const DECIDED: u8 = COMMITTED | USER_ABORT | FAILED;
 
 #[cfg(test)]
 thread_local! {
-    /// Condvar waits this thread entered in [`Completion::wait_done`].
+    /// Condvar waits this thread entered in [`Completion::wait`].
     pub(crate) static PARKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Outcome storage. The per-transaction session path submits
-/// single-transaction groups at engine throughput, so the `n <= 1` case
-/// stores its slot inline instead of paying two boxed slices per submission.
-// Under --cfg bohm_modelcheck the instrumented atomics carry vector-clock
-// metadata and the inline variant grows past clippy's variant-size bound;
-// boxing it would defeat the allocation-free fast path the variant exists
-// for in real builds, where both variants are small.
-#[cfg_attr(bohm_modelcheck, allow(clippy::large_enum_variant))]
-enum Slots {
-    One(AtomicU8, AtomicU64),
-    Many(Box<[AtomicU8]>, Box<[AtomicU64]>),
-}
-
-impl Slots {
-    fn flag(&self, idx: usize) -> &AtomicU8 {
-        match self {
-            Slots::One(f, _) => {
-                debug_assert_eq!(idx, 0);
-                f
-            }
-            Slots::Many(f, _) => &f[idx],
-        }
-    }
-
-    fn fingerprint(&self, idx: usize) -> &AtomicU64 {
-        match self {
-            Slots::One(_, fp) => {
-                debug_assert_eq!(idx, 0);
-                fp
-            }
-            Slots::Many(_, fp) => &fp[idx],
-        }
-    }
-}
-
 impl Completion {
-    /// `needs_barrier`: batch handles additionally wait for the *batches*
-    /// holding their transactions to retire (all execution threads past
-    /// them), which is what makes `Bohm::read_u64` after `wait()` race-free
-    /// and keeps the GC-watermark guarantees of the old batch-level API.
-    /// Per-transaction session handles skip it for latency.
-    pub(crate) fn new(n: usize, needs_barrier: bool) -> Arc<Self> {
-        let slots = if n <= 1 {
-            Slots::One(AtomicU8::new(txn_outcome::UNKNOWN), AtomicU64::new(0))
-        } else {
-            let mut f = Vec::with_capacity(n);
-            f.resize_with(n, || AtomicU8::new(txn_outcome::UNKNOWN));
-            let mut fps = Vec::with_capacity(n);
-            fps.resize_with(n, || AtomicU64::new(0));
-            Slots::Many(f.into_boxed_slice(), fps.into_boxed_slice())
-        };
+    pub(crate) fn new() -> Arc<Self> {
         Arc::new(Self {
-            remaining: AtomicUsize::new(n),
-            count: n,
-            need: OUTCOMES | if needs_barrier { RETIRED } else { 0 },
-            slots,
-            // An empty submission reaches no batch; nothing to wait for.
-            state: AtomicU8::new(if n == 0 { OUTCOMES | RETIRED } else { 0 }),
-            waiters: AtomicUsize::new(0),
+            state: AtomicU8::new(0),
+            fingerprint: AtomicU64::new(0),
             lock: Mutex::new(()),
             cv: Condvar::new(),
         })
     }
 
-    /// Would [`wait_done`](Self::wait_done) return (or panic) at `state`?
-    fn done_at(&self, state: u8) -> bool {
-        state & FAILED != 0 || state & self.need == self.need
-    }
-
-    /// Set `bit`; wake parked waiters if that made the submission done.
-    ///
-    /// The completer's half of a Dekker handshake with `wait_done`: it
-    /// publishes the bit and then reads `waiters`; the waiter registers and
-    /// then re-reads `state`. Both sides are SeqCst, so at least one of the
-    /// two reads sees the other side's write — either the waiter finds the
-    /// submission done and never sleeps, or the completer finds a waiter and
-    /// takes the mutex (which the waiter holds from its re-check until it is
-    /// inside `Condvar::wait`) to notify it. With nobody registered — every
-    /// transaction a pipelining session has not caught up with — completion
-    /// is this one `fetch_or` and one load.
-    fn publish(&self, bit: u8) {
-        let state = self.state.fetch_or(bit, Ordering::SeqCst) | bit;
+    /// Publish `decision`; wake the waiter if one announced itself first.
+    fn decide(&self, decision: u8) {
+        let before = self.state.fetch_or(decision, Ordering::AcqRel);
         // A fault notifies unconditionally: it is rare, and a hang is the
         // one outcome the failure path must not have.
-        if bit == FAILED || (self.done_at(state) && self.waiters.load(Ordering::SeqCst) != 0) {
+        if decision == FAILED || before & PARKED != 0 {
             let _g = self.lock.lock();
             self.cv.notify_all();
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.count
+    /// Record the transaction's decision.
+    pub(crate) fn record(&self, committed: bool, fingerprint: u64) {
+        // RELAXED: the Release half of `decide`'s `fetch_or` publishes the
+        // fingerprint; readers Acquire the decision first.
+        self.fingerprint.store(fingerprint, Ordering::Relaxed);
+        self.decide(if committed { COMMITTED } else { USER_ABORT });
     }
 
-    /// Record transaction `idx`'s decision; wakes waiters on the last one.
-    pub(crate) fn record(&self, idx: usize, committed: bool, fingerprint: u64) {
-        self.slots
-            .fingerprint(idx)
-            // RELAXED: the Release store of the outcome flag (below)
-            // publishes the fingerprint; readers Acquire the flag first.
-            .store(fingerprint, Ordering::Relaxed);
-        self.slots.flag(idx).store(
-            if committed {
-                txn_outcome::COMMITTED
-            } else {
-                txn_outcome::USER_ABORT
-            },
-            Ordering::Release,
-        );
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.publish(OUTCOMES);
-        }
-    }
-
-    /// Called at retirement of the batch holding this submission's **last**
-    /// transaction. Batches retire in id order (execution consumes them
-    /// FIFO), so the last batch retiring implies every earlier one did.
-    pub(crate) fn batch_retired(&self) {
-        self.publish(RETIRED);
-    }
-
-    /// Mark the submission as never-executing because the engine failed
-    /// (stop-the-world fault, e.g. the WAL rejected an append). Wakes
-    /// every waiter; their `wait_done` panics with the fault instead of
-    /// hanging on outcomes that will never arrive. Idempotent.
+    /// Mark the transaction as never-executing because the engine failed
+    /// (stop-the-world fault, e.g. the WAL rejected an append): a waiter's
+    /// [`wait`](Self::wait) panics with the fault instead of hanging on an
+    /// outcome that will never arrive. Idempotent.
     pub(crate) fn poison(&self) {
-        self.publish(FAILED);
+        self.decide(FAILED);
     }
 
-    /// Block until the submission is done — the one wait body for session
-    /// and barrier completions (`need` is the only difference).
-    pub(crate) fn wait_done(&self) {
-        if !self.is_done() {
-            // Register, *then* re-check (see `publish`); the mutex is held
-            // from the re-check into the wait, so a completer that saw the
-            // registration cannot notify in between.
-            self.waiters.fetch_add(1, Ordering::SeqCst);
+    /// Block until the transaction is decided and return its outcome.
+    pub(crate) fn wait(&self) -> TxnOutcome {
+        let mut state = self.state.load(Ordering::Acquire);
+        if state & DECIDED == 0 {
+            state = self.state.fetch_or(PARKED, Ordering::AcqRel);
+        }
+        if state & DECIDED == 0 {
+            // Announced before the decision (see the type docs): re-check
+            // under the mutex before every wait, so the completer's
+            // notification cannot fall between the check and the sleep.
             let mut g = self.lock.lock();
-            while !self.done_at(self.state.load(Ordering::SeqCst)) {
+            loop {
+                state = self.state.load(Ordering::Acquire);
+                if state & DECIDED != 0 {
+                    break;
+                }
                 #[cfg(test)]
                 PARKS.with(|p| p.set(p.get() + 1));
                 self.cv.wait(&mut g);
             }
-            drop(g);
-            // RELAXED: deregistration publishes nothing; a completer that
-            // still sees the stale count only pays one spare notify.
-            self.waiters.fetch_sub(1, Ordering::Relaxed);
         }
         assert!(
-            self.state.load(Ordering::Acquire) & FAILED == 0,
+            state & FAILED == 0,
             "BOHM engine failed (write-ahead log append error): \
-             this submission was never executed"
+             this transaction was never executed"
         );
-    }
-
-    /// Non-blocking [`wait_done`](Self::wait_done) probe; one Acquire load.
-    /// A `true` synchronizes with the completing thread, so outcomes (and,
-    /// in barrier mode, the retired batch's effects) are visible.
-    pub(crate) fn is_done(&self) -> bool {
-        self.done_at(self.state.load(Ordering::Acquire))
-    }
-
-    /// Outcome of transaction `idx`; valid only after [`wait_done`](Self::wait_done).
-    pub(crate) fn outcome(&self, idx: usize) -> TxnOutcome {
-        let flag = self.slots.flag(idx).load(Ordering::Acquire);
-        debug_assert_ne!(flag, txn_outcome::UNKNOWN, "outcome read before done");
         TxnOutcome {
-            committed: flag == txn_outcome::COMMITTED,
-            // RELAXED: ordered by the Acquire flag load above.
-            fingerprint: self.slots.fingerprint(idx).load(Ordering::Relaxed),
+            committed: state & COMMITTED != 0,
+            // RELAXED: ordered by the Acquire read of the decision above.
+            fingerprint: self.fingerprint.load(Ordering::Relaxed),
         }
     }
-}
 
-/// A transaction's back-pointer into its submission's [`Completion`].
-#[derive(Clone)]
-pub(crate) struct TxnHook {
-    pub completion: Arc<Completion>,
-    /// Position within the submission. The batch sealed around the *last*
-    /// transaction of a barrier-mode submission owes the completion a
-    /// retirement signal (see [`Batch::barriers`]).
-    pub index: u32,
-}
-
-impl TxnHook {
-    fn fire(&self, committed: bool, fingerprint: u64) {
-        self.completion
-            .record(self.index as usize, committed, fingerprint);
+    /// Non-blocking [`wait`](Self::wait) probe; one Acquire load. A `true`
+    /// synchronizes with the completing thread, so the outcome is visible.
+    pub(crate) fn is_done(&self) -> bool {
+        self.state.load(Ordering::Acquire) & DECIDED != 0
     }
 }
 
 // ---------------------------------------------------------------------------
-// Public handles
+// Public handle
 // ---------------------------------------------------------------------------
 
 /// Handle to one submitted transaction
@@ -304,49 +178,18 @@ impl TxnHandle {
     /// thread that completes it (a `submit(txn).wait()` round trip waits for
     /// nothing else). The handle may be moved to, and waited on from, any
     /// thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine failed before the transaction reached a sealed
+    /// batch (a write-ahead log append error).
     pub fn wait(&self) -> TxnOutcome {
-        self.completion.wait_done();
-        self.completion.outcome(0)
+        self.completion.wait()
     }
 
     /// Has the transaction finished? (Non-blocking.)
     pub fn is_done(&self) -> bool {
         self.completion.is_done()
-    }
-}
-
-/// Handle to a submitted group of transactions
-/// (returned by [`Bohm::submit`](crate::Bohm::submit)).
-///
-/// Waiting additionally synchronizes with batch retirement, so after
-/// [`wait`](Self::wait) the engine is quiescent with respect to these
-/// transactions (safe to `read_u64`, GC watermark advanced).
-pub struct BatchHandle {
-    pub(crate) completion: Arc<Completion>,
-}
-
-impl BatchHandle {
-    /// Block until every transaction in the submission has executed.
-    pub fn wait(&self) {
-        self.completion.wait_done();
-    }
-
-    /// Number of transactions in the submission.
-    pub fn len(&self) -> usize {
-        self.completion.len()
-    }
-
-    /// Whether the submission carried no transactions.
-    pub fn is_empty(&self) -> bool {
-        self.completion.len() == 0
-    }
-
-    /// Wait, then return each transaction's outcome in submission order.
-    pub fn outcomes(&self) -> Vec<TxnOutcome> {
-        self.wait();
-        (0..self.completion.len())
-            .map(|i| self.completion.outcome(i))
-            .collect()
     }
 }
 
@@ -458,8 +301,8 @@ pub struct TxnState {
     /// One slot per write-set entry: the placeholder version installed by
     /// the owning CC thread (§3.2.2).
     pub(crate) write_refs: ASlice<AtomicPtr<Version>>,
-    /// Per-transaction completion delivery.
-    pub(crate) hook: TxnHook,
+    /// Where the submitter learns the outcome.
+    pub(crate) completion: Arc<Completion>,
 }
 
 impl TxnState {
@@ -478,7 +321,7 @@ impl TxnState {
         txn: Txn,
         ts: Timestamp,
         annotate_max_reads: usize,
-        hook: TxnHook,
+        completion: Arc<Completion>,
         arena: &mut Arena,
     ) -> Self {
         let annotate = txn.reads.len() <= annotate_max_reads;
@@ -534,7 +377,7 @@ impl TxnState {
             read_refs,
             write_refs,
             scan_refs,
-            hook,
+            completion,
         }
     }
 
@@ -573,7 +416,7 @@ impl TxnState {
     pub(crate) fn complete(&self, committed: bool, fingerprint: u64) {
         debug_assert_eq!(self.status(), txn_status::EXECUTING);
         self.state.store(txn_status::COMPLETE, Ordering::Release);
-        self.hook.fire(committed, fingerprint);
+        self.completion.record(committed, fingerprint);
     }
 }
 
@@ -601,9 +444,6 @@ pub struct Batch {
     pub(crate) cc_pending: AtomicUsize,
     /// Execution threads yet to finish their responsibilities.
     pub(crate) exec_pending: AtomicUsize,
-    /// Barrier-mode completions whose last transaction lives in this batch;
-    /// signalled at retirement (see [`Completion::batch_retired`]).
-    pub(crate) barriers: Box<[Arc<Completion>]>,
 }
 
 impl Batch {
@@ -612,7 +452,7 @@ impl Batch {
     /// order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        entries: Vec<(Txn, TxnHook)>,
+        entries: Vec<(Txn, Arc<Completion>)>,
         base_ts: Timestamp,
         id: u64,
         epoch: u64,
@@ -621,29 +461,20 @@ impl Batch {
         annotate_max_reads: usize,
         arena: &mut Arena,
     ) -> Arc<Self> {
-        let mut barriers = Vec::new();
-        let mut states: Vec<TxnState> = Vec::with_capacity(entries.len());
-        for (i, (txn, hook)) in entries.into_iter().enumerate() {
-            let c = &hook.completion;
-            if c.need & RETIRED != 0 && hook.index as usize + 1 == c.count {
-                barriers.push(Arc::clone(&hook.completion));
-            }
-            states.push(TxnState::new(
-                txn,
-                base_ts + i as u64,
-                annotate_max_reads,
-                hook,
-                arena,
-            ));
-        }
+        let txns = entries
+            .into_iter()
+            .zip(base_ts..)
+            .map(|((txn, completion), ts)| {
+                TxnState::new(txn, ts, annotate_max_reads, completion, arena)
+            })
+            .collect();
         Arc::new(Self {
             id,
             base_ts,
             epoch,
-            txns: states.into_boxed_slice(),
+            txns,
             cc_pending: AtomicUsize::new(cc_threads),
             exec_pending: AtomicUsize::new(exec_threads),
-            barriers: barriers.into_boxed_slice(),
         })
     }
 
@@ -685,26 +516,15 @@ pub(crate) mod tests {
         bohm_common::ArenaPool::default().arena()
     }
 
-    pub(crate) fn hooked(n: usize) -> (Vec<(Txn, TxnHook)>, Arc<Completion>) {
-        let completion = Completion::new(n, true);
-        let entries = (0..n)
-            .map(|i| {
-                (
-                    txn(),
-                    TxnHook {
-                        completion: Arc::clone(&completion),
-                        index: i as u32,
-                    },
-                )
-            })
-            .collect();
-        (entries, completion)
+    /// `n` single-key RMWs, each with its own fresh completion.
+    pub(crate) fn entries(n: usize) -> Vec<(Txn, Arc<Completion>)> {
+        (0..n).map(|_| (txn(), Completion::new())).collect()
     }
 
     fn lone_state() -> (TxnState, Arc<Completion>) {
-        let (mut entries, c) = hooked(1);
-        let (t, hook) = entries.pop().unwrap();
-        (TxnState::new(t, 5, 64, hook, &mut test_arena()), c)
+        let c = Completion::new();
+        let t = TxnState::new(txn(), 5, 64, Arc::clone(&c), &mut test_arena());
+        (t, c)
     }
 
     #[test]
@@ -718,13 +538,11 @@ pub(crate) mod tests {
         t.complete(true, 42);
         assert_eq!(t.status(), txn_status::COMPLETE);
         assert!(!t.try_claim(), "complete txn is not claimable");
-        assert_eq!(
-            completion.outcome(0),
-            TxnOutcome {
-                committed: true,
-                fingerprint: 42
-            }
-        );
+        let want = TxnOutcome {
+            committed: true,
+            fingerprint: 42,
+        };
+        assert_eq!(completion.wait(), want);
     }
 
     #[test]
@@ -740,9 +558,7 @@ pub(crate) mod tests {
     fn plan_of(reads: &[u64], writes: &[u64]) -> Vec<(Option<usize>, Option<usize>)> {
         let rids = |rows: &[u64]| rows.iter().map(|&r| RecordId::new(0, r)).collect();
         let t = Txn::new(rids(reads), rids(writes), Procedure::ReadOnly);
-        let (mut entries, _c) = hooked(1);
-        let hook = entries.pop().unwrap().1;
-        let t = TxnState::new(t, 9, 64, hook, &mut test_arena());
+        let t = TxnState::new(t, 9, 64, Completion::new(), &mut test_arena());
         for e in t.plan.iter() {
             let rid = match (e.read(), e.write()) {
                 (_, Some(w)) => t.txn.writes[w],
@@ -830,8 +646,7 @@ pub(crate) mod tests {
 
     #[test]
     fn batch_timestamps_are_dense() {
-        let (entries, _c) = hooked(3);
-        let b = Batch::new(entries, 100, 0, 0, 2, 2, 64, &mut test_arena());
+        let b = Batch::new(entries(3), 100, 0, 0, 2, 2, 64, &mut test_arena());
         assert_eq!(b.last_ts(), 102);
         assert!(b.contains(100) && b.contains(102));
         assert!(!b.contains(99) && !b.contains(103));
@@ -839,140 +654,119 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn completion_fires_per_txn_and_batch_barrier_gates_wait() {
-        let (entries, completion) = hooked(2);
+    fn each_transaction_decides_its_own_word_as_it_completes() {
+        let entries = entries(2);
+        let words: Vec<_> = entries.iter().map(|(_, c)| Arc::clone(c)).collect();
         let b = Batch::new(entries, 1, 0, 0, 1, 1, 64, &mut test_arena());
-        assert!(!completion.is_done());
-        b.txns[0].try_claim();
-        b.txns[0].complete(true, 7);
-        assert!(!completion.is_done(), "one of two txns outstanding");
+        assert!(!words[0].is_done() && !words[1].is_done());
         b.txns[1].try_claim();
         b.txns[1].complete(false, 0);
-        assert!(
-            !completion.is_done(),
-            "barrier-mode completion also waits for batch retirement"
-        );
-        assert_eq!(b.barriers.len(), 1);
-        b.barriers[0].batch_retired();
-        assert!(completion.is_done());
-        assert_eq!(
-            completion.outcome(0),
-            TxnOutcome {
-                committed: true,
-                fingerprint: 7
-            }
-        );
-        assert!(!completion.outcome(1).committed);
-    }
-
-    #[test]
-    fn only_barrier_mode_completions_register_as_barriers() {
-        // N session submissions: each is the last (only) transaction of its
-        // own completion, but none was created in barrier mode — nobody
-        // waits on retirement, so the retiring thread owes them nothing.
-        let sessions: Vec<_> = (0..5)
-            .map(|_| {
-                let hook = TxnHook {
-                    completion: Completion::new(1, false),
-                    index: 0,
-                };
-                (txn(), hook)
-            })
-            .collect();
-        let b = Batch::new(sessions, 1, 0, 0, 1, 1, 64, &mut test_arena());
-        assert!(b.barriers.is_empty());
-        // A group submission of N registers exactly once, and its handle's
-        // wait still implies the batch retired.
-        let (entries, completion) = hooked(5);
-        let b = Batch::new(entries, 1, 0, 0, 1, 1, 64, &mut test_arena());
-        assert_eq!(b.barriers.len(), 1);
-        for t in b.txns.iter() {
-            assert!(t.try_claim());
-            t.complete(true, 0);
-        }
-        let handle = BatchHandle { completion };
-        assert!(!handle.completion.is_done(), "not retired yet");
-        b.barriers[0].batch_retired();
-        handle.wait(); // must not block
-    }
-
-    #[test]
-    fn sessionless_completion_skips_barrier() {
-        let completion = Completion::new(1, false);
-        completion.record(0, true, 3);
-        assert!(completion.is_done(), "no barrier wait for session handles");
-        completion.wait_done(); // must not block
-    }
-
-    #[test]
-    fn done_signalling_wakes_waiters() {
-        let (entries, completion) = hooked(1);
-        let b = Batch::new(entries, 1, 0, 0, 1, 1, 64, &mut test_arena());
-        let c2 = Arc::clone(&completion);
-        let waiter = std::thread::spawn(move || c2.wait_done());
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert!(words[1].is_done(), "done the moment its executor says so");
+        assert!(!words[0].is_done(), "and nobody else's word moves");
         b.txns[0].try_claim();
-        b.txns[0].complete(true, 0);
-        b.barriers[0].batch_retired();
-        waiter.join().unwrap();
+        b.txns[0].complete(true, 7);
+        let want = TxnOutcome {
+            committed: true,
+            fingerprint: 7,
+        };
+        assert_eq!(words[0].wait(), want);
+        assert!(!words[1].wait().committed);
+    }
+
+    /// Condvar waits `f` entered on this thread.
+    fn parks_during(f: impl FnOnce()) -> usize {
+        let before = PARKS.with(|p| p.get());
+        f();
+        PARKS.with(|p| p.get()) - before
     }
 
     #[test]
-    fn poisoned_completion_panics_waiters_instead_of_hanging() {
-        let completion = Completion::new(1, true);
-        let c2 = Arc::clone(&completion);
-        let waiter = std::thread::spawn(move || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c2.wait_done()))
+    fn waiter_on_a_decided_word_never_parks() {
+        let c = Completion::new();
+        c.record(true, 3);
+        assert!(c.is_done());
+        let parks = parks_during(|| {
+            let want = TxnOutcome {
+                committed: true,
+                fingerprint: 3,
+            };
+            assert_eq!(c.wait(), want);
+            assert_eq!(c.wait(), want, "and may be asked again");
         });
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        completion.poison();
+        assert_eq!(parks, 0);
+        assert_eq!(c.state.load(Ordering::Acquire) & PARKED, 0, "fast path");
+    }
+
+    #[test]
+    fn waiter_ahead_of_the_decision_parks_at_most_once_and_is_woken() {
+        let c = Completion::new();
+        let waiter = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                let mut out = None;
+                (parks_during(|| out = Some(c.wait())), out.unwrap())
+            })
+        };
+        // Forced interleaving: the decision follows the announcement, so
+        // the waiter is on its slow path and the completer owes it a
+        // notification. (Zero parks is the re-check under the mutex
+        // catching the decision; the model harness enumerates both.)
+        while c.state.load(Ordering::Acquire) & PARKED == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!c.is_done());
+        c.record(false, 0);
+        let (parks, out) = waiter.join().unwrap();
+        assert!(parks <= 1, "one decision wakes one sleep, got {parks}");
+        assert!(!out.committed);
+    }
+
+    #[test]
+    fn poison_wakes_a_parked_waiter_into_the_fault_panic() {
+        let c = Completion::new();
+        let waiter = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.wait()))
+            })
+        };
+        while c.state.load(Ordering::Acquire) & PARKED == 0 {
+            std::thread::yield_now();
+        }
+        c.poison();
         let woke = waiter.join().unwrap();
-        assert!(woke.is_err(), "poisoned wait must panic, not return");
-        assert!(completion.is_done(), "pollers must see a poisoned handle");
-        let late =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| completion.wait_done()));
+        let msg = woke.expect_err("poisoned wait must panic, not return");
+        assert!(msg
+            .downcast_ref::<&str>()
+            .is_some_and(|m| m.contains("engine failed")));
+        assert!(c.is_done(), "pollers must not spin on a failed engine");
+        c.poison(); // idempotent
+        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.wait()));
         assert!(late.is_err(), "late waiters observe the fault too");
     }
 
     #[test]
-    fn done_flag_follows_both_halves_in_either_order() {
-        // Retirement first, outcome last: the retired barrier alone must
-        // not report done, the final outcome must.
-        let c = Completion::new(2, true);
-        c.record(0, true, 1);
-        c.batch_retired();
-        assert!(!c.is_done(), "one outcome still outstanding");
-        c.record(1, true, 2);
-        assert!(c.is_done());
-        c.wait_done(); // agrees with the flag: must not block
-
-        // Outcomes first, retirement last.
-        let c = Completion::new(1, true);
-        c.record(0, false, 0);
-        assert!(!c.is_done(), "batch not retired yet");
-        c.batch_retired();
-        assert!(c.is_done());
-        c.wait_done();
-    }
-
-    #[test]
-    fn poison_sets_the_done_flag_without_outcomes() {
-        let c = Completion::new(3, true);
-        assert!(!c.is_done());
-        c.poison();
-        assert!(c.is_done(), "pollers must not spin on a failed engine");
-        c.poison(); // idempotent
-        assert!(c.is_done());
-        // A straggling outcome after the fault changes nothing.
-        c.record(0, true, 0);
-        assert!(c.is_done());
-    }
-
-    #[test]
-    fn empty_submission_is_born_done() {
-        let completion = Completion::new(0, true);
-        assert!(completion.is_done());
-        completion.wait_done();
+    fn outcome_and_fingerprint_are_visible_once_is_done_says_so() {
+        let c = Completion::new();
+        let poller = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                while !c.is_done() {
+                    std::thread::yield_now();
+                }
+                // RELAXED: exactly what a poller relies on — `is_done`'s
+                // Acquire ordered this read after the fingerprint store.
+                let seen = c.fingerprint.load(Ordering::Relaxed);
+                let mut out = None;
+                (seen, parks_during(|| out = Some(c.wait())), out.unwrap())
+            })
+        };
+        c.record(true, 0xfeed);
+        let want = TxnOutcome {
+            committed: true,
+            fingerprint: 0xfeed,
+        };
+        assert_eq!(poller.join().unwrap(), (0xfeed, 0, want));
     }
 
     #[test]
@@ -993,58 +787,68 @@ pub(crate) mod tests {
 }
 
 /// Model-checked completion handshake (`RUSTFLAGS="--cfg bohm_modelcheck"
-/// cargo test -p bohm modelcheck`): `publish` and `wait_done` are a Dekker
-/// pair, so a lost wake-up is a model *deadlock* with a replayable seed.
-/// Mutation-checked: dropping the waiter's re-check after registering, or
-/// weakening either side's SeqCst pair to AcqRel/Acquire (the model's
-/// store-buffering window, `bohm_sync` `stale_load`), deadlocks a harness
-/// here within the CI seed budget.
+/// cargo test -p bohm modelcheck`): a lost wake-up is a model *deadlock*
+/// with a replayable seed. Mutation-checked by the two broken twins below,
+/// each of which breaks "one RMW per side on one word" in one place.
 #[cfg(all(test, bohm_modelcheck))]
 mod modelcheck {
     use super::*;
     use bohm_sync::{model, thread};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// Session mode: one completer, one waiter.
-    fn session_model() {
-        let c = Completion::new(1, false);
+    /// Where a twin departs from the protocol.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Fault {
+        None,
+        /// The waiter sleeps on what its `fetch_or` returned, without
+        /// re-checking under the mutex: a decision (and its notification)
+        /// landing in between is lost.
+        WaiterSkipsRecheck,
+        /// The completer tests `PARKED` with a load of its own *before* its
+        /// `fetch_or`: a waiter announcing itself in between is never
+        /// notified.
+        CompleterLoadsParkedFirst,
+    }
+
+    /// An outcome racing a waiter on its way to sleep.
+    fn outcome_model(fault: Fault) {
+        let c = Completion::new();
         let completer = {
             let c = Arc::clone(&c);
-            thread::spawn(move || c.record(0, true, 7))
+            thread::spawn(move || {
+                if fault != Fault::CompleterLoadsParkedFirst {
+                    return c.record(true, 7);
+                }
+                let parked = c.state.load(Ordering::SeqCst) & PARKED != 0;
+                // RELAXED: as in `record`.
+                c.fingerprint.store(7, Ordering::Relaxed);
+                c.state.fetch_or(COMMITTED, Ordering::SeqCst);
+                if parked {
+                    let _g = c.lock.lock();
+                    c.cv.notify_all();
+                }
+            })
         };
-        c.wait_done();
-        let out = c.outcome(0);
+        if fault == Fault::WaiterSkipsRecheck
+            && c.state.fetch_or(PARKED, Ordering::SeqCst) & DECIDED == 0
+        {
+            let mut g = c.lock.lock();
+            c.cv.wait(&mut g);
+        }
+        let out = c.wait();
         assert!(out.committed && out.fingerprint == 7);
         completer.join().unwrap();
     }
 
-    /// Barrier mode: the last outcome and the retirement signal arrive from
-    /// two threads in either order; only the second may end the wait.
-    fn barrier_model() {
-        let c = Completion::new(2, true);
-        c.record(0, false, 0);
-        let recorder = {
-            let c = Arc::clone(&c);
-            thread::spawn(move || c.record(1, true, 9))
-        };
-        let retirer = {
-            let c = Arc::clone(&c);
-            thread::spawn(move || c.batch_retired())
-        };
-        c.wait_done();
-        assert!(!c.outcome(0).committed && c.outcome(1).fingerprint == 9);
-        recorder.join().unwrap();
-        retirer.join().unwrap();
-    }
-
     /// A fault racing a waiter on its way to sleep: the waiter must wake and
-    /// report the fault, whichever side gets to the mutex first.
+    /// report the fault, whichever side gets to the word first.
     fn poison_model() {
-        let c = Completion::new(1, true);
+        let c = Completion::new();
         let sequencer = {
             let c = Arc::clone(&c);
             thread::spawn(move || c.poison())
         };
-        let woke = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.wait_done()));
+        let woke = catch_unwind(AssertUnwindSafe(|| c.wait()));
         let msg = woke.expect_err("a poisoned wait must panic, not return");
         assert!(
             msg.downcast_ref::<&str>()
@@ -1055,17 +859,42 @@ mod modelcheck {
     }
 
     #[test]
-    fn session_completion_handshake_explored() {
-        model::explore(model::Options::default(), session_model);
-    }
-
-    #[test]
-    fn barrier_completion_either_order_explored() {
-        model::explore(model::Options::default(), barrier_model);
+    fn outcome_racing_a_parking_waiter_explored() {
+        model::explore(model::Options::default(), || outcome_model(Fault::None));
     }
 
     #[test]
     fn poison_racing_a_parking_waiter_explored() {
         model::explore(model::Options::default(), poison_model);
+    }
+
+    /// The twin must strand its waiter under some seed in a bounded scan,
+    /// and that seed must fail the same way again.
+    fn twin_deadlocks_replayably(fault: Fault) {
+        let failing = |seed| {
+            catch_unwind(AssertUnwindSafe(|| {
+                model::run(seed, || outcome_model(fault))
+            }))
+        };
+        let seed = (1..=256)
+            .find(|&s| failing(s).is_err())
+            .expect("no seed in 1..=256 lost the wake-up");
+        eprintln!("broken twin caught at seed {seed}");
+        for _ in 0..2 {
+            let err = failing(seed).expect_err("the failing seed must fail deterministically");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("deadlock"), "got: {msg}");
+            assert!(msg.contains(&format!("seed {seed}")), "got: {msg}");
+        }
+    }
+
+    #[test]
+    fn waiter_that_skips_the_recheck_is_a_replayable_lost_wakeup() {
+        twin_deadlocks_replayably(Fault::WaiterSkipsRecheck);
+    }
+
+    #[test]
+    fn completer_that_loads_parked_before_its_rmw_is_a_replayable_lost_wakeup() {
+        twin_deadlocks_replayably(Fault::CompleterLoadsParkedFirst);
     }
 }

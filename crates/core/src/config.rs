@@ -52,11 +52,6 @@ pub struct BohmConfig {
     /// [`effective_index_capacity`](Self::effective_index_capacity) for the
     /// exact rule.
     pub index_capacity: usize,
-    /// Maximum recursion depth when resolving read dependencies before the
-    /// transaction is parked back to `Unprocessed`. Guards against deep
-    /// same-key RMW chains in huge batches blowing the stack; 64 is far
-    /// above anything the paper's workloads produce per batch.
-    pub max_resolve_depth: usize,
     /// Maximum transactions per sequencer-formed batch (the §3.2.4
     /// coordination-amortization knob). Also the timestamp *stride*
     /// reserved per batch: batch `b` owns timestamps
@@ -74,7 +69,7 @@ pub struct BohmConfig {
     /// window ring's capacity). When the budget is exhausted the sequencer
     /// blocks, the ingest queue fills, and submitters feel backpressure.
     pub max_inflight_batches: usize,
-    /// Ingest queue budget in *transactions* (not submissions): clients
+    /// Ingest queue budget in transactions (a submission is one): clients
     /// enqueueing beyond this block until the sequencer drains. This is the
     /// front door of the backpressure chain.
     pub ingest_capacity: usize,
@@ -92,8 +87,10 @@ pub struct BohmConfig {
     /// policy *before* releasing the batch to the CC threads — group
     /// commit riding the existing size/linger batching. `None` (the
     /// default) keeps the engine memory-only. Recover with
-    /// [`Wal::read_log`](bohm_common::wal::Wal::read_log) +
-    /// [`replay_into`](bohm_common::wal::replay_into).
+    /// [`Bohm::recover`](crate::Bohm::recover) on the same directory
+    /// (checkpoint-aware, and it keeps the replayed suffix from being
+    /// logged twice); [`replay_into`](bohm_common::wal::replay_into) is for
+    /// replaying a log into some *other* engine.
     pub durability: Option<bohm_common::wal::DurabilityConfig>,
 }
 
@@ -107,7 +104,6 @@ impl Default for BohmConfig {
             key_gc_buckets: 512,
             annotate_max_reads: 64,
             index_capacity: 1 << 20,
-            max_resolve_depth: 64,
             batch_size: 4096,
             batch_linger: Duration::from_micros(200),
             max_inflight_batches: 8,

@@ -1,8 +1,8 @@
 //! Engine assembly: threads, ingest queue, public API.
 
-use crate::batch::{BatchHandle, Completion, TxnOutcome};
+use crate::batch::{TxnHandle, TxnOutcome};
 use crate::config::{BohmConfig, CatalogSpec};
-use crate::ingest::{self, IngestTx, SubmitReq};
+use crate::ingest::{self, IngestTx};
 use crate::session::BohmSession;
 use crate::window::Window;
 use crate::{cc, exec};
@@ -10,7 +10,7 @@ use bohm_common::{RecordId, TableId, Txn};
 use bohm_mvstore::{HashIndex, Version, VersionIndex, VersionState};
 use bohm_sync::atomic::{fence, AtomicU64, Ordering};
 use crossbeam_epoch::{self as epoch, Owned};
-use crossbeam_utils::{Backoff, CachePadded};
+use crossbeam_utils::CachePadded;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -171,11 +171,16 @@ impl Bohm {
     /// torn-tail rule applied), starts the engine — whose
     /// [`Wal::open`](bohm_common::wal::Wal::open) repairs any torn tail
     /// before appending a fresh segment — and restores/replays through
-    /// the normal pipeline with WAL appends **suspended**: the inherited
-    /// segments already hold the replayed suffix, and logging it a second
-    /// time would double-apply it on the next recovery. Appends resume
-    /// once every replayed batch has retired, so work submitted
-    /// afterwards is logged exactly once after the inherited prefix.
+    /// the same generic paths every engine uses
+    /// ([`restore_into`](bohm_common::checkpoint::restore_into), then
+    /// [`replay_into`](bohm_common::wal::replay_into): an ordinary session
+    /// and a closing [`quiesce`](bohm_common::engine::BatchEngine::quiesce)),
+    /// with WAL appends **suspended**: the inherited segments already hold
+    /// the replayed suffix, and logging it a second time would double-apply
+    /// it on the next recovery — and the barrier no-ops of those two
+    /// `quiesce` calls must not reach the log either. Appends resume once
+    /// every replayed batch has retired, so work submitted afterwards is
+    /// logged exactly once after the inherited prefix.
     ///
     /// Returns the running engine plus the *replayed* transactions'
     /// outcomes in log order — determinism makes them (and the rebuilt
@@ -230,8 +235,8 @@ impl Bohm {
     }
 
     /// Shared recovery body: start, suspend appends, restore the
-    /// checkpoint (if any) through the normal submission path, replay the
-    /// post-checkpoint suffix, advance the epoch source past everything
+    /// checkpoint (if any) and replay the post-checkpoint suffix through an
+    /// ordinary session, advance the epoch source past everything
     /// recovered, resume appends.
     fn recover_with(
         config: BohmConfig,
@@ -246,26 +251,21 @@ impl Bohm {
         let engine = Bohm::start(config, catalog);
         let wal = engine.inner.wal.as_ref().expect("durability configured");
         wal.pause_appends();
-        let base = match &ckp {
-            Some(c) => {
-                bohm_common::checkpoint::restore_into(c, &seeded, &engine);
-                c.epoch
-            }
-            None => 0,
-        };
-        // Pipeline the whole suffix, then wait in order. Waiting on a
-        // group handle synchronizes with its batches' retirement, so by
-        // the last wait every replayed batch is sealed (the log decision
-        // point) and appends can safely resume.
-        let handles: Vec<BatchHandle> = log
-            .iter()
-            .filter(|b| b.epoch >= base)
-            .map(|b| engine.submit(b.txns.clone()))
+        let base = ckp.as_ref().map_or(0, |c| {
+            bohm_common::checkpoint::restore_into(c, &seeded, &engine);
+            c.epoch
+        });
+        // `replay_into` ends in a `quiesce`, so on return every replayed
+        // batch has been sealed (the log decision point) and retired, and
+        // appends can safely resume.
+        let suffix = log.iter().filter(|b| b.epoch >= base);
+        let outcomes = bohm_common::wal::replay_into(suffix, &engine)
+            .into_iter()
+            .map(|o| TxnOutcome {
+                committed: o.committed,
+                fingerprint: o.fingerprint,
+            })
             .collect();
-        let mut outcomes = Vec::new();
-        for h in &handles {
-            outcomes.extend(h.outcomes());
-        }
         // The epoch authority must resume past everything recovered, or
         // the next checkpoint's cut could collide with replayed stamps.
         let max_epoch = log.iter().map(|b| b.epoch).max().unwrap_or(0).max(base);
@@ -284,9 +284,12 @@ impl Bohm {
     /// submitting concurrently (the paper's epoch/GC machinery has no
     /// fuzzy-checkpoint path, and the demo/test harnesses naturally
     /// checkpoint between submission waves). The method quiesces the
-    /// pipeline with a barrier submission, bumps the epoch source so
-    /// every later batch is stamped past the cut, snapshots through
-    /// [`snapshot_records`](Self::snapshot_records), writes the
+    /// pipeline — one logged no-op through
+    /// [`execute_sync`](Self::execute_sync), exactly as
+    /// [`quiesce`](bohm_common::engine::BatchEngine::quiesce) does — bumps
+    /// the epoch source so every later batch is stamped past the cut, and
+    /// hands [`snapshot_records`](Self::snapshot_records) to
+    /// [`checkpoint::cut`](bohm_common::checkpoint::cut), which writes the
     /// checkpoint atomically, rotates the log, and truncates the sealed
     /// pre-cut segments.
     ///
@@ -304,11 +307,7 @@ impl Bohm {
         })?;
         // Epoch retirement barrier: every batch submitted before this is
         // executed and logged once this no-op completes.
-        self.execute_sync(vec![Txn::new(
-            vec![],
-            vec![],
-            bohm_common::Procedure::ReadOnly,
-        )]);
+        bohm_common::engine::BatchEngine::quiesce(self);
         let src = self
             .inner
             .config
@@ -318,23 +317,7 @@ impl Bohm {
         // Everything sealed so far is stamped <= the pre-bump value, i.e.
         // strictly below the cut; everything sealed after carries >= cut.
         let cut = src.fetch_add(1, Ordering::AcqRel) + 1;
-        let mut records: Vec<(RecordId, Box<[u8]>)> = Vec::new();
-        self.snapshot_records(&mut |rid, data| records.push((rid, data.into())));
-        let count = records.len();
-        let ckp = bohm_common::wal::Checkpoint {
-            epoch: cut,
-            records,
-        };
-        // Order matters: the snapshot must be durable (atomic write, dir
-        // fsync) before any log bytes it supersedes are reclaimed.
-        ckp.write(wal.dir())?;
-        wal.rotate()?;
-        let freed = wal.truncate_before(cut)?;
-        Ok(bohm_common::durable::CheckpointStats {
-            epoch: cut,
-            records: count,
-            freed_bytes: freed,
-        })
+        bohm_common::checkpoint::cut(wal, cut, |f| self.snapshot_records(f))
     }
 
     /// Visit every currently present record — `(id, latest committed
@@ -375,13 +358,13 @@ impl Bohm {
     /// under it. Everything a CC thread does to a chain (install, reclaim,
     /// key sweep) happens between its batch's `Window::push` and
     /// `Window::retire`, and precedes execution thread 0's `finished_ts`
-    /// store for that batch. So: wait until the window is empty (batches in
-    /// flight retire on their own — this is what lets a caller come here
-    /// straight from per-transaction session handles, which complete before
-    /// their batch retires), stamp `finished_ts[0]`, read, and check that
-    /// the window is still empty and the stamp unchanged. A batch whose CC
-    /// work did not happen-before the stamp is then either still in the
-    /// window or has moved the stamp.
+    /// store for that batch. So: wait until everything pushed has retired
+    /// (batches in flight retire on their own — this is what lets a caller
+    /// come here straight from per-transaction session handles, which
+    /// complete before their batch retires), stamp `finished_ts[0]`, read,
+    /// and check that the window is empty and the stamp unchanged. A batch
+    /// whose CC work did not happen-before the stamp is then either still
+    /// in the window or has moved the stamp.
     ///
     /// # Panics
     ///
@@ -390,18 +373,15 @@ impl Bohm {
     fn read_quiescent<R>(&self, what: &str, read: impl FnOnce(&epoch::Guard) -> R) -> R {
         let inner = &*self.inner;
         let finished = || inner.finished_ts[0].load(Ordering::Acquire);
-        let backoff = Backoff::new();
-        while !inner.window.is_empty() {
-            backoff.snooze();
-        }
+        inner.window.wait_retired();
         let stamp = finished();
         let out = read(&epoch::pin());
         // Order the plain payload reads above before the re-check below.
         fence(Ordering::Acquire);
         assert!(
             inner.window.is_empty() && finished() == stamp,
-            "{what} raced a submission: quiesce the engine first (a group \
-             submission's wait() is the barrier)"
+            "{what} raced a submission: no other thread may submit while \
+             engine state is read directly"
         );
         out
     }
@@ -411,47 +391,39 @@ impl Bohm {
     ///
     /// Sessions are independent of the engine's lifetime (they hold only a
     /// queue reference); submitting through one after
-    /// [`shutdown`](Self::shutdown) panics, like `submit`.
+    /// [`shutdown`](Self::shutdown) panics.
     pub fn session(&self) -> BohmSession {
         BohmSession::new(self.ingest.clone())
     }
 
-    /// Append a group of whole transactions to the input log as one
-    /// submission.
+    /// The one convenience over [`session`](Self::session): submit `txns`
+    /// in order through a fresh session, wait for every outcome, then wait
+    /// until every batch pushed so far has **retired**. Returns the
+    /// outcomes in submission order.
     ///
-    /// The group reaches the dedicated sequencer through the bounded ingest
-    /// queue (this call blocks when the queue is saturated — backpressure)
-    /// and is packed into one or more batches in arrival order; arrival
-    /// order *is* the serialization order (§3.2.1). Returns immediately
-    /// once enqueued; use the handle to wait.
-    pub fn submit(&self, txns: Vec<Txn>) -> BatchHandle {
-        let completion = Completion::new(txns.len(), true);
-        let handle = BatchHandle {
-            completion: Arc::clone(&completion),
-        };
-        if !txns.is_empty() {
-            self.ingest
-                .send(SubmitReq {
-                    txns: ingest::SubmitTxns::Many(txns),
-                    completion,
-                })
-                .unwrap_or_else(|_| panic!("engine is shut down"));
-        }
-        handle
-    }
-
-    /// Submit and wait; returns per-transaction outcomes in order.
+    /// After it returns the engine is quiescent with respect to these
+    /// transactions and everything submitted before them:
+    /// [`read_u64`](Self::read_u64) is race-free (and does not wait), and
+    /// [`gc_bound`](Self::gc_bound) has advanced past their timestamps.
+    /// Other sessions may interleave with `txns` in the serial order
+    /// (arrival order at the sequencer, §3.2.1); what they submit meanwhile
+    /// is not waited for.
     pub fn execute_sync(&self, txns: Vec<Txn>) -> Vec<TxnOutcome> {
-        self.submit(txns).outcomes()
+        let session = self.session();
+        let handles: Vec<TxnHandle> = txns.into_iter().map(|t| session.submit(t)).collect();
+        let outcomes = handles.iter().map(TxnHandle::wait).collect();
+        self.inner.window.wait_retired();
+        outcomes
     }
 
     /// Read the latest committed value of `rid` (diagnostics / verification;
     /// for quiescent moments, e.g. after draining all batches).
     ///
     /// This reader is not a transaction, so it must not overlap one: it
-    /// first waits for every in-flight batch to retire (a no-op after a
-    /// group submission's [`wait`](BatchHandle::wait), a short spin after
-    /// per-transaction session handles).
+    /// first waits for every in-flight batch to retire (a no-op after
+    /// [`execute_sync`](Self::execute_sync) or
+    /// [`quiesce`](bohm_common::engine::BatchEngine::quiesce), a short wait
+    /// after per-transaction session handles).
     ///
     /// # Panics
     ///
@@ -643,14 +615,13 @@ mod tests {
     #[test]
     fn many_batches_pipeline() {
         let e = small_engine();
-        let handles: Vec<_> = (0..20)
-            .map(|_| e.submit((0..50).map(|i| rmw(&[i % 8], 1)).collect()))
+        let session = e.session();
+        let handles: Vec<_> = (0..1000)
+            .map(|i| session.submit(rmw(&[i % 8], 1)))
             .collect();
-        for h in &handles {
-            h.wait();
-        }
-        // 20 submissions × 50 txns, spread over keys 0..8: key k receives
-        // ceil/floor counts; total adds = 1000.
+        assert!(handles.iter().all(|h| h.wait().committed));
+        // 1000 txns in flight at once, spread over keys 0..8; the reads
+        // below wait out whatever has not retired yet.
         let total: u64 = (0..8).map(|k| e.read_u64(rid(k)).unwrap() - k * 10).sum();
         assert_eq!(total, 1000);
         e.shutdown();
@@ -942,15 +913,9 @@ mod tests {
     /// Run the CC phase of a hand-built batch (timestamps from 1) on the
     /// calling thread, as the engine's only CC thread would.
     fn cc_phase_of(e: &Bohm, txns: Vec<Txn>) -> Arc<crate::batch::Batch> {
-        let completion = Completion::new(txns.len(), false);
         let entries = txns
             .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let completion = Arc::clone(&completion);
-                let index = i as u32;
-                (t, crate::batch::TxnHook { completion, index })
-            })
+            .map(|t| (t, crate::batch::Completion::new()))
             .collect();
         let mut arena = e.inner.arena_pool.arena();
         let batch = crate::batch::Batch::new(entries, 1, 0, 0, 1, 1, 64, &mut arena);
@@ -1432,6 +1397,103 @@ mod tests {
     }
 
     #[test]
+    fn execute_sync_returns_with_its_batches_retired_and_the_gc_bound_past_them() {
+        // One transaction per batch on a fresh engine: the k-th transaction
+        // ever submitted has timestamp k, so the bound is checkable exactly.
+        let mut cfg = BohmConfig::small();
+        cfg.batch_size = 1;
+        let e = Bohm::start(cfg, CatalogSpec::new().table(4, 8, |_| 0));
+        for round in 1..=20u64 {
+            let out = e.execute_sync((0..8).map(|i| rmw(&[i % 4], 1)).collect());
+            assert!(out.iter().all(|o| o.committed));
+            assert_eq!(e.gc_bound(), round * 8, "bound at its own last batch");
+            assert!(
+                e.inner.window.is_empty(),
+                "read_u64 has nothing to wait for"
+            );
+            assert_eq!(e.read_u64(rid(0)), Some(round * 2));
+        }
+        assert!(e.execute_sync(vec![]).is_empty());
+        e.shutdown();
+    }
+
+    #[test]
+    fn quiesce_returns_while_another_thread_keeps_submitting() {
+        use bohm_common::engine::BatchEngine;
+        use bohm_sync::atomic::AtomicBool;
+        let e = small_engine();
+        let (stop, submitted) = (AtomicBool::new(false), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let session = e.session();
+                let mut last = None;
+                while !stop.load(Ordering::Acquire) {
+                    last = Some(session.submit(rmw(&[1], 1)));
+                    submitted.fetch_add(1, Ordering::Release);
+                }
+                assert!(last.expect("ran").wait().committed);
+            });
+            // Each barrier starts with the stream demonstrably flowing, and
+            // waits only for what was pushed when it looked.
+            for round in 1..=10 {
+                while submitted.load(Ordering::Acquire) < round * 100 {
+                    std::thread::yield_now();
+                }
+                e.quiesce();
+            }
+            stop.store(true, Ordering::Release);
+        });
+        e.quiesce();
+        let n = submitted.load(Ordering::Acquire);
+        assert_eq!(e.read_u64(rid(1)), Some(10 + n));
+        e.shutdown();
+    }
+
+    #[test]
+    fn log_gains_one_transaction_per_quiesce_and_none_during_recover() {
+        use bohm_common::engine::BatchEngine;
+        use bohm_common::wal::{DurabilityConfig, FsyncPolicy, Wal};
+        let dir = std::env::temp_dir().join(format!("bohm-core-quiesce-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let catalog = || CatalogSpec::new().table(8, 8, |_| 0);
+        let cfg = || {
+            let mut c = BohmConfig::small();
+            let mut d = DurabilityConfig::new(&dir);
+            d.fsync = FsyncPolicy::Off;
+            c.durability = Some(d);
+            c
+        };
+        let logged = || -> usize {
+            let log = Wal::read_log(&dir).unwrap();
+            log.iter().map(|b| b.txns.len()).sum()
+        };
+        let e = Bohm::start(cfg(), catalog());
+        e.execute_sync((0..10).map(|i| rmw(&[i % 8], 1)).collect());
+        for _ in 0..3 {
+            e.quiesce();
+        }
+        e.shutdown();
+        assert_eq!(logged(), 10 + 3, "one no-op per quiesce");
+        // Recovery quiesces too (`replay_into`'s closing barrier, and
+        // `restore_into`'s after the checkpoint below) — with appends
+        // paused, so none of that reaches the log.
+        let (e, outcomes) = Bohm::recover(cfg(), catalog()).unwrap();
+        assert_eq!(outcomes.len(), 13);
+        // One more logged no-op, which the cut then reclaims with its
+        // segment (inherited segments are never dropped).
+        e.checkpoint().unwrap();
+        e.execute_sync(vec![rmw(&[0], 1)]);
+        e.shutdown();
+        assert_eq!(logged(), 13 + 1);
+        let (e, outcomes) = Bohm::recover(cfg(), catalog()).unwrap();
+        assert_eq!(outcomes.len(), 1, "only the suffix past the cut replays");
+        assert_eq!(e.read_u64(rid(0)), Some(3));
+        e.shutdown();
+        assert_eq!(logged(), 13 + 1, "and restore + replay logged nothing");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn wal_append_failure_fails_waiters_and_submitters_instead_of_hanging() {
         use bohm_common::wal::{DurabilityConfig, FsyncPolicy};
         let dir = std::env::temp_dir().join(format!("bohm-core-walfail-{}", std::process::id()));
@@ -1472,10 +1534,8 @@ mod tests {
         cfg.max_inflight_batches = 2;
         cfg.ingest_capacity = 4;
         let e = Bohm::start(cfg, CatalogSpec::new().table(4, 8, |_| 0));
-        let handles: Vec<_> = (0..64).map(|i| e.submit(vec![rmw(&[i % 4], 1)])).collect();
-        for h in handles {
-            assert!(h.outcomes()[0].committed);
-        }
+        let out = e.execute_sync((0..64).map(|i| rmw(&[i % 4], 1)).collect());
+        assert!(out.iter().all(|o| o.committed));
         let total: u64 = (0..4).map(|k| e.read_u64(rid(k)).unwrap()).sum();
         assert_eq!(total, 64);
         e.shutdown();

@@ -14,12 +14,13 @@
 //! thread 0 refreshes the global Condition-3 GC bound,
 //! `min_i finished_ts[i]`, §3.3.2). The last thread out *retires* the
 //! batch: it refreshes the GC bound (once more, unless it is thread 0 and
-//! just did), releases the batch's window ring slot (unblocking a sequencer
-//! waiting on the in-flight budget), and signals the retirement barriers of
-//! submissions whose last transaction lived in this batch. Per-transaction
-//! completion was already published as each transaction finished
-//! (`TxnState::complete`) — a store, plus a wake-up only for a waiter
-//! parked on that very transaction.
+//! just did), publishes the batch's epoch and releases its window ring slot
+//! — which unblocks a sequencer waiting on the in-flight budget and counts
+//! the batch as retired for `Window::wait_retired`, the engine's one
+//! barrier. Nothing at retirement is per transaction: each completion was
+//! published as its transaction finished (`TxnState::complete`) — a store
+//! and one `fetch_or`, plus a wake-up only for a waiter parked on that very
+//! transaction.
 
 use crate::access::BohmAccess;
 use crate::batch::{txn_status, Batch, TxnState};
@@ -58,9 +59,6 @@ pub(crate) fn exec_loop(inner: &Inner, me: usize) {
             // slot: a waiter unblocked by retirement must observe it.
             inner.retired_epoch.fetch_max(batch.epoch, Ordering::AcqRel);
             inner.window.retire(batch.id);
-            for c in batch.barriers.iter() {
-                c.batch_retired();
-            }
         }
     }
 }
@@ -76,6 +74,14 @@ pub(crate) fn refresh_gc_bound(inner: &Inner) {
         .unwrap_or(0);
     inner.gc_bound.store(min, Ordering::Release);
 }
+
+/// Recursion budget for resolving read dependencies on this thread's stack
+/// before the transaction is parked back to `Unprocessed` instead (another
+/// round of `run_batch` retries it). Guards against a deep same-key RMW
+/// chain in a huge batch overflowing the stack; 64 is far above anything
+/// the paper's workloads produce per batch, and nothing ever set it to
+/// anything else while it was a `BohmConfig` field.
+const MAX_RESOLVE_DEPTH: usize = 64;
 
 /// Transactions between the execution look-ahead's two stages (header,
 /// then payload); 1, 2 and 4 measure the same (DESIGN.md, "Look-ahead").
@@ -224,7 +230,7 @@ pub(crate) fn run_claimed(
 /// on this thread, recursively); `false` if it is being executed elsewhere
 /// or the recursion budget is exhausted — in both cases the caller parks.
 fn resolve_dependency(inner: &Inner, dep_ts: u64, scratch: &mut ExecScratch, depth: usize) -> bool {
-    if depth >= inner.config.max_resolve_depth {
+    if depth >= MAX_RESOLVE_DEPTH {
         return false;
     }
     loop {

@@ -7,13 +7,13 @@
 //! batches across clients. This module gives the sequencer its own thread,
 //! fed by a bounded multi-producer queue:
 //!
-//! * **Clients** ([`BohmSession`](crate::BohmSession) /
-//!   [`Bohm::submit`](crate::Bohm::submit)) enqueue transactions and
-//!   receive completion handles immediately. The queue is budgeted in
-//!   *transactions*
-//!   ([`ingest_capacity`](crate::BohmConfig::ingest_capacity)); a saturated
-//!   queue blocks the submitting client — backpressure instead of
-//!   unbounded growth.
+//! * **Clients** ([`BohmSession`](crate::BohmSession)) enqueue single
+//!   transactions and receive completion handles immediately — one
+//!   submission is one transaction is one completion word, and there is no
+//!   other way in. The queue holds at most
+//!   [`ingest_capacity`](crate::BohmConfig::ingest_capacity) of them; a
+//!   saturated queue blocks the submitting client — backpressure instead
+//!   of unbounded growth.
 //! * **The sequencer** drains the queue in arrival order (arrival order
 //!   *is* the serialization order) — one lock acquisition per *refill*,
 //!   which moves up to the open batch's remaining room into the
@@ -44,7 +44,7 @@
 //! stride unused. Gaps are invisible to the protocol (only order matters)
 //! and buy the window's O(1) timestamp→batch arithmetic.
 
-use crate::batch::{Batch, Completion, TxnHook};
+use crate::batch::{Batch, Completion};
 use crate::engine::Inner;
 use bohm_common::Txn;
 use bohm_sync::{Condvar, Mutex};
@@ -52,38 +52,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The transactions of one submission. Sessions submit single transactions
-/// at engine throughput, so the one-transaction case is stored inline —
-/// no `vec![txn]` allocation per submission.
-pub(crate) enum SubmitTxns {
-    One(Txn),
-    Many(Vec<Txn>),
-}
-
-impl SubmitTxns {
-    pub fn len(&self) -> usize {
-        match self {
-            SubmitTxns::One(_) => 1,
-            SubmitTxns::Many(v) => v.len(),
-        }
-    }
-}
-
-impl SubmitTxns {
-    /// The transactions in submission order (an empty `Vec` allocates
-    /// nothing, so the one-transaction case stays allocation-free).
-    pub fn drain(self) -> impl Iterator<Item = Txn> {
-        let (one, many) = match self {
-            SubmitTxns::One(t) => (Some(t), Vec::new()),
-            SubmitTxns::Many(v) => (None, v),
-        };
-        one.into_iter().chain(many)
-    }
-}
-
-/// One client submission: a group of transactions bound to a completion.
+/// One client submission: a transaction bound to its completion word.
 pub(crate) struct SubmitReq {
-    pub txns: SubmitTxns,
+    pub txn: Txn,
     pub completion: Arc<Completion>,
 }
 
@@ -93,8 +64,6 @@ pub(crate) struct EngineClosed;
 
 struct QueueState {
     reqs: VecDeque<SubmitReq>,
-    /// Total transactions queued (the budget is per transaction).
-    queued_txns: usize,
     closed: bool,
     /// A sender is (about to be) asleep on `not_full`. Set by the sender
     /// before it waits, taken by whoever notifies — like `receiver_parked`,
@@ -146,7 +115,6 @@ pub(crate) fn ingest_queue(capacity: usize) -> (IngestTx, IngestRx) {
     let shared = Arc::new(QueueShared {
         state: Mutex::new(QueueState {
             reqs: VecDeque::new(),
-            queued_txns: 0,
             closed: false,
             sender_blocked: false,
             receiver_parked: false,
@@ -169,18 +137,13 @@ pub(crate) fn ingest_queue(capacity: usize) -> (IngestTx, IngestRx) {
 impl IngestTx {
     /// Enqueue a submission, blocking while the transaction budget is
     /// exhausted (backpressure). Fails only when the engine has shut down.
-    ///
-    /// A submission larger than the whole budget is admitted once the queue
-    /// is empty, so oversized groups make progress instead of deadlocking.
     pub fn send(&self, req: SubmitReq) -> Result<(), EngineClosed> {
-        let n = req.txns.len();
         let mut st = self.shared.state.lock();
         loop {
             if st.closed {
                 return Err(EngineClosed);
             }
-            if st.queued_txns + n <= self.shared.capacity || st.reqs.is_empty() {
-                st.queued_txns += n;
+            if st.reqs.len() < self.shared.capacity {
                 st.reqs.push_back(req);
                 let wake = std::mem::take(&mut st.receiver_parked);
                 drop(st);
@@ -215,26 +178,18 @@ impl IngestRx {
     /// fully drained, so no accepted submission is ever dropped.
     ///
     /// The shared queue is locked once per *refill*, not per submission: a
-    /// refill moves submissions worth up to `room` transactions (the open
-    /// batch's remaining room; at least one submission) into the receiver's
-    /// own buffer, so what has left the bounded queue never exceeds one
-    /// open batch.
+    /// refill moves up to `room` submissions (the open batch's remaining
+    /// room, at least one) into the receiver's own buffer, so what has left
+    /// the bounded queue never exceeds one open batch.
     pub fn recv_deadline(&mut self, deadline: Option<Instant>, room: usize) -> RecvOutcome {
         if let Some(req) = self.taken.pop_front() {
             return RecvOutcome::Req(req);
         }
         let mut st = self.shared.state.lock();
         loop {
-            let mut moved = 0;
-            while let Some(n) = st.reqs.front().map(|r| r.txns.len()) {
-                if moved != 0 && moved + n > room {
-                    break;
-                }
-                moved += n;
-                self.taken.extend(st.reqs.pop_front());
-            }
+            let n = room.min(st.reqs.len());
+            self.taken.extend(st.reqs.drain(..n));
             if let Some(req) = self.taken.pop_front() {
-                st.queued_txns -= moved;
                 let wake = std::mem::take(&mut st.sender_blocked);
                 drop(st);
                 if wake {
@@ -275,7 +230,7 @@ pub(crate) fn seq_loop(inner: &Inner, mut rx: IngestRx) {
     let stride = inner.config.batch_size;
     let linger = inner.config.batch_linger;
     let mut next_batch: u64 = 0;
-    let mut open: Vec<(Txn, TxnHook)> = Vec::with_capacity(stride);
+    let mut open: Vec<(Txn, Arc<Completion>)> = Vec::with_capacity(stride);
     let mut open_since = Instant::now();
     // One persistent arena for the sequencer: consecutive batches pack their
     // read/write sets and CC plans into the same chunks, and each chunk
@@ -285,81 +240,76 @@ pub(crate) fn seq_loop(inner: &Inner, mut rx: IngestRx) {
 
     // Seal the open batch; `false` means the WAL rejected the append and
     // the engine must stop (the entries stay in `open` for poisoning).
-    let seal =
-        |open: &mut Vec<(Txn, TxnHook)>, next_batch: &mut u64, arena: &mut bohm_common::Arena| {
-            if open.is_empty() {
-                return true;
+    let seal = |open: &mut Vec<(Txn, Arc<Completion>)>,
+                next_batch: &mut u64,
+                arena: &mut bohm_common::Arena| {
+        if open.is_empty() {
+            return true;
+        }
+        let base_ts = 1 + *next_batch * stride as u64;
+        // Sample the global epoch at seal time: every transaction sealed
+        // after an epoch bump carries the new epoch, which is what the
+        // sharded facade's alignment rule relies on.
+        let epoch = inner
+            .config
+            .epoch_source
+            .as_ref()
+            .map_or(0, |e| e.load(bohm_sync::atomic::Ordering::Acquire));
+        // Durability point: the batch's inputs hit the log (and the
+        // configured fsync policy runs) *before* the batch is released
+        // to CC — nothing executes that isn't recoverable. A log the
+        // engine can no longer append to is a stop-the-world fault:
+        // continuing would silently break the recovery guarantee, so
+        // the sequencer fails the engine instead (see `fail_engine`).
+        if let Some(wal) = &inner.wal {
+            use bohm_common::wal::LogSink as _;
+            if let Err(e) = wal.log_batch(epoch, &mut open.iter().map(|(t, _)| t)) {
+                eprintln!("bohm-seq: WAL append failed ({e}); failing the engine");
+                return false;
             }
-            let base_ts = 1 + *next_batch * stride as u64;
-            // Sample the global epoch at seal time: every transaction sealed
-            // after an epoch bump carries the new epoch, which is what the
-            // sharded facade's alignment rule relies on.
-            let epoch = inner
-                .config
-                .epoch_source
-                .as_ref()
-                .map_or(0, |e| e.load(bohm_sync::atomic::Ordering::Acquire));
-            // Durability point: the batch's inputs hit the log (and the
-            // configured fsync policy runs) *before* the batch is released
-            // to CC — nothing executes that isn't recoverable. A log the
-            // engine can no longer append to is a stop-the-world fault:
-            // continuing would silently break the recovery guarantee, so
-            // the sequencer fails the engine instead (see `fail_engine`).
-            if let Some(wal) = &inner.wal {
-                use bohm_common::wal::LogSink as _;
-                if let Err(e) = wal.log_batch(epoch, &mut open.iter().map(|(t, _)| t)) {
-                    eprintln!("bohm-seq: WAL append failed ({e}); failing the engine");
-                    return false;
-                }
-            }
-            let batch = Batch::new(
-                std::mem::take(open),
-                base_ts,
-                *next_batch,
-                epoch,
-                inner.config.cc_threads,
-                inner.config.exec_threads,
-                if inner.config.annotate_reads {
-                    inner.config.annotate_max_reads
-                } else {
-                    0
-                },
-                arena,
-            );
-            *next_batch += 1;
-            // Ring registration (it may block on the in-flight budget — that
-            // stall is the backpressure) publishes the batch to the CC
-            // threads, so no placeholder is ever installed whose producer is
-            // not resolvable through the ring.
-            inner.window.push(batch);
-            true
-        };
+        }
+        let batch = Batch::new(
+            std::mem::take(open),
+            base_ts,
+            *next_batch,
+            epoch,
+            inner.config.cc_threads,
+            inner.config.exec_threads,
+            if inner.config.annotate_reads {
+                inner.config.annotate_max_reads
+            } else {
+                0
+            },
+            arena,
+        );
+        *next_batch += 1;
+        // Ring registration (it may block on the in-flight budget — that
+        // stall is the backpressure) publishes the batch to the CC
+        // threads, so no placeholder is ever installed whose producer is
+        // not resolvable through the ring.
+        inner.window.push(batch);
+        true
+    };
 
     // Runs until the queue is closed and drained (`true`) or a seal fails.
     let sealed_all = 'run: loop {
         let deadline = (!open.is_empty()).then(|| open_since + linger);
         match rx.recv_deadline(deadline, stride - open.len()) {
-            RecvOutcome::Req(req) => {
-                debug_assert!(req.txns.len() > 0, "empty submissions complete client-side");
-                for (i, mut txn) in req.txns.drain().enumerate() {
-                    if open.is_empty() {
-                        open_since = Instant::now();
-                    }
-                    // Move the client-allocated sets into arena slices so the
-                    // batch's hot data is contiguous in submission order and
-                    // the client Vecs free here, off the execution path.
-                    txn.repack(&mut arena);
-                    open.push((
-                        txn,
-                        TxnHook {
-                            completion: Arc::clone(&req.completion),
-                            index: i as u32,
-                        },
-                    ));
-                    // size trigger
-                    if open.len() >= stride && !seal(&mut open, &mut next_batch, &mut arena) {
-                        break 'run false;
-                    }
+            RecvOutcome::Req(SubmitReq {
+                mut txn,
+                completion,
+            }) => {
+                if open.is_empty() {
+                    open_since = Instant::now();
+                }
+                // Move the client-allocated sets into arena slices so the
+                // batch's hot data is contiguous in submission order and
+                // the client Vecs free here, off the execution path.
+                txn.repack(&mut arena);
+                open.push((txn, completion));
+                // size trigger
+                if open.len() >= stride && !seal(&mut open, &mut next_batch, &mut arena) {
+                    break 'run false;
                 }
             }
             // time trigger
@@ -385,9 +335,9 @@ pub(crate) fn seq_loop(inner: &Inner, mut rx: IngestRx) {
 /// deadlocking on outcomes that will never arrive — and the ingest queue
 /// is closed so new submissions fail fast. Batches already sealed (and
 /// therefore logged) keep executing; they are recoverable.
-fn fail_engine(open: Vec<(Txn, TxnHook)>, mut rx: IngestRx) {
-    for (_, hook) in open {
-        hook.completion.poison();
+fn fail_engine(open: Vec<(Txn, Arc<Completion>)>, mut rx: IngestRx) {
+    for (_, completion) in open {
+        completion.poison();
     }
     rx.shared.close();
     loop {
@@ -404,37 +354,37 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn req(n: usize) -> SubmitReq {
+    /// A submission recognisable by `tag` (its RMW delta).
+    fn req(tag: u64) -> SubmitReq {
         let rid = bohm_common::RecordId::new(0, 1);
+        let proc = bohm_common::Procedure::ReadModifyWrite { delta: tag };
         SubmitReq {
-            txns: SubmitTxns::Many(
-                (0..n)
-                    .map(|_| {
-                        Txn::new(
-                            vec![rid],
-                            vec![rid],
-                            bohm_common::Procedure::ReadModifyWrite { delta: 1 },
-                        )
-                    })
-                    .collect(),
-            ),
-            completion: Completion::new(n, true),
+            txn: Txn::new(vec![rid], vec![rid], proc),
+            completion: Completion::new(),
         }
     }
 
+    fn tag_of(out: RecvOutcome) -> u64 {
+        match out {
+            RecvOutcome::Req(SubmitReq { txn, .. }) => match txn.proc {
+                bohm_common::Procedure::ReadModifyWrite { delta } => delta,
+                _ => unreachable!("`req` builds RMWs"),
+            },
+            _ => panic!("expected a submission"),
+        }
+    }
+
+    fn send(tx: &IngestTx, tag: u64) {
+        tx.send(req(tag)).map_err(|_| ()).unwrap();
+    }
+
     #[test]
-    fn queue_is_fifo_and_counts_txns() {
+    fn queue_is_fifo() {
         let (tx, mut rx) = ingest_queue(100);
-        tx.send(req(3)).map_err(|_| ()).unwrap();
-        tx.send(req(5)).map_err(|_| ()).unwrap();
-        let RecvOutcome::Req(a) = rx.recv_deadline(None, usize::MAX) else {
-            panic!()
-        };
-        assert_eq!(a.txns.len(), 3);
-        let RecvOutcome::Req(b) = rx.recv_deadline(None, usize::MAX) else {
-            panic!()
-        };
-        assert_eq!(b.txns.len(), 5);
+        send(&tx, 3);
+        send(&tx, 5);
+        assert_eq!(tag_of(rx.recv_deadline(None, usize::MAX)), 3);
+        assert_eq!(tag_of(rx.recv_deadline(None, usize::MAX)), 5);
     }
 
     /// Spin until the queue state satisfies `p` — a forced interleaving
@@ -449,11 +399,11 @@ mod tests {
     fn saturated_queue_blocks_sender_until_drained() {
         use bohm_sync::atomic::{AtomicBool, Ordering};
         let (tx, mut rx) = ingest_queue(4);
-        tx.send(req(4)).map_err(|_| ()).unwrap(); // budget exhausted
+        (0..4).for_each(|i| send(&tx, i)); // budget exhausted
         let sent = Arc::new(AtomicBool::new(false));
         let (tx2, sent2) = (tx.clone(), Arc::clone(&sent));
         let t = std::thread::spawn(move || {
-            tx2.send(req(2)).map_err(|_| ()).unwrap(); // must block
+            send(&tx2, 4); // must block
             sent2.store(true, Ordering::SeqCst);
         });
         // The sender announces itself before it sleeps ...
@@ -474,57 +424,32 @@ mod tests {
     #[test]
     fn parked_receiver_is_woken_by_the_send_that_finds_it() {
         let (tx, mut rx) = ingest_queue(4);
-        let t = std::thread::spawn(move || {
-            let RecvOutcome::Req(r) = rx.recv_deadline(None, usize::MAX) else {
-                panic!("expected the submission")
-            };
-            r.txns.len()
-        });
+        let t = std::thread::spawn(move || tag_of(rx.recv_deadline(None, usize::MAX)));
         await_state(&tx.shared, |st| st.receiver_parked);
-        tx.send(req(3)).map_err(|_| ()).unwrap();
+        send(&tx, 3);
         assert_eq!(t.join().unwrap(), 3);
         // Nobody is parked any more: this send must leave the flag alone
         // (and so notify nobody).
-        tx.send(req(1)).map_err(|_| ()).unwrap();
+        send(&tx, 1);
         assert!(!tx.shared.state.lock().receiver_parked);
     }
 
     #[test]
     fn refill_takes_the_open_batch_room_under_one_lock() {
         let (tx, mut rx) = ingest_queue(100);
-        for n in [2, 2, 2, 5] {
-            tx.send(req(n)).map_err(|_| ()).unwrap();
+        (0..7).for_each(|i| send(&tx, i));
+        // Room 5: five submissions leave the queue, one is handed out.
+        assert_eq!(tag_of(rx.recv_deadline(None, 5)), 0);
+        assert_eq!(rx.taken.len(), 4);
+        assert_eq!(tx.shared.state.lock().reqs.len(), 2);
+        // Served from the receiver's own buffer: the queue is untouched,
+        // whatever the room.
+        for want in 1..5 {
+            assert_eq!(tag_of(rx.recv_deadline(None, 1)), want);
+            assert_eq!(tx.shared.state.lock().reqs.len(), 2);
         }
-        // Room 5: two whole submissions fit, the third would overshoot.
-        let RecvOutcome::Req(_) = rx.recv_deadline(None, 5) else {
-            panic!()
-        };
-        assert_eq!(rx.taken.len(), 1, "second submission already taken");
-        assert_eq!(tx.shared.state.lock().queued_txns, 7);
-        // Served from the receiver's own buffer: the queue is untouched.
-        let RecvOutcome::Req(_) = rx.recv_deadline(None, 1) else {
-            panic!()
-        };
-        assert_eq!(tx.shared.state.lock().queued_txns, 7);
-        // A submission larger than the room still moves (alone).
-        let RecvOutcome::Req(_) = rx.recv_deadline(None, 1) else {
-            panic!()
-        };
-        let RecvOutcome::Req(big) = rx.recv_deadline(None, 1) else {
-            panic!()
-        };
-        assert_eq!((big.txns.len(), rx.taken.len()), (5, 0));
-        assert_eq!(tx.shared.state.lock().queued_txns, 0);
-    }
-
-    #[test]
-    fn oversized_group_admitted_when_queue_empty() {
-        let (tx, mut rx) = ingest_queue(4);
-        tx.send(req(32)).map_err(|_| ()).unwrap(); // larger than the budget
-        let RecvOutcome::Req(r) = rx.recv_deadline(None, usize::MAX) else {
-            panic!()
-        };
-        assert_eq!(r.txns.len(), 32);
+        assert_eq!(tag_of(rx.recv_deadline(None, 1)), 5);
+        assert_eq!((rx.taken.len(), tx.shared.state.lock().reqs.len()), (0, 1));
     }
 
     #[test]
@@ -581,7 +506,7 @@ mod tests {
     #[test]
     fn close_drains_then_reports_closed() {
         let (tx, mut rx) = ingest_queue(10);
-        tx.send(req(1)).map_err(|_| ()).unwrap();
+        send(&tx, 1);
         tx.close();
         assert!(tx.send(req(1)).is_err(), "send after close must fail");
         let RecvOutcome::Req(_) = rx.recv_deadline(None, usize::MAX) else {

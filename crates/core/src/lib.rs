@@ -29,8 +29,15 @@
 //!    recursively executes the producing transaction — resolved back to its
 //!    batch in O(1) through the [`window`] ring — or parks the current
 //!    transaction back to `Unprocessed` if the producer is already being
-//!    executed elsewhere. Each finished transaction signals its submitter
-//!    immediately (per-transaction completion).
+//!    executed elsewhere. Each finished transaction publishes its outcome
+//!    in its submitter's completion word immediately — one submitted
+//!    transaction, one word, and a wake-up only if the submitter is parked
+//!    on it (see [`batch`]).
+//!
+//! There is one way in — [`BohmSession::submit`] — and one barrier:
+//! `Window::wait_retired`, "every batch pushed so far has retired", which is
+//! what [`Bohm::execute_sync`], `quiesce` and the diagnostic readers wait
+//! on.
 //!
 //! Reads never block writes; reads perform no shared-memory writes; there is
 //! no global timestamp counter, no lock manager, and no validation — hence
@@ -77,7 +84,9 @@
 //!     .collect();
 //! assert!(handles.iter().all(|h| h.wait().committed));
 //!
-//! // Group submission is still available and quiesces on wait.
+//! // `execute_sync` is the convenience over a session: submit all, wait
+//! // for all, then wait until the batches holding them have retired, so
+//! // engine state may be read directly afterwards.
 //! let rid = RecordId::new(0, 7);
 //! let outcomes = engine.execute_sync(vec![Txn::new(
 //!     vec![rid],
@@ -102,7 +111,7 @@ mod lookahead;
 pub mod session;
 pub mod window;
 
-pub use batch::{BatchHandle, TxnHandle, TxnOutcome};
+pub use batch::{TxnHandle, TxnOutcome};
 pub use config::{BohmConfig, CatalogSpec, MAX_INDEX_CAPACITY_HINT};
 pub use engine::Bohm;
 pub use session::BohmSession;

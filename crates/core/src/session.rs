@@ -4,7 +4,7 @@
 
 use crate::batch::{Completion, TxnHandle};
 use crate::engine::Bohm;
-use crate::ingest::{IngestTx, SubmitReq, SubmitTxns};
+use crate::ingest::{IngestTx, SubmitReq};
 use bohm_common::engine::{BatchEngine, ExecOutcome, Session};
 use bohm_common::{RecordId, Txn};
 use std::collections::VecDeque;
@@ -50,15 +50,12 @@ impl BohmSession {
     /// Blocks while the ingest queue is saturated. Panics if the engine has
     /// shut down.
     pub fn submit(&self, txn: Txn) -> TxnHandle {
-        let completion = Completion::new(1, false);
+        let completion = Completion::new();
         let handle = TxnHandle {
             completion: Arc::clone(&completion),
         };
         self.ingest
-            .send(SubmitReq {
-                txns: SubmitTxns::One(txn),
-                completion,
-            })
+            .send(SubmitReq { txn, completion })
             .unwrap_or_else(|_| panic!("engine is shut down"));
         handle
     }
@@ -85,9 +82,7 @@ impl Session for BohmSession {
     fn reap(&mut self) -> ExecOutcome {
         let front = self.pending.front().expect("reap with nothing in flight");
         if !front.is_done() {
-            self.pending[self.pending.len() / REAP_PARK_DIVISOR]
-                .completion
-                .wait_done();
+            self.pending[self.pending.len() / REAP_PARK_DIVISOR].wait();
         }
         let handle = self.pending.pop_front().expect("front was just read");
         // Still a precise wait: with several execution threads the handle
@@ -125,11 +120,12 @@ impl BatchEngine for Bohm {
         Bohm::snapshot_records(self, f)
     }
 
-    /// Epoch retirement barrier: a group submission waits for the batch
-    /// holding its last transaction to **retire**, and batches retire in id
-    /// order, so draining one no-op transaction through the pipeline implies
-    /// every earlier-submitted transaction has executed and its batch
-    /// drained (GC bound advanced, `read_record` race-free).
+    /// Epoch retirement barrier: [`execute_sync`](Bohm::execute_sync)
+    /// returns once every batch pushed so far has **retired**, and the one
+    /// no-op it sends through the log is ordered after every
+    /// earlier-submitted transaction — so all of those have executed and
+    /// their batches drained (GC bound advanced, `read_record` race-free).
+    /// Transactions other threads submit meanwhile are not waited for.
     fn quiesce(&self) {
         self.execute_sync(vec![Txn::new(
             Vec::new(),

@@ -34,6 +34,11 @@
 //!   null and defer the reference drop through the epoch collector; the
 //!   slot release also advances the Condition-3 GC bound (the caller
 //!   refreshes the watermark before retiring).
+//! * **wait_retired** (the engine's one barrier): snapshot how many batches
+//!   have been pushed and wait until that many have retired. Counting is
+//!   enough because batches retire in id order: the last execution thread
+//!   out of batch `b` calls `retire(b)` before it counts itself out of
+//!   `b + 1`, whose countdown therefore cannot reach zero any earlier.
 //!
 //! Every wait is spin-then-park on one mutex + condvar meaning "the ring
 //! changed"; push, the last CC countdown, retire and close each notify it
@@ -74,6 +79,11 @@ pub(crate) struct Window {
     /// How many batches the sequencer pushed before it left; `u64::MAX`
     /// while it is still running.
     closed_at: AtomicU64,
+    /// Batches registered so far (ids are dense, so also the next id).
+    pushed: AtomicU64,
+    /// Batches retired so far — in id order (module docs), so also the id
+    /// below which every batch is gone.
+    retired: AtomicU64,
     /// Slow-path parking for every ring waiter: "the ring changed".
     lock: Mutex<()>,
     changed: Condvar,
@@ -92,6 +102,8 @@ impl Window {
             mask: (n - 1) as u64,
             stride,
             closed_at: AtomicU64::new(u64::MAX),
+            pushed: AtomicU64::new(0),
+            retired: AtomicU64::new(0),
             lock: Mutex::new(()),
             changed: Condvar::new(),
         }
@@ -134,6 +146,10 @@ impl Window {
     pub fn push(&self, b: Arc<Batch>) {
         let slot = &self.slots[(b.id & self.mask) as usize];
         self.wait_for(|| slot.load(Ordering::Acquire).is_null().then_some(()));
+        // Counted before it is visible: whoever learns of the batch through
+        // its slot — or through an outcome of one of its transactions —
+        // also finds it in `pushed`.
+        self.pushed.store(b.id + 1, Ordering::Release);
         slot.store(Arc::into_raw(b) as *mut Batch, Ordering::Release);
         self.notify();
     }
@@ -167,8 +183,20 @@ impl Window {
         // unlinked from the slot; any concurrent `get` upgraded its own
         // reference under an epoch pin taken before this defer runs.
         unsafe { epoch::pin().defer_unchecked(move || drop(Arc::from_raw(ptr))) };
-        // Wake a sequencer parked on the full ring.
+        self.retired.fetch_add(1, Ordering::AcqRel);
+        // Wake a sequencer parked on the full ring, or a quiescer.
         self.notify();
+    }
+
+    /// Block until every batch pushed before this call has retired — the
+    /// engine's one barrier. The Acquire read of `retired` pairs with
+    /// [`retire`](Self::retire)'s RMW, so what the retiring thread published
+    /// first (GC bound, retired epoch) is visible on return. Batches pushed
+    /// meanwhile are not waited for, so a concurrent submitter cannot starve
+    /// the caller.
+    pub fn wait_retired(&self) {
+        let target = self.pushed.load(Ordering::Acquire);
+        self.wait_for(|| (self.retired.load(Ordering::Acquire) >= target).then_some(()));
     }
 
     /// Batch `id`, if its slot currently holds it and it passes `ok` — the
@@ -229,22 +257,20 @@ impl Window {
         self.chase(id, |b| b.cc_pending.load(Ordering::Acquire) == 0)
     }
 
-    /// True when no batch is between `push` and `retire` — each slot looked
-    /// at once, so racy by nature; see `Bohm::read_quiescent` for how a
-    /// caller makes the answer stick.
+    /// True when no batch is between `push` and `retire`. `retired` is read
+    /// first — it can only equal an *older* `pushed` — so a `true` was true
+    /// at one instant; see `Bohm::read_quiescent` for how a caller makes the
+    /// answer stick.
     pub fn is_empty(&self) -> bool {
-        self.slots
-            .iter()
-            .all(|s| s.load(Ordering::Acquire).is_null())
+        let retired = self.retired.load(Ordering::Acquire);
+        retired == self.pushed.load(Ordering::Acquire)
     }
 
-    /// Number of occupied slots (tests; racy by nature).
+    /// Number of batches in flight (tests; racy by nature).
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| !s.load(Ordering::Acquire).is_null())
-            .count()
+        let retired = self.retired.load(Ordering::Acquire);
+        (self.pushed.load(Ordering::Acquire) - retired) as usize
     }
 }
 
@@ -263,16 +289,15 @@ impl Drop for Window {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::tests::hooked;
+    use crate::batch::tests::entries;
     use std::time::Duration;
 
     const STRIDE: u64 = 10;
 
     /// Batch `id` with `n` transactions at the strided base timestamp.
     fn mk_batch(id: u64, n: usize) -> Arc<Batch> {
-        let (entries, _c) = hooked(n);
         let mut arena = crate::batch::tests::test_arena();
-        Batch::new(entries, 1 + id * STRIDE, id, 0, 1, 1, 64, &mut arena)
+        Batch::new(entries(n), 1 + id * STRIDE, id, 0, 1, 1, 64, &mut arena)
     }
 
     fn window() -> Window {
@@ -335,6 +360,24 @@ mod tests {
         t.join().unwrap();
         assert!(pushed.load(O::SeqCst));
         assert_eq!(w.lookup(41).unwrap().id, 4);
+    }
+
+    #[test]
+    fn wait_retired_returns_once_everything_pushed_has_retired() {
+        let w = Arc::new(window());
+        w.wait_retired(); // nothing in flight: nothing to wait for
+        w.push(mk_batch(0, 1));
+        w.push(mk_batch(1, 1));
+        let quiescer = {
+            let w = Arc::clone(&w);
+            std::thread::spawn(move || w.wait_retired())
+        };
+        w.retire(0);
+        // Whenever it took its snapshot, batch 1 is in it.
+        assert!(!quiescer.is_finished(), "batch 1 is still in flight");
+        w.retire(1);
+        quiescer.join().unwrap();
+        assert!(w.is_empty());
     }
 
     #[test]
@@ -412,10 +455,9 @@ mod tests {
             }));
         }
         for id in 0..batches {
-            let (entries, _c) = hooked(1);
             let mut arena = crate::batch::tests::test_arena();
             w.push(Batch::new(
-                entries,
+                entries(1),
                 1 + id * STRIDE,
                 id,
                 0,
@@ -520,8 +562,8 @@ mod modelcheck {
     const STRIDE: u64 = 10;
 
     fn mk_batch(id: u64, n: usize) -> Arc<Batch> {
-        let (entries, _c) = crate::batch::tests::hooked(n);
         let mut arena = crate::batch::tests::test_arena();
+        let entries = crate::batch::tests::entries(n);
         Batch::new(entries, 1 + id * STRIDE, id, 0, 1, 1, 64, &mut arena)
     }
 
@@ -701,5 +743,77 @@ mod modelcheck {
     #[test]
     fn close_wakes_parked_chasers() {
         model::explore(model::Options::default(), close_while_parked_model);
+    }
+
+    /// `wait_retired` under the engine's own retirement rule. Two execution
+    /// chasers count themselves out of every batch and the last one out
+    /// retires it — which must come out in id order, the claim that lets
+    /// `retired` be a plain count. An early quiescer (in most schedules
+    /// parked by the second push) has `pushed` advance underneath it and
+    /// must be released by the batches it saw; a late one, started after the
+    /// last push, waits for all three with nothing but retirements left to
+    /// wake it — the ring is closed only once it is through — so a retire
+    /// notification lost between its probe and its sleep deadlocks the
+    /// model.
+    fn quiesce_model() {
+        let w = Arc::new(Window::new(2, STRIDE));
+        let execs: Vec<_> = (0..2)
+            .map(|_| {
+                let w = Arc::clone(&w);
+                bohm_sync::thread::spawn(move || {
+                    for id in 0.. {
+                        let Some(b) = w.next_for_exec(id) else { break };
+                        // What `execute_sync` leans on: whoever holds an
+                        // outcome from batch `id` finds it in `pushed`.
+                        assert!(w.pushed.load(Ordering::Acquire) > id);
+                        if b.exec_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                            let before = w.retired.load(Ordering::Acquire);
+                            assert_eq!(before, id, "batches retire in id order");
+                            w.retire(id);
+                        }
+                    }
+                })
+            })
+            .collect();
+        let quiescer = |w: &Arc<Window>| {
+            let w = Arc::clone(w);
+            bohm_sync::thread::spawn(move || {
+                let seen = w.pushed.load(Ordering::Acquire);
+                w.wait_retired();
+                assert!(w.retired.load(Ordering::Acquire) >= seen);
+            })
+        };
+        let early = quiescer(&w);
+        for id in 0..3 {
+            let mut arena = crate::batch::tests::test_arena();
+            let entries = crate::batch::tests::entries(1);
+            // No CC layer here: born ready for execution.
+            w.push(Batch::new(
+                entries,
+                1 + id * STRIDE,
+                id,
+                0,
+                0,
+                2,
+                64,
+                &mut arena,
+            ));
+            if id == 0 {
+                let_chasers_park();
+            }
+        }
+        let late = quiescer(&w);
+        late.join().unwrap();
+        assert!(w.is_empty(), "the late quiescer saw all three pushed");
+        w.close(3);
+        early.join().unwrap();
+        for e in execs {
+            e.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn wait_retired_is_released_by_the_batches_it_saw() {
+        model::explore(model::Options::default(), quiesce_model);
     }
 }

@@ -5,11 +5,11 @@
 //! `parking_lot` (an invariant enforced by `cargo run -p analysis --
 //! --check`). The facade has two personalities:
 //!
-//! * **Normal builds** — pure re-exports. [`atomic`] is
-//!   `std::sync::atomic`, [`Mutex`]/[`Condvar`]/[`RwLock`] are the
-//!   `parking_lot` types the workspace already used, [`hint::spin_loop`] is
-//!   `std::hint::spin_loop`. Zero code, zero cost: the facade compiles away
-//!   completely (the perf gate holds `fig_tpcc` to this).
+//! * **Normal builds** — [`atomic`] is `std::sync::atomic` and
+//!   [`hint::spin_loop`] is `std::hint::spin_loop`, re-exported: zero code,
+//!   zero cost. [`Mutex`]/[`Condvar`]/[`RwLock`] are `parking_lot`-shaped
+//!   wrappers (guards handed out directly, no poisoning) a few lines deep
+//!   over the `std::sync` locks.
 //!
 //! * **`--cfg bohm_modelcheck` builds** (`RUSTFLAGS="--cfg bohm_modelcheck"`)
 //!   — every load, store, RMW, lock, unlock, wait and notify becomes a

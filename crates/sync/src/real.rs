@@ -1,10 +1,11 @@
-//! Normal-build personality: nothing but re-exports.
+//! Normal-build personality: `std` re-exports, plus thin std-backed locks.
 //!
 //! Every item here must stay API-compatible with the instrumented twins in
 //! `model_impl` — code written against the facade compiles identically under
 //! both personalities.
 
-pub use parking_lot::{
+mod lock;
+pub use lock::{
     Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
 };
 

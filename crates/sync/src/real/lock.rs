@@ -1,7 +1,7 @@
-//! Offline shim for `parking_lot`: the `Mutex`/`RwLock`/`Condvar` API
-//! surface this workspace uses, implemented over `std::sync` primitives.
-//! Poisoning is deliberately transparent (a panicking thread does not
-//! poison locks for everyone else — parking_lot semantics).
+//! `Mutex`/`RwLock`/`Condvar` with the `parking_lot` API shape the
+//! workspace was written against (guards returned directly, `wait(&mut
+//! guard)`), implemented over `std::sync`. Poisoning is deliberately
+//! transparent: a panicking thread does not poison locks for everyone else.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

@@ -546,12 +546,48 @@ pub fn engine_row_count(
 /// are global (`Relaxed` atomics): snapshot deltas around the window under
 /// test rather than comparing absolute values, and keep such tests in their
 /// own binary so parallel tests don't pollute the window.
+///
+/// A thread can ask for its own calls to be tallied a second time
+/// ([`mark_this_thread`](Self::mark_this_thread)), which splits a window's
+/// total into "the marked thread" and "everyone else" — a client's
+/// per-submission cost apart from the pipeline's.
 pub struct CountingAlloc;
 
 static ALLOCATIONS: core::sync::atomic::AtomicU64 = core::sync::atomic::AtomicU64::new(0);
 static ALLOCATED_BYTES: core::sync::atomic::AtomicU64 = core::sync::atomic::AtomicU64::new(0);
+static MARKED_ALLOCATIONS: core::sync::atomic::AtomicU64 = core::sync::atomic::AtomicU64::new(0);
+
+thread_local! {
+    // Const-initialised and drop-free: reading it never allocates or runs a
+    // lazy initialiser, which is what lets the allocator itself look at it.
+    static MARKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
 
 impl CountingAlloc {
+    /// Start (or stop) tallying the calling thread's allocations in
+    /// [`marked_allocations`](Self::marked_allocations) as well.
+    pub fn mark_this_thread(on: bool) {
+        MARKED.with(|m| m.set(on));
+    }
+
+    /// Allocation calls made by threads while they were marked.
+    pub fn marked_allocations() -> u64 {
+        // RELAXED: statistics counter, as below.
+        MARKED_ALLOCATIONS.load(core::sync::atomic::Ordering::Relaxed)
+    }
+
+    fn count(bytes: usize) {
+        // RELAXED: monotonic statistics; readers tolerate approximate views.
+        ALLOCATIONS.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+        // RELAXED: as above.
+        ALLOCATED_BYTES.fetch_add(bytes as u64, core::sync::atomic::Ordering::Relaxed);
+        // `try_with`: a thread tearing down its locals still allocates.
+        if MARKED.try_with(|m| m.get()).unwrap_or(false) {
+            // RELAXED: as above.
+            MARKED_ALLOCATIONS.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
     /// Total allocation calls since process start.
     pub fn allocations() -> u64 {
         // RELAXED: statistics counter; callers only diff it around a
@@ -577,28 +613,19 @@ impl CountingAlloc {
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     // SAFETY: forwards to `System.alloc` under the caller's contract.
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        // RELAXED: monotonic statistics; readers tolerate approximate views.
-        ALLOCATIONS.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
-        // RELAXED: as above.
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, core::sync::atomic::Ordering::Relaxed);
+        Self::count(layout.size());
         std::alloc::System.alloc(layout)
     }
 
     // SAFETY: forwards to `System.alloc_zeroed` under the caller's contract.
     unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-        // RELAXED: monotonic statistics; readers tolerate approximate views.
-        ALLOCATIONS.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
-        // RELAXED: as above.
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, core::sync::atomic::Ordering::Relaxed);
+        Self::count(layout.size());
         std::alloc::System.alloc_zeroed(layout)
     }
 
     // SAFETY: forwards to `System.realloc` under the caller's contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        // RELAXED: monotonic statistics; readers tolerate approximate views.
-        ALLOCATIONS.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
-        // RELAXED: as above.
-        ALLOCATED_BYTES.fetch_add(new_size as u64, core::sync::atomic::Ordering::Relaxed);
+        Self::count(new_size);
         std::alloc::System.realloc(ptr, layout, new_size)
     }
 

@@ -11,6 +11,7 @@
 //! cargo run --release --example readset_optimization
 //! ```
 
+use bohm_suite::common::engine::{BatchEngine, Session};
 use bohm_suite::common::rng::FastRng;
 use bohm_suite::common::zipf::Zipf;
 use bohm_suite::common::{Procedure, RecordId, Txn};
@@ -31,29 +32,21 @@ fn run(annotate: bool) -> (f64, u64) {
     let mut keys = Vec::new();
     let start = Instant::now();
     let mut committed = 0u64;
-    let mut handles = std::collections::VecDeque::new();
+    let mut session = engine.open_session();
     while start.elapsed() < std::time::Duration::from_millis(1200) {
-        let txns: Vec<Txn> = (0..1000)
-            .map(|_| {
-                zipf.sample_distinct(&mut rng, 10, &mut keys);
-                let rids: Vec<RecordId> = keys.iter().map(|&k| RecordId::new(0, k)).collect();
-                let writes = rids[..2].to_vec();
-                Txn::new(rids, writes, Procedure::ReadModifyWrite { delta: 1 })
-            })
-            .collect();
-        handles.push_back(engine.submit(txns));
-        if handles.len() > 8 {
-            committed += handles
-                .pop_front()
-                .unwrap()
-                .outcomes()
-                .iter()
-                .filter(|o| o.committed)
-                .count() as u64;
+        for _ in 0..1000 {
+            zipf.sample_distinct(&mut rng, 10, &mut keys);
+            let rids: Vec<RecordId> = keys.iter().map(|&k| RecordId::new(0, k)).collect();
+            let writes = rids[..2].to_vec();
+            let txn = Txn::new(rids, writes, Procedure::ReadModifyWrite { delta: 1 });
+            Session::submit(&mut session, txn);
+        }
+        while session.in_flight() > 8_000 {
+            committed += u64::from(session.reap().committed);
         }
     }
-    for h in handles {
-        committed += h.outcomes().iter().filter(|o| o.committed).count() as u64;
+    while session.in_flight() > 0 {
+        committed += u64::from(session.reap().committed);
     }
     let tput = committed as f64 / start.elapsed().as_secs_f64();
     let hottest_chain_depth = {

@@ -38,7 +38,7 @@ fn main() {
 
     for _ in 0..50 {
         let txns: Vec<_> = (0..200).map(|_| gen.next_txn()).collect();
-        let outcomes = engine.submit(txns.clone()).outcomes();
+        let outcomes = engine.execute_sync(txns.clone());
         for (t, o) in txns.iter().zip(&outcomes) {
             if !o.committed {
                 user_aborts += 1;

@@ -8,7 +8,7 @@
 //! cargo run --release --example ycsb_contention
 //! ```
 
-use bohm_suite::common::engine::Engine;
+use bohm_suite::common::engine::{BatchEngine, Engine, Session};
 use bohm_suite::common::stats::RunStats;
 use bohm_suite::workloads::ycsb::{YcsbConfig, YcsbGen, YcsbKind};
 use bohm_suite::workloads::TxnGen;
@@ -65,7 +65,7 @@ fn main() {
 
     println!("YCSB 2RMW-8R, theta=0.9, {THREADS} threads, {WINDOW:?} window\n");
 
-    // --- BOHM (pipelined batch submission) ---
+    // --- BOHM (one session, thousands of transactions in flight) ---
     {
         let catalog =
             bohm_suite::core::CatalogSpec::new().table(cfg.records, cfg.record_size, |r| r);
@@ -75,23 +75,18 @@ fn main() {
         );
         let mut gen = YcsbGen::new(&cfg, YcsbKind::Rmw2Read8, 7);
         let start = Instant::now();
-        let mut handles = std::collections::VecDeque::new();
+        let mut session = engine.open_session();
         let mut committed = 0u64;
         while start.elapsed() < WINDOW {
-            let txns: Vec<_> = (0..1000).map(|_| gen.next_txn()).collect();
-            handles.push_back(engine.submit(txns));
-            if handles.len() > 8 {
-                committed += handles
-                    .pop_front()
-                    .unwrap()
-                    .outcomes()
-                    .iter()
-                    .filter(|o| o.committed)
-                    .count() as u64;
+            for _ in 0..1000 {
+                Session::submit(&mut session, gen.next_txn());
+            }
+            while session.in_flight() > 8_000 {
+                committed += u64::from(session.reap().committed);
             }
         }
-        for h in handles {
-            committed += h.outcomes().iter().filter(|o| o.committed).count() as u64;
+        while session.in_flight() > 0 {
+            committed += u64::from(session.reap().committed);
         }
         let secs = start.elapsed().as_secs_f64();
         println!(

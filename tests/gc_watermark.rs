@@ -120,28 +120,26 @@ fn gc_never_reclaims_versions_needed_by_inflight_readers() {
     // either crash or observe a wrong/newer value).
     let e = hot_engine(true);
     let rid = RecordId::new(0, 1);
-    let mut handles = Vec::new();
-    for _ in 0..50 {
-        let mut txns = Vec::new();
-        for _ in 0..20 {
-            txns.push(rmw(1));
-            txns.push(Txn::new(vec![rid], vec![], Procedure::ReadOnly));
-        }
-        handles.push(e.submit(txns));
-    }
+    // The whole pipeline in flight at once: 1000 update/read pairs.
+    let session = e.session();
+    let handles: Vec<_> = (0..2_000)
+        .map(|i| match i % 2 {
+            0 => session.submit(rmw(1)),
+            _ => session.submit(Txn::new(vec![rid], vec![], Procedure::ReadOnly)),
+        })
+        .collect();
     let mut expected = 0u64;
-    for h in handles {
-        for (i, o) in h.outcomes().iter().enumerate() {
-            assert!(o.committed);
-            if i % 2 == 1 {
-                // Read-only txn right after the update: sees `expected`.
-                let want = bohm_suite::common::value::checksum(&bohm_suite::common::value::of_u64(
-                    expected, 8,
-                ));
-                assert_eq!(o.fingerprint, want, "stale or over-collected read");
-            } else {
-                expected += 1;
-            }
+    for (i, h) in handles.iter().enumerate() {
+        let o = h.wait();
+        assert!(o.committed);
+        if i % 2 == 1 {
+            // Read-only txn right after the update: sees `expected`.
+            let want = bohm_suite::common::value::checksum(&bohm_suite::common::value::of_u64(
+                expected, 8,
+            ));
+            assert_eq!(o.fingerprint, want, "stale or over-collected read");
+        } else {
+            expected += 1;
         }
     }
     assert_eq!(e.read_u64(rid), Some(1_000));

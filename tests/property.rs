@@ -108,19 +108,18 @@ fn bohm_random_mix_is_log_order_serializable() {
         let cc = 1 + rng.below(3) as usize;
         let exec = 1 + rng.below(3) as usize;
         let spec = spec();
-        let engine = Bohm::start(BohmConfig::with_threads(cc, exec), catalog_of(&spec));
-        let handles: Vec<_> = txns
-            .chunks(batch)
-            .map(|c| engine.submit(c.to_vec()))
-            .collect();
-        let mut outcomes = Vec::new();
-        for h in handles {
-            outcomes.extend(h.outcomes().into_iter().map(|o| ExecOutcome {
+        let mut cfg = BohmConfig::with_threads(cc, exec);
+        cfg.batch_size = batch;
+        let engine = Bohm::start(cfg, catalog_of(&spec));
+        let outcomes: Vec<_> = engine
+            .execute_sync(txns.clone())
+            .into_iter()
+            .map(|o| ExecOutcome {
                 committed: o.committed,
                 fingerprint: o.fingerprint,
                 cc_retries: 0,
-            }));
-        }
+            })
+            .collect();
         let res = check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid));
         engine.shutdown();
         res.unwrap_or_else(|e| panic!("case {case} (batch={batch} cc={cc} exec={exec}): {e}"));

@@ -21,24 +21,21 @@ fn catalog_of(spec: &DatabaseSpec) -> CatalogSpec {
     c
 }
 
-/// Run txns through BOHM in `batch` sized batches with the whole pipeline
-/// in flight, then check equivalence with serial log-order replay.
-fn run_and_check(spec: DatabaseSpec, txns: Vec<Txn>, cfg: BohmConfig, batch: usize) {
+/// Run txns through BOHM — one session, the whole stream in flight, the
+/// sequencer sealing `batch`-sized batches — then check equivalence with
+/// serial log-order replay.
+fn run_and_check(spec: DatabaseSpec, txns: Vec<Txn>, mut cfg: BohmConfig, batch: usize) {
+    cfg.batch_size = batch;
     let engine = Bohm::start(cfg, catalog_of(&spec));
-    let handles: Vec<_> = txns
-        .chunks(batch)
-        .map(|c| engine.submit(c.to_vec()))
+    let outcomes: Vec<_> = engine
+        .execute_sync(txns.clone())
+        .into_iter()
+        .map(|o| bohm_suite::common::engine::ExecOutcome {
+            committed: o.committed,
+            fingerprint: o.fingerprint,
+            cc_retries: 0,
+        })
         .collect();
-    let mut outcomes = Vec::with_capacity(txns.len());
-    for h in handles {
-        for o in h.outcomes() {
-            outcomes.push(bohm_suite::common::engine::ExecOutcome {
-                committed: o.committed,
-                fingerprint: o.fingerprint,
-                cc_retries: 0,
-            });
-        }
-    }
     let res = check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid));
     engine.shutdown();
     res.unwrap();

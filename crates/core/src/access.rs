@@ -22,6 +22,7 @@
 //! [`crate::exec`]'s copy-through path debug-asserts it.
 
 use crate::batch::TxnState;
+use crate::exec::InPlace;
 use crate::lookahead::LookAhead;
 use bohm_common::{AbortReason, Access, RecordId};
 use bohm_mvstore::{HashIndex, ProbeFor, Version, VersionIndex, VersionState};
@@ -38,6 +39,9 @@ pub(crate) struct BohmAccess<'a> {
     /// Look-ahead over an un-annotated read set, started by its first read
     /// (see [`version_for_read`](Self::version_for_read)).
     pub ahead: Option<FallbackAhead<'a>>,
+    /// Set for a detached reader: how it gets a pending version produced
+    /// without giving up its own progress (see [`resolved`](Self::resolved)).
+    pub in_place: Option<InPlace<'a>>,
 }
 
 /// The un-annotated fallback's look-ahead: the reads to come through four
@@ -94,6 +98,26 @@ impl<'a> BohmAccess<'a> {
         self.visible(self.t.txn.reads[idx])
     }
 
+    /// Every read of a version goes through here first. A writer that meets
+    /// a still-pending placeholder blocks on the producer (paper: "the read
+    /// must block until the write is performed") by aborting with the
+    /// producer's timestamp — the executor evaluates it and re-runs the
+    /// procedure, whose writes replay idempotently. A detached reader has
+    /// the producer evaluated *in place* and carries on: re-running a
+    /// 10,000-read procedure from the top once per dependency is what
+    /// `NotReady` would cost it, and it has no write to replay. This covers
+    /// tombstones-to-be as well: an aborted fresh insert only becomes a
+    /// tombstone once its producer is copied through.
+    fn resolved(&mut self, v: &Version) -> Result<(), AbortReason> {
+        if !v.is_resolved() {
+            match &mut self.in_place {
+                Some(producer) => producer.resolve(v),
+                None => return Err(AbortReason::NotReady(v.begin())),
+            }
+        }
+        Ok(())
+    }
+
     /// The ts-filtered probe every un-annotated access goes through.
     fn visible(&self, rid: RecordId) -> Option<&'a Version> {
         self.index
@@ -117,13 +141,7 @@ impl Access for BohmAccess<'_> {
         let Some(v) = self.version_for_read(idx) else {
             return Ok(false);
         };
-        if !v.is_resolved() {
-            // Block on the producer (paper: "the read must block until the
-            // write is performed" — realized as recursive evaluation). This
-            // covers tombstones-to-be as well: an aborted fresh insert only
-            // becomes a tombstone once its producer is copied through.
-            return Err(AbortReason::NotReady(v.begin()));
-        }
+        self.resolved(v)?;
         match v.state() {
             VersionState::Ready => {
                 out(v.data());
@@ -191,9 +209,7 @@ impl Access for BohmAccess<'_> {
                 // GC, which cannot pass this transaction before it executes.
                 unsafe { &*ptr }
             };
-            if !v.is_resolved() {
-                return Err(AbortReason::NotReady(v.begin()));
-            }
+            self.resolved(v)?;
             match v.state() {
                 VersionState::Ready => {
                     out(row, v.data());
@@ -232,9 +248,7 @@ impl Access for BohmAccess<'_> {
         let Some(lv) = self.version_for_read(s.list) else {
             return Ok(0); // key never had a posting list: empty result
         };
-        if !lv.is_resolved() {
-            return Err(AbortReason::NotReady(lv.begin()));
-        }
+        self.resolved(lv)?;
         let list = match lv.state() {
             VersionState::Ready => lv.data(),
             VersionState::Tombstone => return Ok(0),
@@ -249,9 +263,7 @@ impl Access for BohmAccess<'_> {
             let Some(v) = self.visible(rid) else {
                 continue; // contract violation tolerance: skip
             };
-            if !v.is_resolved() {
-                return Err(AbortReason::NotReady(v.begin()));
-            }
+            self.resolved(v)?;
             match v.state() {
                 VersionState::Ready => {
                     out(row, v.data());

@@ -306,6 +306,16 @@ pub struct TxnState {
 }
 
 impl TxnState {
+    /// A *detached reader*: no writes, and a read set too large to annotate
+    /// (so it has no read slots although it declared reads). It produces no
+    /// version anyone can wait on and owes the CC phase nothing, which is
+    /// what lets it leave the responsibility rotation for the read lane
+    /// (`crate::exec`).
+    #[inline]
+    pub(crate) fn is_detached(&self) -> bool {
+        self.txn.writes.is_empty() && self.read_refs.is_empty() && !self.txn.reads.is_empty()
+    }
+
     /// `annotate_max_reads`: see [`BohmConfig`](crate::BohmConfig); larger
     /// read sets get no annotation slots and no read plan entries — their
     /// plan is one blind entry per write, and nothing is paired.
@@ -442,7 +452,12 @@ pub struct Batch {
     pub txns: Box<[TxnState]>,
     /// CC threads yet to finish this batch (the §3.2.4 amortized barrier).
     pub(crate) cc_pending: AtomicUsize,
-    /// Execution threads yet to finish their responsibilities.
+    /// Positions in `txns` of the detached readers, ascending. The read
+    /// lane takes them from the front, an execution thread that has finished
+    /// its own transactions from the back.
+    pub(crate) readers: Box<[u32]>,
+    /// Threads yet to count themselves out: every execution thread, plus the
+    /// read lane iff `readers` is non-empty.
     pub(crate) exec_pending: AtomicUsize,
 }
 
@@ -461,20 +476,24 @@ impl Batch {
         annotate_max_reads: usize,
         arena: &mut Arena,
     ) -> Arc<Self> {
-        let txns = entries
+        let txns: Box<[TxnState]> = entries
             .into_iter()
             .zip(base_ts..)
             .map(|((txn, completion), ts)| {
                 TxnState::new(txn, ts, annotate_max_reads, completion, arena)
             })
             .collect();
+        let readers: Box<[u32]> = (0..txns.len() as u32)
+            .filter(|&i| txns[i as usize].is_detached())
+            .collect();
         Arc::new(Self {
             id,
             base_ts,
             epoch,
-            txns,
             cc_pending: AtomicUsize::new(cc_threads),
-            exec_pending: AtomicUsize::new(exec_threads),
+            exec_pending: AtomicUsize::new(exec_threads + usize::from(!readers.is_empty())),
+            txns,
+            readers,
         })
     }
 
@@ -654,6 +673,36 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_batch_lists_its_detached_readers_and_counts_the_lane_in_for_them() {
+        let rids = |n: u64| (0..n).map(|r| RecordId::new(0, r)).collect::<Vec<_>>();
+        let shapes = || {
+            let read_only = |n| Txn::new(rids(n), vec![], Procedure::ReadOnly);
+            let wide_rmw = Txn::new(rids(70), rids(1), Procedure::ReadModifyWrite { delta: 1 });
+            let txns = [
+                txn(),
+                read_only(65),
+                read_only(64),
+                read_only(0),
+                read_only(70),
+                wide_rmw,
+            ];
+            txns.into_iter().map(|t| (t, Completion::new())).collect()
+        };
+        let pending = |b: &Batch| b.exec_pending.load(Ordering::Acquire);
+        // Above the limit *and* write-free: positions 1 and 4.
+        let b = Batch::new(shapes(), 1, 0, 0, 1, 2, 64, &mut test_arena());
+        assert_eq!(&*b.readers, [1, 4]);
+        assert_eq!(pending(&b), 3, "two execution threads and the lane");
+        // Annotation off (limit 0): every read-only transaction that reads.
+        let b = Batch::new(shapes(), 1, 0, 0, 1, 2, 0, &mut test_arena());
+        assert_eq!(&*b.readers, [1, 2, 4]);
+        // No reader, no lane.
+        let b = Batch::new(entries(3), 1, 0, 0, 1, 2, 64, &mut test_arena());
+        assert!(b.readers.is_empty());
+        assert_eq!(pending(&b), 2);
+    }
+
+    #[test]
     fn each_transaction_decides_its_own_word_as_it_completes() {
         let entries = entries(2);
         let words: Vec<_> = entries.iter().map(|(_, c)| Arc::clone(c)).collect();
@@ -791,7 +840,7 @@ pub(crate) mod tests {
 /// with a replayable seed. Mutation-checked by the two broken twins below,
 /// each of which breaks "one RMW per side on one word" in one place.
 #[cfg(all(test, bohm_modelcheck))]
-mod modelcheck {
+pub(crate) mod modelcheck {
     use super::*;
     use bohm_sync::{model, thread};
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -868,24 +917,25 @@ mod modelcheck {
         model::explore(model::Options::default(), poison_model);
     }
 
-    /// The twin must strand its waiter under some seed in a bounded scan,
-    /// and that seed must fail the same way again.
-    fn twin_deadlocks_replayably(fault: Fault) {
-        let failing = |seed| {
-            catch_unwind(AssertUnwindSafe(|| {
-                model::run(seed, || outcome_model(fault))
-            }))
-        };
+    /// A broken twin must fail — with `what` in the message — under some
+    /// seed in a bounded scan, and that seed must fail the same way again.
+    pub(crate) fn twin_fails_replayably(what: &str, twin: impl Fn()) {
+        let failing = |seed| catch_unwind(AssertUnwindSafe(|| model::run(seed, &twin)));
         let seed = (1..=256)
             .find(|&s| failing(s).is_err())
-            .expect("no seed in 1..=256 lost the wake-up");
+            .expect("no seed in 1..=256 caught the twin");
         eprintln!("broken twin caught at seed {seed}");
         for _ in 0..2 {
             let err = failing(seed).expect_err("the failing seed must fail deterministically");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("deadlock"), "got: {msg}");
+            assert!(msg.contains(what), "got: {msg}");
             assert!(msg.contains(&format!("seed {seed}")), "got: {msg}");
         }
+    }
+
+    /// A lost wake-up strands the waiter: a model deadlock.
+    fn twin_deadlocks_replayably(fault: Fault) {
+        twin_fails_replayably("deadlock", || outcome_model(fault));
     }
 
     #[test]

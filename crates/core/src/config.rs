@@ -44,7 +44,18 @@ pub struct BohmConfig {
     /// §3.2.3 annotation is an optimization aimed at short transactions —
     /// for a 10,000-record read-only transaction, having CC threads look up
     /// and store ten thousand version pointers costs more than traversing
-    /// GC-trimmed chains on the (more numerous) execution threads.
+    /// GC-trimmed chains at execution time.
+    ///
+    /// It is also the **read lane's threshold**: a transaction that is not
+    /// annotated *and writes nothing* owes the CC phase nothing and produces
+    /// no version anyone can wait on, so it leaves the execution threads'
+    /// responsibility rotation and runs on the read lane instead (the
+    /// `bohm-exec-ro` thread, helped by execution threads that have finished
+    /// their own share of the batch — see [`exec`](crate::exec)). One
+    /// decision, one threshold: "too long to annotate" and "long enough to
+    /// get out of the writers' way" are the same property. With
+    /// [`annotate_reads`](Self::annotate_reads) off, every read-only
+    /// transaction that reads anything takes the lane.
     pub annotate_max_reads: usize,
     /// Sizing *hint* for the latch-free hash index. The effective capacity
     /// is never below the catalog's row count and the hint is clamped to

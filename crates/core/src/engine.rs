@@ -10,7 +10,6 @@ use bohm_common::{RecordId, TableId, Txn};
 use bohm_mvstore::{HashIndex, Version, VersionIndex, VersionState};
 use bohm_sync::atomic::{fence, AtomicU64, Ordering};
 use crossbeam_epoch::{self as epoch, Owned};
-use crossbeam_utils::CachePadded;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -20,16 +19,18 @@ pub(crate) struct Inner {
     record_sizes: Vec<usize>,
     pub index: HashIndex,
     pub window: Window,
-    /// Per execution thread: last timestamp of the most recent batch it has
-    /// fully finished (paper §3.3.2's `batch_i`, only written by thread i).
-    pub finished_ts: Vec<CachePadded<AtomicU64>>,
+    /// The read lane's queue (see `crate::exec`).
+    pub lane: exec::Lane,
     /// Global Condition-3 low watermark, expressed as a timestamp bound:
-    /// every transaction with `ts ≤ gc_bound` has finished executing.
+    /// every transaction with `ts ≤ gc_bound` has finished executing. It is
+    /// the last timestamp of the newest retired batch, stored by the
+    /// window's retirement cursor — in id order, so it never moves back.
     pub gc_bound: AtomicU64,
-    /// Highest `Batch::epoch` among retired batches. Batches retire in id
-    /// order, so once this reaches epoch `e` every transaction this shard
-    /// sequenced before the bump to `e` is complete — the per-shard half of
-    /// the sharded facade's epoch-alignment rule.
+    /// Highest `Batch::epoch` among retired batches (stored by the same
+    /// cursor). Batches retire in id order, so once this reaches epoch `e`
+    /// every transaction this shard sequenced before the bump to `e` is
+    /// complete — the per-shard half of the sharded facade's
+    /// epoch-alignment rule.
     pub retired_epoch: AtomicU64,
     /// Total versions retired by GC (diagnostics / ablation benches).
     pub gc_retired: AtomicU64,
@@ -74,8 +75,8 @@ pub struct Bohm {
 
 impl Bohm {
     /// Build the store from `catalog`, preload it (every seeded version has
-    /// timestamp 0), and spawn the sequencer plus
-    /// `cc_threads + exec_threads` worker threads.
+    /// timestamp 0), and spawn the sequencer, `cc_threads + exec_threads`
+    /// worker threads and the read lane.
     pub fn start(mut config: BohmConfig, catalog: CatalogSpec) -> Self {
         config.validate();
         // A durable engine needs an epoch authority even standalone:
@@ -108,9 +109,7 @@ impl Bohm {
                 .unwrap_or_else(|e| panic!("failed to open WAL at {}: {e}", d.dir.display()))
         });
         let inner = Arc::new(Inner {
-            finished_ts: (0..config.exec_threads)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
+            lane: exec::Lane::default(),
             gc_bound: AtomicU64::new(0),
             retired_epoch: AtomicU64::new(0),
             gc_retired: AtomicU64::new(0),
@@ -141,6 +140,9 @@ impl Bohm {
             let role = move |inner: &Inner| exec::exec_loop(inner, i);
             spawn(format!("bohm-exec-{i}"), Box::new(role));
         }
+        // The read lane; the name keeps it in the execution layer's CPU
+        // accounting (`bohm-exec-*`).
+        spawn("bohm-exec-ro".into(), Box::new(exec::lane_loop));
         for i in 0..inner.config.cc_threads {
             let role = move |inner: &Inner| cc::cc_loop(inner, i);
             spawn(format!("bohm-cc-{i}"), Box::new(role));
@@ -356,30 +358,28 @@ impl Bohm {
     /// watermark back for such a reader: were a batch in flight, the
     /// version it is copying could be superseded, retired and recycled
     /// under it. Everything a CC thread does to a chain (install, reclaim,
-    /// key sweep) happens between its batch's `Window::push` and
-    /// `Window::retire`, and precedes execution thread 0's `finished_ts`
-    /// store for that batch. So: wait until everything pushed has retired
+    /// key sweep) happens between its batch's `Window::push` and that
+    /// batch's retirement. So: wait until everything pushed has retired
     /// (batches in flight retire on their own — this is what lets a caller
     /// come here straight from per-transaction session handles, which
-    /// complete before their batch retires), stamp `finished_ts[0]`, read,
-    /// and check that the window is empty and the stamp unchanged. A batch
-    /// whose CC work did not happen-before the stamp is then either still
-    /// in the window or has moved the stamp.
+    /// complete before their batch retires), stamp the retirement count,
+    /// read, and check that the window is empty and the stamp unchanged. A
+    /// batch whose CC work did not happen-before the stamp is then either
+    /// still in the window or has moved the stamp.
     ///
     /// # Panics
     ///
     /// Panics, rather than return what `read` saw, if that check fails:
     /// somebody submitted while a diagnostic read was running.
     fn read_quiescent<R>(&self, what: &str, read: impl FnOnce(&epoch::Guard) -> R) -> R {
-        let inner = &*self.inner;
-        let finished = || inner.finished_ts[0].load(Ordering::Acquire);
-        inner.window.wait_retired();
-        let stamp = finished();
+        let window = &self.inner.window;
+        window.wait_retired();
+        let stamp = window.retired();
         let out = read(&epoch::pin());
         // Order the plain payload reads above before the re-check below.
         fence(Ordering::Acquire);
         assert!(
-            inner.window.is_empty() && finished() == stamp,
+            window.is_empty() && window.retired() == stamp,
             "{what} raced a submission: no other thread may submit while \
              engine state is read directly"
         );
@@ -477,7 +477,13 @@ impl Bohm {
         )
     }
 
-    /// Current GC low watermark (largest timestamp known fully executed).
+    /// Current GC low watermark: the last timestamp of the newest *retired*
+    /// batch, i.e. every transaction at or below it has finished executing —
+    /// long readers on the read lane included, since a batch retires only
+    /// once each of its transactions is complete. Batches retire in id order
+    /// and the bound is stored as they do, so it never decreases; it stands
+    /// still for as long as the oldest in-flight batch has a transaction
+    /// running.
     pub fn gc_bound(&self) -> u64 {
         // RELAXED: monotone watermark snapshot for diagnostics; the CC
         // threads, which recycle memory under it, load it with Acquire.
@@ -486,9 +492,11 @@ impl Bohm {
 
     /// Highest global epoch this engine has fully retired (0 until a batch
     /// stamped from [`BohmConfig::epoch_source`] retires). Because batches
-    /// retire in id order, `retired_epoch() >= e` means every transaction
-    /// sequenced here before the bump to `e` has executed and its batch
-    /// drained — the invariant the sharded cross-shard commit aligns on.
+    /// retire in id order — whatever order their threads, the read lane
+    /// among them, finished them in — `retired_epoch() >= e` means every
+    /// transaction sequenced here before the bump to `e` has executed and
+    /// its batch drained: the invariant the sharded cross-shard commit
+    /// aligns on.
     pub fn retired_epoch(&self) -> u64 {
         self.inner.retired_epoch.load(Ordering::Acquire)
     }
@@ -973,6 +981,7 @@ mod tests {
                 guard: &guard,
                 deletes: &e.inner.deletes_seen,
                 ahead: None,
+                in_place: None,
             };
             (
                 t.read_refs[0].load(Ordering::Acquire),
@@ -1415,6 +1424,155 @@ mod tests {
         }
         assert!(e.execute_sync(vec![]).is_empty());
         e.shutdown();
+    }
+
+    /// A detached reader: read-only, 66 reads (> `annotate_max_reads`)
+    /// cycling over `keys`.
+    fn long_read(keys: &[u64]) -> Txn {
+        let reads = (0..66).map(|i| rid(keys[i % keys.len()])).collect();
+        Txn::new(reads, vec![], Procedure::ReadOnly)
+    }
+
+    #[test]
+    fn gc_bound_never_decreases_with_four_execution_threads_and_the_lane() {
+        use bohm_sync::atomic::AtomicBool;
+        // Tiny batches over two hot keys: the four execution threads and the
+        // lane count out of neighbouring batches in every order, and every
+        // retirement moves the bound.
+        let mut cfg = BohmConfig::with_threads(2, 4);
+        cfg.batch_size = 8;
+        let e = Bohm::start(cfg, CatalogSpec::new().table(4, 8, |_| 0));
+        let stop = AtomicBool::new(false);
+        let n = bohm_common::stress_iters(20_000);
+        std::thread::scope(|s| {
+            let sampler = s.spawn(|| {
+                let (mut last, mut advances) = (0, 0u64);
+                while !stop.load(Ordering::Acquire) {
+                    let now = e.gc_bound();
+                    assert!(now >= last, "gc_bound went back from {last} to {now}");
+                    advances += u64::from(now > last);
+                    last = now;
+                }
+                advances
+            });
+            let session = e.session();
+            let handles: Vec<_> = (0..n)
+                .map(|i| match i % 16 {
+                    0 => session.submit(long_read(&[0, 1])),
+                    _ => session.submit(rmw(&[i % 2], 1)),
+                })
+                .collect();
+            assert!(handles.iter().all(|h| h.wait().committed));
+            e.execute_sync(vec![]);
+            stop.store(true, Ordering::Release);
+            assert!(sampler.join().unwrap() > 0, "the sampler saw it move");
+        });
+        assert!(e.gc_bound() >= n, "and it ended past the whole stream");
+        e.shutdown();
+    }
+
+    #[test]
+    fn a_stream_without_detached_readers_never_wakes_the_lane() {
+        let mut cfg = BohmConfig::small();
+        cfg.batch_size = 16;
+        let e = Bohm::start(cfg, CatalogSpec::new().table(8, 8, |_| 0));
+        // Neither a short read-only transaction nor a writer with a read
+        // set too large to annotate is detached.
+        let short_read = || Txn::new(vec![rid(1), rid(2)], vec![], Procedure::ReadOnly);
+        let wide_rmw = || {
+            let reads = (0..70).map(|i| rid(i % 8)).collect();
+            Txn::new(reads, vec![rid(0)], Procedure::ReadModifyWrite { delta: 1 })
+        };
+        for _ in 0..50 {
+            let out = e.execute_sync(
+                (0..40)
+                    .map(|i| match i % 10 {
+                        0 => short_read(),
+                        1 => wide_rmw(),
+                        _ => rmw(&[i % 8], 1),
+                    })
+                    .collect(),
+            );
+            assert!(out.iter().all(|o| o.committed));
+        }
+        let wakeups = e.inner.lane.wakeups.load(Ordering::SeqCst);
+        assert_eq!(wakeups, 0, "no batch had a reader: the lane stays parked");
+        // One reader is enough to need it.
+        assert!(e.execute_sync(vec![long_read(&[0, 1, 2])])[0].committed);
+        e.shutdown();
+    }
+
+    #[test]
+    fn a_long_reader_holds_back_only_the_window_behind_it() {
+        use bohm_common::Procedure::BlindWrite;
+        // Batch 0 is [gate, reader]. The gate keeps the one execution thread
+        // busy for long enough that the lane — which needs only the batch's
+        // CC phase — is the one to claim the reader, whose think time then
+        // outlasts everything below.
+        let mut cfg = BohmConfig::with_threads(1, 1);
+        cfg.batch_size = 2;
+        cfg.max_inflight_batches = 4;
+        cfg.ingest_capacity = 4;
+        let e = Bohm::start(cfg, CatalogSpec::new().table(4, 8, |_| 0));
+        let session = e.session();
+        let (mut gate, mut reader) = (rmw(&[0], 1), long_read(&[0, 1]));
+        (gate.think_us, reader.think_us) = (100_000, 600_000);
+        let (gate, reader) = (session.submit(gate), session.submit(reader));
+        const FRESH: u64 = 64;
+        let (tx, rx) = std::sync::mpsc::channel::<TxnHandle>();
+        std::thread::scope(|s| {
+            // Fresh-key inserts, far more than the pipeline will hold: the
+            // feeder ends up blocked on the ingest queue.
+            s.spawn(|| {
+                let session = e.session();
+                for k in 0..FRESH {
+                    let insert = Txn::new(vec![], vec![rid(1000 + k)], BlindWrite { value: k });
+                    tx.send(session.submit(insert)).unwrap();
+                }
+                drop(tx);
+            });
+            // Completion is per transaction: the three batches that fit in
+            // the ring behind batch 0 execute while the reader runs.
+            let ahead: Vec<_> = rx.iter().take(6).collect();
+            assert!(gate.wait().committed && ahead.iter().all(|h| h.wait().committed));
+            assert!(!reader.is_done(), "the reader is still running");
+            // Then the ring is full and everything upstream stands still:
+            // nothing retires, the bound stays below the reader's batch, CC
+            // has no further batch to install keys for.
+            let window = &e.inner.window;
+            while window.len() < 4 {
+                std::thread::yield_now();
+            }
+            while !reader.is_done() {
+                assert_eq!((window.len(), e.gc_bound(), e.index_keys()), (4, 0, 4 + 6));
+                std::thread::yield_now();
+            }
+            // The reader ends: everything drains.
+            assert!(reader.wait().committed);
+            assert!(rx.iter().all(|h| h.wait().committed));
+        });
+        e.execute_sync(vec![]);
+        assert!(e.inner.window.is_empty());
+        assert!(e.gc_bound() > FRESH && e.index_keys() == 4 + FRESH as usize);
+        e.shutdown();
+    }
+
+    #[test]
+    fn drop_with_readers_still_queued_runs_them() {
+        let mut cfg = BohmConfig::with_threads(2, 2);
+        (cfg.batch_size, cfg.max_inflight_batches) = (8, 2);
+        let e = Bohm::start(cfg, CatalogSpec::new().table(4, 8, |_| 0));
+        let session = e.session();
+        let handles: Vec<_> = (0..400)
+            .map(|i| match i % 4 {
+                0 => session.submit(long_read(&[0, 1, 2, 3])),
+                _ => session.submit(rmw(&[i % 4], 1)),
+            })
+            .collect();
+        drop(e);
+        for h in &handles {
+            assert!(h.wait().committed, "accepted work must still execute");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The transaction-execution phase (paper §3.3).
+//! The transaction-execution phase (paper §3.3), and the read lane.
 //!
 //! Execution thread `i` is *responsible* for transactions `i, i+k, i+2k, …`
 //! of each batch, but any thread may execute any transaction: claiming is
@@ -9,70 +9,196 @@
 //! transaction is parked back to `Unprocessed` and picked up again later —
 //! the exact protocol of §3.3.1.
 //!
-//! After finishing its responsibilities for a batch, a thread publishes the
-//! batch's last timestamp in its slot of `finished_ts` (the designated
-//! thread 0 refreshes the global Condition-3 GC bound,
-//! `min_i finished_ts[i]`, §3.3.2). The last thread out *retires* the
-//! batch: it refreshes the GC bound (once more, unless it is thread 0 and
-//! just did), publishes the batch's epoch and releases its window ring slot
-//! — which unblocks a sequencer waiting on the in-flight budget and counts
-//! the batch as retired for `Window::wait_retired`, the engine's one
-//! barrier. Nothing at retirement is per transaction: each completion was
-//! published as its transaction finished (`TxnState::complete`) — a store
-//! and one `fetch_or`, plus a wake-up only for a waiter parked on that very
-//! transaction.
+//! # The read lane
+//!
+//! "Reads never block writes" has to hold for *long* reads too. A
+//! **detached reader** — a transaction with no writes whose read set is too
+//! large to annotate (`BohmConfig::annotate_max_reads`; the paper's
+//! 10,000-read transactions) — already bypasses the CC phase: its reads go
+//! through `Chain::visible(ts)`. It is still sequenced, timestamped, logged
+//! and replayed like any transaction, but nobody is *responsible* for it:
+//!
+//! * The lane thread, `bohm-exec-ro`, takes from its queue (`Lane`) only the
+//!   batches that have readers, waits for that batch's CC phase, and claims
+//!   and runs its readers from the front.
+//! * An execution thread that has finished its own transactions of a batch
+//!   claims what is left of the batch's readers from the far end, so the
+//!   readers split over both kinds of thread by whoever is free. A batch
+//!   without readers never reaches the lane and runs no code of it.
+//! * A reader that meets a pending version has the producer resolved *in
+//!   place* (`InPlace`) instead of aborting with `NotReady`: re-running a
+//!   10,000-read procedure from the top per dependency is the cost a writer
+//!   never has (its procedure is short, and its writes must replay anyway).
+//!
+//! A reader's snapshot needs no registry: its own batch cannot retire while
+//! it runs, and the Condition-3 bound never passes an un-retired batch. How
+//! far the lane may lag the execution threads is the window's capacity
+//! (`max_inflight_batches`).
+//!
+//! # Counting out and retirement
+//!
+//! Every thread with work in a batch — each execution thread, and the lane
+//! iff the batch has readers — counts itself out of `Batch::exec_pending`
+//! when it is through. Whoever counts a batch to zero runs the window's
+//! retirement cursor (`Window::finish`), which retires every consecutive
+//! counted-out batch in id order and, per retired batch, stores the
+//! Condition-3 bound (`gc_bound` = its last timestamp, §3.3.2's low
+//! watermark), publishes its epoch and releases its ring slot — which
+//! unblocks a sequencer waiting on the in-flight budget and counts the batch
+//! as retired for `Window::wait_retired`, the engine's one barrier. A
+//! retired batch has no unfinished transaction. Nothing at retirement is per
+//! transaction: each completion was published as its transaction finished
+//! (`TxnState::complete`) — a store and one `fetch_or`, plus a wake-up only
+//! for a waiter parked on that very transaction.
 
 use crate::access::BohmAccess;
 use crate::batch::{txn_status, Batch, TxnState};
 use crate::engine::Inner;
 use crate::lookahead::LookAhead;
 use bohm_common::{execute_procedure, AbortReason, ExecScratch};
+use bohm_mvstore::Version;
 use bohm_sync::atomic::Ordering;
 use bohm_sync::hint::prefetch_read;
+use bohm_sync::{Condvar, Mutex};
 use crossbeam_epoch as epoch;
 use crossbeam_utils::Backoff;
+use std::collections::VecDeque;
 
 /// Main loop of execution thread `me`. Exits once the sequencer has closed
 /// the window and every batch it pushed has been through here.
 pub(crate) fn exec_loop(inner: &Inner, me: usize) {
-    let mut scratch = ExecScratch::new();
+    let mut scratch = [ExecScratch::new(), ExecScratch::new()];
     let mut remaining: Vec<usize> = Vec::new();
     for batch in (0..).map_while(|id| inner.window.next_for_exec(id)) {
         let t0 = std::time::Instant::now();
         run_batch(inner, me, &batch, &mut scratch, &mut remaining);
+        // Own transactions done: take what is left of the batch's readers,
+        // from the end the lane is not working on.
+        run_readers(inner, &batch, batch.readers.iter().rev(), &mut scratch);
         inner
             .exec_busy_ns
             // RELAXED: monotonic statistics counter.
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        inner.finished_ts[me].store(batch.last_ts(), Ordering::Release);
-        let last_out = batch.exec_pending.fetch_sub(1, Ordering::AcqRel) == 1;
-        // Thread 0 refreshes per batch (§3.3.2); the last thread out does
-        // because every thread's `finished_ts` store happened before its
-        // countdown decrement, so its refresh observes them all — slot
-        // release and GC-bound advance travel together. When they are the
-        // same thread (always, with one execution thread), once is enough.
-        if me == 0 || last_out {
-            refresh_gc_bound(inner);
-        }
-        if last_out {
-            // Publish the epoch high-water mark before releasing the ring
-            // slot: a waiter unblocked by retirement must observe it.
-            inner.retired_epoch.fetch_max(batch.epoch, Ordering::AcqRel);
-            inner.window.retire(batch.id);
+        count_out(inner, &batch);
+    }
+}
+
+/// Main loop of the read lane (`bohm-exec-ro`): for every batch that has
+/// detached readers, in id order, run the readers nobody has claimed yet.
+/// Exits once the sequencer has closed the lane and its queue is drained.
+pub(crate) fn lane_loop(inner: &Inner) {
+    let mut scratch = [ExecScratch::new(), ExecScratch::new()];
+    while let Some(id) = inner.lane.next() {
+        // Queued ⇒ sealed, so the ring cannot close below it; and it cannot
+        // retire before this thread has counted out of it. The chase waits
+        // for its push (queued just before) and its CC phase.
+        let batch = (inner.window.next_for_exec(id)).expect("a queued batch gets pushed");
+        run_readers(inner, &batch, batch.readers.iter(), &mut scratch);
+        count_out(inner, &batch);
+    }
+}
+
+/// One thread is through with `batch`. The last one out runs the window's
+/// retirement cursor, which publishes — per retired batch, in id order,
+/// under the ring mutex — the Condition-3 bound (§3.3.2's low watermark:
+/// the last timestamp of the newest batch every thread has left, monotone
+/// by construction) and the batch's epoch, both before the slot release a
+/// waiter is woken by.
+fn count_out(inner: &Inner, batch: &Batch) {
+    if batch.exec_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+        inner.window.finish(|b| {
+            inner.gc_bound.store(b.last_ts(), Ordering::Release);
+            inner.retired_epoch.fetch_max(b.epoch, Ordering::AcqRel);
+        });
+    }
+}
+
+/// Claim and run the detached readers of `batch` at `positions` that nobody
+/// has claimed yet. A claimed reader always runs to `Complete` (it resolves
+/// its dependencies in place), so when the threads of a batch have all come
+/// through here and counted out, none of its readers is unfinished.
+fn run_readers<'a>(
+    inner: &Inner,
+    batch: &Batch,
+    positions: impl Iterator<Item = &'a u32>,
+    scratch: &mut [ExecScratch],
+) {
+    for &i in positions {
+        let t = &batch.txns[i as usize];
+        if t.try_claim() {
+            let done = run_claimed(inner, t, scratch, 0);
+            debug_assert!(done, "a detached reader never parks");
         }
     }
 }
 
-/// Recompute the global low watermark (paper §3.3.2: execution thread t0
-/// periodically sets `lowwatermark = min(batch_i)`).
-pub(crate) fn refresh_gc_bound(inner: &Inner) {
-    let min = inner
-        .finished_ts
-        .iter()
-        .map(|a| a.load(Ordering::Acquire))
-        .min()
-        .unwrap_or(0);
-    inner.gc_bound.store(min, Ordering::Release);
+/// The read lane's queue: ids of the batches that have detached readers, in
+/// id order, pushed by the sequencer just before `Window::push`. One `VecDeque`
+/// push per such batch (not per transaction); a batch without readers never
+/// comes near it, so over a reader-free stream the lane thread stays parked.
+#[derive(Default)]
+pub(crate) struct Lane {
+    /// The queue, and whether the sequencer has left.
+    state: Mutex<(VecDeque<u64>, bool)>,
+    ready: Condvar,
+    /// Times the lane thread came back from `ready.wait`.
+    #[cfg(test)]
+    pub(crate) wakeups: bohm_sync::atomic::AtomicUsize,
+}
+
+impl Lane {
+    /// Queue batch `id` for the lane. Sequencer only.
+    pub fn push(&self, id: u64) {
+        self.state.lock().0.push_back(id);
+        self.ready.notify_one();
+    }
+
+    /// The sequencer is leaving: the lane drains its queue and exits.
+    pub fn close(&self) {
+        self.state.lock().1 = true;
+        self.ready.notify_one();
+    }
+
+    /// The next queued batch id; `None` once closed and drained.
+    fn next(&self) -> Option<u64> {
+        let mut st = self.state.lock();
+        loop {
+            if let Some(id) = st.0.pop_front() {
+                return Some(id);
+            }
+            if st.1 {
+                return None;
+            }
+            self.ready.wait(&mut st);
+            #[cfg(test)]
+            self.wakeups.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// How a detached reader gets a pending version produced: evaluate the
+/// producer on this thread, with a scratch of its own, in the middle of the
+/// reader's procedure.
+pub(crate) struct InPlace<'a> {
+    pub inner: &'a Inner,
+    /// Scratch for the producer (the reader's own is in use).
+    pub scratch: &'a mut [ExecScratch],
+}
+
+impl InPlace<'_> {
+    /// Return once `v` is resolved: run its producer here, or — while it is
+    /// `Executing` on another thread, or deeper down a dependency chain
+    /// than one stack should go — wait for the threads responsible for it.
+    /// Nothing ever waits for a reader, and a writer never holds `Executing`
+    /// while it waits (it parks), so this wait cannot be part of a cycle.
+    pub fn resolve(&mut self, v: &Version) {
+        let backoff = Backoff::new();
+        while !v.is_resolved() {
+            if !resolve_dependency(self.inner, v.begin(), self.scratch, 0) {
+                backoff.snooze();
+            }
+        }
+    }
 }
 
 /// Recursion budget for resolving read dependencies on this thread's stack
@@ -120,11 +246,16 @@ pub(crate) fn run_batch(
     inner: &Inner,
     me: usize,
     batch: &Batch,
-    scratch: &mut ExecScratch,
+    scratch: &mut [ExecScratch],
     remaining: &mut Vec<usize>,
 ) {
     let k = inner.config.exec_threads;
-    let mine = || (me..batch.txns.len()).step_by(k);
+    // Detached readers are nobody's responsibility (see `run_readers`).
+    let has_readers = !batch.readers.is_empty();
+    let mine = || {
+        let all = (me..batch.txns.len()).step_by(k);
+        all.filter(move |&i| !(has_readers && batch.txns[i].is_detached()))
+    };
     remaining.clear();
     remaining.extend(mine());
     // The first round visits this thread's transactions in timestamp order,
@@ -166,18 +297,27 @@ pub(crate) fn run_batch(
 pub(crate) fn run_claimed(
     inner: &Inner,
     t: &TxnState,
-    scratch: &mut ExecScratch,
+    scratch: &mut [ExecScratch],
     depth: usize,
 ) -> bool {
     t.txn.think();
     loop {
         let guard = epoch::pin();
+        // The procedure runs in the first scratch; a detached reader lends
+        // the rest to the producers it resolves in place.
+        let (own, rest) = scratch
+            .split_first_mut()
+            .expect("a scratch per nesting level");
         let mut access = BohmAccess {
             t,
             index: &inner.index,
             guard: &guard,
             deletes: &inner.deletes_seen,
             ahead: None,
+            in_place: (t.is_detached()).then_some(InPlace {
+                inner,
+                scratch: rest,
+            }),
         };
         let result = execute_procedure(
             &t.txn.proc,
@@ -185,7 +325,7 @@ pub(crate) fn run_claimed(
             &t.txn.writes,
             &t.txn.scans,
             &mut access,
-            scratch,
+            own,
         );
         match result {
             Ok(fp) => {
@@ -229,7 +369,12 @@ pub(crate) fn run_claimed(
 /// Returns `true` once the producer is `Complete` (possibly by executing it
 /// on this thread, recursively); `false` if it is being executed elsewhere
 /// or the recursion budget is exhausted — in both cases the caller parks.
-fn resolve_dependency(inner: &Inner, dep_ts: u64, scratch: &mut ExecScratch, depth: usize) -> bool {
+fn resolve_dependency(
+    inner: &Inner,
+    dep_ts: u64,
+    scratch: &mut [ExecScratch],
+    depth: usize,
+) -> bool {
     if depth >= MAX_RESOLVE_DEPTH {
         return false;
     }

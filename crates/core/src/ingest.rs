@@ -283,6 +283,10 @@ pub(crate) fn seq_loop(inner: &Inner, mut rx: IngestRx) {
             arena,
         );
         *next_batch += 1;
+        // The read lane hears of a batch only if it has detached readers.
+        if !batch.readers.is_empty() {
+            inner.lane.push(batch.id);
+        }
         // Ring registration (it may block on the in-flight budget — that
         // stall is the backpressure) publishes the batch to the CC
         // threads, so no placeholder is ever installed whose producer is
@@ -327,6 +331,7 @@ pub(crate) fn seq_loop(inner: &Inner, mut rx: IngestRx) {
     // Every pushed batch is still fully processed and retired; a consumer
     // whose next batch id equals this count then exits.
     inner.window.close(next_batch);
+    inner.lane.close();
 }
 
 /// Stop-the-world engine fault (the WAL refused an append): nothing

@@ -33,6 +33,13 @@
 //!    in its submitter's completion word immediately — one submitted
 //!    transaction, one word, and a wake-up only if the submitter is parked
 //!    on it (see [`batch`]).
+//! 4. **The read lane** ([`exec`]): a transaction that writes nothing and
+//!    reads too much to annotate — the paper's 10,000-read transactions —
+//!    is ordered and logged like any other but executed off the execution
+//!    threads' rotation, by a lane thread and by whichever execution thread
+//!    has finished its own share of the batch, resolving any pending version
+//!    it meets in place. Its batch cannot retire before it is done, which is
+//!    all the snapshot protection it needs.
 //!
 //! There is one way in — [`BohmSession::submit`] — and one barrier:
 //! `Window::wait_retired`, "every batch pushed so far has retired", which is
@@ -46,8 +53,9 @@
 //! end-to-end in this workspace's `tests/`).
 //!
 //! Old versions are reclaimed with the paper's **Condition 3** (§3.3.2):
-//! once every execution thread has finished batch `b`, versions superseded
-//! by transactions of batches `≤ b` are unreachable — through annotation
+//! once batch `b` has retired — every thread with work in it, the read lane
+//! included, has counted out of it, and so has every batch before it —
+//! versions superseded by transactions of batches `≤ b` are unreachable — through annotation
 //! pointers and through any live transaction's chain walk alike — so the
 //! owning CC thread truncates them on its next write to the record and
 //! reuses them, header and payload, as its next placeholders (a per-thread

@@ -30,18 +30,21 @@
 //! * **lookup** (execution threads, blocked-read path): one load + two
 //!   field checks under an epoch pin. No lock, no scan, no shared-memory
 //!   write.
-//! * **retire** (last execution thread out of a batch): swap the slot to
-//!   null and defer the reference drop through the epoch collector; the
-//!   slot release also advances the Condition-3 GC bound (the caller
-//!   refreshes the watermark before retiring).
+//! * **finish** (whoever counted a batch's `exec_pending` to zero): the
+//!   retirement *cursor*. Under the ring mutex, retire every consecutive
+//!   counted-out batch starting at `retired`: hand it to the caller's
+//!   callback (which stores the Condition-3 GC bound and the retired
+//!   epoch), null its slot, defer the reference drop through the epoch
+//!   collector, advance `retired`. Batches are counted out in any order —
+//!   the read lane lags the execution threads — and retire in id order by
+//!   construction; what everything else leans on is that *a retired batch
+//!   has no unfinished transaction*.
 //! * **wait_retired** (the engine's one barrier): snapshot how many batches
 //!   have been pushed and wait until that many have retired. Counting is
-//!   enough because batches retire in id order: the last execution thread
-//!   out of batch `b` calls `retire(b)` before it counts itself out of
-//!   `b + 1`, whose countdown therefore cannot reach zero any earlier.
+//!   enough because batches retire in id order.
 //!
 //! Every wait is spin-then-park on one mutex + condvar meaning "the ring
-//! changed"; push, the last CC countdown, retire and close each notify it
+//! changed"; push, the last CC countdown, finish and close each notify it
 //! with the mutex held, and a waiter re-probes under the mutex before every
 //! wait, so a wakeup cannot slip between its check and its wait — no
 //! timeouts anywhere.
@@ -53,7 +56,8 @@
 //! batches are in flight, with the sequencer blocked until the previous
 //! occupant retired. A chaser cannot miss its batch for the same reason: a
 //! batch stays in its slot until every execution thread — hence, before
-//! them, every CC thread — has counted itself out of it.
+//! them, every CC thread — and the read lane, if it has readers, has counted
+//! itself out of it.
 
 // HOT-PATH: the blocked-read lookup runs per dependency resolution; no
 // clocks, no syscalls, no I/O in non-test code (enforced by the lint).
@@ -70,7 +74,7 @@ pub(crate) struct Window {
     /// One padded slot per in-flight batch. Adjacent slots belong to
     /// *different* batches touched by different threads (the sequencer
     /// stores slot `i` while execution retires slot `i-1`); without the
-    /// padding a retire's swap would false-share with the neighbouring
+    /// padding a retirement's store would false-share with the neighbouring
     /// slot's lookups.
     slots: Box<[CachePadded<AtomicPtr<Batch>>]>,
     mask: u64,
@@ -81,8 +85,9 @@ pub(crate) struct Window {
     closed_at: AtomicU64,
     /// Batches registered so far (ids are dense, so also the next id).
     pushed: AtomicU64,
-    /// Batches retired so far — in id order (module docs), so also the id
-    /// below which every batch is gone.
+    /// Batches retired so far — in id order, so also the id below which
+    /// every batch is gone and the cursor of [`finish`](Self::finish), the
+    /// only writer (under `lock`).
     retired: AtomicU64,
     /// Slow-path parking for every ring waiter: "the ring changed".
     lock: Mutex<()>,
@@ -169,29 +174,60 @@ impl Window {
         }
     }
 
-    /// Deregister a fully-executed batch and release its slot.
-    pub fn retire(&self, id: u64) {
-        let slot = &self.slots[(id & self.mask) as usize];
-        let ptr = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        debug_assert!(!ptr.is_null(), "retire of unregistered batch {id}");
-        // SAFETY: the swap made us the unique unlinker; the Arc reference
-        // the slot held keeps the batch alive until the deferred drop.
-        debug_assert_eq!(unsafe { &*ptr }.id, id);
-        // Readers racing `get` may still hold the raw pointer; drop the
-        // window's reference only after their epoch pins release.
-        // SAFETY: `ptr` came from `Arc::into_raw` in `push` and was just
-        // unlinked from the slot; any concurrent `get` upgraded its own
-        // reference under an epoch pin taken before this defer runs.
-        unsafe { epoch::pin().defer_unchecked(move || drop(Arc::from_raw(ptr))) };
-        self.retired.fetch_add(1, Ordering::AcqRel);
-        // Wake a sequencer parked on the full ring, or a quiescer.
-        self.notify();
+    /// Retire every batch that is ready to go — the retirement *cursor*.
+    /// Called by whoever counted a batch's `exec_pending` to zero (after
+    /// that AcqRel decrement), whichever batch it was.
+    ///
+    /// Under the ring mutex: while the oldest un-retired batch (`retired` is
+    /// its id) has been counted out, hand it to `on_retire` — where the
+    /// caller publishes what retirement publishes, the Condition-3 bound
+    /// and the batch's epoch — then release its slot (the reference drop is
+    /// deferred through the epoch collector) and advance `retired`; finally
+    /// notify, for a sequencer parked on the full ring or a quiescer.
+    ///
+    /// Batches may be *counted out* in any order — the read lane lags the
+    /// execution threads — but retire in id order by construction, and none
+    /// is lost: the countdown that makes batch `b` retirable happens-before
+    /// its thread's lock acquisition here, so either that thread finds `b`
+    /// at the cursor, or the thread that later moves the cursor to `b` locks
+    /// after it and sees the zero.
+    pub fn finish(&self, mut on_retire: impl FnMut(&Batch)) {
+        let _g = self.lock.lock();
+        loop {
+            let id = self.retired.load(Ordering::Acquire);
+            let slot = &self.slots[(id & self.mask) as usize];
+            let ptr = slot.load(Ordering::Acquire);
+            // SAFETY: only this function unlinks a batch, under the mutex
+            // held here, so a non-null slot pointer stays valid meanwhile.
+            let Some(b) = (unsafe { ptr.as_ref() }) else {
+                break; // batch `id` is not pushed yet
+            };
+            debug_assert_eq!(b.id, id, "the cursor's slot holds the cursor's batch");
+            if b.exec_pending.load(Ordering::Acquire) != 0 {
+                break;
+            }
+            on_retire(b);
+            slot.store(std::ptr::null_mut(), Ordering::Release);
+            // Readers racing `get` may still hold the raw pointer; drop the
+            // window's reference only after their epoch pins release.
+            // SAFETY: `ptr` came from `Arc::into_raw` in `push` and was just
+            // unlinked from the slot; any concurrent `get` upgraded its own
+            // reference under an epoch pin taken before this defer runs.
+            unsafe { epoch::pin().defer_unchecked(move || drop(Arc::from_raw(ptr))) };
+            self.retired.store(id + 1, Ordering::Release);
+        }
+        self.changed.notify_all();
+    }
+
+    /// Batches retired so far — the id of the oldest batch still in flight.
+    pub fn retired(&self) -> u64 {
+        self.retired.load(Ordering::Acquire)
     }
 
     /// Block until every batch pushed before this call has retired — the
     /// engine's one barrier. The Acquire read of `retired` pairs with
-    /// [`retire`](Self::retire)'s RMW, so what the retiring thread published
-    /// first (GC bound, retired epoch) is visible on return. Batches pushed
+    /// [`finish`](Self::finish)'s Release store, so what the retiring thread
+    /// published first (GC bound, retired epoch) is visible on return. Batches pushed
     /// meanwhile are not waited for, so a concurrent submitter cannot starve
     /// the caller.
     pub fn wait_retired(&self) {
@@ -209,7 +245,7 @@ impl Window {
             return None;
         }
         // SAFETY: non-null slot pointers are valid while our epoch pin
-        // predates any retire's deferred drop (see `retire`).
+        // predates any retirement's deferred drop (see `finish`).
         let b = unsafe { &*ptr };
         if b.id != id || !ok(b) {
             return None; // vacated and reused by a newer batch, or not `ok` yet
@@ -257,13 +293,23 @@ impl Window {
         self.chase(id, |b| b.cc_pending.load(Ordering::Acquire) == 0)
     }
 
-    /// True when no batch is between `push` and `retire`. `retired` is read
+    /// True when no batch is between `push` and retirement. `retired` is read
     /// first — it can only equal an *older* `pushed` — so a `true` was true
     /// at one instant; see `Bohm::read_quiescent` for how a caller makes the
     /// answer stick.
     pub fn is_empty(&self) -> bool {
         let retired = self.retired.load(Ordering::Acquire);
         retired == self.pushed.load(Ordering::Acquire)
+    }
+
+    /// Count one execution thread out of batch `id`, the last one running
+    /// the cursor — what `exec::count_out` does, minus its publications.
+    #[cfg(test)]
+    pub fn count_out(&self, id: u64) {
+        let b = self.get(id, |_| true).expect("a batch in the ring");
+        if b.exec_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.finish(|_| {});
+        }
     }
 
     /// Number of batches in flight (tests; racy by nature).
@@ -323,7 +369,7 @@ mod tests {
         let w = window();
         w.push(mk_batch(0, 10));
         w.push(mk_batch(1, 10));
-        w.retire(0);
+        w.count_out(0);
         assert!(w.lookup(5).is_none());
         assert_eq!(w.lookup(12).unwrap().id, 1);
         assert_eq!(w.len(), 1);
@@ -335,7 +381,7 @@ mod tests {
         for id in 0..4 {
             w.push(mk_batch(id, 10));
         }
-        w.retire(0);
+        w.count_out(0);
         w.push(mk_batch(4, 10)); // reuses slot 0
         assert!(w.lookup(5).is_none(), "ts of batch 0 must not hit batch 4");
         assert_eq!(w.lookup(1 + 4 * STRIDE).unwrap().id, 4);
@@ -356,7 +402,7 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(20));
         assert!(!pushed.load(O::SeqCst), "push must apply backpressure");
-        w.retire(0);
+        w.count_out(0);
         t.join().unwrap();
         assert!(pushed.load(O::SeqCst));
         assert_eq!(w.lookup(41).unwrap().id, 4);
@@ -372,10 +418,10 @@ mod tests {
             let w = Arc::clone(&w);
             std::thread::spawn(move || w.wait_retired())
         };
-        w.retire(0);
+        w.count_out(0);
         // Whenever it took its snapshot, batch 1 is in it.
         assert!(!quiescer.is_finished(), "batch 1 is still in flight");
-        w.retire(1);
+        w.count_out(1);
         quiescer.join().unwrap();
         assert!(w.is_empty());
     }
@@ -408,7 +454,7 @@ mod tests {
                     for _ in 0..(id % 64) * 32 {
                         std::hint::spin_loop();
                     }
-                    w.retire(id);
+                    w.count_out(id);
                 }
             })
         };
@@ -447,9 +493,7 @@ mod tests {
                     assert_eq!(b.id, next);
                     assert_eq!(b.cc_pending.load(Ordering::Acquire), 0);
                     next += 1;
-                    if b.exec_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        w2.retire(b.id);
-                    }
+                    w2.count_out(b.id);
                 }
                 next
             }));
@@ -526,7 +570,7 @@ mod tests {
                     while hi.load(O::Acquire) < id + 1 {
                         backoff.snooze();
                     }
-                    w.retire(id);
+                    w.count_out(id);
                 }
             })
         };
@@ -583,8 +627,8 @@ mod modelcheck {
         let retirer = {
             let w = Arc::clone(&w);
             bohm_sync::thread::spawn(move || {
-                w.retire(0);
-                w.retire(1);
+                w.count_out(0);
+                w.count_out(1);
             })
         };
         let reader = {
@@ -605,7 +649,7 @@ mod modelcheck {
         retirer.join().unwrap();
         reader.join().unwrap();
         assert_eq!(w.len(), 1, "only batch 2 should remain in flight");
-        w.retire(2);
+        w.count_out(2);
         assert_eq!(w.len(), 0);
     }
 
@@ -631,18 +675,18 @@ mod modelcheck {
         };
         let r0 = {
             let w = Arc::clone(&w);
-            bohm_sync::thread::spawn(move || w.retire(0))
+            bohm_sync::thread::spawn(move || w.count_out(0))
         };
         let r1 = {
             let w = Arc::clone(&w);
-            bohm_sync::thread::spawn(move || w.retire(1))
+            bohm_sync::thread::spawn(move || w.count_out(1))
         };
         pusher.join().unwrap();
         r0.join().unwrap();
         r1.join().unwrap();
         assert_eq!(w.len(), 2);
-        w.retire(2);
-        w.retire(3);
+        w.count_out(2);
+        w.count_out(3);
     }
 
     #[test]
@@ -673,7 +717,7 @@ mod modelcheck {
                     // Never handed over before the CC countdown finished.
                     assert_eq!(b.cc_pending.load(Ordering::Acquire), 0);
                     seen.push(b.id);
-                    w.retire(b.id);
+                    w.count_out(b.id);
                 }
                 seen
             })
@@ -767,9 +811,10 @@ mod modelcheck {
                         // outcome from batch `id` finds it in `pushed`.
                         assert!(w.pushed.load(Ordering::Acquire) > id);
                         if b.exec_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            let before = w.retired.load(Ordering::Acquire);
-                            assert_eq!(before, id, "batches retire in id order");
-                            w.retire(id);
+                            w.finish(|b| {
+                                let before = w.retired.load(Ordering::Acquire);
+                                assert_eq!(before, b.id, "batches retire in id order");
+                            });
                         }
                     }
                 })
@@ -815,5 +860,125 @@ mod modelcheck {
     #[test]
     fn wait_retired_is_released_by_the_batches_it_saw() {
         model::explore(model::Options::default(), quiesce_model);
+    }
+
+    /// Where a twin departs from the retirement cursor.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Fault {
+        None,
+        /// The thread that counts a batch out asks "is my predecessor
+        /// retired?" *outside* the mutex and leaves `finish` to whoever
+        /// retires the predecessor otherwise. That thread's check of this
+        /// batch's countdown and this check can both read the old value
+        /// (store buffering): nobody retires the batch.
+        AsksOutsideTheMutex,
+        /// The bound is published where an execution thread counts out of a
+        /// batch instead of where the batch retires: it passes a reader the
+        /// lane is still running, whose versions may then be recycled.
+        PublishesAtCountOut,
+    }
+
+    /// The cursor on a capacity-2 ring with three batches. Batch 0 has a
+    /// reader, so it is counted out twice: by the executor, which goes on to
+    /// count batches 1 and 2 out on its own, and by the lane — demoted, so
+    /// that in most schedules the executor is out of batch 1 (and waiting
+    /// for batch 2, whose push is blocked on batch 0's slot) first. Checked:
+    /// batches retire in id order, the bound stays below a reader that is
+    /// still running, and none is lost — the third push, an early quiescer
+    /// and the final barrier would deadlock the model.
+    fn cursor_model(fault: Fault) {
+        let w = Arc::new(Window::new(2, STRIDE));
+        let gc_bound = Arc::new(AtomicU64::new(0));
+        // `exec::count_out`, with the twins' departures.
+        fn count_out(w: &Window, gc_bound: &AtomicU64, b: &Batch, by_lane: bool, fault: Fault) {
+            if fault == Fault::PublishesAtCountOut && !by_lane {
+                gc_bound.store(b.last_ts(), Ordering::Release);
+            }
+            if b.exec_pending.fetch_sub(1, Ordering::AcqRel) != 1 {
+                return;
+            }
+            if fault == Fault::AsksOutsideTheMutex && w.retired.load(Ordering::Acquire) != b.id {
+                return;
+            }
+            w.finish(|b| {
+                assert_eq!(w.retired.load(Ordering::Acquire), b.id, "id order");
+                if fault != Fault::PublishesAtCountOut {
+                    gc_bound.store(b.last_ts(), Ordering::Release);
+                }
+            });
+        }
+        let executor = {
+            let (w, gc_bound) = (Arc::clone(&w), Arc::clone(&gc_bound));
+            bohm_sync::thread::spawn(move || {
+                for id in 0.. {
+                    let Some(b) = w.next_for_exec(id) else { break };
+                    count_out(&w, &gc_bound, &b, false, fault);
+                }
+            })
+        };
+        let lane = {
+            let (w, gc_bound) = (Arc::clone(&w), Arc::clone(&gc_bound));
+            bohm_sync::thread::spawn(move || {
+                let b = w.next_for_exec(0).expect("pushed below");
+                assert_eq!(&*b.readers, [0], "batch 0 is the one with a reader");
+                for _ in 0..4 {
+                    let bound = gc_bound.load(Ordering::Acquire);
+                    assert!(bound < b.base_ts, "bound {bound} passed a running reader");
+                    bohm_sync::thread::yield_now();
+                }
+                count_out(&w, &gc_bound, &b, true, fault);
+            })
+        };
+        let mut arena = crate::batch::tests::test_arena();
+        // One read, nothing annotated (`annotate_max_reads` 0): a detached
+        // reader. No CC layer: born ready for execution.
+        let rid = bohm_common::RecordId::new(0, 1);
+        let reader = bohm_common::Txn::new(vec![rid], vec![], bohm_common::Procedure::ReadOnly);
+        let entries = vec![(reader, crate::batch::Completion::new())];
+        w.push(Batch::new(entries, 1, 0, 0, 0, 1, 0, &mut arena));
+        let quiescer = {
+            let w = Arc::clone(&w);
+            bohm_sync::thread::spawn(move || w.wait_retired())
+        };
+        for id in 1..3 {
+            let entries = crate::batch::tests::entries(1);
+            w.push(Batch::new(
+                entries,
+                1 + id * STRIDE,
+                id,
+                0,
+                0,
+                1,
+                64,
+                &mut arena,
+            ));
+        }
+        w.wait_retired();
+        assert!(w.is_empty());
+        assert_eq!(gc_bound.load(Ordering::Acquire), 1 + 2 * STRIDE);
+        w.close(3);
+        for t in [executor, lane, quiescer] {
+            t.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn cursor_retires_in_id_order_whatever_order_batches_are_counted_out_in() {
+        model::explore(model::Options::default(), || cursor_model(Fault::None));
+    }
+
+    /// See [`twin_fails_replayably`](crate::batch::modelcheck::twin_fails_replayably).
+    fn twin_is_caught_replayably(fault: Fault, what: &str) {
+        crate::batch::modelcheck::twin_fails_replayably(what, || cursor_model(fault));
+    }
+
+    #[test]
+    fn asking_about_the_predecessor_outside_the_mutex_is_a_replayable_lost_retirement() {
+        twin_is_caught_replayably(Fault::AsksOutsideTheMutex, "deadlock");
+    }
+
+    #[test]
+    fn a_bound_published_at_count_out_replayably_passes_a_running_reader() {
+        twin_is_caught_replayably(Fault::PublishesAtCountOut, "passed a running reader");
     }
 }

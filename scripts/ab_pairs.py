@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating parent/change benchmark pairs, judged by the section-8 rule.
 
-    scripts/ab_pairs.py PARENT_REF --workload NAME [--pairs 10] [--first-seed S] [--budget]
+    scripts/ab_pairs.py PARENT_REF --workload NAME [--pairs 10] [--first-seed S] [--budget] [--record [--label TEXT]]
 
 Run from the repository root. The *change* is the working tree; the *parent*
 is PARENT_REF, exported with `git archive` into a disposable directory,
@@ -32,11 +32,20 @@ thread's `cpu_share` and the child's throughput windows; a child's figure is
 (one per round), and a side's is the median [q1, q3] over its runs. Layer
 figures are reported, never judged: the verdicts above are the result.
 
+With --record it appends one row per side to the checked-in trajectory file,
+BENCH_perfbench.json (a JSON array, one row per line, oldest first): sha
+(the change is HEAD, marked `-dirty` while the working tree differs from it
+— it usually does, so name the change with --label, e.g. "PR 22"), date,
+host cores, workload, pairs and seeds, the median of every end-to-end metric,
+the --budget medians when given, and the tree's `analysis --loc` total. The
+next reader of the trajectory reads a file, not prose.
+
 Exits non-zero only on usage errors; a failed run is reported and its pair
 dropped.
 """
 
 import argparse
+import datetime
 import json
 import os
 import statistics
@@ -64,6 +73,27 @@ def export_parent(ref):
             sys.exit(f"ab_pairs: git archive {sha} failed")
         open(ready, "w").close()
     return sha, tree
+
+
+TRAJECTORY = "BENCH_perfbench.json"
+
+
+def loc_of(tree):
+    """The tree's `analysis --loc` total (non-test code lines), or None."""
+    out = sh(["cargo", "run", "-q", "--offline", "-p", "analysis", "--", "--loc"], cwd=tree, stderr=subprocess.DEVNULL)
+    last = out.stdout.split()[-2:] if out.returncode == 0 else []
+    return int(last[0]) if len(last) == 2 and last[1] == "total" else None
+
+
+def record(rows):
+    """Append `rows` to the trajectory file, one row per line."""
+    try:
+        with open(TRAJECTORY) as f:
+            rows = json.load(f) + rows
+    except OSError:
+        pass
+    with open(TRAJECTORY, "w") as f:
+        f.write("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
 
 
 BUDGET_THREADS = ["driver", "core.seq", "core.cc", "core.exec"]
@@ -118,6 +148,8 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--budget", action="store_true", help="also print CPU µs per transaction by thread")
+    ap.add_argument("--record", action="store_true", help=f"append one row per side to {TRAJECTORY}")
+    ap.add_argument("--label", default="", help="with --record: what to call the change in its rows")
     args = ap.parse_args()
 
     try:
@@ -205,6 +237,25 @@ def main():
             cells = ["{1:.3f} [{0:.3f}, {2:.3f}]".format(*quartiles(side)) for side in sides]
             delta = statistics.median(sides[1]) - statistics.median(sides[0])
             print(f"  {t:<24} {cells[0]:<38} {cells[1]:<38} {delta:+.3f}")
+    if args.record:
+        head = sh(["git", "rev-parse", "HEAD"]).stdout.strip()
+        dirty = sh(["git", "status", "--porcelain", "--untracked-files=no"]).stdout.strip()
+        shas = {"parent": sha, "change": head + ("-dirty" if dirty else "")}
+        rows = []
+        for side, tree in trees.items():
+            row = {
+                "sha": shas[side], "side": side, "label": (args.label + " parent" * (side == "parent")).strip(),
+                "date": datetime.date.today().isoformat(),
+                "host_cores": os.cpu_count(), "workload": args.workload, "pairs": len(runs), "seeds": runs,
+                "metrics": {name: statistics.median(v) for name, v in values[side].items()},
+                "loc": loc_of(tree),
+            }
+            if args.budget:
+                threads = BUDGET_THREADS + ["total"]
+                row["budget_us_per_txn"] = {t: statistics.median(r[t] for r in budgets[side]) for t in threads}
+            rows.append(row)
+        record(rows)
+        print(f"  recorded {len(rows)} rows in {TRAJECTORY}")
     print("  raw values per pair, parent/change:")
     for d in defs:
         pairs = " ".join(

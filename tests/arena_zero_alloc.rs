@@ -26,6 +26,11 @@
 //! transactions — `10·N` installs, formerly two allocator calls each —
 //! stay within the *same* two budgets.
 //!
+//! The detached twin widens the read-only transactions past
+//! `annotate_max_reads`, so every one of them goes through the read lane:
+//! what the lane adds is per *batch* (the reader positions, one queue push),
+//! never per transaction, and the budgets do not move.
+//!
 //! Kept in its own test binary so concurrent tests cannot pollute the
 //! measurement window (the two audits in here take turns under a lock).
 //! Scaled by `BOHM_STRESS_ITERS` like the other stress suites.
@@ -46,7 +51,7 @@ const BATCH: usize = 256;
 /// by design) stays outside the measured window. `rmw` turns every
 /// transaction's ten reads into ten read-modify-writes (distinct keys, as a
 /// write set requires).
-fn build_txns(n_txns: usize, seed: u64, rmw: bool) -> Vec<Txn> {
+fn build_txns(n_txns: usize, seed: u64, rmw: bool, reads: usize) -> Vec<Txn> {
     let mut x = seed | 1;
     let mut rid = move || {
         x ^= x << 13;
@@ -56,8 +61,8 @@ fn build_txns(n_txns: usize, seed: u64, rmw: bool) -> Vec<Txn> {
     };
     (0..n_txns)
         .map(|_| {
-            let mut keys: Vec<RecordId> = Vec::with_capacity(READS_PER_TXN);
-            while keys.len() < READS_PER_TXN {
+            let mut keys: Vec<RecordId> = Vec::with_capacity(reads);
+            while keys.len() < reads {
                 let k = rid();
                 if !rmw || !keys.contains(&k) {
                     keys.push(k);
@@ -85,7 +90,7 @@ struct Window {
 /// transactions submitted one by one through a session, as a closed loop
 /// one batch deep — a fixed depth, so the warm-up reaches the same version
 /// pool and arena high-water marks the window will need.
-fn steady_state_allocations(n: usize, rmw: bool) -> Window {
+fn steady_state_allocations(n: usize, rmw: bool, reads: usize) -> Window {
     let _turn = ONE_AT_A_TIME.lock();
     let cfg = BohmConfig {
         batch_size: BATCH,
@@ -114,9 +119,9 @@ fn steady_state_allocations(n: usize, rmw: bool) -> Window {
     // Warmup: fills the arena chunk pool, the ingest queue's capacity, epoch
     // thread-locals, the exec threads' scratch buffers and (RMW) the CC
     // thread's version pool.
-    run(build_txns(n.min(2048), 7, rmw));
+    run(build_txns(n.min(2048), 7, rmw, reads));
 
-    let txns = build_txns(n, 99, rmw);
+    let txns = build_txns(n, 99, rmw, reads);
     let before = (
         CountingAlloc::allocations(),
         CountingAlloc::marked_allocations(),
@@ -163,9 +168,20 @@ fn bohm_read_only_steady_state_allocates_nothing_per_txn() {
     let n = bohm_common::stress_iters(4_096) as usize;
     audit(
         n,
-        &steady_state_allocations(n, false),
+        &steady_state_allocations(n, false, READS_PER_TXN),
         "read-only txns",
         "a per-transaction allocation crept back into the hot path",
+    );
+}
+
+#[test]
+fn bohm_detached_readers_steady_state_allocates_nothing_per_txn() {
+    let n = bohm_common::stress_iters(4_096) as usize;
+    audit(
+        n,
+        &steady_state_allocations(n, false, 65),
+        "detached 65-read txns",
+        "the read lane allocates per transaction, not per batch",
     );
 }
 
@@ -174,7 +190,7 @@ fn bohm_rmw_steady_state_recycles_versions_instead_of_allocating() {
     let n = bohm_common::stress_iters(4_096) as usize;
     audit(
         n,
-        &steady_state_allocations(n, true),
+        &steady_state_allocations(n, true, READS_PER_TXN),
         "10-RMW txns",
         "placeholders are reaching the allocator again instead of the CC \
          thread's version pool",

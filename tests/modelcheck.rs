@@ -219,8 +219,8 @@ mod chain {
     ///
     /// * The **low reader** is the batch-1 transaction at ts 3, whose read
     ///   resolves to the ts-1 version (end 5). It publishes the watermark 8
-    ///   with Release — in the correct model *after* its read, as
-    ///   `exec_loop` does once a batch is done.
+    ///   with Release — in the correct model *after* its read, as the
+    ///   window's retirement cursor does once a batch is done.
     /// * The **writer** is the owning CC thread working on batch 2 (and the
     ///   producer of its placeholders): per write it Acquire-loads the
     ///   watermark, reclaims under it — only the ts-1 version has

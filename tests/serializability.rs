@@ -21,20 +21,22 @@ fn catalog_of(spec: &DatabaseSpec) -> CatalogSpec {
     c
 }
 
+fn as_exec(o: bohm_suite::core::TxnOutcome) -> bohm_suite::common::engine::ExecOutcome {
+    bohm_suite::common::engine::ExecOutcome {
+        committed: o.committed,
+        fingerprint: o.fingerprint,
+        cc_retries: 0,
+    }
+}
+
 /// Run txns through BOHM — one session, the whole stream in flight, the
 /// sequencer sealing `batch`-sized batches — then check equivalence with
 /// serial log-order replay.
 fn run_and_check(spec: DatabaseSpec, txns: Vec<Txn>, mut cfg: BohmConfig, batch: usize) {
     cfg.batch_size = batch;
     let engine = Bohm::start(cfg, catalog_of(&spec));
-    let outcomes: Vec<_> = engine
-        .execute_sync(txns.clone())
-        .into_iter()
-        .map(|o| bohm_suite::common::engine::ExecOutcome {
-            committed: o.committed,
-            fingerprint: o.fingerprint,
-            cc_retries: 0,
-        })
+    let outcomes: Vec<_> = (engine.execute_sync(txns.clone()).into_iter())
+        .map(as_exec)
         .collect();
     let res = check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid));
     engine.shutdown();
@@ -377,17 +379,7 @@ fn session_single_txn_submission_matches_serial_order() {
         let engine = Bohm::start(cfg, catalog_of(&spec));
         let session = engine.session();
         let handles: Vec<_> = txns.iter().map(|t| session.submit(t.clone())).collect();
-        let outcomes: Vec<_> = handles
-            .iter()
-            .map(|h| {
-                let o = h.wait();
-                bohm_suite::common::engine::ExecOutcome {
-                    committed: o.committed,
-                    fingerprint: o.fingerprint,
-                    cc_retries: 0,
-                }
-            })
-            .collect();
+        let outcomes: Vec<_> = handles.iter().map(|h| as_exec(h.wait())).collect();
         // Quiesce with a barrier submission before direct state reads.
         engine.execute_sync(vec![Txn::new(
             vec![RecordId::new(0, 0)],
@@ -477,16 +469,221 @@ fn sequential_submissions_interleave_correctly() {
         let txns = rmw_mix(8, 50, true, 100 + round);
         let got = engine.execute_sync(txns.clone());
         all.extend(txns);
-        outcomes.extend(
-            got.into_iter()
-                .map(|o| bohm_suite::common::engine::ExecOutcome {
-                    committed: o.committed,
-                    fingerprint: o.fingerprint,
-                    cc_retries: 0,
-                }),
-        );
+        outcomes.extend(got.into_iter().map(as_exec));
     }
     let res = check_serial_equivalence(&spec, &all, &outcomes, |rid| engine.read_u64(rid));
     engine.shutdown();
+    res.unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// The read lane: detached readers (no writes, a read set too large to
+// annotate) beside their producers
+// ---------------------------------------------------------------------------
+
+/// Rows per stripe of the lane streams' table; stripe `s` is rows
+/// `s·STRIPE ..`, which is also how the sharded case places it on shard `s`.
+const STRIPE: u64 = 128;
+
+fn striped_table(stripes: u64) -> DatabaseSpec {
+    one_table(STRIPE * stripes)
+}
+
+/// A detached reader over stripe `s`: 65–300 reads cycling over the stripe's
+/// eight hot rows — the rows every RMW of the stream writes.
+fn long_reads(rng: &mut FastRng, s: u64) -> Vec<RecordId> {
+    let n = 65 + rng.below(236);
+    (0..n)
+        .map(|_| RecordId::new(0, s * STRIPE + rng.below(8)))
+        .collect()
+}
+
+/// One session's stream: RMWs over each stripe's eight hot rows interleaved
+/// with every kind of detached reader over the same rows, each transaction
+/// inside one stripe. Small batches put a reader in one batch with its
+/// producers (it resolves them in place) and with other readers (the
+/// execution threads take them from the far end).
+fn lane_stream(n: usize, seed: u64, stripes: u64) -> Vec<Txn> {
+    use bohm_suite::common::{ScanRange, TpcCProc};
+    let mut rng = FastRng::seed_from(seed);
+    (0..n)
+        .map(|_| {
+            let s = rng.below(stripes);
+            match rng.below(10) {
+                // Plain long read.
+                0 | 1 => Txn::new(long_reads(&mut rng, s), vec![], Procedure::ReadOnly),
+                // One that user-aborts: the guard (its first read) is below
+                // any `min`, and there is nothing to delete.
+                2 => Txn::new(
+                    long_reads(&mut rng, s),
+                    vec![],
+                    Procedure::GuardedDelete { min: u64::MAX },
+                ),
+                // One with a scan wider than `annotate_max_reads`, across
+                // the hot rows: un-annotated, pending versions and all.
+                3 => Txn::with_scans(
+                    long_reads(&mut rng, s),
+                    vec![],
+                    vec![ScanRange::new(0, s * STRIPE, s * STRIPE + 80)],
+                    Procedure::TpcC(TpcCProc::OrderHistory),
+                ),
+                // A short read-only transaction: annotated, unless
+                // `annotate_reads` is off — then it is detached too.
+                4 => {
+                    let reads = (0..2).map(|_| RecordId::new(0, s * STRIPE + rng.below(8)));
+                    Txn::new(reads.collect(), vec![], Procedure::ReadOnly)
+                }
+                _ => {
+                    let (a, b) = (rng.below(8), rng.below(7));
+                    let rids: Vec<_> = [a, (a + 1 + b) % 8]
+                        .iter()
+                        .map(|k| RecordId::new(0, s * STRIPE + k))
+                        .collect();
+                    let delta = 1 + rng.below(9);
+                    Txn::new(rids.clone(), rids, Procedure::ReadModifyWrite { delta })
+                }
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn detached_readers_beside_their_producers_match_serial_order() {
+    for (case, batch) in [4, 64, 4096].into_iter().enumerate() {
+        for exec in [1, 2, 4] {
+            let txns = lane_stream(1_500, 0x1A9E + case as u64, 1);
+            run_and_check(
+                striped_table(1),
+                txns,
+                BohmConfig::with_threads(2, exec),
+                batch,
+            );
+        }
+    }
+    // With annotation off every read-only transaction is detached, and the
+    // writers' reads go through the same ts-filtered probe.
+    let mut cfg = BohmConfig::with_threads(2, 2);
+    cfg.annotate_reads = false;
+    run_and_check(striped_table(1), lane_stream(1_500, 0x1A9F, 1), cfg, 16);
+}
+
+#[test]
+fn quiesce_implies_detached_readers_are_complete() {
+    use bohm_suite::common::engine::BatchEngine;
+    let spec = striped_table(1);
+    let mut cfg = BohmConfig::with_threads(1, 2);
+    cfg.batch_size = 8;
+    let engine = Bohm::start(cfg, catalog_of(&spec));
+    let session = engine.session();
+    let txns = lane_stream(600, 0x901E, 1);
+    let handles: Vec<_> = txns
+        .iter()
+        .map(|t| {
+            let mut t = t.clone();
+            // Slow readers: the execution threads run ahead of the lane.
+            t.think_us = if t.writes.is_empty() { 50 } else { 0 };
+            session.submit(t)
+        })
+        .collect();
+    engine.quiesce();
+    assert!(
+        handles.iter().all(|h| h.is_done()),
+        "a retired batch has no unfinished transaction"
+    );
+    let outcomes: Vec<_> = handles.iter().map(|h| as_exec(h.wait())).collect();
+    let res = check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid));
+    engine.shutdown();
+    res.unwrap();
+}
+
+#[test]
+fn detached_readers_replay_from_the_log_as_they_ran() {
+    use bohm_suite::common::wal::{DurabilityConfig, FsyncPolicy};
+    // Whole batches only (the stream is a multiple of the batch size and
+    // the linger never fires), so the log's framing is the same every run.
+    let txns = lane_stream(24 * 64, 0xD09, 1);
+    let spec = striped_table(1);
+    let run = |name: &str, annotate_max_reads: usize| {
+        let dir = std::env::temp_dir().join(format!("bohm-lane-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = BohmConfig::with_threads(2, 2);
+        cfg.batch_size = 64;
+        cfg.batch_linger = std::time::Duration::from_secs(30);
+        cfg.annotate_max_reads = annotate_max_reads;
+        let mut d = DurabilityConfig::new(&dir);
+        d.fsync = FsyncPolicy::Off;
+        cfg.durability = Some(d);
+        let engine = Bohm::start(cfg.clone(), catalog_of(&spec));
+        let outcomes = engine.execute_sync(txns.clone());
+        let bytes = engine.log_bytes();
+        engine.shutdown();
+        (dir, cfg, outcomes, bytes)
+    };
+    let (dir, cfg, outcomes, bytes) = run("on", 64);
+    // Read-only transactions stay in the log, lane or no lane: the same
+    // stream with nothing detached (everything annotated) logs the same.
+    let (plain_dir, _, plain_outcomes, plain_bytes) = run("off", usize::MAX);
+    assert_eq!(outcomes, plain_outcomes);
+    assert_eq!(bytes, plain_bytes, "the lane changed what is logged");
+    // (Replay ends in a barrier no-op, which only the linger seals.)
+    let cfg = BohmConfig {
+        batch_linger: BohmConfig::default().batch_linger,
+        ..cfg
+    };
+    let (engine, replayed) = Bohm::recover(cfg, catalog_of(&spec)).unwrap();
+    assert_eq!(
+        replayed, outcomes,
+        "replay re-runs the readers where they ran"
+    );
+    let outcomes: Vec<_> = outcomes.into_iter().map(as_exec).collect();
+    let res = check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid));
+    engine.shutdown();
+    res.unwrap();
+    for d in [dir, plain_dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
+
+#[test]
+fn sharded_long_readers_ride_their_shards_lane_and_cross_shard_ones_the_barrier() {
+    use bohm_suite::common::engine::{BatchEngine, Session};
+    use bohm_suite::common::{ShardMap, ShardStrategy, ShardedEngine};
+    use std::sync::Arc;
+    const SHARDS: u64 = 2;
+    let spec = striped_table(SHARDS);
+    let epoch = Arc::new(bohm_sync::atomic::AtomicU64::new(0));
+    let shards: Vec<Bohm> = (0..SHARDS)
+        .map(|_| {
+            let mut cfg = BohmConfig::with_threads(1, 2);
+            cfg.batch_size = 16;
+            cfg.epoch_source = Some(Arc::clone(&epoch));
+            Bohm::start(cfg, catalog_of(&spec))
+        })
+        .collect();
+    let map = ShardMap::new(SHARDS as u32, vec![ShardStrategy::Blocks { block: STRIPE }]).unwrap();
+    let engine = ShardedEngine::with_epoch_source(shards, map, vec![8], epoch).unwrap();
+    // Single-stripe transactions — long readers among them — pipeline on
+    // their shard. In the middle, two transactions over both stripes: an RMW
+    // and a long read-only one, which is *not* detached anywhere — it runs
+    // on the barrier path, against quiesced shards, and so after every
+    // reader the lanes still had queued.
+    let mut txns = lane_stream(1_000, 0x5AAD, SHARDS);
+    let both = |k: u64| [RecordId::new(0, k), RecordId::new(0, STRIPE + k)];
+    let rmw = Procedure::ReadModifyWrite { delta: 5 };
+    let cross_reads = (0..100).flat_map(|i| both(i % 8)).collect();
+    txns.insert(500, Txn::new(both(3).to_vec(), both(3).to_vec(), rmw));
+    txns.insert(501, Txn::new(cross_reads, vec![], Procedure::ReadOnly));
+    assert!(!engine.map().route(&txns[501]).is_single());
+    let mut session = engine.open_session();
+    for t in &txns {
+        session.submit(t.clone());
+    }
+    engine.quiesce();
+    let outcomes: Vec<_> = txns.iter().map(|_| session.reap()).collect();
+    drop(session);
+    let res = check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid));
+    for shard in engine.into_shards() {
+        shard.shutdown();
+    }
     res.unwrap();
 }

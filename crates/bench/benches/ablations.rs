@@ -54,7 +54,9 @@ fn main() {
         let mut series = Vec::new();
         for (label, annotate) in [("annotated", true), ("traversal", false)] {
             let mut cfg = BohmConfig::with_threads(cc, exec);
-            cfg.annotate_reads = annotate;
+            if !annotate {
+                cfg.annotate_max_reads = 0;
+            }
             let (st, _) = drive(&ycsb, cfg, YcsbKind::Rmw2Read8, 7000, p.secs);
             eprintln!("annotation={label}: {:.0} txns/s", st.throughput());
             series.push(Series::new(label, vec![(0.0, st.throughput())]));

@@ -10,24 +10,22 @@
 //! additionally validate absent reads, so the OrderStatus probes show up
 //! as (rare) validation aborts under contention.
 //!
-//! Six figures: few warehouses (hot district counters — every NewOrder
+//! Five figures: few warehouses (hot district counters — every NewOrder
 //! RMWs one of `warehouses × 10` counters), many warehouses, the
 //! scan-heavy OrderHistory mix (50% range scans racing inserts/deletes at
 //! the window edges — where scan-path regressions land), the index-heavy
 //! CustomerStatus mix (50% secondary-index scans racing NewOrder/Delivery
 //! maintenance of the scanned posting lists — where index-path regressions
-//! land), the **shard-count scalability** sweep (per-shard sequencers
-//! behind the `ShardedEngine` facade — where the single-sequencer ceiling
-//! shows), and the **Zipfian hot-customer** sweep (skewed Payment targets
+//! land), and the **Zipfian hot-customer** sweep (skewed Payment targets
 //! with per-engine abort rates — where contention-handling regressions
 //! land).
 
 use bohm_bench::driver::{run_engine, DriverConfig};
-use bohm_bench::engines::{build_sharded, shutdown_sharded, EngineKind};
+use bohm_bench::engines::EngineKind;
 use bohm_bench::figure::measure;
 use bohm_bench::params::Params;
 use bohm_bench::report::{print_figure, sweep_series, Series};
-use bohm_workloads::tpcc::{self, TpccConfig, TpccGen};
+use bohm_workloads::tpcc::{TpccConfig, TpccGen};
 
 /// The shared workload shape; figures vary only warehouses + generator.
 fn config(p: &Params, warehouses: u64) -> TpccConfig {
@@ -82,17 +80,6 @@ fn engine_sweep(
         .collect()
 }
 
-/// Shard counts swept by the scalability figure: powers of two up to
-/// `BOHM_SHARDS` (default 4) — every one divides the 64 order stripes and
-/// the warehouse count the figure provisions.
-fn shard_counts() -> Vec<u32> {
-    let max = bohm_common::shard::env_shards(4);
-    [1u32, 2, 4, 8, 16, 32, 64]
-        .into_iter()
-        .filter(|&s| s <= max)
-        .collect()
-}
-
 fn main() {
     let p = Params::from_env();
     let warehouse_counts: [(&str, u64); 2] = [
@@ -132,57 +119,6 @@ fn main() {
         });
         let title = "TPC-C-lite CustomerStatus index_scan mix".to_string();
         print_figure(&title, "threads", &series);
-    }
-    // Shard-count scalability: BOHM behind the ShardedEngine facade with
-    // per-shard sequencers/CC/exec pools, driven by the shard-affine
-    // stripe mix so transactions route single-shard. `shards = 1` *is*
-    // the single-sequencer baseline; throughput beyond it is what
-    // sharding buys. The remote-payment series pays the stop-the-world
-    // cross-shard commit protocol on 10% of Payments — the honest price
-    // of epoch-aligned cross-shard transactions.
-    {
-        let counts = shard_counts();
-        let max_shards = *counts.last().unwrap() as u64;
-        let cfg = config(&p, max_shards.max(4)); // warehouses % shards == 0
-        let spec = cfg.spec();
-        let threads = *p.thread_sweep.last().unwrap();
-        let xs: Vec<f64> = counts.iter().map(|&s| s as f64).collect();
-        let mut series = Vec::new();
-        for (label, remote) in [("Bohm affine", 0u32), ("Bohm 10% remote", 10)] {
-            series.push(sweep_series(label, &xs, p.runs, |x, run| {
-                let shards = x as u32;
-                let map = tpcc::shard_map(&cfg, shards).expect("figure config shards evenly");
-                let engine = build_sharded(EngineKind::Bohm, &spec, threads, map);
-                let sessions = (2 * shards as usize).min(cfg.order_stripes as usize);
-                let cfg2 = cfg.clone();
-                let st = run_engine(
-                    &engine,
-                    sessions,
-                    DriverConfig::default(),
-                    p.secs,
-                    move |i| {
-                        Box::new(
-                            TpccGen::new(cfg2.clone(), 13_000 + i as u64, i as u64)
-                                .shard_affine(shards)
-                                .remote_payments(remote),
-                        )
-                    },
-                );
-                let epochs = engine.epoch();
-                shutdown_sharded(engine);
-                if run > 0 {
-                    eprintln!(
-                        "{label} shards={shards} run={run}/{}: {:.0} txns/s \
-                         ({epochs} cross-shard epochs)",
-                        p.runs,
-                        st.throughput()
-                    );
-                }
-                st.throughput()
-            }));
-        }
-        let title = "TPC-C-lite shard-count scalability (Bohm)".to_string();
-        print_figure(&title, "shards", &series);
     }
     // Zipfian hot-customer Payments (ROADMAP 5c): sweep the skew θ and
     // report every engine's throughput *and* abort rate — BOHM never

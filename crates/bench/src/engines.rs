@@ -7,7 +7,7 @@
 
 use bohm::{Bohm, BohmConfig, BohmSession, CatalogSpec};
 use bohm_common::engine::{BatchEngine, ExecOutcome, Session, WorkerSession};
-use bohm_common::{RecordId, ShardMap, ShardedEngine, Txn};
+use bohm_common::{RecordId, Txn};
 use bohm_hekaton::{Hekaton, HekatonStore};
 use bohm_occ::SiloOcc;
 use bohm_svstore::StoreBuilder;
@@ -146,51 +146,6 @@ pub fn build_hekaton(spec: &DatabaseSpec) -> Hekaton {
 /// See [`build_hekaton`] for the background-sweeper note.
 pub fn build_si(spec: &DatabaseSpec) -> Hekaton {
     Hekaton::snapshot_isolation(build_hekaton_store(spec)).without_background_sweep()
-}
-
-/// Build a **sharded deployment** of `kind`: `map.shards()` independent
-/// engine instances — per-shard sequencers, CC/execution pools, window
-/// rings and GC for BOHM — behind the [`ShardedEngine`] facade, with the
-/// engine-side thread budget split evenly across shards (floor 2 per
-/// shard, so BOHM's CC/exec split stays valid on small budgets).
-///
-/// Every shard is preloaded from the full `spec` (identical catalogs; only
-/// the records the map assigns to a shard are ever read from it), and BOHM
-/// shards share one global epoch counter with the facade
-/// (`BohmConfig::epoch_source`), so a cross-shard commit can verify that
-/// every participant retired the epoch it was stamped with. See DESIGN.md
-/// "Sharding & epochs".
-pub fn build_sharded(
-    kind: EngineKind,
-    spec: &DatabaseSpec,
-    threads: usize,
-    map: ShardMap,
-) -> ShardedEngine<AnyEngine> {
-    let n = map.shards() as usize;
-    let per_shard = (threads / n).max(2);
-    let epoch = std::sync::Arc::new(bohm_sync::atomic::AtomicU64::new(0));
-    let engines = (0..n)
-        .map(|_| match kind {
-            EngineKind::Bohm => {
-                let (cc, exec) = bohm_split(per_shard);
-                let mut cfg = BohmConfig::with_threads(cc, exec);
-                cfg.index_capacity = (spec.total_capacity() as usize).next_power_of_two();
-                cfg.epoch_source = Some(std::sync::Arc::clone(&epoch));
-                AnyEngine::Bohm(build_bohm_with(spec, cfg))
-            }
-            _ => kind.build(spec, per_shard),
-        })
-        .collect();
-    let sizes = spec.tables.iter().map(|t| t.record_size).collect();
-    ShardedEngine::with_epoch_source(engines, map, sizes, epoch)
-        .unwrap_or_else(|e| panic!("sharded build over a valid spec/map must succeed: {e}"))
-}
-
-/// Tear a sharded deployment down (joins every BOHM shard's pipeline).
-pub fn shutdown_sharded(engine: ShardedEngine<AnyEngine>) {
-    for shard in engine.into_shards() {
-        shard.shutdown();
-    }
 }
 
 /// Split a total thread budget between BOHM's CC and execution layers.
@@ -345,7 +300,7 @@ impl BatchEngine for AnyEngine {
     /// Quiesce the engine so direct [`read_u64`](BatchEngine::read_u64)
     /// state audits are race-free. The interactive engines are quiescent
     /// between calls already; BOHM drains through its own barrier quiesce
-    /// (an empty-set group submission that waits for batch retirement).
+    /// (one logged no-op, then a wait for batch retirement).
     fn quiesce(&self) {
         if let AnyEngine::Bohm(e) = self {
             BatchEngine::quiesce(e);
@@ -441,42 +396,6 @@ mod tests {
             );
         }
         engine.shutdown();
-    }
-
-    #[test]
-    fn sharded_deployments_preload_and_commit_like_their_engines() {
-        use bohm_common::ShardStrategy;
-        let s = spec();
-        let rid = RecordId::new(0, 3);
-        let txn = Txn::new(
-            vec![rid],
-            vec![rid],
-            bohm_common::Procedure::ReadModifyWrite { delta: 2 },
-        );
-        for kind in EngineKind::ALL {
-            let map = bohm_common::ShardMap::new(2, vec![ShardStrategy::Modulo]).unwrap();
-            let engine = build_sharded(kind, &s, 4, map);
-            assert_eq!(engine.name(), "Sharded");
-            for row in 0..32 {
-                let r = RecordId::new(0, row);
-                assert_eq!(engine.read_u64(r), Some(row), "{} preload", kind.name());
-            }
-            let mut session = engine.open_session();
-            for _ in 0..10 {
-                session.submit(txn.clone());
-            }
-            let mut committed = 0;
-            while session.in_flight() > 0 {
-                if session.reap().committed {
-                    committed += 1;
-                }
-            }
-            assert_eq!(committed, 10, "{}", kind.name());
-            drop(session);
-            engine.quiesce();
-            assert_eq!(engine.read_u64(rid), Some(3 + 20), "{}", kind.name());
-            shutdown_sharded(engine);
-        }
     }
 
     #[test]

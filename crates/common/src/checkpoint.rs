@@ -279,7 +279,7 @@ pub fn cut(
 /// posting lists included (they are ordinary records).
 pub fn restore_into<E: BatchEngine + ?Sized>(ckp: &Checkpoint, seeded_rows: &[u64], engine: &E) {
     /// Writes per restore transaction — a batch-friendly size that keeps
-    /// `Apply` sub-plans well under any record-size cap.
+    /// `Apply` transactions well under any record-size cap.
     const CHUNK: usize = 512;
     let mut session = engine.open_session();
     let mut rids = Vec::with_capacity(CHUNK);
@@ -293,7 +293,6 @@ pub fn restore_into<E: BatchEngine + ?Sized>(ckp: &Checkpoint, seeded_rows: &[u6
             std::mem::take(rids),
             Procedure::Apply {
                 values: std::mem::take(values).into(),
-                participants: 0,
             },
         ));
         while session.in_flight() > 0 {

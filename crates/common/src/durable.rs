@@ -37,7 +37,9 @@
 //! but its outcome was never returned to the caller, so recovery
 //! reconstructing a state without it is indistinguishable from the crash
 //! having landed a moment earlier. This is the standard
-//! acknowledge-after-log contract.
+//! acknowledge-after-log contract. A failed append panics that one call,
+//! and the log stays failed (see `common::wal`), so every later `execute`
+//! panics *before* it runs: the engine stops, as BOHM's does.
 //!
 //! # Checkpoints bound replay
 //!
@@ -271,6 +273,10 @@ impl<E: Engine> Engine for DurableEngine<E> {
 
     fn execute(&self, txn: &Txn, w: &mut E::Worker) -> ExecOutcome {
         let _commit = self.commit_lock.lock();
+        // A failed log stays failed: nothing may commit that it cannot hold.
+        if let Some(first) = self.wal.failure() {
+            panic!("durable engine failed: its WAL stopped at {first}");
+        }
         let out = self.inner.execute(txn, w);
         let decision = TxnDecision {
             committed: out.committed,

@@ -51,7 +51,6 @@ pub trait Engine: Send + Sync + 'static {
 
     /// Snapshot the full committed payload of a record while the engine is
     /// quiescent; `None` for a record that does not (currently) exist.
-    /// The cross-shard commit path reads participating shards through this.
     fn read_record(&self, rid: crate::RecordId) -> Option<crate::Value>;
 
     /// Visit every currently present record — `(id, committed payload)` —
@@ -116,12 +115,10 @@ pub trait BatchEngine: Send + Sync + 'static {
     fn snapshot_records(&self, f: &mut dyn FnMut(crate::RecordId, &[u8]));
 
     /// Block until every transaction submitted (by any session) before this
-    /// call has a decision applied to the store — an **epoch retirement
+    /// call has a decision applied to the store — a **retirement
     /// barrier**. Synchronous engines execute inside `submit` and are
     /// always quiescent (the default no-op); pipelined engines must drain
-    /// their in-flight batches. The sharded facade aligns shards on a
-    /// common epoch by quiescing every participant before a cross-shard
-    /// transaction executes.
+    /// their in-flight batches.
     fn quiesce(&self) {}
 }
 

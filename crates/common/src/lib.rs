@@ -31,7 +31,6 @@ pub mod engine;
 pub mod index;
 pub mod procedures;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod txn;
 pub mod types;
@@ -46,9 +45,6 @@ pub use durable::DurableEngine;
 pub use procedures::{
     execute_procedure, range_audit_fingerprint, ExecScratch, Procedure, SmallBankProc, TpcCProc,
     ABSENT_FINGERPRINT, SCAN_POISON_GAP, SCAN_POISON_VALUE,
-};
-pub use shard::{
-    consistent_cut, shard_wal_dir, ShardMap, ShardSet, ShardStrategy, ShardedEngine, MAX_SHARDS,
 };
 pub use txn::{IndexScan, ScanRange, Txn};
 pub use types::{RecordId, TableId, Timestamp, TxnId, INFINITY_TS};

@@ -232,24 +232,15 @@ pub enum Procedure {
     },
     /// Positionally apply a precomputed effect: write `values[i]` to
     /// write-set entry `i` (`Some` ⇒ full-record write, `None` ⇒ delete).
-    /// No reads, no logic, no aborts — the sharded facade's cross-shard
-    /// commit path runs the real procedure once against the aligned epoch's
-    /// state, then installs each shard's slice of the write set through one
-    /// `Apply` sub-plan, so every shard commits the identical deterministic
-    /// effect without voting. Fingerprint = 0 (the orchestrator reports the
-    /// real procedure's fingerprint). Layout: reads = `[]`, writes = the
-    /// shard's slice, `values.len() == writes.len()`.
+    /// No reads, no logic, no aborts — the checkpoint-restore write
+    /// ([`checkpoint::restore_into`](crate::checkpoint::restore_into)
+    /// replays a snapshot through the engine's normal write path as
+    /// `Apply` transactions). Fingerprint = 0. Layout: reads = `[]`,
+    /// `values.len() == writes.len()`.
     Apply {
         /// Per-write-position payloads; `Arc` keeps `Procedure: Clone`
-        /// a pointer bump even when a sub-plan carries fat records.
+        /// a pointer bump even when a restore chunk carries fat records.
         values: std::sync::Arc<[Option<crate::Value>]>,
-        /// Bitmask of the shards that received a sub-plan of the same
-        /// cross-shard transaction (bit `k` = shard `k`), `0` outside the
-        /// sharded facade. Recovery's consistent-cut rule needs the full
-        /// participant set *in the log*: an epoch's sub-plans replay only
-        /// if every shard in this mask logged its copy, otherwise the
-        /// stragglers are dropped uniformly (see `common::shard`).
-        participants: u64,
     },
 }
 
@@ -1457,10 +1448,7 @@ mod tests {
         let mut a = MemAccess::new(vec![], 3, 8);
         let mut scratch = ExecScratch::new();
         let fp = exec_no_scans(
-            &Procedure::Apply {
-                values,
-                participants: 0,
-            },
+            &Procedure::Apply { values },
             &[],
             &writes,
             &mut a,

@@ -48,13 +48,21 @@
 //!
 //! [`Wal`] implements the object-safe [`LogSink`] trait, which is the
 //! integration point sized for the rest of the roadmap: the other four
-//! engines can log their own commit orders through the same trait, and
-//! the sharded facade can hand each shard its own `Wal` (per-shard logs
-//! compose because each shard's sequencer order is its serialization
-//! order). [`Wal::log_bytes`] and [`Wal::truncate_before`] are the hooks
-//! the future checkpointing milestone will drive: once a checkpoint
-//! covers every effect up to epoch `e`, all segments whose batches are
-//! entirely older than `e` can be dropped.
+//! engines log their own commit orders through the same trait.
+//! [`Wal::log_bytes`] and [`Wal::truncate_before`] are the hooks
+//! checkpointing drives: once a checkpoint covers every effect up to
+//! epoch `e`, all segments whose batches are entirely older than `e` can
+//! be dropped.
+//!
+//! # A failed log stays failed
+//!
+//! The first I/O error of an append, a rotation or a sync latches: every
+//! later one of those calls fails with an error naming the first. After a
+//! partial write the next record would land behind torn bytes (and the
+//! torn-tail rule would silently drop it and everything after it on
+//! recovery); after a failed rotation it would land in a segment already
+//! counted as sealed; after a failed `fdatasync` the page may be gone, so
+//! retrying proves nothing. An engine whose log has failed must stop.
 //!
 //! See the `recovery_demo` example for the end-to-end open-log → run →
 //! kill → replay → fingerprint-check walkthrough, and `DESIGN.md`
@@ -77,8 +85,8 @@ pub use crate::checkpoint::{load_latest as load_latest_checkpoint, restore_into,
 
 /// First 8 bytes of every segment file (format version rides in the last
 /// byte: bump it when the record encoding changes incompatibly). Version
-/// 2 added the `participants` mask to `Apply` records and the optional
-/// trailing commit-outcomes section.
+/// 2 added a reserved `u64` word to `Apply` records — written as zero,
+/// skipped on read — and the optional trailing commit-outcomes section.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"BOHMWAL2";
 
 /// Upper bound accepted for one record's payload when reading a log back.
@@ -156,10 +164,9 @@ impl DurabilityConfig {
 /// Object-safe sink for sequencer-ordered batch logging.
 ///
 /// This is the adoption surface for the rest of the workspace: BOHM's
-/// sequencer calls it before releasing each batch, the other engines can
-/// call it at their commit points, and the sharded facade can hand every
-/// shard its own sink. `Debug` is a supertrait so configurations holding
-/// a sink stay `derive(Debug)`-compatible.
+/// sequencer calls it before releasing each batch, and the other engines
+/// call it at their commit points. `Debug` is a supertrait so
+/// configurations holding a sink stay `derive(Debug)`-compatible.
 pub trait LogSink: Send + Sync + fmt::Debug {
     /// Append one batch — `epoch` stamp plus its transactions in
     /// serialization order — and apply the sink's sync policy. Must not
@@ -203,8 +210,8 @@ pub struct TxnDecision {
 /// in serialization order.
 #[derive(Clone, Debug)]
 pub struct LoggedBatch {
-    /// Global epoch sampled by the sequencer at seal time (0 for
-    /// standalone engines without an epoch source).
+    /// The engine's checkpoint epoch when the batch was logged (0 until
+    /// the first checkpoint).
     pub epoch: u64,
     /// The batch's transactions, in log (= serialization) order.
     pub txns: Vec<Txn>,
@@ -234,6 +241,9 @@ struct WalState {
     batches: u64,
     /// Reused encode buffer: steady-state logging allocates nothing.
     buf: Vec<u8>,
+    /// The first I/O error of an append, rotation or sync; once set, every
+    /// later one fails (see the module docs).
+    failed: Option<String>,
 }
 
 /// The batch-riding write-ahead log. See the [module docs](self).
@@ -372,8 +382,31 @@ impl Wal {
                 unsynced_batches: 0,
                 batches: 0,
                 buf: Vec::new(),
+                failed: None,
             }),
         })
+    }
+
+    /// The first I/O error this log latched, if any. A log that reports
+    /// one accepts no more records.
+    pub fn failure(&self) -> Option<String> {
+        self.state.lock().failed.clone()
+    }
+
+    /// Run `op` under the state lock unless the log has already failed,
+    /// and latch its error if it fails now.
+    fn latched(&self, op: impl FnOnce(&mut WalState) -> io::Result<()>) -> io::Result<()> {
+        let mut st = self.state.lock();
+        if let Some(first) = &st.failed {
+            return Err(io::Error::other(format!(
+                "WAL accepts no more records after an earlier failure: {first}"
+            )));
+        }
+        let res = op(&mut st);
+        if let Err(e) = &res {
+            st.failed = Some(e.to_string());
+        }
+        res
     }
 
     /// Total bytes across all segments (the checkpointing trigger: when
@@ -468,52 +501,52 @@ impl Wal {
         if self.paused.load(Ordering::Acquire) {
             return Ok(()); // recovery replay: already in inherited segments
         }
-        let mut st = self.state.lock();
-        let st = &mut *st;
-        // Encode the payload into the reusable buffer, leaving room for
-        // the [len][checksum] header at the front.
-        st.buf.clear();
-        st.buf.resize(12, 0);
-        st.buf.extend_from_slice(&epoch.to_le_bytes());
-        let count = u32::try_from(txns.len()).expect("batch size fits u32");
-        st.buf.extend_from_slice(&count.to_le_bytes());
-        for txn in txns {
-            encode_txn(&mut st.buf, txn);
-        }
-        if let Some(outcomes) = outcomes {
-            assert_eq!(
-                outcomes.len(),
-                count as usize,
-                "outcomes must align with txns"
-            );
-            st.buf.push(OUTCOMES_TAG);
-            for o in outcomes {
-                st.buf.push(o.committed as u8);
-                st.buf.extend_from_slice(&o.fingerprint.to_le_bytes());
+        self.latched(|st| {
+            // Encode the payload into the reusable buffer, leaving room for
+            // the [len][checksum] header at the front.
+            st.buf.clear();
+            st.buf.resize(12, 0);
+            st.buf.extend_from_slice(&epoch.to_le_bytes());
+            let count = u32::try_from(txns.len()).expect("batch size fits u32");
+            st.buf.extend_from_slice(&count.to_le_bytes());
+            for txn in txns {
+                encode_txn(&mut st.buf, txn);
             }
-        }
-        let payload_len = (st.buf.len() - 12) as u32;
-        let sum = fnv64(&st.buf[12..]);
-        st.buf[0..4].copy_from_slice(&payload_len.to_le_bytes());
-        st.buf[4..12].copy_from_slice(&sum.to_le_bytes());
-        st.file.write_all(&st.buf)?;
-        st.seg_len += st.buf.len() as u64;
-        st.seg_max_epoch = st.seg_max_epoch.max(epoch);
-        st.batches += 1;
-        st.unsynced_batches += 1;
-        let sync_now = match self.fsync {
-            FsyncPolicy::PerBatch => true,
-            FsyncPolicy::EveryN(n) => st.unsynced_batches >= n,
-            FsyncPolicy::Off => false,
-        };
-        if sync_now {
-            st.file.sync_data()?;
-            st.unsynced_batches = 0;
-        }
-        if st.seg_len >= self.segment_bytes {
-            self.rotate_locked(st)?;
-        }
-        Ok(())
+            if let Some(outcomes) = outcomes {
+                assert_eq!(
+                    outcomes.len(),
+                    count as usize,
+                    "outcomes must align with txns"
+                );
+                st.buf.push(OUTCOMES_TAG);
+                for o in outcomes {
+                    st.buf.push(o.committed as u8);
+                    st.buf.extend_from_slice(&o.fingerprint.to_le_bytes());
+                }
+            }
+            let payload_len = (st.buf.len() - 12) as u32;
+            let sum = fnv64(&st.buf[12..]);
+            st.buf[0..4].copy_from_slice(&payload_len.to_le_bytes());
+            st.buf[4..12].copy_from_slice(&sum.to_le_bytes());
+            st.file.write_all(&st.buf)?;
+            st.seg_len += st.buf.len() as u64;
+            st.seg_max_epoch = st.seg_max_epoch.max(epoch);
+            st.batches += 1;
+            st.unsynced_batches += 1;
+            let sync_now = match self.fsync {
+                FsyncPolicy::PerBatch => true,
+                FsyncPolicy::EveryN(n) => st.unsynced_batches >= n,
+                FsyncPolicy::Off => false,
+            };
+            if sync_now {
+                st.file.sync_data()?;
+                st.unsynced_batches = 0;
+            }
+            if st.seg_len >= self.segment_bytes {
+                self.rotate_locked(st)?;
+            }
+            Ok(())
+        })
     }
 
     /// Seal the active segment and open the next (with the state lock
@@ -543,8 +576,7 @@ impl Wal {
     /// without it, the pre-checkpoint tail of the active segment would
     /// pin those bytes until the next size-triggered rotation.
     pub fn rotate(&self) -> io::Result<()> {
-        let mut st = self.state.lock();
-        self.rotate_locked(&mut st)
+        self.latched(|st| self.rotate_locked(st))
     }
 
     /// The log directory this handle appends to (checkpoints co-locate
@@ -573,10 +605,11 @@ impl LogSink for Wal {
     }
 
     fn sync(&self) -> io::Result<()> {
-        let mut st = self.state.lock();
-        st.file.sync_data()?;
-        st.unsynced_batches = 0;
-        Ok(())
+        self.latched(|st| {
+            st.file.sync_data()?;
+            st.unsynced_batches = 0;
+            Ok(())
+        })
     }
 }
 
@@ -734,12 +767,9 @@ fn encode_proc(buf: &mut Vec<u8>, proc: &Procedure) {
             buf.push(P_GUARDED_DELETE);
             put_u64(buf, *min);
         }
-        Procedure::Apply {
-            values,
-            participants,
-        } => {
+        Procedure::Apply { values } => {
             buf.push(P_APPLY);
-            put_u64(buf, *participants);
+            put_u64(buf, 0); // reserved word (see `SEGMENT_MAGIC`)
             put_u32(buf, values.len() as u32);
             for v in values.iter() {
                 match v {
@@ -850,7 +880,7 @@ fn decode_proc(r: &mut Reader) -> Option<Procedure> {
         P_INSERT_KEYED => Procedure::InsertKeyed { base: r.u64()? },
         P_GUARDED_DELETE => Procedure::GuardedDelete { min: r.u64()? },
         P_APPLY => {
-            let participants = r.u64()?;
+            r.u64()?; // reserved word: any value, ignored
             let n = r.count(1)?;
             let mut values = Vec::with_capacity(n);
             for _ in 0..n {
@@ -865,7 +895,6 @@ fn decode_proc(r: &mut Reader) -> Option<Procedure> {
             }
             Procedure::Apply {
                 values: values.into(),
-                participants,
             }
         }
         _ => return None,
@@ -1035,17 +1064,16 @@ mod tests {
         RecordId::new(t, r)
     }
 
+    fn apply_proc() -> Procedure {
+        Procedure::Apply {
+            values: Arc::from(vec![Some(crate::Value::from(&b"abcdefgh"[..])), None]),
+        }
+    }
+
     /// One transaction of every procedure shape (including nested
     /// variants and `Apply` payloads) — the encode/decode gauntlet.
     fn gauntlet() -> Vec<Txn> {
-        let mut apply = Txn::new(
-            vec![],
-            vec![rid(1, 7), rid(1, 8)],
-            Procedure::Apply {
-                values: Arc::from(vec![Some(crate::Value::from(&b"abcdefgh"[..])), None]),
-                participants: 0b101,
-            },
-        );
+        let mut apply = Txn::new(vec![], vec![rid(1, 7), rid(1, 8)], apply_proc());
         apply.think_us = 3;
         let mut scan = Txn::with_scans(
             vec![rid(0, 1)],
@@ -1131,6 +1159,48 @@ mod tests {
         for (got, want) in log[0].txns.iter().zip(&txns) {
             assert_txn_eq(got, want);
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn apply_decodes_whatever_its_reserved_word_holds() {
+        // Older logs carry a shard bitmask in the word `Apply` now writes
+        // as zero; such a record must still decode to the same `Apply`.
+        let mut buf = Vec::new();
+        encode_proc(&mut buf, &apply_proc());
+        assert_eq!(buf[1..9], [0; 8], "written as zero");
+        buf[1..9].copy_from_slice(&0b101u64.to_le_bytes());
+        let mut r = Reader {
+            bytes: &buf,
+            pos: 0,
+        };
+        assert_eq!(decode_proc(&mut r), Some(apply_proc()));
+        assert_eq!(r.pos, buf.len());
+    }
+
+    #[test]
+    fn a_failed_rotation_fails_every_later_call() {
+        let dir = tmpdir("sticky");
+        let mut cfg = DurabilityConfig::new(&dir);
+        cfg.segment_bytes = 1; // rotate after every record
+        let wal = Wal::open(&cfg).unwrap();
+        // `create_new` on an existing path fails: the first rotation faults.
+        fs::create_dir(segment_path(&dir, 1)).unwrap();
+        let txns = gauntlet();
+        let first = wal.log_batch(1, &mut txns[..1].iter()).unwrap_err();
+        assert_eq!(wal.failure(), Some(first.to_string()));
+        // Rotation target 2 would open fine; the log must refuse anyway.
+        for err in [
+            wal.log_batch(2, &mut txns[..1].iter()).unwrap_err(),
+            wal.rotate().unwrap_err(),
+            wal.sync().unwrap_err(),
+        ] {
+            assert!(err.to_string().contains(&first.to_string()), "{err}");
+        }
+        drop(wal);
+        fs::remove_dir(segment_path(&dir, 1)).unwrap();
+        let log = Wal::read_log(&dir).unwrap();
+        assert_eq!(log.iter().map(|b| b.epoch).collect::<Vec<_>>(), [1]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

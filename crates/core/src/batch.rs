@@ -287,9 +287,8 @@ pub struct TxnState {
     /// inserted it, so it is absent at this timestamp (later inserts are
     /// *ordered after* the scan by the CC pass, not phantoms).
     ///
-    /// Annotation is subject to the same knobs as reads: with
-    /// `annotate_reads` off, or for a range wider than
-    /// `annotate_max_reads`, the inner slice is **empty** (nothing is
+    /// Annotation is subject to the same knob as reads: for a range wider
+    /// than `annotate_max_reads`, the inner slice is **empty** (nothing is
     /// allocated or annotated — a declared terabyte-wide range must not
     /// allocate a pointer per slot) and the executor's ts-filtered
     /// fallback probe serves every row with identical semantics.
@@ -365,9 +364,7 @@ impl TxnState {
             txn.scans
                 .iter()
                 .map(|s| {
-                    // `annotate_max_reads` arrives as 0 when annotate_reads
-                    // is off, so both knobs gate here; an empty slice marks
-                    // the scan as fallback-only.
+                    // An empty slice marks the scan as fallback-only.
                     if s.len() as usize <= annotate_max_reads {
                         nulls(arena, s.len() as usize)
                     } else {
@@ -442,11 +439,8 @@ pub struct Batch {
     /// `ts = base_ts + i`. Bases are strided by `BohmConfig::batch_size`
     /// regardless of fill, so `id = (ts - 1) / batch_size`.
     pub base_ts: Timestamp,
-    /// Global epoch the sequencer sampled when sealing this batch
-    /// (`BohmConfig::epoch_source`; 0 for a standalone engine). Retirement
-    /// publishes it as [`Bohm::retired_epoch`](crate::Bohm::retired_epoch) —
-    /// the sharded facade's alignment rule is "a cross-shard transaction's
-    /// epoch is committed once every participant retires it".
+    /// The engine's checkpoint epoch, sampled when the sequencer sealed
+    /// this batch — the stamp its WAL record carries.
     pub epoch: u64,
     /// The batch's transactions in timestamp order, with runtime state.
     pub txns: Box<[TxnState]>,

@@ -182,8 +182,8 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, pool: &mut 
         // ts-filtered fallback re-probe gives the same answer).
         //
         // Like read annotation, this is an *optimization* subject to the
-        // annotate_reads / annotate_max_reads knobs (an empty `scan_refs`
-        // slice marks an un-annotated scan): correctness does not depend
+        // annotate_max_reads knob (an empty `scan_refs` slice marks an
+        // un-annotated scan): correctness does not depend
         // on it, because the executor's fallback probe is ts-filtered and
         // all placeholders of earlier-timestamp transactions are installed
         // before this batch executes.

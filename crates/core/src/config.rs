@@ -21,12 +21,6 @@ pub struct BohmConfig {
     /// Number of execution threads (`k`). Thread `i` is responsible for
     /// transactions `i, i+k, i+2k, …` of each batch.
     pub exec_threads: usize,
-    /// Enable the read-set optimization (§3.2.3): CC threads annotate each
-    /// transaction with direct pointers to the versions its reads resolve
-    /// to, so execution never traverses version chains. Disable to measure
-    /// the traversal cost (ablation; also how Fig. 8/9 explain the gap to
-    /// Hekaton/SI).
-    pub annotate_reads: bool,
     /// Enable Condition-3 garbage collection of superseded versions
     /// (§3.3.2). The paper runs BOHM with GC on.
     pub enable_gc: bool,
@@ -39,12 +33,16 @@ pub struct BohmConfig {
     /// disables key reclamation (version GC alone then applies). Requires
     /// [`enable_gc`](Self::enable_gc).
     pub key_gc_buckets: usize,
-    /// Transactions whose read set exceeds this size are *not* annotated;
-    /// their reads fall back to chain traversal at execution time. The
-    /// §3.2.3 annotation is an optimization aimed at short transactions —
-    /// for a 10,000-record read-only transaction, having CC threads look up
-    /// and store ten thousand version pointers costs more than traversing
-    /// GC-trimmed chains at execution time.
+    /// The read-set optimization (§3.2.3): CC threads annotate each
+    /// transaction whose read set is at most this size with direct pointers
+    /// to the versions its reads resolve to, so execution never traverses
+    /// version chains. Larger read sets are *not* annotated; their reads
+    /// fall back to chain traversal at execution time. The annotation is an
+    /// optimization aimed at short transactions — for a 10,000-record
+    /// read-only transaction, having CC threads look up and store ten
+    /// thousand version pointers costs more than traversing GC-trimmed
+    /// chains at execution time. `0` turns annotation off (the ablation
+    /// that measures the traversal cost).
     ///
     /// It is also the **read lane's threshold**: a transaction that is not
     /// annotated *and writes nothing* owes the CC phase nothing and produces
@@ -53,9 +51,8 @@ pub struct BohmConfig {
     /// `bohm-exec-ro` thread, helped by execution threads that have finished
     /// their own share of the batch — see [`exec`](crate::exec)). One
     /// decision, one threshold: "too long to annotate" and "long enough to
-    /// get out of the writers' way" are the same property. With
-    /// [`annotate_reads`](Self::annotate_reads) off, every read-only
-    /// transaction that reads anything takes the lane.
+    /// get out of the writers' way" are the same property. At `0`, every
+    /// read-only transaction that reads anything takes the lane.
     pub annotate_max_reads: usize,
     /// Sizing *hint* for the latch-free hash index. The effective capacity
     /// is never below the catalog's row count and the hint is clamped to
@@ -84,14 +81,6 @@ pub struct BohmConfig {
     /// enqueueing beyond this block until the sequencer drains. This is the
     /// front door of the backpressure chain.
     pub ingest_capacity: usize,
-    /// Shared **global epoch counter** for sharded deployments: the
-    /// sequencer samples it when sealing each batch and retirement publishes
-    /// the high-water mark through [`Bohm::retired_epoch`](crate::Bohm::retired_epoch).
-    /// The sharded facade hands every shard the same counter and bumps it
-    /// per cross-shard transaction, so "every participant retired epoch `e`"
-    /// is an observable alignment invariant. `None` (a standalone engine)
-    /// stamps every batch with epoch 0.
-    pub epoch_source: Option<std::sync::Arc<bohm_sync::atomic::AtomicU64>>,
     /// Opt-in durability: when set, the sequencer appends every formed
     /// batch's inputs to a write-ahead log
     /// ([`bohm_common::wal::Wal`]) and applies the configured fsync
@@ -110,7 +99,6 @@ impl Default for BohmConfig {
         Self {
             cc_threads: 4,
             exec_threads: 4,
-            annotate_reads: true,
             enable_gc: true,
             key_gc_buckets: 512,
             annotate_max_reads: 64,
@@ -119,7 +107,6 @@ impl Default for BohmConfig {
             batch_linger: Duration::from_micros(200),
             max_inflight_batches: 8,
             ingest_capacity: 4096 * 4,
-            epoch_source: None,
             durability: None,
         }
     }

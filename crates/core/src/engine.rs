@@ -26,12 +26,12 @@ pub(crate) struct Inner {
     /// the last timestamp of the newest retired batch, stored by the
     /// window's retirement cursor — in id order, so it never moves back.
     pub gc_bound: AtomicU64,
-    /// Highest `Batch::epoch` among retired batches (stored by the same
-    /// cursor). Batches retire in id order, so once this reaches epoch `e`
-    /// every transaction this shard sequenced before the bump to `e` is
-    /// complete — the per-shard half of the sharded facade's
-    /// epoch-alignment rule.
-    pub retired_epoch: AtomicU64,
+    /// The checkpoint epoch: bumped only by [`Bohm::checkpoint`], sampled
+    /// by the sequencer into every batch it seals (`Batch::epoch`, the WAL
+    /// stamp). Batches sealed before a bump to `e` are stamped below `e`,
+    /// those sealed after at or above it — what splits the log into the
+    /// prefix a checkpoint covers and the suffix recovery replays.
+    pub epoch: AtomicU64,
     /// Total versions retired by GC (diagnostics / ablation benches).
     pub gc_retired: AtomicU64,
     /// Fully-deleted keys whose index entries were reclaimed by the CC
@@ -77,15 +77,8 @@ impl Bohm {
     /// Build the store from `catalog`, preload it (every seeded version has
     /// timestamp 0), and spawn the sequencer, `cc_threads + exec_threads`
     /// worker threads and the read lane.
-    pub fn start(mut config: BohmConfig, catalog: CatalogSpec) -> Self {
+    pub fn start(config: BohmConfig, catalog: CatalogSpec) -> Self {
         config.validate();
-        // A durable engine needs an epoch authority even standalone:
-        // checkpoints bump it to cut the log into a covered prefix and a
-        // replay suffix. Sharded deployments pass their shared counter in
-        // explicitly; everyone else gets a private one here.
-        if config.durability.is_some() && config.epoch_source.is_none() {
-            config.epoch_source = Some(Arc::new(AtomicU64::new(0)));
-        }
         let index = HashIndex::with_capacity(config.effective_index_capacity(catalog.total_rows()));
         {
             // Preloading happens before any worker exists, so the
@@ -111,7 +104,7 @@ impl Bohm {
         let inner = Arc::new(Inner {
             lane: exec::Lane::default(),
             gc_bound: AtomicU64::new(0),
-            retired_epoch: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
             gc_retired: AtomicU64::new(0),
             keys_retired: AtomicU64::new(0),
             deletes_seen: AtomicU64::new(0),
@@ -207,45 +200,6 @@ impl Bohm {
             .clone();
         let log = bohm_common::wal::Wal::read_log(&dir)?;
         let ckp = bohm_common::checkpoint::load_latest(&dir)?;
-        Self::recover_with(config, catalog, ckp, &log)
-    }
-
-    /// Recover from an explicit batch list instead of the config's own
-    /// directory — the sharded-recovery entry point: the facade reads
-    /// each shard's `wal-shard-K/` log, trims the set to a consistent cut
-    /// ([`consistent_cut`](bohm_common::shard::consistent_cut)), and
-    /// hands every shard its surviving batches here. The engine still
-    /// opens (and appends to) `config.durability`'s directory; appends
-    /// stay suspended during the replay exactly as in
-    /// [`recover`](Self::recover), so the cut batches — which the
-    /// inherited segments already hold — are not re-logged.
-    ///
-    /// No checkpoint is consulted: the caller owns the decision of what
-    /// to replay. (Sharded checkpointing would need a cross-shard
-    /// snapshot cut; single-engine checkpoints via
-    /// [`recover`](Self::recover) cover the standalone case.)
-    pub fn recover_replay(
-        config: BohmConfig,
-        catalog: CatalogSpec,
-        batches: &[bohm_common::wal::LoggedBatch],
-    ) -> std::io::Result<(Self, Vec<TxnOutcome>)> {
-        assert!(
-            config.durability.is_some(),
-            "Bohm::recover_replay requires BohmConfig::durability"
-        );
-        Self::recover_with(config, catalog, None, batches)
-    }
-
-    /// Shared recovery body: start, suspend appends, restore the
-    /// checkpoint (if any) and replay the post-checkpoint suffix through an
-    /// ordinary session, advance the epoch source past everything
-    /// recovered, resume appends.
-    fn recover_with(
-        config: BohmConfig,
-        catalog: CatalogSpec,
-        ckp: Option<bohm_common::wal::Checkpoint>,
-        log: &[bohm_common::wal::LoggedBatch],
-    ) -> std::io::Result<(Self, Vec<TxnOutcome>)> {
         // The catalog's seeded row counts, captured before `start`
         // consumes it: checkpoint restore must delete rows that were
         // seeded at engine start but deleted by snapshot time.
@@ -268,12 +222,10 @@ impl Bohm {
                 fingerprint: o.fingerprint,
             })
             .collect();
-        // The epoch authority must resume past everything recovered, or
-        // the next checkpoint's cut could collide with replayed stamps.
+        // The epoch must resume past everything recovered, or the next
+        // checkpoint's cut could collide with replayed stamps.
         let max_epoch = log.iter().map(|b| b.epoch).max().unwrap_or(0).max(base);
-        if let Some(src) = &engine.inner.config.epoch_source {
-            src.fetch_max(max_epoch, Ordering::AcqRel);
-        }
+        engine.inner.epoch.store(max_epoch, Ordering::Release);
         wal.resume_appends();
         Ok((engine, outcomes))
     }
@@ -289,7 +241,7 @@ impl Bohm {
     /// pipeline — one logged no-op through
     /// [`execute_sync`](Self::execute_sync), exactly as
     /// [`quiesce`](bohm_common::engine::BatchEngine::quiesce) does — bumps
-    /// the epoch source so every later batch is stamped past the cut, and
+    /// the engine's epoch so every later batch is stamped past the cut, and
     /// hands [`snapshot_records`](Self::snapshot_records) to
     /// [`checkpoint::cut`](bohm_common::checkpoint::cut), which writes the
     /// checkpoint atomically, rotates the log, and truncates the sealed
@@ -307,18 +259,12 @@ impl Bohm {
                 "checkpoint requires BohmConfig::durability",
             )
         })?;
-        // Epoch retirement barrier: every batch submitted before this is
+        // Retirement barrier: every batch submitted before this is
         // executed and logged once this no-op completes.
         bohm_common::engine::BatchEngine::quiesce(self);
-        let src = self
-            .inner
-            .config
-            .epoch_source
-            .as_ref()
-            .expect("durable engines always have an epoch source");
         // Everything sealed so far is stamped <= the pre-bump value, i.e.
         // strictly below the cut; everything sealed after carries >= cut.
-        let cut = src.fetch_add(1, Ordering::AcqRel) + 1;
+        let cut = self.inner.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         bohm_common::checkpoint::cut(wal, cut, |f| self.snapshot_records(f))
     }
 
@@ -488,17 +434,6 @@ impl Bohm {
         // RELAXED: monotone watermark snapshot for diagnostics; the CC
         // threads, which recycle memory under it, load it with Acquire.
         self.inner.gc_bound.load(Ordering::Relaxed)
-    }
-
-    /// Highest global epoch this engine has fully retired (0 until a batch
-    /// stamped from [`BohmConfig::epoch_source`] retires). Because batches
-    /// retire in id order — whatever order their threads, the read lane
-    /// among them, finished them in — `retired_epoch() >= e` means every
-    /// transaction sequenced here before the bump to `e` has executed and
-    /// its batch drained: the invariant the sharded cross-shard commit
-    /// aligns on.
-    pub fn retired_epoch(&self) -> u64 {
-        self.inner.retired_epoch.load(Ordering::Acquire)
     }
 
     /// Number of CC / execution threads (for harness reporting).
@@ -793,7 +728,7 @@ mod tests {
     #[test]
     fn annotations_can_be_disabled() {
         let mut cfg = BohmConfig::small();
-        cfg.annotate_reads = false;
+        cfg.annotate_max_reads = 0;
         let e = Bohm::start(cfg, CatalogSpec::new().table(8, 8, |r| r));
         let out = e.execute_sync((0..40).map(|i| rmw(&[i % 8], 1)).collect());
         assert!(out.iter().all(|o| o.committed));
@@ -1123,12 +1058,12 @@ mod tests {
     fn scans_stay_correct_with_annotations_disabled() {
         use bohm_common::Procedure::BlindWrite;
         use bohm_common::{ScanRange, TpcCProc};
-        // The ablation path: with annotate_reads off (and thus no scan
+        // The ablation path: with annotation off (and thus no scan
         // pre-annotation either), every scanned row resolves through the
         // ts-filtered fallback probe — same ordering guarantees, no
         // pointer slots allocated.
         let mut cfg = BohmConfig::small();
-        cfg.annotate_reads = false;
+        cfg.annotate_max_reads = 0;
         let e = Bohm::start(cfg, CatalogSpec::new().table(64, 8, |r| r * 10));
         let history = || {
             Txn::with_scans(

@@ -43,7 +43,7 @@
 //! retirement cursor (`Window::finish`), which retires every consecutive
 //! counted-out batch in id order and, per retired batch, stores the
 //! Condition-3 bound (`gc_bound` = its last timestamp, §3.3.2's low
-//! watermark), publishes its epoch and releases its ring slot — which
+//! watermark) and releases its ring slot — which
 //! unblocks a sequencer waiting on the in-flight budget and counts the batch
 //! as retired for `Window::wait_retired`, the engine's one barrier. A
 //! retired batch has no unfinished transaction. Nothing at retirement is per
@@ -102,14 +102,12 @@ pub(crate) fn lane_loop(inner: &Inner) {
 /// retirement cursor, which publishes — per retired batch, in id order,
 /// under the ring mutex — the Condition-3 bound (§3.3.2's low watermark:
 /// the last timestamp of the newest batch every thread has left, monotone
-/// by construction) and the batch's epoch, both before the slot release a
-/// waiter is woken by.
+/// by construction) before the slot release a waiter is woken by.
 fn count_out(inner: &Inner, batch: &Batch) {
     if batch.exec_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        inner.window.finish(|b| {
-            inner.gc_bound.store(b.last_ts(), Ordering::Release);
-            inner.retired_epoch.fetch_max(b.epoch, Ordering::AcqRel);
-        });
+        inner
+            .window
+            .finish(|b| inner.gc_bound.store(b.last_ts(), Ordering::Release));
     }
 }
 

@@ -247,14 +247,9 @@ pub(crate) fn seq_loop(inner: &Inner, mut rx: IngestRx) {
             return true;
         }
         let base_ts = 1 + *next_batch * stride as u64;
-        // Sample the global epoch at seal time: every transaction sealed
-        // after an epoch bump carries the new epoch, which is what the
-        // sharded facade's alignment rule relies on.
-        let epoch = inner
-            .config
-            .epoch_source
-            .as_ref()
-            .map_or(0, |e| e.load(bohm_sync::atomic::Ordering::Acquire));
+        // Sample the epoch at seal time: every batch sealed after a
+        // checkpoint's bump is stamped at or past its cut.
+        let epoch = inner.epoch.load(bohm_sync::atomic::Ordering::Acquire);
         // Durability point: the batch's inputs hit the log (and the
         // configured fsync policy runs) *before* the batch is released
         // to CC — nothing executes that isn't recoverable. A log the
@@ -275,11 +270,7 @@ pub(crate) fn seq_loop(inner: &Inner, mut rx: IngestRx) {
             epoch,
             inner.config.cc_threads,
             inner.config.exec_threads,
-            if inner.config.annotate_reads {
-                inner.config.annotate_max_reads
-            } else {
-                0
-            },
+            inner.config.annotate_max_reads,
             arena,
         );
         *next_batch += 1;

@@ -120,7 +120,7 @@ impl BatchEngine for Bohm {
         Bohm::snapshot_records(self, f)
     }
 
-    /// Epoch retirement barrier: [`execute_sync`](Bohm::execute_sync)
+    /// Retirement barrier: [`execute_sync`](Bohm::execute_sync)
     /// returns once every batch pushed so far has **retired**, and the one
     /// no-op it sends through the log is ordered after every
     /// earlier-submitted transaction — so all of those have executed and

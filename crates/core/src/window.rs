@@ -33,8 +33,7 @@
 //! * **finish** (whoever counted a batch's `exec_pending` to zero): the
 //!   retirement *cursor*. Under the ring mutex, retire every consecutive
 //!   counted-out batch starting at `retired`: hand it to the caller's
-//!   callback (which stores the Condition-3 GC bound and the retired
-//!   epoch), null its slot, defer the reference drop through the epoch
+//!   callback (which stores the Condition-3 GC bound), null its slot, defer the reference drop through the epoch
 //!   collector, advance `retired`. Batches are counted out in any order —
 //!   the read lane lags the execution threads — and retire in id order by
 //!   construction; what everything else leans on is that *a retired batch
@@ -180,8 +179,8 @@ impl Window {
     ///
     /// Under the ring mutex: while the oldest un-retired batch (`retired` is
     /// its id) has been counted out, hand it to `on_retire` — where the
-    /// caller publishes what retirement publishes, the Condition-3 bound
-    /// and the batch's epoch — then release its slot (the reference drop is
+    /// caller publishes what retirement publishes, the Condition-3 bound —
+    /// then release its slot (the reference drop is
     /// deferred through the epoch collector) and advance `retired`; finally
     /// notify, for a sequencer parked on the full ring or a quiescer.
     ///
@@ -227,7 +226,7 @@ impl Window {
     /// Block until every batch pushed before this call has retired — the
     /// engine's one barrier. The Acquire read of `retired` pairs with
     /// [`finish`](Self::finish)'s Release store, so what the retiring thread
-    /// published first (GC bound, retired epoch) is visible on return. Batches pushed
+    /// published first (the GC bound) is visible on return. Batches pushed
     /// meanwhile are not waited for, so a concurrent submitter cannot starve
     /// the caller.
     pub fn wait_retired(&self) {

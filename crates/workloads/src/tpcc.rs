@@ -53,9 +53,7 @@ use crate::spec::{DatabaseSpec, IndexDef, TableDef};
 use crate::TxnGen;
 use bohm_common::rng::FastRng;
 use bohm_common::zipf::Zipf;
-use bohm_common::{
-    IndexScan, Procedure, RecordId, ShardMap, ShardStrategy, TableId, TpcCProc, Txn,
-};
+use bohm_common::{IndexScan, Procedure, RecordId, TpcCProc, Txn};
 use std::collections::VecDeque;
 
 /// Dense table ids of the TPC-C-lite schema.
@@ -308,70 +306,6 @@ impl TpccConfig {
     }
 }
 
-/// Build the TPC-C-lite shard map: **order stripes are the partition
-/// key**. Stripe `s` (and everything that must commit with it) lives on
-/// shard `s % shards`:
-///
-/// * `order` uses [`ShardStrategy::Blocks`] over the stripe span, so a
-///   stripe's whole ring is one shard's property;
-/// * `delivery` cursors are per-stripe rows — plain modulo lands cursor
-///   `s` on stripe `s`'s shard;
-/// * `customer` (and the customer→orders posting lists) shard by modulo:
-///   NewOrder customers are drawn from the stripe's partition (global row
-///   ≡ stripe mod `order_stripes`), and `order_stripes % shards == 0`
-///   makes `g % shards == stripe % shards` — customer, posting list and
-///   the orders it posts all colocate, so the index is declared
-///   [colocated](ShardMap::with_colocated_lists) and CustomerStatus scans
-///   route single-shard;
-/// * `district` shards in blocks of `districts_per_warehouse`, i.e. with
-///   its warehouse — Payment's three-table footprint is single-shard
-///   exactly when the customer banks at a home-shard warehouse, which is
-///   what [`TpccGen::shard_affine`] generates (and its remote-payment knob
-///   deliberately violates).
-pub fn shard_map(cfg: &TpccConfig, shards: u32) -> Result<ShardMap, String> {
-    cfg.validate()?;
-    if shards == 0 {
-        return Err("shards must be at least 1".into());
-    }
-    if cfg.unbounded_orders && shards > 1 {
-        return Err(
-            "unbounded_orders is single-shard only: the order table grows past its declared \
-             capacity, and the growable hash index cannot promise the fixed per-stripe slot \
-             ownership the shard map is built on; cap the table (unbounded_orders: false) \
-             to shard"
-                .into(),
-        );
-    }
-    if !cfg.order_stripes.is_multiple_of(shards as u64) {
-        return Err(format!(
-            "order_stripes ({}) must be a multiple of the shard count ({}): stripes are the \
-             partition key, and an uneven split would both unbalance the shards and break \
-             the customer↔stripe colocation congruence (g % shards == stripe % shards)",
-            cfg.order_stripes, shards
-        ));
-    }
-    let mut strategies = vec![
-        ShardStrategy::Modulo, // warehouse
-        ShardStrategy::Blocks {
-            block: cfg.districts_per_warehouse,
-        }, // district: with its warehouse
-        ShardStrategy::Modulo, // customer: with its stripe partition
-        ShardStrategy::Blocks {
-            block: cfg.orders_per_stripe(),
-        }, // order: whole stripes
-        ShardStrategy::Modulo, // delivery cursor: with its stripe
-    ];
-    if cfg.has_customer_index() {
-        strategies.push(ShardStrategy::Modulo); // posting lists: with their customer
-    }
-    let map = ShardMap::new(shards, strategies)?;
-    Ok(if cfg.has_customer_index() {
-        map.with_colocated_lists(TableId(tables::CUSTOMER_ORDERS))
-    } else {
-        map
-    })
-}
-
 fn warehouse(w: u64) -> RecordId {
     RecordId::new(tables::WAREHOUSE, w)
 }
@@ -540,14 +474,6 @@ pub struct TpccGen {
     cust_live: Vec<u64>,
     /// Customers in this stripe's partition.
     partition: u64,
-    /// Shard-affine mode ([`shard_affine`](Self::shard_affine)): the shard
-    /// count of the [`shard_map`] this stream should stay single-shard
-    /// under. `None` = the ordinary (shard-oblivious) mix.
-    affine_shards: Option<u32>,
-    /// Percentage of Payments aimed at a **remote-shard** warehouse
-    /// (TPC-C's remote payment — the deliberate cross-shard traffic of the
-    /// affine mix).
-    remote_pct: u32,
     /// Zipfian hot-customer Payments ([`hot_payments`](Self::hot_payments)):
     /// Payment customers drawn skewed over the whole customer space, so a
     /// few warehouse/district/customer triples become contention hot spots.
@@ -581,8 +507,6 @@ impl TpccGen {
             pending_custs: VecDeque::new(),
             cust_live,
             partition,
-            affine_shards: None,
-            remote_pct: 0,
             hot: None,
         }
     }
@@ -592,75 +516,9 @@ impl TpccGen {
     /// (warehouse, district, customer) triple — absorbs the hot mass, so
     /// Payment RMW contention concentrates on a handful of warehouse and
     /// district counters. θ = 0 degenerates to the uniform mix. The
-    /// contention knob of the hot-key abort-rate figures; mutually
-    /// exclusive with [`shard_affine`](Self::shard_affine) (which owns
-    /// Payment customer selection).
+    /// contention knob of the hot-key abort-rate figures.
     pub fn hot_payments(mut self, theta: f64) -> Self {
-        assert!(
-            self.affine_shards.is_none(),
-            "hot_payments and shard_affine both own Payment customer selection"
-        );
         self.hot = Some(Zipf::new(self.cfg.customers(), theta));
-        self
-    }
-
-    /// Switch to the **shard-affine** mix for a [`shard_map`] of `shards`:
-    /// every transaction's footprint stays on this stripe's home shard
-    /// (`stripe % shards`), so the whole stream routes single-shard —
-    /// NewOrder and Payment draw their customer from the intersection of
-    /// the stripe partition and a home-shard warehouse, and the read-only
-    /// probes follow suit. Layer [`remote_payments`](Self::remote_payments)
-    /// on top for deliberate cross-shard traffic.
-    ///
-    /// Requires the customer→orders index (the partition machinery),
-    /// `order_stripes % shards == 0` (the [`shard_map`] congruence) plus
-    /// `warehouses % shards == 0` and `districts_per_warehouse ·
-    /// customers_per_district % order_stripes == 0`, so every (stripe,
-    /// warehouse-shard) cell of the customer space is non-empty.
-    pub fn shard_affine(mut self, shards: u32) -> Self {
-        assert!(
-            self.hot.is_none(),
-            "hot_payments and shard_affine both own Payment customer selection"
-        );
-        assert!(
-            self.cfg.has_customer_index(),
-            "shard-affine mix needs the customer→orders index (stripe partitions)"
-        );
-        assert!(shards >= 1, "shard_affine needs at least one shard");
-        assert!(
-            self.cfg.order_stripes.is_multiple_of(shards as u64),
-            "order_stripes ({}) must be a multiple of shards ({}); see tpcc::shard_map",
-            self.cfg.order_stripes,
-            shards
-        );
-        assert!(
-            self.cfg.warehouses.is_multiple_of(shards as u64),
-            "warehouses ({}) must be a multiple of shards ({}) so every shard owns \
-             home warehouses for its stripes",
-            self.cfg.warehouses,
-            shards
-        );
-        let per_wh = self.cfg.districts_per_warehouse * self.cfg.customers_per_district;
-        assert!(
-            per_wh.is_multiple_of(self.cfg.order_stripes),
-            "customers per warehouse ({per_wh}) must be a multiple of order_stripes ({}) so \
-             each warehouse holds every stripe's partition customers",
-            self.cfg.order_stripes
-        );
-        self.affine_shards = Some(shards);
-        self
-    }
-
-    /// Aim `pct`% of Payments at a remote-shard warehouse (cross-shard
-    /// transactions by construction; a no-op under a single shard).
-    /// Requires [`shard_affine`](Self::shard_affine) first.
-    pub fn remote_payments(mut self, pct: u32) -> Self {
-        assert!(pct <= 100, "remote-payment percentage must be ≤ 100");
-        assert!(
-            self.affine_shards.is_some(),
-            "remote_payments needs shard_affine mode"
-        );
-        self.remote_pct = pct;
         self
     }
 
@@ -711,64 +569,16 @@ impl TpccGen {
         )
     }
 
-    /// This stripe's home shard under the affine shard count.
-    fn home_shard(&self) -> u32 {
-        (self.stripe % self.affine_shards.expect("affine mode") as u64) as u32
-    }
-
-    /// Partition customers per (stripe, warehouse) cell — exact in affine
-    /// mode (`per_wh % order_stripes == 0` is asserted by `shard_affine`).
-    fn affine_cell(&self) -> u64 {
-        self.cfg.districts_per_warehouse * self.cfg.customers_per_district / self.cfg.order_stripes
-    }
-
-    /// Sample a partition ordinal whose warehouse lives on `shard`. With
-    /// `per_wh % order_stripes == 0`, ordinal `o`'s warehouse is simply
-    /// `o / cell`, so the affine subset is a union of whole-cell runs.
-    fn affine_ord(&mut self, shard: u32) -> u64 {
-        let shards = self.affine_shards.expect("affine mode") as u64;
-        let cell = self.affine_cell();
-        let k = self.rng.below(self.cfg.warehouses / shards * cell);
-        (shard as u64 + k / cell * shards) * cell + k % cell
-    }
-
-    /// Global row of a partition customer banking on `shard`.
-    fn affine_customer(&mut self, shard: u32) -> u64 {
-        self.stripe + self.affine_ord(shard) * self.cfg.order_stripes
-    }
-
-    /// The Payment target: pass-through outside affine mode; in affine
-    /// mode a home-shard partition customer, or (at `remote_pct`%) a
-    /// remote-shard warehouse — the customer row stays on the home shard
-    /// (partition congruence), so remote payments span exactly two shards.
+    /// The Payment target: the uniform draw, or a Zipfian one under
+    /// [`hot_payments`](Self::hot_payments).
     fn payment_wdc(&mut self, w: u64, d: u64, c: u64) -> (u64, u64, u64) {
-        if let Some(z) = &self.hot {
-            let g = z.sample(&mut self.rng);
-            return self.cfg.customer_coords(g);
+        match &self.hot {
+            Some(z) => {
+                let g = z.sample(&mut self.rng);
+                self.cfg.customer_coords(g)
+            }
+            None => (w, d, c),
         }
-        let Some(shards) = self.affine_shards else {
-            return (w, d, c);
-        };
-        let home = self.home_shard();
-        let target = if shards > 1 && self.rng.below(100) < self.remote_pct as u64 {
-            ((home as u64 + 1 + self.rng.below(shards as u64 - 1)) % shards as u64) as u32
-        } else {
-            home
-        };
-        let g = self.affine_customer(target);
-        self.cfg.customer_coords(g)
-    }
-
-    /// The read-only-probe target (OrderStatus / OrderHistory): the probed
-    /// order rows are stripe-local already, so in affine mode the customer
-    /// read follows them onto the home shard.
-    fn probe_wdc(&mut self, w: u64, d: u64, c: u64) -> (u64, u64, u64) {
-        if self.affine_shards.is_none() {
-            return (w, d, c);
-        }
-        let home = self.home_shard();
-        let g = self.affine_customer(home);
-        self.cfg.customer_coords(g)
     }
 
     /// Consume up to `delivery_batch` of the oldest undelivered orders.
@@ -806,12 +616,7 @@ impl TpccGen {
             return self.next_delivery();
         }
         let (w, d, c) = if self.cfg.has_customer_index() {
-            let ord = match self.affine_shards {
-                // Affine: the customer must also bank on the home shard,
-                // so the district read colocates with the order insert.
-                Some(_) => self.affine_ord(self.home_shard()),
-                None => self.rng.below(self.partition),
-            };
+            let ord = self.rng.below(self.partition);
             if self.cust_live[ord as usize] >= self.cfg.orders_per_customer {
                 // The customer's posting list is full: deliver instead
                 // (there is at least one live order to consume).
@@ -901,13 +706,9 @@ impl TxnGen for TpccGen {
                 } else {
                     self.stripe_base + (self.delivered + self.rng.below(live)) % per
                 };
-                let (w, d, c) = self.probe_wdc(w, d, c);
                 order_status(&self.cfg, w, d, c, o_row)
             }
-            90..=93 => {
-                let (w, d, c) = self.probe_wdc(w, d, c);
-                self.next_order_history(w, d, c)
-            }
+            90..=93 => self.next_order_history(w, d, c),
             _ => {
                 if self.cfg.has_customer_index() {
                     self.next_customer_status()
@@ -1233,140 +1034,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_colocates_the_stripe_ecosystem() {
-        let cfg = small(); // 4 stripes, 16 orders each, 2 warehouses
-        let map = shard_map(&cfg, 2).unwrap();
-        // A stripe's orders and its delivery cursor share a shard.
-        for stripe in 0..cfg.order_stripes {
-            let s = map.shard_of(RecordId::new(tables::DELIVERY, stripe));
-            assert_eq!(s, (stripe % 2) as u32);
-            for o in 0..cfg.orders_per_stripe() {
-                let row = stripe * cfg.orders_per_stripe() + o;
-                assert_eq!(map.shard_of(RecordId::new(tables::ORDER, row)), s);
-            }
-        }
-        // A customer, their posting list, and the stripe they post orders
-        // into all colocate; districts colocate with their warehouse.
-        for g in 0..cfg.customers() {
-            let stripe = g % cfg.order_stripes;
-            let cust = map.shard_of(RecordId::new(tables::CUSTOMER, g));
-            assert_eq!(
-                cust,
-                map.shard_of(RecordId::new(tables::CUSTOMER_ORDERS, g))
-            );
-            assert_eq!(cust, map.shard_of(RecordId::new(tables::DELIVERY, stripe)));
-        }
-        for d_row in 0..cfg.districts() {
-            let w = d_row / cfg.districts_per_warehouse;
-            assert_eq!(
-                map.shard_of(RecordId::new(tables::DISTRICT, d_row)),
-                map.shard_of(RecordId::new(tables::WAREHOUSE, w))
-            );
-        }
-    }
-
-    #[test]
-    fn shard_map_rejects_misconfiguration() {
-        let cfg = small(); // 4 stripes
-        assert!(shard_map(&cfg, 0).unwrap_err().contains("at least 1"));
-        let err = shard_map(&cfg, 3).unwrap_err();
-        assert!(err.contains("multiple of the shard count"), "{err}");
-        let err = shard_map(
-            &TpccConfig {
-                unbounded_orders: true,
-                ..small()
-            },
-            2,
-        )
-        .unwrap_err();
-        assert!(err.contains("unbounded_orders"), "{err}");
-        // Unbounded is fine single-shard; invalid base configs surface
-        // their own validation message.
-        assert!(shard_map(
-            &TpccConfig {
-                unbounded_orders: true,
-                ..small()
-            },
-            1
-        )
-        .is_ok());
-        assert!(shard_map(
-            &TpccConfig {
-                order_stripes: 0,
-                ..small()
-            },
-            1
-        )
-        .unwrap_err()
-        .contains("order_stripes"));
-        assert!(shard_map(&cfg, 1).is_ok());
-        assert!(shard_map(&cfg, 2).is_ok());
-    }
-
-    #[test]
-    fn affine_stream_routes_single_shard_except_remote_payments() {
-        let cfg = small(); // warehouses=2, stripes=4 → shards ∈ {1, 2}
-        let map = shard_map(&cfg, 2).unwrap();
-        for stripe in 0..4 {
-            let home = (stripe % 2) as u32;
-            let mut g = TpccGen::new(cfg.clone(), 11 + stripe, stripe)
-                .shard_affine(2)
-                .remote_payments(25);
-            let (mut single, mut cross, mut cross_other) = (0u32, 0u32, 0u32);
-            for _ in 0..2_000 {
-                let t = g.next_txn();
-                let set = map.route(&t);
-                if set.is_single() {
-                    assert_eq!(set.first(), home, "affine txn off its home shard");
-                    single += 1;
-                } else {
-                    // Only remote Payments may cross shards.
-                    match t.proc {
-                        Procedure::TpcC(TpcCProc::Payment { .. }) => cross += 1,
-                        _ => cross_other += 1,
-                    }
-                }
-            }
-            assert_eq!(cross_other, 0, "non-Payment txn crossed shards");
-            assert!(cross > 50, "remote payments too rare: {cross}");
-            assert!(single > 1_500, "affine mix mostly single-shard: {single}");
-        }
-    }
-
-    #[test]
-    fn affine_without_remote_payments_is_fully_single_shard() {
-        let cfg = small();
-        let map = shard_map(&cfg, 2).unwrap();
-        let mut g = TpccGen::new(cfg, 3, 1).shard_affine(2);
-        for _ in 0..2_000 {
-            let t = g.next_txn();
-            let set = map.route(&t);
-            assert!(set.is_single() && set.first() == 1, "leaked off shard 1");
-        }
-        assert!(g.orders_delivered() > 0, "affine stream must still recycle");
-    }
-
-    #[test]
-    fn affine_mode_rejects_incompatible_configs() {
-        // Indexless schemas have no partition machinery.
-        let unbounded = TpccConfig {
-            unbounded_orders: true,
-            ..small()
-        };
-        assert!(
-            std::panic::catch_unwind(|| TpccGen::new(unbounded, 0, 0).shard_affine(2)).is_err()
-        );
-        // 2 warehouses cannot split across 4 shards (stripes = 4 allows it).
-        assert!(std::panic::catch_unwind(|| TpccGen::new(small(), 0, 0).shard_affine(4)).is_err());
-        // Stripe count must divide evenly.
-        assert!(std::panic::catch_unwind(|| TpccGen::new(small(), 0, 0).shard_affine(3)).is_err());
-        // remote_payments without affine mode is a misuse.
-        assert!(
-            std::panic::catch_unwind(|| TpccGen::new(small(), 0, 0).remote_payments(10)).is_err()
-        );
-    }
-
-    #[test]
     fn hot_payments_skew_customer_selection() {
         use std::collections::HashMap;
         let count_payments = |theta: f64| -> HashMap<RecordId, u64> {
@@ -1396,19 +1063,39 @@ mod tests {
             max_uniform * 8 < total_uniform,
             "{max_uniform}/{total_uniform}"
         );
-        // The two knobs are mutually exclusive in either order.
-        assert!(std::panic::catch_unwind(|| {
-            TpccGen::new(small(), 0, 0)
-                .hot_payments(0.5)
-                .shard_affine(2)
-        })
-        .is_err());
-        assert!(std::panic::catch_unwind(|| {
-            TpccGen::new(small(), 0, 0)
-                .shard_affine(2)
-                .hot_payments(0.5)
-        })
-        .is_err());
+    }
+
+    /// FNV-1a over `format!("{txn:?}")` of a generator's first 20,000
+    /// transactions. The expected values pin the default-config streams
+    /// (what `perfbench`'s `tpcc_mix` and the equivalence suites run) byte
+    /// for byte across refactors of the generator.
+    #[test]
+    fn default_streams_are_pinned() {
+        let digest = |mut g: TpccGen| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for _ in 0..20_000 {
+                for b in format!("{:?}", g.next_txn()).bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            h
+        };
+        let gen = |seed, stripe| TpccGen::new(TpccConfig::default(), seed, stripe);
+        let got = [
+            digest(gen(3, 0)),
+            digest(gen(42, 7)),
+            digest(gen(5, 1).scan_heavy()),
+            digest(gen(6, 2).index_heavy()),
+            digest(gen(7, 3).hot_payments(0.9)),
+        ];
+        let want = [
+            0xe78a_01b0_73ee_ebbe,
+            0xc599_e30c_fcb1_925f,
+            0x3ef5_a5a4_a5a0_4d76,
+            0x15ec_cc7c_ada7_4c84,
+            0xe1d7_a188_198a_2d56,
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

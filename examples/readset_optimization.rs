@@ -21,7 +21,9 @@ use std::time::Instant;
 fn run(annotate: bool) -> (f64, u64) {
     let records = 10_000u64;
     let mut cfg = BohmConfig::with_threads(2, 4);
-    cfg.annotate_reads = annotate;
+    if !annotate {
+        cfg.annotate_max_reads = 0;
+    }
     cfg.enable_gc = false; // keep chains long: worst case for traversal
     let engine = Bohm::start(cfg, CatalogSpec::new().table(records, 8, |r| r));
 

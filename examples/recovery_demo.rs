@@ -22,12 +22,6 @@
 //! cargo run --release --example recovery_demo -- checkpoint /tmp/bohm-ckp &
 //! kill -9 %1
 //! cargo run --release --example recovery_demo -- recover /tmp/bohm-ckp 10000
-//!
-//! # sharded variant: four engines, one WAL each (wal-shard-K/ under the
-//! # base dir); recovery trims to a consistent cut and self-verifies
-//! cargo run --release --example recovery_demo -- shard /tmp/bohm-shards &
-//! kill -9 %1
-//! cargo run --release --example recovery_demo -- shard-recover /tmp/bohm-shards 10000
 //! ```
 //!
 //! The replay re-submits the logged transactions, in log order, through
@@ -38,19 +32,13 @@
 //! workload survived in the log, its replay is bit-identical to what the
 //! killed process had executed.
 
-use bohm_suite::common::engine::{BatchEngine as _, Session as _};
 use bohm_suite::common::rng::FastRng;
-use bohm_suite::common::wal::{self, DurabilityConfig, LoggedBatch, Wal};
-use bohm_suite::common::{
-    checkpoint, consistent_cut, shard_wal_dir, Procedure, RecordId, ShardMap, ShardStrategy,
-    ShardedEngine, SmallBankProc, Txn,
-};
+use bohm_suite::common::wal::{self, DurabilityConfig, Wal};
+use bohm_suite::common::{checkpoint, Procedure, RecordId, SmallBankProc, Txn};
 use bohm_suite::core::{Bohm, BohmConfig, CatalogSpec};
 use bohm_suite::testkit::check_serial_equivalence;
 use bohm_suite::workloads::{DatabaseSpec, TableDef};
-use bohm_sync::atomic::AtomicU64;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Rows per table; the workload also inserts into `spare_rows` beyond
 /// this, exercising the insert/delete paths through the log.
@@ -289,154 +277,6 @@ fn replay(dir: &Path) {
     }
 }
 
-/// Shards in the sharded-durability demo; each gets `wal-shard-K/`
-/// under the base directory.
-const SHARDS: u32 = 4;
-
-/// Build the 4-shard durable deployment over [`spec`]: one BOHM engine
-/// per shard, each logging to its own `wal-shard-K/` directory, all
-/// stamping batches from one shared global epoch counter.
-fn build_sharded(base: &Path) -> ShardedEngine<Bohm> {
-    let db = spec();
-    let epoch = Arc::new(AtomicU64::new(0));
-    let map = ShardMap::new(SHARDS, vec![ShardStrategy::Modulo; 3]).expect("shard map");
-    let shards: Vec<Bohm> = (0..SHARDS)
-        .map(|k| {
-            let mut cfg = BohmConfig::with_threads(2, 2);
-            cfg.durability = Some(DurabilityConfig::new(shard_wal_dir(base, k)));
-            cfg.epoch_source = Some(Arc::clone(&epoch));
-            Bohm::start(cfg, catalog_of(&db))
-        })
-        .collect();
-    let sizes = db.tables.iter().map(|t| t.record_size).collect();
-    ShardedEngine::with_epoch_source(shards, map, sizes, epoch).expect("sharded build")
-}
-
-/// `shard DIR [N]`: run the workload against a 4-shard deployment with
-/// one WAL per shard, expecting to be killed at any point. Single-shard
-/// transactions pipeline through per-shard sessions; multi-shard ones
-/// take the deterministic cross-shard commit path, stamping every
-/// logged slice with the participant mask recovery needs for its
-/// consistent cut.
-fn shard_run(base: &Path, count: u64) {
-    let engine = build_sharded(base);
-    let mut session = engine.open_session();
-    let mut rng = FastRng::seed_from(7);
-    println!(
-        "running {count} transactions across {SHARDS} shards under {}",
-        base.display()
-    );
-    for i in 0..count {
-        session.submit(gen_txn(&mut rng));
-        while session.in_flight() > 256 {
-            session.reap();
-        }
-        if i % 100_000 == 0 && i > 0 {
-            println!("  submitted {i} (global epoch {})", engine.epoch());
-        }
-    }
-    while session.in_flight() > 0 {
-        session.reap();
-    }
-    drop(session);
-    println!("finished all {count} transactions without being killed");
-    for s in engine.into_shards() {
-        s.shutdown();
-    }
-}
-
-/// `shard-recover DIR [N]`: read every shard's log, trim the set to a
-/// consistent cut (a cross-shard transaction survives iff every stamped
-/// participant logged its slice), recover each shard from its trimmed
-/// log, then **verify** the reassembled deployment record-for-record
-/// against a serial replay of the merged cut into one fresh engine —
-/// and keep running `N` more transactions. Exits non-zero on mismatch.
-fn shard_recover(base: &Path, count: u64) {
-    let db = spec();
-    let mut logs: Vec<Vec<LoggedBatch>> = (0..SHARDS)
-        .map(|k| {
-            let d = shard_wal_dir(base, k);
-            Wal::read_log(&d).unwrap_or_else(|e| {
-                eprintln!("cannot read shard log at {}: {e}", d.display());
-                std::process::exit(2);
-            })
-        })
-        .collect();
-    let total: usize = logs.iter().flatten().map(|b| b.txns.len()).sum();
-    let dropped = consistent_cut(&mut logs);
-    println!(
-        "{total} logged transactions across {SHARDS} shards; consistent cut dropped \
-         {dropped} cross-shard stragglers"
-    );
-
-    // Recover each shard from its surviving slice of the cut.
-    let epoch = Arc::new(AtomicU64::new(0));
-    let map = ShardMap::new(SHARDS, vec![ShardStrategy::Modulo; 3]).expect("shard map");
-    let shards: Vec<Bohm> = (0..SHARDS)
-        .map(|k| {
-            let mut cfg = BohmConfig::with_threads(2, 2);
-            cfg.durability = Some(DurabilityConfig::new(shard_wal_dir(base, k)));
-            cfg.epoch_source = Some(Arc::clone(&epoch));
-            let (e, outs) = Bohm::recover_replay(cfg, catalog_of(&db), &logs[k as usize])
-                .unwrap_or_else(|e| {
-                    eprintln!("shard {k} recovery failed: {e}");
-                    std::process::exit(2);
-                });
-            println!("  shard {k}: replayed {} transactions", outs.len());
-            e
-        })
-        .collect();
-    let sizes = db.tables.iter().map(|t| t.record_size).collect();
-    let engine = ShardedEngine::with_epoch_source(shards, map, sizes, Arc::clone(&epoch))
-        .expect("sharded rebuild");
-    println!("global epoch aligned at {}", engine.epoch());
-
-    // Oracle: the merged cut, replayed serially into one unsharded
-    // engine. Stable sort by epoch preserves each shard's log order
-    // (epochs are non-decreasing within a shard), and shards own
-    // disjoint keys, so this is a valid serialization of the cut.
-    let mut merged: Vec<LoggedBatch> = logs.iter().flatten().cloned().collect();
-    merged.sort_by_key(|b| b.epoch);
-    let oracle = Bohm::start(BohmConfig::with_threads(2, 2), catalog_of(&db));
-    wal::replay_into(&merged, &oracle);
-    let mut mismatches = 0u64;
-    for (t, table) in db.tables.iter().enumerate() {
-        for row in 0..(table.rows + table.spare_rows) {
-            let rid = RecordId::new(t as u32, row);
-            if engine.read_record(rid) != oracle.read_record(rid) {
-                mismatches += 1;
-            }
-        }
-    }
-    oracle.shutdown();
-    if mismatches > 0 {
-        eprintln!("sharded recovery MISMATCH: {mismatches} records diverge from merged replay");
-        std::process::exit(1);
-    }
-    println!("sharded recovery OK: state matches the merged serial replay exactly");
-
-    // Continue with fresh work on the recovered deployment.
-    let mut session = engine.open_session();
-    let mut rng = FastRng::seed_from(9000 + total as u64);
-    for _ in 0..count {
-        session.submit(gen_txn(&mut rng));
-        while session.in_flight() > 256 {
-            session.reap();
-        }
-    }
-    while session.in_flight() > 0 {
-        session.reap();
-    }
-    drop(session);
-    println!(
-        "continued past recovery; global epoch now {}",
-        engine.epoch()
-    );
-    for s in engine.into_shards() {
-        s.shutdown();
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let count_or = |default: u64| {
@@ -461,23 +301,12 @@ fn main() {
             recover(Path::new(&args[2]), count_or(10_000));
         }
         Some("replay") if args.len() >= 3 => replay(Path::new(&args[2])),
-        Some("shard") if args.len() >= 3 => {
-            shard_run(
-                Path::new(&args[2]),
-                count_or(bohm_suite::common::stress_iters(500_000)),
-            );
-        }
-        Some("shard-recover") if args.len() >= 3 => {
-            shard_recover(Path::new(&args[2]), count_or(10_000));
-        }
         _ => {
             eprintln!(
                 "usage: recovery_demo run <log-dir> [count] \
                  | recovery_demo checkpoint <log-dir> [count] \
                  | recovery_demo recover <log-dir> [count] \
-                 | recovery_demo replay <log-dir> \
-                 | recovery_demo shard <base-dir> [count] \
-                 | recovery_demo shard-recover <base-dir> [count]"
+                 | recovery_demo replay <log-dir>"
             );
             std::process::exit(2);
         }

@@ -4,11 +4,13 @@
 //! subsystem through one namespace. See `DESIGN.md` for the system map.
 //!
 //! Allocator note: the original experiments ran the examples and
-//! integration tests with mimalloc — BOHM's CC phase allocates a version
-//! object per write and frees them across threads via epoch reclamation, a
-//! pattern on which glibc malloc was measured to be the bottleneck (see
-//! DESIGN.md). The hermetic build has no mimalloc crate, so the system
-//! allocator is used; correctness is unaffected.
+//! integration tests with mimalloc, because BOHM's CC phase once allocated
+//! a version object per write and freed it across threads via epoch
+//! reclamation — a pattern on which glibc malloc was measured to be the
+//! bottleneck. Versions now recycle under Condition 3 through each CC
+//! thread's `VersionPool` and reach neither the allocator nor the epoch
+//! collector in steady state (see DESIGN.md), so the system allocator is
+//! used; the hermetic build has no mimalloc crate anyway.
 //!
 //! Concurrency-correctness quickstart (details in DESIGN.md §"Concurrency
 //! correctness"):

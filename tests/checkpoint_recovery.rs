@@ -1,6 +1,6 @@
-//! Checkpoints bound replay; sharded logs recover to a consistent cut.
+//! Checkpoints bound replay, and survive their own crashes.
 //!
-//! Three claims from the durability layer, end to end on BOHM:
+//! Two claims from the durability layer, end to end on BOHM:
 //!
 //! * **bounded replay**: a checkpoint snapshots the committed state,
 //!   truncates the covered log prefix (bytes actually shrink), and a
@@ -9,28 +9,17 @@
 //!   file, a dangling temp file and a corrupt manifest — the artifacts of
 //!   a crash at each stage of `Checkpoint::write` — must each be ignored,
 //!   falling back to the previous valid checkpoint and a longer replay,
-//!   held to the serial oracle;
-//! * **sharded consistent cut**: with one WAL per shard
-//!   (`shard_wal_dir`), recovery trims the logs to a consistent cut
-//!   (`consistent_cut`) — a cross-shard transaction survives iff every
-//!   stamped participant logged its slice — and per-shard
-//!   `Bohm::recover_replay` rebuilds exactly the state a serial replay of
-//!   the merged cut produces, with or without a lost per-shard suffix.
+//!   held to the serial oracle.
 
 use bohm_suite::common::checkpoint;
 use bohm_suite::common::engine::ExecOutcome;
 use bohm_suite::common::rng::FastRng;
-use bohm_suite::common::wal::{self, DurabilityConfig, FsyncPolicy, LoggedBatch, Wal};
-use bohm_suite::common::{
-    consistent_cut, shard_wal_dir, Procedure, RecordId, ShardMap, ShardStrategy, ShardedEngine,
-    SmallBankProc, Txn,
-};
+use bohm_suite::common::wal::{DurabilityConfig, FsyncPolicy};
+use bohm_suite::common::{Procedure, RecordId, SmallBankProc, Txn};
 use bohm_suite::core::{Bohm, BohmConfig, CatalogSpec};
 use bohm_suite::testkit::check_serial_equivalence;
 use bohm_suite::workloads::{DatabaseSpec, TableDef};
-use bohm_sync::atomic::AtomicU64;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 const ROWS: u64 = 64;
 
@@ -232,178 +221,4 @@ fn damaged_checkpoint_falls_back_to_previous_and_replays_more() {
     run("torn-manifest", &|dir| {
         std::fs::write(dir.join(checkpoint::MANIFEST_NAME), b"BOHMMAN1ga").unwrap();
     });
-}
-
-// ---------------------------------------------------------------------------
-// Sharded recovery
-// ---------------------------------------------------------------------------
-
-const SHARDS: u32 = 4;
-
-fn shard_spec() -> DatabaseSpec {
-    DatabaseSpec::new(vec![TableDef {
-        rows: ROWS,
-        spare_rows: 0,
-        record_size: 8,
-        seed: |r| 100 + r,
-        growable: false,
-    }])
-}
-
-/// Build a durable BOHM deployment: one engine per shard, each logging to
-/// its own `wal-shard-K/` directory, all stamping batches from one shared
-/// global epoch counter.
-fn build_durable_sharded(base: &Path) -> (ShardedEngine<Bohm>, Arc<AtomicU64>) {
-    let epoch = Arc::new(AtomicU64::new(0));
-    let map = ShardMap::new(SHARDS, vec![ShardStrategy::Modulo]).unwrap();
-    let shards: Vec<Bohm> = (0..SHARDS)
-        .map(|k| {
-            let mut cfg = durable_cfg(&shard_wal_dir(base, k));
-            cfg.epoch_source = Some(Arc::clone(&epoch));
-            Bohm::start(cfg, catalog_of(&shard_spec()))
-        })
-        .collect();
-    let engine = ShardedEngine::with_epoch_source(shards, map, vec![8], Arc::clone(&epoch))
-        .expect("sharded build");
-    (engine, epoch)
-}
-
-/// Mixed single-shard and cross-shard workload, driven one transaction at
-/// a time so the global epoch order is the serialization order.
-fn run_sharded_workload(engine: &ShardedEngine<Bohm>) -> usize {
-    use bohm_suite::common::engine::{BatchEngine as _, Session as _};
-    let mut rng = FastRng::seed_from(71);
-    let mut session = engine.open_session();
-    let mut n = 0;
-    for _ in 0..220 {
-        let txn = match rng.below(3) {
-            0 => {
-                let rid = RecordId::new(0, rng.below(ROWS));
-                Txn::new(
-                    vec![rid],
-                    vec![rid],
-                    Procedure::ReadModifyWrite { delta: 1 },
-                )
-            }
-            _ => {
-                // Two rows on distinct shards: a cross-shard RMW.
-                let a = rng.below(ROWS);
-                let b = (a + 1 + rng.below(SHARDS as u64 - 1)) % ROWS;
-                Txn::new(
-                    vec![RecordId::new(0, a), RecordId::new(0, b)],
-                    vec![RecordId::new(0, a), RecordId::new(0, b)],
-                    Procedure::ReadModifyWrite { delta: 2 },
-                )
-            }
-        };
-        session.submit(txn);
-        assert!(session.reap().committed);
-        n += 1;
-    }
-    // End with cross-shard transactions touching shard 3 so a lost tail
-    // on that shard's log makes at least one epoch incomplete.
-    for _ in 0..4 {
-        let txn = Txn::new(
-            vec![RecordId::new(0, 2), RecordId::new(0, 3)],
-            vec![RecordId::new(0, 2), RecordId::new(0, 3)],
-            Procedure::ReadModifyWrite { delta: 5 },
-        );
-        session.submit(txn);
-        assert!(session.reap().committed);
-        n += 1;
-    }
-    n
-}
-
-/// Merge per-shard logs into one global replay order: stable-sort by
-/// epoch. Shards own disjoint keys, so only same-shard batches conflict,
-/// and per-shard log order (which the stable sort preserves — epochs are
-/// non-decreasing within a shard) is that shard's serialization order.
-fn merged_in_epoch_order(logs: &[Vec<LoggedBatch>]) -> Vec<LoggedBatch> {
-    let mut merged: Vec<LoggedBatch> = logs.iter().flatten().cloned().collect();
-    merged.sort_by_key(|b| b.epoch);
-    merged
-}
-
-/// Recover every shard from its (possibly trimmed) log and compare the
-/// reassembled deployment, record for record, against a serial replay of
-/// the merged cut into a single fresh engine.
-fn recover_and_check(base: &Path, logs: &[Vec<LoggedBatch>]) {
-    let epoch = Arc::new(AtomicU64::new(0));
-    let map = ShardMap::new(SHARDS, vec![ShardStrategy::Modulo]).unwrap();
-    let shards: Vec<Bohm> = (0..SHARDS)
-        .map(|k| {
-            let mut cfg = durable_cfg(&shard_wal_dir(base, k));
-            cfg.epoch_source = Some(Arc::clone(&epoch));
-            let (engine, _) =
-                Bohm::recover_replay(cfg, catalog_of(&shard_spec()), &logs[k as usize])
-                    .unwrap_or_else(|e| panic!("shard {k} recovery: {e}"));
-            engine
-        })
-        .collect();
-    let recovered = ShardedEngine::with_epoch_source(shards, map, vec![8], epoch).unwrap();
-
-    let oracle = Bohm::start(BohmConfig::with_threads(2, 2), catalog_of(&shard_spec()));
-    wal::replay_into(&merged_in_epoch_order(logs), &oracle);
-
-    use bohm_suite::common::engine::BatchEngine as _;
-    for row in 0..ROWS {
-        let rid = RecordId::new(0, row);
-        assert_eq!(
-            recovered.read_u64(rid),
-            oracle.read_u64(rid),
-            "row {row}: sharded recovery diverged from merged serial replay"
-        );
-    }
-    oracle.shutdown();
-    for s in recovered.into_shards() {
-        s.shutdown();
-    }
-}
-
-#[test]
-fn sharded_recovery_consistent_cut() {
-    let base = fresh_dir("sharded");
-    std::fs::create_dir_all(&base).unwrap();
-    let (engine, epoch) = build_durable_sharded(&base);
-    let n = run_sharded_workload(&engine);
-    assert!(n > 0);
-    assert!(
-        epoch.load(bohm_sync::atomic::Ordering::Acquire) > 0,
-        "workload must include cross-shard commits"
-    );
-    for s in engine.into_shards() {
-        s.shutdown();
-    }
-
-    // Snapshot the logs once, before any recovery re-opens (and appends
-    // fresh empty segments to) the shard directories.
-    let original: Vec<Vec<LoggedBatch>> = (0..SHARDS)
-        .map(|k| Wal::read_log(&shard_wal_dir(&base, k)).expect("shard log"))
-        .collect();
-    assert!(original.iter().all(|l| !l.is_empty()));
-
-    // Clean shutdown: every shard logged every slice, the cut drops
-    // nothing, and the recovered deployment matches the merged replay.
-    let mut logs = original.clone();
-    let dropped = consistent_cut(&mut logs);
-    assert_eq!(dropped, 0, "clean shutdown must need no trimming");
-    recover_and_check(&base, &logs);
-
-    // Lost per-shard suffix: shard 3's final batches never hit disk (a
-    // crash loses each shard's un-synced tail independently). The cut
-    // must drop the now-incomplete cross-shard epochs *on every shard* —
-    // their other slices are stamped with shard 3 in the participant
-    // mask — and recovery of the trimmed logs must again match a serial
-    // replay of exactly the surviving set.
-    let mut torn = original.clone();
-    let tail = torn[3].len() - 2;
-    torn[3].truncate(tail);
-    let dropped = consistent_cut(&mut torn);
-    assert!(
-        dropped > 0,
-        "losing shard 3's tail must orphan at least one cross-shard epoch"
-    );
-    recover_and_check(&base, &torn);
-    std::fs::remove_dir_all(&base).unwrap();
 }

@@ -14,6 +14,8 @@
 //!   (BOHM rides through its own `Bohm::recover` for the fifth leg);
 //! * **checkpoint bounds replay**: a mid-run checkpoint must shrink the
 //!   log and cut the replayed suffix down to the post-checkpoint work;
+//! * **a failed log stops the engine**: after a WAL I/O error, every
+//!   later `execute` panics before it touches the store;
 //! * **SIGKILL kill-and-recover**: each interactive engine is killed
 //!   mid-workload in a re-exec'd child; recovery of the surviving log must
 //!   match the serial oracle decision-for-decision.
@@ -321,6 +323,46 @@ fn durable_checkpoint_bounds_replay_on_every_interactive_engine() {
         res.unwrap_or_else(|e| panic!("{name}: checkpointed recovery diverged: {e:?}"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+#[test]
+fn a_failed_wal_append_stops_the_engine_for_good() {
+    let dir = fresh_dir("sticky");
+    let mut cfg = durability(&dir);
+    cfg.segment_bytes = 1; // rotate after every record
+    let tpl = bohm_bench::engines::build_tpl(&spec());
+    let (engine, _) = DurableEngine::open(tpl, &cfg).expect("fresh open");
+    // Sabotage the next rotation target: `create_new` on an existing path
+    // fails, so the first record's rotation faults the log.
+    let trap = dir.join("wal-00000001.seg");
+    std::fs::create_dir(&trap).unwrap();
+    let rid = RecordId::new(2, 0);
+    let rmw = Txn::new(
+        vec![rid],
+        vec![rid],
+        Procedure::ReadModifyWrite { delta: 1 },
+    );
+    let mut w = engine.make_worker();
+    let mut execute = || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.execute(&rmw, &mut w)
+        }))
+    };
+    assert!(execute().is_err(), "the faulting append fails its caller");
+    let after_fault = engine.read_u64(rid);
+    // Rotating to segment 2 would succeed; the engine must not try.
+    assert!(execute().is_err(), "a failed log fails every later call");
+    assert_eq!(
+        engine.read_u64(rid),
+        after_fault,
+        "without touching the store"
+    );
+    drop(engine);
+    std::fs::remove_dir(&trap).unwrap();
+    let log = Wal::read_log(&dir).unwrap();
+    let logged: Vec<usize> = log.iter().map(|b| b.txns.len()).collect();
+    assert_eq!(logged, [1], "exactly the record written before the fault");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Env var carrying `<engine>:<dir>` into the re-exec'd child; when unset

@@ -134,7 +134,7 @@ fn many_threads_few_txns() {
 #[test]
 fn annotations_off_matches_serial_order() {
     let mut cfg = BohmConfig::with_threads(3, 3);
-    cfg.annotate_reads = false;
+    cfg.annotate_max_reads = 0;
     run_and_check(one_table(128), rmw_mix(128, 3_000, true, 5), cfg, 300);
 }
 
@@ -250,7 +250,9 @@ fn fused_plan_shapes_match_serial_order() {
         .enumerate()
     {
         let mut cfg = BohmConfig::with_threads(cc, 3);
-        cfg.annotate_reads = annotate;
+        if !annotate {
+            cfg.annotate_max_reads = 0;
+        }
         // Small keyspace, so the key sweep reclaims deleted rows' entries
         // under the look-ahead as well.
         cfg.index_capacity = 8;
@@ -482,7 +484,7 @@ fn sequential_submissions_interleave_correctly() {
 // ---------------------------------------------------------------------------
 
 /// Rows per stripe of the lane streams' table; stripe `s` is rows
-/// `s·STRIPE ..`, which is also how the sharded case places it on shard `s`.
+/// `s·STRIPE ..`.
 const STRIPE: u64 = 128;
 
 fn striped_table(stripes: u64) -> DatabaseSpec {
@@ -528,7 +530,7 @@ fn lane_stream(n: usize, seed: u64, stripes: u64) -> Vec<Txn> {
                     Procedure::TpcC(TpcCProc::OrderHistory),
                 ),
                 // A short read-only transaction: annotated, unless
-                // `annotate_reads` is off — then it is detached too.
+                // `annotate_max_reads` is 0 — then it is detached too.
                 4 => {
                     let reads = (0..2).map(|_| RecordId::new(0, s * STRIPE + rng.below(8)));
                     Txn::new(reads.collect(), vec![], Procedure::ReadOnly)
@@ -563,7 +565,7 @@ fn detached_readers_beside_their_producers_match_serial_order() {
     // With annotation off every read-only transaction is detached, and the
     // writers' reads go through the same ts-filtered probe.
     let mut cfg = BohmConfig::with_threads(2, 2);
-    cfg.annotate_reads = false;
+    cfg.annotate_max_reads = 0;
     run_and_check(striped_table(1), lane_stream(1_500, 0x1A9F, 1), cfg, 16);
 }
 
@@ -642,48 +644,4 @@ fn detached_readers_replay_from_the_log_as_they_ran() {
     for d in [dir, plain_dir] {
         std::fs::remove_dir_all(d).unwrap();
     }
-}
-
-#[test]
-fn sharded_long_readers_ride_their_shards_lane_and_cross_shard_ones_the_barrier() {
-    use bohm_suite::common::engine::{BatchEngine, Session};
-    use bohm_suite::common::{ShardMap, ShardStrategy, ShardedEngine};
-    use std::sync::Arc;
-    const SHARDS: u64 = 2;
-    let spec = striped_table(SHARDS);
-    let epoch = Arc::new(bohm_sync::atomic::AtomicU64::new(0));
-    let shards: Vec<Bohm> = (0..SHARDS)
-        .map(|_| {
-            let mut cfg = BohmConfig::with_threads(1, 2);
-            cfg.batch_size = 16;
-            cfg.epoch_source = Some(Arc::clone(&epoch));
-            Bohm::start(cfg, catalog_of(&spec))
-        })
-        .collect();
-    let map = ShardMap::new(SHARDS as u32, vec![ShardStrategy::Blocks { block: STRIPE }]).unwrap();
-    let engine = ShardedEngine::with_epoch_source(shards, map, vec![8], epoch).unwrap();
-    // Single-stripe transactions — long readers among them — pipeline on
-    // their shard. In the middle, two transactions over both stripes: an RMW
-    // and a long read-only one, which is *not* detached anywhere — it runs
-    // on the barrier path, against quiesced shards, and so after every
-    // reader the lanes still had queued.
-    let mut txns = lane_stream(1_000, 0x5AAD, SHARDS);
-    let both = |k: u64| [RecordId::new(0, k), RecordId::new(0, STRIPE + k)];
-    let rmw = Procedure::ReadModifyWrite { delta: 5 };
-    let cross_reads = (0..100).flat_map(|i| both(i % 8)).collect();
-    txns.insert(500, Txn::new(both(3).to_vec(), both(3).to_vec(), rmw));
-    txns.insert(501, Txn::new(cross_reads, vec![], Procedure::ReadOnly));
-    assert!(!engine.map().route(&txns[501]).is_single());
-    let mut session = engine.open_session();
-    for t in &txns {
-        session.submit(t.clone());
-    }
-    engine.quiesce();
-    let outcomes: Vec<_> = txns.iter().map(|_| session.reap()).collect();
-    drop(session);
-    let res = check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid));
-    for shard in engine.into_shards() {
-        shard.shutdown();
-    }
-    res.unwrap();
 }

@@ -556,252 +556,6 @@ fn aborted_delete_leaves_row_readable_on_every_engine() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded facade (ShardedEngine) vs. the same serial oracle
-// ---------------------------------------------------------------------------
-
-/// TPC-C shape whose order stripes divide evenly across up to four shards
-/// (the sharded tests' partition key), sized so no stripe ring wraps.
-fn striped_cfg() -> TpccConfig {
-    TpccConfig {
-        order_stripes: 4,
-        ..small_cfg()
-    }
-}
-
-/// Drive any engine through one session in submission order (the sharded
-/// analogue of `AnyEngine::run_stream`): per-shard FIFOs plus inline
-/// cross-shard commits keep a single session's stream comparable against
-/// the serial oracle transaction-for-transaction.
-fn run_stream<E: BatchEngine>(engine: &E, txns: &[Txn]) -> Vec<ExecOutcome> {
-    let mut session = engine.open_session();
-    let mut outcomes = Vec::with_capacity(txns.len());
-    for t in txns {
-        session.submit(t.clone());
-        while session.in_flight() > 256 {
-            outcomes.push(session.reap());
-        }
-    }
-    while session.in_flight() > 0 {
-        outcomes.push(session.reap());
-    }
-    outcomes
-}
-
-/// The cross-stripe mix: four stripe generators interleaved round-robin
-/// (so orders land on every shard), plus scripted **aborting cross-shard
-/// deletes** woven mid-stream — customer 0 guards (shard 0) against a
-/// victim customer on another shard, with a guard threshold above the
-/// seeded balance, so the facade must assemble an abort across shards and
-/// leave no trace. A committing cross-shard delete closes the stream.
-fn cross_stripe_mix(cfg: &TpccConfig, n: usize) -> Vec<Txn> {
-    use bohm_common::Procedure::GuardedDelete;
-    let mut gens: Vec<TpccGen> = (0..cfg.order_stripes)
-        .map(|s| TpccGen::new(cfg.clone(), 0xBEEF + s, s))
-        .collect();
-    let guard = RecordId::new(tables::CUSTOMER, 0);
-    let victim = RecordId::new(tables::CUSTOMER, 1);
-    let mut txns = Vec::with_capacity(n + n / 100 + 1);
-    for i in 0..n {
-        let g = i % gens.len();
-        txns.push(gens[g].next_txn());
-        if i % 100 == 99 {
-            // Seeded balances are 100_000 < 200_000 ⇒ user abort.
-            txns.push(Txn::new(
-                vec![guard],
-                vec![victim],
-                GuardedDelete { min: 200_000 },
-            ));
-        }
-    }
-    // One committing cross-shard delete at the very end (no later
-    // transaction touches the victim).
-    txns.push(Txn::new(
-        vec![guard],
-        vec![victim],
-        GuardedDelete { min: 0 },
-    ));
-    txns
-}
-
-#[test]
-fn sharded_facade_matches_serial_oracle_on_cross_stripe_mix() {
-    use bohm_bench::engines::{build_sharded, shutdown_sharded};
-    let cfg = striped_cfg();
-    let spec = cfg.spec();
-    let n = bohm_common::stress_iters(1_000) as usize;
-    let txns = cross_stripe_mix(&cfg, n);
-    let mut oracle = SerialOracle::new(&spec);
-    let want: Vec<ExecOutcome> = txns.iter().map(|t| oracle.apply(t)).collect();
-    assert!(
-        want.iter().any(|o| !o.committed),
-        "mix must include aborted (cross-shard) transactions"
-    );
-
-    for shards in [1u32, 4] {
-        let map = tpcc::shard_map(&cfg, shards).expect("striped_cfg divides across four shards");
-        // The natural mix is genuinely cross-shard at 4 shards: a NewOrder
-        // whose customer stripe and district warehouse disagree on the
-        // owner must span them.
-        if shards > 1 {
-            assert!(
-                txns.iter().any(|t| map.route(t).len() > 1),
-                "mix must contain cross-shard transactions"
-            );
-        }
-        for kind in EngineKind::ALL {
-            let engine = build_sharded(kind, &spec, 4, map.clone());
-            let outcomes = run_stream(&engine, &txns);
-            engine.quiesce();
-            for (i, (got, want)) in outcomes.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    (got.committed, got.fingerprint),
-                    (want.committed, want.fingerprint),
-                    "{} shards={shards} txn {i}",
-                    kind.name()
-                );
-            }
-            check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid))
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "{} shards={shards} diverged from serial oracle: {e}",
-                        kind.name()
-                    )
-                });
-            if shards == 1 {
-                assert_eq!(
-                    engine.epoch(),
-                    0,
-                    "{}: one shard must never pay the cross-shard path",
-                    kind.name()
-                );
-            } else {
-                assert!(
-                    engine.epoch() > 0,
-                    "{}: the mix must exercise the cross-shard path",
-                    kind.name()
-                );
-                // Epoch alignment (DESIGN.md "Sharding & epochs"): after a
-                // full quiesce, every BOHM shard has retired the final
-                // global epoch — no shard can still observe pre-epoch state.
-                for shard in engine.shard_engines() {
-                    if let Some(b) = shard.as_bohm() {
-                        assert_eq!(b.retired_epoch(), engine.epoch());
-                    }
-                }
-            }
-            shutdown_sharded(engine);
-        }
-    }
-}
-
-#[test]
-fn one_shard_facade_is_fingerprint_identical_to_bare_engine() {
-    use bohm_bench::engines::{build_sharded, shutdown_sharded};
-    let cfg = striped_cfg();
-    let spec = cfg.spec();
-    let txns = cross_stripe_mix(&cfg, 600);
-    let map = tpcc::shard_map(&cfg, 1).unwrap();
-    for kind in EngineKind::ALL {
-        let bare = kind.build(&spec, 4);
-        let sharded = build_sharded(kind, &spec, 4, map.clone());
-        let bare_out = bare.run_stream(&txns);
-        let sharded_out = run_stream(&sharded, &txns);
-        for (i, (b, s)) in bare_out.iter().zip(&sharded_out).enumerate() {
-            assert_eq!(
-                (b.committed, b.fingerprint),
-                (s.committed, s.fingerprint),
-                "{} txn {i}: one-shard facade must be pass-through",
-                kind.name()
-            );
-        }
-        bare.quiesce();
-        sharded.quiesce();
-        for (t, table) in spec.tables.iter().enumerate() {
-            for row in 0..table.capacity() {
-                let rid = RecordId::new(t as u32, row);
-                assert_eq!(
-                    bare.read_u64(rid),
-                    sharded.read_u64(rid),
-                    "{} {rid}: one-shard facade state diverged",
-                    kind.name()
-                );
-            }
-        }
-        assert_eq!(sharded.epoch(), 0);
-        bare.shutdown();
-        shutdown_sharded(sharded);
-    }
-}
-
-#[test]
-fn scan_phantom_hammer_on_sharded_facade() {
-    use bohm_bench::engines::{build_sharded, shutdown_sharded};
-    use bohm_suite::testkit::phantom_hammer;
-    let cfg = striped_cfg();
-    let spec = cfg.spec();
-    let guard = RecordId::new(tables::CUSTOMER, 0); // shard 0, seeded
-    let rounds = bohm_common::stress_iters(100);
-    let stripe = cfg.orders_per_stripe();
-    // Two windows: one inside stripe 0 (single-shard writers and scanners
-    // racing through the facade's pipelined path) and one straddling the
-    // stripe-0/stripe-1 boundary (every participant takes the cross-shard
-    // stop-the-world path; concurrent sessions contend on the alignment
-    // lock). Phantom freedom must hold on both.
-    for (label, lo) in [("single-shard", 8), ("cross-shard", stripe - 3)] {
-        for kind in EngineKind::ALL {
-            let map = tpcc::shard_map(&cfg, 4).unwrap();
-            let engine = build_sharded(kind, &spec, 4, map);
-            phantom_hammer(&engine, guard, tables::ORDER, lo, 6, rounds);
-            engine.quiesce();
-            for row in lo..lo + 6 {
-                assert_eq!(
-                    engine.read_u64(RecordId::new(tables::ORDER, row)),
-                    None,
-                    "{} {label}: window row {row} must end absent",
-                    kind.name()
-                );
-            }
-            shutdown_sharded(engine);
-        }
-    }
-}
-
-#[test]
-fn index_phantom_hammer_on_sharded_facade() {
-    use bohm_bench::engines::{build_sharded, shutdown_sharded};
-    use bohm_suite::testkit::index_phantom_hammer;
-    // Four stripes of one delivery batch each, so the hammer's ring
-    // constraint (`orders_per_stripe == delivery_batch`) holds while the
-    // stripes divide across four shards.
-    let cfg = TpccConfig {
-        warehouses: 1,
-        districts_per_warehouse: 1,
-        customers_per_district: 4,
-        order_capacity: 16,
-        order_stripes: 4,
-        delivery_batch: 4,
-        orders_per_customer: 8,
-        unbounded_orders: false,
-        think_us: 0,
-    };
-    let spec = cfg.spec();
-    let rounds = bohm_common::stress_iters(100);
-    for kind in EngineKind::ALL {
-        let map = tpcc::shard_map(&cfg, 4).unwrap();
-        let engine = build_sharded(kind, &spec, 4, map);
-        index_phantom_hammer(&engine, &cfg, rounds);
-        engine.quiesce();
-        assert_eq!(
-            engine.read_u64(RecordId::new(tables::CUSTOMER_ORDERS, 0)),
-            Some(0),
-            "{}: posting list must end empty",
-            kind.name()
-        );
-        shutdown_sharded(engine);
-    }
-}
-
 #[test]
 fn tpcc_mix_conserves_money_across_engines() {
     // Payment moves `amount` out of a customer and into warehouse+district

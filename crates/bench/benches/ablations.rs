@@ -80,7 +80,6 @@ fn main() {
             let bs = x as usize;
             let mut cfg = BohmConfig::with_threads(cc, exec);
             cfg.batch_size = bs;
-            cfg.ingest_capacity = bs * 4;
             let (st, _) = drive(&ycsb, cfg, YcsbKind::Rmw10, 7100, p.secs);
             eprintln!("batch={bs}: {:.0} txns/s", st.throughput());
             st.throughput()

@@ -7,8 +7,8 @@
 //!   over a table that does not fit the caches, three ways: un-fused and
 //!   blocking, fused and blocking, fused behind the staged look-ahead,
 //! * lock-table acquire/release,
-//! * timestamp assignment: BOHM's sequencer (one uncontended add on the
-//!   single sequencer thread) vs. a shared atomic counter hammered by many
+//! * timestamp assignment: BOHM's sequencer (one uncontended add, under
+//!   the open batch's mutex) vs. a shared atomic counter hammered by many
 //!   threads — the §2.1 bottleneck in isolation.
 //!
 //! (Formerly a `criterion` target; rewritten over a minimal local timing
@@ -209,8 +209,8 @@ fn bench_locks() {
 fn bench_timestamps() {
     use bohm_sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    // BOHM: the sequencer thread owns the log; assignment is an
-    // uncontended add.
+    // BOHM: whoever holds the open batch's mutex owns the log; assignment
+    // is an uncontended add.
     let mut next = 0u64;
     bench("timestamp/sequencer_single_thread", || {
         next += 1;

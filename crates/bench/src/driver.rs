@@ -5,10 +5,11 @@
 //! `threads` driver threads each open a session, submit transactions from
 //! their private generator, and keep at most `pipeline_depth` outcomes
 //! unreaped. On the interactive baselines submission is synchronous and the
-//! depth is irrelevant; on BOHM submission is pipelined through the ingest
-//! queue and the depth is what keeps the sequencer/CC/execution pipeline
-//! full. Engine backpressure (a saturated ingest queue) blocks `submit`,
-//! so drivers can never outrun the engine unboundedly.
+//! depth is irrelevant; on BOHM submission is pipelined — a session appends
+//! to the open batch and seals the batches it fills — and the depth is what
+//! keeps the CC/execution pipeline full. Engine backpressure (a full
+//! in-flight ring blocks the sealer, and every `submit` behind it) means
+//! drivers can never outrun the engine unboundedly.
 
 use bohm_common::engine::{BatchEngine, Session};
 use bohm_common::stats::RunStats;

@@ -8,8 +8,8 @@ use bohm_workloads::{DatabaseSpec, TxnGen};
 use std::time::Duration;
 
 /// Driver threads used when the engine runs its own thread pool (BOHM:
-/// `threads` becomes the CC/execution budget and these sessions only feed
-/// the ingest queue, which two submitters saturate comfortably).
+/// `threads` becomes the CC/execution budget and these sessions only
+/// sequence and seal, which two submitters saturate comfortably).
 pub const PIPELINED_DRIVER_SESSIONS: usize = 2;
 
 /// Build engine `kind` over `spec`, drive it for `secs`, and tear it down.

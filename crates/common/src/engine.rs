@@ -13,7 +13,8 @@
 //!   benchmark driver and integration harnesses drive all five systems
 //!   through one code path. Interactive engines get it for free via a
 //!   blanket impl ([`WorkerSession`]); BOHM implements it natively over its
-//!   ingest queue.
+//!   ingest (a session appends to the open batch and seals the batch it
+//!   fills).
 
 use crate::txn::Txn;
 use std::collections::VecDeque;
@@ -75,7 +76,7 @@ pub trait Session: Send {
     /// completion may be deferred until a later [`reap`](Self::reap).
     ///
     /// Takes ownership: pipelined engines move the transaction into their
-    /// ingest queue without a copy (drivers generate owned transactions
+    /// open batch without a copy (drivers generate owned transactions
     /// anyway), and synchronous engines just execute and drop it.
     fn submit(&mut self, txn: Txn);
 

@@ -14,6 +14,7 @@
 //! Batch boundaries are an engine-internal amortization artifact;
 //! submitters never see them.
 
+use crate::engine::Inner;
 use bohm_common::{ASlice, Arena, RecordId, Timestamp, Txn};
 use bohm_mvstore::Version;
 use bohm_sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -167,29 +168,50 @@ impl Completion {
 /// finishes it — not when its (engine-internal) batch drains — so
 /// [`is_done`](Self::is_done) turns true exactly then. The executing thread
 /// pays for a wake-up only if somebody is parked in [`wait`](Self::wait).
+///
+/// A handle also knows which batch its transaction joined. While that batch
+/// is still open, the handle is what seals it by time (see
+/// [`ingest`](crate::ingest)): nothing else watches the clock.
 pub struct TxnHandle {
     pub(crate) completion: Arc<Completion>,
+    /// Id of the batch the transaction joined.
+    pub(crate) batch: u64,
+    pub(crate) inner: Arc<Inner>,
 }
 
 impl TxnHandle {
     /// Block until the transaction has executed and return its outcome.
     ///
-    /// Precise: the caller parks on *this* transaction and is woken by the
-    /// thread that completes it (a `submit(txn).wait()` round trip waits for
-    /// nothing else). The handle may be moved to, and waited on from, any
-    /// thread.
+    /// If its batch is still open, first wait until the batch has been open
+    /// for [`batch_linger`](crate::BohmConfig::batch_linger) — other
+    /// submissions may fill and seal it meanwhile — and then seal it here.
+    /// After that the wait is precise: the caller parks on *this*
+    /// transaction and is woken by the thread that completes it (a
+    /// `submit(txn).wait()` round trip waits for nothing else). The handle
+    /// may be moved to, and waited on from, any thread.
     ///
     /// # Panics
     ///
     /// Panics if the engine failed before the transaction reached a sealed
     /// batch (a write-ahead log append error).
     pub fn wait(&self) -> TxnOutcome {
+        if !self.completion.is_done() {
+            self.inner.seal_lingered(self.batch, true);
+        }
         self.completion.wait()
     }
 
     /// Has the transaction finished? (Non-blocking.)
+    ///
+    /// A `false` about a transaction whose batch is still open but past its
+    /// [`batch_linger`](crate::BohmConfig::batch_linger) seals that batch
+    /// first, so a client that only polls still gets its work done.
     pub fn is_done(&self) -> bool {
-        self.completion.is_done()
+        if self.completion.is_done() {
+            return true;
+        }
+        self.inner.seal_lingered(self.batch, false);
+        false
     }
 }
 
@@ -202,7 +224,7 @@ impl TxnHandle {
 ///
 /// Every CC thread must examine every transaction's sets (paper §3.2.2 —
 /// the acknowledged Amdahl component of the design), so that scan has to be
-/// cheap: the sequencer pre-hashes each record once, and the CC threads
+/// cheap: sealing pre-hashes each record once, and the CC threads
 /// iterate a contiguous array doing one modulo per entry instead of
 /// re-hashing `RecordId`s out of the sets `m` times over. The entry keeps
 /// the **whole** [`stable_hash`](bohm_common::RecordId::stable_hash): the
@@ -215,7 +237,7 @@ impl TxnHandle {
 /// over it. A plan is the transaction's pure reads (`write` is none)
 /// followed by one entry per write (`read` is none for a blind write).
 /// Order between the two groups is what keeps the un-fusable leftovers
-/// correct — a read the sequencer did not pair with its write (see
+/// correct — a read sealing did not pair with its write (see
 /// [`TxnState::new`]) is annotated before that write installs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct PlanEntry {
@@ -254,7 +276,7 @@ impl PlanEntry {
     }
 }
 
-/// Comparisons the sequencer will spend pairing one transaction's reads
+/// Comparisons sealing will spend pairing one transaction's reads
 /// with its writes when they do not line up position by position. Within
 /// it every RMW is fused; beyond it (nothing in the paper's workloads is)
 /// only positional pairs are, and the rest stay correct as separate
@@ -439,8 +461,8 @@ pub struct Batch {
     /// `ts = base_ts + i`. Bases are strided by `BohmConfig::batch_size`
     /// regardless of fill, so `id = (ts - 1) / batch_size`.
     pub base_ts: Timestamp,
-    /// The engine's checkpoint epoch, sampled when the sequencer sealed
-    /// this batch — the stamp its WAL record carries.
+    /// The engine's checkpoint epoch, sampled when this batch was
+    /// sealed — the stamp its WAL record carries.
     pub epoch: u64,
     /// The batch's transactions in timestamp order, with runtime state.
     pub txns: Box<[TxnState]>,
@@ -456,12 +478,12 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Assemble a batch from sequencer-bound entries. Per-transaction
+    /// Assemble a batch from its entries in log order. Per-transaction
     /// runtime buffers are carved from `arena`, contiguous in timestamp
     /// order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        entries: Vec<(Txn, Arc<Completion>)>,
+        entries: impl IntoIterator<Item = (Txn, Arc<Completion>)>,
         base_ts: Timestamp,
         id: u64,
         epoch: u64,
@@ -680,7 +702,7 @@ pub(crate) mod tests {
                 read_only(70),
                 wide_rmw,
             ];
-            txns.into_iter().map(|t| (t, Completion::new())).collect()
+            txns.into_iter().map(|t| (t, Completion::new()))
         };
         let pending = |b: &Batch| b.exec_pending.load(Ordering::Acquire);
         // Above the limit *and* write-free: positions 1 and 4.
@@ -887,7 +909,7 @@ pub(crate) mod modelcheck {
     /// report the fault, whichever side gets to the word first.
     fn poison_model() {
         let c = Completion::new();
-        let sequencer = {
+        let sealer = {
             let c = Arc::clone(&c);
             thread::spawn(move || c.poison())
         };
@@ -898,7 +920,7 @@ pub(crate) mod modelcheck {
                 .is_some_and(|m| m.contains("engine failed")),
             "woken by something other than the fault"
         );
-        sequencer.join().unwrap();
+        sealer.join().unwrap();
     }
 
     #[test]

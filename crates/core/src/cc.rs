@@ -15,7 +15,7 @@
 //!   value) and install an uninitialized placeholder version — the one just
 //!   retired, when there is one — over the version just annotated (§3.2.2).
 //!
-//! The per-transaction scan iterates the sequencer-built plan (see
+//! The per-transaction scan iterates the plan built at seal time (see
 //! `PlanEntry` in `crate::batch`): pure reads, then writes carrying their
 //! read. Every CC thread examines every transaction — the design's
 //! acknowledged serial component (§3.2.2) — so the examination itself is a
@@ -45,8 +45,8 @@ use bohm_mvstore::{HashIndex, ProbeFor, Version, VersionIndex, VersionPool};
 use bohm_sync::atomic::Ordering;
 use crossbeam_epoch as epoch;
 
-/// Main loop of CC thread `me`. Exits once the sequencer has closed the
-/// window and every batch it pushed has been through here.
+/// Main loop of CC thread `me`. Exits once the ingest has closed the
+/// window and every batch sealed before that has been through here.
 pub(crate) fn cc_loop(inner: &Inner, me: usize) {
     // Versions this thread retired and has not re-installed yet. Strictly
     // thread-local: a chain's installer is also its truncator.

@@ -60,32 +60,38 @@ pub struct BohmConfig {
     /// [`effective_index_capacity`](Self::effective_index_capacity) for the
     /// exact rule.
     pub index_capacity: usize,
-    /// Maximum transactions per sequencer-formed batch (the §3.2.4
-    /// coordination-amortization knob). Also the timestamp *stride*
-    /// reserved per batch: batch `b` owns timestamps
-    /// `1 + b·batch_size .. 1 + (b+1)·batch_size`, which is what makes the
-    /// window's timestamp→batch lookup O(1) arithmetic.
+    /// Transactions per batch (the §3.2.4 coordination-amortization knob):
+    /// the submission that brings the open batch to this size seals it (see
+    /// [`ingest`](crate::ingest)). Also the timestamp *stride* reserved per
+    /// batch: batch `b` owns timestamps `1 + b·batch_size .. 1 +
+    /// (b+1)·batch_size`, which is what makes the window's timestamp→batch
+    /// lookup O(1) arithmetic.
+    ///
+    /// Size it for the pipeline it feeds: the CC and execution layers
+    /// overlap only while two or more batches are in flight, so a client
+    /// keeping `d` transactions outstanding wants batches well below `d / 2`
+    /// (Little's law). The default, 2048, leaves four batches in flight at
+    /// the benchmark's 8192 outstanding; 4096 left two, and CC waited.
     pub batch_size: usize,
-    /// How long the sequencer holds a partially-filled batch open waiting
-    /// for more transactions before sealing it (the time trigger; the size
-    /// trigger is [`batch_size`](Self::batch_size)). Low values favour
-    /// latency, higher values favour barrier amortization under streams of
-    /// small submissions.
+    /// How long a partially-filled batch stays open waiting for more
+    /// transactions (the time trigger; the size trigger is
+    /// [`batch_size`](Self::batch_size)). There is no timer thread: a
+    /// client waiting on one of the batch's transactions seals it once the
+    /// batch has been open this long, and a client polling one seals it
+    /// when it finds the time passed. Low values favour latency, higher
+    /// values let more sparse or depth-1 submissions share a batch.
     pub batch_linger: Duration,
     /// In-flight batch budget: the number of sealed-but-unretired batches
     /// the pipeline may hold (rounded up to a power of two — it is the
-    /// window ring's capacity). When the budget is exhausted the sequencer
-    /// blocks, the ingest queue fills, and submitters feel backpressure.
+    /// window ring's capacity). When the budget is exhausted the submitter
+    /// sealing the next batch blocks, holding the open batch's mutex, and
+    /// every other submitter blocks behind it: the backpressure, bounded by
+    /// one open batch.
     pub max_inflight_batches: usize,
-    /// Ingest queue budget in transactions (a submission is one): clients
-    /// enqueueing beyond this block until the sequencer drains. This is the
-    /// front door of the backpressure chain.
-    pub ingest_capacity: usize,
-    /// Opt-in durability: when set, the sequencer appends every formed
-    /// batch's inputs to a write-ahead log
-    /// ([`bohm_common::wal::Wal`]) and applies the configured fsync
-    /// policy *before* releasing the batch to the CC threads — group
-    /// commit riding the existing size/linger batching. `None` (the
+    /// Opt-in durability: when set, sealing appends every batch's inputs to
+    /// a write-ahead log ([`bohm_common::wal::Wal`]) and applies the
+    /// configured fsync policy *before* releasing the batch to the CC
+    /// threads — group commit riding the existing size/linger batching. `None` (the
     /// default) keeps the engine memory-only. Recover with
     /// [`Bohm::recover`](crate::Bohm::recover) on the same directory
     /// (checkpoint-aware, and it keeps the replayed suffix from being
@@ -103,10 +109,9 @@ impl Default for BohmConfig {
             key_gc_buckets: 512,
             annotate_max_reads: 64,
             index_capacity: 1 << 20,
-            batch_size: 4096,
+            batch_size: 2048,
             batch_linger: Duration::from_micros(200),
             max_inflight_batches: 8,
-            ingest_capacity: 4096 * 4,
             durability: None,
         }
     }
@@ -155,10 +160,6 @@ impl BohmConfig {
             self.max_inflight_batches >= 2,
             "max_inflight_batches must be at least 2 (CC and execution work \
              on different batches concurrently)"
-        );
-        assert!(
-            self.ingest_capacity >= 1,
-            "ingest_capacity must be at least 1"
         );
         assert!(
             self.index_capacity >= 1,

@@ -1,8 +1,8 @@
-//! Engine assembly: threads, ingest queue, public API.
+//! Engine assembly: threads, ingest, public API.
 
 use crate::batch::{TxnHandle, TxnOutcome};
 use crate::config::{BohmConfig, CatalogSpec};
-use crate::ingest::{self, IngestTx};
+use crate::ingest::Ingest;
 use crate::session::BohmSession;
 use crate::window::Window;
 use crate::{cc, exec};
@@ -13,7 +13,7 @@ use crossbeam_epoch::{self as epoch, Owned};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// State shared by all engine threads.
+/// State shared by the engine's threads, its sessions and their handles.
 pub(crate) struct Inner {
     pub config: BohmConfig,
     record_sizes: Vec<usize>,
@@ -21,16 +21,19 @@ pub(crate) struct Inner {
     pub window: Window,
     /// The read lane's queue (see `crate::exec`).
     pub lane: exec::Lane,
+    /// The open batch and its mutex (see `crate::ingest`). Only submitters
+    /// and their handles touch it.
+    pub ingest: Ingest,
     /// Global Condition-3 low watermark, expressed as a timestamp bound:
     /// every transaction with `ts ≤ gc_bound` has finished executing. It is
     /// the last timestamp of the newest retired batch, stored by the
     /// window's retirement cursor — in id order, so it never moves back.
     pub gc_bound: AtomicU64,
     /// The checkpoint epoch: bumped only by [`Bohm::checkpoint`], sampled
-    /// by the sequencer into every batch it seals (`Batch::epoch`, the WAL
-    /// stamp). Batches sealed before a bump to `e` are stamped below `e`,
-    /// those sealed after at or above it — what splits the log into the
-    /// prefix a checkpoint covers and the suffix recovery replays.
+    /// into every batch as it is sealed (`Batch::epoch`, the WAL stamp).
+    /// Batches sealed before a bump to `e` are stamped below `e`, those
+    /// sealed after at or above it — what splits the log into the prefix a
+    /// checkpoint covers and the suffix recovery replays.
     pub epoch: AtomicU64,
     /// Total versions retired by GC (diagnostics / ablation benches).
     pub gc_retired: AtomicU64,
@@ -45,12 +48,8 @@ pub(crate) struct Inner {
     /// Diagnostics: nanoseconds each layer spent busy (indexing by role).
     pub cc_busy_ns: AtomicU64,
     pub exec_busy_ns: AtomicU64,
-    /// Chunk pool backing the sequencer's batch arena. Lives on `Inner` so
-    /// chunks released by retiring batches (on exec threads) recycle to the
-    /// sequencer instead of freeing.
-    pub arena_pool: bohm_common::ArenaPool,
-    /// The write-ahead log, when durability is configured: the sequencer
-    /// appends every formed batch here *before* releasing it to CC.
+    /// The write-ahead log, when durability is configured: every sealed
+    /// batch is appended here *before* it is released to CC.
     pub wal: Option<bohm_common::wal::Wal>,
 }
 
@@ -64,20 +63,10 @@ impl Inner {
     pub fn record_size(&self, table: TableId) -> usize {
         self.record_sizes[table.index()]
     }
-}
 
-/// A running BOHM engine. See the [crate docs](crate) for the protocol.
-pub struct Bohm {
-    inner: Arc<Inner>,
-    ingest: IngestTx,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl Bohm {
-    /// Build the store from `catalog`, preload it (every seeded version has
-    /// timestamp 0), and spawn the sequencer, `cc_threads + exec_threads`
-    /// worker threads and the read lane.
-    pub fn start(config: BohmConfig, catalog: CatalogSpec) -> Self {
+    /// Build the store from `catalog` and preload it (every seeded version
+    /// has timestamp 0); open the log. Spawns nothing.
+    pub(crate) fn new(config: BohmConfig, catalog: CatalogSpec) -> Self {
         config.validate();
         let index = HashIndex::with_capacity(config.effective_index_capacity(catalog.total_rows()));
         {
@@ -101,8 +90,9 @@ impl Bohm {
             bohm_common::wal::Wal::open(d)
                 .unwrap_or_else(|e| panic!("failed to open WAL at {}: {e}", d.dir.display()))
         });
-        let inner = Arc::new(Inner {
+        Inner {
             lane: exec::Lane::default(),
+            ingest: Ingest::new(bohm_common::ArenaPool::default().arena()),
             gc_bound: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             gc_retired: AtomicU64::new(0),
@@ -113,15 +103,28 @@ impl Bohm {
             window: Window::new(config.max_inflight_batches, config.batch_size as u64),
             record_sizes,
             index,
-            arena_pool: bohm_common::ArenaPool::default(),
             wal,
             config,
-        });
+        }
+    }
+}
 
-        // Nothing connects the threads but `inner`: the sequencer publishes
-        // batches in the window ring, and the CC and execution threads
-        // chase it (see `crate::window`).
-        let (ingest, rx) = ingest::ingest_queue(inner.config.ingest_capacity);
+/// A running BOHM engine. See the [crate docs](crate) for the protocol.
+pub struct Bohm {
+    inner: Arc<Inner>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Bohm {
+    /// Build the store from `catalog`, preload it (every seeded version has
+    /// timestamp 0), and spawn `cc_threads + exec_threads` worker threads
+    /// and the read lane. Sequencing needs no thread: submitters do it (see
+    /// [`ingest`](crate::ingest)).
+    pub fn start(config: BohmConfig, catalog: CatalogSpec) -> Self {
+        let inner = Arc::new(Inner::new(config, catalog));
+        // Nothing connects the threads but `inner`: sealers publish batches
+        // in the window ring, and the CC and execution threads chase it (see
+        // `crate::window`).
         let mut threads = Vec::new();
         let mut spawn = |name: String, role: Box<dyn FnOnce(&Inner) + Send>| {
             let inner = Arc::clone(&inner);
@@ -140,14 +143,7 @@ impl Bohm {
             let role = move |inner: &Inner| cc::cc_loop(inner, i);
             spawn(format!("bohm-cc-{i}"), Box::new(role));
         }
-        let role = move |inner: &Inner| ingest::seq_loop(inner, rx);
-        spawn("bohm-seq".into(), Box::new(role));
-
-        Self {
-            inner,
-            ingest,
-            threads,
-        }
+        Self { inner, threads }
     }
 
     /// Recover a durable engine from its own log directory, then keep
@@ -332,14 +328,14 @@ impl Bohm {
         out
     }
 
-    /// Open a submission session: the per-client handle for enqueueing
+    /// Open a submission session: the per-client handle for submitting
     /// single transactions with per-transaction completion.
     ///
-    /// Sessions are independent of the engine's lifetime (they hold only a
-    /// queue reference); submitting through one after
-    /// [`shutdown`](Self::shutdown) panics.
+    /// Sessions are independent of the engine's lifetime (they hold a
+    /// reference to its shared state, not to the `Bohm`); submitting
+    /// through one after [`shutdown`](Self::shutdown) panics.
     pub fn session(&self) -> BohmSession {
-        BohmSession::new(self.ingest.clone())
+        BohmSession::new(Arc::clone(&self.inner))
     }
 
     /// The one convenience over [`session`](Self::session): submit `txns`
@@ -351,9 +347,9 @@ impl Bohm {
     /// transactions and everything submitted before them:
     /// [`read_u64`](Self::read_u64) is race-free (and does not wait), and
     /// [`gc_bound`](Self::gc_bound) has advanced past their timestamps.
-    /// Other sessions may interleave with `txns` in the serial order
-    /// (arrival order at the sequencer, §3.2.1); what they submit meanwhile
-    /// is not waited for.
+    /// Other sessions may interleave with `txns` in the serial order (the
+    /// order submissions take the open batch's mutex, §3.2.1); what they
+    /// submit meanwhile is not waited for.
     pub fn execute_sync(&self, txns: Vec<Txn>) -> Vec<TxnOutcome> {
         let session = self.session();
         let handles: Vec<TxnHandle> = txns.into_iter().map(|t| session.submit(t)).collect();
@@ -481,10 +477,9 @@ impl Bohm {
 
 impl Drop for Bohm {
     fn drop(&mut self) {
-        // Closing the ingest queue lets the sequencer drain and exit; on
-        // its way out it closes the window, and the CC and execution
-        // threads exit once they are through every batch it pushed.
-        self.ingest.close();
+        // Seal what is open and close the window behind it: the CC and
+        // execution threads exit once they are through every sealed batch.
+        self.inner.close_ingest();
         for h in self.threads.drain(..) {
             let _ = h.join();
         }
@@ -858,9 +853,8 @@ mod tests {
     fn cc_phase_of(e: &Bohm, txns: Vec<Txn>) -> Arc<crate::batch::Batch> {
         let entries = txns
             .into_iter()
-            .map(|t| (t, crate::batch::Completion::new()))
-            .collect();
-        let mut arena = e.inner.arena_pool.arena();
+            .map(|t| (t, crate::batch::Completion::new()));
+        let mut arena = crate::batch::tests::test_arena();
         let batch = crate::batch::Batch::new(entries, 1, 0, 0, 1, 1, 64, &mut arena);
         cc::process_batch(&e.inner, 0, &batch, &mut bohm_mvstore::VersionPool::new());
         batch
@@ -1086,7 +1080,7 @@ mod tests {
         use bohm_common::{ScanRange, TpcCProc};
         // A range wider than annotate_max_reads gets no annotation slots
         // (a declared terabyte-wide range must not allocate per-slot
-        // pointers in the sequencer); the fallback probe still serves it.
+        // pointers at seal time); the fallback probe still serves it.
         let mut cfg = BohmConfig::small();
         cfg.annotate_max_reads = 4;
         let e = Bohm::start(cfg, CatalogSpec::new().table(16, 8, |r| r + 1));
@@ -1447,7 +1441,6 @@ mod tests {
         let mut cfg = BohmConfig::with_threads(1, 1);
         cfg.batch_size = 2;
         cfg.max_inflight_batches = 4;
-        cfg.ingest_capacity = 4;
         let e = Bohm::start(cfg, CatalogSpec::new().table(4, 8, |_| 0));
         let session = e.session();
         let (mut gate, mut reader) = (rmw(&[0], 1), long_read(&[0, 1]));
@@ -1457,7 +1450,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel::<TxnHandle>();
         std::thread::scope(|s| {
             // Fresh-key inserts, far more than the pipeline will hold: the
-            // feeder ends up blocked on the ingest queue.
+            // feeder ends up blocked sealing a batch into the full ring.
             s.spawn(|| {
                 let session = e.session();
                 for k in 0..FRESH {
@@ -1592,6 +1585,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bohm-core-walfail-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = BohmConfig::small();
+        // Every submission seals its own batch: the fault hits a size-seal,
+        // inside `submit`. (A waiter's linger-seal is `ingest`'s test.)
+        cfg.batch_size = 1;
         let mut d = DurabilityConfig::new(&dir);
         d.fsync = FsyncPolicy::Off;
         d.segment_bytes = 1; // rotate after every batch
@@ -1603,7 +1599,7 @@ mod tests {
         let session = e.session();
         let observed_fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // Keep submitting until either a wait panics (poisoned
-            // completion) or a submit panics (queue closed) — both are
+            // completion) or a submit panics (engine closed) — both are
             // the observable engine fault; hanging here is the bug.
             for i in 0..10_000u64 {
                 session.submit(rmw(&[i % 8], 1)).wait();
@@ -1619,13 +1615,13 @@ mod tests {
 
     #[test]
     fn tight_inflight_budget_still_completes() {
-        // Budget of 2 with single-txn batches: the sequencer must block on
-        // the ring and resume as execution retires slots, while three
-        // chasers per layer park on (and are woken through) the same ring.
+        // Budget of 2 with single-txn batches: the submitter, sealing every
+        // transaction, must block on the ring and resume as execution
+        // retires slots, while three chasers per layer park on (and are
+        // woken through) the same ring.
         let mut cfg = BohmConfig::with_threads(3, 3);
         cfg.batch_size = 1; // every transaction is its own batch
         cfg.max_inflight_batches = 2;
-        cfg.ingest_capacity = 4;
         let e = Bohm::start(cfg, CatalogSpec::new().table(4, 8, |_| 0));
         let out = e.execute_sync((0..64).map(|i| rmw(&[i % 4], 1)).collect());
         assert!(out.iter().all(|o| o.committed));
@@ -1636,9 +1632,9 @@ mod tests {
 
     #[test]
     fn drop_with_batches_in_flight_drains_everything() {
-        // Dropping the engine closes the ingest queue, not the pipeline:
-        // the sequencer drains what was accepted, closes the window at the
-        // count it pushed, and every consumer finishes those batches first.
+        // Dropping the engine closes the ingest, not the pipeline: the drop
+        // seals what is open, closes the window at the count sealed, and
+        // every consumer finishes those batches first.
         let mut cfg = BohmConfig::with_threads(2, 2);
         cfg.batch_size = 8;
         cfg.max_inflight_batches = 2;

@@ -44,7 +44,7 @@
 //! counted-out batch in id order and, per retired batch, stores the
 //! Condition-3 bound (`gc_bound` = its last timestamp, §3.3.2's low
 //! watermark) and releases its ring slot — which
-//! unblocks a sequencer waiting on the in-flight budget and counts the batch
+//! unblocks a sealer waiting on the in-flight budget and counts the batch
 //! as retired for `Window::wait_retired`, the engine's one barrier. A
 //! retired batch has no unfinished transaction. Nothing at retirement is per
 //! transaction: each completion was published as its transaction finished
@@ -64,8 +64,8 @@ use crossbeam_epoch as epoch;
 use crossbeam_utils::Backoff;
 use std::collections::VecDeque;
 
-/// Main loop of execution thread `me`. Exits once the sequencer has closed
-/// the window and every batch it pushed has been through here.
+/// Main loop of execution thread `me`. Exits once the ingest has closed
+/// the window and every batch sealed before that has been through here.
 pub(crate) fn exec_loop(inner: &Inner, me: usize) {
     let mut scratch = [ExecScratch::new(), ExecScratch::new()];
     let mut remaining: Vec<usize> = Vec::new();
@@ -85,7 +85,7 @@ pub(crate) fn exec_loop(inner: &Inner, me: usize) {
 
 /// Main loop of the read lane (`bohm-exec-ro`): for every batch that has
 /// detached readers, in id order, run the readers nobody has claimed yet.
-/// Exits once the sequencer has closed the lane and its queue is drained.
+/// Exits once the ingest has closed the lane and its queue is drained.
 pub(crate) fn lane_loop(inner: &Inner) {
     let mut scratch = [ExecScratch::new(), ExecScratch::new()];
     while let Some(id) = inner.lane.next() {
@@ -131,12 +131,12 @@ fn run_readers<'a>(
 }
 
 /// The read lane's queue: ids of the batches that have detached readers, in
-/// id order, pushed by the sequencer just before `Window::push`. One `VecDeque`
+/// id order, pushed by the sealer just before `Window::push`. One `VecDeque`
 /// push per such batch (not per transaction); a batch without readers never
 /// comes near it, so over a reader-free stream the lane thread stays parked.
 #[derive(Default)]
 pub(crate) struct Lane {
-    /// The queue, and whether the sequencer has left.
+    /// The queue, and whether the ingest has closed.
     state: Mutex<(VecDeque<u64>, bool)>,
     ready: Condvar,
     /// Times the lane thread came back from `ready.wait`.
@@ -145,13 +145,13 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    /// Queue batch `id` for the lane. Sequencer only.
+    /// Queue batch `id` for the lane. The sealer only, under the ingest mutex.
     pub fn push(&self, id: u64) {
         self.state.lock().0.push_back(id);
         self.ready.notify_one();
     }
 
-    /// The sequencer is leaving: the lane drains its queue and exits.
+    /// The ingest has closed: the lane drains its queue and exits.
     pub fn close(&self) {
         self.state.lock().1 = true;
         self.ready.notify_one();

@@ -1,43 +1,48 @@
-//! The ingest layer: bounded submission queue + the dedicated sequencer.
+//! The ingest layer: the sequencer as a critical section, not a thread.
 //!
 //! The paper's sequencer (§3.2.1) is "a single thread … that assigns each
-//! transaction a timestamp equal to its position in the input log". Earlier
-//! revisions of this codebase emulated that with a `Mutex<Sequencer>` taken
-//! on every `submit` call — contended by every client and unable to form
-//! batches across clients. This module gives the sequencer its own thread,
-//! fed by a bounded multi-producer queue:
+//! transaction a timestamp equal to its position in the input log". A log
+//! position is a counter, and nothing about handing it out needs a thread of
+//! its own: here the submitting client takes its position under the open
+//! batch's mutex, and whoever fills a batch seals it.
 //!
-//! * **Clients** ([`BohmSession`](crate::BohmSession)) enqueue single
-//!   transactions and receive completion handles immediately — one
-//!   submission is one transaction is one completion word, and there is no
-//!   other way in. The queue holds at most
-//!   [`ingest_capacity`](crate::BohmConfig::ingest_capacity) of them; a
-//!   saturated queue blocks the submitting client — backpressure instead
-//!   of unbounded growth.
-//! * **The sequencer** drains the queue in arrival order (arrival order
-//!   *is* the serialization order) — one lock acquisition per *refill*,
-//!   which moves up to the open batch's remaining room into the
-//!   sequencer's own buffer, so the bound on accepted-but-unsealed work
-//!   stays "queue + one open batch" — packs transactions into batches, and
-//!   seals a batch when it reaches
-//!   [`batch_size`](crate::BohmConfig::batch_size) **or** when
-//!   [`batch_linger`](crate::BohmConfig::batch_linger) elapses with the
-//!   queue idle — size and time triggers, so steady streams amortize the
-//!   per-batch barriers and sparse traffic is not held hostage.
-//! * Sealed batches are registered in the `Window` ring
-//!   (`crate::window`) — which blocks while the in-flight-batch budget is
-//!   exhausted, completing the backpressure chain. Registration *is* the
-//!   hand-off: every CC thread chases the ring for its next batch id. When
-//!   the sequencer leaves (queue closed and drained, or a WAL fault) it
-//!   closes the window at the number of batches it pushed, which is what
-//!   lets the CC and execution threads finish those batches and exit.
+//! * **Submit** ([`BohmSession::submit`](crate::BohmSession::submit)): lock
+//!   the open batch, repack the transaction's sets into the sequencer's
+//!   arena, append it with its completion word. Lock order *is* log order,
+//!   the serialization order; one submission is one transaction is one
+//!   completion word, and there is no other way in.
+//! * **Seal by size.** The submission that brings the open batch to
+//!   [`batch_size`](crate::BohmConfig::batch_size) seals it before letting go
+//!   of the mutex — a group-commit leader, as in Aether's consolidated log
+//!   insert (Johnson et al., PVLDB 2010): sample the checkpoint epoch,
+//!   append the batch to the WAL (the durability point: nothing runs that is
+//!   not logged), build the [`Batch`], queue it on the read lane if it has
+//!   detached readers, and register it in the window ring (`crate::window`),
+//!   which hands it to the CC threads. A full ring blocks that registration
+//!   with the mutex held, so every other submitter waits behind the sealer:
+//!   that is the backpressure, and what it bounds is one open batch. No
+//!   pipeline thread ever takes this mutex, so nothing can deadlock on it.
+//! * **Seal by time: whoever waits seals.** A [`TxnHandle`](crate::TxnHandle)
+//!   knows its batch. [`wait`](crate::TxnHandle::wait) on a transaction
+//!   whose batch is still open parks until the batch has been open for
+//!   [`batch_linger`](crate::BohmConfig::batch_linger), then seals it;
+//!   [`is_done`](crate::TxnHandle::is_done) seals a batch already past its
+//!   linger. So depth-1 sessions still collect into one batch for up to a
+//!   linger, a closed loop's drain seals after one, and a pure poller makes
+//!   progress.
+//! * **Close.** Dropping the engine seals what is open, then closes the
+//!   ring and the lane at the number of batches sealed: the CC and execution
+//!   threads finish those and exit.
+//! * **A WAL fault** in any seal fails the engine: the open batch's
+//!   completions are poisoned (their waiters panic instead of hanging), the
+//!   ring and the lane close behind the batches already sealed — those were
+//!   logged, so they still run — and later submissions panic.
 //!
-//! Who sleeps where: a sender on `not_full`, the sequencer on `not_empty`,
-//! each announcing itself in a flag under the queue mutex first; the other
-//! side notifies only when it finds (and takes) that flag. A streaming
-//! session and a busy sequencer therefore exchange no wake-ups at all — per
-//! transaction the queue costs the sender one uncontended lock and the
-//! sequencer one `VecDeque` pop of its own buffer.
+//! Who sleeps where: a waiter lingering on an open batch raises
+//! `Open::waiter_parked` under the mutex and parks on `Ingest::lingering`
+//! until the linger deadline; a seal notifies only if it finds (and takes)
+//! that flag. A streaming session therefore pays one uncontended lock per
+//! transaction and no wake-up at all.
 //!
 //! Timestamps are strided: batch `b` owns `1 + b·batch_size ..=
 //! (b+1)·batch_size`, and a partially-filled batch leaves the tail of its
@@ -46,470 +51,501 @@
 
 use crate::batch::{Batch, Completion};
 use crate::engine::Inner;
-use bohm_common::Txn;
+use bohm_common::{Arena, Txn};
+use bohm_sync::atomic::{AtomicU64, Ordering};
 use bohm_sync::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One client submission: a transaction bound to its completion word.
-pub(crate) struct SubmitReq {
-    pub txn: Txn,
-    pub completion: Arc<Completion>,
+/// The sequencer's state: the open batch and the lock-free count of the
+/// batches sealed before it.
+pub(crate) struct Ingest {
+    open: Mutex<Open>,
+    /// Batches sealed so far (ids `0..sealed` are logged and in the ring, or
+    /// already retired). Stored after each registration; a handle whose
+    /// batch is below it skips the mutex.
+    sealed: AtomicU64,
+    /// Waiters lingering on the open batch (see the module docs).
+    lingering: Condvar,
 }
 
-/// [`IngestTx::send`] after [`IngestTx::close`]: nothing was enqueued.
-#[derive(Debug)]
-pub(crate) struct EngineClosed;
-
-struct QueueState {
-    reqs: VecDeque<SubmitReq>,
+struct Open {
+    /// The open batch's transactions in log order, with their completion
+    /// words. Every seal drains it and keeps the capacity.
+    entries: Vec<(Txn, Arc<Completion>)>,
+    /// One arena across batches: consecutive batches pack their sets and CC
+    /// plans into the same chunks, and a chunk recycles once every batch
+    /// holding slices into it has retired — bounded by the window depth, so
+    /// the steady state is malloc-free.
+    arena: Arena,
+    /// Id of the open batch, i.e. batches sealed so far.
+    next_batch: u64,
+    /// When the open batch received its first transaction.
+    open_since: Instant,
+    /// No more submissions: the engine was dropped, or its WAL failed.
     closed: bool,
-    /// A sender is (about to be) asleep on `not_full`. Set by the sender
-    /// before it waits, taken by whoever notifies — like `receiver_parked`,
-    /// a plain field under the queue mutex, so neither condvar is ever
-    /// notified (a syscall, waiter or not) unless its peer is parked.
-    sender_blocked: bool,
-    /// The sequencer is (about to be) asleep on `not_empty`.
-    receiver_parked: bool,
+    /// A waiter is (about to be) asleep on `lingering`.
+    waiter_parked: bool,
 }
 
-struct QueueShared {
-    state: Mutex<QueueState>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl QueueShared {
-    /// Stop accepting submissions: blocked senders wake up and error out,
-    /// the receiver drains what is queued. Idempotent.
-    fn close(&self) {
-        self.state.lock().closed = true;
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-}
-
-/// Submitting half of the ingest queue (cloned into every session).
-#[derive(Clone)]
-pub(crate) struct IngestTx {
-    shared: Arc<QueueShared>,
-}
-
-/// Draining half (owned by the sequencer thread).
-pub(crate) struct IngestRx {
-    shared: Arc<QueueShared>,
-    /// Submissions already moved out of the shared queue, oldest first;
-    /// worked through without the lock.
-    taken: VecDeque<SubmitReq>,
-}
-
-pub(crate) enum RecvOutcome {
-    Req(SubmitReq),
-    TimedOut,
-    Closed,
-}
-
-pub(crate) fn ingest_queue(capacity: usize) -> (IngestTx, IngestRx) {
-    let shared = Arc::new(QueueShared {
-        state: Mutex::new(QueueState {
-            reqs: VecDeque::new(),
-            closed: false,
-            sender_blocked: false,
-            receiver_parked: false,
-        }),
-        not_full: Condvar::new(),
-        not_empty: Condvar::new(),
-        capacity,
-    });
-    (
-        IngestTx {
-            shared: Arc::clone(&shared),
-        },
-        IngestRx {
-            shared,
-            taken: VecDeque::new(),
-        },
-    )
-}
-
-impl IngestTx {
-    /// Enqueue a submission, blocking while the transaction budget is
-    /// exhausted (backpressure). Fails only when the engine has shut down.
-    pub fn send(&self, req: SubmitReq) -> Result<(), EngineClosed> {
-        let mut st = self.shared.state.lock();
-        loop {
-            if st.closed {
-                return Err(EngineClosed);
-            }
-            if st.reqs.len() < self.shared.capacity {
-                st.reqs.push_back(req);
-                let wake = std::mem::take(&mut st.receiver_parked);
-                drop(st);
-                if wake {
-                    self.shared.not_empty.notify_one();
-                }
-                return Ok(());
-            }
-            st.sender_blocked = true;
-            self.shared.not_full.wait(&mut st);
+impl Ingest {
+    pub fn new(arena: Arena) -> Self {
+        Self {
+            open: Mutex::new(Open {
+                entries: Vec::new(),
+                arena,
+                next_batch: 0,
+                open_since: Instant::now(),
+                closed: false,
+                waiter_parked: false,
+            }),
+            sealed: AtomicU64::new(0),
+            lingering: Condvar::new(),
         }
     }
-
-    /// Test hook: wake the receiver without enqueueing anything, emulating
-    /// a spurious condvar wakeup deterministically.
-    #[cfg(test)]
-    pub fn spurious_wake(&self) {
-        let _guard = self.shared.state.lock();
-        self.shared.not_empty.notify_all();
-    }
-
-    /// Stop accepting submissions; the sequencer drains what is queued and
-    /// exits.
-    pub fn close(&self) {
-        self.shared.close();
-    }
 }
 
-impl IngestRx {
-    /// Pop the oldest submission; with a deadline, give up at the deadline
-    /// (the sequencer's linger timer). `Closed` only after the queue has
-    /// fully drained, so no accepted submission is ever dropped.
+impl Inner {
+    /// Append `txn` to the open batch — its position there is its timestamp
+    /// — and seal the batch if that filled it. Returns the batch id.
     ///
-    /// The shared queue is locked once per *refill*, not per submission: a
-    /// refill moves up to `room` submissions (the open batch's remaining
-    /// room, at least one) into the receiver's own buffer, so what has left
-    /// the bounded queue never exceeds one open batch.
-    pub fn recv_deadline(&mut self, deadline: Option<Instant>, room: usize) -> RecvOutcome {
-        if let Some(req) = self.taken.pop_front() {
-            return RecvOutcome::Req(req);
+    /// Blocks while a seal waits for room in the ring. Panics if the engine
+    /// has shut down.
+    pub(crate) fn submit(&self, mut txn: Txn, completion: Arc<Completion>) -> u64 {
+        let mut open = self.ingest.open.lock();
+        if open.closed {
+            drop(open);
+            panic!("engine is shut down");
         }
-        let mut st = self.shared.state.lock();
-        loop {
-            let n = room.min(st.reqs.len());
-            self.taken.extend(st.reqs.drain(..n));
-            if let Some(req) = self.taken.pop_front() {
-                let wake = std::mem::take(&mut st.sender_blocked);
-                drop(st);
-                if wake {
-                    self.shared.not_full.notify_all();
-                }
-                return RecvOutcome::Req(req);
+        if open.entries.is_empty() {
+            open.open_since = Instant::now();
+        }
+        // Move the client-allocated sets into arena slices, so the batch's
+        // hot data is contiguous in log order and the client's `Vec`s are
+        // freed here, off the execution path.
+        txn.repack(&mut open.arena);
+        open.entries.push((txn, completion));
+        let id = open.next_batch;
+        if open.entries.len() >= self.config.batch_size {
+            self.seal(&mut open);
+        }
+        id
+    }
+
+    /// The time trigger, run by a handle of batch `id`: seal the batch if it
+    /// is still open and has been for `batch_linger`. Before then, with
+    /// `block`, park until the deadline (or until somebody else seals it);
+    /// without, return at once.
+    pub(crate) fn seal_lingered(&self, id: u64, block: bool) {
+        if self.ingest.sealed.load(Ordering::Acquire) > id {
+            return;
+        }
+        let mut open = self.ingest.open.lock();
+        while open.next_batch == id && !open.closed {
+            let deadline = open.open_since + self.config.batch_linger;
+            if Instant::now() >= deadline {
+                return self.seal(&mut open);
             }
-            if st.closed {
-                return RecvOutcome::Closed;
+            if !block {
+                return;
             }
-            st.receiver_parked = true;
-            // Re-check the clock before re-arming: a spurious (or
-            // data-less) wakeup near the deadline must not start
-            // another full wait and overshoot the linger.
-            let timed_out = match deadline {
-                None => {
-                    self.shared.not_empty.wait(&mut st);
-                    false
-                }
-                Some(d) => {
-                    Instant::now() >= d || self.shared.not_empty.wait_until(&mut st, d).timed_out()
-                }
-            };
-            st.receiver_parked = false;
-            if timed_out {
-                return RecvOutcome::TimedOut;
-            }
+            open.waiter_parked = true;
+            self.ingest.lingering.wait_until(&mut open, deadline);
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// The sequencer role
-// ---------------------------------------------------------------------------
-
-/// Main loop of the sequencer thread: drain → bind → seal → publish.
-pub(crate) fn seq_loop(inner: &Inner, mut rx: IngestRx) {
-    let stride = inner.config.batch_size;
-    let linger = inner.config.batch_linger;
-    let mut next_batch: u64 = 0;
-    let mut open: Vec<(Txn, Arc<Completion>)> = Vec::with_capacity(stride);
-    let mut open_since = Instant::now();
-    // One persistent arena for the sequencer: consecutive batches pack their
-    // read/write sets and CC plans into the same chunks, and each chunk
-    // recycles through the pool once every batch referencing it retires —
-    // bounded by the in-flight window depth, so steady state is malloc-free.
-    let mut arena = inner.arena_pool.arena();
-
-    // Seal the open batch; `false` means the WAL rejected the append and
-    // the engine must stop (the entries stay in `open` for poisoning).
-    let seal = |open: &mut Vec<(Txn, Arc<Completion>)>,
-                next_batch: &mut u64,
-                arena: &mut bohm_common::Arena| {
-        if open.is_empty() {
-            return true;
+    /// Engine shutdown: seal what is open, then close the ring and the lane
+    /// behind it. Idempotent.
+    pub(crate) fn close_ingest(&self) {
+        let mut open = self.ingest.open.lock();
+        if !open.closed {
+            self.seal(&mut open);
         }
-        let base_ts = 1 + *next_batch * stride as u64;
+        if !open.closed {
+            self.close_locked(&mut open);
+        }
+    }
+
+    /// Seal the open batch; the caller holds the mutex.
+    fn seal(&self, open: &mut Open) {
+        if open.entries.is_empty() {
+            return;
+        }
+        let id = open.next_batch;
         // Sample the epoch at seal time: every batch sealed after a
         // checkpoint's bump is stamped at or past its cut.
-        let epoch = inner.epoch.load(bohm_sync::atomic::Ordering::Acquire);
-        // Durability point: the batch's inputs hit the log (and the
-        // configured fsync policy runs) *before* the batch is released
-        // to CC — nothing executes that isn't recoverable. A log the
-        // engine can no longer append to is a stop-the-world fault:
-        // continuing would silently break the recovery guarantee, so
-        // the sequencer fails the engine instead (see `fail_engine`).
-        if let Some(wal) = &inner.wal {
+        let epoch = self.epoch.load(Ordering::Acquire);
+        // Durability point: the batch's inputs reach the log (and the
+        // configured fsync policy runs) *before* the batch is released to
+        // CC. A log the engine can no longer append to is a stop-the-world
+        // fault: continuing would silently break the recovery guarantee.
+        if let Some(wal) = &self.wal {
             use bohm_common::wal::LogSink as _;
-            if let Err(e) = wal.log_batch(epoch, &mut open.iter().map(|(t, _)| t)) {
-                eprintln!("bohm-seq: WAL append failed ({e}); failing the engine");
-                return false;
+            if let Err(e) = wal.log_batch(epoch, &mut open.entries.iter().map(|(t, _)| t)) {
+                eprintln!("bohm: WAL append failed ({e}); failing the engine");
+                for (_, completion) in open.entries.drain(..) {
+                    completion.poison();
+                }
+                return self.close_locked(open);
             }
         }
         let batch = Batch::new(
-            std::mem::take(open),
-            base_ts,
-            *next_batch,
+            open.entries.drain(..),
+            1 + id * self.config.batch_size as u64,
+            id,
             epoch,
-            inner.config.cc_threads,
-            inner.config.exec_threads,
-            inner.config.annotate_max_reads,
-            arena,
+            self.config.cc_threads,
+            self.config.exec_threads,
+            self.config.annotate_max_reads,
+            &mut open.arena,
         );
-        *next_batch += 1;
+        open.next_batch = id + 1;
         // The read lane hears of a batch only if it has detached readers.
         if !batch.readers.is_empty() {
-            inner.lane.push(batch.id);
+            self.lane.push(id);
         }
-        // Ring registration (it may block on the in-flight budget — that
-        // stall is the backpressure) publishes the batch to the CC
-        // threads, so no placeholder is ever installed whose producer is
-        // not resolvable through the ring.
-        inner.window.push(batch);
-        true
-    };
-
-    // Runs until the queue is closed and drained (`true`) or a seal fails.
-    let sealed_all = 'run: loop {
-        let deadline = (!open.is_empty()).then(|| open_since + linger);
-        match rx.recv_deadline(deadline, stride - open.len()) {
-            RecvOutcome::Req(SubmitReq {
-                mut txn,
-                completion,
-            }) => {
-                if open.is_empty() {
-                    open_since = Instant::now();
-                }
-                // Move the client-allocated sets into arena slices so the
-                // batch's hot data is contiguous in submission order and
-                // the client Vecs free here, off the execution path.
-                txn.repack(&mut arena);
-                open.push((txn, completion));
-                // size trigger
-                if open.len() >= stride && !seal(&mut open, &mut next_batch, &mut arena) {
-                    break 'run false;
-                }
-            }
-            // time trigger
-            RecvOutcome::TimedOut => {
-                if !seal(&mut open, &mut next_batch, &mut arena) {
-                    break 'run false;
-                }
-            }
-            RecvOutcome::Closed => break 'run seal(&mut open, &mut next_batch, &mut arena),
-        }
-    };
-    if !sealed_all {
-        fail_engine(open, rx);
+        // Registration publishes the batch to the CC threads; it blocks
+        // while the ring is full — the backpressure.
+        self.window.push(batch);
+        self.ingest.sealed.store(id + 1, Ordering::Release);
+        self.wake_lingering(open);
     }
-    // Every pushed batch is still fully processed and retired; a consumer
-    // whose next batch id equals this count then exits.
-    inner.window.close(next_batch);
-    inner.lane.close();
-}
 
-/// Stop-the-world engine fault (the WAL refused an append): nothing
-/// unlogged may execute, so every submission that has not reached a
-/// sealed batch is poisoned — its waiters panic with the fault instead of
-/// deadlocking on outcomes that will never arrive — and the ingest queue
-/// is closed so new submissions fail fast. Batches already sealed (and
-/// therefore logged) keep executing; they are recoverable.
-fn fail_engine(open: Vec<(Txn, Arc<Completion>)>, mut rx: IngestRx) {
-    for (_, completion) in open {
-        completion.poison();
+    /// Stop taking submissions; the caller holds the mutex. The pipeline
+    /// finishes every batch sealed so far, retires it and exits.
+    fn close_locked(&self, open: &mut Open) {
+        open.closed = true;
+        self.window.close(open.next_batch);
+        self.lane.close();
+        self.wake_lingering(open);
     }
-    rx.shared.close();
-    loop {
-        match rx.recv_deadline(None, usize::MAX) {
-            RecvOutcome::Req(req) => req.completion.poison(),
-            RecvOutcome::Closed => break,
-            RecvOutcome::TimedOut => unreachable!("no deadline given"),
+
+    fn wake_lingering(&self, open: &mut Open) {
+        if std::mem::take(&mut open.waiter_parked) {
+            self.ingest.lingering.notify_all();
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::{BohmConfig, CatalogSpec};
+    use crate::Bohm;
+    use bohm_common::wal::{DurabilityConfig, FsyncPolicy};
+    use bohm_common::{Procedure, RecordId, Txn};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
-    /// A submission recognisable by `tag` (its RMW delta).
-    fn req(tag: u64) -> SubmitReq {
-        let rid = bohm_common::RecordId::new(0, 1);
-        let proc = bohm_common::Procedure::ReadModifyWrite { delta: tag };
-        SubmitReq {
-            txn: Txn::new(vec![rid], vec![rid], proc),
-            completion: Completion::new(),
-        }
+    fn rmw(k: u64) -> Txn {
+        let rid = RecordId::new(0, k);
+        Txn::new(
+            vec![rid],
+            vec![rid],
+            Procedure::ReadModifyWrite { delta: 1 },
+        )
     }
 
-    fn tag_of(out: RecvOutcome) -> u64 {
-        match out {
-            RecvOutcome::Req(SubmitReq { txn, .. }) => match txn.proc {
-                bohm_common::Procedure::ReadModifyWrite { delta } => delta,
-                _ => unreachable!("`req` builds RMWs"),
-            },
-            _ => panic!("expected a submission"),
-        }
+    fn catalog() -> CatalogSpec {
+        CatalogSpec::new().table(64, 8, |_| 0)
     }
 
-    fn send(tx: &IngestTx, tag: u64) {
-        tx.send(req(tag)).map_err(|_| ()).unwrap();
+    /// A durable config logging to a fresh directory named after `name`.
+    fn durable(name: &str) -> (BohmConfig, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("bohm-ingest-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = BohmConfig::small();
+        let mut d = DurabilityConfig::new(&dir);
+        d.fsync = FsyncPolicy::Off;
+        cfg.durability = Some(d);
+        (cfg, dir)
     }
 
-    #[test]
-    fn queue_is_fifo() {
-        let (tx, mut rx) = ingest_queue(100);
-        send(&tx, 3);
-        send(&tx, 5);
-        assert_eq!(tag_of(rx.recv_deadline(None, usize::MAX)), 3);
-        assert_eq!(tag_of(rx.recv_deadline(None, usize::MAX)), 5);
-    }
-
-    /// Spin until the queue state satisfies `p` — a forced interleaving
-    /// instead of a sleep.
-    fn await_state(shared: &QueueShared, p: impl Fn(&QueueState) -> bool) {
-        while !p(&shared.state.lock()) {
-            std::thread::yield_now();
-        }
+    /// `f`'s result, or a failure — instead of a hang — after `limit`.
+    fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let limit = Duration::from_secs(20);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(limit)
+            .unwrap_or_else(|_| panic!("{what} did not complete within {limit:?}"))
     }
 
     #[test]
-    fn saturated_queue_blocks_sender_until_drained() {
-        use bohm_sync::atomic::{AtomicBool, Ordering};
-        let (tx, mut rx) = ingest_queue(4);
-        (0..4).for_each(|i| send(&tx, i)); // budget exhausted
-        let sent = Arc::new(AtomicBool::new(false));
-        let (tx2, sent2) = (tx.clone(), Arc::clone(&sent));
-        let t = std::thread::spawn(move || {
-            send(&tx2, 4); // must block
-            sent2.store(true, Ordering::SeqCst);
+    fn an_idle_engine_seals_a_lone_transaction_for_whoever_waits_or_polls() {
+        // Nothing will ever fill a 1024-transaction batch: only the handle
+        // can get it sealed.
+        let mut cfg = BohmConfig::small();
+        cfg.batch_size = 1024;
+        let e = Bohm::start(cfg, catalog());
+        let session = e.session();
+        let out = within("a lone submit(t).wait()", move || {
+            session.submit(rmw(1)).wait()
         });
-        // The sender announces itself before it sleeps ...
-        await_state(&tx.shared, |st| st.sender_blocked);
+        assert!(out.committed);
+        let session = e.session();
+        let out = within("a lone transaction watched through is_done", move || {
+            let h = session.submit(rmw(2));
+            while !h.is_done() {
+                std::thread::yield_now();
+            }
+            h.wait()
+        });
+        assert!(out.committed);
+        e.shutdown();
+    }
+
+    #[test]
+    fn depth_one_sessions_still_share_batches() {
+        // Eight sessions, each waiting for every transaction before the
+        // next: what lets them share a batch is that a waiter lingers before
+        // it seals. A waiter that sealed at once would log about one batch
+        // per transaction.
+        let (mut cfg, dir) = durable("depth1");
+        cfg.batch_size = 1024;
+        // Long enough that a busy host still schedules the other sessions
+        // inside it.
+        cfg.batch_linger = Duration::from_millis(5);
+        let e = Bohm::start(cfg, catalog());
+        const SESSIONS: u64 = 8;
+        const EACH: u64 = 40;
+        std::thread::scope(|s| {
+            for c in 0..SESSIONS {
+                let e = &e;
+                s.spawn(move || {
+                    let session = e.session();
+                    for i in 0..EACH {
+                        assert!(session.submit(rmw(c * 8 + i % 8)).wait().committed);
+                    }
+                });
+            }
+        });
+        let batches = e.wal().expect("durable").batches_logged();
+        let txns = SESSIONS * EACH;
         assert!(
-            !sent.load(Ordering::SeqCst),
-            "send must block on a saturated queue (backpressure)"
+            batches < txns / 2,
+            "{batches} batches for {txns} transactions at depth 1"
         );
-        // ... and the refill that makes room takes the flag and wakes it.
-        let RecvOutcome::Req(_) = rx.recv_deadline(None, usize::MAX) else {
-            panic!()
-        };
-        assert!(!tx.shared.state.lock().sender_blocked);
-        t.join().unwrap();
-        assert!(sent.load(Ordering::SeqCst));
+        e.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn parked_receiver_is_woken_by_the_send_that_finds_it() {
-        let (tx, mut rx) = ingest_queue(4);
-        let t = std::thread::spawn(move || tag_of(rx.recv_deadline(None, usize::MAX)));
-        await_state(&tx.shared, |st| st.receiver_parked);
-        send(&tx, 3);
-        assert_eq!(t.join().unwrap(), 3);
-        // Nobody is parked any more: this send must leave the flag alone
-        // (and so notify nobody).
-        send(&tx, 1);
-        assert!(!tx.shared.state.lock().receiver_parked);
-    }
-
-    #[test]
-    fn refill_takes_the_open_batch_room_under_one_lock() {
-        let (tx, mut rx) = ingest_queue(100);
-        (0..7).for_each(|i| send(&tx, i));
-        // Room 5: five submissions leave the queue, one is handed out.
-        assert_eq!(tag_of(rx.recv_deadline(None, 5)), 0);
-        assert_eq!(rx.taken.len(), 4);
-        assert_eq!(tx.shared.state.lock().reqs.len(), 2);
-        // Served from the receiver's own buffer: the queue is untouched,
-        // whatever the room.
-        for want in 1..5 {
-            assert_eq!(tag_of(rx.recv_deadline(None, 1)), want);
-            assert_eq!(tx.shared.state.lock().reqs.len(), 2);
+    fn a_wal_fault_in_a_waiters_linger_seal_poisons_the_whole_open_batch() {
+        let (mut cfg, dir) = durable("lingerfault");
+        cfg.batch_size = 1024;
+        cfg.durability.as_mut().unwrap().segment_bytes = 1; // rotate per batch
+        let e = Bohm::start(cfg, catalog());
+        // Sabotage the rotation target: `create_new` on an existing path
+        // fails, so the first sealed batch faults the WAL.
+        std::fs::create_dir(dir.join("wal-00000001.seg")).unwrap();
+        let session = e.session();
+        let handles: Vec<_> = (0..5).map(|k| session.submit(rmw(k))).collect();
+        // Nothing filled the batch: the first wait seals it by linger and
+        // hits the fault.
+        let first = catch_unwind(AssertUnwindSafe(|| handles[0].wait()));
+        assert!(first.is_err(), "the waiter observes the fault");
+        for h in &handles {
+            assert!(h.is_done(), "every handle of the open batch is decided");
+            let waited = catch_unwind(AssertUnwindSafe(|| h.wait()));
+            assert!(waited.is_err(), "and poisoned");
         }
-        assert_eq!(tag_of(rx.recv_deadline(None, 1)), 5);
-        assert_eq!((rx.taken.len(), tx.shared.state.lock().reqs.len()), (0, 1));
+        let late = catch_unwind(AssertUnwindSafe(|| session.submit(rmw(0))));
+        let msg = late
+            .map(drop)
+            .expect_err("a submit after the fault must panic");
+        assert_eq!(msg.downcast_ref::<&str>(), Some(&"engine is shut down"));
+        drop(e); // shutdown must not hang either
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Model-checked sealing (`RUSTFLAGS="--cfg bohm_modelcheck" cargo test -p
+/// bohm modelcheck`): the real submit, linger-seal and close paths against a
+/// real WAL and window ring, with a pipeline stand-in that executes each
+/// batch as it arrives.
+#[cfg(all(test, bohm_modelcheck))]
+mod modelcheck {
+    use super::*;
+    use crate::batch::TxnHandle;
+    use crate::config::{BohmConfig, CatalogSpec};
+    use crate::BohmSession;
+    use bohm_common::wal::{DurabilityConfig, FsyncPolicy, LogSink, Wal};
+    use bohm_common::{Procedure, RecordId};
+    use bohm_sync::{model, thread};
+    use std::path::Path;
+
+    /// Where a twin departs from the protocol.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Fault {
+        None,
+        /// The sealer builds and registers its batch under the mutex but
+        /// appends it to the WAL after letting go: a sealer behind it can
+        /// log first.
+        AppendsAfterUnlock,
     }
 
-    #[test]
-    fn recv_deadline_times_out_when_idle() {
-        let (_tx, mut rx) = ingest_queue(4);
-        let t0 = Instant::now();
-        let RecvOutcome::TimedOut =
-            rx.recv_deadline(Some(t0 + Duration::from_millis(10)), usize::MAX)
-        else {
-            panic!("expected timeout")
-        };
-        assert!(t0.elapsed() >= Duration::from_millis(8));
+    fn tagged(tag: u64) -> Txn {
+        let rid = RecordId::new(0, tag % 4);
+        Txn::new(
+            vec![rid],
+            vec![rid],
+            Procedure::ReadModifyWrite { delta: tag },
+        )
     }
 
-    #[test]
-    fn linger_deadline_holds_under_spurious_wakeups() {
-        // Regression: a wakeup that delivers no data must not re-arm a full
-        // wait past the deadline. A hammering notifier emulates spurious
-        // wakeups; the receiver must still time out close to the deadline.
-        use bohm_sync::atomic::{AtomicBool, Ordering};
-        let (tx, mut rx) = ingest_queue(4);
-        let stop = Arc::new(AtomicBool::new(false));
-        let hammer = {
-            let (tx, stop) = (tx.clone(), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    tx.spurious_wake();
-                    std::thread::yield_now();
+    fn tag_of(t: &Txn) -> u64 {
+        match t.proc {
+            Procedure::ReadModifyWrite { delta } => delta,
+            _ => unreachable!("`tagged` builds RMWs"),
+        }
+    }
+
+    /// The twin's seal: everything `Inner::seal` does, with the log append
+    /// moved past the unlock.
+    fn twin_seal(inner: &Inner, mut guard: bohm_sync::MutexGuard<'_, Open>) {
+        let open = &mut *guard;
+        if open.entries.is_empty() {
+            return;
+        }
+        let id = open.next_batch;
+        open.next_batch = id + 1;
+        let batch = Batch::new(
+            open.entries.drain(..),
+            1 + id * inner.config.batch_size as u64,
+            id,
+            0,
+            inner.config.cc_threads,
+            inner.config.exec_threads,
+            inner.config.annotate_max_reads,
+            &mut open.arena,
+        );
+        inner.window.push(Arc::clone(&batch));
+        inner.ingest.sealed.store(id + 1, Ordering::Release);
+        drop(guard);
+        let wal = inner.wal.as_ref().expect("durable");
+        wal.log_batch(0, &mut batch.txns.iter().map(|t| &t.txn))
+            .unwrap();
+    }
+
+    /// Submit through the real session path, or the twin's.
+    fn submit(inner: &Arc<Inner>, fault: Fault, tag: u64) -> TxnHandle {
+        if fault == Fault::None {
+            return BohmSession::new(Arc::clone(inner)).submit(tagged(tag));
+        }
+        let completion = Completion::new();
+        let mut open = inner.ingest.open.lock();
+        let batch = open.next_batch;
+        open.entries.push((tagged(tag), Arc::clone(&completion)));
+        if open.entries.len() >= inner.config.batch_size {
+            twin_seal(inner, open);
+        }
+        TxnHandle {
+            completion,
+            batch,
+            inner: Arc::clone(inner),
+        }
+    }
+
+    /// Wait for `h` as `TxnHandle::wait` does (linger 0: seal at once), or
+    /// with the twin's seal.
+    fn wait(h: &TxnHandle, fault: Fault) -> bool {
+        if fault == Fault::AppendsAfterUnlock {
+            let open = h.inner.ingest.open.lock();
+            if open.next_batch == h.batch {
+                twin_seal(&h.inner, open);
+            }
+        }
+        h.wait().committed
+    }
+
+    /// Two submitters (stride 2, a capacity-2 ring): one submits tags 1 and
+    /// 2; the other submits 3, waits for it — sealing its batch by linger —
+    /// and submits 4. Then the engine-drop path seals the rest and closes.
+    /// A stand-in pipeline thread executes each batch as it arrives. Checked:
+    /// batches are registered in id order (`Window::push` asserts it) and
+    /// each sealed batch reaches the pipeline; the WAL holds the batches'
+    /// transactions in batch-id order; every handle is decided, committed,
+    /// in the batch it was told.
+    fn ingest_model(fault: Fault, dir: &Path) {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut cfg = BohmConfig::with_threads(1, 1);
+        cfg.batch_size = 2;
+        cfg.batch_linger = std::time::Duration::ZERO;
+        cfg.max_inflight_batches = 2;
+        cfg.index_capacity = 16;
+        let mut d = DurabilityConfig::new(dir);
+        d.fsync = FsyncPolicy::Off;
+        cfg.durability = Some(d);
+        let inner = Arc::new(Inner::new(cfg, CatalogSpec::new().table(4, 8, |_| 0)));
+        let pipeline = {
+            let inner = Arc::clone(&inner);
+            thread::spawn(move || {
+                let mut tags = Vec::new();
+                let mut id = 0;
+                while let Some(b) = inner.window.next_for_cc(id) {
+                    assert_eq!(b.base_ts, 1 + id * 2, "strided timestamps");
+                    inner.window.cc_done(&b);
+                    for t in b.txns.iter() {
+                        assert!(t.try_claim());
+                        t.complete(true, b.id);
+                        tags.push(tag_of(&t.txn));
+                    }
+                    inner.window.count_out(id);
+                    id += 1;
                 }
+                (id, tags)
             })
         };
-        let linger = Duration::from_millis(40);
-        let t0 = Instant::now();
-        let RecvOutcome::TimedOut = rx.recv_deadline(Some(t0 + linger), usize::MAX) else {
-            panic!("expected timeout")
+        let first = {
+            let inner = Arc::clone(&inner);
+            thread::spawn(move || [1, 2].map(|t| submit(&inner, fault, t)))
         };
-        let elapsed = t0.elapsed();
-        stop.store(true, Ordering::Relaxed);
-        hammer.join().unwrap();
-        assert!(
-            !tx.shared.state.lock().receiver_parked,
-            "a timed-out receiver must not leave itself announced as parked"
-        );
-        assert!(
-            elapsed >= Duration::from_millis(35),
-            "woke early: {elapsed:?}"
-        );
-        assert!(
-            elapsed < linger + Duration::from_millis(250),
-            "linger overshot under spurious wakes: {elapsed:?}"
-        );
+        let second = {
+            let inner = Arc::clone(&inner);
+            thread::spawn(move || {
+                let h3 = submit(&inner, fault, 3);
+                assert!(wait(&h3, fault));
+                [h3, submit(&inner, fault, 4)]
+            })
+        };
+        let mut handles = Vec::from(first.join().unwrap());
+        handles.extend(second.join().unwrap());
+        inner.close_ingest();
+        let (batches, executed) = pipeline.join().unwrap();
+        assert_eq!(batches, inner.ingest.sealed.load(Ordering::Acquire));
+        for h in &handles {
+            assert!(h.is_done(), "every handle is decided");
+            let out = h.wait();
+            assert!(out.committed);
+            assert_eq!(out.fingerprint, h.batch, "decided in the batch it was told");
+        }
+        let logged: Vec<u64> = Wal::read_log(dir)
+            .unwrap()
+            .iter()
+            .flat_map(|b| b.txns.iter().map(tag_of))
+            .collect();
+        assert_eq!(logged, executed, "WAL records out of order");
+        drop(inner);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    fn model_dir(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("bohm-ingest-model-{name}-{}", std::process::id()))
     }
 
     #[test]
-    fn close_drains_then_reports_closed() {
-        let (tx, mut rx) = ingest_queue(10);
-        send(&tx, 1);
-        tx.close();
-        assert!(tx.send(req(1)).is_err(), "send after close must fail");
-        let RecvOutcome::Req(_) = rx.recv_deadline(None, usize::MAX) else {
-            panic!("queued submission must survive close")
-        };
-        let RecvOutcome::Closed = rx.recv_deadline(None, usize::MAX) else {
-            panic!("expected Closed after drain")
-        };
+    fn sealing_logs_and_registers_batches_in_id_order_and_decides_every_handle() {
+        let dir = model_dir("ok");
+        model::explore(model::Options::default(), || {
+            ingest_model(Fault::None, &dir)
+        });
+    }
+
+    #[test]
+    fn a_sealer_that_appends_after_unlocking_is_replayably_out_of_order() {
+        let dir = model_dir("twin");
+        crate::batch::modelcheck::twin_fails_replayably("WAL records out of order", || {
+            ingest_model(Fault::AppendsAfterUnlock, &dir)
+        });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

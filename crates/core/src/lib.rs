@@ -6,16 +6,18 @@
 //! BOHM separates **concurrency control** from **transaction execution**
 //! (paper §3). A transaction flows through the pipeline's roles:
 //!
-//! 1. **Sequencer** (a single uncontended appender, §3.2.1): a dedicated
-//!    thread draining the bounded ingest queue in arrival order and
-//!    assigning each transaction a timestamp equal to its position in the
-//!    input log. This one timestamp plays the role of both `t_begin` and
-//!    `t_end` of conventional MVCC — the transaction appears to execute
-//!    atomically at `ts`. The sequencer packs transactions into batches by
-//!    **size or time** trigger and registers each batch in the window ring
-//!    before dispatch; a full ring (the in-flight-batch budget) or a full
-//!    ingest queue blocks upstream — backpressure, not unbounded queueing.
-//!    See [`ingest`].
+//! 1. **Sequencer** (§3.2.1): assigns each transaction a timestamp equal to
+//!    its position in the input log. That is a counter, not a thread: the
+//!    submitting session takes its position under the open batch's mutex,
+//!    so lock order is log order. This one timestamp plays the role of both
+//!    `t_begin` and `t_end` of conventional MVCC — the transaction appears
+//!    to execute atomically at `ts`. Batches are sealed by **size** — the
+//!    submission that fills one seals it — or by **time**, by a client
+//!    waiting on (or polling) a transaction of a batch that has lingered;
+//!    sealing logs the batch and registers it in the window ring. A full
+//!    ring (the in-flight-batch budget) blocks the sealer, and every other
+//!    submitter behind it — backpressure, not unbounded queueing. See
+//!    [`ingest`].
 //! 2. **Concurrency-control threads** (§3.2.2-§3.2.4): each owns a static
 //!    hash partition of the key space. For every transaction, in timestamp
 //!    order, the owner of each written record installs an *uninitialized
@@ -76,9 +78,9 @@
 //! let catalog = CatalogSpec::new().table(100, 8, |row| row);
 //! let engine = Bohm::start(BohmConfig::small(), catalog);
 //!
-//! // Clients submit single transactions through sessions; the sequencer
-//! // forms batches behind the scenes. Increment record 7 a hundred times,
-//! // pipelined, then reap each transaction's own completion.
+//! // Clients submit single transactions through sessions, which form the
+//! // batches as they go. Increment record 7 a hundred times, pipelined,
+//! // then reap each transaction's own completion.
 //! let session = engine.session();
 //! let handles: Vec<_> = (0..100)
 //!     .map(|_| {

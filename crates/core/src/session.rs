@@ -3,8 +3,7 @@
 //! code path run BOHM next to the interactive baselines.
 
 use crate::batch::{Completion, TxnHandle};
-use crate::engine::Bohm;
-use crate::ingest::{IngestTx, SubmitReq};
+use crate::engine::{Bohm, Inner};
 use bohm_common::engine::{BatchEngine, ExecOutcome, Session};
 use bohm_common::{RecordId, Txn};
 use std::collections::VecDeque;
@@ -13,20 +12,25 @@ use std::sync::Arc;
 /// A client's submission handle into a running [`Bohm`] engine.
 ///
 /// Sessions submit **single transactions** and receive per-transaction
-/// [`TxnHandle`]s; batching happens behind the ingest queue in the
-/// sequencer, invisible to clients. Any number of sessions (across any
-/// number of threads) may feed one engine; the sequencer's arrival order is
-/// the serialization order. A saturated ingest queue blocks `submit` —
-/// engine backpressure reaches the client instead of unbounded queueing.
+/// [`TxnHandle`]s. The session does the sequencing itself (see
+/// [`ingest`](crate::ingest)): `submit` takes the open batch's mutex,
+/// appends the transaction — its position is its timestamp — and, if that
+/// filled the batch, seals it and hands it to the pipeline before
+/// returning. Any number of sessions (across any number of threads) may
+/// feed one engine; the order they take the mutex in is the serialization
+/// order. A full in-flight ring blocks whoever is sealing, and every other
+/// `submit` waits behind it — engine backpressure reaches the client
+/// instead of unbounded queueing.
 ///
 /// The session path costs the pipeline plain stores per transaction: a
 /// completion is one atomic word the executing thread sets, and nobody is
 /// woken unless a thread is parked on that very handle. A pipelining client
 /// should therefore poll ([`TxnHandle::is_done`]) or reap through the
 /// [`Session`] facade, whose [`reap`](Session::reap) parks rarely (see
-/// there); `submit(txn).wait()` stays a precise round trip.
+/// there); `submit(txn).wait()` stays a precise round trip, sealing the
+/// transaction's batch after one linger if nothing else fills it.
 pub struct BohmSession {
-    ingest: IngestTx,
+    inner: Arc<Inner>,
     /// FIFO of handles for the [`Session`] facade (`submit`+`reap`).
     pending: VecDeque<TxnHandle>,
 }
@@ -37,9 +41,9 @@ pub struct BohmSession {
 const REAP_PARK_DIVISOR: usize = 4;
 
 impl BohmSession {
-    pub(crate) fn new(ingest: IngestTx) -> Self {
+    pub(crate) fn new(inner: Arc<Inner>) -> Self {
         Self {
-            ingest,
+            inner,
             pending: VecDeque::new(),
         }
     }
@@ -47,17 +51,16 @@ impl BohmSession {
     /// Submit one transaction; returns a handle signalled the moment an
     /// execution thread completes it (no batch-drain wait).
     ///
-    /// Blocks while the ingest queue is saturated. Panics if the engine has
-    /// shut down.
+    /// Blocks while a seal waits for room in the in-flight ring (its own,
+    /// or another session's). Panics if the engine has shut down.
     pub fn submit(&self, txn: Txn) -> TxnHandle {
         let completion = Completion::new();
-        let handle = TxnHandle {
-            completion: Arc::clone(&completion),
-        };
-        self.ingest
-            .send(SubmitReq { txn, completion })
-            .unwrap_or_else(|_| panic!("engine is shut down"));
-        handle
+        let batch = self.inner.submit(txn, Arc::clone(&completion));
+        TxnHandle {
+            completion,
+            batch,
+            inner: Arc::clone(&self.inner),
+        }
     }
 }
 

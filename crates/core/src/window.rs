@@ -6,25 +6,26 @@
 //! dependency on a still-pending version produced in batch `b`. The window
 //! resolves a producer *timestamp* (a version's `begin` — the paper's "txn
 //! pointer") back to its batch so the dependency can be executed
-//! recursively. The same registry delivers the batches: the sequencer
+//! recursively. The same registry delivers the batches: the sealer
 //! publishes a batch once, here, and every CC and execution thread *chases*
 //! the ring with a private `next` batch id instead of being mailed a copy.
 //!
 //! # Design
 //!
-//! The sequencer strides timestamps by `BohmConfig::batch_size` per batch
-//! id, so the batch containing timestamp `ts` is `(ts - 1) / stride` — pure
+//! Sealing strides timestamps by `BohmConfig::batch_size` per batch id, so
+//! the batch containing timestamp `ts` is `(ts - 1) / stride` — pure
 //! arithmetic, no search. The window is then just a power-of-two ring of
 //! `AtomicPtr<Batch>` slots indexed by `id & mask`:
 //!
-//! * **push** (sequencer only): wait until slot `id & mask` is vacant, then
-//!   store. Capacity is the in-flight-batch budget — a full ring *is* the
-//!   pipeline's backpressure, propagating to the ingest queue and from
-//!   there to submitting sessions.
+//! * **push** (the sealer, under the ingest mutex, so in id order): wait
+//!   until slot `id & mask` is vacant, then store. Capacity is the
+//!   in-flight-batch budget — a full ring *is* the pipeline's backpressure:
+//!   the sealer waits here holding the ingest mutex, and every submitting
+//!   session waits behind it.
 //! * **next_for_cc / next_for_exec** (the chasers): wait until slot
 //!   `next & mask` holds batch `next` — and, for execution, until that
 //!   batch's `cc_pending` countdown reached zero (Acquire, pairing with the
-//!   countdown's AcqRel in `Window::cc_done`). `None` once the sequencer
+//!   countdown's AcqRel in `Window::cc_done`). `None` once the ingest
 //!   `close`d the ring at exactly `next` batches: every pushed batch is
 //!   still handed to every consumer, then they exit.
 //! * **lookup** (execution threads, blocked-read path): one load + two
@@ -52,7 +53,7 @@
 //! asked-for batch already retired — every transaction in it is `Complete`
 //! — so the caller can simply retry its read. Slot reuse cannot alias: ids
 //! mapping to the same slot are `capacity` apart, and at most `capacity`
-//! batches are in flight, with the sequencer blocked until the previous
+//! batches are in flight, with the sealer blocked until the previous
 //! occupant retired. A chaser cannot miss its batch for the same reason: a
 //! batch stays in its slot until every execution thread — hence, before
 //! them, every CC thread — and the read lane, if it has readers, has counted
@@ -71,7 +72,7 @@ use std::sync::Arc;
 
 pub(crate) struct Window {
     /// One padded slot per in-flight batch. Adjacent slots belong to
-    /// *different* batches touched by different threads (the sequencer
+    /// *different* batches touched by different threads (the sealer
     /// stores slot `i` while execution retires slot `i-1`); without the
     /// padding a retirement's store would false-share with the neighbouring
     /// slot's lookups.
@@ -79,7 +80,7 @@ pub(crate) struct Window {
     mask: u64,
     /// Timestamp stride per batch id (`BohmConfig::batch_size`).
     stride: u64,
-    /// How many batches the sequencer pushed before it left; `u64::MAX`
+    /// How many batches were pushed before the ingest closed; `u64::MAX`
     /// while it is still running.
     closed_at: AtomicU64,
     /// Batches registered so far (ids are dense, so also the next id).
@@ -146,8 +147,15 @@ impl Window {
 
     /// Register a batch — which hands it to every CC thread; blocks while
     /// the batch's slot is still occupied by the batch `capacity` ids older
-    /// (the in-flight budget). Sequencer only.
+    /// (the in-flight budget). Batches are pushed one at a time, in id order:
+    /// the sealer does it under the ingest mutex.
     pub fn push(&self, b: Arc<Batch>) {
+        debug_assert_eq!(
+            self.pushed.load(Ordering::Acquire),
+            b.id,
+            "batch {} registered out of order",
+            b.id
+        );
         let slot = &self.slots[(b.id & self.mask) as usize];
         self.wait_for(|| slot.load(Ordering::Acquire).is_null().then_some(()));
         // Counted before it is visible: whoever learns of the batch through
@@ -158,7 +166,7 @@ impl Window {
         self.notify();
     }
 
-    /// The sequencer is leaving after `pushed` batches (ids `0..pushed`):
+    /// The ingest closed after `pushed` batches (ids `0..pushed`):
     /// a chaser whose `next` reaches `pushed` exits instead of waiting.
     pub fn close(&self, pushed: u64) {
         self.closed_at.store(pushed, Ordering::Release);
@@ -182,7 +190,7 @@ impl Window {
     /// caller publishes what retirement publishes, the Condition-3 bound —
     /// then release its slot (the reference drop is
     /// deferred through the epoch collector) and advance `retired`; finally
-    /// notify, for a sequencer parked on the full ring or a quiescer.
+    /// notify, for a sealer parked on the full ring or a quiescer.
     ///
     /// Batches may be *counted out* in any order — the read lane lags the
     /// execution threads — but retire in id order by construction, and none
@@ -280,7 +288,7 @@ impl Window {
         })
     }
 
-    /// A CC thread's next batch: `id` as soon as the sequencer pushed it.
+    /// A CC thread's next batch: `id` as soon as it is pushed.
     pub fn next_for_cc(&self, id: u64) -> Option<Arc<Batch>> {
         self.chase(id, |_| true)
     }

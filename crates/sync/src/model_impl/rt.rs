@@ -757,7 +757,7 @@ pub(crate) fn run_one(
         }
         if let Err(p) = &r {
             if st.failure.is_none() {
-                st.failure = Some(format!("{} (seed {seed})", panic_msg(p)));
+                st.failure = Some(format!("{} (seed {seed})", panic_msg(p.as_ref())));
             }
             teardown_locked(&mut st);
             false

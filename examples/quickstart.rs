@@ -13,8 +13,8 @@ fn main() {
     let catalog = CatalogSpec::new().table(1_000, 8, |_| 0);
 
     // Start the engine: 2 concurrency-control threads + 2 execution
-    // threads (the paper's two separated phases, §3), plus the dedicated
-    // sequencer that forms batches behind the ingest queue.
+    // threads (the paper's two separated phases, §3). There is no
+    // sequencer thread: submitting sessions form the batches themselves.
     let engine = Bohm::start(BohmConfig::with_threads(2, 2), catalog);
 
     // Clients talk to the engine through *sessions*: submit single

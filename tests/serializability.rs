@@ -376,7 +376,6 @@ fn session_single_txn_submission_matches_serial_order() {
         // occasional tight in-flight budgets to exercise backpressure.
         cfg.batch_size = 1 + rng.below(256) as usize;
         cfg.max_inflight_batches = 2 + rng.below(7) as usize;
-        cfg.ingest_capacity = 1 + rng.below(512) as usize;
         let spec = one_table(rows);
         let engine = Bohm::start(cfg, catalog_of(&spec));
         let session = engine.session();
@@ -416,8 +415,8 @@ fn facade_reap_returns_the_fronts_outcome_under_out_of_order_completion() {
 
 #[test]
 fn concurrent_sessions_preserve_counter_conservation() {
-    // Many sessions race through the bounded ingest queue. Their global
-    // interleaving is decided by the sequencer, so we check an
+    // Many sessions race for the open batch's mutex. Their global
+    // interleaving is decided by who takes it first, so we check an
     // order-independent invariant: every committed increment lands exactly
     // once, and per-session outcomes arrive for every submission.
     let spec = one_table(32);

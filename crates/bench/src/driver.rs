@@ -3,7 +3,7 @@
 //!
 //! Every engine is driven through the [`BatchEngine`]/[`Session`] facade:
 //! `threads` driver threads each open a session, submit transactions from
-//! their private generator, and keep at most `pipeline_depth` outcomes
+//! their private generator, and keep at most `PIPELINE_DEPTH` outcomes
 //! unreaped. On the interactive baselines submission is synchronous and the
 //! depth is irrelevant; on BOHM submission is pipelined — a session appends
 //! to the open batch and seals the batches it fills — and the depth is what
@@ -19,45 +19,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Best-effort pinning of the current thread to `core` (the paper pins all
-/// long-running threads 1:1 to cores; inside containers this may be denied,
-/// in which case we silently continue unpinned).
-pub fn pin_to_core(core: usize) {
-    #[cfg(target_os = "linux")]
-    {
-        // Raw sched_setaffinity(2) via the C library the binary already
-        // links, so no libc crate is needed: a cpu_set_t is 1024 bits.
-        extern "C" {
-            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-        }
-        let mut mask = [0u64; 16];
-        let bit = core % (64 * mask.len());
-        mask[bit / 64] |= 1u64 << (bit % 64);
-        // SAFETY: plain FFI with a stack-local, correctly-sized mask.
-        unsafe {
-            let _ = sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr());
-        }
-    }
-    #[cfg(not(target_os = "linux"))]
-    let _ = core;
-}
-
-/// Driver-side knobs (engine-side batching lives in `BohmConfig`).
-#[derive(Clone, Copy, Debug)]
-pub struct DriverConfig {
-    /// Maximum unreaped transactions per session. Interactive engines
-    /// complete synchronously and ignore this in effect; pipelined engines
-    /// need it ≫ 1 to amortize their per-batch barriers.
-    pub pipeline_depth: usize,
-}
-
-impl Default for DriverConfig {
-    fn default() -> Self {
-        Self {
-            pipeline_depth: 8192,
-        }
-    }
-}
+/// Maximum unreaped transactions per session. Interactive engines
+/// complete synchronously and never reach it; BOHM needs it ≫ 1 so that
+/// several batches are in flight and its CC and execution layers overlap.
+const PIPELINE_DEPTH: usize = 8192;
 
 /// Drive `engine` with `threads` sessions for `duration`.
 ///
@@ -66,7 +31,6 @@ impl Default for DriverConfig {
 pub fn run_engine<E: BatchEngine>(
     engine: &E,
     threads: usize,
-    cfg: DriverConfig,
     duration: Duration,
     mk_gen: impl Fn(usize) -> Box<dyn TxnGen>,
 ) -> RunStats {
@@ -78,7 +42,6 @@ pub fn run_engine<E: BatchEngine>(
             let mut gen = mk_gen(i);
             let engine = &*engine;
             handles.push(s.spawn(move || {
-                pin_to_core(i);
                 let mut session = engine.open_session();
                 // Access counts of submitted-but-unreaped txns, FIFO like
                 // the session contract.
@@ -104,7 +67,7 @@ pub fn run_engine<E: BatchEngine>(
                     let txn = gen.next_txn();
                     in_flight_accesses.push_back(txn.access_count() as u64);
                     session.submit(txn);
-                    while session.in_flight() > cfg.pipeline_depth {
+                    while session.in_flight() > PIPELINE_DEPTH {
                         reap(&mut session, &mut in_flight_accesses, &mut st);
                     }
                 }
@@ -144,13 +107,9 @@ mod tests {
     fn interactive_engine_through_unified_driver() {
         let spec = micro_cfg().spec();
         let e = engines::build_tpl(&spec);
-        let st = run_engine(
-            &e,
-            2,
-            DriverConfig::default(),
-            Duration::from_millis(100),
-            |i| Box::new(MicroGen::new(micro_cfg(), i as u64 + 1)),
-        );
+        let st = run_engine(&e, 2, Duration::from_millis(100), |i| {
+            Box::new(MicroGen::new(micro_cfg(), i as u64 + 1))
+        });
         assert!(st.committed > 0);
         assert_eq!(st.accesses, st.committed * 8);
         // Worker-local windows start after spawn, so allow a little slack.
@@ -161,15 +120,9 @@ mod tests {
     fn bohm_through_unified_driver_drains_pipeline() {
         let spec = micro_cfg().spec();
         let e = engines::build_bohm(&spec, 2, 2);
-        let st = run_engine(
-            &e,
-            2,
-            DriverConfig {
-                pipeline_depth: 500,
-            },
-            Duration::from_millis(100),
-            |i| Box::new(MicroGen::new(micro_cfg(), 9 + i as u64)),
-        );
+        let st = run_engine(&e, 2, Duration::from_millis(100), |i| {
+            Box::new(MicroGen::new(micro_cfg(), 9 + i as u64))
+        });
         assert!(st.committed > 0);
         assert_eq!(st.accesses, st.committed * 8);
         // Quiesce (group submissions barrier on batch retirement), then

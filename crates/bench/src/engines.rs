@@ -72,9 +72,9 @@ pub fn build_bohm(spec: &DatabaseSpec, cc: usize, exec: usize) -> Bohm {
 }
 
 /// Build a BOHM engine preloaded from `spec` with a full custom config
-/// (ablations sweep batch size, linger, GC, index sizing, …). The config
-/// is honoured verbatim — including `index_capacity`, whose effective
-/// value still floors at the row count (`effective_index_capacity`).
+/// (the benchmark sets its thread split and durability this way). The
+/// config is honoured verbatim — including `index_capacity`, whose
+/// effective value still floors at the row count (`effective_index_capacity`).
 pub fn build_bohm_with(spec: &DatabaseSpec, cfg: BohmConfig) -> Bohm {
     let mut catalog = CatalogSpec::new();
     for t in &spec.tables {
@@ -152,8 +152,7 @@ pub fn build_si(spec: &DatabaseSpec) -> Hekaton {
 ///
 /// The paper treats the split as an administrator knob (Fig. 4); for the
 /// headline comparisons we use a fixed 40/60 split, which Fig. 4 shows to
-/// be near the knee for RMW-heavy workloads. The `ablations` bench sweeps
-/// this.
+/// be near the knee for RMW-heavy workloads.
 pub fn bohm_split(total: usize) -> (usize, usize) {
     let cc = ((total as f64) * 0.4).round().max(1.0) as usize;
     let exec = (total - cc).max(1);

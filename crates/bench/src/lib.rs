@@ -1,8 +1,5 @@
-//! Benchmark harness regenerating the paper's evaluation (§4).
-//!
-//! Each figure/table of the paper has a bench target under `benches/`
-//! (`harness = false`); they print the same rows/series the paper reports.
-//! This library hosts the shared machinery:
+//! Engine construction and the session driver, shared by the benchmark
+//! (`perfbench/`), the integration tests and the examples.
 //!
 //! * [`engines`] — build every engine over one
 //!   [`DatabaseSpec`](bohm_workloads::DatabaseSpec) so all five systems run
@@ -10,25 +7,16 @@
 //!   [`engines::AnyEngine`],
 //! * [`driver`] — the fixed-duration throughput driver: one session-based
 //!   code path for the interactive baselines and BOHM's pipelined ingest
-//!   alike,
-//! * [`report`] — paper-style table/CSV printing,
-//! * [`params`] — quick vs. full sweep scaling (`BOHM_BENCH_FULL=1`).
+//!   alike.
 //!
-//! Allocator note: the original experiments ran with mimalloc — BOHM's CC
-//! phase allocates one version object per write and retires them through
-//! epoch-deferred frees on other threads, a churn pattern where glibc
-//! malloc measurably bottlenecks the CC threads (see DESIGN.md). This
-//! hermetic build has no access to the mimalloc crate, so absolute numbers
-//! here carry the system allocator's overhead; relative engine comparisons
-//! are unaffected (all five engines share the allocator).
+//! Two bench targets live under `benches/` (`harness = false`):
+//! `micro_criterion`, the substrate microbenchmarks (`cc_body/*` is the CC
+//! layer's standalone number), and `fig_tpcc`, the TPC-C-lite figure smoke
+//! that keeps this driver path from rotting. Performance is measured by
+//! `perfbench/` alone (see `BENCHMARK.json`).
 
 pub mod driver;
 pub mod engines;
-pub mod figure;
-pub mod params;
-pub mod report;
 
-pub use driver::{run_engine, DriverConfig};
+pub use driver::run_engine;
 pub use engines::{AnyEngine, EngineKind};
-pub use figure::measure;
-pub use params::Params;

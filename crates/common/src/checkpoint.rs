@@ -16,21 +16,23 @@
 //!                     epoch u64, record_count u64,
 //!                     (table u32, row u64, len u32, bytes)*,
 //!                     fnv64(everything after the magic) u64
-//! MANIFEST         := magic "BOHMMAN1", epoch u64, fnv64(epoch) u64
 //! ```
 //!
-//! Both files are written **temp-file → fsync → rename → dir-fsync**, so
-//! a crash at any point leaves either the previous checkpoint intact or
-//! the new one complete — never a half state:
+//! The file is written **temp-file → fsync → rename → dir-fsync**, so a
+//! crash at any point leaves either the previous checkpoint intact or the
+//! new one complete — never a half state:
 //!
-//! * crash before rename: the `.tmp` file is ignored by recovery;
-//! * crash after the checkpoint's rename but before the manifest's: the
-//!   manifest still names the previous checkpoint, and
-//!   [`load_latest`] *also* scans for newer valid checkpoint files, so
-//!   the completed snapshot is found anyway;
-//! * a torn or corrupt manifest (or checkpoint) fails its checksum and
-//!   recovery falls back to the newest checkpoint file that validates —
-//!   worst case the previous checkpoint plus a longer replay.
+//! * crash before the rename: the `.tmp` file is ignored by recovery;
+//! * crash after it, before [`cut`] has truncated the log and deleted the
+//!   older checkpoint: recovery reads the newest file, and the log still
+//!   holds the suffix its epoch needs.
+//!
+//! Only the newest checkpoint is ever read, and [`cut`] deletes the older
+//! ones once the log prefix they would need is gone. So there is nothing to
+//! fall back to: when the newest file fails validation (bit rot — this
+//! writer never renames a torn file into place), [`load_latest`] returns
+//! [`InvalidData`](io::ErrorKind::InvalidData) and recovery refuses, rather
+//! than restoring an older snapshot whose log suffix no longer exists.
 //!
 //! Secondary-index posting lists are ordinary table records, so they are
 //! snapshotted and restored like any other row — recovery restores
@@ -48,19 +50,15 @@
 use crate::engine::{BatchEngine, Session};
 use crate::txn::Txn;
 use crate::types::RecordId;
+use crate::wal::{fnv64, sync_dir};
 use crate::Procedure;
 use std::collections::HashSet;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// First 8 bytes of every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"BOHMCKP1";
-/// First 8 bytes of the manifest file.
-pub const MANIFEST_MAGIC: [u8; 8] = *b"BOHMMAN1";
-/// Name of the manifest file tying the current checkpoint epoch to the
-/// log (co-located with the segments in the WAL directory).
-pub const MANIFEST_NAME: &str = "MANIFEST";
 
 /// A loaded (or about-to-be-written) snapshot: the complete present
 /// record set as of `epoch`, i.e. the cumulative effect of every batch
@@ -86,27 +84,6 @@ fn checkpoint_epoch(name: &str) -> Option<u64> {
         .ok()
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Durably record a directory-entry change (no-op where directories
-/// cannot be fsynced).
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        File::open(dir)?.sync_all()?;
-    }
-    #[cfg(not(unix))]
-    let _ = dir;
-    Ok(())
-}
-
 /// Write `bytes` to `path` atomically: temp file in the same directory,
 /// fsync, rename over the target, fsync the directory.
 fn write_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -126,8 +103,7 @@ fn write_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
 
 impl Checkpoint {
     /// Serialize and atomically write this snapshot as
-    /// `chk-{epoch}.ckp`, then point the manifest at it. Returns the
-    /// checkpoint file's path.
+    /// `chk-{epoch}.ckp`. Returns the checkpoint file's path.
     pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
         let mut buf = Vec::with_capacity(64 + self.records.len() * 32);
         buf.extend_from_slice(&CHECKPOINT_MAGIC);
@@ -143,12 +119,11 @@ impl Checkpoint {
         buf.extend_from_slice(&sum.to_le_bytes());
         let path = checkpoint_path(dir, self.epoch);
         write_atomic(dir, &path, &buf)?;
-        write_manifest(dir, self.epoch)?;
         Ok(path)
     }
 
     /// Decode one checkpoint file; `None` when it is torn, truncated or
-    /// fails its checksum (recovery then falls back to an older file).
+    /// fails its checksum.
     fn decode(bytes: &[u8]) -> Option<Self> {
         let m = CHECKPOINT_MAGIC.len();
         if bytes.len() < m + 24 || bytes[..m] != CHECKPOINT_MAGIC {
@@ -183,74 +158,51 @@ impl Checkpoint {
     }
 }
 
-/// Atomically (re)write the manifest naming `epoch` as the covered
-/// checkpoint.
-fn write_manifest(dir: &Path, epoch: u64) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(24);
-    buf.extend_from_slice(&MANIFEST_MAGIC);
-    buf.extend_from_slice(&epoch.to_le_bytes());
-    buf.extend_from_slice(&fnv64(&epoch.to_le_bytes()).to_le_bytes());
-    write_atomic(dir, &dir.join(MANIFEST_NAME), &buf)
-}
-
-/// Read the manifest's checkpoint epoch; `None` when absent, torn or
-/// checksum-failing. The manifest ties the covered epoch to the log
-/// (first live segment holds only batches `>= epoch`) for diagnostics
-/// and tooling — recovery itself trusts the newest *validating*
-/// checkpoint file, so a manifest that lags one rename behind (crash
-/// between the checkpoint's rename and the manifest's) or is torn never
-/// costs recovery the newer snapshot.
-pub fn manifest_epoch(dir: &Path) -> Option<u64> {
-    let bytes = fs::read(dir.join(MANIFEST_NAME)).ok()?;
-    let m = MANIFEST_MAGIC.len();
-    if bytes.len() != m + 16 || bytes[..m] != MANIFEST_MAGIC {
-        return None;
-    }
-    let epoch = u64::from_le_bytes(bytes[m..m + 8].try_into().ok()?);
-    let sum = u64::from_le_bytes(bytes[m + 8..].try_into().ok()?);
-    (fnv64(&epoch.to_le_bytes()) == sum).then_some(epoch)
-}
-
-/// Load the newest usable checkpoint in `dir`, or `None` when no valid
-/// checkpoint exists (fresh log, or every candidate is damaged — replay
-/// then starts from the seeded state).
-///
-/// The scan is the authority, not the manifest: every `chk-*.ckp` file
-/// is tried newest-first and the first that validates end-to-end wins.
-/// A crash between the checkpoint rename and the manifest rename is
-/// therefore still recovered to the *new* checkpoint, and a torn or
-/// corrupt checkpoint file only costs the fall-back to the previous one
-/// (plus the longer replay its older epoch implies).
-pub fn load_latest(dir: &Path) -> io::Result<Option<Checkpoint>> {
-    let mut epochs: Vec<u64> = Vec::new();
-    match fs::read_dir(dir) {
-        Ok(entries) => {
-            for entry in entries {
-                let name = entry?.file_name();
-                if let Some(e) = name.to_str().and_then(checkpoint_epoch) {
-                    epochs.push(e);
-                }
-            }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+/// The epochs of every `chk-*.ckp` file in `dir`, in directory order
+/// (`.tmp` files and everything else are skipped); empty when `dir` does
+/// not exist.
+fn checkpoint_epochs(dir: &Path) -> io::Result<Vec<u64>> {
+    let entries = match fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
-    }
-    epochs.sort_unstable();
-    for e in epochs.into_iter().rev() {
-        if let Ok(bytes) = fs::read(checkpoint_path(dir, e)) {
-            if let Some(ckp) = Checkpoint::decode(&bytes) {
-                return Ok(Some(ckp));
-            }
+    };
+    let mut epochs = Vec::new();
+    for entry in entries {
+        if let Some(e) = entry?.file_name().to_str().and_then(checkpoint_epoch) {
+            epochs.push(e);
         }
     }
-    Ok(None)
+    Ok(epochs)
+}
+
+/// Load the newest checkpoint in `dir`, or `None` when there is none
+/// (a fresh log: replay then starts from the seeded state).
+///
+/// Only the newest `chk-*.ckp` file is read. If it fails validation the
+/// result is an [`InvalidData`](io::ErrorKind::InvalidData) error, never
+/// an older file: [`cut`] has already reclaimed the log an older
+/// checkpoint would need, so restoring one would silently lose work.
+pub fn load_latest(dir: &Path) -> io::Result<Option<Checkpoint>> {
+    let Some(epoch) = checkpoint_epochs(dir)?.into_iter().max() else {
+        return Ok(None);
+    };
+    let path = checkpoint_path(dir, epoch);
+    match Checkpoint::decode(&fs::read(&path)?) {
+        Some(ckp) if ckp.epoch == epoch => Ok(Some(ckp)),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("checkpoint {} fails validation", path.display()),
+        )),
+    }
 }
 
 /// The tail every checkpoint ends in, once the caller has quiesced its
 /// engine by its own rule and chosen the cut `epoch` (every batch logged so
 /// far is stamped below it, every later one at or above): collect the
 /// records `snapshot` visits, make them durable, rotate the log so all
-/// pre-cut records sit in sealed segments, and reclaim those.
+/// pre-cut records sit in sealed segments, reclaim those, and delete the
+/// older checkpoints, which needed them.
 pub fn cut(
     wal: &crate::wal::Wal,
     epoch: u64,
@@ -263,10 +215,16 @@ pub fn cut(
     // a dir-fsync) before any log bytes it supersedes are reclaimed.
     Checkpoint { epoch, records }.write(wal.dir())?;
     wal.rotate()?;
+    let freed_bytes = wal.truncate_before(epoch)?;
+    for old in checkpoint_epochs(wal.dir())? {
+        if old < epoch {
+            fs::remove_file(checkpoint_path(wal.dir(), old))?;
+        }
+    }
     Ok(crate::durable::CheckpointStats {
         epoch,
         records: count,
-        freed_bytes: wal.truncate_before(epoch)?,
+        freed_bytes,
     })
 }
 
@@ -360,33 +318,18 @@ mod tests {
     }
 
     #[test]
-    fn manifest_prefers_newest_but_survives_being_stale() {
-        let dir = tmpdir("stale-manifest");
+    fn damaged_newest_is_refused_not_skipped() {
+        let dir = tmpdir("refuse");
         sample(3, 1).write(&dir).unwrap();
         let newer = sample(9, 2);
-        newer.write(&dir).unwrap();
-        // Crash between checkpoint rename and manifest rename: point the
-        // manifest back at the old epoch. The scan must still find 9.
-        write_manifest(&dir, 3).unwrap();
-        assert_eq!(load_latest(&dir).unwrap().unwrap().epoch, 9);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn damage_falls_back_to_previous_checkpoint() {
-        let dir = tmpdir("fallback");
-        let old = sample(3, 1);
-        old.write(&dir).unwrap();
-        let newer = sample(9, 2);
         let path = newer.write(&dir).unwrap();
-        // Tear the newest checkpoint file mid-payload.
+        assert_eq!(load_latest(&dir).unwrap().unwrap(), newer, "newest wins");
+        // Tear the newest checkpoint file mid-payload: the older file is
+        // still there, but it must not be used.
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let got = load_latest(&dir).unwrap().unwrap();
-        assert_eq!(got, old, "torn newest file falls back to the previous");
-        // Torn manifest on top: still recoverable by scan.
-        fs::write(dir.join(MANIFEST_NAME), b"BOHMMAN1ga").unwrap();
-        assert_eq!(load_latest(&dir).unwrap().unwrap(), old);
+        let err = load_latest(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -418,7 +361,8 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        assert!(load_latest(&dir).unwrap().is_none());
+        let err = load_latest(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -16,7 +16,7 @@
 //!   commit decision* ([`TxnDecision`]) to the WAL before releasing the
 //!   outcome. Holding the lock across execute-and-log makes log order
 //!   equal commit order by construction.
-//! * Recovery restores the newest valid
+//! * Recovery restores the newest
 //!   [`Checkpoint`](checkpoint::Checkpoint), then replays the
 //!   log suffix stamped at or after the checkpoint epoch — executing
 //!   exactly the transactions whose logged decision says *committed*, in
@@ -47,9 +47,10 @@
 //! record state (through [`Engine::snapshot_records`]) under the commit
 //! lock and hands it to [`checkpoint::cut`], which writes it atomically,
 //! rotates the WAL so every pre-checkpoint record sits in a sealed
-//! segment, and then reclaims those segments via
-//! [`Wal::truncate_before`](crate::wal::Wal::truncate_before). Recovery
-//! after that replays only the post-checkpoint suffix.
+//! segment, reclaims those segments via
+//! [`Wal::truncate_before`](crate::wal::Wal::truncate_before), and deletes
+//! the older checkpoint. Recovery after that replays only the
+//! post-checkpoint suffix.
 
 use crate::checkpoint;
 use crate::engine::{Engine, ExecOutcome};
@@ -115,7 +116,7 @@ pub struct DurableEngine<E: Engine> {
 impl<E: Engine> DurableEngine<E> {
     /// Open the log directory and bring `inner` — freshly built and
     /// catalog-seeded, never yet executed against — up to the durable
-    /// state: restore the newest valid checkpoint (if any), replay the
+    /// state: restore the newest checkpoint (if any), replay the
     /// committed suffix of the log, and resume logging after it.
     ///
     /// On a fresh directory this degenerates to "start logging": no
@@ -125,9 +126,9 @@ impl<E: Engine> DurableEngine<E> {
     /// # Errors
     ///
     /// I/O errors from the log/checkpoint machinery, plus
-    /// [`io::ErrorKind::InvalidData`] when a replayed transaction's
-    /// outcome diverges from its logged decision — that means the log
-    /// and the engine disagree about history and the store cannot be
+    /// [`io::ErrorKind::InvalidData`] when the newest checkpoint fails
+    /// validation, or when a replayed transaction's outcome diverges from
+    /// its logged decision — either way the durable history cannot be
     /// trusted.
     pub fn open(inner: E, config: &DurabilityConfig) -> io::Result<(Self, RecoveryReport)> {
         // Opening the WAL first repairs any torn tail, so read_log below

@@ -293,9 +293,10 @@ fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf, u64)>> {
     Ok(segs)
 }
 
-/// Durably record the directory entry of a freshly created segment
-/// (no-op on platforms where directories cannot be fsynced).
-fn sync_dir(dir: &Path) -> io::Result<()> {
+/// Durably record a directory-entry change — a freshly created segment, a
+/// renamed checkpoint (no-op on platforms where directories cannot be
+/// fsynced).
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     #[cfg(unix)]
     {
         File::open(dir)?.sync_all()?;
@@ -579,8 +580,8 @@ impl Wal {
         self.latched(|st| self.rotate_locked(st))
     }
 
-    /// The log directory this handle appends to (checkpoints co-locate
-    /// their snapshot and manifest files here).
+    /// The log directory this handle appends to (checkpoint files live
+    /// here too).
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -658,8 +659,9 @@ pub fn replay_into<'a, E: BatchEngine + ?Sized>(
 
 /// FNV-1a over the whole slice — unlike `value::checksum` (which hashes
 /// only a record's `u64` prefix and length), this must cover every byte:
-/// it is what detects a torn write anywhere in the payload.
-fn fnv64(bytes: &[u8]) -> u64 {
+/// it is what detects a torn write anywhere in the payload (of a log
+/// record or a whole checkpoint file).
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

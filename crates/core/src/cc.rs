@@ -84,7 +84,7 @@ pub(crate) fn cc_loop(inner: &Inner, me: usize) {
 /// about.
 pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize, pool: &mut VersionPool) {
     let budget = inner.config.key_gc_buckets;
-    if budget == 0 || !inner.config.enable_gc {
+    if budget == 0 {
         return;
     }
     // No tombstone has ever been produced ⇒ no key can be in the
@@ -148,7 +148,6 @@ thread_local! {
 /// Process every transaction of `batch` for partition `me`.
 pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, pool: &mut VersionPool) {
     let mut guard = epoch::pin();
-    let gc = inner.config.enable_gc;
     let m = inner.config.cc_threads;
     let mut retired = 0usize;
     // This thread's entries of the whole batch, in the order the loop below
@@ -215,11 +214,7 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, pool: &mut 
         // recycling a version rewrites memory that transactions at or below
         // the bound read, so their reads must happen-before this load (the
         // exec side publishes the bound with Release after they complete).
-        let bound = if gc {
-            inner.gc_bound.load(Ordering::Acquire)
-        } else {
-            0
-        };
+        let bound = inner.gc_bound.load(Ordering::Acquire);
         for e in t.plan.iter() {
             if e.partition(m) != me {
                 continue;
@@ -256,8 +251,8 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, pool: &mut 
             let Some(wi) = wi else { continue };
             // GC triggers on update (§3.3.2): retire first, so the version
             // that just died is the placeholder installed next (bound 0 —
-            // GC off, or nothing executed yet — is a no-op; the head, which
-            // an RMW has just annotated, is never part of the dead tail).
+            // nothing executed yet — is a no-op; the head, which an RMW
+            // has just annotated, is never part of the dead tail).
             // SAFETY: this thread owns the entry's partition (checked
             // above), and `bound` is the Acquire-loaded Condition-3
             // watermark — see `VersionPool`'s reuse-safety argument.

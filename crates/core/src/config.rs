@@ -21,17 +21,13 @@ pub struct BohmConfig {
     /// Number of execution threads (`k`). Thread `i` is responsible for
     /// transactions `i, i+k, i+2k, …` of each batch.
     pub exec_threads: usize,
-    /// Enable Condition-3 garbage collection of superseded versions
-    /// (§3.3.2). The paper runs BOHM with GC on.
-    pub enable_gc: bool,
     /// Index buckets each CC thread sweeps per batch looking for
     /// reclaimable *keys*: a fully-deleted key whose chain has collapsed to
     /// a sole committed tombstone older than the GC bound (and whose every
     /// annotation holder has executed) has its tombstone, chain and index
     /// entry retired outright — without this, full-table delete churn
     /// leaks one tombstone plus an index entry per ever-used key. `0`
-    /// disables key reclamation (version GC alone then applies). Requires
-    /// [`enable_gc`](Self::enable_gc).
+    /// disables key reclamation (version GC alone then applies).
     pub key_gc_buckets: usize,
     /// The read-set optimization (§3.2.3): CC threads annotate each
     /// transaction whose read set is at most this size with direct pointers
@@ -105,7 +101,6 @@ impl Default for BohmConfig {
         Self {
             cc_threads: 4,
             exec_threads: 4,
-            enable_gc: true,
             key_gc_buckets: 512,
             annotate_max_reads: 64,
             index_capacity: 1 << 20,

@@ -35,7 +35,7 @@ pub(crate) struct Inner {
     /// sealed after at or above it — what splits the log into the prefix a
     /// checkpoint covers and the suffix recovery replays.
     pub epoch: AtomicU64,
-    /// Total versions retired by GC (diagnostics / ablation benches).
+    /// Total versions retired by GC (diagnostics and the benchmark).
     pub gc_retired: AtomicU64,
     /// Fully-deleted keys whose index entries were reclaimed by the CC
     /// threads' key sweep (diagnostics; see `cc::sweep_keys`).
@@ -179,6 +179,14 @@ impl Bohm {
     /// Checkpoint-restored transactions are not re-executed and
     /// contribute no outcomes.
     ///
+    /// # Errors
+    ///
+    /// I/O errors from reading the log or the checkpoint, including
+    /// [`InvalidData`](std::io::ErrorKind::InvalidData) when the newest
+    /// checkpoint fails validation: the log it covered is gone, so there is
+    /// no older state to fall back to (see
+    /// [`load_latest`](bohm_common::checkpoint::load_latest)).
+    ///
     /// # Panics
     ///
     /// Panics if `config.durability` is `None`: recovery without a log
@@ -240,8 +248,8 @@ impl Bohm {
     /// the engine's epoch so every later batch is stamped past the cut, and
     /// hands [`snapshot_records`](Self::snapshot_records) to
     /// [`checkpoint::cut`](bohm_common::checkpoint::cut), which writes the
-    /// checkpoint atomically, rotates the log, and truncates the sealed
-    /// pre-cut segments.
+    /// checkpoint atomically, rotates the log, truncates the sealed
+    /// pre-cut segments and deletes the older checkpoint.
     ///
     /// # Errors
     ///
@@ -704,19 +712,6 @@ mod tests {
             e.gc_retired()
         );
         assert!(e.gc_bound() > 0);
-        e.shutdown();
-    }
-
-    #[test]
-    fn gc_can_be_disabled() {
-        let mut cfg = BohmConfig::small();
-        cfg.enable_gc = false;
-        let e = Bohm::start(cfg, CatalogSpec::new().table(2, 8, |_| 0));
-        for _ in 0..10 {
-            e.execute_sync((0..20).map(|_| rmw(&[0], 1)).collect());
-        }
-        assert_eq!(e.gc_retired(), 0);
-        assert_eq!(e.read_u64(rid(0)), Some(200));
         e.shutdown();
     }
 

@@ -243,23 +243,16 @@ pub struct Hekaton {
     /// watermark; workers still touch exactly one contended line.)
     counter: Arc<CachePadded<AtomicU64>>,
     isolation: IsolationLevel,
-    /// Allow speculative reads of uncommitted (Preparing) data — "commit
-    /// dependencies". The paper's baselines have this on.
-    speculate: bool,
     /// Active-transaction registry driving the chain pruner's watermark.
     slots: Arc<SlotPool>,
-    /// Incremental chain pruning on (default). The paper's baselines run
-    /// with "no incremental garbage collection"; [`without_gc`](Self::without_gc)
-    /// restores that configuration for paper-faithful ablations.
-    gc: bool,
     /// Versions retired by the pruner (diagnostics).
     pruned: Arc<AtomicU64>,
     /// Idle-time background sweep over the slot array. Commit-riding
     /// pruning only fires on records that committing transactions touch, so
     /// a key never read or written again would keep its dead suffix
     /// indefinitely; the sweeper closes that leak. Spawned lazily with the
-    /// first worker; [`without_gc`](Self::without_gc) and
-    /// [`without_background_sweep`](Self::without_background_sweep) disable it.
+    /// first worker; [`without_background_sweep`](Self::without_background_sweep)
+    /// disables it.
     sweep: Mutex<SweepState>,
 }
 
@@ -269,9 +262,7 @@ impl Hekaton {
             store: Arc::new(store),
             counter: Arc::new(CachePadded::new(AtomicU64::new(1))), // ts 0 = preload
             isolation,
-            speculate: true,
             slots: Arc::new(SlotPool::new()),
-            gc: true,
             pruned: Arc::new(AtomicU64::new(0)),
             sweep: Mutex::new(SweepState::Pending),
         }
@@ -343,24 +334,10 @@ impl Hekaton {
         Self::new(store, IsolationLevel::SnapshotIsolation)
     }
 
-    /// Disable commit dependencies (ablation).
-    pub fn without_speculation(mut self) -> Self {
-        self.speculate = false;
-        self
-    }
-
-    /// Disable the version-chain pruner *and* the background sweep — the
-    /// paper's original "no incremental GC" configuration, under which
-    /// chains grow without bound (see `versions_accumulate_without_gc`).
-    pub fn without_gc(mut self) -> Self {
-        self.gc = false;
-        self.disable_sweeper();
-        self
-    }
-
     /// Keep commit-riding pruning but disable the idle-time background
-    /// sweep (ablation: reinstates the "a key never touched again keeps
-    /// its dead suffix" behaviour the sweep exists to fix).
+    /// sweep, so the engine runs on its driver's threads alone (the
+    /// benchmark's configuration). A key never touched again then keeps its
+    /// dead suffix, which is what the sweep exists to fix.
     pub fn without_background_sweep(self) -> Self {
         self.disable_sweeper();
         self
@@ -385,7 +362,7 @@ impl Hekaton {
     /// Resolve the version of `rid` visible at `ts` for transaction `me`.
     ///
     /// `Err(())` means the resolution consumed state of an aborted
-    /// transaction (or needed speculation with it disabled) and the caller
+    /// transaction and the caller
     /// must concurrency-abort. `Ok(None)` means no visible version.
     fn resolve(
         &self,
@@ -536,9 +513,6 @@ impl Hekaton {
             // Diagnostic reads never race with Preparing txns (quiescence).
             return Ok(());
         };
-        if !self.speculate {
-            return Err(()); // speculation disabled: treat as conflict
-        }
         match producer.register_dependent(m) {
             Ok(_) => Ok(()),
             Err(()) => Err(()), // producer aborted under us
@@ -685,9 +659,6 @@ impl Hekaton {
     /// workload's record-to-commit pattern and starve some records of
     /// probes entirely (the same hazard BOHM's CC probe counter documents).
     fn maybe_prune(&self, w: &mut HkWorker, guard: &epoch::Guard) {
-        if !self.gc {
-            return;
-        }
         w.prune_rng ^= w.prune_rng << 13;
         w.prune_rng ^= w.prune_rng >> 7;
         w.prune_rng ^= w.prune_rng << 17;
@@ -973,9 +944,7 @@ impl Engine for Hekaton {
     }
 
     fn make_worker(&self) -> HkWorker {
-        if self.gc {
-            self.ensure_sweeper();
-        }
+        self.ensure_sweeper();
         HkWorker {
             reads: Vec::with_capacity(32),
             writes: Vec::with_capacity(16),
@@ -1150,21 +1119,6 @@ mod tests {
             e.counter_value() >= c0 + 2,
             "begin + commit must both hit the global counter"
         );
-    }
-
-    #[test]
-    fn versions_accumulate_without_gc() {
-        // The paper-faithful "no incremental GC" configuration: chains grow
-        // one version per update, forever — the leak the chain pruner
-        // exists to fix (see the churn tests below).
-        let e = Hekaton::serializable(store(2)).without_gc();
-        let mut w = e.make_worker();
-        for _ in 0..10 {
-            assert!(e.execute(&rmw(0, 1), &mut w).committed);
-        }
-        assert_eq!(e.read_u64(RecordId::new(0, 0)), Some(10));
-        assert_eq!(e.store().chain_depth(RecordId::new(0, 0)), 11);
-        assert_eq!(e.pruned_versions(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * **Normal builds** — [`atomic`] is `std::sync::atomic` and
 //!   [`hint::spin_loop`] is `std::hint::spin_loop`, re-exported: zero code,
-//!   zero cost. [`Mutex`]/[`Condvar`]/[`RwLock`] are `parking_lot`-shaped
+//!   zero cost. [`Mutex`]/[`Condvar`] are `parking_lot`-shaped
 //!   wrappers (guards handed out directly, no poisoning) a few lines deep
 //!   over the `std::sync` locks.
 //!

@@ -1,4 +1,4 @@
-//! Instrumented `Mutex` / `Condvar` / `RwLock`, API-compatible with the
+//! Instrumented `Mutex` / `Condvar`, API-compatible with the
 //! `parking_lot` surface the normal personality re-exports.
 //!
 //! On a model thread the lock state is *virtual*: acquisition, blocking and
@@ -10,8 +10,8 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, PoisonError, RwLock as StdRwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, PoisonError};
+use std::time::Instant;
 
 use super::rt;
 use super::rt::LockMeta;
@@ -65,7 +65,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking (virtually, on a model thread) until free.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         if rt::on_model_thread() {
-            rt::lock_acquire(&self.meta, self.key(), false);
+            rt::lock_acquire(&self.meta, self.key());
             MutexGuard {
                 lock: self,
                 raw: None,
@@ -83,7 +83,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock if it is free right now.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         if rt::on_model_thread() {
-            rt::lock_try_acquire(&self.meta, false).then(|| MutexGuard {
+            rt::lock_try_acquire(&self.meta).then(|| MutexGuard {
                 lock: self,
                 raw: None,
                 model: true,
@@ -145,7 +145,7 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         if self.model {
-            rt::lock_release(&self.lock.meta, self.lock.key(), false);
+            rt::lock_release(&self.lock.meta, self.lock.key());
         }
         // A raw guard (fallback path) releases itself.
     }
@@ -198,26 +198,6 @@ impl Condvar {
         }
     }
 
-    /// Block until notified or `timeout` elapses.
-    pub fn wait_for<T: ?Sized>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        if guard.model {
-            let timed_out = rt::condvar_wait(&guard.lock.meta, guard.lock.key(), self.key(), true);
-            WaitTimeoutResult(timed_out)
-        } else {
-            let g = guard.raw.take().expect("guard present outside wait");
-            let (g, res) = match self.raw.wait_timeout(g, timeout) {
-                Ok(pair) => pair,
-                Err(p) => p.into_inner(),
-            };
-            guard.raw = Some(g);
-            WaitTimeoutResult(res.timed_out())
-        }
-    }
-
     /// Block until notified or `deadline` passes.
     pub fn wait_until<T: ?Sized>(
         &self,
@@ -225,13 +205,20 @@ impl Condvar {
         deadline: Instant,
     ) -> WaitTimeoutResult {
         if guard.model {
-            return self.wait_for(guard, Duration::ZERO);
+            let timed_out = rt::condvar_wait(&guard.lock.meta, guard.lock.key(), self.key(), true);
+            return WaitTimeoutResult(timed_out);
         }
-        let now = Instant::now();
-        if now >= deadline {
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        if timeout.is_zero() {
             return WaitTimeoutResult(true);
         }
-        self.wait_for(guard, deadline - now)
+        let g = guard.raw.take().expect("guard present outside wait");
+        let (g, res) = self
+            .raw
+            .wait_timeout(g, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.raw = Some(g);
+        WaitTimeoutResult(res.timed_out())
     }
 
     /// Wake one waiter (a seeded scheduling decision under the model).
@@ -244,141 +231,5 @@ impl Condvar {
     pub fn notify_all(&self) {
         rt::condvar_notify(self.key(), true);
         self.raw.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RwLock
-// ---------------------------------------------------------------------------
-
-/// Instrumented reader-writer lock.
-///
-/// Model-mode readers share a single joined release clock, which can only
-/// over-synchronize (suppress reports), never fabricate a race.
-pub struct RwLock<T: ?Sized> {
-    meta: StdMutex<LockMeta>,
-    raw: StdRwLock<()>,
-    v: std::cell::UnsafeCell<T>,
-}
-
-// SAFETY: payload access is gated by a guard; guards exist only under the
-// real raw rwlock or the virtual reader/writer accounting.
-unsafe impl<T: ?Sized + Send> Send for RwLock<T> {}
-// SAFETY: shared (`read`) guards hand out `&T` only, exclusive (`write`)
-// guards require the writer slot — standard RwLock reasoning.
-unsafe impl<T: ?Sized + Send + Sync> Sync for RwLock<T> {}
-
-/// Shared-access RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    raw: Option<std::sync::RwLockReadGuard<'a, ()>>,
-    model: bool,
-}
-
-/// Exclusive-access RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    raw: Option<std::sync::RwLockWriteGuard<'a, ()>>,
-    model: bool,
-}
-
-impl<T> RwLock<T> {
-    /// Create a new reader-writer lock.
-    pub const fn new(value: T) -> Self {
-        Self {
-            meta: StdMutex::new(LockMeta::new()),
-            raw: StdRwLock::new(()),
-            v: std::cell::UnsafeCell::new(value),
-        }
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    fn key(&self) -> usize {
-        std::ptr::from_ref(&self.meta) as usize
-    }
-
-    /// Acquire shared access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        if rt::on_model_thread() {
-            rt::lock_acquire(&self.meta, self.key(), true);
-            RwLockReadGuard {
-                lock: self,
-                raw: None,
-                model: true,
-            }
-        } else {
-            RwLockReadGuard {
-                lock: self,
-                raw: Some(self.raw.read().unwrap_or_else(PoisonError::into_inner)),
-                model: false,
-            }
-        }
-    }
-
-    /// Acquire exclusive access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        if rt::on_model_thread() {
-            rt::lock_acquire(&self.meta, self.key(), false);
-            RwLockWriteGuard {
-                lock: self,
-                raw: None,
-                model: true,
-            }
-        } else {
-            RwLockWriteGuard {
-                lock: self,
-                raw: Some(self.raw.write().unwrap_or_else(PoisonError::into_inner)),
-                model: false,
-            }
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: a read guard proves no writer exists (raw or virtual),
-        // so shared payload access is sound.
-        unsafe { &*self.lock.v.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.model {
-            rt::lock_release(&self.lock.meta, self.lock.key(), true);
-        }
-        let _ = self.raw.take();
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: a write guard proves exclusive access.
-        unsafe { &*self.lock.v.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: a write guard proves exclusive access.
-        unsafe { &mut *self.lock.v.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.model {
-            rt::lock_release(&self.lock.meta, self.lock.key(), false);
-        }
-        let _ = self.raw.take();
     }
 }

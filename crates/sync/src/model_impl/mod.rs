@@ -9,9 +9,7 @@ mod lock;
 mod rt;
 mod thread_impl;
 
-pub use lock::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
-};
+pub use lock::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 
 /// Instrumented `std::sync::atomic` twins (orderings are the real enum).
 pub mod atomic {

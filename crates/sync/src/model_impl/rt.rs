@@ -117,11 +117,10 @@ pub(crate) enum Op {
     Rmw(u64),
 }
 
-/// Metadata of one virtual lock (mutex or rwlock).
+/// Metadata of one virtual mutex.
 pub(crate) struct LockMeta {
     pub gen: u64,
-    pub writer: Option<usize>,
-    pub readers: u32,
+    pub owner: Option<usize>,
     pub release: VClock,
 }
 
@@ -129,8 +128,7 @@ impl LockMeta {
     pub(crate) const fn new() -> Self {
         Self {
             gen: 0,
-            writer: None,
-            readers: 0,
+            owner: None,
             release: VClock::new(),
         }
     }
@@ -1014,12 +1012,12 @@ pub(crate) fn cell_access(meta: &StdMutex<CellMeta>, write: bool, loc: &'static 
 }
 
 // ---------------------------------------------------------------------------
-// Virtual locks (shared by Mutex and RwLock)
+// Virtual mutexes
 // ---------------------------------------------------------------------------
 
-/// Acquire the virtual lock: `shared = false` for exclusive (mutex/writer),
-/// `true` for a reader slot.
-pub(crate) fn lock_acquire(meta: &StdMutex<LockMeta>, key: usize, shared: bool) {
+/// Acquire the virtual lock, blocking (as a scheduling decision) while
+/// another thread owns it.
+pub(crate) fn lock_acquire(meta: &StdMutex<LockMeta>, key: usize) {
     yield_point();
     loop {
         let Some((gen, me)) = current() else { return };
@@ -1034,22 +1032,12 @@ pub(crate) fn lock_acquire(meta: &StdMutex<LockMeta>, key: usize, shared: bool) 
         }
         let mut m = meta.lock().unwrap_or_else(PoisonError::into_inner);
         if m.gen != st.gen {
-            m.writer = None;
-            m.readers = 0;
+            m.owner = None;
             m.release.clear();
             m.gen = st.gen;
         }
-        let free = if shared {
-            m.writer.is_none()
-        } else {
-            m.writer.is_none() && m.readers == 0
-        };
-        if free {
-            if shared {
-                m.readers += 1;
-            } else {
-                m.writer = Some(me);
-            }
+        if m.owner.is_none() {
+            m.owner = Some(me);
             let rel = m.release.clone();
             st.threads[me].clock.join(&rel);
             return;
@@ -1060,7 +1048,7 @@ pub(crate) fn lock_acquire(meta: &StdMutex<LockMeta>, key: usize, shared: bool) 
 }
 
 /// Try-acquire without blocking; returns whether the lock was taken.
-pub(crate) fn lock_try_acquire(meta: &StdMutex<LockMeta>, shared: bool) -> bool {
+pub(crate) fn lock_try_acquire(meta: &StdMutex<LockMeta>) -> bool {
     yield_point();
     let Some((gen, me)) = current() else {
         return true;
@@ -1072,22 +1060,13 @@ pub(crate) fn lock_try_acquire(meta: &StdMutex<LockMeta>, shared: bool) -> bool 
     }
     let mut m = meta.lock().unwrap_or_else(PoisonError::into_inner);
     if m.gen != st.gen {
-        m.writer = None;
-        m.readers = 0;
+        m.owner = None;
         m.release.clear();
         m.gen = st.gen;
     }
-    let free = if shared {
-        m.writer.is_none()
-    } else {
-        m.writer.is_none() && m.readers == 0
-    };
+    let free = m.owner.is_none();
     if free {
-        if shared {
-            m.readers += 1;
-        } else {
-            m.writer = Some(me);
-        }
+        m.owner = Some(me);
         let rel = m.release.clone();
         st.threads[me].clock.join(&rel);
     }
@@ -1095,7 +1074,7 @@ pub(crate) fn lock_try_acquire(meta: &StdMutex<LockMeta>, shared: bool) -> bool 
 }
 
 /// Release the virtual lock and wake its waiters.
-pub(crate) fn lock_release(meta: &StdMutex<LockMeta>, key: usize, shared: bool) {
+pub(crate) fn lock_release(meta: &StdMutex<LockMeta>, key: usize) {
     let Some((gen, me)) = current() else { return };
     let mut st = lock_state();
     if st.gen != gen {
@@ -1112,11 +1091,7 @@ pub(crate) fn lock_release(meta: &StdMutex<LockMeta>, key: usize, shared: bool) 
     }
     let clock = st.threads[me].clock.clone();
     m.release.join(&clock);
-    if shared {
-        m.readers = m.readers.saturating_sub(1);
-    } else {
-        m.writer = None;
-    }
+    m.owner = None;
     drop(m);
     wake_lock_waiters(&mut st, key);
 }
@@ -1134,7 +1109,7 @@ pub(crate) fn condvar_wait(
         return false;
     };
     // Release the mutex.
-    lock_release(mutex_meta, mutex_key, false);
+    lock_release(mutex_meta, mutex_key);
     let mut st = lock_state();
     if st.gen != gen {
         set_current(None);
@@ -1156,7 +1131,7 @@ pub(crate) fn condvar_wait(
         }
     };
     // Reacquire the mutex before returning to the waiter's critical section.
-    lock_acquire(mutex_meta, mutex_key, false);
+    lock_acquire(mutex_meta, mutex_key);
     timed_out
 }
 

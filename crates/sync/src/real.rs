@@ -5,9 +5,7 @@
 //! both personalities.
 
 mod lock;
-pub use lock::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
-};
+pub use lock::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 
 /// `std::sync::atomic`, verbatim.
 pub mod atomic {

@@ -1,4 +1,4 @@
-//! `Mutex`/`RwLock`/`Condvar` with the `parking_lot` API shape the
+//! `Mutex`/`Condvar` with the `parking_lot` API shape the
 //! workspace was written against (guards returned directly, `wait(&mut
 //! guard)`), implemented over `std::sync`. Poisoning is deliberately
 //! transparent: a panicking thread does not poison locks for everyone else.
@@ -6,7 +6,7 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Mutex
@@ -108,33 +108,22 @@ impl Condvar {
         guard.guard = Some(self.inner.wait(g).unwrap_or_else(PoisonError::into_inner));
     }
 
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.guard.take().expect("guard present outside wait");
-        let (g, res) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, res)) => (g, res),
-            Err(p) => {
-                let (g, res) = p.into_inner();
-                (g, res)
-            }
-        };
-        guard.guard = Some(g);
-        WaitTimeoutResult(res.timed_out())
-    }
-
     pub fn wait_until<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
         deadline: Instant,
     ) -> WaitTimeoutResult {
-        let now = Instant::now();
-        if now >= deadline {
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        if timeout.is_zero() {
             return WaitTimeoutResult(true);
         }
-        self.wait_for(guard, deadline - now)
+        let g = guard.guard.take().expect("guard present outside wait");
+        let (g, res) = self
+            .inner
+            .wait_timeout(g, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.guard = Some(g);
+        WaitTimeoutResult(res.timed_out())
     }
 
     pub fn notify_one(&self) {
@@ -146,69 +135,11 @@ impl Condvar {
     }
 }
 
-// ---------------------------------------------------------------------------
-// RwLock
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    guard: std::sync::RwLockReadGuard<'a, T>,
-}
-
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    guard: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        Self {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            guard: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            guard: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn mutex_guards_exclusive_access() {
@@ -247,11 +178,11 @@ mod tests {
     }
 
     #[test]
-    fn condvar_wait_for_times_out() {
+    fn condvar_wait_until_times_out() {
         let m = Mutex::new(());
         let cv = Condvar::new();
         let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(5));
+        let res = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(5));
         assert!(res.timed_out());
     }
 
@@ -265,16 +196,5 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 1, "lock must stay usable after a panic");
-    }
-
-    #[test]
-    fn rwlock_allows_parallel_readers() {
-        let l = RwLock::new(5u32);
-        let r1 = l.read();
-        let r2 = l.read();
-        assert_eq!(*r1 + *r2, 10);
-        drop((r1, r2));
-        *l.write() = 6;
-        assert_eq!(*l.read(), 6);
     }
 }

@@ -214,7 +214,7 @@ fn recover(dir: &Path, count: u64) {
             c.records.len()
         ),
         Ok(None) => println!("no checkpoint; replaying the whole log"),
-        Err(e) => println!("checkpoint scan failed ({e}); replaying the whole log"),
+        Err(e) => println!("newest checkpoint is unreadable ({e}); recovery will refuse"),
     }
     let (engine, outcomes) = Bohm::recover(cfg, catalog_of(&spec())).unwrap_or_else(|e| {
         eprintln!("cannot recover from {}: {e}", dir.display());

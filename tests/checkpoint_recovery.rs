@@ -1,17 +1,15 @@
-//! Checkpoints bound replay, and survive their own crashes.
+//! Checkpoints bound replay, and recovery trusts only the newest one.
 //!
 //! Two claims from the durability layer, end to end on BOHM:
 //!
 //! * **bounded replay**: a checkpoint snapshots the committed state,
 //!   truncates the covered log prefix (bytes actually shrink), and a
 //!   subsequent recovery replays *only* the post-checkpoint suffix;
-//! * **fault tolerance of the checkpoint itself**: a torn checkpoint
-//!   file, a dangling temp file and a corrupt manifest — the artifacts of
-//!   a crash at each stage of `Checkpoint::write` — must each be ignored,
-//!   falling back to the previous valid checkpoint and a longer replay,
-//!   held to the serial oracle.
+//! * **newest only**: a checkpoint deletes the older ones, whose log suffix
+//!   it has just reclaimed, so a newest file that fails validation makes
+//!   recovery refuse instead of silently restoring an older state. A
+//!   dangling temp file — a crash before the rename — is ignored.
 
-use bohm_suite::common::checkpoint;
 use bohm_suite::common::engine::ExecOutcome;
 use bohm_suite::common::rng::FastRng;
 use bohm_suite::common::wal::{DurabilityConfig, FsyncPolicy};
@@ -151,12 +149,31 @@ fn checkpoint_bounds_replay_and_shrinks_log() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Simulate a crash at each stage of writing a *newer* checkpoint — the
-/// log it would have covered is still intact (truncation happens only
-/// after a durable write), so recovery must ignore the damaged artifact,
-/// restore the previous checkpoint, and pay for it with a longer replay.
+/// The checkpoint files in `dir`.
+fn checkpoint_files(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "ckp"))
+        .collect()
+}
+
+/// Recovery must fail with `InvalidData`, not restore anything.
+fn assert_refused(dir: &Path, db: &DatabaseSpec, tag: &str) {
+    match Bohm::recover(durable_cfg(dir), catalog_of(db)) {
+        Ok((engine, _)) => {
+            engine.shutdown();
+            panic!("{tag}: recovery accepted a damaged newest checkpoint");
+        }
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{tag}: {e}"),
+    }
+}
+
+/// Simulate the artifacts a crash or the disk can leave beside a valid
+/// checkpoint: a dangling temp file is ignored (restore the checkpoint,
+/// replay the suffix), a damaged newer checkpoint file is refused.
 #[test]
-fn damaged_checkpoint_falls_back_to_previous_and_replays_more() {
+fn damaged_checkpoint_is_refused_and_dangling_tmp_ignored() {
     let db = spec();
     let run = |tag: &str, damage: &dyn Fn(&Path)| {
         let dir = fresh_dir(&format!("fault-{tag}"));
@@ -164,61 +181,85 @@ fn damaged_checkpoint_falls_back_to_previous_and_replays_more() {
         let engine = Bohm::start(durable_cfg(&dir), catalog_of(&db));
         let prefix: Vec<Txn> = (0..120).map(|_| gen_txn(&mut rng)).collect();
         let mut outcomes = to_exec(&engine.execute_sync(prefix.clone()));
-        let stats = engine.checkpoint().expect("first checkpoint");
+        engine.checkpoint().expect("first checkpoint");
         let mid: Vec<Txn> = (0..80).map(|_| gen_txn(&mut rng)).collect();
         outcomes.extend(to_exec(&engine.execute_sync(mid.clone())));
         engine.shutdown();
-
         damage(&dir);
-
-        let (recovered, replayed) =
-            Bohm::recover(durable_cfg(&dir), catalog_of(&db)).expect("recover past damage");
-        assert_eq!(
-            replayed.len(),
-            mid.len(),
-            "{tag}: fallback to checkpoint {} must replay the mid section",
-            stats.epoch
-        );
-        let all: Vec<Txn> = prefix.iter().chain(&mid).cloned().collect();
-        let res = check_serial_equivalence(&db, &all, &outcomes, |rid| recovered.read_u64(rid));
-        res.unwrap_or_else(|e| panic!("{tag}: fallback recovery diverged: {e:?}"));
-
-        // Continue after the fallback: more work, a *real* checkpoint,
-        // and one more recovery — which now replays nothing.
-        let tail: Vec<Txn> = (0..60).map(|_| gen_txn(&mut rng)).collect();
-        outcomes.extend(to_exec(&recovered.execute_sync(tail.clone())));
-        recovered.checkpoint().expect("post-fallback checkpoint");
-        recovered.shutdown();
-        let (again, replayed) =
-            Bohm::recover(durable_cfg(&dir), catalog_of(&db)).expect("final recover");
-        assert_eq!(replayed.len(), 0, "{tag}: fresh checkpoint covers all work");
-        let all: Vec<Txn> = all.iter().chain(&tail).cloned().collect();
-        let res = check_serial_equivalence(&db, &all, &outcomes, |rid| again.read_u64(rid));
-        again.shutdown();
-        res.unwrap_or_else(|e| panic!("{tag}: post-fallback recovery diverged: {e:?}"));
-        std::fs::remove_dir_all(&dir).unwrap();
+        (dir, rng, prefix, mid, outcomes)
     };
 
-    // Crash after rename, torn file: a "newer" checkpoint that is a
-    // truncated copy of the valid one. The newest-first scan must reject
-    // it on checksum and fall back.
-    run("torn-file", &|dir| {
-        let valid = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().is_some_and(|e| e == "ckp"))
-            .expect("a valid checkpoint exists");
-        let bytes = std::fs::read(&valid).unwrap();
-        std::fs::write(dir.join("chk-00000099.ckp"), &bytes[..bytes.len() - 5]).unwrap();
-    });
     // Crash before rename: a dangling temp file. Recovery never even
     // considers it.
-    run("dangling-tmp", &|dir| {
+    let (dir, mut rng, prefix, mid, mut outcomes) = run("dangling-tmp", &|dir| {
         std::fs::write(dir.join("chk-00000099.tmp"), b"half a checkpoint").unwrap();
     });
-    // Crash mid-manifest (or bit rot): the manifest is advisory, the scan
-    // is the authority — a corrupt manifest must not mask the valid file.
-    run("torn-manifest", &|dir| {
-        std::fs::write(dir.join(checkpoint::MANIFEST_NAME), b"BOHMMAN1ga").unwrap();
+    let (recovered, replayed) =
+        Bohm::recover(durable_cfg(&dir), catalog_of(&db)).expect("recover past the temp file");
+    assert_eq!(
+        replayed.len(),
+        mid.len(),
+        "the checkpoint covers the prefix"
+    );
+    let all: Vec<Txn> = prefix.iter().chain(&mid).cloned().collect();
+    let res = check_serial_equivalence(&db, &all, &outcomes, |rid| recovered.read_u64(rid));
+    res.unwrap_or_else(|e| panic!("recovery diverged: {e:?}"));
+    // Continue: more work, a checkpoint, and one more recovery — which now
+    // replays nothing.
+    let tail: Vec<Txn> = (0..60).map(|_| gen_txn(&mut rng)).collect();
+    outcomes.extend(to_exec(&recovered.execute_sync(tail.clone())));
+    recovered.checkpoint().expect("second checkpoint");
+    recovered.shutdown();
+    let (again, replayed) =
+        Bohm::recover(durable_cfg(&dir), catalog_of(&db)).expect("final recover");
+    assert_eq!(replayed.len(), 0, "fresh checkpoint covers all work");
+    let all: Vec<Txn> = all.iter().chain(&tail).cloned().collect();
+    let res = check_serial_equivalence(&db, &all, &outcomes, |rid| again.read_u64(rid));
+    again.shutdown();
+    res.unwrap_or_else(|e| panic!("post-checkpoint recovery diverged: {e:?}"));
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // A "newer" checkpoint that is a truncated copy of the valid one. The
+    // writer never renames a torn file into place, so this is damage, and
+    // the valid older file must not be used instead.
+    let (dir, ..) = run("torn-file", &|dir| {
+        let valid = checkpoint_files(dir)
+            .pop()
+            .expect("a valid checkpoint exists");
+        let bytes = std::fs::read(valid).unwrap();
+        std::fs::write(dir.join("chk-00000099.ckp"), &bytes[..bytes.len() - 5]).unwrap();
     });
+    assert_refused(&dir, &db, "torn-file");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Bit rot in the only checkpoint: the log before it is gone, so
+/// restoring any older state — or none — would silently lose the work it
+/// covered. Recovery must refuse.
+#[test]
+fn bitrot_in_the_newest_checkpoint_is_refused_not_skipped() {
+    let db = spec();
+    let dir = fresh_dir("bitrot");
+    let mut rng = FastRng::seed_from(71);
+    let engine = Bohm::start(durable_cfg(&dir), catalog_of(&db));
+    engine.execute_sync((0..120).map(|_| gen_txn(&mut rng)).collect());
+    engine.checkpoint().expect("first checkpoint");
+    engine.execute_sync((0..80).map(|_| gen_txn(&mut rng)).collect());
+    let stats = engine.checkpoint().expect("second checkpoint");
+    engine.shutdown();
+
+    let files = checkpoint_files(&dir);
+    assert_eq!(
+        files.len(),
+        1,
+        "only the newest checkpoint is kept: {files:?}"
+    );
+    let newest = dir.join(format!("chk-{:08}.ckp", stats.epoch));
+    assert_eq!(files[0], newest);
+    let mut bytes = std::fs::read(&newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&newest, &bytes).unwrap();
+    assert_refused(&dir, &db, "bitrot");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

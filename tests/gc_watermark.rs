@@ -3,8 +3,7 @@
 //! These tests check the *observable guarantees* of BOHM's batch-watermark
 //! GC: the low watermark advances as batches complete, hot-key version
 //! chains stay bounded while the engine runs (instead of growing with the
-//! update count), disabling GC really retains everything, and GC never
-//! perturbs results (checked here by exact counter accounting; the
+//! update count), and GC never perturbs results (checked here by exact counter accounting; the
 //! serializability suite re-checks full-state equivalence with GC on).
 
 use bohm_suite::common::{Procedure, RecordId, Txn};
@@ -19,15 +18,16 @@ fn rmw(k: u64) -> Txn {
     )
 }
 
-fn hot_engine(gc: bool) -> Bohm {
-    let mut cfg = BohmConfig::with_threads(2, 2);
-    cfg.enable_gc = gc;
-    Bohm::start(cfg, CatalogSpec::new().table(4, 8, |_| 0))
+fn hot_engine() -> Bohm {
+    Bohm::start(
+        BohmConfig::with_threads(2, 2),
+        CatalogSpec::new().table(4, 8, |_| 0),
+    )
 }
 
 #[test]
 fn watermark_advances_with_completed_batches() {
-    let e = hot_engine(true);
+    let e = hot_engine();
     assert_eq!(e.gc_bound(), 0, "no batch executed yet");
     let mut last = 0;
     for _ in 0..5 {
@@ -47,7 +47,7 @@ fn hot_chain_stays_bounded_with_gc() {
     // 20,000 updates of 4 records: without GC that is ~5,000 versions per
     // chain; with Condition 3 the live tail is bounded by the pipeline
     // depth (batches in flight × batch size), far below that.
-    let e = hot_engine(true);
+    let e = hot_engine();
     for _ in 0..100 {
         e.execute_sync((0..200).map(|i| rmw(i % 4)).collect());
     }
@@ -98,27 +98,12 @@ fn uniform_keys_retire_one_version_per_write() {
 }
 
 #[test]
-fn gc_off_retains_every_version() {
-    let e = hot_engine(false);
-    for _ in 0..20 {
-        e.execute_sync((0..100).map(|i| rmw(i % 4)).collect());
-    }
-    assert_eq!(e.gc_retired(), 0);
-    // Results unaffected.
-    let total: u64 = (0..4)
-        .map(|k| e.read_u64(RecordId::new(0, k)).unwrap())
-        .sum();
-    assert_eq!(total, 2_000);
-    e.shutdown();
-}
-
-#[test]
 fn gc_never_reclaims_versions_needed_by_inflight_readers() {
     // Long pipelines of read-only txns at old timestamps interleaved with
     // hot updates: every read-only fingerprint must equal the value the
     // log order dictates (if GC freed a needed version, the read would
     // either crash or observe a wrong/newer value).
-    let e = hot_engine(true);
+    let e = hot_engine();
     let rid = RecordId::new(0, 1);
     // The whole pipeline in flight at once: 1000 update/read pairs.
     let session = e.session();
@@ -150,9 +135,10 @@ fn gc_never_reclaims_versions_needed_by_inflight_readers() {
 fn single_exec_thread_still_collects() {
     // The designated watermark refresher is exec thread 0; with exactly one
     // exec thread the watermark path must still work.
-    let mut cfg = BohmConfig::with_threads(2, 1);
-    cfg.enable_gc = true;
-    let e = Bohm::start(cfg, CatalogSpec::new().table(2, 8, |_| 0));
+    let e = Bohm::start(
+        BohmConfig::with_threads(2, 1),
+        CatalogSpec::new().table(2, 8, |_| 0),
+    );
     for _ in 0..50 {
         e.execute_sync((0..100).map(|_| rmw(0)).collect());
     }

@@ -42,16 +42,16 @@
 //!
 //! [`restore_into`] replays the snapshot through the engine's normal
 //! write path as [`Procedure::Apply`] transactions: snapshotted rows are
-//! full-record writes, and rows the catalog seeds but the snapshot lacks
-//! are deletes (the snapshot is the *complete* present set as of its
-//! epoch). Any [`BatchEngine`] can therefore be checkpoint-restored with
-//! zero store-specific code.
+//! full-record writes, and rows the freshly seeded engine holds but the
+//! snapshot lacks are deletes (the snapshot is the *complete* present set
+//! as of its epoch). Any [`BatchEngine`] can therefore be
+//! checkpoint-restored with zero store-specific code.
 
+use crate::codec::{fnv64, put_u32, put_u64, sync_dir, Numbered, Reader};
 use crate::engine::{BatchEngine, Session};
 use crate::txn::Txn;
 use crate::types::RecordId;
-use crate::wal::{fnv64, sync_dir};
-use crate::Procedure;
+use crate::{Procedure, Value};
 use std::collections::HashSet;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write as _};
@@ -59,6 +59,12 @@ use std::path::{Path, PathBuf};
 
 /// First 8 bytes of every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"BOHMCKP1";
+
+/// `chk-NNNNNNNN.ckp`, numbered by epoch.
+const CHECKPOINTS: Numbered = Numbered {
+    prefix: "chk-",
+    ext: ".ckp",
+};
 
 /// A loaded (or about-to-be-written) snapshot: the complete present
 /// record set as of `epoch`, i.e. the cumulative effect of every batch
@@ -70,18 +76,6 @@ pub struct Checkpoint {
     pub epoch: u64,
     /// Every present record and its full committed payload.
     pub records: Vec<(RecordId, Box<[u8]>)>,
-}
-
-fn checkpoint_path(dir: &Path, epoch: u64) -> PathBuf {
-    dir.join(format!("chk-{epoch:08}.ckp"))
-}
-
-/// Parse `chk-NNNNNNNN.ckp` back to its epoch.
-fn checkpoint_epoch(name: &str) -> Option<u64> {
-    name.strip_prefix("chk-")?
-        .strip_suffix(".ckp")?
-        .parse()
-        .ok()
 }
 
 /// Write `bytes` to `path` atomically: temp file in the same directory,
@@ -107,17 +101,17 @@ impl Checkpoint {
     pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
         let mut buf = Vec::with_capacity(64 + self.records.len() * 32);
         buf.extend_from_slice(&CHECKPOINT_MAGIC);
-        buf.extend_from_slice(&self.epoch.to_le_bytes());
-        buf.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
+        put_u64(&mut buf, self.epoch);
+        put_u64(&mut buf, self.records.len() as u64);
         for (rid, data) in &self.records {
-            buf.extend_from_slice(&rid.table.0.to_le_bytes());
-            buf.extend_from_slice(&rid.row.to_le_bytes());
-            buf.extend_from_slice(&(data.len() as u32).to_le_bytes());
+            put_u32(&mut buf, rid.table.0);
+            put_u64(&mut buf, rid.row);
+            put_u32(&mut buf, data.len() as u32);
             buf.extend_from_slice(data);
         }
         let sum = fnv64(&buf[CHECKPOINT_MAGIC.len()..]);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        let path = checkpoint_path(dir, self.epoch);
+        put_u64(&mut buf, sum);
+        let path = CHECKPOINTS.path(dir, self.epoch);
         write_atomic(dir, &path, &buf)?;
         Ok(path)
     }
@@ -125,55 +119,25 @@ impl Checkpoint {
     /// Decode one checkpoint file; `None` when it is torn, truncated or
     /// fails its checksum.
     fn decode(bytes: &[u8]) -> Option<Self> {
-        let m = CHECKPOINT_MAGIC.len();
-        if bytes.len() < m + 24 || bytes[..m] != CHECKPOINT_MAGIC {
+        let body = bytes.strip_prefix(&CHECKPOINT_MAGIC)?;
+        let (body, sum) = body.split_at(body.len().checked_sub(8)?);
+        if fnv64(body) != u64::from_le_bytes(sum.try_into().ok()?) {
             return None;
         }
-        let body = &bytes[m..bytes.len() - 8];
-        let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().ok()?);
-        if fnv64(body) != sum {
-            return None;
-        }
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = body.get(*pos..*pos + n)?;
-            *pos += n;
-            Some(s)
-        };
-        let epoch = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-        let count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?) as usize;
-        // Each record needs ≥ 16 header bytes; reject counts the body
-        // cannot hold before allocating.
-        if count.saturating_mul(16) > body.len() - pos {
-            return None;
-        }
+        let mut r = Reader::new(body);
+        let epoch = r.u64()?;
+        // Each record needs ≥ 16 header bytes.
+        let count = r.u64()?;
+        let count = r.fits(count, 16)?;
         let mut records = Vec::with_capacity(count);
         for _ in 0..count {
-            let table = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-            let row = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-            let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-            records.push((RecordId::new(table, row), take(&mut pos, len)?.into()));
+            let table = r.u32()?;
+            let row = r.u64()?;
+            let len = r.u32()? as usize;
+            records.push((RecordId::new(table, row), r.take(len)?.into()));
         }
-        (pos == body.len()).then_some(Self { epoch, records })
+        r.at_end().then_some(Self { epoch, records })
     }
-}
-
-/// The epochs of every `chk-*.ckp` file in `dir`, in directory order
-/// (`.tmp` files and everything else are skipped); empty when `dir` does
-/// not exist.
-fn checkpoint_epochs(dir: &Path) -> io::Result<Vec<u64>> {
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut epochs = Vec::new();
-    for entry in entries {
-        if let Some(e) = entry?.file_name().to_str().and_then(checkpoint_epoch) {
-            epochs.push(e);
-        }
-    }
-    Ok(epochs)
 }
 
 /// Load the newest checkpoint in `dir`, or `None` when there is none
@@ -184,10 +148,9 @@ fn checkpoint_epochs(dir: &Path) -> io::Result<Vec<u64>> {
 /// an older file: [`cut`] has already reclaimed the log an older
 /// checkpoint would need, so restoring one would silently lose work.
 pub fn load_latest(dir: &Path) -> io::Result<Option<Checkpoint>> {
-    let Some(epoch) = checkpoint_epochs(dir)?.into_iter().max() else {
+    let Some((epoch, path, _)) = CHECKPOINTS.list(dir)?.pop() else {
         return Ok(None);
     };
-    let path = checkpoint_path(dir, epoch);
     match Checkpoint::decode(&fs::read(&path)?) {
         Some(ckp) if ckp.epoch == epoch => Ok(Some(ckp)),
         _ => Err(io::Error::new(
@@ -216,9 +179,9 @@ pub fn cut(
     Checkpoint { epoch, records }.write(wal.dir())?;
     wal.rotate()?;
     let freed_bytes = wal.truncate_before(epoch)?;
-    for old in checkpoint_epochs(wal.dir())? {
+    for (old, path, _) in CHECKPOINTS.list(wal.dir())? {
         if old < epoch {
-            fs::remove_file(checkpoint_path(wal.dir(), old))?;
+            fs::remove_file(path)?;
         }
     }
     Ok(crate::durable::CheckpointStats {
@@ -228,59 +191,38 @@ pub fn cut(
     })
 }
 
-/// Replay a snapshot into a (freshly started, seeded) engine through its
-/// normal write path: every snapshotted record becomes a full-record
-/// `Apply` write, and every row of `seeded_rows` (per-table seeded row
-/// counts — the rows the engine preloads at start) that the snapshot
-/// does **not** contain becomes an `Apply` delete. After this, the
-/// engine's state equals the checkpointed state exactly, secondary-index
-/// posting lists included (they are ordinary records).
-pub fn restore_into<E: BatchEngine + ?Sized>(ckp: &Checkpoint, seeded_rows: &[u64], engine: &E) {
+/// Replay a snapshot into a freshly started engine through its normal
+/// write path: every snapshotted record becomes a full-record `Apply`
+/// write, and every record the engine holds — what it was seeded with —
+/// that the snapshot does **not** contain becomes an `Apply` delete. After
+/// this, the engine's state equals the checkpointed state exactly,
+/// secondary-index posting lists included (they are ordinary records).
+pub fn restore_into<E: BatchEngine + ?Sized>(ckp: &Checkpoint, engine: &E) {
     /// Writes per restore transaction — a batch-friendly size that keeps
     /// `Apply` transactions well under any record-size cap.
     const CHUNK: usize = 512;
-    let mut session = engine.open_session();
-    let mut rids = Vec::with_capacity(CHUNK);
-    let mut values: Vec<Option<crate::Value>> = Vec::with_capacity(CHUNK);
-    let mut flush = |rids: &mut Vec<RecordId>, values: &mut Vec<Option<crate::Value>>| {
-        if rids.is_empty() {
-            return;
+    let present: HashSet<RecordId> = ckp.records.iter().map(|(rid, _)| *rid).collect();
+    // Seeded but absent from the snapshot: deleted by the time it was taken.
+    let mut gone = Vec::new();
+    engine.snapshot_records(&mut |rid, _| {
+        if !present.contains(&rid) {
+            gone.push((rid, None));
         }
-        session.submit(Txn::new(
-            vec![],
-            std::mem::take(rids),
-            Procedure::Apply {
-                values: std::mem::take(values).into(),
-            },
-        ));
+    });
+    let writes = ckp
+        .records
+        .iter()
+        .map(|(rid, data)| (*rid, Some(Value::from(&data[..]))));
+    let mut todo = writes.chain(gone).peekable();
+    let mut session = engine.open_session();
+    while todo.peek().is_some() {
+        let (rids, values): (Vec<RecordId>, Vec<_>) = todo.by_ref().take(CHUNK).unzip();
+        let values = values.into();
+        session.submit(Txn::new(vec![], rids, Procedure::Apply { values }));
         while session.in_flight() > 0 {
             session.reap();
         }
-    };
-    let mut present: HashSet<RecordId> = HashSet::with_capacity(ckp.records.len());
-    for (rid, data) in &ckp.records {
-        present.insert(*rid);
-        rids.push(*rid);
-        values.push(Some(crate::Value::from(&data[..])));
-        if rids.len() >= CHUNK {
-            flush(&mut rids, &mut values);
-        }
     }
-    // Seeded-but-absent rows: present at engine start, deleted by the
-    // time of the snapshot — restore must delete them too.
-    for (table, &rows) in seeded_rows.iter().enumerate() {
-        for row in 0..rows {
-            let rid = RecordId::new(table as u32, row);
-            if !present.contains(&rid) {
-                rids.push(rid);
-                values.push(None);
-                if rids.len() >= CHUNK {
-                    flush(&mut rids, &mut values);
-                }
-            }
-        }
-    }
-    flush(&mut rids, &mut values);
     engine.quiesce();
 }
 

@@ -2,7 +2,7 @@
 //! engine — the generalization of what used to be a BOHM-only feature.
 //!
 //! BOHM logs **inputs only**: its serialization order is the arrival
-//! order the sequencer already fixed, so replaying the logged inputs
+//! order its sealer already fixed, so replaying the logged inputs
 //! deterministically reproduces every decision (paper §2 — determinism
 //! is what makes logging cheap). The nondeterministic baselines (2PL,
 //! OCC, Hekaton, SI) have no such luxury: their commit order is whatever
@@ -16,19 +16,33 @@
 //!   commit decision* ([`TxnDecision`]) to the WAL before releasing the
 //!   outcome. Holding the lock across execute-and-log makes log order
 //!   equal commit order by construction.
-//! * Recovery restores the newest
-//!   [`Checkpoint`](checkpoint::Checkpoint), then replays the
-//!   log suffix stamped at or after the checkpoint epoch — executing
-//!   exactly the transactions whose logged decision says *committed*, in
-//!   log (= commit) order, and cross-checking each replayed fingerprint
-//!   against the logged one.
+//! * Recovery is [`recover`], the routine BOHM's `Bohm::recover` runs too.
 //!
 //! The serialization is the point, not a shortcut: it is the cost of
 //! durability without determinism, and it is why the paper's
 //! deterministic design logs at full parallel throughput while these
 //! baselines must either pay this serialization or build ARIES-style
-//! physical logging. (BOHM itself does not use this wrapper — its
-//! sequencer logs whole batches before release; see `Bohm::recover`.)
+//! physical logging. (BOHM itself does not use this wrapper — its sealer
+//! logs whole batches before release.)
+//!
+//! # One recovery routine
+//!
+//! Both durable engines come back the same way — build the engine,
+//! [`recover`] into it, attach the log it hands back:
+//!
+//! 1. restore the newest [`Checkpoint`](checkpoint::Checkpoint), if any;
+//! 2. replay the log suffix stamped at or after its epoch through
+//!    [`replay_into`], the one loop over logged transactions: an
+//!    input-only record (BOHM's) replays whole, a decided record (this
+//!    wrapper's) replays exactly the transactions it marks *committed*, in
+//!    log (= commit) order, each cross-checked against its logged
+//!    fingerprint;
+//! 3. only then open the log for appending ([`Wal::open`], which repairs a
+//!    torn tail and starts a fresh segment).
+//!
+//! The engine has no log while it replays, so recovery never logs: neither
+//! the replayed transactions nor the barriers that end restore and replay
+//! reach the inherited segments a second time.
 //!
 //! # Losing the unacknowledged tail
 //!
@@ -48,20 +62,20 @@
 //! lock and hands it to [`checkpoint::cut`], which writes it atomically,
 //! rotates the WAL so every pre-checkpoint record sits in a sealed
 //! segment, reclaims those segments via
-//! [`Wal::truncate_before`](crate::wal::Wal::truncate_before), and deletes
-//! the older checkpoint. Recovery after that replays only the
-//! post-checkpoint suffix.
+//! [`Wal::truncate_before`](crate::wal::Wal::truncate_before) — the ones
+//! written before a restart included — and deletes the older checkpoint.
+//! Recovery after that replays only the post-checkpoint suffix.
 
 use crate::checkpoint;
-use crate::engine::{Engine, ExecOutcome};
+use crate::engine::{BatchEngine, Engine, ExecOutcome};
 use crate::txn::Txn;
-use crate::wal::{DurabilityConfig, LogSink, TxnDecision, Wal};
+use crate::wal::{replay_into, DurabilityConfig, LogSink, TxnDecision, Wal};
 use bohm_sync::atomic::{AtomicU64, Ordering};
 use bohm_sync::Mutex;
 use std::io;
 
-/// What [`DurableEngine::open`] did to bring the engine back: how much
-/// state came from a checkpoint and how much from log replay.
+/// What [`recover`] did to bring an engine back: how much state came from
+/// a checkpoint and how much from log replay.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Epoch of the checkpoint restored, if one was found.
@@ -76,6 +90,63 @@ pub struct RecoveryReport {
     /// Logged transactions whose recorded decision was *abort* — their
     /// inputs are in the log but replay does not execute them.
     pub txns_aborted: usize,
+}
+
+/// What [`recover`] hands back: the log, opened for appending behind
+/// everything recovered, and what recovery did.
+#[derive(Debug)]
+pub struct Recovered {
+    /// The log, open for appending; the caller attaches it to the engine.
+    pub wal: Wal,
+    /// The epoch to stamp new records with: the newest one recovered (the
+    /// checkpoint's, if nothing was logged after it).
+    pub epoch: u64,
+    /// What recovery did.
+    pub report: RecoveryReport,
+    /// The replayed transactions' outcomes, in log order.
+    pub outcomes: Vec<ExecOutcome>,
+}
+
+/// Bring `engine` — freshly built and seeded, never yet executed against,
+/// and **not logging** — up to the durable state in `config.dir`, then open
+/// the log for appending. This is the one recovery routine of both durable
+/// engines (see the [module docs](self)). On a fresh directory it restores
+/// and replays nothing.
+///
+/// # Errors
+///
+/// I/O errors from the log/checkpoint machinery, plus
+/// [`io::ErrorKind::InvalidData`] when the newest checkpoint fails
+/// validation, or when a replayed transaction's outcome contradicts its
+/// logged decision — either way the durable history cannot be trusted.
+/// Nothing in the directory changes before replay has succeeded.
+pub fn recover<E: BatchEngine + ?Sized>(
+    engine: &E,
+    config: &DurabilityConfig,
+) -> io::Result<Recovered> {
+    let log = Wal::read_log(&config.dir)?;
+    let ckp = checkpoint::load_latest(&config.dir)?;
+    let mut report = RecoveryReport::default();
+    let base = match &ckp {
+        Some(c) => {
+            report.checkpoint_epoch = Some(c.epoch);
+            report.checkpoint_records = c.records.len();
+            checkpoint::restore_into(c, engine);
+            c.epoch
+        }
+        None => 0,
+    };
+    let suffix: Vec<_> = log.iter().filter(|b| b.epoch >= base).collect();
+    report.batches_skipped = log.len() - suffix.len();
+    let outcomes = replay_into(suffix.iter().copied(), engine)?;
+    report.txns_replayed = outcomes.len();
+    report.txns_aborted = suffix.iter().map(|b| b.txns.len()).sum::<usize>() - outcomes.len();
+    Ok(Recovered {
+        wal: Wal::open(config)?,
+        epoch: log.iter().map(|b| b.epoch).fold(base, u64::max),
+        report,
+        outcomes,
+    })
 }
 
 /// What one [`DurableEngine::checkpoint`] call accomplished.
@@ -107,17 +178,12 @@ pub struct DurableEngine<E: Engine> {
     /// by [`checkpoint`](Self::checkpoint), which makes the snapshot a
     /// true commit-boundary cut.
     commit_lock: Mutex<()>,
-    /// Per-table seeded row counts captured from the freshly built inner
-    /// engine — the rows `restore_into` must delete when a checkpoint
-    /// lacks them.
-    seeded_rows: Vec<u64>,
 }
 
 impl<E: Engine> DurableEngine<E> {
-    /// Open the log directory and bring `inner` — freshly built and
-    /// catalog-seeded, never yet executed against — up to the durable
-    /// state: restore the newest checkpoint (if any), replay the
-    /// committed suffix of the log, and resume logging after it.
+    /// Bring `inner` — freshly built and catalog-seeded, never yet
+    /// executed against — up to the durable state in `config.dir` through
+    /// [`recover`], and resume logging after it.
     ///
     /// On a fresh directory this degenerates to "start logging": no
     /// checkpoint, nothing to replay. Returns the engine and a
@@ -125,96 +191,19 @@ impl<E: Engine> DurableEngine<E> {
     ///
     /// # Errors
     ///
-    /// I/O errors from the log/checkpoint machinery, plus
-    /// [`io::ErrorKind::InvalidData`] when the newest checkpoint fails
-    /// validation, or when a replayed transaction's outcome diverges from
-    /// its logged decision — either way the durable history cannot be
-    /// trusted.
+    /// Those of [`recover`].
     pub fn open(inner: E, config: &DurabilityConfig) -> io::Result<(Self, RecoveryReport)> {
-        // Opening the WAL first repairs any torn tail, so read_log below
-        // sees a clean history.
-        let wal = Wal::open(config)?;
-        let batches = Wal::read_log(&config.dir)?;
-        let ckp = checkpoint::load_latest(&config.dir)?;
-
-        // The freshly seeded engine's present set *is* the seeded set;
-        // capture per-table row counts before restore disturbs it.
-        let mut seeded_rows: Vec<u64> = Vec::new();
-        inner.snapshot_records(&mut |rid, _| {
-            let t = rid.table.index();
-            if seeded_rows.len() <= t {
-                seeded_rows.resize(t + 1, 0);
-            }
-            seeded_rows[t] = seeded_rows[t].max(rid.row + 1);
-        });
-
-        let mut report = RecoveryReport::default();
-        let mut resume_epoch = 0u64;
-        let base = match &ckp {
-            Some(c) => {
-                report.checkpoint_epoch = Some(c.epoch);
-                report.checkpoint_records = c.records.len();
-                resume_epoch = c.epoch;
-                checkpoint::restore_into(c, &seeded_rows, &inner);
-                c.epoch
-            }
-            None => 0,
-        };
-
-        // Replay the suffix serially through one worker. Replay executes
-        // against the inner engine directly — the wrapper is not built
-        // yet, so nothing is re-logged (the surviving segments already
-        // hold these records).
-        let mut w = inner.make_worker();
-        for b in &batches {
-            if b.epoch < base {
-                report.batches_skipped += 1;
-                continue;
-            }
-            resume_epoch = resume_epoch.max(b.epoch);
-            match &b.outcomes {
-                Some(outs) => {
-                    for (txn, d) in b.txns.iter().zip(outs) {
-                        if !d.committed {
-                            report.txns_aborted += 1;
-                            continue;
-                        }
-                        let out = inner.execute(txn, &mut w);
-                        if !out.committed || out.fingerprint != d.fingerprint {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!(
-                                    "replay diverged from logged decision at epoch {}: \
-                                     logged (committed, fp 0x{:016x}), replayed \
-                                     (committed={}, fp 0x{:016x})",
-                                    b.epoch, d.fingerprint, out.committed, out.fingerprint
-                                ),
-                            ));
-                        }
-                        report.txns_replayed += 1;
-                    }
-                }
-                // An input-only record (no outcomes section) in an
-                // interactive engine's log can only come from a
-                // deterministic producer; replay everything it holds.
-                None => {
-                    for txn in &b.txns {
-                        inner.execute(txn, &mut w);
-                        report.txns_replayed += 1;
-                    }
-                }
-            }
-        }
-
+        // Recovery replays into the bare inner engine: the wrapper, which
+        // is what logs, exists only once the log is handed back.
+        let recovered = recover(&inner, config)?;
         Ok((
             Self {
                 inner,
-                wal,
-                epoch: AtomicU64::new(resume_epoch),
+                wal: recovered.wal,
+                epoch: AtomicU64::new(recovered.epoch),
                 commit_lock: Mutex::new(()),
-                seeded_rows,
             },
-            report,
+            recovered.report,
         ))
     }
 
@@ -311,7 +300,6 @@ impl<E: Engine> std::fmt::Debug for DurableEngine<E> {
             .field("wal", &self.wal)
             // RELAXED: Debug output is allowed to race.
             .field("epoch", &self.epoch.load(Ordering::Relaxed))
-            .field("seeded_rows", &self.seeded_rows)
             .finish()
     }
 }

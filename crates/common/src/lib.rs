@@ -11,9 +11,10 @@
 //! * deterministic fast RNG ([`rng`]) and the YCSB zipfian key generator
 //!   ([`zipf`], Gray et al. SIGMOD'94 as cited by the paper §4.2.1),
 //! * measurement utilities ([`stats`]),
-//! * the batch-riding write-ahead log ([`wal`]): the sequencer logs each
-//!   formed batch's inputs before releasing it, and recovery is
-//!   deterministic replay ([`wal::replay_into`]) — see the workspace's
+//! * the batch-riding write-ahead log ([`wal`]): the sealer logs each
+//!   formed batch's inputs before releasing it, and every durable engine
+//!   recovers through one routine ([`durable::recover`]), whose replay is
+//!   [`wal::replay_into`] — see the workspace's
 //!   `recovery_demo` example for the end-to-end open-log → run → kill →
 //!   replay → fingerprint-check walkthrough.
 //!
@@ -26,6 +27,7 @@
 pub mod access;
 pub mod arena;
 pub mod checkpoint;
+mod codec;
 pub mod durable;
 pub mod engine;
 pub mod index;

@@ -1,17 +1,17 @@
 //! A logical write-ahead log that rides batch formation.
 //!
-//! BOHM's sequencer already totally orders every transaction (arrival
-//! order *is* the serialization order, paper §3.2.1), so durability needs
-//! no commit-time coordination of its own: the sequencer serializes each
-//! formed batch's **inputs** — procedure, declared read/write/scan/index
-//! sets, epoch stamp — into one length-prefixed, checksummed record,
-//! fsyncs according to the configured [`FsyncPolicy`], and only then
-//! releases the batch to the CC threads. Group commit falls out of the
-//! existing size/linger batching for free, and recovery is deterministic
-//! replay: re-submit the logged transactions in log order through the
-//! normal pipeline and the rebuilt state is fingerprint-identical to a
-//! serial oracle over the same inputs (batch boundaries do not affect
-//! outcomes — only order matters).
+//! BOHM's sealer already totally orders every transaction (arrival order
+//! *is* the serialization order, paper §3.2.1), so durability needs no
+//! commit-time coordination of its own: the sealer serializes each formed
+//! batch's **inputs** — procedure, declared read/write/scan/index sets,
+//! epoch stamp — into one length-prefixed, checksummed record, fsyncs
+//! according to the configured [`FsyncPolicy`], and only then releases the
+//! batch to the CC threads. Group commit falls out of the existing
+//! size/linger batching for free, and recovery is deterministic replay
+//! ([`replay_into`]): re-submit the logged transactions in log order
+//! through the normal pipeline and the rebuilt state is
+//! fingerprint-identical to a serial oracle over the same inputs (batch
+//! boundaries do not affect outcomes — only order matters).
 //!
 //! # On-disk format
 //!
@@ -46,13 +46,16 @@
 //!
 //! # Adoption surface
 //!
-//! [`Wal`] implements the object-safe [`LogSink`] trait, which is the
-//! integration point sized for the rest of the roadmap: the other four
-//! engines log their own commit orders through the same trait.
+//! [`Wal`] implements the object-safe [`LogSink`] trait: BOHM's sealer
+//! logs batch inputs through it, and `common::durable::DurableEngine` logs
+//! the other four engines' commit orders with their decisions. Both read
+//! the log back through one recovery routine, `common::durable::recover`,
+//! which replays with [`replay_into`] into an engine that is not logging
+//! yet and only then opens the log for appending — so recovery never logs.
 //! [`Wal::log_bytes`] and [`Wal::truncate_before`] are the hooks
-//! checkpointing drives: once a checkpoint covers every effect up to
-//! epoch `e`, all segments whose batches are entirely older than `e` can
-//! be dropped.
+//! checkpointing (`common::checkpoint::cut`) drives: once a checkpoint
+//! covers every effect up to epoch `e`, all segments whose batches are
+//! entirely older than `e` are dropped, whichever process wrote them.
 //!
 //! # A failed log stays failed
 //!
@@ -68,20 +71,17 @@
 //! kill → replay → fingerprint-check walkthrough, and `DESIGN.md`
 //! ("Durability & recovery") for the design rationale.
 
+use crate::codec::{fnv64, put_u32, put_u64, sync_dir, Numbered, Reader};
 use crate::engine::{BatchEngine, ExecOutcome, Session};
 use crate::txn::{IndexScan, ScanRange, Txn};
 use crate::types::RecordId;
 use crate::{Procedure, SmallBankProc, TpcCProc};
-use bohm_sync::atomic::{AtomicBool, Ordering};
 use bohm_sync::Mutex;
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-
-// Checkpoints co-locate with the log and bound its replay; re-exported
-// here so the durability surface reads as one module.
-pub use crate::checkpoint::{load_latest as load_latest_checkpoint, restore_into, Checkpoint};
 
 /// First 8 bytes of every segment file (format version rides in the last
 /// byte: bump it when the record encoding changes incompatibly). Version
@@ -94,6 +94,12 @@ pub const SEGMENT_MAGIC: [u8; 8] = *b"BOHMWAL2";
 /// last segment, corruption elsewhere) instead of an attempted
 /// multi-gigabyte allocation.
 pub const MAX_RECORD_BYTES: u32 = 1 << 28;
+
+/// `wal-NNNNNNNN.seg`, numbered in log order.
+const SEGMENTS: Numbered = Numbered {
+    prefix: "wal-",
+    ext: ".seg",
+};
 
 /// When the sequencer fsyncs the log relative to batch release.
 ///
@@ -224,10 +230,10 @@ pub struct LoggedBatch {
 struct SealedSegment {
     index: u64,
     bytes: u64,
-    /// Highest epoch stamped into the segment; `u64::MAX` for segments
-    /// inherited from a previous process (their epochs were not
-    /// re-scanned, so they are never auto-truncated).
-    max_epoch: u64,
+    /// Highest epoch stamped into the segment; `None` for a segment
+    /// inherited from a previous process until
+    /// [`Wal::truncate_before`] first needs it.
+    max_epoch: Option<u64>,
 }
 
 struct WalState {
@@ -251,9 +257,6 @@ pub struct Wal {
     dir: PathBuf,
     fsync: FsyncPolicy,
     segment_bytes: u64,
-    /// While set, [`LogSink::log_batch`] is a no-op — the recovery-replay
-    /// hook (see [`Wal::pause_appends`]).
-    paused: AtomicBool,
     state: Mutex<WalState>,
 }
 
@@ -267,50 +270,11 @@ impl fmt::Debug for Wal {
     }
 }
 
-fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("wal-{index:08}.seg"))
-}
-
-/// Parse `wal-NNNNNNNN.seg` back to its index.
-fn segment_index(name: &str) -> Option<u64> {
-    name.strip_prefix("wal-")?
-        .strip_suffix(".seg")?
-        .parse()
-        .ok()
-}
-
-/// Sorted `(index, path, bytes)` of the segments present in `dir`.
-fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf, u64)>> {
-    let mut segs = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        if let Some(idx) = name.to_str().and_then(segment_index) {
-            segs.push((idx, entry.path(), entry.metadata()?.len()));
-        }
-    }
-    segs.sort_by_key(|(idx, _, _)| *idx);
-    Ok(segs)
-}
-
-/// Durably record a directory-entry change — a freshly created segment, a
-/// renamed checkpoint (no-op on platforms where directories cannot be
-/// fsynced).
-pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        File::open(dir)?.sync_all()?;
-    }
-    #[cfg(not(unix))]
-    let _ = dir;
-    Ok(())
-}
-
 fn create_segment(dir: &Path, index: u64) -> io::Result<File> {
     let mut f = OpenOptions::new()
         .write(true)
         .create_new(true)
-        .open(segment_path(dir, index))?;
+        .open(SEGMENTS.path(dir, index))?;
     f.write_all(&SEGMENT_MAGIC)?;
     sync_dir(dir)?;
     Ok(f)
@@ -328,13 +292,11 @@ impl Wal {
     /// longer last, where the torn-tail rule would treat the same bytes
     /// as corruption and fail [`read_log`](Self::read_log). A
     /// checksummed record that fails to decode is real corruption and
-    /// refuses to open. (Inherited segments are never dropped by
-    /// [`truncate_before`](Self::truncate_before); their epoch range
-    /// was not re-scanned.)
+    /// refuses to open.
     pub fn open(config: &DurabilityConfig) -> io::Result<Self> {
         config.validate();
         fs::create_dir_all(&config.dir)?;
-        let mut existing = list_segments(&config.dir)?;
+        let mut existing = SEGMENTS.list(&config.dir)?;
         // Torn-tail repair. A loop, because a file torn inside its header
         // holds nothing and is removed, promoting the previous (sealed,
         // so normally intact) segment to "last".
@@ -363,7 +325,7 @@ impl Wal {
             .map(|(index, _, bytes)| SealedSegment {
                 index,
                 bytes,
-                max_epoch: u64::MAX,
+                max_epoch: None,
             })
             .collect();
         let sealed_bytes = sealed.iter().map(|s| s.bytes).sum();
@@ -372,7 +334,6 @@ impl Wal {
             dir: config.dir.clone(),
             fsync: config.fsync,
             segment_bytes: config.segment_bytes,
-            paused: AtomicBool::new(false),
             state: Mutex::new(WalState {
                 file,
                 seg_index: next,
@@ -423,31 +384,12 @@ impl Wal {
         self.state.lock().batches
     }
 
-    /// Suspend appends: until [`resume_appends`](Self::resume_appends),
-    /// [`LogSink::log_batch`] returns `Ok` without writing anything.
-    ///
-    /// This is the recovery-replay hook. Replaying a recovered log
-    /// through an engine that reopened the **same** directory must not
-    /// re-log the replayed prefix — the inherited segments already hold
-    /// it, and logging it again would double-apply it on the next
-    /// recovery. The engine's recovery entry point pauses appends,
-    /// replays, waits for every replayed batch to drain, then resumes.
-    pub fn pause_appends(&self) {
-        self.paused.store(true, Ordering::Release);
-    }
-
-    /// Resume appends after [`pause_appends`](Self::pause_appends).
-    /// Callers must ensure every batch that should *not* be logged has
-    /// passed its log point (for the engine: has retired) before
-    /// resuming.
-    pub fn resume_appends(&self) {
-        self.paused.store(false, Ordering::Release);
-    }
-
     /// Delete every **sealed** segment whose batches are all stamped with
     /// an epoch `< epoch` — the hook a checkpoint covering everything
-    /// before `epoch` will drive. The active segment and segments
-    /// inherited from a previous process are never dropped. Returns the
+    /// before `epoch` drives. The active segment is never dropped. A
+    /// segment inherited from a previous process has its epochs read back
+    /// the first time this asks (`max_epoch_of`), so a checkpoint
+    /// after a restart reclaims the log written before it. Returns the
     /// bytes reclaimed. On an IO error, segments already removed are
     /// accounted for and the rest stay tracked, so a failed call leaves
     /// [`log_bytes`](Self::log_bytes) consistent and can be retried.
@@ -456,11 +398,17 @@ impl Wal {
         let mut freed = 0u64;
         let mut i = 0;
         while i < st.sealed.len() {
-            if st.sealed[i].max_epoch >= epoch {
+            let seg = &mut st.sealed[i];
+            let path = SEGMENTS.path(&self.dir, seg.index);
+            let max_epoch = match seg.max_epoch {
+                Some(e) => e,
+                None => *seg.max_epoch.insert(max_epoch_of(&path)?),
+            };
+            if max_epoch >= epoch {
                 i += 1;
                 continue;
             }
-            fs::remove_file(segment_path(&self.dir, st.sealed[i].index))?;
+            fs::remove_file(path)?;
             let seg = st.sealed.remove(i);
             st.sealed_bytes -= seg.bytes;
             freed += seg.bytes;
@@ -474,9 +422,17 @@ impl Wal {
     /// along with everything after it; the same damage in any earlier
     /// segment is corruption and errors out. A checksummed record that
     /// fails to *decode* is always an error (that is a format bug or
-    /// version mismatch, not a torn write).
+    /// version mismatch, not a torn write). A trailing file torn inside its
+    /// header holds nothing and is skipped, so the segment before it is
+    /// read as the last — what [`open`](Self::open)'s repair leaves.
     pub fn read_log(dir: &Path) -> io::Result<Vec<LoggedBatch>> {
-        let segs = list_segments(dir)?;
+        let mut segs = SEGMENTS.list(dir)?;
+        while segs
+            .last()
+            .is_some_and(|(_, _, bytes)| *bytes < SEGMENT_MAGIC.len() as u64)
+        {
+            segs.pop();
+        }
         let mut out = Vec::new();
         let last = segs.len().saturating_sub(1);
         for (i, (idx, path, _)) in segs.iter().enumerate() {
@@ -499,17 +455,14 @@ impl Wal {
         txns: &mut dyn ExactSizeIterator<Item = &Txn>,
         outcomes: Option<&[TxnDecision]>,
     ) -> io::Result<()> {
-        if self.paused.load(Ordering::Acquire) {
-            return Ok(()); // recovery replay: already in inherited segments
-        }
         self.latched(|st| {
             // Encode the payload into the reusable buffer, leaving room for
             // the [len][checksum] header at the front.
             st.buf.clear();
             st.buf.resize(12, 0);
-            st.buf.extend_from_slice(&epoch.to_le_bytes());
+            put_u64(&mut st.buf, epoch);
             let count = u32::try_from(txns.len()).expect("batch size fits u32");
-            st.buf.extend_from_slice(&count.to_le_bytes());
+            put_u32(&mut st.buf, count);
             for txn in txns {
                 encode_txn(&mut st.buf, txn);
             }
@@ -522,7 +475,7 @@ impl Wal {
                 st.buf.push(OUTCOMES_TAG);
                 for o in outcomes {
                     st.buf.push(o.committed as u8);
-                    st.buf.extend_from_slice(&o.fingerprint.to_le_bytes());
+                    put_u64(&mut st.buf, o.fingerprint);
                 }
             }
             let payload_len = (st.buf.len() - 12) as u32;
@@ -559,7 +512,7 @@ impl Wal {
         let finished = SealedSegment {
             index: st.seg_index,
             bytes: st.seg_len,
-            max_epoch: st.seg_max_epoch,
+            max_epoch: Some(st.seg_max_epoch),
         };
         st.sealed_bytes += finished.bytes;
         st.sealed.push(finished);
@@ -615,60 +568,89 @@ impl LogSink for Wal {
 }
 
 /// Re-submit recovered batches through an engine's normal pipeline, in
-/// log order, and quiesce. Returns the per-transaction outcomes in that
-/// order — determinism makes them (and the final state) identical to the
+/// log order, and quiesce — the one loop over logged transactions, which
+/// every durable engine's recovery (`common::durable::recover`) runs.
+/// Returns the replayed transactions' outcomes in that order.
+///
+/// An input-only record (BOHM's) replays every transaction it holds:
+/// determinism makes the outcomes, and the final state, identical to the
 /// pre-crash execution of the same prefix, which the kill-and-recover
-/// test checks against the serial oracle.
+/// tests check against the serial oracle. A decided record (a
+/// nondeterministic engine's, [`LogSink::log_batch_decided`]) replays only
+/// the transactions its decisions mark committed, and each must commit
+/// again with the logged fingerprint.
 ///
 /// Batch boundaries are *not* reproduced: the engine re-forms its own
 /// batches, which is safe because outcomes depend only on transaction
 /// order, never on where batch seals fell (the same argument that lets
 /// the size/linger triggers vary freely between runs).
 ///
-/// If `engine` itself logs to the **same directory** the batches came
-/// from, suspend its appends around the replay
-/// ([`Wal::pause_appends`]/[`Wal::resume_appends`]) — otherwise the
-/// replayed prefix is logged a second time and the *next* recovery
-/// double-applies it. The BOHM engine packages that protocol as
-/// `Bohm::recover`; replaying into a memory-only or fresh-directory
-/// engine needs no such care.
+/// `engine` must not log: replaying into an engine that appends to the
+/// directory the batches came from would log them a second time, and the
+/// next recovery would apply them twice. Recovery replays before it opens
+/// the log for appending.
+///
+/// # Errors
+///
+/// [`InvalidData`](io::ErrorKind::InvalidData) when a replayed outcome
+/// contradicts its logged decision: the durable history cannot be trusted.
 pub fn replay_into<'a, E: BatchEngine + ?Sized>(
     batches: impl IntoIterator<Item = &'a LoggedBatch>,
     engine: &E,
-) -> Vec<ExecOutcome> {
+) -> io::Result<Vec<ExecOutcome>> {
     let mut session = engine.open_session();
     let mut out = Vec::new();
+    // The logged decision of each submitted, unreaped transaction (`None`
+    // from an input-only record), in submission order — which is reap order.
+    let mut logged = VecDeque::new();
     for batch in batches {
-        for txn in &batch.txns {
+        for (i, txn) in batch.txns.iter().enumerate() {
+            let decision = batch.outcomes.as_ref().map(|o| o[i]);
+            if decision.is_some_and(|d| !d.committed) {
+                continue;
+            }
             session.submit(txn.clone());
+            logged.push_back(decision);
             while session.in_flight() > 8192 {
-                out.push(session.reap());
+                reap_checked(&mut session, logged.pop_front().flatten(), &mut out)?;
             }
         }
     }
     while session.in_flight() > 0 {
-        out.push(session.reap());
+        reap_checked(&mut session, logged.pop_front().flatten(), &mut out)?;
     }
     engine.quiesce();
-    out
+    Ok(out)
+}
+
+/// Reap the oldest replayed transaction into `out`, holding it to its
+/// logged decision, if it has one.
+fn reap_checked(
+    session: &mut impl Session,
+    logged: Option<TxnDecision>,
+    out: &mut Vec<ExecOutcome>,
+) -> io::Result<()> {
+    let got = session.reap();
+    if let Some(d) = logged.filter(|d| !got.committed || got.fingerprint != d.fingerprint) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "replay diverged from the logged decision of replayed transaction {}: \
+                 logged (committed, fp 0x{:016x}), replayed (committed={}, fp 0x{:016x})",
+                out.len(),
+                d.fingerprint,
+                got.committed,
+                got.fingerprint
+            ),
+        ));
+    }
+    out.push(got);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Record encoding
 // ---------------------------------------------------------------------------
-
-/// FNV-1a over the whole slice — unlike `value::checksum` (which hashes
-/// only a record's `u64` prefix and length), this must cover every byte:
-/// it is what detects a torn write anywhere in the payload (of a log
-/// record or a whole checkpoint file).
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 // Procedure tags. The encoding is versioned by `SEGMENT_MAGIC`; adding a
 // variant appends a tag, changing one bumps the magic.
@@ -700,14 +682,6 @@ const TP_ORDER_STATUS: u8 = 2;
 const TP_CUSTOMER_STATUS: u8 = 3;
 const TP_ORDER_HISTORY: u8 = 4;
 const TP_DELIVERY: u8 = 5;
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
 
 fn encode_proc(buf: &mut Vec<u8>, proc: &Procedure) {
     match proc {
@@ -817,42 +791,6 @@ fn encode_txn(buf: &mut Vec<u8>, txn: &Txn) {
 // Record decoding
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian reader over a record payload. Any
-/// out-of-bounds read means the (checksummed!) payload does not decode —
-/// a format error, reported as corruption by the caller.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.bytes.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    /// A length prefix about to drive per-element reads of ≥ `min_elem`
-    /// bytes each: reject counts the remaining payload cannot hold, so
-    /// corrupt-but-checksummed data cannot drive absurd allocations.
-    fn count(&mut self, min_elem: usize) -> Option<usize> {
-        let n = self.u32()? as usize;
-        (n.saturating_mul(min_elem) <= self.bytes.len() - self.pos).then_some(n)
-    }
-}
-
 fn decode_proc(r: &mut Reader) -> Option<Procedure> {
     Some(match r.u8()? {
         P_READ_ONLY => Procedure::ReadOnly,
@@ -942,10 +880,7 @@ fn decode_txn(r: &mut Reader) -> Option<Txn> {
 }
 
 fn decode_batch(payload: &[u8]) -> Option<LoggedBatch> {
-    let mut r = Reader {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut r = Reader::new(payload);
     let epoch = r.u64()?;
     let n = r.count(1)?;
     let mut txns = Vec::with_capacity(n);
@@ -954,7 +889,7 @@ fn decode_batch(payload: &[u8]) -> Option<LoggedBatch> {
     }
     // Optional trailing commit-outcomes section (nondeterministic-engine
     // records); its presence is decided by payload length.
-    let outcomes = if r.pos == payload.len() {
+    let outcomes = if r.at_end() {
         None
     } else {
         if r.u8()? != OUTCOMES_TAG {
@@ -976,7 +911,7 @@ fn decode_batch(payload: &[u8]) -> Option<LoggedBatch> {
     };
     // Trailing bytes after the declared sections would mean the writer
     // and reader disagree about the format.
-    (r.pos == payload.len()).then_some(LoggedBatch {
+    r.at_end().then_some(LoggedBatch {
         epoch,
         txns,
         outcomes,
@@ -988,6 +923,24 @@ fn corrupt(segment: u64, offset: usize, what: &str) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("wal segment {segment} corrupt at byte {offset}: {what}"),
     )
+}
+
+/// The highest epoch stamped in the (intact) segment at `path`. Every
+/// record's payload opens with its epoch word, so this reads 20 bytes per
+/// record — its header and that word — and decodes no transaction.
+fn max_epoch_of(path: &Path) -> io::Result<u64> {
+    let mut file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let (mut pos, mut max) = (SEGMENT_MAGIC.len() as u64, 0);
+    let mut head = [0u8; 20];
+    while pos + head.len() as u64 <= len {
+        file.seek(SeekFrom::Start(pos))?;
+        file.read_exact(&mut head)?;
+        let payload_len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
+        max = max.max(u64::from_le_bytes(head[12..].try_into().expect("8 bytes")));
+        pos += 12 + u64::from(payload_len);
+    }
+    Ok(max)
 }
 
 /// Result of scanning one segment: whether it was fully intact, and the
@@ -1172,12 +1125,9 @@ mod tests {
         encode_proc(&mut buf, &apply_proc());
         assert_eq!(buf[1..9], [0; 8], "written as zero");
         buf[1..9].copy_from_slice(&0b101u64.to_le_bytes());
-        let mut r = Reader {
-            bytes: &buf,
-            pos: 0,
-        };
+        let mut r = Reader::new(&buf);
         assert_eq!(decode_proc(&mut r), Some(apply_proc()));
-        assert_eq!(r.pos, buf.len());
+        assert!(r.at_end());
     }
 
     #[test]
@@ -1187,7 +1137,7 @@ mod tests {
         cfg.segment_bytes = 1; // rotate after every record
         let wal = Wal::open(&cfg).unwrap();
         // `create_new` on an existing path fails: the first rotation faults.
-        fs::create_dir(segment_path(&dir, 1)).unwrap();
+        fs::create_dir(SEGMENTS.path(&dir, 1)).unwrap();
         let txns = gauntlet();
         let first = wal.log_batch(1, &mut txns[..1].iter()).unwrap_err();
         assert_eq!(wal.failure(), Some(first.to_string()));
@@ -1200,7 +1150,7 @@ mod tests {
             assert!(err.to_string().contains(&first.to_string()), "{err}");
         }
         drop(wal);
-        fs::remove_dir(segment_path(&dir, 1)).unwrap();
+        fs::remove_dir(SEGMENTS.path(&dir, 1)).unwrap();
         let log = Wal::read_log(&dir).unwrap();
         assert_eq!(log.iter().map(|b| b.epoch).collect::<Vec<_>>(), [1]);
         fs::remove_dir_all(&dir).unwrap();
@@ -1234,7 +1184,7 @@ mod tests {
         for epoch in 0..10u64 {
             wal.log_batch(epoch, &mut txns.iter()).unwrap();
         }
-        let segs = list_segments(&dir).unwrap();
+        let segs = SEGMENTS.list(&dir).unwrap();
         assert!(
             segs.len() > 3,
             "expected rotation, got {} segments",
@@ -1269,13 +1219,21 @@ mod tests {
         {
             let wal = Wal::open(&cfg).unwrap();
             wal.log_batch(2, &mut txns[..3].iter()).unwrap();
-            // Inherited segments are conservatively exempt from truncation.
-            assert_eq!(wal.truncate_before(u64::MAX).unwrap(), 0);
+            // The inherited segment's epochs are read back: 1 is not below 1.
+            assert_eq!(wal.truncate_before(1).unwrap(), 0);
         }
         let log = Wal::read_log(&dir).unwrap();
         assert_eq!(log.len(), 2);
         assert_eq!((log[0].epoch, log[1].epoch), (1, 2));
         assert_eq!(log[1].txns.len(), 3);
+        // A third incarnation inherits both segments and reclaims the one
+        // stamped below 2.
+        let wal = Wal::open(&cfg).unwrap();
+        let first = fs::metadata(SEGMENTS.path(&dir, 0)).unwrap().len();
+        assert_eq!(wal.truncate_before(2).unwrap(), first);
+        drop(wal);
+        let log = Wal::read_log(&dir).unwrap();
+        assert_eq!(log.iter().map(|b| b.epoch).collect::<Vec<_>>(), [2]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1294,7 +1252,7 @@ mod tests {
             wal.log_batch(1, &mut txns.iter()).unwrap();
             wal.log_batch(2, &mut txns.iter()).unwrap();
         }
-        let seg = segment_path(&dir, 0);
+        let seg = SEGMENTS.path(&dir, 0);
         let full = fs::read(&seg).unwrap();
         fs::write(&seg, &full[..full.len() - 5]).unwrap(); // tear epoch-2 record
         {
@@ -1322,12 +1280,15 @@ mod tests {
         // Crash while creating segment 1 (header half-written) *and* a
         // torn tail on segment 0: open must drop the junk file, truncate
         // segment 0, and carry on.
-        let seg0 = segment_path(&dir, 0);
+        let seg0 = SEGMENTS.path(&dir, 0);
         let full = fs::read(&seg0).unwrap();
         let mut torn = full.clone();
         torn.extend_from_slice(&[7, 7, 7]); // partial next record
         fs::write(&seg0, &torn).unwrap();
-        fs::write(segment_path(&dir, 1), &SEGMENT_MAGIC[..4]).unwrap();
+        fs::write(SEGMENTS.path(&dir, 1), &SEGMENT_MAGIC[..4]).unwrap();
+        // Recovery reads before it opens: the same rule, nothing repaired.
+        let log = Wal::read_log(&dir).unwrap();
+        assert_eq!(log.iter().map(|b| b.epoch).collect::<Vec<_>>(), [1]);
         {
             let wal = Wal::open(&cfg).unwrap();
             wal.log_batch(2, &mut txns[..1].iter()).unwrap();
@@ -1336,26 +1297,6 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!((log[0].epoch, log[1].epoch), (1, 2));
         assert_eq!(fs::metadata(&seg0).unwrap().len(), full.len() as u64);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn paused_appends_write_nothing_until_resumed() {
-        let dir = tmpdir("pause");
-        let cfg = DurabilityConfig::new(&dir);
-        let wal = Wal::open(&cfg).unwrap();
-        let txns = gauntlet();
-        let empty = wal.log_bytes();
-        wal.pause_appends();
-        wal.log_batch(1, &mut txns.iter()).unwrap();
-        assert_eq!(wal.log_bytes(), empty, "paused appends must be no-ops");
-        assert_eq!(wal.batches_logged(), 0);
-        wal.resume_appends();
-        wal.log_batch(2, &mut txns.iter()).unwrap();
-        drop(wal);
-        let log = Wal::read_log(&dir).unwrap();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].epoch, 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1370,7 +1311,7 @@ mod tests {
             wal.log_batch(1, &mut txns.iter()).unwrap();
             wal.log_batch(2, &mut txns.iter()).unwrap();
         }
-        let seg = segment_path(&dir, 0);
+        let seg = SEGMENTS.path(&dir, 0);
         let full = fs::read(&seg).unwrap();
         // Tear the last record: everything before it must replay.
         fs::write(&seg, &full[..full.len() - 5]).unwrap();
@@ -1381,7 +1322,7 @@ mod tests {
         flipped[SEGMENT_MAGIC.len() + 20] ^= 0xFF;
         fs::write(&seg, &flipped).unwrap();
         // Same damage, but with a later segment after it: hard error.
-        fs::write(segment_path(&dir, 1), {
+        fs::write(SEGMENTS.path(&dir, 1), {
             let mut v = Vec::from(SEGMENT_MAGIC);
             v.extend_from_slice(&full[SEGMENT_MAGIC.len()..]);
             v
@@ -1396,6 +1337,7 @@ mod tests {
     #[test]
     fn empty_and_absent_logs_replay_to_nothing() {
         let dir = tmpdir("empty");
+        assert!(Wal::read_log(&dir).unwrap().is_empty(), "absent");
         let cfg = DurabilityConfig::new(&dir);
         let wal = Wal::open(&cfg).unwrap();
         drop(wal);

@@ -66,7 +66,16 @@ pub(crate) fn cc_loop(inner: &Inner, me: usize) {
     }
 }
 
-/// Key reclamation: retire fully-deleted keys this thread owns.
+/// Index buckets each CC thread sweeps per batch looking for reclaimable
+/// keys (see [`sweep_keys`]).
+pub(crate) const KEY_GC_BUCKETS: usize = 512;
+
+/// Key reclamation: retire fully-deleted keys this thread owns, walking
+/// [`KEY_GC_BUCKETS`] buckets of the index per batch. A fully-deleted key
+/// whose chain has collapsed to a sole committed tombstone has its
+/// tombstone, chain and index entry retired outright — without this,
+/// full-table delete churn leaks one tombstone plus an index entry per
+/// ever-used key.
 ///
 /// A key is reclaimable once (a) its chain is exactly one *committed
 /// tombstone* with `begin ≤ gc_bound` — every transaction that could still
@@ -83,10 +92,6 @@ pub(crate) fn cc_loop(inner: &Inner, me: usize) {
 /// bucket lists are walked by every thread, which Condition 3 says nothing
 /// about.
 pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize, pool: &mut VersionPool) {
-    let budget = inner.config.key_gc_buckets;
-    if budget == 0 {
-        return;
-    }
     // No tombstone has ever been produced ⇒ no key can be in the
     // reclaimable shape: delete-free workloads skip the sweep outright.
     // RELAXED: monotone flag-counter; a stale zero only postpones the
@@ -101,6 +106,7 @@ pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize, pool: &mu
     let m = inner.config.cc_threads;
     let guard = epoch::pin();
     let mut versions = 0usize;
+    let budget = KEY_GC_BUCKETS.min(inner.index.bucket_count());
     let retired = inner
         .index
         .sweep_retire(*cursor, budget, &guard, &mut |_, hash, chain| {
@@ -113,7 +119,7 @@ pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize, pool: &mu
             chain.annotated_ts() <= bound
                 && chain.sole_tombstone(&guard).is_some_and(|b| b <= bound)
         });
-    *cursor = (*cursor + budget.min(inner.index.bucket_count())) % inner.index.bucket_count();
+    *cursor = (*cursor + budget) % inner.index.bucket_count();
     if versions > 0 {
         inner
             .gc_retired

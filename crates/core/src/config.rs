@@ -21,14 +21,6 @@ pub struct BohmConfig {
     /// Number of execution threads (`k`). Thread `i` is responsible for
     /// transactions `i, i+k, i+2k, …` of each batch.
     pub exec_threads: usize,
-    /// Index buckets each CC thread sweeps per batch looking for
-    /// reclaimable *keys*: a fully-deleted key whose chain has collapsed to
-    /// a sole committed tombstone older than the GC bound (and whose every
-    /// annotation holder has executed) has its tombstone, chain and index
-    /// entry retired outright — without this, full-table delete churn
-    /// leaks one tombstone plus an index entry per ever-used key. `0`
-    /// disables key reclamation (version GC alone then applies).
-    pub key_gc_buckets: usize,
     /// The read-set optimization (§3.2.3): CC threads annotate each
     /// transaction whose read set is at most this size with direct pointers
     /// to the versions its reads resolve to, so execution never traverses
@@ -87,12 +79,15 @@ pub struct BohmConfig {
     /// Opt-in durability: when set, sealing appends every batch's inputs to
     /// a write-ahead log ([`bohm_common::wal::Wal`]) and applies the
     /// configured fsync policy *before* releasing the batch to the CC
-    /// threads — group commit riding the existing size/linger batching. `None` (the
-    /// default) keeps the engine memory-only. Recover with
-    /// [`Bohm::recover`](crate::Bohm::recover) on the same directory
-    /// (checkpoint-aware, and it keeps the replayed suffix from being
-    /// logged twice); [`replay_into`](bohm_common::wal::replay_into) is for
-    /// replaying a log into some *other* engine.
+    /// threads — group commit riding the existing size/linger batching.
+    /// `None` (the default) keeps the engine memory-only. Recover with
+    /// [`Bohm::recover`](crate::Bohm::recover) on the same directory: the
+    /// recovery routine every durable engine shares
+    /// ([`durable::recover`](bohm_common::durable::recover)) restores the
+    /// newest checkpoint, replays the log suffix into the engine before it
+    /// has a log, then attaches the log, so nothing is logged twice.
+    /// [`replay_into`](bohm_common::wal::replay_into) alone replays a log
+    /// into some *other*, memory-only engine.
     pub durability: Option<bohm_common::wal::DurabilityConfig>,
 }
 
@@ -101,7 +96,6 @@ impl Default for BohmConfig {
         Self {
             cc_threads: 4,
             exec_threads: 4,
-            key_gc_buckets: 512,
             annotate_max_reads: 64,
             index_capacity: 1 << 20,
             batch_size: 2048,

@@ -6,11 +6,12 @@ use crate::ingest::Ingest;
 use crate::session::BohmSession;
 use crate::window::Window;
 use crate::{cc, exec};
+use bohm_common::wal::Wal;
 use bohm_common::{RecordId, TableId, Txn};
 use bohm_mvstore::{HashIndex, Version, VersionIndex, VersionState};
 use bohm_sync::atomic::{fence, AtomicU64, Ordering};
 use crossbeam_epoch::{self as epoch, Owned};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 /// State shared by the engine's threads, its sessions and their handles.
@@ -49,8 +50,10 @@ pub(crate) struct Inner {
     pub cc_busy_ns: AtomicU64,
     pub exec_busy_ns: AtomicU64,
     /// The write-ahead log, when durability is configured: every sealed
-    /// batch is appended here *before* it is released to CC.
-    pub wal: Option<bohm_common::wal::Wal>,
+    /// batch is appended here *before* it is released to CC. Set once —
+    /// by [`Bohm::start`] before the first submission, or by
+    /// [`Bohm::recover`] after replay, so recovery never logs.
+    pub wal: OnceLock<Wal>,
 }
 
 impl Inner {
@@ -65,7 +68,7 @@ impl Inner {
     }
 
     /// Build the store from `catalog` and preload it (every seeded version
-    /// has timestamp 0); open the log. Spawns nothing.
+    /// has timestamp 0). Opens no log and spawns nothing.
     pub(crate) fn new(config: BohmConfig, catalog: CatalogSpec) -> Self {
         config.validate();
         let index = HashIndex::with_capacity(config.effective_index_capacity(catalog.total_rows()));
@@ -84,12 +87,6 @@ impl Inner {
             }
         }
         let record_sizes = catalog.tables.iter().map(|t| t.record_size).collect();
-        // Open the log before any thread starts: failing to open durable
-        // storage must fail engine startup, not a later batch seal.
-        let wal = config.durability.as_ref().map(|d| {
-            bohm_common::wal::Wal::open(d)
-                .unwrap_or_else(|e| panic!("failed to open WAL at {}: {e}", d.dir.display()))
-        });
         Inner {
             lane: exec::Lane::default(),
             ingest: Ingest::new(bohm_common::ArenaPool::default().arena()),
@@ -103,7 +100,7 @@ impl Inner {
             window: Window::new(config.max_inflight_batches, config.batch_size as u64),
             record_sizes,
             index,
-            wal,
+            wal: OnceLock::new(),
             config,
         }
     }
@@ -117,10 +114,27 @@ pub struct Bohm {
 
 impl Bohm {
     /// Build the store from `catalog`, preload it (every seeded version has
-    /// timestamp 0), and spawn `cc_threads + exec_threads` worker threads
-    /// and the read lane. Sequencing needs no thread: submitters do it (see
-    /// [`ingest`](crate::ingest)).
+    /// timestamp 0), spawn `cc_threads + exec_threads` worker threads and
+    /// the read lane, and open the log when
+    /// [`durability`](BohmConfig::durability) is set. Sequencing needs no
+    /// thread: submitters do it (see [`ingest`](crate::ingest)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the log cannot be opened: failing to open durable storage
+    /// fails engine startup, not a later batch seal.
     pub fn start(config: BohmConfig, catalog: CatalogSpec) -> Self {
+        let engine = Self::spawn(config, catalog);
+        if let Some(d) = &engine.inner.config.durability {
+            let wal = Wal::open(d)
+                .unwrap_or_else(|e| panic!("failed to open WAL at {}: {e}", d.dir.display()));
+            engine.inner.wal.set(wal).expect("the log is attached once");
+        }
+        engine
+    }
+
+    /// [`start`](Self::start) without the log.
+    fn spawn(config: BohmConfig, catalog: CatalogSpec) -> Self {
         let inner = Arc::new(Inner::new(config, catalog));
         // Nothing connects the threads but `inner`: sealers publish batches
         // in the window ring, and the CC and execution threads chase it (see
@@ -150,28 +164,20 @@ impl Bohm {
     /// running against the same log — the crash → recover → continue
     /// path.
     ///
-    /// Checkpoint-aware: if the directory holds a valid
-    /// [`Checkpoint`](bohm_common::wal::Checkpoint) (see
-    /// [`checkpoint`](Self::checkpoint)), its snapshot is restored first
-    /// and only the log suffix stamped at or after the checkpoint epoch
-    /// is replayed — recovery time is bounded by the work since the last
-    /// checkpoint, not the log's lifetime. Without a checkpoint the whole
-    /// log replays, as before.
-    ///
-    /// Reads the log back ([`Wal::read_log`](bohm_common::wal::Wal::read_log),
-    /// torn-tail rule applied), starts the engine — whose
-    /// [`Wal::open`](bohm_common::wal::Wal::open) repairs any torn tail
-    /// before appending a fresh segment — and restores/replays through
-    /// the same generic paths every engine uses
-    /// ([`restore_into`](bohm_common::checkpoint::restore_into), then
-    /// [`replay_into`](bohm_common::wal::replay_into): an ordinary session
-    /// and a closing [`quiesce`](bohm_common::engine::BatchEngine::quiesce)),
-    /// with WAL appends **suspended**: the inherited segments already hold
-    /// the replayed suffix, and logging it a second time would double-apply
-    /// it on the next recovery — and the barrier no-ops of those two
-    /// `quiesce` calls must not reach the log either. Appends resume once
-    /// every replayed batch has retired, so work submitted afterwards is
-    /// logged exactly once after the inherited prefix.
+    /// Build → recover → attach: the engine starts without its log,
+    /// [`durable::recover`](bohm_common::durable::recover) — the routine
+    /// `DurableEngine::open` runs too — restores the newest
+    /// [`Checkpoint`](bohm_common::checkpoint::Checkpoint), if any, and
+    /// replays the log suffix stamped at or after its epoch (an ordinary
+    /// session and a closing
+    /// [`quiesce`](bohm_common::engine::BatchEngine::quiesce)), and only
+    /// then is the log opened, its torn tail repaired, and attached. So
+    /// recovery logs nothing — neither the replayed suffix, which the
+    /// inherited segments already hold, nor the barriers that end restore
+    /// and replay — and work submitted afterwards is logged exactly once
+    /// after the inherited prefix. Recovery time is bounded by the work
+    /// since the last [`checkpoint`](Self::checkpoint), not the log's
+    /// lifetime.
     ///
     /// Returns the running engine plus the *replayed* transactions'
     /// outcomes in log order — determinism makes them (and the rebuilt
@@ -196,46 +202,33 @@ impl Bohm {
         config: BohmConfig,
         catalog: CatalogSpec,
     ) -> std::io::Result<(Self, Vec<TxnOutcome>)> {
-        let dir = config
+        let durability = config
             .durability
-            .as_ref()
-            .expect("Bohm::recover requires BohmConfig::durability")
-            .dir
-            .clone();
-        let log = bohm_common::wal::Wal::read_log(&dir)?;
-        let ckp = bohm_common::checkpoint::load_latest(&dir)?;
-        // The catalog's seeded row counts, captured before `start`
-        // consumes it: checkpoint restore must delete rows that were
-        // seeded at engine start but deleted by snapshot time.
-        let seeded: Vec<u64> = catalog.tables.iter().map(|t| t.rows).collect();
-        let engine = Bohm::start(config, catalog);
-        let wal = engine.inner.wal.as_ref().expect("durability configured");
-        wal.pause_appends();
-        let base = ckp.as_ref().map_or(0, |c| {
-            bohm_common::checkpoint::restore_into(c, &seeded, &engine);
-            c.epoch
-        });
-        // `replay_into` ends in a `quiesce`, so on return every replayed
-        // batch has been sealed (the log decision point) and retired, and
-        // appends can safely resume.
-        let suffix = log.iter().filter(|b| b.epoch >= base);
-        let outcomes = bohm_common::wal::replay_into(suffix, &engine)
+            .clone()
+            .expect("Bohm::recover requires BohmConfig::durability");
+        let engine = Self::spawn(config, catalog);
+        let recovered = bohm_common::durable::recover(&engine, &durability)?;
+        // The epoch must resume past everything recovered, or the next
+        // checkpoint's cut could collide with replayed stamps.
+        engine.inner.epoch.store(recovered.epoch, Ordering::Release);
+        engine
+            .inner
+            .wal
+            .set(recovered.wal)
+            .expect("the log is attached once");
+        let outcomes = recovered
+            .outcomes
             .into_iter()
             .map(|o| TxnOutcome {
                 committed: o.committed,
                 fingerprint: o.fingerprint,
             })
             .collect();
-        // The epoch must resume past everything recovered, or the next
-        // checkpoint's cut could collide with replayed stamps.
-        let max_epoch = log.iter().map(|b| b.epoch).max().unwrap_or(0).max(base);
-        engine.inner.epoch.store(max_epoch, Ordering::Release);
-        wal.resume_appends();
         Ok((engine, outcomes))
     }
 
     /// Snapshot the current committed state to a durable
-    /// [`Checkpoint`](bohm_common::wal::Checkpoint) in the log directory
+    /// [`Checkpoint`](bohm_common::checkpoint::Checkpoint) in the log directory
     /// and reclaim the log prefix it covers.
     ///
     /// The caller must be **submission-quiescent**: no session may be
@@ -257,7 +250,7 @@ impl Bohm {
     /// on a memory-only engine (no `durability` configured); otherwise
     /// any I/O error from the checkpoint write or log maintenance.
     pub fn checkpoint(&self) -> std::io::Result<bohm_common::durable::CheckpointStats> {
-        let wal = self.inner.wal.as_ref().ok_or_else(|| {
+        let wal = self.wal().ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
                 "checkpoint requires BohmConfig::durability",
@@ -446,36 +439,15 @@ impl Bohm {
     }
 
     /// The write-ahead log, when [`BohmConfig::durability`] was set.
-    pub fn wal(&self) -> Option<&bohm_common::wal::Wal> {
-        self.inner.wal.as_ref()
+    pub fn wal(&self) -> Option<&Wal> {
+        self.inner.wal.get()
     }
 
     /// Total bytes currently held by the write-ahead log (0 for a
-    /// memory-only engine) — the checkpointing trigger surface.
+    /// memory-only engine) — the checkpointing trigger surface; a
+    /// [`checkpoint`](Self::checkpoint) reclaims what it covers.
     pub fn log_bytes(&self) -> u64 {
-        self.inner.wal.as_ref().map_or(0, |w| w.log_bytes())
-    }
-
-    /// Reclaim sealed log segments whose batches all carry epochs below
-    /// `epoch` (see [`Wal::truncate_before`](bohm_common::wal::Wal::truncate_before)).
-    /// Returns the bytes freed.
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::Unsupported`](std::io::ErrorKind::Unsupported) on
-    /// a memory-only engine: there is no log to truncate, and a silent
-    /// `Ok(0)` here used to make a misconfigured retention job look like
-    /// it was running against a durable engine when it was not. Callers
-    /// that legitimately run both modes should gate on
-    /// [`wal`](Self::wal)`.is_some()`.
-    pub fn truncate_log_before(&self, epoch: u64) -> std::io::Result<u64> {
-        match &self.inner.wal {
-            Some(w) => w.truncate_before(epoch),
-            None => Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "truncate_log_before requires BohmConfig::durability (no WAL is attached)",
-            )),
-        }
+        self.wal().map_or(0, Wal::log_bytes)
     }
 
     /// Stop accepting work, drain the pipeline, and join all threads —
@@ -493,7 +465,7 @@ impl Drop for Bohm {
         }
         // Every accepted batch is now logged; make the tail durable even
         // under relaxed fsync policies, so a clean shutdown never loses work.
-        if let Some(wal) = &self.inner.wal {
+        if let Some(wal) = self.wal() {
             use bohm_common::wal::LogSink as _;
             let _ = wal.sync();
         }
@@ -1154,6 +1126,17 @@ mod tests {
         e.shutdown();
     }
 
+    /// Run single-transaction filler batches until every CC thread's key
+    /// sweep has walked the whole index once past the GC bound of what ran
+    /// before: one batch to move the bound, then a lap of
+    /// [`cc::KEY_GC_BUCKETS`]-bucket steps.
+    fn sweep_a_lap(e: &Bohm) {
+        let lap = e.inner.index.bucket_count().div_ceil(cc::KEY_GC_BUCKETS);
+        for _ in 0..=lap {
+            e.execute_sync(vec![rmw(&[0], 0)]);
+        }
+    }
+
     #[test]
     fn full_table_delete_churn_returns_index_to_baseline() {
         use bohm_common::Procedure::{BlindWrite, GuardedDelete};
@@ -1161,9 +1144,7 @@ mod tests {
         // chain head) plus its index entry forever. The CC key sweep must
         // return the index to its preloaded footprint once the GC bound
         // passes the deletes.
-        let mut cfg = BohmConfig::small();
-        cfg.key_gc_buckets = usize::MAX; // full sweep per batch: deterministic
-        let e = Bohm::start(cfg, CatalogSpec::new().table(2, 8, |_| 1));
+        let e = Bohm::start(BohmConfig::small(), CatalogSpec::new().table(2, 8, |_| 1));
         let baseline = e.index_keys();
         assert_eq!(baseline, 2);
         let guard = rid(0);
@@ -1176,13 +1157,9 @@ mod tests {
             .map(|k| Txn::new(vec![guard], vec![rid(k)], GuardedDelete { min: 0 }))
             .collect();
         assert!(e.execute_sync(deletes).iter().all(|o| o.committed));
-        // Filler batches advance the GC bound and run the sweep.
-        for _ in 0..20 {
-            e.execute_sync(vec![rmw(&[0], 0)]);
-            if e.index_keys() == baseline {
-                break;
-            }
-        }
+        // Filler batches run the sweep past the deletes' GC bound for one
+        // full lap of the index.
+        sweep_a_lap(&e);
         assert_eq!(
             e.index_keys(),
             baseline,
@@ -1210,9 +1187,10 @@ mod tests {
         // Deleting one key and probing it from the same stream: the probe's
         // annotation must never be invalidated (the sweep defers until the
         // annotated transaction has executed), and live keys are untouched.
-        let mut cfg = BohmConfig::small();
-        cfg.key_gc_buckets = usize::MAX;
-        let e = Bohm::start(cfg, CatalogSpec::new().table(8, 8, |r| r + 1));
+        let e = Bohm::start(
+            BohmConfig::small(),
+            CatalogSpec::new().table(8, 8, |r| r + 1),
+        );
         let victim = rid(5);
         let probe = Txn::new(
             vec![rid(0), victim],
@@ -1230,6 +1208,7 @@ mod tests {
             assert!(out.iter().all(|o| o.committed));
             assert_ne!(out[1].fingerprint, out[3].fingerprint);
         }
+        sweep_a_lap(&e);
         assert_eq!(e.read_u64(victim), Some(9));
         assert_eq!(e.index_keys(), 8, "live keys must never be reclaimed");
         e.shutdown();
@@ -1252,14 +1231,13 @@ mod tests {
         }
         assert!(e.wal().is_some());
         assert!(e.log_bytes() > 0);
-        assert_eq!(e.truncate_log_before(0).unwrap(), 0);
         let expect: Vec<u64> = (0..16).map(|k| e.read_u64(rid(k)).unwrap()).collect();
         e.shutdown();
         // Recover into a fresh, memory-only engine: same final state.
         let log = Wal::read_log(&dir).unwrap();
         assert_eq!(log.iter().map(|b| b.txns.len()).sum::<usize>(), 160);
         let fresh = Bohm::start(BohmConfig::small(), catalog());
-        let outcomes = wal::replay_into(&log, &fresh);
+        let outcomes = wal::replay_into(&log, &fresh).expect("input-only log");
         assert!(outcomes.iter().all(|o| o.committed));
         let got: Vec<u64> = (0..16).map(|k| fresh.read_u64(rid(k)).unwrap()).collect();
         assert_eq!(got, expect, "replayed state must match the logged run");
@@ -1556,21 +1534,21 @@ mod tests {
         e.shutdown();
         assert_eq!(logged(), 10 + 3, "one no-op per quiesce");
         // Recovery quiesces too (`replay_into`'s closing barrier, and
-        // `restore_into`'s after the checkpoint below) — with appends
-        // paused, so none of that reaches the log.
+        // `restore_into`'s after the checkpoint below) — before the log is
+        // attached, so none of that reaches it.
         let (e, outcomes) = Bohm::recover(cfg(), catalog()).unwrap();
         assert_eq!(outcomes.len(), 13);
-        // One more logged no-op, which the cut then reclaims with its
-        // segment (inherited segments are never dropped).
+        // One more logged no-op, which the cut reclaims with every segment
+        // before it, the pre-restart one included.
         e.checkpoint().unwrap();
         e.execute_sync(vec![rmw(&[0], 1)]);
         e.shutdown();
-        assert_eq!(logged(), 13 + 1);
+        assert_eq!(logged(), 1);
         let (e, outcomes) = Bohm::recover(cfg(), catalog()).unwrap();
         assert_eq!(outcomes.len(), 1, "only the suffix past the cut replays");
         assert_eq!(e.read_u64(rid(0)), Some(3));
         e.shutdown();
-        assert_eq!(logged(), 13 + 1, "and restore + replay logged nothing");
+        assert_eq!(logged(), 1, "and restore + replay logged nothing");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

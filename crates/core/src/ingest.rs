@@ -179,7 +179,7 @@ impl Inner {
         // configured fsync policy runs) *before* the batch is released to
         // CC. A log the engine can no longer append to is a stop-the-world
         // fault: continuing would silently break the recovery guarantee.
-        if let Some(wal) = &self.wal {
+        if let Some(wal) = self.wal.get() {
             use bohm_common::wal::LogSink as _;
             if let Err(e) = wal.log_batch(epoch, &mut open.entries.iter().map(|(t, _)| t)) {
                 eprintln!("bohm: WAL append failed ({e}); failing the engine");
@@ -421,7 +421,7 @@ mod modelcheck {
         inner.window.push(Arc::clone(&batch));
         inner.ingest.sealed.store(id + 1, Ordering::Release);
         drop(guard);
-        let wal = inner.wal.as_ref().expect("durable");
+        let wal = inner.wal.get().expect("durable");
         wal.log_batch(0, &mut batch.txns.iter().map(|t| &t.txn))
             .unwrap();
     }
@@ -474,8 +474,8 @@ mod modelcheck {
         cfg.index_capacity = 16;
         let mut d = DurabilityConfig::new(dir);
         d.fsync = FsyncPolicy::Off;
-        cfg.durability = Some(d);
         let inner = Arc::new(Inner::new(cfg, CatalogSpec::new().table(4, 8, |_| 0)));
+        inner.wal.set(Wal::open(&d).unwrap()).unwrap();
         let pipeline = {
             let inner = Arc::clone(&inner);
             thread::spawn(move || {

@@ -14,7 +14,7 @@
 //! cargo run --release --example recovery_demo -- replay /tmp/bohm-wal
 //!
 //! # …or recover in place and keep going on the same log directory
-//! # (appends are suspended during the replay, so nothing logs twice)
+//! # (the log is attached only after the replay, so nothing logs twice)
 //! cargo run --release --example recovery_demo -- recover /tmp/bohm-wal 10000
 //!
 //! # checkpointed variant: periodic checkpoints truncate the log while
@@ -200,8 +200,8 @@ fn checkpoint_run(dir: &Path, count: u64) {
 }
 
 /// `recover DIR [N]`: recover **in place** — rebuild state from the
-/// log on the same directory (appends suspended during the replay, so
-/// nothing is logged twice), then keep running `N` more transactions
+/// log on the same directory (the log is attached only after the replay,
+/// so nothing is logged twice), then keep running `N` more transactions
 /// against the same log. This is the crash → recover → continue path a
 /// real deployment takes; `replay` is the read-only forensic one.
 fn recover(dir: &Path, count: u64) {
@@ -255,7 +255,7 @@ fn replay(dir: &Path) {
     );
     let db = spec();
     let engine = Bohm::start(BohmConfig::with_threads(2, 2), catalog_of(&db));
-    let outcomes = wal::replay_into(&log, &engine);
+    let outcomes = wal::replay_into(&log, &engine).expect("an input-only log replays whole");
     // Fold a run fingerprint for eyeballing across runs.
     let fp = outcomes.iter().fold(0u64, |acc, o| {
         acc.wrapping_mul(31)

@@ -8,7 +8,9 @@
 //! * **newest only**: a checkpoint deletes the older ones, whose log suffix
 //!   it has just reclaimed, so a newest file that fails validation makes
 //!   recovery refuse instead of silently restoring an older state. A
-//!   dangling temp file — a crash before the rename — is ignored.
+//!   dangling temp file — a crash before the rename — is ignored;
+//! * **across restarts**: a checkpoint taken after `Bohm::recover`
+//!   reclaims the log segments the previous process wrote.
 
 use bohm_suite::common::engine::ExecOutcome;
 use bohm_suite::common::rng::FastRng;
@@ -146,6 +148,46 @@ fn checkpoint_bounds_replay_and_shrinks_log() {
     let res = check_serial_equivalence(&db, &all, &outcomes, |rid| recovered.read_u64(rid));
     recovered.shutdown();
     res.expect("checkpointed recovery diverged from the serial oracle");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_checkpoint_after_a_restart_reclaims_the_pre_restart_log() {
+    let dir = fresh_dir("restart");
+    let db = spec();
+    let mut rng = FastRng::seed_from(97);
+    let engine = Bohm::start(durable_cfg(&dir), catalog_of(&db));
+    let mut all: Vec<Txn> = (0..200).map(|_| gen_txn(&mut rng)).collect();
+    let mut outcomes = to_exec(&engine.execute_sync(all.clone()));
+    engine.shutdown();
+    let pre_restart = dir.join("wal-00000000.seg");
+    let pre_restart_bytes = std::fs::metadata(&pre_restart).unwrap().len();
+
+    let (engine, replayed) = Bohm::recover(durable_cfg(&dir), catalog_of(&db)).expect("recover");
+    assert_eq!(replayed.len(), all.len());
+    let more: Vec<Txn> = (0..100).map(|_| gen_txn(&mut rng)).collect();
+    outcomes.extend(to_exec(&engine.execute_sync(more.clone())));
+    all.extend(more);
+    let before = engine.log_bytes();
+    let stats = engine.checkpoint().expect("checkpoint");
+    assert!(
+        !pre_restart.exists(),
+        "the checkpoint covers the pre-restart segment, which must be reclaimed"
+    );
+    assert!(stats.freed_bytes >= pre_restart_bytes, "{stats:?}");
+    assert!(
+        engine.log_bytes() < before,
+        "log must shrink after checkpoint ({before} -> {})",
+        engine.log_bytes()
+    );
+    engine.shutdown();
+
+    let (recovered, replayed) =
+        Bohm::recover(durable_cfg(&dir), catalog_of(&db)).expect("recover again");
+    assert_eq!(replayed.len(), 0, "the checkpoint covers all work");
+    let res = check_serial_equivalence(&db, &all, &outcomes, |rid| recovered.read_u64(rid));
+    recovered.shutdown();
+    res.expect("recovery after the restart's checkpoint diverged from the serial oracle");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -14,6 +14,10 @@
 //!   (BOHM rides through its own `Bohm::recover` for the fifth leg);
 //! * **checkpoint bounds replay**: a mid-run checkpoint must shrink the
 //!   log and cut the replayed suffix down to the post-checkpoint work;
+//! * **recover → continue → recover** on one directory, through a torn
+//!   tail: each logged transaction replays exactly once;
+//! * **a replay that contradicts its logged decision is refused** with
+//!   `InvalidData`, and the directory is left as it was;
 //! * **a failed log stops the engine**: after a WAL I/O error, every
 //!   later `execute` panics before it touches the store;
 //! * **SIGKILL kill-and-recover**: each interactive engine is killed
@@ -23,8 +27,8 @@
 use bohm_suite::common::durable::DurableEngine;
 use bohm_suite::common::engine::{Engine, ExecOutcome};
 use bohm_suite::common::rng::FastRng;
-use bohm_suite::common::wal::{DurabilityConfig, FsyncPolicy, Wal};
-use bohm_suite::common::{Procedure, RecordId, ScanRange, SmallBankProc, Txn};
+use bohm_suite::common::wal::{DurabilityConfig, FsyncPolicy, LogSink as _, TxnDecision, Wal};
+use bohm_suite::common::{stress_iters, Procedure, RecordId, ScanRange, SmallBankProc, Txn};
 use bohm_suite::core::{Bohm, BohmConfig, CatalogSpec};
 use bohm_suite::testkit::check_serial_equivalence;
 use bohm_suite::workloads::{DatabaseSpec, TableDef};
@@ -326,6 +330,97 @@ fn durable_checkpoint_bounds_replay_on_every_interactive_engine() {
 }
 
 #[test]
+fn recover_then_continue_on_same_dir_replays_each_transaction_once() {
+    // Run, crash with a torn tail, recover on the same directory, run
+    // more, recover again: the second recovery must see the surviving
+    // prefix and the continuation once each. The log is attached only
+    // after replay, so nothing the first recovery replayed is logged again.
+    let db = spec();
+    for (name, build) in CASES {
+        let dir = fresh_dir(&format!("continue-{name}"));
+        let cfg = durability(&dir);
+        let mut rng = FastRng::seed_from(17 + name.len() as u64);
+        let first: Vec<Txn> = (0..200).map(|_| gen_txn(&mut rng)).collect();
+        let (engine, _) = DurableEngine::open(build(&db), &cfg).expect("fresh open");
+        let mut outcomes = run_serial(&engine, &first);
+        drop(engine);
+        // Each `execute` logs one record: the tear drops the last one.
+        let seg = dir.join("wal-00000000.seg");
+        let full = std::fs::read(&seg).unwrap();
+        std::fs::write(&seg, &full[..full.len() - 3]).unwrap();
+        let mut all = first[..first.len() - 1].to_vec();
+        outcomes.pop();
+
+        let (engine, report) = DurableEngine::open(build(&db), &cfg).expect("first recovery");
+        assert_eq!(
+            report.txns_replayed + report.txns_aborted,
+            all.len(),
+            "{name}"
+        );
+        let continuation: Vec<Txn> = (0..150).map(|_| gen_txn(&mut rng)).collect();
+        outcomes.extend(run_serial(&engine, &continuation));
+        all.extend(continuation);
+        drop(engine);
+
+        let (recovered, report) = DurableEngine::open(build(&db), &cfg).expect("second recovery");
+        assert_eq!(
+            report.txns_replayed + report.txns_aborted,
+            all.len(),
+            "{name}: every logged transaction replays exactly once"
+        );
+        let committed = outcomes.iter().filter(|o| o.committed).count();
+        assert_eq!(report.txns_replayed, committed, "{name}");
+        let res = check_serial_equivalence(&db, &all, &outcomes, |rid| recovered.read_u64(rid));
+        res.unwrap_or_else(|e| panic!("{name}: twice-recovered state diverged: {e:?}"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn a_replay_that_contradicts_its_logged_decision_is_refused() {
+    let db = spec();
+    let rid = RecordId::new(2, 0);
+    let rmw = Txn::new(
+        vec![rid],
+        vec![rid],
+        Procedure::ReadModifyWrite { delta: 1 },
+    );
+    for (name, build) in CASES {
+        let dir = fresh_dir(&format!("diverge-{name}"));
+        let cfg = durability(&dir);
+        // A decided record claiming a fingerprint the replay cannot produce.
+        let real = run_serial(&build(&db), std::slice::from_ref(&rmw))[0];
+        let wal = Wal::open(&cfg).unwrap();
+        let wrong = TxnDecision {
+            committed: true,
+            fingerprint: real.fingerprint ^ 1,
+        };
+        wal.log_batch_decided(0, &mut std::iter::once(&rmw), &[wrong])
+            .unwrap();
+        drop(wal);
+        let files = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = files();
+        match DurableEngine::open(build(&db), &cfg) {
+            Ok(_) => panic!("{name}: recovery accepted a contradicted decision"),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{name}: {e}"),
+        }
+        assert_eq!(
+            files(),
+            before,
+            "{name}: a refused recovery opens no segment"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
 fn a_failed_wal_append_stops_the_engine_for_good() {
     let dir = fresh_dir("sticky");
     let mut cfg = durability(&dir);
@@ -395,8 +490,19 @@ fn durable_kill_child_runs_until_killed() {
     }
 }
 
+/// How much log the killed child must write first: 64 KiB, or 4 MiB — the
+/// nightly `recovery_demo` leg's threshold — under `BOHM_STRESS_ITERS`.
+fn kill_threshold() -> u64 {
+    if stress_iters(0) > 0 {
+        4 << 20
+    } else {
+        64 << 10
+    }
+}
+
+/// Whether `dir` reaches `min_bytes` within 30 s.
 fn wait_for_log_growth(dir: &Path, min_bytes: u64) -> bool {
-    for _ in 0..200 {
+    for _ in 0..600 {
         let bytes: u64 = std::fs::read_dir(dir)
             .ok()
             .map(|rd| {
@@ -415,8 +521,8 @@ fn wait_for_log_growth(dir: &Path, min_bytes: u64) -> bool {
 }
 
 /// SIGKILL a durable engine mid-workload (re-exec of this binary), then
-/// recover through `DurableEngine::open` — which repairs the torn tail,
-/// replays the committed prefix, and must match the serial oracle: every
+/// recover through `DurableEngine::open` — which replays the committed
+/// prefix, repairs the torn tail, and must match the serial oracle: every
 /// logged decision, every fingerprint, the complete final state.
 fn kill_and_recover(name: &'static str) {
     let dir = fresh_dir(&format!("kill-{name}"));
@@ -429,12 +535,13 @@ fn kill_and_recover(name: &'static str) {
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("re-exec test binary");
-    let grew = wait_for_log_growth(&dir, 64 * 1024);
+    let min_bytes = kill_threshold();
+    let grew = wait_for_log_growth(&dir, min_bytes);
     child.kill().expect("SIGKILL the child");
     let _ = child.wait();
     assert!(
         grew,
-        "{name}: child never produced 64 KiB of log within 10s"
+        "{name}: child never produced {min_bytes} bytes of log within 30 s"
     );
 
     // The surviving log is the authority: its inputs plus decisions ARE

@@ -19,7 +19,7 @@
 use bohm_suite::common::engine::ExecOutcome;
 use bohm_suite::common::rng::FastRng;
 use bohm_suite::common::wal::{self, DurabilityConfig, FsyncPolicy, LogSink as _, Wal};
-use bohm_suite::common::{Procedure, RecordId, ScanRange, SmallBankProc, Txn};
+use bohm_suite::common::{stress_iters, Procedure, RecordId, ScanRange, SmallBankProc, Txn};
 use bohm_suite::core::{Bohm, BohmConfig, CatalogSpec};
 use bohm_suite::testkit::check_serial_equivalence;
 use bohm_suite::workloads::{DatabaseSpec, TableDef};
@@ -293,8 +293,19 @@ fn kill_and_recover_child_runs_until_killed() {
     }
 }
 
+/// How much log the killed child must write first: 64 KiB, or 4 MiB — the
+/// nightly `recovery_demo` leg's threshold — under `BOHM_STRESS_ITERS`.
+fn kill_threshold() -> u64 {
+    if stress_iters(0) > 0 {
+        4 << 20
+    } else {
+        64 << 10
+    }
+}
+
+/// Whether `dir` reaches `min_bytes` within 30 s.
 fn wait_for_log_growth(dir: &Path, min_bytes: u64) -> bool {
-    for _ in 0..200 {
+    for _ in 0..600 {
         let bytes: u64 = std::fs::read_dir(dir)
             .ok()
             .map(|rd| {
@@ -325,10 +336,14 @@ fn kill_and_recover_matches_serial_oracle() {
         .expect("re-exec test binary");
     // Let it log a meaningful amount of work, then SIGKILL mid-flight —
     // no shutdown, no final sync, very likely a torn tail record.
-    let grew = wait_for_log_growth(&dir, 64 * 1024);
+    let min_bytes = kill_threshold();
+    let grew = wait_for_log_growth(&dir, min_bytes);
     child.kill().expect("SIGKILL the child");
     let _ = child.wait();
-    assert!(grew, "child never produced 64 KiB of log within 10s");
+    assert!(
+        grew,
+        "child never produced {min_bytes} bytes of log within 30 s"
+    );
 
     let log = Wal::read_log(&dir).expect("post-crash log must read back");
     let txns: Vec<Txn> = log.iter().flat_map(|b| b.txns.iter().cloned()).collect();
@@ -342,7 +357,7 @@ fn kill_and_recover_matches_serial_oracle() {
     // the complete final state.
     let db = spec();
     let engine = Bohm::start(BohmConfig::with_threads(2, 2), catalog_of(&db));
-    let outcomes = wal::replay_into(&log, &engine);
+    let outcomes = wal::replay_into(&log, &engine).expect("input-only log");
     assert_eq!(outcomes.len(), txns.len());
     let res = check_serial_equivalence(&db, &txns, &outcomes, |rid| engine.read_u64(rid));
     engine.shutdown();

@@ -12,11 +12,15 @@
 //! Checkpoints live in the WAL directory, one file per checkpoint:
 //!
 //! ```text
-//! chk-NNNNNNNN.ckp := magic "BOHMCKP1",
+//! chk-NNNNNNNN.ckp := magic "BOHMCKP2",
 //!                     epoch u64, record_count u64,
 //!                     (table u32, row u64, len u32, bytes)*,
-//!                     fnv64(everything after the magic) u64
+//!                     xxh64(everything after the magic) u64
 //! ```
+//!
+//! The checksum is the log's (`codec::checksum`); a checkpoint is mostly
+//! row payload, so its fields stay fixed-width. A file that opens with any
+//! other magic — `BOHMCKP1` was the FNV-1a version — is refused by name.
 //!
 //! The file is written **temp-file → fsync → rename → dir-fsync**, so a
 //! crash at any point leaves either the previous checkpoint intact or the
@@ -47,7 +51,7 @@
 //! as of its epoch). Any [`BatchEngine`] can therefore be
 //! checkpoint-restored with zero store-specific code.
 
-use crate::codec::{fnv64, put_u32, put_u64, sync_dir, Numbered, Reader};
+use crate::codec::{checksum, foreign_magic, put_u32, put_u64, sync_dir, Numbered, Reader};
 use crate::engine::{BatchEngine, Session};
 use crate::txn::Txn;
 use crate::types::RecordId;
@@ -58,7 +62,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// First 8 bytes of every checkpoint file.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"BOHMCKP1";
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"BOHMCKP2";
 
 /// `chk-NNNNNNNN.ckp`, numbered by epoch.
 const CHECKPOINTS: Numbered = Numbered {
@@ -99,6 +103,13 @@ impl Checkpoint {
     /// Serialize and atomically write this snapshot as
     /// `chk-{epoch}.ckp`. Returns the checkpoint file's path.
     pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
+        let path = CHECKPOINTS.path(dir, self.epoch);
+        write_atomic(dir, &path, &self.encode())?;
+        Ok(path)
+    }
+
+    /// The whole file: magic, body, checksum.
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 + self.records.len() * 32);
         buf.extend_from_slice(&CHECKPOINT_MAGIC);
         put_u64(&mut buf, self.epoch);
@@ -109,11 +120,9 @@ impl Checkpoint {
             put_u32(&mut buf, data.len() as u32);
             buf.extend_from_slice(data);
         }
-        let sum = fnv64(&buf[CHECKPOINT_MAGIC.len()..]);
+        let sum = checksum(&buf[CHECKPOINT_MAGIC.len()..]);
         put_u64(&mut buf, sum);
-        let path = CHECKPOINTS.path(dir, self.epoch);
-        write_atomic(dir, &path, &buf)?;
-        Ok(path)
+        buf
     }
 
     /// Decode one checkpoint file; `None` when it is torn, truncated or
@@ -121,9 +130,15 @@ impl Checkpoint {
     fn decode(bytes: &[u8]) -> Option<Self> {
         let body = bytes.strip_prefix(&CHECKPOINT_MAGIC)?;
         let (body, sum) = body.split_at(body.len().checked_sub(8)?);
-        if fnv64(body) != u64::from_le_bytes(sum.try_into().ok()?) {
+        if checksum(body) != u64::from_le_bytes(sum.try_into().ok()?) {
             return None;
         }
+        Self::decode_body(body)
+    }
+
+    /// Decode the bytes between the magic and the checksum; `None` when
+    /// they do not parse. Never panics, whatever the bytes.
+    pub(crate) fn decode_body(body: &[u8]) -> Option<Self> {
         let mut r = Reader::new(body);
         let epoch = r.u64()?;
         // Each record needs ≥ 16 header bytes.
@@ -151,7 +166,14 @@ pub fn load_latest(dir: &Path) -> io::Result<Option<Checkpoint>> {
     let Some((epoch, path, _)) = CHECKPOINTS.list(dir)?.pop() else {
         return Ok(None);
     };
-    match Checkpoint::decode(&fs::read(&path)?) {
+    let bytes = fs::read(&path)?;
+    if let Some(magic) = bytes.get(..CHECKPOINT_MAGIC.len()) {
+        if magic != CHECKPOINT_MAGIC {
+            let file = format!("checkpoint {}", path.display());
+            return Err(foreign_magic(&file, magic, &CHECKPOINT_MAGIC));
+        }
+    }
+    match Checkpoint::decode(&bytes) {
         Some(ckp) if ckp.epoch == epoch => Ok(Some(ckp)),
         _ => Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -292,6 +314,20 @@ mod tests {
         assert!(load_latest(&dir).unwrap().is_none());
         let missing = dir.join("never-created");
         assert!(load_latest(&missing).unwrap().is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_older_version_is_refused_by_name() {
+        let dir = tmpdir("version");
+        let path = sample(6, 4).write(&dir).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"BOHMCKP1");
+        fs::write(&path, &bytes).unwrap();
+        let err = load_latest(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("\"BOHMCKP1\""), "{err}");
+        assert_eq!(fs::read(&path).unwrap(), bytes, "left as it was");
         fs::remove_dir_all(&dir).unwrap();
     }
 

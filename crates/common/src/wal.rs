@@ -20,12 +20,24 @@
 //! a sequence of batch records:
 //!
 //! ```text
-//! [u32 payload_len][u64 fnv64(payload)][payload]
-//! payload := epoch u64, txn_count u32, txn*,
+//! record  := payload_len u32, xxh64(payload) u64, payload
+//! payload := epoch u64, txn_count var, txn*,
 //!            [OUTCOMES_TAG u8, (committed u8, fingerprint u64)*txn_count]?
-//! txn     := proc (tagged union), think_us u32,
-//!            reads*, writes*, scans*, index_scans*   (length-prefixed)
+//! txn     := proc, think_us var,
+//!            n_reads var, rid*n_reads,
+//!            shared var, n_rest var, rid*n_rest,   writes = reads[..shared] ++ rest
+//!            n_scans var, (table var, lo var, hi var)*n_scans,
+//!            n_index_scans var, (list var, table var)*n_index_scans
+//! rid     := table var, row var
+//! proc    := tag u8, the variant's fields as var (a signed one zigzagged),
+//!            Apply's values as (0 u8 | 1 u8, len var, bytes)
 //! ```
+//!
+//! `u32`/`u64` fields are fixed-width little-endian; `var` is an unsigned
+//! LEB128 varint. The record header and the leading epoch stay fixed-width,
+//! so a segment's epochs read back without decoding a transaction. The
+//! write set is stored as the length of its common prefix with the read
+//! set plus what follows it, so a read-modify-write names each key once.
 //!
 //! The trailing outcomes section is optional per record: BOHM logs pure
 //! inputs (determinism makes the commit decisions replayable), while the
@@ -34,15 +46,18 @@
 //! replay to exactly the transactions that committed (see
 //! `common::durable`).
 //!
-//! All integers are little-endian. The checksum is FNV-1a over the whole
-//! payload, so a torn write (partial record at the tail of the **last**
-//! segment) is detected and dropped during replay — the torn-tail rule.
+//! The checksum is xxHash64 over the whole payload, so a torn write
+//! (partial record at the tail of the **last** segment) is detected and
+//! dropped during replay — the torn-tail rule.
 //! The same damage in a non-final segment is *corruption* (append-only
 //! logs cannot have holes) and surfaces as an error instead of silent
 //! data loss. [`Wal::open`] keeps that asymmetry sound across process
 //! lifetimes: before it appends a new segment after inherited ones, it
 //! truncates any torn tail off the last inherited segment, so a segment
-//! only ever stops being "last" once it is fully intact.
+//! only ever stops being "last" once it is fully intact. A segment whose
+//! full-length header is not the magic is neither: it is another format
+//! version or damage, and reading or opening the log refuses it, leaving
+//! the file as it is.
 //!
 //! # Adoption surface
 //!
@@ -71,7 +86,7 @@
 //! kill → replay → fingerprint-check walkthrough, and `DESIGN.md`
 //! ("Durability & recovery") for the design rationale.
 
-use crate::codec::{fnv64, put_u32, put_u64, sync_dir, Numbered, Reader};
+use crate::codec::{checksum, foreign_magic, put_u64, put_var, sync_dir, Numbered, Reader};
 use crate::engine::{BatchEngine, ExecOutcome, Session};
 use crate::txn::{IndexScan, ScanRange, Txn};
 use crate::types::RecordId;
@@ -85,9 +100,10 @@ use std::path::{Path, PathBuf};
 
 /// First 8 bytes of every segment file (format version rides in the last
 /// byte: bump it when the record encoding changes incompatibly). Version
-/// 2 added a reserved `u64` word to `Apply` records — written as zero,
-/// skipped on read — and the optional trailing commit-outcomes section.
-pub const SEGMENT_MAGIC: [u8; 8] = *b"BOHMWAL2";
+/// 3 made every count, id and procedure field a varint, stored the write
+/// set as a shared prefix of the read set, and replaced FNV-1a with
+/// xxHash64; a log of an older version is refused, never misread.
+pub const SEGMENT_MAGIC: [u8; 8] = *b"BOHMWAL3";
 
 /// Upper bound accepted for one record's payload when reading a log back.
 /// A length prefix beyond this is treated as damage (torn tail in the
@@ -276,6 +292,9 @@ fn create_segment(dir: &Path, index: u64) -> io::Result<File> {
         .create_new(true)
         .open(SEGMENTS.path(dir, index))?;
     f.write_all(&SEGMENT_MAGIC)?;
+    // The header is durable before the entry that names it, so a full-length
+    // header that is not the magic is never a crash's doing.
+    f.sync_data()?;
     sync_dir(dir)?;
     Ok(f)
 }
@@ -287,17 +306,18 @@ impl Wal {
     /// log keeps appending after them, so crash → recover → continue
     /// works without a copy step. Before the new segment is created, any
     /// torn tail left in the last inherited segment by a crash
-    /// mid-append is **truncated away** (a header-less file is removed
-    /// outright): once a newer segment exists, the inherited one is no
-    /// longer last, where the torn-tail rule would treat the same bytes
+    /// mid-append is **truncated away** (a file shorter than the magic is
+    /// removed outright): once a newer segment exists, the inherited one is
+    /// no longer last, where the torn-tail rule would treat the same bytes
     /// as corruption and fail [`read_log`](Self::read_log). A
-    /// checksummed record that fails to decode is real corruption and
-    /// refuses to open.
+    /// checksummed record that fails to decode, or a full-length header
+    /// that is not [`SEGMENT_MAGIC`], is not a tear: open refuses with
+    /// [`InvalidData`](io::ErrorKind::InvalidData) and changes nothing.
     pub fn open(config: &DurabilityConfig) -> io::Result<Self> {
         config.validate();
         fs::create_dir_all(&config.dir)?;
         let mut existing = SEGMENTS.list(&config.dir)?;
-        // Torn-tail repair. A loop, because a file torn inside its header
+        // Torn-tail repair. A loop, because a file shorter than its header
         // holds nothing and is removed, promoting the previous (sealed,
         // so normally intact) segment to "last".
         while let Some((idx, path, _)) = existing.last() {
@@ -421,10 +441,12 @@ impl Wal {
     /// the tail of the **last** segment (a crash mid-append) is dropped
     /// along with everything after it; the same damage in any earlier
     /// segment is corruption and errors out. A checksummed record that
-    /// fails to *decode* is always an error (that is a format bug or
-    /// version mismatch, not a torn write). A trailing file torn inside its
-    /// header holds nothing and is skipped, so the segment before it is
-    /// read as the last — what [`open`](Self::open)'s repair leaves.
+    /// fails to *decode* is always an error (that is a format bug, not a
+    /// torn write), and so is a full-length segment header that is not
+    /// [`SEGMENT_MAGIC`] (another version, or damage). A trailing file
+    /// shorter than the header holds nothing and is skipped, so the segment
+    /// before it is read as the last — what [`open`](Self::open)'s repair
+    /// leaves.
     pub fn read_log(dir: &Path) -> io::Result<Vec<LoggedBatch>> {
         let mut segs = SEGMENTS.list(dir)?;
         while segs
@@ -456,32 +478,7 @@ impl Wal {
         outcomes: Option<&[TxnDecision]>,
     ) -> io::Result<()> {
         self.latched(|st| {
-            // Encode the payload into the reusable buffer, leaving room for
-            // the [len][checksum] header at the front.
-            st.buf.clear();
-            st.buf.resize(12, 0);
-            put_u64(&mut st.buf, epoch);
-            let count = u32::try_from(txns.len()).expect("batch size fits u32");
-            put_u32(&mut st.buf, count);
-            for txn in txns {
-                encode_txn(&mut st.buf, txn);
-            }
-            if let Some(outcomes) = outcomes {
-                assert_eq!(
-                    outcomes.len(),
-                    count as usize,
-                    "outcomes must align with txns"
-                );
-                st.buf.push(OUTCOMES_TAG);
-                for o in outcomes {
-                    st.buf.push(o.committed as u8);
-                    put_u64(&mut st.buf, o.fingerprint);
-                }
-            }
-            let payload_len = (st.buf.len() - 12) as u32;
-            let sum = fnv64(&st.buf[12..]);
-            st.buf[0..4].copy_from_slice(&payload_len.to_le_bytes());
-            st.buf[4..12].copy_from_slice(&sum.to_le_bytes());
+            encode_record(&mut st.buf, epoch, txns, outcomes);
             st.file.write_all(&st.buf)?;
             st.seg_len += st.buf.len() as u64;
             st.seg_max_epoch = st.seg_max_epoch.max(epoch);
@@ -683,16 +680,61 @@ const TP_CUSTOMER_STATUS: u8 = 3;
 const TP_ORDER_HISTORY: u8 = 4;
 const TP_DELIVERY: u8 = 5;
 
+/// Size of a record's `[u32 payload_len][u64 checksum]` header.
+const RECORD_HEADER: usize = 12;
+
+/// Fewest payload bytes a transaction encodes to: the procedure tag and six
+/// one-byte varints (think time and the five set counts).
+const MIN_TXN_BYTES: usize = 7;
+
+/// Encode one whole record — header, then payload — into `buf`, replacing
+/// what it held.
+fn encode_record(
+    buf: &mut Vec<u8>,
+    epoch: u64,
+    txns: &mut dyn ExactSizeIterator<Item = &Txn>,
+    outcomes: Option<&[TxnDecision]>,
+) {
+    buf.clear();
+    buf.resize(RECORD_HEADER, 0);
+    put_u64(buf, epoch);
+    let count = txns.len();
+    put_var(buf, count as u64);
+    for txn in txns {
+        encode_txn(buf, txn);
+    }
+    if let Some(outcomes) = outcomes {
+        assert_eq!(outcomes.len(), count, "outcomes must align with txns");
+        buf.push(OUTCOMES_TAG);
+        for o in outcomes {
+            buf.push(o.committed as u8);
+            put_u64(buf, o.fingerprint);
+        }
+    }
+    let payload_len = u32::try_from(buf.len() - RECORD_HEADER).expect("record fits u32");
+    let sum = checksum(&buf[RECORD_HEADER..]);
+    buf[0..4].copy_from_slice(&payload_len.to_le_bytes());
+    buf[4..RECORD_HEADER].copy_from_slice(&sum.to_le_bytes());
+}
+
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
+}
+
 fn encode_proc(buf: &mut Vec<u8>, proc: &Procedure) {
     match proc {
         Procedure::ReadOnly => buf.push(P_READ_ONLY),
         Procedure::ReadModifyWrite { delta } => {
             buf.push(P_RMW);
-            put_u64(buf, *delta);
+            put_var(buf, *delta);
         }
         Procedure::BlindWrite { value } => {
             buf.push(P_BLIND_WRITE);
-            put_u64(buf, *value);
+            put_var(buf, *value);
         }
         Procedure::SmallBank(sb) => {
             buf.push(P_SMALL_BANK);
@@ -700,16 +742,16 @@ fn encode_proc(buf: &mut Vec<u8>, proc: &Procedure) {
                 SmallBankProc::Balance => buf.push(SB_BALANCE),
                 SmallBankProc::DepositChecking { v } => {
                     buf.push(SB_DEPOSIT);
-                    put_u64(buf, *v);
+                    put_var(buf, *v);
                 }
                 SmallBankProc::TransactSaving { v } => {
                     buf.push(SB_TRANSACT);
-                    put_u64(buf, *v as u64);
+                    put_var(buf, zigzag(*v));
                 }
                 SmallBankProc::Amalgamate => buf.push(SB_AMALGAMATE),
                 SmallBankProc::WriteCheck { v } => {
                     buf.push(SB_WRITE_CHECK);
-                    put_u64(buf, *v);
+                    put_var(buf, *v);
                 }
             }
         }
@@ -718,11 +760,11 @@ fn encode_proc(buf: &mut Vec<u8>, proc: &Procedure) {
             match tp {
                 TpcCProc::NewOrder { lines } => {
                     buf.push(TP_NEW_ORDER);
-                    put_u32(buf, *lines);
+                    put_var(buf, (*lines).into());
                 }
                 TpcCProc::Payment { amount } => {
                     buf.push(TP_PAYMENT);
-                    put_u64(buf, *amount);
+                    put_var(buf, *amount);
                 }
                 TpcCProc::OrderStatus => buf.push(TP_ORDER_STATUS),
                 TpcCProc::CustomerStatus => buf.push(TP_CUSTOMER_STATUS),
@@ -733,25 +775,24 @@ fn encode_proc(buf: &mut Vec<u8>, proc: &Procedure) {
         Procedure::ProbeAll => buf.push(P_PROBE_ALL),
         Procedure::RangeAudit { expect_base } => {
             buf.push(P_RANGE_AUDIT);
-            put_u64(buf, *expect_base);
+            put_var(buf, *expect_base);
         }
         Procedure::InsertKeyed { base } => {
             buf.push(P_INSERT_KEYED);
-            put_u64(buf, *base);
+            put_var(buf, *base);
         }
         Procedure::GuardedDelete { min } => {
             buf.push(P_GUARDED_DELETE);
-            put_u64(buf, *min);
+            put_var(buf, *min);
         }
         Procedure::Apply { values } => {
             buf.push(P_APPLY);
-            put_u64(buf, 0); // reserved word (see `SEGMENT_MAGIC`)
-            put_u32(buf, values.len() as u32);
+            put_var(buf, values.len() as u64);
             for v in values.iter() {
                 match v {
                     Some(data) => {
                         buf.push(1);
-                        put_u32(buf, data.len() as u32);
+                        put_var(buf, data.len() as u64);
                         buf.extend_from_slice(data);
                     }
                     None => buf.push(0),
@@ -761,29 +802,39 @@ fn encode_proc(buf: &mut Vec<u8>, proc: &Procedure) {
     }
 }
 
+fn put_rid(buf: &mut Vec<u8>, rid: &RecordId) {
+    put_var(buf, rid.table.0.into());
+    put_var(buf, rid.row);
+}
+
 fn encode_txn(buf: &mut Vec<u8>, txn: &Txn) {
     encode_proc(buf, &txn.proc);
-    put_u32(buf, txn.think_us);
-    put_u32(buf, txn.reads.len() as u32);
+    put_var(buf, txn.think_us.into());
+    put_var(buf, txn.reads.len() as u64);
     for r in txn.reads.iter() {
-        put_u32(buf, r.table.0);
-        put_u64(buf, r.row);
+        put_rid(buf, r);
     }
-    put_u32(buf, txn.writes.len() as u32);
-    for w in txn.writes.iter() {
-        put_u32(buf, w.table.0);
-        put_u64(buf, w.row);
+    let shared = txn
+        .reads
+        .iter()
+        .zip(txn.writes.iter())
+        .take_while(|(r, w)| r == w)
+        .count();
+    put_var(buf, shared as u64);
+    put_var(buf, (txn.writes.len() - shared) as u64);
+    for w in &txn.writes[shared..] {
+        put_rid(buf, w);
     }
-    put_u32(buf, txn.scans.len() as u32);
+    put_var(buf, txn.scans.len() as u64);
     for s in txn.scans.iter() {
-        put_u32(buf, s.table.0);
-        put_u64(buf, s.lo);
-        put_u64(buf, s.hi);
+        put_var(buf, s.table.0.into());
+        put_var(buf, s.lo);
+        put_var(buf, s.hi);
     }
-    put_u32(buf, txn.index_scans.len() as u32);
+    put_var(buf, txn.index_scans.len() as u64);
     for s in txn.index_scans.iter() {
-        put_u64(buf, s.list as u64);
-        put_u32(buf, s.table.0);
+        put_var(buf, s.list as u64);
+        put_var(buf, s.table.0.into());
     }
 }
 
@@ -794,19 +845,23 @@ fn encode_txn(buf: &mut Vec<u8>, txn: &Txn) {
 fn decode_proc(r: &mut Reader) -> Option<Procedure> {
     Some(match r.u8()? {
         P_READ_ONLY => Procedure::ReadOnly,
-        P_RMW => Procedure::ReadModifyWrite { delta: r.u64()? },
-        P_BLIND_WRITE => Procedure::BlindWrite { value: r.u64()? },
+        P_RMW => Procedure::ReadModifyWrite { delta: r.var()? },
+        P_BLIND_WRITE => Procedure::BlindWrite { value: r.var()? },
         P_SMALL_BANK => Procedure::SmallBank(match r.u8()? {
             SB_BALANCE => SmallBankProc::Balance,
-            SB_DEPOSIT => SmallBankProc::DepositChecking { v: r.u64()? },
-            SB_TRANSACT => SmallBankProc::TransactSaving { v: r.u64()? as i64 },
+            SB_DEPOSIT => SmallBankProc::DepositChecking { v: r.var()? },
+            SB_TRANSACT => SmallBankProc::TransactSaving {
+                v: unzigzag(r.var()?),
+            },
             SB_AMALGAMATE => SmallBankProc::Amalgamate,
-            SB_WRITE_CHECK => SmallBankProc::WriteCheck { v: r.u64()? },
+            SB_WRITE_CHECK => SmallBankProc::WriteCheck { v: r.var()? },
             _ => return None,
         }),
         P_TPCC => Procedure::TpcC(match r.u8()? {
-            TP_NEW_ORDER => TpcCProc::NewOrder { lines: r.u32()? },
-            TP_PAYMENT => TpcCProc::Payment { amount: r.u64()? },
+            TP_NEW_ORDER => TpcCProc::NewOrder {
+                lines: r.var_u32()?,
+            },
+            TP_PAYMENT => TpcCProc::Payment { amount: r.var()? },
             TP_ORDER_STATUS => TpcCProc::OrderStatus,
             TP_CUSTOMER_STATUS => TpcCProc::CustomerStatus,
             TP_ORDER_HISTORY => TpcCProc::OrderHistory,
@@ -815,12 +870,11 @@ fn decode_proc(r: &mut Reader) -> Option<Procedure> {
         }),
         P_PROBE_ALL => Procedure::ProbeAll,
         P_RANGE_AUDIT => Procedure::RangeAudit {
-            expect_base: r.u64()?,
+            expect_base: r.var()?,
         },
-        P_INSERT_KEYED => Procedure::InsertKeyed { base: r.u64()? },
-        P_GUARDED_DELETE => Procedure::GuardedDelete { min: r.u64()? },
+        P_INSERT_KEYED => Procedure::InsertKeyed { base: r.var()? },
+        P_GUARDED_DELETE => Procedure::GuardedDelete { min: r.var()? },
         P_APPLY => {
-            r.u64()?; // reserved word: any value, ignored
             let n = r.count(1)?;
             let mut values = Vec::with_capacity(n);
             for _ in 0..n {
@@ -841,36 +895,43 @@ fn decode_proc(r: &mut Reader) -> Option<Procedure> {
     })
 }
 
+fn decode_rid(r: &mut Reader) -> Option<RecordId> {
+    let table = r.var_u32()?;
+    Some(RecordId::new(table, r.var()?))
+}
+
 fn decode_txn(r: &mut Reader) -> Option<Txn> {
     // Loop bounds come from the decoded counts, never `Vec::capacity()`:
     // `with_capacity(n)` only promises capacity >= n, and an allocator
-    // that rounds up must not make us decode extra elements.
+    // that rounds up must not make us decode extra elements. Every count
+    // is checked against the bytes left (`Reader::count`), and the shared
+    // prefix against the read set, so no allocation outgrows the payload.
     let proc = decode_proc(r)?;
-    let think_us = r.u32()?;
-    let n_reads = r.count(12)?;
+    let think_us = r.var_u32()?;
+    let n_reads = r.count(2)?;
     let mut reads = Vec::with_capacity(n_reads);
     for _ in 0..n_reads {
-        let table = r.u32()?;
-        reads.push(RecordId::new(table, r.u64()?));
+        reads.push(decode_rid(r)?);
     }
-    let n_writes = r.count(12)?;
-    let mut writes = Vec::with_capacity(n_writes);
-    for _ in 0..n_writes {
-        let table = r.u32()?;
-        writes.push(RecordId::new(table, r.u64()?));
+    let shared = usize::try_from(r.var()?).ok().filter(|&s| s <= n_reads)?;
+    let n_rest = r.count(2)?;
+    let mut writes = Vec::with_capacity(shared + n_rest);
+    writes.extend_from_slice(&reads[..shared]);
+    for _ in 0..n_rest {
+        writes.push(decode_rid(r)?);
     }
-    let n_scans = r.count(20)?;
+    let n_scans = r.count(3)?;
     let mut scans = Vec::with_capacity(n_scans);
     for _ in 0..n_scans {
-        let table = r.u32()?;
-        let lo = r.u64()?;
-        scans.push(ScanRange::new(table, lo, r.u64()?));
+        let table = r.var_u32()?;
+        let lo = r.var()?;
+        scans.push(ScanRange::new(table, lo, r.var()?));
     }
-    let n_index_scans = r.count(12)?;
+    let n_index_scans = r.count(2)?;
     let mut index_scans = Vec::with_capacity(n_index_scans);
     for _ in 0..n_index_scans {
-        let list = r.u64()? as usize;
-        index_scans.push(IndexScan::new(list, r.u32()?));
+        let list = usize::try_from(r.var()?).ok()?;
+        index_scans.push(IndexScan::new(list, r.var_u32()?));
     }
     let mut txn = Txn::new(reads, writes, proc);
     txn.scans = scans.into();
@@ -879,10 +940,12 @@ fn decode_txn(r: &mut Reader) -> Option<Txn> {
     Some(txn)
 }
 
-fn decode_batch(payload: &[u8]) -> Option<LoggedBatch> {
+/// Decode one record's payload; `None` when it does not parse. Never
+/// panics, whatever the bytes: the checksum is not what keeps it safe.
+pub(crate) fn decode_batch(payload: &[u8]) -> Option<LoggedBatch> {
     let mut r = Reader::new(payload);
     let epoch = r.u64()?;
-    let n = r.count(1)?;
+    let n = r.count(MIN_TXN_BYTES)?;
     let mut txns = Vec::with_capacity(n);
     for _ in 0..n {
         txns.push(decode_txn(&mut r)?);
@@ -932,13 +995,14 @@ fn max_epoch_of(path: &Path) -> io::Result<u64> {
     let mut file = File::open(path)?;
     let len = file.metadata()?.len();
     let (mut pos, mut max) = (SEGMENT_MAGIC.len() as u64, 0);
-    let mut head = [0u8; 20];
+    let mut head = [0u8; RECORD_HEADER + 8];
     while pos + head.len() as u64 <= len {
         file.seek(SeekFrom::Start(pos))?;
         file.read_exact(&mut head)?;
         let payload_len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
-        max = max.max(u64::from_le_bytes(head[12..].try_into().expect("8 bytes")));
-        pos += 12 + u64::from(payload_len);
+        let epoch = &head[RECORD_HEADER..];
+        max = max.max(u64::from_le_bytes(epoch.try_into().expect("8 bytes")));
+        pos += (RECORD_HEADER as u64) + u64::from(payload_len);
     }
     Ok(max)
 }
@@ -946,7 +1010,7 @@ fn max_epoch_of(path: &Path) -> io::Result<u64> {
 /// Result of scanning one segment: whether it was fully intact, and the
 /// byte length of its valid prefix (header plus every whole, checksummed
 /// record) — what [`Wal::open`] truncates a torn last segment back to.
-/// `valid_len` of 0 means even the header is damaged.
+/// `valid_len` of 0 means the file is shorter than its header.
 struct SegScan {
     intact: bool,
     valid_len: usize,
@@ -972,23 +1036,35 @@ fn read_segment(
             Err(corrupt(segment, offset, what))
         }
     };
-    if bytes.len() < SEGMENT_MAGIC.len() || bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return torn(0, 0, "bad or short segment header");
+    // Only a file shorter than the magic can be a tear (`create_segment`
+    // syncs the header before naming the file); a full-length header that
+    // is not the magic is another version or damage, refused wherever the
+    // segment sits.
+    let Some(magic) = bytes.get(..SEGMENT_MAGIC.len()) else {
+        return torn(0, 0, "short segment header");
+    };
+    if magic != SEGMENT_MAGIC {
+        return Err(foreign_magic(
+            &format!("wal segment {segment}"),
+            magic,
+            &SEGMENT_MAGIC,
+        ));
     }
     let mut pos = SEGMENT_MAGIC.len();
     while pos < bytes.len() {
-        let Some(header) = bytes.get(pos..pos + 12) else {
+        let Some(header) = bytes.get(pos..pos + RECORD_HEADER) else {
             return torn(pos, pos, "short record header");
         };
         let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let sum = u64::from_le_bytes(header[4..12].try_into().unwrap());
+        let sum = u64::from_le_bytes(header[4..RECORD_HEADER].try_into().unwrap());
         if len > MAX_RECORD_BYTES {
             return torn(pos, pos, "record length out of range");
         }
-        let Some(payload) = bytes.get(pos + 12..pos + 12 + len as usize) else {
+        let start = pos + RECORD_HEADER;
+        let Some(payload) = bytes.get(start..start + len as usize) else {
             return torn(pos, pos, "short record payload");
         };
-        if fnv64(payload) != sum {
+        if checksum(payload) != sum {
             return torn(pos, pos, "record checksum mismatch");
         }
         // Past the checksum, failure to decode is always corruption: the
@@ -996,7 +1072,7 @@ fn read_segment(
         let batch = decode_batch(payload)
             .ok_or_else(|| corrupt(segment, pos, "checksummed record fails to decode"))?;
         out.push(batch);
-        pos += 12 + len as usize;
+        pos = start + len as usize;
     }
     Ok(SegScan {
         intact: true,
@@ -1025,8 +1101,8 @@ mod tests {
         }
     }
 
-    /// One transaction of every procedure shape (including nested
-    /// variants and `Apply` payloads) — the encode/decode gauntlet.
+    /// One transaction of every procedure shape (every nested variant and
+    /// `Apply` payloads included) — the encode/decode gauntlet.
     fn gauntlet() -> Vec<Txn> {
         let mut apply = Txn::new(vec![], vec![rid(1, 7), rid(1, 8)], apply_proc());
         apply.think_us = 3;
@@ -1084,7 +1160,48 @@ mod tests {
                 Procedure::GuardedDelete { min: 1 },
             ),
             apply,
+            Txn::new(
+                vec![rid(0, 9), rid(1, 9)],
+                vec![],
+                Procedure::SmallBank(SmallBankProc::Balance),
+            ),
+            Txn::new(
+                vec![rid(1, 9)],
+                vec![rid(1, 9)],
+                Procedure::SmallBank(SmallBankProc::DepositChecking { v: 200 }),
+            ),
+            Txn::new(
+                vec![rid(0, 9), rid(1, 9), rid(1, 10)],
+                vec![rid(0, 9), rid(1, 9), rid(1, 10)],
+                Procedure::SmallBank(SmallBankProc::Amalgamate),
+            ),
+            Txn::new(
+                vec![rid(0, 1), rid(1, 1), rid(2, 300_000)],
+                vec![rid(0, 1), rid(1, 1), rid(2, 300_000)],
+                Procedure::TpcC(TpcCProc::Payment { amount: 1 << 40 }),
+            ),
+            Txn::with_scans(
+                vec![rid(2, 5)],
+                vec![],
+                vec![ScanRange::new(3, 100, 116)],
+                Procedure::TpcC(TpcCProc::OrderHistory),
+            ),
+            Txn::new(
+                vec![rid(4, 0), rid(3, 7), rid(3, 8)],
+                vec![rid(4, 0), rid(3, 7), rid(3, 8)],
+                Procedure::TpcC(TpcCProc::Delivery),
+            ),
         ]
+    }
+
+    /// Every transaction's decision: alternately committed and aborted.
+    fn decisions(n: usize) -> Vec<TxnDecision> {
+        (0..n)
+            .map(|i| TxnDecision {
+                committed: i % 2 == 0,
+                fingerprint: 0x1000 + i as u64,
+            })
+            .collect()
     }
 
     fn assert_txn_eq(a: &Txn, b: &Txn) {
@@ -1117,17 +1234,144 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The gauntlet's input-only record at epoch 3, byte for byte: the
+    /// header (payload length 257, then the checksum), then the payload.
+    /// Any change here is a format change and bumps [`SEGMENT_MAGIC`].
+    const GOLDEN_RECORD: &str = concat!(
+        "010100002670d8a0f4d7545a",
+        "03000000000000001300000100010000000001090001000201000000024d0000",
+        "0001000300000302090001000401000000030403000200050006000100060000",
+        "0400040002000102000101030900000402000100010000000004030002020005",
+        "00000000010103050001000100000000062a32010001000001020a1400076400",
+        "0000010008000008010001000100010008000009020108616263646566676800",
+        "030000020107010800000300000200090109000000000301c801000101090100",
+        "00000303000300090109010a03000000040180808080802000030001010102e0",
+        "a712030000000404000102050000010364740004050003040003070308030000",
+        "00",
+    );
+
     #[test]
-    fn apply_decodes_whatever_its_reserved_word_holds() {
-        // Older logs carry a shard bitmask in the word `Apply` now writes
-        // as zero; such a record must still decode to the same `Apply`.
+    fn golden_record_pins_the_format() {
         let mut buf = Vec::new();
-        encode_proc(&mut buf, &apply_proc());
-        assert_eq!(buf[1..9], [0; 8], "written as zero");
-        buf[1..9].copy_from_slice(&0b101u64.to_le_bytes());
+        encode_record(&mut buf, 3, &mut gauntlet().iter(), None);
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_RECORD);
+    }
+
+    #[test]
+    fn a_read_modify_write_names_each_key_once() {
+        let keys: Vec<RecordId> = (0..10).map(|i| rid(0, 999_000 + i)).collect();
+        let txn = Txn::new(keys.clone(), keys, Procedure::ReadModifyWrite { delta: 1 });
+        let mut buf = Vec::new();
+        encode_txn(&mut buf, &txn);
+        // Tag, delta, think time, read count, ten 4-byte keys, the shared
+        // prefix, no further writes, no scans of either kind.
+        assert_eq!(buf.len(), 3 + 1 + 10 * 4 + 4);
         let mut r = Reader::new(&buf);
-        assert_eq!(decode_proc(&mut r), Some(apply_proc()));
+        assert_txn_eq(&decode_txn(&mut r).unwrap(), &txn);
         assert!(r.at_end());
+    }
+
+    thread_local! {
+        // Const-initialised and drop-free, so the allocator can read it.
+        static REQUESTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Tallies the bytes each thread asks for, so the fuzz can hold a
+    /// decode to what its input allows.
+    struct Tally;
+
+    // SAFETY: every method delegates to `std::alloc::System` with the
+    // caller's exact layout; the tally has no effect on allocation.
+    unsafe impl std::alloc::GlobalAlloc for Tally {
+        // SAFETY: forwards to `System.alloc` under the caller's contract.
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = REQUESTED.try_with(|r| r.set(r.get() + layout.size()));
+            std::alloc::System.alloc(layout)
+        }
+
+        // SAFETY: forwards to `System.realloc` under the caller's contract.
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            let _ = REQUESTED.try_with(|r| r.set(r.get() + new_size));
+            std::alloc::System.realloc(ptr, layout, new_size)
+        }
+
+        // SAFETY: forwards to `System.dealloc` under the caller's contract.
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static TALLY: Tally = Tally;
+
+    /// Bytes allocated while running `f`, on this thread.
+    fn allocated_by<T>(f: impl FnOnce() -> T) -> usize {
+        REQUESTED.with(|r| r.set(0));
+        let out = f();
+        let bytes = REQUESTED.with(|r| r.get());
+        drop(out);
+        bytes
+    }
+
+    /// Mutate `bytes` once: flip a bit, truncate, or overwrite a few bytes
+    /// with a varint of random magnitude (a count or length gone wild).
+    fn mutate(rng: &mut crate::rng::FastRng, bytes: &mut Vec<u8>) {
+        let at = rng.below(bytes.len() as u64 + 1) as usize;
+        match rng.below(3) {
+            0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+            1 => bytes.truncate(at),
+            _ => {
+                let mut var = Vec::new();
+                put_var(&mut var, rng.next_u64() >> rng.below(64));
+                let end = (at + rng.below(4) as usize).min(bytes.len());
+                bytes.splice(at..end, var);
+            }
+        }
+    }
+
+    /// Bytes a decode may allocate per byte of input. The dearest input is
+    /// a shared write prefix: one byte that copies a whole read set.
+    const ALLOC_PER_INPUT_BYTE: usize = 64;
+
+    #[test]
+    fn codec_fuzz_never_panics_and_allocates_within_the_input() {
+        let txns = gauntlet();
+        let mut buf = Vec::new();
+        encode_record(&mut buf, 3, &mut txns.iter(), None);
+        let input = buf[RECORD_HEADER..].to_vec();
+        encode_record(&mut buf, 4, &mut txns.iter(), Some(&decisions(txns.len())));
+        let decided = buf[RECORD_HEADER..].to_vec();
+        let ckp = crate::Checkpoint {
+            epoch: 9,
+            records: (0..20u64)
+                .map(|r| (rid((r % 3) as u32, r), vec![r as u8; r as usize].into()))
+                .collect(),
+        }
+        .encode();
+        let ckp_body = ckp[8..ckp.len() - 8].to_vec();
+        let corpus = [input, decided, ckp_body];
+        let mut rng = crate::rng::FastRng::seed_from(0xF022);
+        let rounds = crate::stress_iters(3_000);
+        for round in 0..rounds {
+            let mut bytes = corpus[round as usize % corpus.len()].clone();
+            for _ in 0..=rng.below(3) {
+                mutate(&mut rng, &mut bytes);
+            }
+            let budget = ALLOC_PER_INPUT_BYTE * bytes.len() + 1024;
+            let wal = allocated_by(|| decode_batch(&bytes));
+            let ckp = allocated_by(|| crate::Checkpoint::decode_body(&bytes));
+            assert!(
+                wal <= budget && ckp <= budget,
+                "round {round}: {} input bytes drove {wal} B (log) / {ckp} B (checkpoint)",
+                bytes.len()
+            );
+        }
     }
 
     #[test]
@@ -1401,12 +1645,7 @@ mod tests {
         let wal = Wal::open(&cfg).unwrap();
         let txns = gauntlet();
         wal.log_batch(1, &mut txns.iter()).unwrap();
-        let decisions: Vec<TxnDecision> = (0..txns.len())
-            .map(|i| TxnDecision {
-                committed: i % 2 == 0,
-                fingerprint: 0x1000 + i as u64,
-            })
-            .collect();
+        let decisions = decisions(txns.len());
         wal.log_batch_decided(2, &mut txns.iter(), &decisions)
             .unwrap();
         drop(wal);

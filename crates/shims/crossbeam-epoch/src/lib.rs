@@ -434,8 +434,11 @@ mod tests {
             unsafe { g.defer_destroy(s) };
         }
         // Drive the collector: repeated pin/defer cycles must eventually
-        // advance the epoch twice and run the free.
-        for _ in 0..10 * ADVANCE_EVERY {
+        // advance the epoch twice and run the free. Until a deadline, not
+        // for a fixed count: a sibling test may hold a pin for a while,
+        // and the epoch cannot advance past it meanwhile.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while std::time::Instant::now() < deadline {
             let g = pin();
             // SAFETY: the closure captures nothing and touches no shared
             // state; running it at any later point is trivially sound.

@@ -195,6 +195,51 @@ fn torn_write_at_every_offset_recovers_exact_prefix() {
 }
 
 #[test]
+fn a_damaged_segment_header_is_refused_and_left_alone() {
+    // A torn write can only leave a file shorter than its header. One
+    // flipped byte in a full-length header is damage (or another format
+    // version), so every reader refuses, and nothing deletes the records
+    // behind it.
+    let dir = fresh_dir("bad-header");
+    let wal = Wal::open(&DurabilityConfig::new(&dir)).unwrap();
+    let mut rng = FastRng::seed_from(3);
+    for epoch in 0..3u64 {
+        let txns: Vec<Txn> = (0..4).map(|_| gen_txn(&mut rng)).collect();
+        wal.log_batch(epoch, &mut txns.iter()).unwrap();
+    }
+    drop(wal);
+    let seg = dir.join("wal-00000000.seg");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes[0] ^= 0x01;
+    std::fs::write(&seg, &bytes).unwrap();
+    let refused = |what: &str, err: std::io::Error| {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        assert!(err.to_string().contains("\"COHMWAL"), "{what}: {err}");
+    };
+    refused("read_log", Wal::read_log(&dir).unwrap_err());
+    refused(
+        "Wal::open",
+        Wal::open(&DurabilityConfig::new(&dir)).unwrap_err(),
+    );
+    let mut cfg = BohmConfig::with_threads(1, 1);
+    cfg.durability = Some(DurabilityConfig::new(&dir));
+    refused(
+        "Bohm::recover",
+        Bohm::recover(cfg, catalog_of(&spec()))
+            .map(|_| ())
+            .unwrap_err(),
+    );
+    assert_eq!(
+        std::fs::read(&seg).unwrap(),
+        bytes,
+        "segment left as it was"
+    );
+    let files = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(files, 1, "no segment created or removed");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn recover_then_continue_on_same_dir_matches_oracle_across_two_crashes() {
     // The full crash → recover → continue lifecycle, on ONE directory:
     // run, crash with a torn tail, `Bohm::recover` (same dir), run more

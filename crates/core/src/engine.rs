@@ -75,14 +75,18 @@ impl Inner {
         {
             // Preloading happens before any worker exists, so the
             // single-writer-per-chain invariant holds trivially.
+            // Each seeded version is built in place: a placeholder filled
+            // with the seed, no intermediate buffer.
             let guard = epoch::pin();
             for (tid, spec) in catalog.tables.iter().enumerate() {
+                assert!(spec.record_size >= 8, "record too small for a u64 payload");
                 for row in 0..spec.rows {
                     let rid = RecordId::new(tid as u32, row);
-                    let data = bohm_common::value::of_u64((spec.seed)(row), spec.record_size);
+                    let v = Version::placeholder(0, spec.record_size);
+                    v.fill_with(|d| bohm_common::value::put_u64(d, 0, (spec.seed)(row)));
                     index
                         .get_or_insert(rid, &guard)
-                        .install(Owned::new(Version::ready(0, data)), &guard);
+                        .install(Owned::new(v), &guard);
                 }
             }
         }

@@ -18,6 +18,12 @@
 //! caller's `Guard` and tie the returned chain borrow to it. The caller
 //! contract on `sweep_retire` restricts *who* may approve a reclamation.
 //!
+//! Entries are one cache line each, carved back to back from
+//! 64-byte-aligned blocks the index owns (`Slab`), so a million keys take
+//! 64 MB of entries. A retired entry's slot goes back to the slab from its
+//! epoch-deferred free, so it is reused only once no walk can still hold
+//! it.
+//!
 //! A probe is a chain of dependent loads — bucket slot → entry → head
 //! version → what lies behind it — and BOHM's callers know their keys long
 //! before they probe. [`HashIndex::look_ahead`] lets them walk that chain
@@ -30,9 +36,14 @@
 use crate::chain::Chain;
 use bohm_common::RecordId;
 use bohm_sync::atomic::{AtomicPtr, AtomicU8, AtomicUsize, Ordering};
+use bohm_sync::cell::UnsafeCell;
 use bohm_sync::hint::prefetch_read;
+use bohm_sync::Mutex;
 use crossbeam_epoch::Guard;
+use std::alloc::Layout;
+use std::mem::ManuallyDrop;
 use std::ptr;
+use std::sync::Arc;
 
 /// The index interface.
 ///
@@ -64,13 +75,162 @@ pub trait VersionIndex: Send + Sync {
 /// has room to spare, so the key's hash rides along: bucket walks compare it
 /// before the 16-byte key, look-ahead stages compare nothing else, and the
 /// key sweep's ownership test does not hash again.
+///
+/// Entries live in the index's [`Slab`], which outlives them: the chain is
+/// dropped in place when the entry is retired (or the index dropped), and
+/// the key cell stays with the slot for its next life.
 #[repr(align(64))]
 struct Entry {
+    /// Written when a slot starts a life, read by every bucket walk. A
+    /// race-audited cell: a reused slot's key is rewritten through
+    /// [`UnsafeCell::with_mut`], so under the model checker a walk still
+    /// holding the slot's previous life is reported as a race right there.
+    key: UnsafeCell<Key>,
+    next: AtomicPtr<Entry>,
+    chain: ManuallyDrop<Chain>,
+}
+
+/// What a bucket walk compares.
+#[derive(Clone, Copy)]
+struct Key {
     rid: RecordId,
     /// `rid.stable_hash()`.
     hash: u64,
-    next: AtomicPtr<Entry>,
-    chain: Chain,
+}
+
+impl Entry {
+    #[inline]
+    fn key(&self) -> Key {
+        // SAFETY: a key is written only while its slot is private to one
+        // thread (a fresh slot, or a reused one past its grace period) and
+        // published with the bucket CAS; every reader reached the entry
+        // through an Acquire load after that.
+        unsafe { self.key.with(|k| *k) }
+    }
+}
+
+/// Where a [`HashIndex`]'s entries live: 64-byte-aligned blocks the index
+/// owns, carved front to back by a bump pointer, plus a free list of the
+/// slots retired entries gave back (linked through their `next` words).
+/// Entries allocated one `Box` at a time took glibc's aligned path, which
+/// spent three times the entries' own 64 bytes; a block spends nothing
+/// beyond them.
+///
+/// Shared by `Arc` between the index and the epoch-deferred frees of its
+/// retired entries, so a free still pending when the index drops finds its
+/// slot alive.
+struct Slab {
+    slots: Mutex<Slots>,
+    /// Entries per block.
+    block_len: usize,
+}
+
+struct Slots {
+    /// Every block carved so far; freed when the slab drops.
+    blocks: Vec<*mut Entry>,
+    /// The newest block's uncarved slots: `bump..end`.
+    bump: *mut Entry,
+    end: *mut Entry,
+    /// Slots given back, most recent first.
+    free: *mut Entry,
+}
+
+// SAFETY: the pointers address blocks the slab owns, and every use of them
+// is ordered by the mutex around `Slots`.
+unsafe impl Send for Slots {}
+
+/// The largest block a slab carves: 16384 entries, 1 MiB.
+const MAX_BLOCK_LEN: usize = 1 << 14;
+
+impl Slab {
+    /// A slab whose blocks hold `expected` entries, within `16..=`[`MAX_BLOCK_LEN`].
+    fn new(expected: usize) -> Self {
+        Self {
+            slots: Mutex::new(Slots {
+                blocks: Vec::new(),
+                bump: ptr::null_mut(),
+                end: ptr::null_mut(),
+                free: ptr::null_mut(),
+            }),
+            block_len: expected.clamp(16, MAX_BLOCK_LEN),
+        }
+    }
+
+    fn block_layout(&self) -> Layout {
+        Layout::array::<Entry>(self.block_len).expect("block size overflows")
+    }
+
+    /// A slot for a new entry: the most recently given-back one, otherwise
+    /// the next uncarved one. `true` with a given-back slot, whose key cell
+    /// holds its previous life's key; a carved slot is uninitialised.
+    fn take(&self) -> (*mut Entry, bool) {
+        let mut s = self.slots.lock();
+        if !s.free.is_null() {
+            let slot = s.free;
+            // SAFETY: a given-back slot stays a valid `Entry` husk.
+            // RELAXED: the list is ordered by the mutex, not by this word.
+            s.free = unsafe { &*slot }.next.load(Ordering::Relaxed);
+            return (slot, true);
+        }
+        if s.bump == s.end {
+            let layout = self.block_layout();
+            // SAFETY: the layout has a non-zero size.
+            let block = unsafe { std::alloc::alloc(layout) }.cast::<Entry>();
+            if block.is_null() {
+                std::alloc::handle_alloc_error(layout);
+            }
+            s.blocks.push(block);
+            s.bump = block;
+            // SAFETY: one past the end of the block just allocated.
+            s.end = unsafe { block.add(self.block_len) };
+        }
+        let slot = s.bump;
+        // SAFETY: `slot < end`, so the result is at most one past the end.
+        s.bump = unsafe { slot.add(1) };
+        (slot, false)
+    }
+
+    /// Drop `e`'s chain in place and give its slot back for reuse.
+    ///
+    /// # Safety
+    /// `e` came from this slab's [`take`](Self::take), holds a live entry,
+    /// and nobody can reach it any more: never published, or unlinked and
+    /// past the grace period of every walk that could have seen it.
+    unsafe fn release(&self, e: *mut Entry) {
+        // SAFETY: live and unreachable, per the caller.
+        unsafe { ManuallyDrop::drop(&mut (*e).chain) };
+        let mut s = self.slots.lock();
+        // SAFETY: as above.
+        // RELAXED: the list is ordered by the mutex, not by this word.
+        unsafe { &*e }.next.store(s.free, Ordering::Relaxed);
+        s.free = e;
+    }
+
+    /// Slots on the free list.
+    #[cfg(test)]
+    fn free_slots(&self) -> usize {
+        let s = self.slots.lock();
+        let (mut n, mut cur) = (0, s.free);
+        while !cur.is_null() {
+            n += 1;
+            // SAFETY: given-back slots stay valid husks.
+            // RELAXED: ordered by the mutex held here.
+            cur = unsafe { &*cur }.next.load(Ordering::Relaxed);
+        }
+        n
+    }
+}
+
+impl Drop for Slab {
+    fn drop(&mut self) {
+        let layout = self.block_layout();
+        for &block in &self.slots.get_mut().blocks {
+            // SAFETY: allocated in `take` with this very layout. Live
+            // entries' chains were dropped by their index, retired ones' by
+            // their deferred frees, which hold the slab until they ran.
+            unsafe { std::alloc::dealloc(block.cast(), layout) };
+        }
+    }
 }
 
 /// What the probe a caller is looking ahead for will touch once it has the
@@ -100,6 +260,8 @@ pub struct HashIndex {
     buckets: Box<[AtomicPtr<Entry>]>,
     mask: u64,
     len: AtomicUsize,
+    /// Where the entries live.
+    slab: Arc<Slab>,
     /// Striped removal locks for [`sweep_retire`](Self::sweep_retire):
     /// mid-list unlinks assume a stable predecessor, so removers of
     /// entries in the same bucket exclude each other (try-lock — a busy
@@ -126,6 +288,7 @@ impl HashIndex {
             buckets: buckets.into_boxed_slice(),
             mask: (n - 1) as u64,
             len: AtomicUsize::new(0),
+            slab: Arc::new(Slab::new(expected)),
             retire_locks: retire_locks.into_boxed_slice(),
         }
     }
@@ -147,7 +310,7 @@ impl HashIndex {
                 // SAFETY: entry retirement is epoch-deferred and we hold
                 // `guard`'s pin, so `cur` stays alive across the visit.
                 let entry = unsafe { &*cur };
-                f(entry.rid, &entry.chain);
+                f(entry.key().rid, &entry.chain);
                 cur = entry.next.load(Ordering::Acquire);
             }
         }
@@ -200,7 +363,8 @@ impl HashIndex {
                     // past `guard` and every concurrent pin.
                     let e = unsafe { &*cur };
                     let next = e.next.load(Ordering::Acquire);
-                    if reclaim(e.rid, e.hash, &e.chain) {
+                    let key = e.key();
+                    if reclaim(key.rid, key.hash, &e.chain) {
                         if pred.is_null() {
                             if bucket
                                 .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire)
@@ -220,10 +384,12 @@ impl HashIndex {
                         // payload is published through it.
                         self.len.fetch_sub(1, Ordering::Relaxed);
                         retired += 1;
+                        let slab = Arc::clone(&self.slab);
                         // SAFETY: unlinked; traversals that still hold a
-                        // reference are pinned, and destruction waits for
-                        // them.
-                        unsafe { guard.defer_unchecked(move || drop(Box::from_raw(cur))) };
+                        // reference are pinned, and the free waits for
+                        // them. The closure owns a share of the slab, so
+                        // the slot outlives the index if need be.
+                        unsafe { guard.defer_unchecked(move || slab.release(cur)) };
                         cur = next;
                     } else {
                         pred = cur;
@@ -289,7 +455,7 @@ impl HashIndex {
             let Some(e) = (unsafe { cur.as_ref() }) else {
                 return;
             };
-            if e.hash == hash {
+            if e.key().hash == hash {
                 return match (hops_left, e.chain.latest(guard)) {
                     (0, _) => e.chain.prefetch_head(guard),
                     (1, Some(head)) if probe == ProbeFor::Install => head.prefetch_prev(guard),
@@ -314,7 +480,7 @@ impl HashIndex {
         // `_guard` is what makes the traversal sound against a concurrent
         // `sweep_retire`: retired entries are freed through the epoch
         // collector, and the returned borrow cannot outlive the pin.
-        self.find(rid, hash).map(|e| &e.chain)
+        self.find(rid, hash).map(|e| &*e.chain)
     }
 
     /// [`VersionIndex::get_or_insert`] for a caller that already holds
@@ -329,12 +495,7 @@ impl HashIndex {
             return &e.chain;
         }
         let bucket = self.bucket(hash);
-        let mut new = Box::into_raw(Box::new(Entry {
-            rid,
-            hash,
-            next: AtomicPtr::new(ptr::null_mut()),
-            chain: Chain::new(),
-        }));
+        let new = self.new_entry(Key { rid, hash });
         loop {
             let head = bucket.load(Ordering::Acquire);
             // Re-scan the bucket: another thread may have inserted `rid`
@@ -346,32 +507,54 @@ impl HashIndex {
                 // SAFETY: reachable from the bucket head loaded above;
                 // removers defer frees past our epoch pin.
                 let e = unsafe { &*cur };
-                if e.rid == rid {
+                if e.key().rid == rid {
                     // SAFETY: `new` was never published.
-                    drop(unsafe { Box::from_raw(new) });
+                    unsafe { self.slab.release(new) };
                     return &e.chain;
                 }
                 cur = e.next.load(Ordering::Acquire);
             }
-            // SAFETY: `new` is a live allocation we exclusively own until
-            // the CAS below publishes it.
+            // SAFETY: `new` is a live entry we exclusively own until the
+            // CAS below publishes it.
             // RELAXED: unpublished store; the Release CAS publishes `next`
             // together with the entry.
             unsafe { &*new }.next.store(head, Ordering::Relaxed);
-            match bucket.compare_exchange(head, new, Ordering::Release, Ordering::Acquire) {
-                Ok(_) => {
-                    // RELAXED: approximate size gauge, as in `retire_scan`.
-                    self.len.fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: just published by this thread; entries are
-                    // never freed while the index is externally reachable.
-                    return &unsafe { &*new }.chain;
-                }
-                Err(_) => {
-                    // Lost the race; retry (new stays unpublished).
-                    let _ = &mut new;
-                }
+            if bucket
+                .compare_exchange(head, new, Ordering::Release, Ordering::Acquire)
+                .is_ok()
+            {
+                // RELAXED: approximate size gauge, as in `sweep_retire`.
+                self.len.fetch_add(1, Ordering::Relaxed);
+                // SAFETY: just published by this thread; it is freed only
+                // through `sweep_retire`, past `_guard`'s pin.
+                return &unsafe { &*new }.chain;
+            }
+            // Lost the race; retry (`new` stays unpublished).
+        }
+    }
+
+    /// A slot from the slab, holding a fresh entry for `key` with an empty
+    /// chain. Unpublished: the caller owns it.
+    fn new_entry(&self, key: Key) -> *mut Entry {
+        let (slot, reused) = self.slab.take();
+        // SAFETY: the slot is ours alone until published. A given-back slot
+        // is an `Entry` husk whose chain was dropped: its key is rewritten
+        // through the audited accessor (see `Entry::key`) and a new chain
+        // written over the old one's remains. A carved slot is raw memory,
+        // written whole.
+        unsafe {
+            if reused {
+                (*slot).key.with_mut(|k| *k = key);
+                ptr::addr_of_mut!((*slot).chain).write(ManuallyDrop::new(Chain::new()));
+            } else {
+                slot.write(Entry {
+                    key: UnsafeCell::new(key),
+                    next: AtomicPtr::new(ptr::null_mut()),
+                    chain: ManuallyDrop::new(Chain::new()),
+                });
             }
         }
+        slot
     }
 
     #[inline]
@@ -384,15 +567,16 @@ impl HashIndex {
         debug_assert_eq!(hash, rid.stable_hash());
         let mut cur = self.bucket(hash).load(Ordering::Acquire);
         while !cur.is_null() {
-            // SAFETY: entries are heap-allocated and published with release
-            // stores. Since [`sweep_retire`](Self::sweep_retire) exists,
-            // entries CAN be freed — epoch-deferred — which is why the
+            // SAFETY: entries are published with release stores. Since
+            // [`sweep_retire`](Self::sweep_retire) exists, entries CAN be
+            // freed — epoch-deferred — which is why the
             // public entry points (`get`/`get_or_insert`) demand the
             // caller's epoch `Guard` by signature and tie the returned
             // borrow to it; this private walk is only reachable through
             // them (or under `&mut self`).
             let e = unsafe { &*cur };
-            if e.hash == hash && e.rid == rid {
+            let key = e.key();
+            if key.hash == hash && key.rid == rid {
                 return Some(e);
             }
             cur = e.next.load(Ordering::Acquire);
@@ -422,10 +606,14 @@ impl Drop for HashIndex {
             // RELAXED: `&mut self` in Drop proves exclusive access.
             let mut cur = b.load(Ordering::Relaxed);
             while !cur.is_null() {
-                // SAFETY: exclusive access via &mut self.
-                let e = unsafe { Box::from_raw(cur) };
-                // RELAXED: as above — no concurrency in Drop.
-                cur = e.next.load(Ordering::Relaxed);
+                // SAFETY: exclusive access via &mut self. The slot itself
+                // goes back with the slab, once pending frees are done.
+                unsafe {
+                    // RELAXED: as above — no concurrency in Drop.
+                    let next = (*cur).next.load(Ordering::Relaxed);
+                    ManuallyDrop::drop(&mut (*cur).chain);
+                    cur = next;
+                }
             }
         }
     }
@@ -646,6 +834,110 @@ mod tests {
             std::mem::align_of::<Chain>() < 64,
             "the entry is padded, not the chain"
         );
+    }
+
+    /// The entry holding `chain`.
+    fn entry_of(chain: &Chain) -> usize {
+        chain as *const Chain as usize - std::mem::offset_of!(Entry, chain)
+    }
+
+    #[test]
+    fn consecutive_inserts_are_64_bytes_apart_on_64_byte_lines() {
+        let idx = HashIndex::with_capacity(64);
+        let g = epoch::pin();
+        let at: Vec<usize> = (0..32)
+            .map(|k| entry_of(idx.get_or_insert(rid(0, k), &g)))
+            .collect();
+        for (i, w) in at.windows(2).enumerate() {
+            assert_eq!(w[0] % 64, 0, "entry {i} is not line-aligned");
+            assert_eq!(
+                w[1] - w[0],
+                std::mem::size_of::<Entry>(),
+                "entries {i} and {} are not adjacent",
+                i + 1
+            );
+        }
+    }
+
+    /// Run pin/defer/re-pin cycles — each re-pin tries to advance the
+    /// epoch — until `done` holds, the way the collector's own tests drive
+    /// it. Until a deadline, not for a fixed count: a sibling test may hold
+    /// a pin for a while, and the epoch cannot advance past it meanwhile.
+    fn drive_collector_until(done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !done() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the grace period never passed"
+            );
+            let mut g = epoch::pin();
+            // SAFETY: the closure touches nothing; it may run whenever.
+            unsafe { g.defer_unchecked(|| ()) };
+            g.repin();
+        }
+    }
+
+    #[test]
+    fn a_retired_slot_is_reused_only_after_the_grace_period() {
+        let idx = HashIndex::with_capacity(16);
+        let g = epoch::pin();
+        let gone = entry_of(idx.get_or_insert(rid(0, 1), &g));
+        assert_eq!(
+            idx.sweep_retire(0, idx.bucket_count(), &g, &mut |_, _, _| true),
+            1
+        );
+        // Still pinned: the slot may be in some walk's hands, so a new key
+        // is carved fresh.
+        let next = entry_of(idx.get_or_insert(rid(0, 2), &g));
+        assert_ne!(next, gone);
+        assert_eq!(idx.slab.free_slots(), 0);
+        drop(g);
+        drive_collector_until(|| idx.slab.free_slots() == 1);
+        let g = epoch::pin();
+        let reused = idx.get_or_insert(rid(0, 3), &g);
+        assert_eq!(
+            entry_of(reused),
+            gone,
+            "the next insert takes the freed slot"
+        );
+        assert!(reused.latest(&g).is_none(), "with a fresh chain");
+        assert_eq!(idx.slab.free_slots(), 0);
+        assert!(idx.get(rid(0, 1), &g).is_none());
+        assert!(idx.get(rid(0, 3), &g).is_some());
+    }
+
+    #[test]
+    fn an_insert_that_loses_its_race_returns_its_slot_at_once() {
+        let idx = HashIndex::with_capacity(16);
+        let g = epoch::pin();
+        let first = entry_of(idx.get_or_insert(rid(0, 1), &g));
+        // What a loser does: its entry is built, then found redundant.
+        let spare = idx.new_entry(Key {
+            rid: rid(0, 1),
+            hash: rid(0, 1).stable_hash(),
+        });
+        // SAFETY: never published.
+        unsafe { idx.slab.release(spare) };
+        assert_eq!(idx.slab.free_slots(), 1);
+        assert_eq!(entry_of(idx.get_or_insert(rid(0, 2), &g)), spare as usize);
+        assert_ne!(spare as usize, first);
+    }
+
+    #[test]
+    fn dropping_an_index_with_frees_pending_is_sound() {
+        let idx = HashIndex::with_capacity(16);
+        let g = epoch::pin();
+        for k in 0..8 {
+            let v = Version::ready(1, bohm_common::value::of_u64(k, 1_000));
+            idx.get_or_insert(rid(0, k), &g).install(Owned::new(v), &g);
+        }
+        let retired = idx.sweep_retire(0, idx.bucket_count(), &g, &mut |r, _, _| r.row % 2 == 0);
+        assert_eq!(retired, 4);
+        let slab = Arc::downgrade(&idx.slab);
+        drop(idx); // the live half goes now; the pending frees hold the slab
+        assert!(slab.upgrade().is_some());
+        drop(g);
+        drive_collector_until(|| slab.upgrade().is_none());
     }
 
     #[test]

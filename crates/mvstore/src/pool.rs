@@ -7,8 +7,10 @@
 //! thread's private free list: [`reclaim`](VersionPool::reclaim) truncates
 //! a chain under the batch low watermark straight into it, and
 //! [`take`](VersionPool::take) pops the next placeholder back out — header
-//! reset, payload buffer kept — falling back to the allocator only when the
-//! list is empty. Nothing here touches the epoch collector, a lock, or
+//! reset, payload kept (inside the object up to
+//! [`INLINE_PAYLOAD`](crate::version::INLINE_PAYLOAD) bytes, in its own
+//! buffer beyond) — falling back to the allocator only when the list is
+//! empty. Nothing here touches the epoch collector, a lock, or
 //! another thread's memory.
 //!
 //! # Why immediate reuse is safe
@@ -60,23 +62,27 @@ use crossbeam_epoch::{Guard, Owned};
 pub struct VersionPool {
     /// `(payload size, free list)`; a handful of entries, scanned linearly.
     free: Vec<(usize, Vec<Owned<Version>>)>,
-    /// Header + payload bytes currently pooled, over all lists.
+    /// Bytes currently pooled over all lists, as [`footprint`] counts them.
     bytes: usize,
     /// The most `bytes` may reach.
     cap: usize,
 }
 
-/// The most memory (version headers + payload buffers) one pool keeps.
+/// The most memory one pool keeps: 48 bytes per version, plus its payload
+/// buffer where the payload is too long to live inside the object.
 ///
 /// Steady state needs far less — a pool holds roughly the hot-key versions
-/// the pipeline has in flight: its high-water mark over a benchmark run is
-/// 16 MiB on `tpcc_mix`, 4 MiB on `ycsb_hot_2rmw8r` and under 1 MiB on the
-/// uniform-key workloads — so the cap only ever bites after a burst.
+/// the pipeline has in flight: its high-water mark over a 20-second
+/// benchmark run is under 0.1 MiB on `tpcc_mix`, 0.25 MiB on `micro_rmw10`,
+/// 3.4 MiB on `ycsb_hot_2rmw8r` and 7.8 MiB on `ycsb_longread_mix` — so the
+/// cap only ever bites after a burst.
 pub const MAX_POOLED_BYTES: usize = 64 << 20;
 
+/// What pooling `v` holds back from the allocator: the object, plus its
+/// payload buffer when the payload is too long to live inside it.
 #[inline]
 fn footprint(v: &Version) -> usize {
-    std::mem::size_of::<Version>() + v.len()
+    std::mem::size_of::<Version>() + if v.is_heap() { v.len() } else { 0 }
 }
 
 impl Default for VersionPool {
@@ -286,6 +292,15 @@ mod tests {
         // SAFETY: single-threaded test.
         assert_eq!(unsafe { pool.reclaim(&c, 1_020, &g) }, 20);
         assert_eq!(pool.pooled(), 10);
+    }
+
+    #[test]
+    fn the_cap_charges_a_payload_buffer_only_where_one_exists() {
+        let object = std::mem::size_of::<Version>();
+        assert_eq!(footprint(&Version::placeholder(0, 8)), object);
+        assert_eq!(footprint(&Version::placeholder(0, 16)), object);
+        assert_eq!(footprint(&Version::placeholder(0, 17)), object + 17);
+        assert_eq!(footprint(&Version::placeholder(0, 1_000)), object + 1_000);
     }
 
     #[test]

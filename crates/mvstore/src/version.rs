@@ -13,14 +13,32 @@
 //! A version object may live several lives: once Condition 3 retires it
 //! (see [`VersionPool`](crate::pool::VersionPool)) its owning CC thread
 //! resets the header and installs it again as a fresh placeholder, payload
-//! buffer and all. `begin` and the payload are therefore plain data in
+//! and all. `begin` and the payload are therefore plain data in
 //! race-audited cells, written only while the object is thread-private.
+//!
+//! # Layout
+//! A version is one 48-byte object: four header words (`begin`, `end`,
+//! `prev`, then `state` and `len` sharing one) and a 16-byte payload slot.
+//! A payload of up to [`INLINE_PAYLOAD`] bytes — `micro_rmw10`'s 8-byte
+//! counters and four of the five TPC-C-lite tables' rows — lives in that
+//! slot, so a read that found the version has its bytes in the same
+//! allocation, usually the same line; a longer one lives in a heap buffer
+//! the slot points to. Sixteen bytes is
+//! what the buffer's own pointer and length take, so inlining costs the
+//! object nothing. The object keeps natural 8-byte alignment: 64-byte
+//! aligned heap allocations take glibc's slow aligned path and measurably
+//! bottlenecked the CC threads (~5 µs per placeholder), and the recycle
+//! path makes the allocator a cold fallback anyway. Its size is pinned:
+//! a 56-byte variant cost the CC phase 45% more CPU per transaction.
 
 use bohm_common::{Timestamp, INFINITY_TS};
 use bohm_sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use bohm_sync::cell::UnsafeCell;
 use bohm_sync::hint::prefetch_read;
 use crossbeam_epoch::{Atomic, Guard, Shared};
+
+/// Payloads of at most this many bytes live inside the version object.
+pub const INLINE_PAYLOAD: usize = 16;
 
 /// Lifecycle of a version's payload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -35,16 +53,49 @@ pub enum VersionState {
     Tombstone = 2,
 }
 
-/// One version of one record.
-///
-/// NOTE on layout: an earlier revision cache-line-aligned this struct
-/// (`repr(align(64))`), but 64-byte-aligned heap allocations take glibc's
-/// slow aligned path and measurably bottlenecked the CC threads (~5 µs per
-/// placeholder). The natural 8-byte alignment keeps the (cold) allocator
-/// fallback on the malloc fast path; the fields that racing threads touch
-/// are still grouped at the front of the object. Header and payload are two
-/// allocations that travel together: a recycled version keeps its payload
-/// buffer, so the steady-state CC path allocates neither.
+/// The payload slot: the bytes themselves when the record is at most
+/// [`INLINE_PAYLOAD`] bytes long, otherwise the heap buffer holding them
+/// (the raw pointer of a `Box<[u8]>` of the version's `len`, freed by
+/// `Version`'s `Drop`). Which one is decided by `len`, fixed for the
+/// object's whole existence.
+union Payload {
+    inline: [u8; INLINE_PAYLOAD],
+    heap: *mut u8,
+}
+
+impl Payload {
+    fn new(data: Box<[u8]>) -> Self {
+        if data.len() <= INLINE_PAYLOAD {
+            let mut inline = [0u8; INLINE_PAYLOAD];
+            inline[..data.len()].copy_from_slice(&data);
+            Payload { inline }
+        } else {
+            Payload {
+                heap: Box::into_raw(data).cast(),
+            }
+        }
+    }
+
+    /// The payload's first byte. Creates no reference: the producer writes
+    /// through it while readers may compute it (prefetch).
+    ///
+    /// # Safety
+    /// `this` is valid and `len` is the length the slot was built with.
+    #[inline]
+    unsafe fn ptr(this: *mut Payload, len: usize) -> *mut u8 {
+        if len <= INLINE_PAYLOAD {
+            // SAFETY: in bounds of a valid object; no reference is made.
+            unsafe { std::ptr::addr_of_mut!((*this).inline).cast() }
+        } else {
+            // SAFETY: the heap variant is the live one; reading the pointer
+            // word races with nothing (it is written only at construction).
+            unsafe { (*this).heap }
+        }
+    }
+}
+
+/// One version of one record. See the module docs for the layout.
+#[repr(C)]
 pub struct Version {
     /// Timestamp of the creating transaction (immutable for one life of the
     /// object; rewritten only by [`recycle`](Self::recycle)). Doubles as
@@ -55,23 +106,30 @@ pub struct Version {
     /// is the latest version. Written only by the owning CC thread; read by
     /// everyone.
     end: AtomicU64,
-    /// [`VersionState`] discriminant.
-    state: AtomicU32,
     /// Previous (older) version. Written by the owning CC thread at install
     /// and truncation; traversed by readers under an epoch guard.
     pub(crate) prev: Atomic<Version>,
+    /// [`VersionState`] discriminant.
+    state: AtomicU32,
+    /// Payload length (fixed per table, and for the object's whole
+    /// existence: a recycled version goes back to a record of its size).
+    len: u32,
     /// Record payload. Single-writer discipline: only the execution thread
     /// that holds the producing transaction's `Executing` state writes here,
     /// before the `Ready` release-store; readers only look after an
     /// acquire-load observes `Ready`/`Tombstone`.
-    data: UnsafeCell<Box<[u8]>>,
+    payload: UnsafeCell<Payload>,
 }
 
-// SAFETY: `data` is raced only under the documented protocol — one writer,
-// publication via the `state` release/acquire edge. `begin` is written only
-// while the object is thread-private (construction, `recycle`) and published
-// with the chain-head / annotation Release store. All other fields are
-// atomics.
+#[cfg(not(bohm_modelcheck))]
+const _: () = assert!(std::mem::size_of::<Version>() == 48);
+
+// SAFETY: the payload is raced only under the documented protocol — one
+// writer, publication via the `state` release/acquire edge; its heap
+// variant is a buffer this object owns alone. `begin` is written only
+// while the object is thread-private (construction, `recycle`) and
+// published with the chain-head / annotation Release store. `len` is
+// immutable. All other fields are atomics.
 unsafe impl Send for Version {}
 // SAFETY: same argument as `Send` above.
 unsafe impl Sync for Version {}
@@ -88,23 +146,33 @@ impl Version {
     /// because [`data`](Self::data) refuses to expose a `Pending` payload
     /// and every producer overwrites the whole record.
     pub fn placeholder(begin: Timestamp, size: usize) -> Self {
-        Self {
-            begin: UnsafeCell::new(begin),
-            end: AtomicU64::new(INFINITY_TS),
-            state: AtomicU32::new(VersionState::Pending as u32),
-            prev: Atomic::null(),
-            data: UnsafeCell::new(vec![0u8; size].into_boxed_slice()),
-        }
+        let payload = if size <= INLINE_PAYLOAD {
+            Payload {
+                inline: [0; INLINE_PAYLOAD],
+            }
+        } else {
+            Payload::new(vec![0u8; size].into_boxed_slice())
+        };
+        Self::new(begin, VersionState::Pending, size, payload)
     }
 
-    /// Create an already-`Ready` version (database preloading, tests).
+    /// Create an already-`Ready` version (tests, tools). A payload of at
+    /// most [`INLINE_PAYLOAD`] bytes is copied into the object and `data`
+    /// freed; a loader that builds many versions fills placeholders
+    /// instead.
     pub fn ready(begin: Timestamp, data: Box<[u8]>) -> Self {
+        let len = data.len();
+        Self::new(begin, VersionState::Ready, len, Payload::new(data))
+    }
+
+    fn new(begin: Timestamp, state: VersionState, len: usize, payload: Payload) -> Self {
         Self {
             begin: UnsafeCell::new(begin),
             end: AtomicU64::new(INFINITY_TS),
-            state: AtomicU32::new(VersionState::Ready as u32),
             prev: Atomic::null(),
-            data: UnsafeCell::new(data),
+            state: AtomicU32::new(state as u32),
+            len: u32::try_from(len).expect("record larger than 4 GiB"),
+            payload: UnsafeCell::new(payload),
         }
     }
 
@@ -173,10 +241,25 @@ impl Version {
     }
 
     /// Payload length (fixed per table).
+    #[inline]
     pub fn len(&self) -> usize {
-        // SAFETY: the box itself (ptr+len) is written only at construction;
-        // concurrent writers only touch the pointed-to bytes.
-        unsafe { (&*self.data.get()).len() }
+        self.len as usize
+    }
+
+    /// Whether the payload lives in a heap buffer of its own (longer than
+    /// [`INLINE_PAYLOAD`]) rather than inside the object.
+    #[inline]
+    pub(crate) fn is_heap(&self) -> bool {
+        self.len() > INLINE_PAYLOAD
+    }
+
+    /// The payload's first byte, without touching the bytes — the slot's
+    /// variant (and the heap buffer's pointer) never changes after
+    /// construction, so this is sound whatever the payload's state.
+    #[inline]
+    fn payload_ptr(&self) -> *mut u8 {
+        // SAFETY: `len` is the length the slot was built with.
+        unsafe { Payload::ptr(self.payload.get(), self.len()) }
     }
 
     pub fn is_empty(&self) -> bool {
@@ -190,22 +273,13 @@ impl Version {
     /// the execution thread that won the `Unprocessed → Executing` CAS on
     /// the transaction whose timestamp equals `self.begin()`.
     pub fn fill(&self, src: &[u8]) {
-        debug_assert_eq!(
-            // RELAXED: debug-only probe by the sole producer; not a sync
-            // edge and elided in release builds.
-            self.state.load(Ordering::Relaxed),
-            VersionState::Pending as u32
-        );
         debug_assert_eq!(self.len(), src.len(), "fixed-size records per table");
-        // SAFETY: unique producer per the protocol above; readers are
-        // excluded until the release-store below.
-        unsafe { self.data.with_mut(|p| (*p).copy_from_slice(src)) };
-        self.state
-            .store(VersionState::Ready as u32, Ordering::Release);
+        self.fill_with(|d| d.copy_from_slice(src));
     }
 
     /// Mutate the placeholder payload in place, then publish. Used when the
-    /// producer computes directly into the version (avoids a copy).
+    /// producer computes directly into the version (avoids a copy). Same
+    /// unique-producer contract as [`fill`](Self::fill).
     pub fn fill_with(&self, f: impl FnOnce(&mut [u8])) {
         debug_assert_eq!(
             // RELAXED: debug-only probe by the sole producer; not a sync
@@ -213,8 +287,16 @@ impl Version {
             self.state.load(Ordering::Relaxed),
             VersionState::Pending as u32
         );
-        // SAFETY: see `fill`.
-        unsafe { self.data.with_mut(|p| f(&mut *p)) };
+        // SAFETY: unique producer per the contract above; readers are
+        // excluded until the release-store below.
+        unsafe {
+            self.payload.with_mut(|p| {
+                f(std::slice::from_raw_parts_mut(
+                    Payload::ptr(p, self.len()),
+                    self.len(),
+                ))
+            })
+        };
         self.state
             .store(VersionState::Ready as u32, Ordering::Release);
     }
@@ -250,9 +332,7 @@ impl Version {
     /// payload *bytes* are not touched, whatever their state.
     #[inline]
     pub fn prefetch_payload(&self) {
-        // SAFETY: as in `len` — the box (pointer + length) is written only
-        // at construction; producers race on the pointed-to bytes alone.
-        prefetch_read(unsafe { (*self.data.get()).as_ptr() });
+        prefetch_read(self.payload_ptr());
     }
 
     /// Look-ahead hint for the installer: start fetching the predecessor's
@@ -302,7 +382,23 @@ impl Version {
         // object and published with release ordering; after the
         // acquire-load above the payload is immutable until Condition 3
         // retires the version, which no live reader outlasts.
-        unsafe { self.data.with(|p| &**p) }
+        unsafe {
+            self.payload.with(|p| {
+                std::slice::from_raw_parts(Payload::ptr(p.cast_mut(), self.len()), self.len())
+            })
+        }
+    }
+}
+
+impl Drop for Version {
+    fn drop(&mut self) {
+        if self.is_heap() {
+            let buf = std::ptr::slice_from_raw_parts_mut(self.payload_ptr(), self.len());
+            // SAFETY: the heap variant is the live one — a `Box<[u8]>` of
+            // `len` bytes turned raw in `Payload::new` — and `&mut self`
+            // means nobody else can reach it.
+            drop(unsafe { Box::from_raw(buf) });
+        }
     }
 }
 
@@ -384,6 +480,94 @@ mod tests {
         v.fill(&9u64.to_le_bytes());
         assert_eq!(bohm_common::value::get_u64(v.data(), 0), 9);
         assert_eq!(v.data().as_ptr(), buf, "no reallocation");
+    }
+
+    /// Bytes this thread holds from the allocator — a per-thread tally, so
+    /// tests running beside each other do not disturb it.
+    mod live {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            // Const-initialised and drop-free, so the allocator may read it.
+            static LIVE: Cell<isize> = const { Cell::new(0) };
+        }
+
+        pub(super) fn bytes() -> isize {
+            LIVE.with(|l| l.get())
+        }
+
+        fn add(delta: isize) {
+            let _ = LIVE.try_with(|l| l.set(l.get() + delta));
+        }
+
+        struct Tally;
+
+        // SAFETY: every method forwards to `System` with the caller's exact
+        // layout; the tally has no effect on allocation semantics.
+        unsafe impl GlobalAlloc for Tally {
+            // SAFETY: forwards to `System.alloc` under the caller's contract.
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                add(layout.size() as isize);
+                // SAFETY: forwarded caller contract.
+                unsafe { System.alloc(layout) }
+            }
+
+            // SAFETY: forwards to `System.dealloc` under the caller's contract.
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                add(-(layout.size() as isize));
+                // SAFETY: forwarded caller contract.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            // SAFETY: forwards to `System.realloc` under the caller's contract.
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new: usize) -> *mut u8 {
+                add(new as isize - layout.size() as isize);
+                // SAFETY: forwarded caller contract.
+                unsafe { System.realloc(ptr, layout, new) }
+            }
+        }
+
+        #[global_allocator]
+        static TALLY: Tally = Tally;
+    }
+
+    /// Whether `v`'s payload bytes lie inside the object itself.
+    fn inside(v: &Version) -> bool {
+        let base = v as *const Version as usize;
+        let data = v.data().as_ptr() as usize;
+        base <= data && data + v.len() <= base + std::mem::size_of::<Version>()
+    }
+
+    #[test]
+    fn a_payload_of_up_to_16_bytes_lies_inside_the_object() {
+        for len in [1, 8, INLINE_PAYLOAD] {
+            let before = live::bytes();
+            let v = Version::placeholder(1, len);
+            assert_eq!(live::bytes(), before, "a {len}-byte placeholder allocates");
+            v.fill_with(|d| d.fill(0xA5));
+            assert!(inside(&v) && !v.is_heap(), "{len} bytes");
+            assert!(v.data().iter().all(|&b| b == 0xA5));
+            let r = Version::ready(2, vec![7u8; len].into_boxed_slice());
+            assert!(inside(&r));
+            assert_eq!(r.data(), &vec![7u8; len][..]);
+        }
+    }
+
+    #[test]
+    fn a_17_byte_payload_lives_on_the_heap_and_is_freed_on_drop() {
+        let before = live::bytes();
+        let v = Version::placeholder(1, INLINE_PAYLOAD + 1);
+        assert_eq!(live::bytes() - before, INLINE_PAYLOAD as isize + 1);
+        v.fill(&[3u8; INLINE_PAYLOAD + 1]);
+        assert!(v.is_heap() && !inside(&v));
+        assert_eq!(v.data(), &[3u8; INLINE_PAYLOAD + 1]);
+        drop(v);
+        assert_eq!(live::bytes(), before, "the buffer went back");
+        let r = Version::ready(1, vec![4u8; 1_000].into_boxed_slice());
+        assert!(r.is_heap() && !inside(&r));
+        drop(r);
+        assert_eq!(live::bytes(), before);
     }
 
     #[test]

@@ -569,6 +569,44 @@ mod tests {
         }
     }
 
+    /// The read phase of `execute` alone: the procedure runs against `w`'s
+    /// read set and write buffer, and nothing is validated or applied.
+    fn read_phase(e: &SiloOcc, txn: &Txn, w: &mut OccWorker) {
+        w.reset();
+        let mut scratch = std::mem::take(&mut w.scratch);
+        let access = &mut OccAccess { eng: e, txn, w };
+        bohm_common::execute_procedure(
+            &txn.proc,
+            &txn.reads,
+            &txn.writes,
+            &txn.scans,
+            access,
+            &mut scratch,
+        )
+        .expect("the read phase of an RMW cannot abort");
+        w.scratch = scratch;
+    }
+
+    /// The schedule `concurrent_hot_key_increments_are_exact` hopes the OS
+    /// produces, made by hand: A reads the hot key, B commits a write to it,
+    /// and only then does A validate.
+    #[test]
+    fn a_commit_between_read_and_validation_forces_an_exact_retry() {
+        let e = engine(2);
+        let hot = RecordId::new(0, 1);
+        let (mut a, mut b) = (e.make_worker(), e.make_worker());
+        read_phase(&e, &rmw(1, 1), &mut a);
+        assert!(e.execute(&rmw(1, 1), &mut b).committed);
+        assert_eq!(e.try_commit(&mut a), None, "validation missed B's commit");
+        assert_eq!(e.read_u64(hot), Some(2), "A's buffered write was applied");
+        // RELAXED: single-threaded test; nothing races the probe.
+        assert_eq!(e.meta(hot).load(Ordering::Relaxed) & LOCK, 0, "left locked");
+        let retry = e.execute(&rmw(1, 1), &mut a);
+        assert!(retry.committed);
+        assert_eq!(retry.cc_retries, 0);
+        assert_eq!(e.read_u64(hot), Some(3), "seed 1, plus B's 1, plus A's 1");
+    }
+
     #[test]
     fn disjoint_keys_commit_without_retries() {
         let e = Arc::new(engine(64));

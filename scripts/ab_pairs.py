@@ -26,7 +26,9 @@ distance between the parent's quartiles, and a verdict:
 
 With --budget it also prints, for both sides, where BOHM's CPU went: µs per
 transaction on each thread (driver, core.seq, core.cc, core.exec and their
-sum). Every BOHM child record in a run's `--json` output carries the
+sum), and beside it the CC thread's kernel share (`core.cc.sys_share`) and
+the page faults per transaction (`core.minor_faults_per_txn`), taken as
+the children report them. Every BOHM child record in a run's `--json` output carries the
 thread's `cpu_share` and the child's throughput windows; a child's figure is
 `cpu_share` ÷ its median window, a run's is the median over its children
 (one per round), and a side's is the median [q1, q3] over its runs. Layer
@@ -97,20 +99,26 @@ def record(rows):
 
 
 BUDGET_THREADS = ["driver", "core.seq", "core.cc", "core.exec"]
+# Per-layer figures printed beside the budget as they are (median over the
+# run's BOHM children): where a layout change's saving lands — kernel time
+# on the CC thread, page faults per transaction.
+BUDGET_FIGURES = ["core.cc.sys_share", "core.minor_faults_per_txn"]
 
 
 def budget_of(path):
-    """One run's CPU µs per transaction by thread, from its --json file."""
+    """One run's CPU µs per transaction by thread, plus BUDGET_FIGURES, from its --json file."""
     with open(path) as f:
         children = json.load(f)["children"]
-    per_child = {t: [] for t in BUDGET_THREADS}
+    per_child = {t: [] for t in BUDGET_THREADS + BUDGET_FIGURES}
     for name, child in children.items():
         if name.startswith("bohm."):
             txn_per_s = statistics.median(child["windows"])
             for t in BUDGET_THREADS:
                 per_child[t].append(1e6 * child["per_layer"][t + ".cpu_share"] / txn_per_s)
+            for t in BUDGET_FIGURES:
+                per_child[t].append(child["per_layer"][t])
     run = {t: statistics.median(v) for t, v in per_child.items()}
-    run["total"] = sum(run.values())
+    run["total"] = sum(run[t] for t in BUDGET_THREADS)
     return run
 
 
@@ -237,6 +245,12 @@ def main():
             cells = ["{1:.3f} [{0:.3f}, {2:.3f}]".format(*quartiles(side)) for side in sides]
             delta = statistics.median(sides[1]) - statistics.median(sides[0])
             print(f"  {t:<24} {cells[0]:<38} {cells[1]:<38} {delta:+.3f}")
+        print("  beside it, per BOHM child as reported (median over a run's children):")
+        for t in BUDGET_FIGURES:
+            sides = [[run[t] for run in budgets[side]] for side in ("parent", "change")]
+            cells = ["{1:.4g} [{0:.4g}, {2:.4g}]".format(*quartiles(side)) for side in sides]
+            delta = statistics.median(sides[1]) - statistics.median(sides[0])
+            print(f"  {t:<24} {cells[0]:<38} {cells[1]:<38} {delta:+.4g}")
     if args.record:
         head = sh(["git", "rev-parse", "HEAD"]).stdout.strip()
         dirty = sh(["git", "status", "--porcelain", "--untracked-files=no"]).stdout.strip()
@@ -253,6 +267,7 @@ def main():
             if args.budget:
                 threads = BUDGET_THREADS + ["total"]
                 row["budget_us_per_txn"] = {t: statistics.median(r[t] for r in budgets[side]) for t in threads}
+                row["budget_figures"] = {t: statistics.median(r[t] for r in budgets[side]) for t in BUDGET_FIGURES}
             rows.append(row)
         record(rows)
         print(f"  recorded {len(rows)} rows in {TRAJECTORY}")

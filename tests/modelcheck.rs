@@ -28,11 +28,14 @@
 //!   ([`HashIndex::look_ahead`](bohm_mvstore::HashIndex::look_ahead); the
 //!   prefetch itself compiles to nothing here, the loads that compute its
 //!   operand are real): a chain's owner walking its stages through a bucket
-//!   a neighbour is being CAS-inserted into and swept out of, and a
-//!   reader's stages racing the owner's reclaim → take → install under a
-//!   watermark held below the reader. A twin whose stage *keeps* the head
-//!   reference it looked at and reads through it after the watermark has
-//!   passed must be reported as a race on the recycled object.
+//!   a neighbour is being CAS-inserted into, swept out of and re-inserted
+//!   into, and a reader's stages racing the owner's reclaim → take →
+//!   install under a watermark held below the reader. Two twins must be
+//!   reported as races: a stage that *keeps* the head reference it looked
+//!   at and reads through it after the watermark has passed (on the
+//!   recycled version), and a sweep that hands the neighbour's index slot
+//!   back before the grace period, so the re-insert reuses it under the
+//!   owner's walk (on the slot's key).
 //! * **lock-manager model** — `RwSpin` guarding a facade
 //!   [`UnsafeCell`](bohm_sync::cell::UnsafeCell) payload: the vector-clock
 //!   detector proves the lock's Acquire/Release edges actually order the
@@ -355,11 +358,17 @@ mod look_ahead {
     /// The owner of `mine` runs its staged walk, probes and installs — twice
     /// — while another thread CAS-inserts `neighbour` at the head of the
     /// same bucket (so the owner's walk goes *through* the neighbour's
-    /// entry) and then sweeps it out again, freeing the entry through the
-    /// epoch collector. The walk dereferences entries only under its pin, so
-    /// nothing it touches can be freed under it; the owner's chain comes out
-    /// intact and the neighbour gone.
-    fn owner_walk_vs_neighbour_churn() {
+    /// entry), sweeps it out again and re-inserts it. The walk dereferences
+    /// entries only under its pin, and a retired entry's slot goes back to
+    /// the index's slab only after the grace period, so nothing it touches
+    /// can be freed or reused under it; the owner's chain comes out intact
+    /// and the neighbour back.
+    ///
+    /// `grace = false` is the bug the grace period exists to exclude: the
+    /// sweep frees through the unprotected guard, so the slot goes back at
+    /// once and the re-insert takes it — while the owner's walk may still be
+    /// holding the neighbour's previous life.
+    fn owner_walk_vs_neighbour_churn(grace: bool) {
         let index = Arc::new(HashIndex::with_capacity(1));
         let (mine, neighbour) = bucket_mates(&index);
         {
@@ -389,24 +398,57 @@ mod look_ahead {
             bohm_sync::thread::spawn(move || {
                 let g = epoch::pin();
                 index.get_or_insert(neighbour, &g);
-                let n = index.sweep_retire(0, index.bucket_count(), &g, &mut |rid, _, _| {
-                    rid == neighbour
-                });
+                let sweep_guard = if grace {
+                    &g
+                } else {
+                    // SAFETY: deliberately unsound — this is the broken twin.
+                    unsafe { epoch::unprotected() }
+                };
+                let n =
+                    index.sweep_retire(0, index.bucket_count(), sweep_guard, &mut |rid, _, _| {
+                        rid == neighbour
+                    });
                 assert_eq!(n, 1);
+                index.get_or_insert(neighbour, &g);
             })
         };
         owner.join().unwrap();
         churn.join().unwrap();
         let g = epoch::pin();
-        assert!(index.get(neighbour, &g).is_none());
+        let back = index.get(neighbour, &g).expect("the neighbour is back");
+        assert!(back.latest(&g).is_none(), "with a fresh chain");
         let chain = index.get(mine, &g).expect("the owner's key survives");
         assert_eq!(chain.latest(&g).map(|v| v.begin()), Some(9));
-        assert_eq!(index.len(), 1);
+        assert_eq!(index.len(), 2);
     }
 
     #[test]
     fn owner_walk_through_a_churning_bucket_explored() {
-        model::explore(model::Options::default(), owner_walk_vs_neighbour_churn);
+        model::explore(model::Options::default(), || {
+            owner_walk_vs_neighbour_churn(true)
+        });
+    }
+
+    /// The broken twin: a slot handed back before the grace period is
+    /// caught as a race between its next life's key and the owner's walk,
+    /// within a bounded seed scan, and the failing seed fails identically
+    /// on replay.
+    #[test]
+    fn a_slot_reused_before_the_grace_period_is_a_replayable_race() {
+        let failing = |seed| {
+            catch_unwind(AssertUnwindSafe(|| {
+                model::run(seed, || owner_walk_vs_neighbour_churn(false));
+            }))
+        };
+        let seed = (1..=256)
+            .find(|&s| failing(s).is_err())
+            .expect("no seed in 1..=256 exposed the early slot reuse");
+        for _ in 0..2 {
+            let err = failing(seed).expect_err("the failing seed must fail deterministically");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("data race detected"), "got: {msg}");
+            assert!(msg.contains(&format!("seed {seed}")), "got: {msg}");
+        }
     }
 
     /// A reader's look-ahead next to the owner's reclaim → take → install.

@@ -3,7 +3,8 @@
 //! [`AnyEngine`] erases the five concrete engine types behind the
 //! [`BatchEngine`] facade, so the benchmark harness builds, drives and
 //! tears down every system through identical code — BOHM included (its
-//! batching lives behind its own sequencer, not in the harness).
+//! batching happens inside the engine, where the submitting session seals
+//! the batch it fills, not in the harness).
 
 use bohm::{Bohm, BohmConfig, BohmSession, CatalogSpec};
 use bohm_common::engine::{BatchEngine, ExecOutcome, Session, WorkerSession};
@@ -133,19 +134,12 @@ pub fn build_occ(spec: &DatabaseSpec) -> SiloOcc {
     SiloOcc::from_builder(build_sv_store(spec))
 }
 
-/// The harness builds Hekaton/SI **without** the idle-time background
-/// sweeper: every engine then runs on exactly the driver-provided thread
-/// budget, keeping the cross-engine throughput figures comparable.
-/// Commit-riding chain
-/// pruning stays on, as in the prior configuration; the sweeper is a
-/// memory-bound fix for idle keys, which a driven benchmark never has.
 pub fn build_hekaton(spec: &DatabaseSpec) -> Hekaton {
-    Hekaton::serializable(build_hekaton_store(spec)).without_background_sweep()
+    Hekaton::serializable(build_hekaton_store(spec))
 }
 
-/// See [`build_hekaton`] for the background-sweeper note.
 pub fn build_si(spec: &DatabaseSpec) -> Hekaton {
-    Hekaton::snapshot_isolation(build_hekaton_store(spec)).without_background_sweep()
+    Hekaton::snapshot_isolation(build_hekaton_store(spec))
 }
 
 /// Split a total thread budget between BOHM's CC and execution layers.

@@ -10,7 +10,6 @@
 //!   stored procedures run identically on every engine,
 //! * deterministic fast RNG ([`rng`]) and the YCSB zipfian key generator
 //!   ([`zipf`], Gray et al. SIGMOD'94 as cited by the paper §4.2.1),
-//! * measurement utilities ([`stats`]),
 //! * the batch-riding write-ahead log ([`wal`]): the sealer logs each
 //!   formed batch's inputs before releasing it, and every durable engine
 //!   recovers through one routine ([`durable::recover`]), whose replay is
@@ -33,7 +32,6 @@ pub mod engine;
 pub mod index;
 pub mod procedures;
 pub mod rng;
-pub mod stats;
 pub mod txn;
 pub mod types;
 pub mod value;

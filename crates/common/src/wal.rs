@@ -123,17 +123,13 @@ const SEGMENTS: Numbered = Numbered {
 /// batch is released to the CC threads; the policy only controls when
 /// `fdatasync` forces it to stable storage. The gap is the usual
 /// group-commit trade: `PerBatch` survives power loss at the cost of one
-/// sync per batch, `EveryN` bounds the loss window to `n` batches, `Off`
-/// leaves flushing to the OS (crash-of-the-process safe — the page cache
-/// survives — but not power-loss safe).
+/// sync per batch, `Off` leaves flushing to the OS (crash-of-the-process
+/// safe — the page cache survives — but not power-loss safe).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `fdatasync` after every batch record (classic group commit: the
     /// whole batch is one sync).
     PerBatch,
-    /// `fdatasync` after every `n` batch records (and on segment
-    /// rotation). `EveryN(1)` is equivalent to [`FsyncPolicy::PerBatch`].
-    EveryN(u64),
     /// Never sync explicitly; the OS writes the page cache back on its
     /// own schedule. Process crashes lose nothing, power loss may lose
     /// the tail.
@@ -174,12 +170,6 @@ impl DurabilityConfig {
             self.segment_bytes >= 1,
             "durability.segment_bytes must be at least 1"
         );
-        if let FsyncPolicy::EveryN(n) = self.fsync {
-            assert!(
-                n >= 1,
-                "FsyncPolicy::EveryN needs n >= 1 (use Off to disable)"
-            );
-        }
     }
 }
 
@@ -259,7 +249,6 @@ struct WalState {
     seg_max_epoch: u64,
     sealed: Vec<SealedSegment>,
     sealed_bytes: u64,
-    unsynced_batches: u64,
     batches: u64,
     /// Reused encode buffer: steady-state logging allocates nothing.
     buf: Vec<u8>,
@@ -361,7 +350,6 @@ impl Wal {
                 seg_max_epoch: 0,
                 sealed,
                 sealed_bytes,
-                unsynced_batches: 0,
                 batches: 0,
                 buf: Vec::new(),
                 failed: None,
@@ -483,15 +471,8 @@ impl Wal {
             st.seg_len += st.buf.len() as u64;
             st.seg_max_epoch = st.seg_max_epoch.max(epoch);
             st.batches += 1;
-            st.unsynced_batches += 1;
-            let sync_now = match self.fsync {
-                FsyncPolicy::PerBatch => true,
-                FsyncPolicy::EveryN(n) => st.unsynced_batches >= n,
-                FsyncPolicy::Off => false,
-            };
-            if sync_now {
+            if self.fsync == FsyncPolicy::PerBatch {
                 st.file.sync_data()?;
-                st.unsynced_batches = 0;
             }
             if st.seg_len >= self.segment_bytes {
                 self.rotate_locked(st)?;
@@ -505,7 +486,6 @@ impl Wal {
     /// opens, so only the active segment can be torn.
     fn rotate_locked(&self, st: &mut WalState) -> io::Result<()> {
         st.file.sync_data()?;
-        st.unsynced_batches = 0;
         let finished = SealedSegment {
             index: st.seg_index,
             bytes: st.seg_len,
@@ -556,11 +536,7 @@ impl LogSink for Wal {
     }
 
     fn sync(&self) -> io::Result<()> {
-        self.latched(|st| {
-            st.file.sync_data()?;
-            st.unsynced_batches = 0;
-            Ok(())
-        })
+        self.latched(|st| st.file.sync_data())
     }
 }
 
@@ -1689,14 +1665,6 @@ mod tests {
     fn zero_segment_bytes_rejected() {
         let mut cfg = DurabilityConfig::new("/tmp/never-created");
         cfg.segment_bytes = 0;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "EveryN")]
-    fn zero_fsync_interval_rejected() {
-        let mut cfg = DurabilityConfig::new("/tmp/never-created");
-        cfg.fsync = FsyncPolicy::EveryN(0);
         cfg.validate();
     }
 }

@@ -1220,14 +1220,12 @@ mod tests {
 
     #[test]
     fn wal_engine_logs_every_batch_and_replay_rebuilds_state() {
-        use bohm_common::wal::{self, DurabilityConfig, FsyncPolicy, Wal};
+        use bohm_common::wal::{self, DurabilityConfig, Wal};
         let dir = std::env::temp_dir().join(format!("bohm-core-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let catalog = || CatalogSpec::new().table(16, 8, |r| r);
         let mut cfg = BohmConfig::small();
-        let mut d = DurabilityConfig::new(&dir);
-        d.fsync = FsyncPolicy::EveryN(4);
-        cfg.durability = Some(d);
+        cfg.durability = Some(DurabilityConfig::new(&dir));
         let e = Bohm::start(cfg, catalog());
         for round in 0..5u64 {
             let out = e.execute_sync((0..32).map(|i| rmw(&[(i + round) % 16], 1)).collect());

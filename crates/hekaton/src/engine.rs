@@ -5,7 +5,7 @@ use crate::txn::{state, HkTxn};
 use crate::version::{txn_word, unpack, HkVersion, WordView, END_INF};
 use bohm_common::engine::{Engine, ExecOutcome};
 use bohm_common::{AbortReason, Access, RecordId, Txn};
-use bohm_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use bohm_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use bohm_sync::Mutex;
 use crossbeam_epoch as epoch;
 use crossbeam_utils::CachePadded;
@@ -101,8 +101,9 @@ impl SlotPool {
 /// clamped to a global-counter snapshot taken *before* the registry scan.
 ///
 /// The raw registry minimum is only safe for commit-riding pruning, where
-/// the caller's own registered begin timestamp bounds it from above. A
-/// sweeper has no such bound: on an idle registry it would read
+/// the caller's own registered begin timestamp bounds it from above.
+/// [`Hekaton::sweep_now`]'s caller holds no registry slot, so it has no
+/// such bound: on an idle registry it would read
 /// `u64::MAX`, and if it stalls there while a worker registers at `b` and
 /// another commits a superseding version at `e > b`, pruning with MAX
 /// would free the version the first worker must still observe at `b`.
@@ -139,174 +140,38 @@ impl Drop for HkWorker {
 // attempt's epoch pin is held (the pruner defers frees past live pins).
 unsafe impl Send for HkWorker {}
 
-/// State shared between the engine and its background sweeper thread.
-struct SweepShared {
-    store: Arc<HekatonStore>,
-    slots: Arc<SlotPool>,
-    /// The engine's global timestamp counter — the sweep watermark is
-    /// clamped to a snapshot of it (see [`sweep_watermark`]).
-    counter: Arc<CachePadded<AtomicU64>>,
-    pruned: Arc<AtomicU64>,
-    stop: AtomicBool,
-}
-
-/// The running background sweeper (see [`Hekaton::sweep_now`] for the
-/// synchronous equivalent).
-struct Sweeper {
-    shared: Arc<SweepShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for Sweeper {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Lifecycle of the background sweeper.
-enum SweepState {
-    /// GC on, sweeper not yet spawned (spawns lazily on the first worker,
-    /// so builder-style configuration calls win the race trivially).
-    Pending,
-    /// The field is held purely for its `Drop` (stop flag + join).
-    Running(#[allow(dead_code)] Sweeper),
-    Disabled,
-}
-
-/// Rows examined per sweeper wakeup (bounds the latency impact of one
-/// epoch pin while still covering large tables in a few wakeups).
-const SWEEP_SLICE: usize = 1024;
-
-/// One background-sweep slice over the slot array: prune up to
-/// [`SWEEP_SLICE`] rows starting at the cursor — but never more than one
-/// full lap, so a tiny table is visited once per wakeup rather than
-/// hammered in a loop (the commit-riding pruner shares the per-record
-/// try-locks and must not be starved). The watermark is computed once per
-/// slice: a stale (clamped) watermark only *delays* reclamation by at
-/// most one slice, and re-scanning the registry per row would ping the
-/// exact cache lines every worker writes twice per transaction. Frees
-/// are epoch-deferred. Returns versions retired.
-fn sweep_slice(shared: &SweepShared, cursor: &mut (usize, usize)) -> usize {
-    let ntables = shared.store.table_count();
-    let total_rows: usize = (0..ntables).map(|t| shared.store.rows(t as u32)).sum();
-    if total_rows == 0 {
-        return 0;
-    }
-    let watermark = sweep_watermark(&shared.counter, &shared.slots);
-    let guard = epoch::pin();
-    let mut freed = 0;
-    let (ref mut table, ref mut row) = *cursor;
-    for _ in 0..SWEEP_SLICE.min(total_rows) {
-        while *row >= shared.store.rows(*table as u32) {
-            *row = 0;
-            *table = (*table + 1) % ntables;
-        }
-        let rid = RecordId::new(*table as u32, *row as u64);
-        freed += shared.store.prune(rid, watermark, &guard);
-        *row += 1;
-    }
-    if freed > 0 {
-        // RELAXED: monotonic statistics counter.
-        shared.pruned.fetch_add(freed as u64, Ordering::Relaxed);
-    }
-    freed
-}
-
-/// Main loop of the background sweeper thread. Consecutive empty sweeps
-/// back the wakeup interval off exponentially (1 ms → 32 ms): an idle
-/// engine costs a few dozen wakeups per second, while an engine with
-/// reclaimable garbage is swept at full cadence.
-fn sweep_loop(shared: Arc<SweepShared>) {
-    let mut cursor = (0usize, 0usize);
-    let mut idle = 0u32;
-    while !shared.stop.load(Ordering::Acquire) {
-        if sweep_slice(&shared, &mut cursor) == 0 {
-            idle = (idle + 1).min(6);
-            std::thread::sleep(std::time::Duration::from_micros(500u64 << idle));
-        } else {
-            idle = 0;
-            std::thread::yield_now();
-        }
-    }
-}
-
 /// Hekaton-style MVCC engine (optimistic, with a global timestamp counter
 /// and commit dependencies). See the crate docs for the protocol.
 pub struct Hekaton {
-    store: Arc<HekatonStore>,
+    store: HekatonStore,
     /// **The** global counter (paper §2.1/§4.2.2). Deliberately a single
     /// contended cache line — that contention is a measured phenomenon.
-    /// (Arc'd so the background sweeper can snapshot it for its clamped
-    /// watermark; workers still touch exactly one contended line.)
-    counter: Arc<CachePadded<AtomicU64>>,
+    counter: CachePadded<AtomicU64>,
     isolation: IsolationLevel,
     /// Active-transaction registry driving the chain pruner's watermark.
     slots: Arc<SlotPool>,
-    /// Versions retired by the pruner (diagnostics).
-    pruned: Arc<AtomicU64>,
-    /// Idle-time background sweep over the slot array. Commit-riding
-    /// pruning only fires on records that committing transactions touch, so
-    /// a key never read or written again would keep its dead suffix
-    /// indefinitely; the sweeper closes that leak. Spawned lazily with the
-    /// first worker; [`without_background_sweep`](Self::without_background_sweep)
-    /// disables it.
-    sweep: Mutex<SweepState>,
+    /// Versions retired by the pruner (diagnostics). Padded: committers
+    /// bump it, and it must not share a line with the read-mostly fields
+    /// every access loads.
+    pruned: CachePadded<AtomicU64>,
 }
 
 impl Hekaton {
     pub fn new(store: HekatonStore, isolation: IsolationLevel) -> Self {
         Self {
-            store: Arc::new(store),
-            counter: Arc::new(CachePadded::new(AtomicU64::new(1))), // ts 0 = preload
+            store,
+            counter: CachePadded::new(AtomicU64::new(1)), // ts 0 = preload
             isolation,
             slots: Arc::new(SlotPool::new()),
-            pruned: Arc::new(AtomicU64::new(0)),
-            sweep: Mutex::new(SweepState::Pending),
+            pruned: CachePadded::new(AtomicU64::new(0)),
         }
-    }
-
-    fn sweep_shared(&self) -> Arc<SweepShared> {
-        Arc::new(SweepShared {
-            store: Arc::clone(&self.store),
-            slots: Arc::clone(&self.slots),
-            counter: Arc::clone(&self.counter),
-            pruned: Arc::clone(&self.pruned),
-            stop: AtomicBool::new(false),
-        })
-    }
-
-    /// Spawn the background sweeper if it is still pending (first worker).
-    fn ensure_sweeper(&self) {
-        let mut st = self.sweep.lock();
-        if matches!(*st, SweepState::Pending) {
-            let shared = self.sweep_shared();
-            let handle = {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name("hekaton-sweep".into())
-                    .spawn(move || sweep_loop(shared))
-                    .expect("spawn hekaton sweeper")
-            };
-            *st = SweepState::Running(Sweeper {
-                shared,
-                handle: Some(handle),
-            });
-        }
-    }
-
-    fn disable_sweeper(&self) {
-        let mut st = self.sweep.lock();
-        // Dropping a running sweeper stops and joins it.
-        *st = SweepState::Disabled;
     }
 
     /// Run one full synchronous sweep over every slot of every table with
-    /// the current watermark (deterministic alternative to waiting for the
-    /// background thread; used by tests and quiescent maintenance windows).
-    /// Returns the number of versions retired.
+    /// the current watermark: the only pass that reaches a key no later
+    /// transaction touches (see the crate docs). Used by tests and
+    /// quiescent maintenance windows. Returns the number of versions
+    /// retired.
     pub fn sweep_now(&self) -> usize {
         let watermark = sweep_watermark(&self.counter, &self.slots);
         let guard = epoch::pin();
@@ -332,15 +197,6 @@ impl Hekaton {
     /// The paper's "SI" configuration.
     pub fn snapshot_isolation(store: HekatonStore) -> Self {
         Self::new(store, IsolationLevel::SnapshotIsolation)
-    }
-
-    /// Keep commit-riding pruning but disable the idle-time background
-    /// sweep, so the engine runs on its driver's threads alone (the
-    /// benchmark's configuration). A key never touched again then keeps its
-    /// dead suffix, which is what the sweep exists to fix.
-    pub fn without_background_sweep(self) -> Self {
-        self.disable_sweeper();
-        self
     }
 
     /// Versions reclaimed by the chain pruner so far.
@@ -944,7 +800,6 @@ impl Engine for Hekaton {
     }
 
     fn make_worker(&self) -> HkWorker {
-        self.ensure_sweeper();
         HkWorker {
             reads: Vec::with_capacity(32),
             writes: Vec::with_capacity(16),
@@ -1274,47 +1129,28 @@ mod tests {
     }
 
     #[test]
-    fn write_once_then_idle_key_is_pruned_by_background_sweep() {
-        // Commit-riding pruning never fires on a key nobody touches again;
-        // the background sweeper must shrink its dead suffix anyway.
+    fn idle_key_keeps_its_suffix_until_sweep_now() {
+        // Commit-riding pruning only reaches keys a later transaction
+        // touches, and no thread reclaims on its own: an idle key keeps
+        // what its last sampled prune left until `sweep_now`.
         let e = Hekaton::serializable(store(2));
         let mut w = e.make_worker();
         for _ in 0..10 {
             assert!(e.execute(&rmw(0, 1), &mut w).committed);
         }
         let hot = RecordId::new(0, 0);
-        // No further transaction touches the key: only the sweeper can act.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            let depth = e.store().chain_depth(hot);
-            if depth <= 1 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background sweep never pruned the idle key (depth {depth})"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        // The last commit's own prune runs under its begin timestamp, below
+        // the end timestamp of the version it superseded, which survives.
+        let depth = e.store().chain_depth(hot);
+        assert!(depth > 1, "depth {depth}");
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(e.store().chain_depth(hot), depth);
+        // Worker idle ⇒ the sweep's watermark is the counter snapshot, which
+        // lies above every end timestamp the key's dead versions carry.
+        assert_eq!(e.sweep_now(), depth - 1);
+        assert_eq!(e.store().chain_depth(hot), 1);
         assert_eq!(e.read_u64(hot), Some(10), "live head survives the sweep");
         assert!(e.pruned_versions() > 0);
-    }
-
-    #[test]
-    fn idle_key_suffix_persists_without_background_sweep() {
-        // The ablation: with the sweeper off, an untouched key's dead
-        // suffix stays — the exact leak the sweep exists to fix.
-        let e = Hekaton::serializable(store(2)).without_background_sweep();
-        let mut w = e.make_worker();
-        for _ in 0..10 {
-            assert!(e.execute(&rmw(0, 1), &mut w).committed);
-        }
-        // Commit-riding pruning may have trimmed during the updates, but
-        // whatever suffix the last commit left can only be removed by a
-        // toucher or the (disabled) sweeper.
-        let depth0 = e.store().chain_depth(RecordId::new(0, 0));
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(e.store().chain_depth(RecordId::new(0, 0)), depth0);
     }
 
     #[test]
@@ -1550,10 +1386,7 @@ mod tests {
         // RMWs: timer preemption then lands mid-transaction and the other
         // stream's commit invalidates the interrupted read set.
         use bohm_sync::atomic::{AtomicBool, Ordering};
-        // Sweeper off: this test isolates commit validation, and on a
-        // single-CPU host the background thread would eat into the tight
-        // scheduling budget the racing streams depend on.
-        let e = Arc::new(Hekaton::serializable(zero_store(2)).without_background_sweep());
+        let e = Arc::new(Hekaton::serializable(zero_store(2)));
         let x = RecordId::new(0, 0);
         let y = RecordId::new(0, 1);
         let stop = Arc::new(AtomicBool::new(false));

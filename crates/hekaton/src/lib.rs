@@ -21,8 +21,14 @@
 //!   each read as of the end timestamp); **SI mode** skips read validation
 //!   entirely and is therefore subject to write skew (demonstrated in the
 //!   tests).
-//! * **No incremental garbage collection and a fixed-size array index**,
-//!   the configuration the paper runs these baselines in (§4).
+//! * **A fixed-size array index**, as the paper's baselines use (§4).
+//! * **One reclamation path.** A sampled 1-in-4 of commits prunes the
+//!   chains of the committer's write and read sets below the
+//!   active-transaction watermark; [`Hekaton::sweep_now`] is the
+//!   synchronous full pass over every slot. No thread reclaims on its own,
+//!   so a key nobody touches again keeps the versions written after its
+//!   last sampled prune until a later transaction probes it or
+//!   `sweep_now` runs.
 //!
 //! Transaction objects referenced from version words are reclaimed through
 //! `crossbeam-epoch` once post-processing has replaced the markers with

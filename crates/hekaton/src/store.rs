@@ -1,10 +1,14 @@
 //! Fixed-size array-indexed multi-version store.
 //!
 //! The paper runs its Hekaton/SI baselines with "a simple fixed-size array
-//! index to access records" and no incremental garbage collection (§4);
-//! this store reproduces both choices. Each record slot is the head of a
-//! backward-linked version chain; pushes are CAS-loops because, unlike
-//! BOHM, *any* worker thread may install a version on any record.
+//! index to access records" (§4); this store reproduces that choice. Each
+//! record slot is the head of a backward-linked version chain; pushes are
+//! CAS-loops because, unlike BOHM, *any* worker thread may install a
+//! version on any record. `HekatonStore::prune` is the one reclamation
+//! primitive: the engine calls it on a sampled commit's read and write
+//! sets, and over every slot in `Hekaton::sweep_now`. Nothing else prunes,
+//! so an untouched key keeps the versions written after its last sampled
+//! prune.
 
 // HOT-PATH: push/prune/scan run per write and per GC pass; no clocks,
 // no syscalls, no I/O (enforced by the lint).
@@ -92,7 +96,7 @@ impl HekatonStore {
         self.tables[table as usize].slots.len()
     }
 
-    /// Number of tables in the store (the background sweep's outer loop).
+    /// Number of tables in the store (`Hekaton::sweep_now`'s outer loop).
     #[inline]
     pub fn table_count(&self) -> usize {
         self.tables.len()

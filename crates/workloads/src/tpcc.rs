@@ -52,7 +52,6 @@
 use crate::spec::{DatabaseSpec, IndexDef, TableDef};
 use crate::TxnGen;
 use bohm_common::rng::FastRng;
-use bohm_common::zipf::Zipf;
 use bohm_common::{IndexScan, Procedure, RecordId, TpcCProc, Txn};
 use std::collections::VecDeque;
 
@@ -457,12 +456,6 @@ pub struct TpccGen {
     created: u64,
     /// Orders this generator has consumed via Delivery transactions.
     delivered: u64,
-    /// Scan-heavy mode: half the mix becomes OrderHistory scans (the
-    /// scan-throughput benchmark series; see [`scan_heavy`](Self::scan_heavy)).
-    scan_heavy: bool,
-    /// Index-heavy mode: half the mix becomes CustomerStatus index scans
-    /// (the index-scan benchmark series; see [`index_heavy`](Self::index_heavy)).
-    index_heavy: bool,
     /// Global customer row of each live order, oldest first (parallel to
     /// ring positions `delivered..created`) — the declared-write-set
     /// knowledge Delivery needs to name the posting lists it unmaintains.
@@ -474,10 +467,6 @@ pub struct TpccGen {
     cust_live: Vec<u64>,
     /// Customers in this stripe's partition.
     partition: u64,
-    /// Zipfian hot-customer Payments ([`hot_payments`](Self::hot_payments)):
-    /// Payment customers drawn skewed over the whole customer space, so a
-    /// few warehouse/district/customer triples become contention hot spots.
-    hot: Option<Zipf>,
 }
 
 impl TpccGen {
@@ -502,46 +491,10 @@ impl TpccGen {
             stripe_base,
             created: 0,
             delivered: 0,
-            scan_heavy: false,
-            index_heavy: false,
             pending_custs: VecDeque::new(),
             cust_live,
             partition,
-            hot: None,
         }
-    }
-
-    /// Draw Payment customers from a Zipfian distribution over the whole
-    /// customer space (θ = `theta`, YCSB-style): rank 0 — one specific
-    /// (warehouse, district, customer) triple — absorbs the hot mass, so
-    /// Payment RMW contention concentrates on a handful of warehouse and
-    /// district counters. θ = 0 degenerates to the uniform mix. The
-    /// contention knob of the hot-key abort-rate figures.
-    pub fn hot_payments(mut self, theta: f64) -> Self {
-        self.hot = Some(Zipf::new(self.cfg.customers(), theta));
-        self
-    }
-
-    /// Switch to the scan-heavy mix: 40% NewOrder / 10% Delivery / 50%
-    /// OrderHistory — the order-history scan path dominates, with enough
-    /// churn at both window edges to keep the phantom machinery honest.
-    pub fn scan_heavy(mut self) -> Self {
-        self.scan_heavy = true;
-        self.index_heavy = false;
-        self
-    }
-
-    /// Switch to the index-heavy mix: 40% NewOrder / 10% Delivery / 50%
-    /// CustomerStatus — the secondary-index scan path dominates, with
-    /// every NewOrder/Delivery churning the scanned posting lists.
-    pub fn index_heavy(mut self) -> Self {
-        assert!(
-            self.cfg.has_customer_index(),
-            "index-heavy mix needs the customer→orders index"
-        );
-        self.index_heavy = true;
-        self.scan_heavy = false;
-        self
     }
 
     /// Orders this generator has created so far.
@@ -567,18 +520,6 @@ impl TpccGen {
             self.rng.below(self.cfg.districts_per_warehouse),
             self.rng.below(self.cfg.customers_per_district),
         )
-    }
-
-    /// The Payment target: the uniform draw, or a Zipfian one under
-    /// [`hot_payments`](Self::hot_payments).
-    fn payment_wdc(&mut self, w: u64, d: u64, c: u64) -> (u64, u64, u64) {
-        match &self.hot {
-            Some(z) => {
-                let g = z.sample(&mut self.rng);
-                self.cfg.customer_coords(g)
-            }
-            None => (w, d, c),
-        }
     }
 
     /// Consume up to `delivery_batch` of the oldest undelivered orders.
@@ -663,30 +604,12 @@ impl TxnGen for TpccGen {
     fn next_txn(&mut self) -> Txn {
         let (w, d, c) = self.wdc();
         let per = self.cfg.orders_per_stripe();
-        if self.scan_heavy {
-            return match self.rng.below(100) {
-                0..=39 => self.next_new_order(w, d, c),
-                40..=49 if self.created > self.delivered => self.next_delivery(),
-                _ => self.next_order_history(w, d, c),
-            };
-        }
-        if self.index_heavy {
-            return match self.rng.below(100) {
-                0..=39 => self.next_new_order(w, d, c),
-                40..=49 if self.created > self.delivered => self.next_delivery(),
-                _ => self.next_customer_status(),
-            };
-        }
         match self.rng.below(100) {
             0..=42 => self.next_new_order(w, d, c),
-            43..=78 => {
-                let (w, d, c) = self.payment_wdc(w, d, c);
-                payment(&self.cfg, w, d, c, 1 + self.rng.below(5_000))
-            }
+            43..=78 => payment(&self.cfg, w, d, c, 1 + self.rng.below(5_000)),
             79..=83 => {
                 if self.created == self.delivered {
                     // Nothing to deliver yet; keep the mix flowing.
-                    let (w, d, c) = self.payment_wdc(w, d, c);
                     return payment(&self.cfg, w, d, c, 1 + self.rng.below(5_000));
                 }
                 self.next_delivery()
@@ -1033,38 +956,6 @@ mod tests {
         assert!(g.orders_created() > 64);
     }
 
-    #[test]
-    fn hot_payments_skew_customer_selection() {
-        use std::collections::HashMap;
-        let count_payments = |theta: f64| -> HashMap<RecordId, u64> {
-            let mut g = TpccGen::new(small(), 5, 0).hot_payments(theta);
-            let mut hits = HashMap::new();
-            for _ in 0..4_000 {
-                let t = g.next_txn();
-                if let Procedure::TpcC(TpcCProc::Payment { .. }) = t.proc {
-                    *hits.entry(t.reads[2]).or_insert(0) += 1;
-                }
-            }
-            hits
-        };
-        let hot = count_payments(0.99);
-        let max_hot = *hot.values().max().unwrap();
-        let total: u64 = hot.values().sum();
-        // θ=0.99 over 32 customers: the hottest absorbs a large share.
-        assert!(
-            max_hot * 6 > total,
-            "hot customer got {max_hot}/{total} payments"
-        );
-        // θ=0 stays near-uniform (no customer dominates).
-        let uniform = count_payments(0.0);
-        let max_uniform = *uniform.values().max().unwrap();
-        let total_uniform: u64 = uniform.values().sum();
-        assert!(
-            max_uniform * 8 < total_uniform,
-            "{max_uniform}/{total_uniform}"
-        );
-    }
-
     /// FNV-1a over `format!("{txn:?}")` of a generator's first 20,000
     /// transactions. The expected values pin the default-config streams
     /// (what `perfbench`'s `tpcc_mix` and the equivalence suites run) byte
@@ -1081,20 +972,8 @@ mod tests {
             h
         };
         let gen = |seed, stripe| TpccGen::new(TpccConfig::default(), seed, stripe);
-        let got = [
-            digest(gen(3, 0)),
-            digest(gen(42, 7)),
-            digest(gen(5, 1).scan_heavy()),
-            digest(gen(6, 2).index_heavy()),
-            digest(gen(7, 3).hot_payments(0.9)),
-        ];
-        let want = [
-            0xe78a_01b0_73ee_ebbe,
-            0xc599_e30c_fcb1_925f,
-            0x3ef5_a5a4_a5a0_4d76,
-            0x15ec_cc7c_ada7_4c84,
-            0xe1d7_a188_198a_2d56,
-        ];
+        let got = [digest(gen(3, 0)), digest(gen(42, 7))];
+        let want = [0xe78a_01b0_73ee_ebbe, 0xc599_e30c_fcb1_925f];
         assert_eq!(got, want);
     }
 

@@ -39,31 +39,39 @@ impl AbortReason {
 /// Positional record access for one executing transaction.
 ///
 /// `idx` is an index into the transaction's declared read set (for
-/// [`read`](Access::read)) or write set (for [`write`](Access::write)).
-/// Implementations panic on out-of-range indices — a procedure accessing a
-/// record it did not declare is a programming error that would silently
-/// break every engine's correctness argument.
+/// [`read_maybe`](Access::read_maybe)) or write set (for
+/// [`write`](Access::write)). Implementations panic on out-of-range
+/// indices — a procedure accessing a record it did not declare is a
+/// programming error that would silently break every engine's correctness
+/// argument.
+///
+/// Every engine and the serial oracle implement every required method;
+/// [`execute_procedure`](crate::execute_procedure) is generic over the
+/// implementation, so procedure calls into it are statically dispatched.
+/// Callbacks take `impl FnMut`, which lets engines expose borrowed storage
+/// without copying.
 pub trait Access {
-    /// Read the current (engine-visible) value of read-set entry `idx` and
-    /// hand it to `out`. The callback style lets engines expose borrowed
-    /// storage without copying.
-    ///
-    /// Panics if the record does not exist at the transaction's snapshot —
-    /// procedures that tolerate absence use [`read_maybe`](Self::read_maybe).
-    fn read(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<(), AbortReason>;
-
-    /// Absence-tolerant read of read-set entry `idx`.
+    /// Read of read-set entry `idx`, the one read primitive.
     ///
     /// Returns `Ok(true)` and calls `out` with the payload if the record
     /// exists at the transaction's snapshot, `Ok(false)` (without calling
     /// `out`) if it does not — a key never inserted, not yet inserted at
-    /// this transaction's position in the serial order, or deleted. Engines
-    /// that support record insertion override this; absent reads
-    /// participate in concurrency control exactly like present ones (they
-    /// must be validated/serialized so that "absent" is the answer *some*
-    /// serial order gives).
-    fn read_maybe(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<bool, AbortReason> {
-        self.read(idx, out).map(|()| true)
+    /// this transaction's position in the serial order, or deleted. Absent
+    /// reads participate in concurrency control exactly like present ones
+    /// (they must be validated/serialized so that "absent" is the answer
+    /// *some* serial order gives).
+    fn read_maybe(&mut self, idx: usize, out: impl FnMut(&[u8])) -> Result<bool, AbortReason>;
+
+    /// Read the current (engine-visible) value of read-set entry `idx` and
+    /// hand it to `out`.
+    ///
+    /// Panics if the record does not exist at the transaction's snapshot —
+    /// procedures that tolerate absence use [`read_maybe`](Self::read_maybe).
+    fn read(&mut self, idx: usize, out: impl FnMut(&[u8])) -> Result<(), AbortReason> {
+        if !self.read_maybe(idx, out)? {
+            panic!("read of an absent record: read-set entry {idx}");
+        }
+        Ok(())
     }
 
     /// Write `data` as the new value of write-set entry `idx`. `data` must
@@ -89,14 +97,7 @@ pub trait Access {
     /// The logic-abort contract extends to deletes: a procedure must decide
     /// a user abort before its first write *or delete* (in-place engines
     /// have no undo log).
-    ///
-    /// The default implementation panics — engines that support the record
-    /// lifecycle override it, and procedures that delete are only run on
-    /// such engines.
-    fn delete(&mut self, idx: usize) -> Result<(), AbortReason> {
-        let _ = idx;
-        panic!("this Access implementation does not support record deletes");
-    }
+    fn delete(&mut self, idx: usize) -> Result<(), AbortReason>;
 
     /// Key-range scan: invoke `out(row, payload)` for every record that
     /// exists in scan-set entry `idx` (a declared
@@ -110,7 +111,8 @@ pub trait Access {
     /// scan (and is observed) or entirely after it (and is not), never
     /// halfway. Each engine enforces this with its own mechanism (range
     /// locks covering absent slots, per-slot read validation, commit-time
-    /// range re-resolution, or BOHM's timestamp-ordered CC pass).
+    /// range re-resolution, or BOHM's timestamp-filtered probe of every
+    /// row).
     ///
     /// The scanned range must not overlap the transaction's own write set:
     /// engines disagree on whether a scan observes the transaction's own
@@ -120,13 +122,7 @@ pub trait Access {
     /// an over-capacity range, while dynamically-indexed engines treat
     /// rows beyond the preload as ordinarily absent — only growable-table
     /// workloads, which run on the latter exclusively, may exceed it.
-    ///
-    /// The default implementation panics — engines that support range
-    /// scans override it, and scanning procedures only run on such engines.
-    fn scan(&mut self, idx: usize, out: &mut dyn FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
-        let _ = (idx, out);
-        panic!("this Access implementation does not support range scans");
-    }
+    fn scan(&mut self, idx: usize, out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason>;
 
     /// Secondary-index scan: invoke `out(row, payload)` for every live
     /// member row of index-scan-set entry `idx` (a declared
@@ -153,18 +149,7 @@ pub trait Access {
     /// else. A listed-but-absent member row (possible only on a torn
     /// snapshot of a doomed optimistic attempt, or if the contract is
     /// violated) is skipped, not an error.
-    ///
-    /// The default implementation panics — engines that support secondary
-    /// indexes override it, and index-scanning procedures only run on such
-    /// engines.
-    fn index_scan(
-        &mut self,
-        idx: usize,
-        out: &mut dyn FnMut(u64, &[u8]),
-    ) -> Result<u64, AbortReason> {
-        let _ = (idx, out);
-        panic!("this Access implementation does not support secondary-index scans");
-    }
+    fn index_scan(&mut self, idx: usize, out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason>;
 
     /// Size in bytes of the record behind write-set entry `idx` (fixed per
     /// table). Lets procedures construct full-size payloads for blind
@@ -175,7 +160,7 @@ pub trait Access {
     /// `idx` (every paper workload stores its semantic value there).
     fn read_u64(&mut self, idx: usize) -> Result<u64, AbortReason> {
         let mut v = 0u64;
-        self.read(idx, &mut |b| v = crate::value::get_u64(b, 0))?;
+        self.read(idx, |b| v = crate::value::get_u64(b, 0))?;
         Ok(v)
     }
 }
@@ -184,43 +169,47 @@ pub trait Access {
 mod tests {
     use super::*;
 
-    /// A trivial in-memory Access used to test default methods.
+    /// A trivial in-memory Access used to test the provided methods.
     struct VecAccess {
-        rows: Vec<Vec<u8>>,
+        rows: Vec<Option<Vec<u8>>>,
     }
 
     impl Access for VecAccess {
-        fn read(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<(), AbortReason> {
-            out(&self.rows[idx]);
-            Ok(())
+        fn read_maybe(&mut self, idx: usize, out: impl FnMut(&[u8])) -> Result<bool, AbortReason> {
+            Ok(self.rows[idx].as_deref().map(out).is_some())
         }
         fn write(&mut self, idx: usize, data: &[u8]) -> Result<(), AbortReason> {
-            self.rows[idx] = data.to_vec();
+            self.rows[idx] = Some(data.to_vec());
             Ok(())
         }
+        fn delete(&mut self, idx: usize) -> Result<(), AbortReason> {
+            self.rows[idx] = None;
+            Ok(())
+        }
+        fn scan(&mut self, _: usize, _: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
+            unreachable!("no scans declared")
+        }
+        fn index_scan(&mut self, _: usize, _: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
+            unreachable!("no index scans declared")
+        }
         fn write_len(&mut self, idx: usize) -> usize {
-            self.rows[idx].len()
+            self.rows[idx].as_ref().map_or(0, Vec::len)
         }
     }
 
     #[test]
     fn read_u64_default_reads_prefix() {
         let mut a = VecAccess {
-            rows: vec![crate::value::of_u64(99, 16).to_vec()],
+            rows: vec![Some(crate::value::of_u64(99, 16).to_vec())],
         };
         assert_eq!(a.read_u64(0).unwrap(), 99);
     }
 
     #[test]
-    fn read_maybe_defaults_to_present() {
-        let mut a = VecAccess {
-            rows: vec![crate::value::of_u64(7, 8).to_vec()],
-        };
-        let mut seen = 0;
-        assert!(a
-            .read_maybe(0, &mut |b| seen = crate::value::get_u64(b, 0))
-            .unwrap());
-        assert_eq!(seen, 7);
+    #[should_panic(expected = "read of an absent record")]
+    fn read_of_an_absent_record_panics() {
+        let mut a = VecAccess { rows: vec![None] };
+        let _ = a.read(0, |_| {});
     }
 
     #[test]

@@ -269,8 +269,8 @@ impl ExecScratch {
     }
 }
 
-/// Execute `proc` against `access`, interpreting `reads`/`writes`/`scans`
-/// as the declared sets of the surrounding transaction.
+/// Execute `txn`'s procedure against `access`, interpreting the
+/// transaction's declared read/write/scan sets positionally.
 ///
 /// `scratch` is a caller-owned buffer bundle reused across transactions
 /// (the "workhorse collection" pattern) so that 1,000-byte YCSB record
@@ -279,20 +279,18 @@ impl ExecScratch {
 /// Returns `Ok(fingerprint)` on commit intent — a value derived from the
 /// reads, which equivalence tests use to compare engines — or the abort
 /// reason. Engine-induced errors from `access` propagate unchanged.
-pub fn execute_procedure(
-    proc: &Procedure,
-    reads: &[crate::RecordId],
-    writes: &[crate::RecordId],
-    scans: &[crate::ScanRange],
-    access: &mut dyn Access,
+pub fn execute_procedure<A: Access>(
+    txn: &crate::Txn,
+    access: &mut A,
     scratch: &mut ExecScratch,
 ) -> Result<u64, AbortReason> {
-    match proc {
+    let (reads, writes) = (&*txn.reads, &*txn.writes);
+    match &txn.proc {
         Procedure::ReadOnly => {
             let mut acc = 0u64;
             for i in 0..reads.len() {
                 let mut c = 0u64;
-                access.read(i, &mut |b| c = value::checksum(b))?;
+                access.read(i, |b| c = value::checksum(b))?;
                 acc = acc.wrapping_mul(31).wrapping_add(c);
             }
             Ok(acc)
@@ -317,7 +315,7 @@ pub fn execute_procedure(
             let mut acc = 0u64;
             for i in 0..reads.len() {
                 let mut c = ABSENT_FINGERPRINT;
-                access.read_maybe(i, &mut |b| c = value::checksum(b))?;
+                access.read_maybe(i, |b| c = value::checksum(b))?;
                 acc = acc.wrapping_mul(31).wrapping_add(c);
             }
             Ok(acc)
@@ -328,8 +326,8 @@ pub fn execute_procedure(
             let mut first = u64::MAX;
             let mut last = 0u64;
             let mut count = 0u64;
-            for si in 0..scans.len() {
-                count += access.scan(si, &mut |row, b| {
+            for si in 0..txn.scans.len() {
+                count += access.scan(si, |row, b| {
                     if value::get_u64(b, 0) != base.wrapping_add(row) {
                         bad_value = true;
                     }
@@ -389,11 +387,11 @@ pub fn execute_procedure(
 /// precomputed once per call; the fold order (pure reads in read order,
 /// then RMW old-values in write order, each mapping to the *first* matching
 /// read position) is unchanged, so fingerprints are bit-identical.
-fn read_modify_write(
+fn read_modify_write<A: Access>(
     delta: u64,
     reads: &[crate::RecordId],
     writes: &[crate::RecordId],
-    access: &mut dyn Access,
+    access: &mut A,
     scratch: &mut ExecScratch,
 ) -> Result<u64, AbortReason> {
     // Split borrows: the position indices stay borrowed across the byte
@@ -405,7 +403,7 @@ fn read_modify_write(
         ..
     } = scratch;
     let mut acc = 0u64;
-    let blind = |access: &mut dyn Access, w: usize, scratch: &mut Vec<u8>| {
+    let blind = |access: &mut A, w: usize, scratch: &mut Vec<u8>| {
         // Blind write: full-size record with the delta prefix.
         let len = access.write_len(w);
         scratch.clear();
@@ -413,14 +411,14 @@ fn read_modify_write(
         scratch.resize(len, 0);
         access.write(w, scratch)
     };
-    let rmw = |access: &mut dyn Access,
+    let rmw = |access: &mut A,
                r: usize,
                w: usize,
                scratch: &mut Vec<u8>,
                acc: &mut u64|
      -> Result<(), AbortReason> {
         scratch.clear();
-        access.read(r, &mut |b| scratch.extend_from_slice(b))?;
+        access.read(r, |b| scratch.extend_from_slice(b))?;
         let old = value::get_u64(scratch, 0);
         value::put_u64(scratch, 0, old.wrapping_add(delta));
         access.write(w, scratch)?;
@@ -448,7 +446,7 @@ fn read_modify_write(
     for (i, rid) in reads.iter().enumerate() {
         if first_position(widx, writes, rid).is_none() {
             let mut c = 0u64;
-            access.read(i, &mut |b| c = value::checksum(b))?;
+            access.read(i, |b| c = value::checksum(b))?;
             acc = acc.wrapping_mul(31).wrapping_add(c);
         }
     }
@@ -497,7 +495,7 @@ fn first_position(idx: &[u32], set: &[crate::RecordId], rid: &crate::RecordId) -
 }
 
 fn write_u64(
-    access: &mut dyn Access,
+    access: &mut impl Access,
     idx: usize,
     v: u64,
     scratch: &mut Vec<u8>,
@@ -511,7 +509,7 @@ fn write_u64(
 
 fn small_bank(
     proc: SmallBankProc,
-    access: &mut dyn Access,
+    access: &mut impl Access,
     scratch: &mut ExecScratch,
 ) -> Result<u64, AbortReason> {
     let scratch = &mut scratch.bytes;
@@ -567,7 +565,7 @@ fn tpcc(
     proc: TpcCProc,
     reads: &[crate::RecordId],
     writes: &[crate::RecordId],
-    access: &mut dyn Access,
+    access: &mut impl Access,
     scratch: &mut ExecScratch,
 ) -> Result<u64, AbortReason> {
     let ExecScratch {
@@ -607,7 +605,7 @@ fn tpcc(
             // customer→orders index.
             if writes.len() > 2 {
                 scratch.clear();
-                access.read(2, &mut |b| scratch.extend_from_slice(b))?;
+                access.read(2, |b| scratch.extend_from_slice(b))?;
                 // Failure is only reachable on a doomed optimistic
                 // attempt's torn snapshot (see `crate::index`).
                 let _ = crate::index::posting_insert(scratch, writes[1].row);
@@ -632,13 +630,13 @@ fn tpcc(
             // The probed order may not have been inserted yet; absence is a
             // legitimate, serializable answer with its own fingerprint.
             let mut order_fp = ABSENT_FINGERPRINT;
-            access.read_maybe(1, &mut |b| order_fp = value::checksum(b))?;
+            access.read_maybe(1, |b| order_fp = value::checksum(b))?;
             Ok(cust.wrapping_mul(31).wrapping_add(order_fp))
         }
         TpcCProc::OrderHistory => {
             let cust = access.read_u64(0)?;
             let mut fp = cust;
-            let count = access.scan(0, &mut |row, b| {
+            let count = access.scan(0, |row, b| {
                 fp = fp.wrapping_mul(31).wrapping_add(row ^ value::checksum(b));
             })?;
             Ok(fp.wrapping_mul(31).wrapping_add(count))
@@ -646,7 +644,7 @@ fn tpcc(
         TpcCProc::CustomerStatus => {
             let cust = access.read_u64(0)?;
             let mut fp = cust;
-            let count = access.index_scan(0, &mut |row, b| {
+            let count = access.index_scan(0, |row, b| {
                 fp = fp.wrapping_mul(31).wrapping_add(row ^ value::checksum(b));
             })?;
             Ok(fp.wrapping_mul(31).wrapping_add(count))
@@ -686,7 +684,7 @@ fn tpcc(
             for (i, rid) in reads.iter().enumerate().take(orders_end).skip(1) {
                 let mut c = ABSENT_FINGERPRINT;
                 let mut cust_key = u64::MAX;
-                let present = access.read_maybe(i, &mut |b| {
+                let present = access.read_maybe(i, |b| {
                     c = value::checksum(b);
                     if b.len() >= 16 {
                         cust_key = value::get_u64(b, 8);
@@ -705,7 +703,7 @@ fn tpcc(
             for (p, list_rid) in writes.iter().enumerate().take(n).skip(orders_end) {
                 let key = list_rid.row;
                 scratch.clear();
-                access.read(p, &mut |b| scratch.extend_from_slice(b))?;
+                access.read(p, |b| scratch.extend_from_slice(b))?;
                 for &(cust, row) in removals[..nrem].iter().filter(|&&(cust, _)| cust == key) {
                     // Failure is only reachable on a doomed optimistic
                     // attempt's torn snapshot (see `crate::index`).
@@ -780,22 +778,8 @@ mod tests {
     }
 
     impl Access for MemAccess {
-        fn read(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<(), AbortReason> {
-            out(self.read_vals[idx].as_ref().expect("read of absent record"));
-            Ok(())
-        }
-        fn read_maybe(
-            &mut self,
-            idx: usize,
-            out: &mut dyn FnMut(&[u8]),
-        ) -> Result<bool, AbortReason> {
-            match &self.read_vals[idx] {
-                Some(v) => {
-                    out(v);
-                    Ok(true)
-                }
-                None => Ok(false),
-            }
+        fn read_maybe(&mut self, idx: usize, out: impl FnMut(&[u8])) -> Result<bool, AbortReason> {
+            Ok(self.read_vals[idx].as_deref().map(out).is_some())
         }
         fn write(&mut self, idx: usize, data: &[u8]) -> Result<(), AbortReason> {
             self.written[idx] = Some(data.to_vec());
@@ -807,39 +791,34 @@ mod tests {
             self.written[idx] = None;
             Ok(())
         }
-        fn scan(
-            &mut self,
-            idx: usize,
-            out: &mut dyn FnMut(u64, &[u8]),
-        ) -> Result<u64, AbortReason> {
+        fn scan(&mut self, idx: usize, out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
             assert_eq!(idx, 0, "MemAccess models a single scan");
-            let mut n = 0;
-            for (row, v) in &self.scan_rows {
-                if let Some(v) = v {
-                    out(*row, v);
-                    n += 1;
-                }
-            }
-            Ok(n)
+            Ok(emit_present(&self.scan_rows, out))
         }
         fn index_scan(
             &mut self,
             idx: usize,
-            out: &mut dyn FnMut(u64, &[u8]),
+            out: impl FnMut(u64, &[u8]),
         ) -> Result<u64, AbortReason> {
             assert_eq!(idx, 0, "MemAccess models a single index scan");
-            let mut n = 0;
-            for (row, v) in &self.index_rows {
-                if let Some(v) = v {
-                    out(*row, v);
-                    n += 1;
-                }
-            }
-            Ok(n)
+            Ok(emit_present(&self.index_rows, out))
         }
         fn write_len(&mut self, _idx: usize) -> usize {
             self.len
         }
+    }
+
+    /// Hand every present `(row, payload)` of `rows` to `out`; returns how
+    /// many there were.
+    fn emit_present(rows: &[(u64, Option<Vec<u8>>)], mut out: impl FnMut(u64, &[u8])) -> u64 {
+        let mut n = 0;
+        for (row, v) in rows {
+            if let Some(v) = v {
+                out(*row, v);
+                n += 1;
+            }
+        }
+        n
     }
 
     fn rid(k: u64) -> RecordId {
@@ -851,10 +830,11 @@ mod tests {
         proc: &Procedure,
         reads: &[RecordId],
         writes: &[RecordId],
-        access: &mut dyn Access,
+        access: &mut impl Access,
         scratch: &mut ExecScratch,
     ) -> Result<u64, AbortReason> {
-        execute_procedure(proc, reads, writes, &[], access, scratch)
+        let txn = crate::Txn::new(reads.to_vec(), writes.to_vec(), proc.clone());
+        execute_procedure(&txn, access, scratch)
     }
 
     #[test]
@@ -929,21 +909,21 @@ mod tests {
         delta: u64,
         reads: &[RecordId],
         writes: &[RecordId],
-        access: &mut dyn Access,
+        access: &mut impl Access,
         scratch: &mut Vec<u8>,
     ) -> Result<u64, AbortReason> {
         let mut acc = 0u64;
         for (i, rid) in reads.iter().enumerate() {
             if !writes.contains(rid) {
                 let mut c = 0u64;
-                access.read(i, &mut |b| c = value::checksum(b))?;
+                access.read(i, |b| c = value::checksum(b))?;
                 acc = acc.wrapping_mul(31).wrapping_add(c);
             }
         }
         for (w, rid) in writes.iter().enumerate() {
             if let Some(r) = reads.iter().position(|x| x == rid) {
                 scratch.clear();
-                access.read(r, &mut |b| scratch.extend_from_slice(b))?;
+                access.read(r, |b| scratch.extend_from_slice(b))?;
                 let old = value::get_u64(scratch, 0);
                 value::put_u64(scratch, 0, old.wrapping_add(delta));
                 access.write(w, scratch)?;
@@ -1275,10 +1255,9 @@ mod tests {
     fn range_audit_classifies_scan_outcomes() {
         let mut scratch = ExecScratch::new();
         let audit = Procedure::RangeAudit { expect_base: 1_000 };
-        let window = [crate::txn::ScanRange::new(0, 4, 7)];
-        let mut run = |a: &mut MemAccess| {
-            execute_procedure(&audit, &[], &[], &window, a, &mut scratch).unwrap()
-        };
+        let txn =
+            crate::Txn::with_scans(vec![], vec![], vec![crate::ScanRange::new(0, 4, 7)], audit);
+        let mut run = |a: &mut MemAccess| execute_procedure(&txn, a, &mut scratch).unwrap();
         // Consistent contiguous window.
         let mut a = MemAccess::new(vec![], 0, 8).with_scan_rows(vec![
             (4, Some(1_004)),
@@ -1309,10 +1288,13 @@ mod tests {
     }
 
     impl Access for TwoScanAccess {
-        fn read(&mut self, _idx: usize, _out: &mut dyn FnMut(&[u8])) -> Result<(), AbortReason> {
+        fn read_maybe(&mut self, _: usize, _: impl FnMut(&[u8])) -> Result<bool, AbortReason> {
             unreachable!()
         }
         fn write(&mut self, _idx: usize, _data: &[u8]) -> Result<(), AbortReason> {
+            unreachable!()
+        }
+        fn delete(&mut self, _idx: usize) -> Result<(), AbortReason> {
             unreachable!()
         }
         fn write_len(&mut self, _idx: usize) -> usize {
@@ -1321,13 +1303,16 @@ mod tests {
         fn scan(
             &mut self,
             idx: usize,
-            out: &mut dyn FnMut(u64, &[u8]),
+            mut out: impl FnMut(u64, &[u8]),
         ) -> Result<u64, AbortReason> {
             let rows = &self.per_scan[idx];
             for &(row, v) in rows {
                 out(row, &crate::value::of_u64(v, self.len));
             }
             Ok(rows.len() as u64)
+        }
+        fn index_scan(&mut self, _: usize, _: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
+            unreachable!()
         }
     }
 
@@ -1339,17 +1324,22 @@ mod tests {
         // poison as a gap or truncate the count.
         let mut scratch = ExecScratch::new();
         let audit = Procedure::RangeAudit { expect_base: 100 };
-        let halves = [
-            crate::txn::ScanRange::new(0, 4, 6),
-            crate::txn::ScanRange::new(0, 6, 8),
-        ];
+        let halves = crate::Txn::with_scans(
+            vec![],
+            vec![],
+            vec![
+                crate::ScanRange::new(0, 4, 6),
+                crate::ScanRange::new(0, 6, 8),
+            ],
+            audit,
+        );
         let full: Vec<(u64, u64)> = (4..8).map(|r| (r, 100 + r)).collect();
         let mut consistent = TwoScanAccess {
             per_scan: vec![full[..2].to_vec(), full[2..].to_vec()],
             len: 8,
         };
         assert_eq!(
-            execute_procedure(&audit, &[], &[], &halves, &mut consistent, &mut scratch).unwrap(),
+            execute_procedure(&halves, &mut consistent, &mut scratch).unwrap(),
             range_audit_fingerprint(4, 4)
         );
         let mut empty = TwoScanAccess {
@@ -1357,7 +1347,7 @@ mod tests {
             len: 8,
         };
         assert_eq!(
-            execute_procedure(&audit, &[], &[], &halves, &mut empty, &mut scratch).unwrap(),
+            execute_procedure(&halves, &mut empty, &mut scratch).unwrap(),
             0
         );
         // First half full, second half empty: the union is not the whole
@@ -1367,7 +1357,7 @@ mod tests {
             per_scan: vec![full[..2].to_vec(), vec![]],
             len: 8,
         };
-        let fp = execute_procedure(&audit, &[], &[], &halves, &mut torn, &mut scratch).unwrap();
+        let fp = execute_procedure(&halves, &mut torn, &mut scratch).unwrap();
         assert_ne!(fp, range_audit_fingerprint(4, 4));
         assert_ne!(fp, 0);
     }

@@ -7,6 +7,11 @@
 //! mechanism: walking the version chain's backward references until the
 //! version with `begin < ts ≤ end` is found.
 //!
+//! Scans are not annotated: §3.2.3 annotates the declared *reads*, and a
+//! range's rows (like an index scan's members) resolve through the same
+//! timestamp-filtered probe as the fallback, which orders every insert and
+//! delete into the range against the scan by timestamp.
+//!
 //! A read that lands on a still-`Pending` placeholder returns
 //! [`AbortReason::NotReady`] carrying the producer's timestamp (the paper's
 //! "txn pointer"); the executor resolves it (paper §3.3.1) and re-runs the
@@ -118,40 +123,46 @@ impl<'a> BohmAccess<'a> {
         Ok(())
     }
 
-    /// The ts-filtered probe every un-annotated access goes through.
+    /// The payload of `v` once its producer has run (see
+    /// [`resolved`](Self::resolved)), or `None` for a tombstone — committed
+    /// absence: a deleted record, or the copy-through of an aborted fresh
+    /// insert.
+    fn payload(&mut self, v: &'a Version) -> Result<Option<&'a [u8]>, AbortReason> {
+        self.resolved(v)?;
+        Ok(match v.state() {
+            VersionState::Ready => Some(v.data()),
+            VersionState::Tombstone => None,
+            VersionState::Pending => unreachable!("resolved above"),
+        })
+    }
+
+    /// The ts-filtered probe every un-annotated access goes through. The
+    /// filter answers "absent" for a key whose chain a later-timestamp
+    /// transaction created between CC time and now, and every
+    /// earlier-timestamp placeholder is installed before this batch
+    /// executes, so the probe needs no help from the CC phase.
     fn visible(&self, rid: RecordId) -> Option<&'a Version> {
         self.index
             .get(rid, self.guard)?
             .visible(self.t.ts, self.guard)
     }
+
+    /// Row `rid` as this transaction must observe it: every scan row and
+    /// every index-scan member resolves here.
+    fn row(&mut self, rid: RecordId) -> Result<Option<&'a [u8]>, AbortReason> {
+        match self.visible(rid) {
+            Some(v) => self.payload(v),
+            None => Ok(None),
+        }
+    }
 }
 
 impl Access for BohmAccess<'_> {
-    fn read(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<(), AbortReason> {
-        if !self.read_maybe(idx, out)? {
-            panic!(
-                "read of unknown record {} at ts {}",
-                self.t.txn.reads[idx], self.t.ts
-            );
-        }
-        Ok(())
-    }
-
-    fn read_maybe(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<bool, AbortReason> {
+    fn read_maybe(&mut self, idx: usize, out: impl FnMut(&[u8])) -> Result<bool, AbortReason> {
         let Some(v) = self.version_for_read(idx) else {
             return Ok(false);
         };
-        self.resolved(v)?;
-        match v.state() {
-            VersionState::Ready => {
-                out(v.data());
-                Ok(true)
-            }
-            // A tombstone is committed absence (deleted record, or the
-            // copy-through of an aborted fresh insert).
-            VersionState::Tombstone => Ok(false),
-            VersionState::Pending => unreachable!("checked above"),
-        }
+        Ok(self.payload(v)?.map(out).is_some())
     }
 
     fn write(&mut self, idx: usize, data: &[u8]) -> Result<(), AbortReason> {
@@ -174,49 +185,20 @@ impl Access for BohmAccess<'_> {
         unsafe { &*ptr }.len()
     }
 
-    fn scan(&mut self, idx: usize, out: &mut dyn FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
-        // Phantom protection is the CC phase itself: the owning CC threads
-        // pre-annotated every key of the range with the version a reader at
-        // this timestamp must observe (processing transactions in timestamp
-        // order makes "the latest version at my sequence point" exactly
-        // that), so a concurrently batched insert into the range is
-        // *ordered* against this scan rather than racing it. Null slots
-        // fall back to a ts-filtered index probe, which also answers
-        // "absent" for keys whose chains were created by later-timestamp
-        // transactions between CC time and now. Still-pending versions
-        // block on their producer like any read (§3.3.1); re-runs replay
-        // the scan deterministically.
+    fn scan(&mut self, idx: usize, mut out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
+        // Phantom protection is the timestamp filter: every row resolves to
+        // the version whose validity interval holds this transaction's
+        // timestamp (see `row`), so an insert into or delete from the range
+        // by any other transaction is *ordered* against this scan — before
+        // it if its timestamp is lower, after it otherwise — rather than
+        // racing it. Still-pending versions block on their producer like
+        // any read (§3.3.1); re-runs replay the scan deterministically.
         let s = self.t.txn.scans[idx];
-        let refs = &self.t.scan_refs[idx];
-        // An empty slice means the scan was not annotated (annotations
-        // disabled, or the range exceeds annotate_max_reads): every row
-        // goes through the ts-filtered fallback probe.
-        let annotated = refs.len() as u64 == s.len();
         let mut n = 0;
         for row in s.rows() {
-            let ptr = if annotated {
-                refs[(row - s.lo) as usize].load(Ordering::Acquire)
-            } else {
-                std::ptr::null_mut()
-            };
-            let v = if ptr.is_null() {
-                match self.visible(s.rid(row)) {
-                    Some(v) => v,
-                    None => continue,
-                }
-            } else {
-                // SAFETY: annotation pointers stay valid until Condition-3
-                // GC, which cannot pass this transaction before it executes.
-                unsafe { &*ptr }
-            };
-            self.resolved(v)?;
-            match v.state() {
-                VersionState::Ready => {
-                    out(row, v.data());
-                    n += 1;
-                }
-                VersionState::Tombstone => {}
-                VersionState::Pending => unreachable!("checked above"),
+            if let Some(b) = self.row(s.rid(row))? {
+                out(row, b);
+                n += 1;
             }
         }
         Ok(n)
@@ -225,7 +207,7 @@ impl Access for BohmAccess<'_> {
     fn index_scan(
         &mut self,
         idx: usize,
-        out: &mut dyn FnMut(u64, &[u8]),
+        mut out: impl FnMut(u64, &[u8]),
     ) -> Result<u64, AbortReason> {
         // The scanned key's posting-list record is a declared read, so the
         // CC phase already **pre-annotated the index key**: the owning CC
@@ -236,23 +218,17 @@ impl Access for BohmAccess<'_> {
         // a race. The membership at this timestamp is therefore exactly
         // the annotated list version's contents.
         //
-        // Member rows are then resolved by ts-filtered chain probes (their
-        // identities are only known now, so they carry no annotations):
-        // each member was inserted by the same earlier-timestamp
-        // transaction that added it to the list, so its chain exists by CC
-        // time of this batch, and `visible(ts)` skips any later-timestamp
-        // placeholders. A still-pending version blocks on its producer
-        // exactly like a point read (§3.3.1); the re-run replays the scan
-        // deterministically.
+        // Member rows then resolve like scan rows (their identities are
+        // only known now): each member was inserted by the same
+        // earlier-timestamp transaction that added it to the list, so its
+        // chain exists by CC time of this batch. A listed-but-absent
+        // member (a contract violation) is skipped.
         let s = self.t.txn.index_scans[idx];
         let Some(lv) = self.version_for_read(s.list) else {
             return Ok(0); // key never had a posting list: empty result
         };
-        self.resolved(lv)?;
-        let list = match lv.state() {
-            VersionState::Ready => lv.data(),
-            VersionState::Tombstone => return Ok(0),
-            VersionState::Pending => unreachable!("checked above"),
+        let Some(list) = self.payload(lv)? else {
+            return Ok(0);
         };
         let mut n = 0;
         for row in bohm_common::index::posting_rows(list) {
@@ -260,17 +236,9 @@ impl Access for BohmAccess<'_> {
                 table: s.table,
                 row,
             };
-            let Some(v) = self.visible(rid) else {
-                continue; // contract violation tolerance: skip
-            };
-            self.resolved(v)?;
-            match v.state() {
-                VersionState::Ready => {
-                    out(row, v.data());
-                    n += 1;
-                }
-                VersionState::Tombstone => {}
-                VersionState::Pending => unreachable!("checked above"),
+            if let Some(b) = self.row(rid)? {
+                out(row, b);
+                n += 1;
             }
         }
         Ok(n)

@@ -301,24 +301,6 @@ pub struct TxnState {
     /// One slot per read-set entry: direct pointer to the version this read
     /// must observe, written by the owning CC thread (§3.2.3 optimization).
     pub(crate) read_refs: ASlice<AtomicPtr<Version>>,
-    /// Per scan, one slot per row of the scanned range: the version a
-    /// reader at this timestamp must observe for that key, written by the
-    /// key's owning CC thread while it pre-annotates the range (the scan
-    /// counterpart of `read_refs`). A null slot means the key had no chain
-    /// at CC time — i.e. no transaction ordered before this one ever
-    /// inserted it, so it is absent at this timestamp (later inserts are
-    /// *ordered after* the scan by the CC pass, not phantoms).
-    ///
-    /// Annotation is subject to the same knob as reads: for a range wider
-    /// than `annotate_max_reads`, the inner slice is **empty** (nothing is
-    /// allocated or annotated — a declared terabyte-wide range must not
-    /// allocate a pointer per slot) and the executor's ts-filtered
-    /// fallback probe serves every row with identical semantics.
-    ///
-    /// The inner slices are arena-backed; the outer box is heap-allocated
-    /// only for transactions that declare scans (`ASlice` has a `Drop`
-    /// keepalive, so it cannot itself live in drop-free arena memory).
-    pub(crate) scan_refs: Box<[ASlice<AtomicPtr<Version>>]>,
     /// One slot per write-set entry: the placeholder version installed by
     /// the owning CC thread (§3.2.2).
     pub(crate) write_refs: ASlice<AtomicPtr<Version>>,
@@ -379,23 +361,6 @@ impl TxnState {
         let nulls = |arena: &mut Arena, n: usize| -> ASlice<AtomicPtr<Version>> {
             arena.alloc_with(n, |_| AtomicPtr::new(ptr::null_mut()))
         };
-        let scan_refs = if txn.scans.is_empty() {
-            // An empty boxed slice performs no allocation.
-            Vec::new().into_boxed_slice()
-        } else {
-            txn.scans
-                .iter()
-                .map(|s| {
-                    // An empty slice marks the scan as fallback-only.
-                    if s.len() as usize <= annotate_max_reads {
-                        nulls(arena, s.len() as usize)
-                    } else {
-                        ASlice::empty()
-                    }
-                })
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        };
         let read_refs = nulls(arena, nr);
         let write_refs = nulls(arena, nw);
         Self {
@@ -405,7 +370,6 @@ impl TxnState {
             plan,
             read_refs,
             write_refs,
-            scan_refs,
             completion,
         }
     }

@@ -15,6 +15,11 @@
 //!   value) and install an uninitialized placeholder version — the one just
 //!   retired, when there is one — over the version just annotated (§3.2.2).
 //!
+//! Declared key-range scans take no part in this loop: nothing is probed or
+//! annotated for them here, and their rows resolve at execution through the
+//! timestamp-filtered probe (`crate::access`): by the time a batch
+//! executes, every version its scans may observe is installed.
+//!
 //! The per-transaction scan iterates the plan built at seal time (see
 //! `PlanEntry` in `crate::batch`): pure reads, then writes carrying their
 //! read. Every CC thread examines every transaction — the design's
@@ -40,8 +45,7 @@
 use crate::batch::{Batch, PlanEntry};
 use crate::engine::Inner;
 use crate::lookahead::LookAhead;
-use bohm_common::RecordId;
-use bohm_mvstore::{HashIndex, ProbeFor, Version, VersionIndex, VersionPool};
+use bohm_mvstore::{HashIndex, ProbeFor, Version, VersionPool};
 use bohm_sync::atomic::Ordering;
 use crossbeam_epoch as epoch;
 
@@ -174,48 +178,6 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, pool: &mut 
     let mut ahead: LookAhead<_, { HashIndex::LOOK_AHEAD_STAGES }, STAGE_DISTANCE> =
         LookAhead::start(mine, |stage, e| hint(&guard, stage, e));
     for (i, t) in batch.txns.iter().enumerate() {
-        // Scans are annotated before the plan (i.e. before this
-        // transaction's own placeholders install): for every key of the
-        // range in this partition, the current latest version *is* the
-        // version a reader at this timestamp must observe — CC threads
-        // process transactions in timestamp order, so every insert ordered
-        // before this transaction is already on its chain and every insert
-        // ordered after is not yet. Concurrently batched inserts into the
-        // range are thereby ordered, not phantoms. A key absent from the
-        // index leaves its slot null: no transaction ordered before this
-        // one ever created it, which the executor reads as absence (its
-        // ts-filtered fallback re-probe gives the same answer).
-        //
-        // Like read annotation, this is an *optimization* subject to the
-        // annotate_max_reads knob (an empty `scan_refs` slice marks an
-        // un-annotated scan): correctness does not depend
-        // on it, because the executor's fallback probe is ts-filtered and
-        // all placeholders of earlier-timestamp transactions are installed
-        // before this batch executes.
-        for (si, s) in t.txn.scans.iter().enumerate() {
-            if t.scan_refs[si].len() as u64 != s.len() {
-                continue; // annotation disabled for this scan
-            }
-            for row in s.rows() {
-                let rid = RecordId {
-                    table: s.table,
-                    row,
-                };
-                if (rid.stable_hash() >> 32) % m as u64 != me as u64 {
-                    continue;
-                }
-                if let Some(chain) = inner.index.get(rid, &guard) {
-                    // The annotation hands an unexecuted transaction a raw
-                    // version pointer; record its timestamp so the key
-                    // sweep never retires this chain under it.
-                    chain.note_annotation(t.ts);
-                    if let Some(v) = chain.latest(&guard) {
-                        t.scan_refs[si][(row - s.lo) as usize]
-                            .store(v as *const Version as *mut Version, Ordering::Release);
-                    }
-                }
-            }
-        }
         // The Condition-3 watermark for this transaction's installs. Acquire:
         // recycling a version rewrites memory that transactions at or below
         // the bound read, so their reads must happen-before this load (the

@@ -885,7 +885,7 @@ mod tests {
             };
             (
                 t.read_refs[0].load(Ordering::Acquire),
-                access.read_maybe(0, &mut |_| panic!("nothing to read")),
+                access.read_maybe(0, |_: &[u8]| panic!("nothing to read")),
             )
         };
         // First transaction: the chain did not exist; the fused entry
@@ -990,9 +990,9 @@ mod tests {
         let ins = |k: u64, v: u64| Txn::new(vec![], vec![rid(k)], BlindWrite { value: v });
         // One submission ⇒ one batch: every scan executes while the
         // *later* inserts' placeholders are already on the scanned range's
-        // chains. The CC pre-annotation (and the ts-filtered fallback)
-        // must order each scan between its log neighbours: 0, then 1, then
-        // 2 present rows — never a phantom from a later insert.
+        // chains. The ts-filtered probe of every scanned row must order
+        // each scan between its log neighbours: 0, then 1, then 2 present
+        // rows — never a phantom from a later insert.
         let out = e.execute_sync(vec![
             history(),
             ins(105, 7),
@@ -1023,10 +1023,9 @@ mod tests {
     fn scans_stay_correct_with_annotations_disabled() {
         use bohm_common::Procedure::BlindWrite;
         use bohm_common::{ScanRange, TpcCProc};
-        // The ablation path: with annotation off (and thus no scan
-        // pre-annotation either), every scanned row resolves through the
-        // ts-filtered fallback probe — same ordering guarantees, no
-        // pointer slots allocated.
+        // The ablation path: with read annotation off, the scan's customer
+        // read takes the ts-filtered fallback probe too, beside the rows
+        // the scan resolves that way anyway — same ordering guarantees.
         let mut cfg = BohmConfig::small();
         cfg.annotate_max_reads = 0;
         let e = Bohm::start(cfg, CatalogSpec::new().table(64, 8, |r| r * 10));
@@ -1047,11 +1046,10 @@ mod tests {
     }
 
     #[test]
-    fn oversized_scan_ranges_fall_back_without_allocating() {
+    fn wide_scan_ranges_ignore_annotate_max_reads() {
         use bohm_common::{ScanRange, TpcCProc};
-        // A range wider than annotate_max_reads gets no annotation slots
-        // (a declared terabyte-wide range must not allocate per-slot
-        // pointers at seal time); the fallback probe still serves it.
+        // The annotation knob bounds read sets, not scans: a range wider
+        // than annotate_max_reads is served row by row like any other.
         let mut cfg = BohmConfig::small();
         cfg.annotate_max_reads = 4;
         let e = Bohm::start(cfg, CatalogSpec::new().table(16, 8, |r| r + 1));

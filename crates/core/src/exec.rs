@@ -317,14 +317,7 @@ pub(crate) fn run_claimed(
                 scratch: rest,
             }),
         };
-        let result = execute_procedure(
-            &t.txn.proc,
-            &t.txn.reads,
-            &t.txn.writes,
-            &t.txn.scans,
-            &mut access,
-            own,
-        );
+        let result = execute_procedure(&t.txn, &mut access, own);
         match result {
             Ok(fp) => {
                 debug_assert!(all_writes_resolved(t), "procedure must fill every write");

@@ -375,41 +375,50 @@ impl Hekaton {
         }
     }
 
-    /// First-writer-wins update: supersede the version this transaction
-    /// read (or, for blind writes, the version visible to it) and publish a
-    /// new uncommitted version.
-    fn install_write(
+    /// Write (`data` is `Some`) or delete (`None`) `rid` under
+    /// first-writer-wins: supersede the version this transaction observed
+    /// and publish a new uncommitted version — or, for a delete, an
+    /// uncommitted **tombstone** — over it.
+    ///
+    /// The superseded version is this transaction's own earlier write of
+    /// the record, else the version it read, else (a blind write) the
+    /// version visible at its begin timestamp. An RMW must supersede exactly
+    /// the version it read: re-resolving here could land on a *newer*
+    /// speculatively-visible version and silently lose our read→write
+    /// dependency (a lost update). The end-word CAS then fails if anything
+    /// superseded that version in the meantime, which is precisely the
+    /// write-write/anti-dependency conflict that must abort.
+    ///
+    /// A write of an absent record is an insert. Deleting an absent record
+    /// — null resolution or a visible tombstone — installs nothing but
+    /// records the observed absence like an absent read, so serializable
+    /// validation still catches a concurrent insert of the key.
+    fn install(
         &self,
         rid: RecordId,
-        data: &[u8],
+        data: Option<&[u8]>,
         me: &HkTxn,
-        reads: &[ReadRec],
+        reads: &mut Vec<ReadRec>,
         w: &mut Vec<WriteRec>,
     ) -> Result<(), ()> {
-        // An RMW must supersede exactly the version it read: re-resolving
-        // here could land on a *newer* speculatively-visible version and
-        // silently lose our read→write dependency (a lost update). The CAS
-        // below then fails if anything superseded our read version in the
-        // meantime, which is precisely the write-write/anti-dependency
-        // conflict that must abort.
         let old = if let Some(prev) = w.iter().rev().find(|r| r.rid == rid) {
-            // Second write to the same record in one transaction: build on
-            // our own uncommitted version.
             prev.new
         } else if let Some(r) = reads.iter().rev().find(|r| r.rid == rid) {
-            r.version // null ⇒ we read "absent": the write is the insert
+            r.version // null ⇒ we read "absent"
         } else {
-            match self.resolve(rid, me.begin_ts, Some(me))? {
-                Some(v) => v,
-                None => std::ptr::null(), // blind write of a fresh key: insert
-            }
+            self.resolve(rid, me.begin_ts, Some(me))?
+                .unwrap_or(std::ptr::null())
         };
-        if old.is_null() {
+        // SAFETY: non-null resolve results and our own versions stay live
+        // under the caller's epoch pin.
+        let old_ref = unsafe { old.as_ref() };
+        if let (Some(data), None) = (data, old_ref) {
             return self.install_insert(rid, data, me, w);
         }
-        // SAFETY: store-lifetime versions.
-        // SAFETY: non-null resolve result, live under our epoch pin.
-        let old_ref = unsafe { &*old };
+        let Some(old_ref) = old_ref.filter(|v| data.is_some() || !v.is_tombstone()) else {
+            reads.push(ReadRec { rid, version: old }); // delete of an absent record
+            return Ok(());
+        };
         if old_ref
             .end
             .compare_exchange(END_INF, txn_word(me), Ordering::AcqRel, Ordering::Acquire)
@@ -417,7 +426,10 @@ impl Hekaton {
         {
             return Err(()); // write-write conflict: first writer wins
         }
-        let nv = Box::into_raw(Box::new(HkVersion::uncommitted(me, data.into())));
+        let nv = Box::into_raw(Box::new(match data {
+            Some(data) => HkVersion::uncommitted(me, data.into()),
+            None => HkVersion::uncommitted_tombstone(me),
+        }));
         self.store.push(rid, nv);
         w.push(WriteRec { rid, old, new: nv });
         Ok(())
@@ -464,49 +476,6 @@ impl Hekaton {
             drop(unsafe { Box::from_raw(nv) });
             Err(())
         }
-    }
-
-    /// Delete `rid`: supersede its visible version with an uncommitted
-    /// **tombstone** (first-writer-wins on the superseded version's end
-    /// word, exactly like an update). Deleting an absent record — null
-    /// resolution or a visible tombstone — installs nothing but records the
-    /// observed absence like an absent read, so serializable validation
-    /// still catches a concurrent insert of the key.
-    fn install_delete(
-        &self,
-        rid: RecordId,
-        me: &HkTxn,
-        reads: &mut Vec<ReadRec>,
-        w: &mut Vec<WriteRec>,
-    ) -> Result<(), ()> {
-        let old = if let Some(prev) = w.iter().rev().find(|r| r.rid == rid) {
-            prev.new
-        } else if let Some(r) = reads.iter().rev().find(|r| r.rid == rid) {
-            r.version
-        } else {
-            match self.resolve(rid, me.begin_ts, Some(me))? {
-                Some(v) => v,
-                None => std::ptr::null(),
-            }
-        };
-        // SAFETY: store-lifetime under our epoch pin.
-        if old.is_null() || unsafe { &*old }.is_tombstone() {
-            reads.push(ReadRec { rid, version: old });
-            return Ok(());
-        }
-        // SAFETY: non-null resolve result, live under our epoch pin.
-        let old_ref = unsafe { &*old };
-        if old_ref
-            .end
-            .compare_exchange(END_INF, txn_word(me), Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return Err(()); // write-write conflict: first writer wins
-        }
-        let nv = Box::into_raw(Box::new(HkVersion::uncommitted_tombstone(me)));
-        self.store.push(rid, nv);
-        w.push(WriteRec { rid, old, new: nv });
-        Ok(())
     }
 
     /// Sampled post-commit chain pruning of this transaction's write set.
@@ -602,7 +571,7 @@ impl Hekaton {
         me.resolve(false);
         for wr in &w.writes {
             // SAFETY: store-lifetime versions. An aborted insert leaves its
-            // version as permanent garbage with no predecessor to restore.
+            // version as garbage for a prune, with no predecessor to restore.
             unsafe {
                 (*wr.new).mark_aborted();
                 if !wr.old.is_null() {
@@ -621,117 +590,82 @@ struct HkAccess<'a> {
     writes: &'a mut Vec<WriteRec>,
 }
 
-impl Access for HkAccess<'_> {
-    fn read(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<(), AbortReason> {
-        if !self.read_maybe(idx, out)? {
-            panic!("read of unknown record {}", self.txn.reads[idx]);
-        }
-        Ok(())
+impl<'a> HkAccess<'a> {
+    /// Resolve `rid` at the begin timestamp and record the observation —
+    /// the version by pointer, or null for absence — so serializable
+    /// validation re-checks it at the end timestamp. Returns the payload if
+    /// the record exists; a visible tombstone is committed absence, still
+    /// validated by pointer identity like any read.
+    fn observe(&mut self, rid: RecordId) -> Result<Option<&'a [u8]>, AbortReason> {
+        let v = self
+            .eng
+            .resolve(rid, self.me.begin_ts, Some(self.me))
+            .map_err(|()| AbortReason::Conflict)?;
+        let version = v.unwrap_or(std::ptr::null());
+        self.reads.push(ReadRec { rid, version });
+        // SAFETY: alive under the attempt's epoch pin, which outlives this
+        // access; payloads are immutable once published.
+        let v = unsafe { version.as_ref() };
+        Ok(v.filter(|v| !v.is_tombstone()).map(HkVersion::data))
     }
+}
 
-    fn read_maybe(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<bool, AbortReason> {
-        let rid = self.txn.reads[idx];
-        match self.eng.resolve(rid, self.me.begin_ts, Some(self.me)) {
-            Ok(Some(v)) => {
-                self.reads.push(ReadRec { rid, version: v });
-                // SAFETY: alive under our epoch pin; payload immutable.
-                let vr = unsafe { &*v };
-                if vr.is_tombstone() {
-                    // A visible tombstone is committed absence; it is still
-                    // validated by pointer identity like any read.
-                    return Ok(false);
-                }
-                out(vr.data());
-                Ok(true)
-            }
-            Ok(None) => {
-                // Record the absence so serializable validation re-checks
-                // it at the end timestamp.
-                self.reads.push(ReadRec {
-                    rid,
-                    version: std::ptr::null(),
-                });
-                Ok(false)
-            }
-            Err(()) => Err(AbortReason::Conflict),
-        }
+impl Access for HkAccess<'_> {
+    fn read_maybe(&mut self, idx: usize, out: impl FnMut(&[u8])) -> Result<bool, AbortReason> {
+        Ok(self.observe(self.txn.reads[idx])?.map(out).is_some())
     }
 
     fn write(&mut self, idx: usize, data: &[u8]) -> Result<(), AbortReason> {
         let rid = self.txn.writes[idx];
         self.eng
-            .install_write(rid, data, self.me, self.reads, self.writes)
+            .install(rid, Some(data), self.me, self.reads, self.writes)
             .map_err(|()| AbortReason::Conflict)
     }
 
     fn delete(&mut self, idx: usize) -> Result<(), AbortReason> {
         let rid = self.txn.writes[idx];
         self.eng
-            .install_delete(rid, self.me, self.reads, self.writes)
+            .install(rid, None, self.me, self.reads, self.writes)
             .map_err(|()| AbortReason::Conflict)
     }
 
     fn index_scan(
         &mut self,
         idx: usize,
-        out: &mut dyn FnMut(u64, &[u8]),
+        mut out: impl FnMut(u64, &[u8]),
     ) -> Result<u64, AbortReason> {
         // The scanned key's posting list resolves at the begin timestamp
         // and is recorded by version pointer — the **posting-list version**
         // — and every member row is resolved at the same snapshot and
-        // recorded too. Under serializable isolation, `finish` re-resolves
-        // each recorded read at the end timestamp, so a maintenance commit
-        // (NewOrder/Delivery rewriting the list) between begin and end
-        // swaps the visible list version and fails validation — the
-        // index-key phantom case. Under SI the scan is a consistent
-        // snapshot: the list version at begin_ts names exactly the members
-        // that exist at begin_ts (list and rows are maintained in one
-        // transaction), so resolving each member at begin_ts is coherent.
+        // recorded too (a listed-but-absent member, which only a contract
+        // violation produces, is recorded as an absence and skipped). Under
+        // serializable isolation, `finish` re-resolves each recorded read
+        // at the end timestamp, so a maintenance commit (NewOrder/Delivery
+        // rewriting the list) between begin and end swaps the visible list
+        // version and fails validation — the index-key phantom case. Under
+        // SI the scan is a consistent snapshot: the list version at
+        // begin_ts names exactly the members that exist at begin_ts (list
+        // and rows are maintained in one transaction), so resolving each
+        // member at begin_ts is coherent.
         let s = self.txn.index_scans[idx];
-        let list_rid = self.txn.reads[s.list];
-        let lv = match self.eng.resolve(list_rid, self.me.begin_ts, Some(self.me)) {
-            Ok(v) => v,
-            Err(()) => return Err(AbortReason::Conflict),
-        };
-        self.reads.push(ReadRec {
-            rid: list_rid,
-            version: lv.unwrap_or(std::ptr::null()),
-        });
-        let Some(lv) = lv else { return Ok(0) };
-        // SAFETY: alive under our epoch pin; payload immutable.
-        let lvr = unsafe { &*lv };
-        if lvr.is_tombstone() {
+        let Some(list) = self.observe(self.txn.reads[s.list])? else {
             return Ok(0);
-        }
+        };
         let mut n = 0;
-        for row in bohm_common::index::posting_rows(lvr.data()) {
+        for row in bohm_common::index::posting_rows(list) {
             let rid = RecordId {
                 table: s.table,
                 row,
             };
-            match self.eng.resolve(rid, self.me.begin_ts, Some(self.me)) {
-                Ok(Some(v)) => {
-                    self.reads.push(ReadRec { rid, version: v });
-                    // SAFETY: alive under our epoch pin; payload immutable.
-                    let vr = unsafe { &*v };
-                    if !vr.is_tombstone() {
-                        out(row, vr.data());
-                        n += 1;
-                    }
-                }
-                // Listed-but-absent member: contract violation tolerance —
-                // record the absence so validation still covers the slot.
-                Ok(None) => self.reads.push(ReadRec {
-                    rid,
-                    version: std::ptr::null(),
-                }),
-                Err(()) => return Err(AbortReason::Conflict),
+            if let Some(b) = self.observe(rid)? {
+                out(row, b);
+                n += 1;
             }
         }
         Ok(n)
     }
 
-    fn scan(&mut self, idx: usize, out: &mut dyn FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
+    fn scan(&mut self, idx: usize, mut out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
         // Every slot of the range is resolved at the begin timestamp and
         // recorded — present versions by pointer, absences as null ReadRecs
         // — which generalizes the absent-read commit validation to a range
@@ -748,25 +682,9 @@ impl Access for HkAccess<'_> {
         );
         let mut n = 0;
         for row in s.rows() {
-            let rid = RecordId {
-                table: s.table,
-                row,
-            };
-            match self.eng.resolve(rid, self.me.begin_ts, Some(self.me)) {
-                Ok(Some(v)) => {
-                    self.reads.push(ReadRec { rid, version: v });
-                    // SAFETY: alive under our epoch pin; payload immutable.
-                    let vr = unsafe { &*v };
-                    if !vr.is_tombstone() {
-                        out(row, vr.data());
-                        n += 1;
-                    }
-                }
-                Ok(None) => self.reads.push(ReadRec {
-                    rid,
-                    version: std::ptr::null(),
-                }),
-                Err(()) => return Err(AbortReason::Conflict),
+            if let Some(b) = self.observe(s.rid(row))? {
+                out(row, b);
+                n += 1;
             }
         }
         Ok(n)
@@ -839,10 +757,7 @@ impl Engine for Hekaton {
             let mut reads = std::mem::take(&mut w.reads);
             let mut writes = std::mem::take(&mut w.writes);
             let result = bohm_common::execute_procedure(
-                &txn.proc,
-                &txn.reads,
-                &txn.writes,
-                &txn.scans,
+                txn,
                 &mut HkAccess {
                     eng: self,
                     txn,

@@ -4,9 +4,10 @@
 //! fields each hold either a real timestamp or a reference to the
 //! transaction that is creating / invalidating it. We encode the reference
 //! as a tagged pointer (bit 63 set). Post-processing replaces markers with
-//! timestamps after commit; aborted creations become permanent garbage
-//! (begin = `ABORTED_SENTINEL`) that readers skip — matching the paper's
-//! "no incremental GC" configuration for these baselines.
+//! timestamps after commit; aborted creations become garbage (begin =
+//! `ABORTED_SENTINEL`) that readers skip until a prune unlinks it —
+//! `HekatonStore::prune`, run on a sample of commits and by
+//! `Hekaton::sweep_now`.
 
 use crate::txn::HkTxn;
 use bohm_sync::atomic::{AtomicPtr, AtomicU64, Ordering};

@@ -35,8 +35,8 @@ use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
 /// neighbour's.
 pub struct Chain {
     head: Atomic<Version>,
-    /// Largest timestamp of any transaction whose read or scan the owning
-    /// CC thread annotated with a direct pointer into this chain. Written
+    /// Largest timestamp of any transaction whose read the owning CC
+    /// thread annotated with a direct pointer into this chain. Written
     /// only by that thread (timestamps arrive monotonically), read by the
     /// same thread's key-reclamation sweep: an index entry may only be
     /// retired once every possible annotation holder has executed

@@ -826,6 +826,10 @@ mod tests {
         assert_eq!(hash.len(), 1);
     }
 
+    /// One line in the real build. Under `--cfg bohm_modelcheck` the
+    /// instrumented atomics make an entry many lines long, so the size is
+    /// pinned in the real build only, as `Version`'s is.
+    #[cfg(not(bohm_modelcheck))]
     #[test]
     fn an_entry_is_exactly_one_cache_line() {
         assert_eq!(std::mem::size_of::<Entry>(), 64);

@@ -113,7 +113,7 @@ impl OccAccess<'_> {
     fn stable_read(
         &mut self,
         rid: RecordId,
-        out: &mut dyn FnMut(&[u8]),
+        mut out: impl FnMut(&[u8]),
     ) -> Result<bool, AbortReason> {
         // Read-own-write: serve from the write buffer (a buffered delete
         // reads as this transaction's own absence).
@@ -157,14 +157,7 @@ impl OccAccess<'_> {
 }
 
 impl Access for OccAccess<'_> {
-    fn read(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<(), AbortReason> {
-        if !self.read_maybe(idx, out)? {
-            panic!("read of unknown record {}", self.txn.reads[idx]);
-        }
-        Ok(())
-    }
-
-    fn read_maybe(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<bool, AbortReason> {
+    fn read_maybe(&mut self, idx: usize, out: impl FnMut(&[u8])) -> Result<bool, AbortReason> {
         let rid = self.txn.reads[idx];
         self.stable_read(rid, out)
     }
@@ -172,7 +165,7 @@ impl Access for OccAccess<'_> {
     fn index_scan(
         &mut self,
         idx: usize,
-        out: &mut dyn FnMut(u64, &[u8]),
+        mut out: impl FnMut(u64, &[u8]),
     ) -> Result<u64, AbortReason> {
         // Phantom protection is the **per-index-key version counter**: the
         // scanned key's posting-list record enters the read set with the
@@ -190,7 +183,7 @@ impl Access for OccAccess<'_> {
         // An absent posting-list record is an empty result (matching every
         // other engine and the oracle); the absence was recorded in the
         // read set, so a concurrent creation of the list still invalidates.
-        if !self.stable_read(list_rid, &mut |b| list.extend_from_slice(b))? {
+        if !self.stable_read(list_rid, |b| list.extend_from_slice(b))? {
             self.w.list_buf = list;
             return Ok(0);
         }
@@ -202,7 +195,7 @@ impl Access for OccAccess<'_> {
             };
             // A listed-but-absent member is a torn snapshot this attempt
             // will fail validation on (or a contract violation): skip it.
-            if self.stable_read(rid, &mut |b| out(row, b))? {
+            if self.stable_read(rid, |b| out(row, b))? {
                 n += 1;
             }
         }
@@ -210,7 +203,7 @@ impl Access for OccAccess<'_> {
         Ok(n)
     }
 
-    fn scan(&mut self, idx: usize, out: &mut dyn FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
+    fn scan(&mut self, idx: usize, mut out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
         // Phantom protection is the recorded range: every slot of the range
         // — absent ones included — enters the read set with the TID it was
         // observed under. A concurrent insert into or delete from the range
@@ -231,7 +224,7 @@ impl Access for OccAccess<'_> {
                 table: s.table,
                 row,
             };
-            if self.stable_read(rid, &mut |b| out(row, b))? {
+            if self.stable_read(rid, |b| out(row, b))? {
                 n += 1;
             }
         }
@@ -413,10 +406,7 @@ impl Engine for SiloOcc {
             txn.think();
             let mut scratch = std::mem::take(&mut w.scratch);
             let result = bohm_common::execute_procedure(
-                &txn.proc,
-                &txn.reads,
-                &txn.writes,
-                &txn.scans,
+                txn,
                 &mut OccAccess { eng: self, txn, w },
                 &mut scratch,
             );
@@ -575,15 +565,8 @@ mod tests {
         w.reset();
         let mut scratch = std::mem::take(&mut w.scratch);
         let access = &mut OccAccess { eng: e, txn, w };
-        bohm_common::execute_procedure(
-            &txn.proc,
-            &txn.reads,
-            &txn.writes,
-            &txn.scans,
-            access,
-            &mut scratch,
-        )
-        .expect("the read phase of an RMW cannot abort");
+        bohm_common::execute_procedure(txn, access, &mut scratch)
+            .expect("the read phase of an RMW cannot abort");
         w.scratch = scratch;
     }
 

@@ -38,14 +38,7 @@ struct OracleAccess<'a> {
 }
 
 impl Access for OracleAccess<'_> {
-    fn read(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<(), AbortReason> {
-        if !self.read_maybe(idx, out)? {
-            panic!("read of unknown record {}", self.txn.reads[idx]);
-        }
-        Ok(())
-    }
-
-    fn read_maybe(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<bool, AbortReason> {
+    fn read_maybe(&mut self, idx: usize, mut out: impl FnMut(&[u8])) -> Result<bool, AbortReason> {
         let rid = self.txn.reads[idx];
         if let Some((_, data)) = self.pending.iter().rev().find(|(r, _)| *r == rid) {
             return Ok(match data {
@@ -81,7 +74,7 @@ impl Access for OracleAccess<'_> {
         Ok(())
     }
 
-    fn scan(&mut self, idx: usize, out: &mut dyn FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
+    fn scan(&mut self, idx: usize, mut out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
         // Serial semantics are the reference the engines' phantom
         // protection must reproduce: the range's membership at this
         // transaction's position in the log, in key order. (Scans must not
@@ -107,7 +100,7 @@ impl Access for OracleAccess<'_> {
     fn index_scan(
         &mut self,
         idx: usize,
-        out: &mut dyn FnMut(u64, &[u8]),
+        mut out: impl FnMut(u64, &[u8]),
     ) -> Result<u64, AbortReason> {
         // Serial reference semantics for secondary indexes: the committed
         // posting list of the scanned key at this transaction's log
@@ -167,14 +160,7 @@ impl SerialOracle {
             txn,
             pending: Vec::new(),
         };
-        match bohm_common::execute_procedure(
-            &txn.proc,
-            &txn.reads,
-            &txn.writes,
-            &txn.scans,
-            &mut access,
-            &mut self.scratch,
-        ) {
+        match bohm_common::execute_procedure(txn, &mut access, &mut self.scratch) {
             Ok(fp) => {
                 let pending = access.pending;
                 for (rid, data) in pending {

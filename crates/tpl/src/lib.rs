@@ -58,14 +58,7 @@ struct TplAccess<'a> {
 }
 
 impl Access for TplAccess<'_> {
-    fn read(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<(), AbortReason> {
-        if !self.read_maybe(idx, out)? {
-            panic!("read of unknown record {}", self.txn.reads[idx]);
-        }
-        Ok(())
-    }
-
-    fn read_maybe(&mut self, idx: usize, out: &mut dyn FnMut(&[u8])) -> Result<bool, AbortReason> {
+    fn read_maybe(&mut self, idx: usize, mut out: impl FnMut(&[u8])) -> Result<bool, AbortReason> {
         let rid = self.txn.reads[idx];
         let table = self.store.table(rid);
         // The lock covers the slot whether or not a record exists in it, so
@@ -76,7 +69,7 @@ impl Access for TplAccess<'_> {
         }
         // SAFETY: the worker holds a shared or exclusive lock on this
         // record for the duration of the transaction (strict 2PL).
-        unsafe { table.read(rid.row as usize, out) };
+        unsafe { table.read(rid.row as usize, &mut out) };
         Ok(true)
     }
 
@@ -104,7 +97,7 @@ impl Access for TplAccess<'_> {
     fn index_scan(
         &mut self,
         idx: usize,
-        out: &mut dyn FnMut(u64, &[u8]),
+        mut out: impl FnMut(u64, &[u8]),
     ) -> Result<u64, AbortReason> {
         // Phantom protection is the **key-granular index lock**: the
         // scanned key's posting-list record is a declared read, so
@@ -146,7 +139,7 @@ impl Access for TplAccess<'_> {
         Ok(n)
     }
 
-    fn scan(&mut self, idx: usize, out: &mut dyn FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
+    fn scan(&mut self, idx: usize, mut out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
         // Phantom protection is the lock set: `execute` acquired a shared
         // lock on *every* slot of the range, present or absent — the lock
         // on an absent slot is the gap/next-key lock that blocks a
@@ -232,10 +225,7 @@ impl Engine for TwoPhaseLocking {
 
         txn.think();
         let result = bohm_common::execute_procedure(
-            &txn.proc,
-            &txn.reads,
-            &txn.writes,
-            &txn.scans,
+            txn,
             &mut TplAccess {
                 store: &self.store,
                 txn,

@@ -38,12 +38,20 @@
 //! what the lane adds is per *batch* (the reader positions, one queue push),
 //! never per transaction, and the budgets do not move.
 //!
+//! The scan twin runs TPC-C-lite `OrderHistory` transactions (one point
+//! read, then an 8-row range scan): a scan owns no per-transaction state
+//! beyond its declared range, which the arena holds like any other set.
+//! It measures 4140 calls on the submitting thread per 4096 transactions;
+//! when the CC phase still pre-annotated scan ranges, each scanning
+//! transaction boxed its per-scan slot list at seal time, and the same
+//! window made 8240.
+//!
 //! Kept in its own test binary so concurrent tests cannot pollute the
-//! measurement window (the two audits in here take turns under a lock).
+//! measurement window (the audits in here take turns under a lock).
 //! Scaled by `BOHM_STRESS_ITERS` like the other stress suites.
 
 use bohm_common::engine::{BatchEngine, Session};
-use bohm_common::{Procedure, RecordId, Txn};
+use bohm_common::{Procedure, RecordId, ScanRange, TpcCProc, Txn};
 use bohm_suite::core::{Bohm, BohmConfig, CatalogSpec};
 use bohm_suite::testkit::CountingAlloc;
 
@@ -54,17 +62,31 @@ const ROWS: u64 = 1024;
 const READS_PER_TXN: usize = 10;
 const BATCH: usize = 256;
 
+/// What every transaction of an audited stream does.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// That many point reads.
+    Reads(usize),
+    /// Ten read-modify-writes (distinct keys, as a write set requires).
+    Rmw,
+    /// `OrderHistory`: one point read, then a scan of 8 rows.
+    Scan,
+}
+
 /// Pre-build the transactions so their *construction* (client-side `Vec`s,
-/// by design) stays outside the measured window. `rmw` turns every
-/// transaction's ten reads into ten read-modify-writes (distinct keys, as a
-/// write set requires).
-fn build_txns(n_txns: usize, seed: u64, rmw: bool, reads: usize) -> Vec<Txn> {
+/// by design) stays outside the measured window.
+fn build_txns(n_txns: usize, seed: u64, shape: Shape) -> Vec<Txn> {
     let mut x = seed | 1;
     let mut rid = move || {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         RecordId::new(0, x % ROWS)
+    };
+    let (reads, rmw) = match shape {
+        Shape::Reads(n) => (n, false),
+        Shape::Rmw => (READS_PER_TXN, true),
+        Shape::Scan => (1, false),
     };
     (0..n_txns)
         .map(|_| {
@@ -75,10 +97,15 @@ fn build_txns(n_txns: usize, seed: u64, rmw: bool, reads: usize) -> Vec<Txn> {
                     keys.push(k);
                 }
             }
-            if rmw {
-                Txn::new(keys.clone(), keys, Procedure::ReadModifyWrite { delta: 1 })
-            } else {
-                Txn::new(keys, vec![], Procedure::ReadOnly)
+            match shape {
+                Shape::Reads(_) => Txn::new(keys, vec![], Procedure::ReadOnly),
+                Shape::Rmw => Txn::new(keys.clone(), keys, Procedure::ReadModifyWrite { delta: 1 }),
+                Shape::Scan => {
+                    let lo = rid().row.min(ROWS - 8);
+                    let window = ScanRange::new(0, lo, lo + 8);
+                    let proc = Procedure::TpcC(TpcCProc::OrderHistory);
+                    Txn::with_scans(keys, vec![], vec![window], proc)
+                }
             }
         })
         .collect()
@@ -97,7 +124,7 @@ struct Window {
 /// transactions submitted one by one through a session, as a closed loop
 /// one batch deep — a fixed depth, so the warm-up reaches the same version
 /// pool and arena high-water marks the window will need.
-fn steady_state_allocations(n: usize, rmw: bool, reads: usize) -> Window {
+fn steady_state_allocations(n: usize, shape: Shape) -> Window {
     let _turn = ONE_AT_A_TIME.lock();
     let cfg = BohmConfig {
         batch_size: BATCH,
@@ -126,9 +153,9 @@ fn steady_state_allocations(n: usize, rmw: bool, reads: usize) -> Window {
     // Warmup: fills the arena chunk pool, the open batch's buffer, epoch
     // thread-locals, the exec threads' scratch buffers and (RMW) the CC
     // thread's version pool.
-    run(build_txns(n.min(2048), 7, rmw, reads));
+    run(build_txns(n.min(2048), 7, shape));
 
-    let txns = build_txns(n, 99, rmw, reads);
+    let txns = build_txns(n, 99, shape);
     let before = (
         CountingAlloc::allocations(),
         CountingAlloc::marked_allocations(),
@@ -174,7 +201,7 @@ fn bohm_read_only_steady_state_allocates_nothing_per_txn() {
     let n = bohm_common::stress_iters(4_096) as usize;
     audit(
         n,
-        &steady_state_allocations(n, false, READS_PER_TXN),
+        &steady_state_allocations(n, Shape::Reads(READS_PER_TXN)),
         "read-only txns",
         "a per-transaction allocation crept back into the hot path",
     );
@@ -185,7 +212,7 @@ fn bohm_detached_readers_steady_state_allocates_nothing_per_txn() {
     let n = bohm_common::stress_iters(4_096) as usize;
     audit(
         n,
-        &steady_state_allocations(n, false, 65),
+        &steady_state_allocations(n, Shape::Reads(65)),
         "detached 65-read txns",
         "the read lane allocates per transaction, not per batch",
     );
@@ -196,9 +223,20 @@ fn bohm_rmw_steady_state_recycles_versions_instead_of_allocating() {
     let n = bohm_common::stress_iters(4_096) as usize;
     audit(
         n,
-        &steady_state_allocations(n, true, READS_PER_TXN),
+        &steady_state_allocations(n, Shape::Rmw),
         "10-RMW txns",
         "placeholders are reaching the allocator again instead of the CC \
          thread's version pool",
+    );
+}
+
+#[test]
+fn bohm_scans_steady_state_allocate_nothing_per_txn() {
+    let n = bohm_common::stress_iters(4_096) as usize;
+    audit(
+        n,
+        &steady_state_allocations(n, Shape::Scan),
+        "8-row OrderHistory scans",
+        "a scanning transaction allocates per transaction",
     );
 }

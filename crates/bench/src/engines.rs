@@ -263,15 +263,6 @@ impl BatchEngine for AnyEngine {
         }
     }
 
-    fn read_u64(&self, rid: RecordId) -> Option<u64> {
-        match self {
-            AnyEngine::Bohm(e) => e.read_u64(rid),
-            AnyEngine::Tpl(e) => BatchEngine::read_u64(e, rid),
-            AnyEngine::Occ(e) => BatchEngine::read_u64(e, rid),
-            AnyEngine::Hekaton(e) | AnyEngine::Si(e) => BatchEngine::read_u64(e, rid),
-        }
-    }
-
     fn read_record(&self, rid: RecordId) -> Option<bohm_common::Value> {
         match self {
             AnyEngine::Bohm(e) => e.read_record(rid),

@@ -7,7 +7,11 @@
 //! sets and several (BOHM in particular) pre-resolve each position to a
 //! version pointer during the concurrency-control phase (paper §3.2.3's
 //! read-set optimization). Positional addressing makes that resolution free
-//! at execution time.
+//! at execution time. Scan rows, whose identities a range or a posting
+//! list only yields at execution time, are the one exception:
+//! [`Access::read_covered`] takes a record id.
+
+use crate::types::RecordId;
 
 /// Why a transaction attempt did not commit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -99,57 +103,42 @@ pub trait Access {
     /// have no undo log).
     fn delete(&mut self, idx: usize) -> Result<(), AbortReason>;
 
-    /// Key-range scan: invoke `out(row, payload)` for every record that
-    /// exists in scan-set entry `idx` (a declared
-    /// [`ScanRange`](crate::txn::ScanRange)), in ascending key order, and
-    /// return the number of present rows.
+    /// Read row `rid` of a declared scan range or of a posting list this
+    /// transaction read, the one per-row step of the procedure layer's
+    /// range and index scans (`scan` and `index_scan` in
+    /// [`procedures`](crate::procedures)).
     ///
-    /// A scan is a predicate read, and engines guarantee **phantom
-    /// protection**: the result is the range's membership at the
-    /// transaction's position in the serial order — a concurrent insert
-    /// into or delete from the range either orders entirely before the
-    /// scan (and is observed) or entirely after it (and is not), never
-    /// halfway. Each engine enforces this with its own mechanism (range
+    /// Returns `Ok(true)` and calls `out` with the payload if the row
+    /// exists at the transaction's snapshot, `Ok(false)` if it does not.
+    /// Each engine reads the row under its own phantom-protection
+    /// mechanism, so the scan's membership is the range's (or the index
+    /// key's) at the transaction's position in the serial order: range
     /// locks covering absent slots, per-slot read validation, commit-time
-    /// range re-resolution, or BOHM's timestamp-filtered probe of every
-    /// row).
+    /// re-resolution, or BOHM's timestamp-filtered probe.
     ///
-    /// The scanned range must not overlap the transaction's own write set:
-    /// engines disagree on whether a scan observes the transaction's own
-    /// uncommitted writes, so procedures must not rely on either behaviour.
-    /// Ranges must also lie within the table's declared capacity for
-    /// portability: array-backed engines (and the serial oracle) panic on
-    /// an over-capacity range, while dynamically-indexed engines treat
-    /// rows beyond the preload as ordinarily absent — only growable-table
-    /// workloads, which run on the latter exclusively, may exceed it.
-    fn scan(&mut self, idx: usize, out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason>;
-
-    /// Secondary-index scan: invoke `out(row, payload)` for every live
-    /// member row of index-scan-set entry `idx` (a declared
-    /// [`IndexScan`](crate::txn::IndexScan)), in ascending row order, and
-    /// return the number of rows emitted.
+    /// Array-backed engines and the serial oracle panic, naming the
+    /// table's capacity, on a row beyond it; dynamically-indexed engines
+    /// read such a row as ordinarily absent. Only growable-table
+    /// workloads, which run on the latter exclusively, may scan past it.
     ///
-    /// The scanned key's **posting-list record** (read-set entry
-    /// `IndexScan::list`, encoded per [`crate::index`]) is read through the
-    /// engine's ordinary read machinery — that read is the index key's
-    /// concurrency control — and each member row is then read at the same
-    /// snapshot. Phantom protection therefore holds at the *key*
-    /// granularity: a concurrent transaction that adds a row to or removes
-    /// a row from the key's posting set must write the posting-list
-    /// record, which every engine serializes against the scan (lock
-    /// conflict, TID validation failure, commit-time re-resolution, or
-    /// BOHM's timestamp order).
+    /// # Safety
     ///
-    /// **Covering-writer contract:** any transaction that inserts, deletes
-    /// or updates a row of an indexed table must declare (and write) the
-    /// affected posting-list record in the same transaction. That write is
-    /// what serializes in-place engines' member-row reads — 2PL index
-    /// scanners read member payloads under the posting-list lock alone —
-    /// and what keeps list membership and row existence atomic everywhere
-    /// else. A listed-but-absent member row (possible only on a torn
-    /// snapshot of a doomed optimistic attempt, or if the contract is
-    /// violated) is skipped, not an error.
-    fn index_scan(&mut self, idx: usize, out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason>;
+    /// `rid` must be *covered* for the transaction this access executes:
+    /// a row of one of its declared [`ScanRange`](crate::txn::ScanRange)s,
+    /// or a member row, in the declared table, of the posting list one of
+    /// its declared [`IndexScan`](crate::txn::IndexScan)s read through
+    /// [`read_maybe`](Self::read_maybe). 2PL reads such rows without
+    /// locking them: it holds the range's slot locks, or the posting
+    /// list's lock under the **covering-writer contract** — any
+    /// transaction that inserts, deletes or updates a row of an indexed
+    /// table declares and writes the affected posting-list record in the
+    /// same transaction, so the list lock excludes every writer of its
+    /// members. An uncovered row would be read racing its writers.
+    unsafe fn read_covered(
+        &mut self,
+        rid: RecordId,
+        out: impl FnMut(&[u8]),
+    ) -> Result<bool, AbortReason>;
 
     /// Size in bytes of the record behind write-set entry `idx` (fixed per
     /// table). Lets procedures construct full-size payloads for blind
@@ -186,11 +175,15 @@ mod tests {
             self.rows[idx] = None;
             Ok(())
         }
-        fn scan(&mut self, _: usize, _: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
+        /// # Safety
+        ///
+        /// Never called: no scans are declared.
+        unsafe fn read_covered(
+            &mut self,
+            _: RecordId,
+            _: impl FnMut(&[u8]),
+        ) -> Result<bool, AbortReason> {
             unreachable!("no scans declared")
-        }
-        fn index_scan(&mut self, _: usize, _: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
-            unreachable!("no index scans declared")
         }
         fn write_len(&mut self, idx: usize) -> usize {
             self.rows[idx].as_ref().map_or(0, Vec::len)

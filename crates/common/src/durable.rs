@@ -280,10 +280,6 @@ impl<E: Engine> Engine for DurableEngine<E> {
         out
     }
 
-    fn read_u64(&self, rid: crate::RecordId) -> Option<u64> {
-        self.inner.read_u64(rid)
-    }
-
     fn read_record(&self, rid: crate::RecordId) -> Option<crate::Value> {
         self.inner.read_record(rid)
     }

@@ -48,7 +48,9 @@ pub trait Engine: Send + Sync + 'static {
 
     /// Read the committed `u64` prefix of a record while the engine is
     /// quiescent (verification hooks for tests).
-    fn read_u64(&self, rid: crate::RecordId) -> Option<u64>;
+    fn read_u64(&self, rid: crate::RecordId) -> Option<u64> {
+        self.read_record(rid).map(|d| crate::value::get_u64(&d, 0))
+    }
 
     /// Snapshot the full committed payload of a record while the engine is
     /// quiescent; `None` for a record that does not (currently) exist.
@@ -104,7 +106,9 @@ pub trait BatchEngine: Send + Sync + 'static {
 
     /// Read the committed `u64` prefix of a record while the engine is
     /// quiescent (verification hooks for tests).
-    fn read_u64(&self, rid: crate::RecordId) -> Option<u64>;
+    fn read_u64(&self, rid: crate::RecordId) -> Option<u64> {
+        self.read_record(rid).map(|d| crate::value::get_u64(&d, 0))
+    }
 
     /// Snapshot the full committed payload of a record while the engine is
     /// quiescent; `None` for a record that does not (currently) exist.
@@ -164,10 +168,6 @@ impl<E: Engine> BatchEngine for E {
             worker: self.make_worker(),
             done: VecDeque::new(),
         }
-    }
-
-    fn read_u64(&self, rid: crate::RecordId) -> Option<u64> {
-        Engine::read_u64(self, rid)
     }
 
     fn read_record(&self, rid: crate::RecordId) -> Option<crate::Value> {

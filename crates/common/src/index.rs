@@ -13,10 +13,11 @@
 //!   like any other RMW (2PL takes the key-granular exclusive lock, OCC
 //!   bumps the record's TID word — the per-index-key version counter —
 //!   Hekaton/SI version the list, BOHM installs a placeholder), and
-//! * an index *scan* ([`Access::index_scan`](crate::access::Access::index_scan))
-//!   reads the posting-list record at the transaction's snapshot and then
-//!   each member row, so a concurrent insert into or delete from the key's
-//!   posting set serializes entirely before or after the scan — the
+//! * an index *scan* (the procedure layer's `index_scan`) reads the
+//!   posting-list record at the transaction's snapshot and then each member
+//!   row ([`Access::read_covered`](crate::access::Access::read_covered)),
+//!   so a concurrent insert into or delete from the key's posting set
+//!   serializes entirely before or after the scan — the
 //!   phantom-protection story of range scans, carried over to a sparse,
 //!   key-addressed access path.
 //!

@@ -11,6 +11,7 @@
 //! transactions obeying these conventions and asserts them in tests.
 
 use crate::access::{AbortReason, Access};
+use crate::types::RecordId;
 use crate::value;
 
 /// SmallBank stored procedures (paper §4.3; Cahill, PhD thesis 2009).
@@ -89,7 +90,7 @@ pub enum TpcCProc {
     /// Layout: reads = `[customer(c), order(o)]`, writes = `[]`.
     OrderStatus,
     /// Secondary-index scan with phantom protection: read the customer,
-    /// then [`Access::index_scan`] the customer's **live orders** through
+    /// then index-scan the customer's **live orders** through
     /// the customer→orders posting list, folding every member order — row
     /// id and payload — plus the result cardinality into the fingerprint.
     /// A concurrent NewOrder adding to (or Delivery removing from) the
@@ -260,6 +261,9 @@ pub struct ExecScratch {
     idx_w: Vec<u32>,
     /// Delivery's (customer key, order row) removal list (heap fallback).
     removals: Vec<(u64, u64)>,
+    /// Index scan's copy of its posting list, which the member reads
+    /// outlive (the list read's borrow of engine storage does not).
+    list: Vec<u8>,
 }
 
 impl ExecScratch {
@@ -279,6 +283,10 @@ impl ExecScratch {
 /// Returns `Ok(fingerprint)` on commit intent — a value derived from the
 /// reads, which equivalence tests use to compare engines — or the abort
 /// reason. Engine-induced errors from `access` propagate unchanged.
+///
+/// `access` must be the engine's access for `txn` itself: the scans read
+/// rows through [`Access::read_covered`], whose coverage is `txn`'s
+/// declared scans.
 pub fn execute_procedure<A: Access>(
     txn: &crate::Txn,
     access: &mut A,
@@ -310,7 +318,7 @@ pub fn execute_procedure<A: Access>(
             Ok(*v)
         }
         Procedure::SmallBank(sb) => small_bank(*sb, access, scratch),
-        Procedure::TpcC(tp) => tpcc(*tp, reads, writes, access, scratch),
+        Procedure::TpcC(tp) => tpcc(*tp, txn, access, scratch),
         Procedure::ProbeAll => {
             let mut acc = 0u64;
             for i in 0..reads.len() {
@@ -327,7 +335,7 @@ pub fn execute_procedure<A: Access>(
             let mut last = 0u64;
             let mut count = 0u64;
             for si in 0..txn.scans.len() {
-                count += access.scan(si, |row, b| {
+                count += scan(txn, si, access, |row, b| {
                     if value::get_u64(b, 0) != base.wrapping_add(row) {
                         bad_value = true;
                     }
@@ -563,14 +571,15 @@ fn small_bank(
 
 fn tpcc(
     proc: TpcCProc,
-    reads: &[crate::RecordId],
-    writes: &[crate::RecordId],
+    txn: &crate::Txn,
     access: &mut impl Access,
     scratch: &mut ExecScratch,
 ) -> Result<u64, AbortReason> {
+    let (reads, writes) = (&*txn.reads, &*txn.writes);
     let ExecScratch {
         bytes: scratch,
         removals,
+        list,
         ..
     } = scratch;
     match proc {
@@ -636,7 +645,7 @@ fn tpcc(
         TpcCProc::OrderHistory => {
             let cust = access.read_u64(0)?;
             let mut fp = cust;
-            let count = access.scan(0, |row, b| {
+            let count = scan(txn, 0, access, |row, b| {
                 fp = fp.wrapping_mul(31).wrapping_add(row ^ value::checksum(b));
             })?;
             Ok(fp.wrapping_mul(31).wrapping_add(count))
@@ -644,7 +653,7 @@ fn tpcc(
         TpcCProc::CustomerStatus => {
             let cust = access.read_u64(0)?;
             let mut fp = cust;
-            let count = access.index_scan(0, |row, b| {
+            let count = index_scan(txn, 0, access, list, |row, b| {
                 fp = fp.wrapping_mul(31).wrapping_add(row ^ value::checksum(b));
             })?;
             Ok(fp.wrapping_mul(31).wrapping_add(count))
@@ -717,10 +726,91 @@ fn tpcc(
     }
 }
 
+/// Key-range scan: call `out(row, payload)` for every record that exists
+/// in `txn`'s scan-set entry `idx` (a declared
+/// [`ScanRange`](crate::txn::ScanRange)), in ascending key order, and
+/// return the number of present rows.
+///
+/// A scan is a predicate read, and every engine guarantees **phantom
+/// protection** through [`Access::read_covered`]: the result is the
+/// range's membership at the transaction's position in the serial order
+/// — a concurrent insert into or delete from the range either orders
+/// entirely before the scan (and is observed) or entirely after it (and is
+/// not), never halfway.
+///
+/// The scanned range must not overlap the transaction's own write set:
+/// engines disagree on whether a scan observes the transaction's own
+/// uncommitted writes, so procedures must not rely on either behaviour.
+/// Ranges must also lie within the table's declared capacity for
+/// portability (the capacity rule of [`Access::read_covered`]).
+fn scan(
+    txn: &crate::Txn,
+    idx: usize,
+    access: &mut impl Access,
+    mut out: impl FnMut(u64, &[u8]),
+) -> Result<u64, AbortReason> {
+    let s = txn.scans[idx];
+    let mut n = 0;
+    for row in s.rows() {
+        // SAFETY: `row` lies in `txn`'s declared scan range `idx`, and
+        // `access` executes `txn` (`execute_procedure`'s contract).
+        if unsafe { access.read_covered(s.rid(row), |b| out(row, b))? } {
+            n += 1;
+        }
+    }
+    Ok(n)
+}
+
+/// Secondary-index scan: call `out(row, payload)` for every live member
+/// row of `txn`'s index-scan-set entry `idx` (a declared
+/// [`IndexScan`](crate::txn::IndexScan)), in ascending row order, and
+/// return the number of rows emitted. `list` is the caller's reusable
+/// copy of the posting list.
+///
+/// The scanned key's **posting-list record** (read-set entry
+/// `IndexScan::list`, encoded per [`crate::index`]) is read through
+/// [`Access::read_maybe`] — that read is the index key's concurrency
+/// control — and each member row is then read at the same snapshot
+/// through [`Access::read_covered`]. Phantom protection therefore holds
+/// at the *key* granularity: a concurrent transaction that adds a row to
+/// or removes a row from the key's posting set must write the posting-list
+/// record (the covering-writer contract of [`Access::read_covered`]),
+/// which every engine serializes against the scan (lock conflict, TID
+/// validation failure, commit-time re-resolution, or BOHM's timestamp
+/// order). An absent posting list is an empty result. A listed-but-absent
+/// member row (possible only on a torn snapshot of a doomed optimistic
+/// attempt, or if the contract is violated) is skipped, not an error.
+fn index_scan(
+    txn: &crate::Txn,
+    idx: usize,
+    access: &mut impl Access,
+    list: &mut Vec<u8>,
+    mut out: impl FnMut(u64, &[u8]),
+) -> Result<u64, AbortReason> {
+    let s = txn.index_scans[idx];
+    list.clear();
+    if !access.read_maybe(s.list, |b| list.extend_from_slice(b))? {
+        return Ok(0);
+    }
+    let mut n = 0;
+    for row in crate::index::posting_rows(list) {
+        let rid = RecordId {
+            table: s.table,
+            row,
+        };
+        // SAFETY: `rid` is a member, in the declared table, of the posting
+        // list `txn`'s index scan `idx` just read, and `access` executes
+        // `txn` (`execute_procedure`'s contract).
+        if unsafe { access.read_covered(rid, |b| out(row, b))? } {
+            n += 1;
+        }
+    }
+    Ok(n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::RecordId;
 
     /// Simple map-backed Access for procedure unit tests. Read slots hold
     /// `None` to model a record absent at the transaction's snapshot.
@@ -728,11 +818,9 @@ mod tests {
         read_vals: Vec<Option<Vec<u8>>>,
         written: Vec<Option<Vec<u8>>>,
         deleted: Vec<bool>,
-        /// Rows served by `scan(0)`: `(row, payload-or-absent)` in key order.
-        scan_rows: Vec<(u64, Option<Vec<u8>>)>,
-        /// Rows served by `index_scan(0)`: `(row, payload-or-absent)` in
-        /// ascending order (absent = listed member whose row is gone).
-        index_rows: Vec<(u64, Option<Vec<u8>>)>,
+        /// Rows served by `read_covered`, by row number (a row not listed,
+        /// or listed as `None`, is absent).
+        covered: Vec<(u64, Option<Vec<u8>>)>,
         len: usize,
     }
 
@@ -745,24 +833,25 @@ mod tests {
                     .collect(),
                 written: vec![None; n_writes],
                 deleted: vec![false; n_writes],
-                scan_rows: Vec::new(),
-                index_rows: Vec::new(),
+                covered: Vec::new(),
                 len,
             }
         }
 
-        fn with_scan_rows(mut self, rows: Vec<(u64, Option<u64>)>) -> Self {
-            self.scan_rows = rows
+        fn with_covered(mut self, rows: Vec<(u64, Option<u64>)>) -> Self {
+            self.covered = rows
                 .into_iter()
                 .map(|(row, v)| (row, v.map(|v| crate::value::of_u64(v, self.len).to_vec())))
                 .collect();
             self
         }
-        fn with_index_rows(mut self, rows: Vec<(u64, Option<u64>)>) -> Self {
-            self.index_rows = rows
-                .into_iter()
-                .map(|(row, v)| (row, v.map(|v| crate::value::of_u64(v, self.len).to_vec())))
-                .collect();
+        /// Read-set entry `idx` holds a posting list of `rows`.
+        fn with_posting_list(mut self, idx: usize, rows: &[u64]) -> Self {
+            let mut list = vec![0; crate::index::posting_record_size(rows.len() as u64)];
+            for &row in rows {
+                assert!(crate::index::posting_insert(&mut list, row));
+            }
+            self.read_vals[idx] = Some(list);
             self
         }
         fn with_absent(mut self, idx: usize) -> Self {
@@ -791,34 +880,20 @@ mod tests {
             self.written[idx] = None;
             Ok(())
         }
-        fn scan(&mut self, idx: usize, out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
-            assert_eq!(idx, 0, "MemAccess models a single scan");
-            Ok(emit_present(&self.scan_rows, out))
-        }
-        fn index_scan(
+        /// # Safety
+        ///
+        /// None needed: the rows are owned test data.
+        unsafe fn read_covered(
             &mut self,
-            idx: usize,
-            out: impl FnMut(u64, &[u8]),
-        ) -> Result<u64, AbortReason> {
-            assert_eq!(idx, 0, "MemAccess models a single index scan");
-            Ok(emit_present(&self.index_rows, out))
+            rid: RecordId,
+            out: impl FnMut(&[u8]),
+        ) -> Result<bool, AbortReason> {
+            let row = self.covered.iter().find(|(row, _)| *row == rid.row);
+            Ok(row.and_then(|(_, v)| v.as_deref()).map(out).is_some())
         }
         fn write_len(&mut self, _idx: usize) -> usize {
             self.len
         }
-    }
-
-    /// Hand every present `(row, payload)` of `rows` to `out`; returns how
-    /// many there were.
-    fn emit_present(rows: &[(u64, Option<Vec<u8>>)], mut out: impl FnMut(u64, &[u8])) -> u64 {
-        let mut n = 0;
-        for (row, v) in rows {
-            if let Some(v) = v {
-                out(*row, v);
-                n += 1;
-            }
-        }
-        n
     }
 
     fn rid(k: u64) -> RecordId {
@@ -1087,18 +1162,16 @@ mod tests {
 
     #[test]
     fn order_history_folds_rows_payloads_and_count() {
-        let reads = vec![rid(2)];
+        let txn = crate::Txn::with_scans(
+            vec![rid(2)],
+            vec![],
+            vec![crate::ScanRange::new(0, 10, 13)],
+            Procedure::TpcC(TpcCProc::OrderHistory),
+        );
         let mut scratch = ExecScratch::new();
         let mut a =
-            MemAccess::new(vec![7], 0, 8).with_scan_rows(vec![(10, Some(100)), (12, Some(200))]);
-        let fp = exec_no_scans(
-            &Procedure::TpcC(TpcCProc::OrderHistory),
-            &reads,
-            &[],
-            &mut a,
-            &mut scratch,
-        )
-        .unwrap();
+            MemAccess::new(vec![7], 0, 8).with_covered(vec![(10, Some(100)), (12, Some(200))]);
+        let fp = execute_procedure(&txn, &mut a, &mut scratch).unwrap();
         let c = |v: u64| value::checksum(&crate::value::of_u64(v, 8));
         let want = 7u64
             .wrapping_mul(31)
@@ -1109,32 +1182,24 @@ mod tests {
             .wrapping_add(2);
         assert_eq!(fp, want);
         // Membership changes (a phantom) change the fingerprint.
-        let mut b = MemAccess::new(vec![7], 0, 8).with_scan_rows(vec![(10, Some(100)), (12, None)]);
-        let fp2 = exec_no_scans(
-            &Procedure::TpcC(TpcCProc::OrderHistory),
-            &reads,
-            &[],
-            &mut b,
-            &mut scratch,
-        )
-        .unwrap();
+        let mut b = MemAccess::new(vec![7], 0, 8).with_covered(vec![(10, Some(100)), (12, None)]);
+        let fp2 = execute_procedure(&txn, &mut b, &mut scratch).unwrap();
         assert_ne!(fp, fp2, "membership must be fingerprint-visible");
     }
 
     #[test]
     fn customer_status_folds_members_and_count() {
-        let reads = vec![rid(2), rid(3)]; // [customer, posting list]
+        let txn = crate::Txn::with_index_scans(
+            vec![rid(2), rid(3)], // [customer, posting list]
+            vec![],
+            vec![crate::IndexScan::new(1, 0)],
+            Procedure::TpcC(TpcCProc::CustomerStatus),
+        );
         let mut scratch = ExecScratch::new();
         let mut a = MemAccess::new(vec![7, 0], 0, 8)
-            .with_index_rows(vec![(10, Some(100)), (12, Some(200))]);
-        let fp = exec_no_scans(
-            &Procedure::TpcC(TpcCProc::CustomerStatus),
-            &reads,
-            &[],
-            &mut a,
-            &mut scratch,
-        )
-        .unwrap();
+            .with_posting_list(1, &[10, 12])
+            .with_covered(vec![(10, Some(100)), (12, Some(200))]);
+        let fp = execute_procedure(&txn, &mut a, &mut scratch).unwrap();
         let c = |v: u64| value::checksum(&crate::value::of_u64(v, 8));
         let want = 7u64
             .wrapping_mul(31)
@@ -1146,16 +1211,10 @@ mod tests {
         assert_eq!(want, fp, "same fold as OrderHistory, over index members");
         // Membership changes (a phantom on the index key) change the
         // fingerprint.
-        let mut b =
-            MemAccess::new(vec![7, 0], 0, 8).with_index_rows(vec![(10, Some(100)), (12, None)]);
-        let fp2 = exec_no_scans(
-            &Procedure::TpcC(TpcCProc::CustomerStatus),
-            &reads,
-            &[],
-            &mut b,
-            &mut scratch,
-        )
-        .unwrap();
+        let mut b = MemAccess::new(vec![7, 0], 0, 8)
+            .with_posting_list(1, &[10, 12])
+            .with_covered(vec![(10, Some(100)), (12, None)]);
+        let fp2 = execute_procedure(&txn, &mut b, &mut scratch).unwrap();
         assert_ne!(fp, fp2, "index membership must be fingerprint-visible");
     }
 
@@ -1259,61 +1318,25 @@ mod tests {
             crate::Txn::with_scans(vec![], vec![], vec![crate::ScanRange::new(0, 4, 7)], audit);
         let mut run = |a: &mut MemAccess| execute_procedure(&txn, a, &mut scratch).unwrap();
         // Consistent contiguous window.
-        let mut a = MemAccess::new(vec![], 0, 8).with_scan_rows(vec![
+        let mut a = MemAccess::new(vec![], 0, 8).with_covered(vec![
             (4, Some(1_004)),
             (5, Some(1_005)),
             (6, Some(1_006)),
         ]);
         assert_eq!(run(&mut a), range_audit_fingerprint(3, 4));
         // Empty scan.
-        let mut e = MemAccess::new(vec![], 0, 8).with_scan_rows(vec![(4, None)]);
+        let mut e = MemAccess::new(vec![], 0, 8).with_covered(vec![(4, None)]);
         assert_eq!(run(&mut e), 0);
         // Gap (half-observed window) poisons.
-        let mut g = MemAccess::new(vec![], 0, 8).with_scan_rows(vec![
+        let mut g = MemAccess::new(vec![], 0, 8).with_covered(vec![
             (4, Some(1_004)),
             (5, None),
             (6, Some(1_006)),
         ]);
         assert_eq!(run(&mut g), SCAN_POISON_GAP);
         // Wrong value poisons.
-        let mut v = MemAccess::new(vec![], 0, 8).with_scan_rows(vec![(4, Some(999))]);
+        let mut v = MemAccess::new(vec![], 0, 8).with_covered(vec![(4, Some(999))]);
         assert_eq!(run(&mut v), SCAN_POISON_VALUE);
-    }
-
-    /// Access stub for the multi-scan RangeAudit: serves each declared scan
-    /// from its own row list (MemAccess models a single scan only).
-    struct TwoScanAccess {
-        per_scan: Vec<Vec<(u64, u64)>>,
-        len: usize,
-    }
-
-    impl Access for TwoScanAccess {
-        fn read_maybe(&mut self, _: usize, _: impl FnMut(&[u8])) -> Result<bool, AbortReason> {
-            unreachable!()
-        }
-        fn write(&mut self, _idx: usize, _data: &[u8]) -> Result<(), AbortReason> {
-            unreachable!()
-        }
-        fn delete(&mut self, _idx: usize) -> Result<(), AbortReason> {
-            unreachable!()
-        }
-        fn write_len(&mut self, _idx: usize) -> usize {
-            self.len
-        }
-        fn scan(
-            &mut self,
-            idx: usize,
-            mut out: impl FnMut(u64, &[u8]),
-        ) -> Result<u64, AbortReason> {
-            let rows = &self.per_scan[idx];
-            for &(row, v) in rows {
-                out(row, &crate::value::of_u64(v, self.len));
-            }
-            Ok(rows.len() as u64)
-        }
-        fn index_scan(&mut self, _: usize, _: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
-            unreachable!()
-        }
     }
 
     #[test]
@@ -1333,19 +1356,13 @@ mod tests {
             ],
             audit,
         );
-        let full: Vec<(u64, u64)> = (4..8).map(|r| (r, 100 + r)).collect();
-        let mut consistent = TwoScanAccess {
-            per_scan: vec![full[..2].to_vec(), full[2..].to_vec()],
-            len: 8,
-        };
+        let full: Vec<(u64, Option<u64>)> = (4..8).map(|r| (r, Some(100 + r))).collect();
+        let mut consistent = MemAccess::new(vec![], 0, 8).with_covered(full.clone());
         assert_eq!(
             execute_procedure(&halves, &mut consistent, &mut scratch).unwrap(),
             range_audit_fingerprint(4, 4)
         );
-        let mut empty = TwoScanAccess {
-            per_scan: vec![vec![], vec![]],
-            len: 8,
-        };
+        let mut empty = MemAccess::new(vec![], 0, 8);
         assert_eq!(
             execute_procedure(&halves, &mut empty, &mut scratch).unwrap(),
             0
@@ -1353,10 +1370,7 @@ mod tests {
         // First half full, second half empty: the union is not the whole
         // window — a cross-range phantom — and must not fingerprint as
         // either legal outcome.
-        let mut torn = TwoScanAccess {
-            per_scan: vec![full[..2].to_vec(), vec![]],
-            len: 8,
-        };
+        let mut torn = MemAccess::new(vec![], 0, 8).with_covered(full[..2].to_vec());
         let fp = execute_procedure(&halves, &mut torn, &mut scratch).unwrap();
         assert_ne!(fp, range_audit_fingerprint(4, 4));
         assert_ne!(fp, 0);

@@ -19,8 +19,8 @@ use crate::types::{RecordId, TableId};
 /// against the scan, not merely against the records that happened to exist
 /// when the scan ran. Each engine realizes that protection with its own
 /// mechanism (range locks, per-slot validation, commit-time re-scan, or
-/// BOHM's timestamp-ordered concurrency-control pass); see
-/// [`Access::scan`](crate::access::Access::scan).
+/// BOHM's timestamp-filtered probe) behind the one per-row read every scan
+/// goes through, [`Access::read_covered`](crate::access::Access::read_covered).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ScanRange {
     /// Table whose key range is scanned.
@@ -42,7 +42,7 @@ pub struct ScanRange {
 /// validation, the Hekaton/SI list version, BOHM's CC-phase annotation.
 /// The member rows themselves are discovered at execution time from the
 /// snapshot's list and read through
-/// [`Access::index_scan`](crate::access::Access::index_scan).
+/// [`Access::read_covered`](crate::access::Access::read_covered).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct IndexScan {
     /// Position **in the read set** of the scanned key's posting-list

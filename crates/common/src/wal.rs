@@ -906,7 +906,8 @@ fn decode_txn(r: &mut Reader) -> Option<Txn> {
     let n_index_scans = r.count(2)?;
     let mut index_scans = Vec::with_capacity(n_index_scans);
     for _ in 0..n_index_scans {
-        let list = usize::try_from(r.var()?).ok()?;
+        // The posting list must be one of the transaction's reads.
+        let list = usize::try_from(r.var()?).ok().filter(|&l| l < n_reads)?;
         index_scans.push(IndexScan::new(list, r.var_u32()?));
     }
     let mut txn = Txn::new(reads, writes, proc);
@@ -1232,6 +1233,31 @@ mod tests {
         encode_record(&mut buf, 3, &mut gauntlet().iter(), None);
         let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, GOLDEN_RECORD);
+    }
+
+    #[test]
+    fn an_index_scan_outside_the_read_set_is_refused() {
+        // A checksummed record whose index scan names a posting list past
+        // the read set: replaying it would index out of bounds inside an
+        // engine's execution thread, so the decoder refuses it and
+        // recovery reads the log as corrupt.
+        let mut txn = Txn::new(
+            vec![rid(2, 5), rid(5, 5)],
+            vec![],
+            Procedure::TpcC(TpcCProc::CustomerStatus),
+        );
+        txn.index_scans = vec![IndexScan::new(2, 3)].into();
+        let mut record = Vec::new();
+        encode_record(&mut record, 1, &mut std::iter::once(&txn), None);
+        assert!(decode_batch(&record[RECORD_HEADER..]).is_none());
+        let dir = tmpdir("index-scan-list");
+        fs::create_dir_all(&dir).unwrap();
+        let mut segment = Vec::from(SEGMENT_MAGIC);
+        segment.extend_from_slice(&record);
+        fs::write(SEGMENTS.path(&dir, 0), &segment).unwrap();
+        let err = Wal::read_log(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

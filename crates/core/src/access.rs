@@ -146,15 +146,6 @@ impl<'a> BohmAccess<'a> {
             .get(rid, self.guard)?
             .visible(self.t.ts, self.guard)
     }
-
-    /// Row `rid` as this transaction must observe it: every scan row and
-    /// every index-scan member resolves here.
-    fn row(&mut self, rid: RecordId) -> Result<Option<&'a [u8]>, AbortReason> {
-        match self.visible(rid) {
-            Some(v) => self.payload(v),
-            None => Ok(None),
-        }
-    }
 }
 
 impl Access for BohmAccess<'_> {
@@ -185,63 +176,38 @@ impl Access for BohmAccess<'_> {
         unsafe { &*ptr }.len()
     }
 
-    fn scan(&mut self, idx: usize, mut out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
-        // Phantom protection is the timestamp filter: every row resolves to
-        // the version whose validity interval holds this transaction's
-        // timestamp (see `row`), so an insert into or delete from the range
-        // by any other transaction is *ordered* against this scan — before
-        // it if its timestamp is lower, after it otherwise — rather than
-        // racing it. Still-pending versions block on their producer like
-        // any read (§3.3.1); re-runs replay the scan deterministically.
-        let s = self.t.txn.scans[idx];
-        let mut n = 0;
-        for row in s.rows() {
-            if let Some(b) = self.row(s.rid(row))? {
-                out(row, b);
-                n += 1;
-            }
-        }
-        Ok(n)
-    }
-
-    fn index_scan(
+    /// Phantom protection is the timestamp filter: the row resolves to the
+    /// version whose validity interval holds this transaction's timestamp
+    /// (see [`visible`](Self::visible)), so an insert into or delete from a
+    /// scanned range by any other transaction is *ordered* against this
+    /// scan — before it if its timestamp is lower, after it otherwise —
+    /// rather than racing it. Still-pending versions block on their
+    /// producer like any read (§3.3.1); re-runs replay the scan
+    /// deterministically.
+    ///
+    /// An index scan's posting list is a declared read, so the CC phase
+    /// already **pre-annotated the index key**: the owning CC thread
+    /// resolved it, at its sequence point, to the version a reader at this
+    /// timestamp must observe — which orders every batched maintenance
+    /// write (a NewOrder adding a member, a Delivery removing one) against
+    /// this scan by construction, not as a race. Member rows then resolve
+    /// here like scan rows (their identities are only known now): each
+    /// member was inserted by the same earlier-timestamp transaction that
+    /// added it to the list, so its chain exists by CC time of this batch.
+    ///
+    /// # Safety
+    ///
+    /// None beyond the trait's contract: the probe is sound for any row,
+    /// and a row past a table's preload reads as absent.
+    unsafe fn read_covered(
         &mut self,
-        idx: usize,
-        mut out: impl FnMut(u64, &[u8]),
-    ) -> Result<u64, AbortReason> {
-        // The scanned key's posting-list record is a declared read, so the
-        // CC phase already **pre-annotated the index key**: the owning CC
-        // thread resolved it, at its sequence point, to the version a
-        // reader at this timestamp must observe — which orders every
-        // batched maintenance write (a NewOrder adding a member, a
-        // Delivery removing one) against this scan by construction, not as
-        // a race. The membership at this timestamp is therefore exactly
-        // the annotated list version's contents.
-        //
-        // Member rows then resolve like scan rows (their identities are
-        // only known now): each member was inserted by the same
-        // earlier-timestamp transaction that added it to the list, so its
-        // chain exists by CC time of this batch. A listed-but-absent
-        // member (a contract violation) is skipped.
-        let s = self.t.txn.index_scans[idx];
-        let Some(lv) = self.version_for_read(s.list) else {
-            return Ok(0); // key never had a posting list: empty result
+        rid: RecordId,
+        out: impl FnMut(&[u8]),
+    ) -> Result<bool, AbortReason> {
+        let Some(v) = self.visible(rid) else {
+            return Ok(false);
         };
-        let Some(list) = self.payload(lv)? else {
-            return Ok(0);
-        };
-        let mut n = 0;
-        for row in bohm_common::index::posting_rows(list) {
-            let rid = RecordId {
-                table: s.table,
-                row,
-            };
-            if let Some(b) = self.row(rid)? {
-                out(row, b);
-                n += 1;
-            }
-        }
-        Ok(n)
+        Ok(self.payload(v)?.map(out).is_some())
     }
 
     fn delete(&mut self, idx: usize) -> Result<(), AbortReason> {

@@ -1444,10 +1444,19 @@ mod tests {
             while window.len() < 4 {
                 std::thread::yield_now();
             }
-            while !reader.is_done() {
-                assert_eq!((window.len(), e.gc_bound(), e.index_keys()), (4, 0, 4 + 6));
+            // The three reads are not one snapshot: they count only if the
+            // reader is still running after all of them.
+            let mut checked = 0;
+            loop {
+                let seen = (window.len(), e.gc_bound(), e.index_keys());
+                if reader.is_done() {
+                    break;
+                }
+                assert_eq!(seen, (4, 0, 4 + 6));
+                checked += 1;
                 std::thread::yield_now();
             }
+            assert!(checked > 0, "the reader ended before the ring was checked");
             // The reader ends: everything drains.
             assert!(reader.wait().committed);
             assert!(rx.iter().all(|h| h.wait().committed));

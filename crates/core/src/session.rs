@@ -111,10 +111,6 @@ impl BatchEngine for Bohm {
         self.session()
     }
 
-    fn read_u64(&self, rid: RecordId) -> Option<u64> {
-        Bohm::read_u64(self, rid)
-    }
-
     fn read_record(&self, rid: RecordId) -> Option<bohm_common::Value> {
         Bohm::read_record(self, rid)
     }

@@ -629,65 +629,36 @@ impl Access for HkAccess<'_> {
             .map_err(|()| AbortReason::Conflict)
     }
 
-    fn index_scan(
+    /// Every covered row is resolved at the begin timestamp and recorded —
+    /// present versions by pointer, absences as null `ReadRec`s — which
+    /// generalizes the absent-read commit validation to a range re-scan:
+    /// under serializable isolation, `finish` re-resolves each recorded
+    /// read at the end timestamp, so an insert into or delete from a
+    /// scanned range committed between begin and end fails validation
+    /// (the phantom case). An index scan's posting list is recorded the
+    /// same way, by version pointer, so a maintenance commit
+    /// (NewOrder/Delivery rewriting the list) between begin and end swaps
+    /// the visible list version and fails validation — the index-key
+    /// phantom case. Under SI a scan is a consistent snapshot (no
+    /// validation, by SI semantics): the list version at begin_ts names
+    /// exactly the members that exist at begin_ts, because list and rows
+    /// are maintained in one transaction.
+    ///
+    /// # Safety
+    ///
+    /// None beyond the trait's contract: versions are read under the
+    /// attempt's epoch pin. A row beyond the table's capacity panics.
+    unsafe fn read_covered(
         &mut self,
-        idx: usize,
-        mut out: impl FnMut(u64, &[u8]),
-    ) -> Result<u64, AbortReason> {
-        // The scanned key's posting list resolves at the begin timestamp
-        // and is recorded by version pointer — the **posting-list version**
-        // — and every member row is resolved at the same snapshot and
-        // recorded too (a listed-but-absent member, which only a contract
-        // violation produces, is recorded as an absence and skipped). Under
-        // serializable isolation, `finish` re-resolves each recorded read
-        // at the end timestamp, so a maintenance commit (NewOrder/Delivery
-        // rewriting the list) between begin and end swaps the visible list
-        // version and fails validation — the index-key phantom case. Under
-        // SI the scan is a consistent snapshot: the list version at
-        // begin_ts names exactly the members that exist at begin_ts (list
-        // and rows are maintained in one transaction), so resolving each
-        // member at begin_ts is coherent.
-        let s = self.txn.index_scans[idx];
-        let Some(list) = self.observe(self.txn.reads[s.list])? else {
-            return Ok(0);
-        };
-        let mut n = 0;
-        for row in bohm_common::index::posting_rows(list) {
-            let rid = RecordId {
-                table: s.table,
-                row,
-            };
-            if let Some(b) = self.observe(rid)? {
-                out(row, b);
-                n += 1;
-            }
-        }
-        Ok(n)
-    }
-
-    fn scan(&mut self, idx: usize, mut out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
-        // Every slot of the range is resolved at the begin timestamp and
-        // recorded — present versions by pointer, absences as null ReadRecs
-        // — which generalizes the absent-read commit validation to a range
-        // re-scan: under serializable isolation, `finish` re-resolves each
-        // recorded slot at the end timestamp, so an insert into or delete
-        // from the range committed between begin and end fails validation
-        // (the phantom case). Under SI the scan is still a consistent
-        // snapshot of the range (no validation, by SI semantics).
-        let s = self.txn.scans[idx];
+        rid: RecordId,
+        out: impl FnMut(&[u8]),
+    ) -> Result<bool, AbortReason> {
+        let rows = self.eng.store.rows(rid.table.0);
         assert!(
-            s.hi as usize <= self.eng.store.rows(s.table.0),
-            "scan range {s:?} beyond table capacity {}",
-            self.eng.store.rows(s.table.0)
+            (rid.row as usize) < rows,
+            "{rid:?} beyond table capacity {rows}"
         );
-        let mut n = 0;
-        for row in s.rows() {
-            if let Some(b) = self.observe(s.rid(row))? {
-                out(row, b);
-                n += 1;
-            }
-        }
-        Ok(n)
+        Ok(self.observe(rid)?.map(out).is_some())
     }
 
     fn write_len(&mut self, idx: usize) -> usize {
@@ -816,10 +787,6 @@ impl Engine for Hekaton {
                 }
             }
         }
-    }
-
-    fn read_u64(&self, rid: RecordId) -> Option<u64> {
-        Engine::read_record(self, rid).map(|d| bohm_common::value::get_u64(&d, 0))
     }
 
     fn read_record(&self, rid: RecordId) -> Option<bohm_common::Value> {

@@ -47,9 +47,6 @@ pub struct OccWorker {
     wentries: Vec<WriteEntry>,
     wbuf: Vec<u8>,
     read_buf: Vec<u8>,
-    /// Posting-list copy for index scans (stable-reading the member rows
-    /// recycles `read_buf`, so the list needs its own reusable buffer).
-    list_buf: Vec<u8>,
     scratch: bohm_common::ExecScratch,
     /// Sorted indices into `wentries` (lock order), reused.
     lock_order: Vec<usize>,
@@ -162,73 +159,34 @@ impl Access for OccAccess<'_> {
         self.stable_read(rid, out)
     }
 
-    fn index_scan(
+    /// Phantom protection is the recorded observation: every covered row
+    /// — absent ones included — enters the read set with the TID it was
+    /// stable-read under. A concurrent insert into or delete from a scanned
+    /// range bumps the affected slot's TID at its commit (presence flips
+    /// before the TID release-store), so validation of this read set is
+    /// exactly "no insert/delete intersected the scanned range before our
+    /// TID bump". For an index scan, the scanned key's posting-list record
+    /// is a stable read like any other, and its TID is the **per-index-key
+    /// version counter**: every maintenance transaction (NewOrder adding a
+    /// member, Delivery removing one) rewrites the record, bumping that TID
+    /// at its commit. A listed-but-absent member is a torn snapshot this
+    /// attempt will fail validation on.
+    ///
+    /// # Safety
+    ///
+    /// None beyond the trait's contract: a stable read is sound for any
+    /// slot. A row beyond the table's capacity panics.
+    unsafe fn read_covered(
         &mut self,
-        idx: usize,
-        mut out: impl FnMut(u64, &[u8]),
-    ) -> Result<u64, AbortReason> {
-        // Phantom protection is the **per-index-key version counter**: the
-        // scanned key's posting-list record enters the read set with the
-        // TID it was stable-read under, and every maintenance transaction
-        // (NewOrder adding a member, Delivery removing one) rewrites the
-        // record — bumping that TID at its commit — so validation of this
-        // read set is exactly "no membership change of the scanned key
-        // committed before our TID bump". Member rows are stable-read and
-        // recorded individually, so their payloads (and their presence)
-        // validate like any other read.
-        let s = self.txn.index_scans[idx];
-        let list_rid = self.txn.reads[s.list];
-        let mut list = std::mem::take(&mut self.w.list_buf);
-        list.clear();
-        // An absent posting-list record is an empty result (matching every
-        // other engine and the oracle); the absence was recorded in the
-        // read set, so a concurrent creation of the list still invalidates.
-        if !self.stable_read(list_rid, |b| list.extend_from_slice(b))? {
-            self.w.list_buf = list;
-            return Ok(0);
-        }
-        let mut n = 0;
-        for row in bohm_common::index::posting_rows(&list) {
-            let rid = RecordId {
-                table: s.table,
-                row,
-            };
-            // A listed-but-absent member is a torn snapshot this attempt
-            // will fail validation on (or a contract violation): skip it.
-            if self.stable_read(rid, |b| out(row, b))? {
-                n += 1;
-            }
-        }
-        self.w.list_buf = list;
-        Ok(n)
-    }
-
-    fn scan(&mut self, idx: usize, mut out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
-        // Phantom protection is the recorded range: every slot of the range
-        // — absent ones included — enters the read set with the TID it was
-        // observed under. A concurrent insert into or delete from the range
-        // bumps the affected slot's TID at its commit (presence flips
-        // before the TID release-store), so validation of this read set is
-        // exactly "no insert/delete intersected the scanned range before
-        // our TID bump".
-        let s = self.txn.scans[idx];
-        let table = &self.eng.store.tables()[s.table.index()];
+        rid: RecordId,
+        out: impl FnMut(&[u8]),
+    ) -> Result<bool, AbortReason> {
+        let rows = self.eng.store.table(rid).rows();
         assert!(
-            s.hi as usize <= table.rows(),
-            "scan range {s:?} beyond table capacity {}",
-            table.rows()
+            (rid.row as usize) < rows,
+            "{rid:?} beyond table capacity {rows}"
         );
-        let mut n = 0;
-        for row in s.rows() {
-            let rid = RecordId {
-                table: s.table,
-                row,
-            };
-            if self.stable_read(rid, |b| out(row, b))? {
-                n += 1;
-            }
-        }
-        Ok(n)
+        self.stable_read(rid, out)
     }
 
     fn write(&mut self, idx: usize, data: &[u8]) -> Result<(), AbortReason> {
@@ -392,7 +350,6 @@ impl Engine for SiloOcc {
             wentries: Vec::with_capacity(16),
             wbuf: Vec::with_capacity(16 * 1024),
             read_buf: Vec::with_capacity(1024),
-            list_buf: Vec::with_capacity(256),
             scratch: bohm_common::ExecScratch::new(),
             lock_order: Vec::with_capacity(16),
             last_tid: 0,
@@ -435,10 +392,6 @@ impl Engine for SiloOcc {
                 Err(e) => unreachable!("OCC access cannot raise {e:?}"),
             }
         }
-    }
-
-    fn read_u64(&self, rid: RecordId) -> Option<u64> {
-        Engine::read_record(self, rid).map(|d| bohm_common::value::get_u64(&d, 0))
     }
 
     fn read_record(&self, rid: RecordId) -> Option<bohm_common::Value> {

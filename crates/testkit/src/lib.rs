@@ -74,55 +74,25 @@ impl Access for OracleAccess<'_> {
         Ok(())
     }
 
-    fn scan(&mut self, idx: usize, mut out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
-        // Serial semantics are the reference the engines' phantom
-        // protection must reproduce: the range's membership at this
-        // transaction's position in the log, in key order. (Scans must not
-        // overlap the transaction's own write set, so the pending buffer is
-        // deliberately not consulted.)
-        let s = self.txn.scans[idx];
-        let table = &self.tables[s.table.index()];
-        assert!(
-            s.hi as usize <= table.len(),
-            "scan range {s:?} beyond table capacity {}",
-            table.len()
-        );
-        let mut n = 0;
-        for row in s.rows() {
-            if let Some(data) = &table[row as usize] {
-                out(row, data);
-                n += 1;
-            }
-        }
-        Ok(n)
-    }
-
-    fn index_scan(
+    /// Serial semantics are the reference the engines' phantom protection
+    /// must reproduce: the row as committed at this transaction's position
+    /// in the log. (Scans must not overlap the transaction's own write
+    /// set, so the pending buffer is deliberately not consulted.)
+    ///
+    /// # Safety
+    ///
+    /// None beyond the trait's contract: the oracle is single-threaded. A
+    /// row beyond the table's capacity panics.
+    unsafe fn read_covered(
         &mut self,
-        idx: usize,
-        mut out: impl FnMut(u64, &[u8]),
-    ) -> Result<u64, AbortReason> {
-        // Serial reference semantics for secondary indexes: the committed
-        // posting list of the scanned key at this transaction's log
-        // position, each member row read from the same committed state, in
-        // ascending row order. (Like `scan`, the pending buffer is not
-        // consulted: index-scanned keys must not be in the transaction's
-        // own write set.)
-        let s = self.txn.index_scans[idx];
-        let list_rid = self.txn.reads[s.list];
-        let Some(list) = self.tables[list_rid.table.index()][list_rid.row as usize].as_deref()
-        else {
-            return Ok(0);
+        rid: RecordId,
+        mut out: impl FnMut(&[u8]),
+    ) -> Result<bool, AbortReason> {
+        let table = &self.tables[rid.table.index()];
+        let Some(row) = table.get(rid.row as usize) else {
+            panic!("{rid:?} beyond table capacity {}", table.len());
         };
-        let table = &self.tables[s.table.index()];
-        let mut n = 0;
-        for row in bohm_common::index::posting_rows(list) {
-            if let Some(Some(data)) = table.get(row as usize) {
-                out(row, data);
-                n += 1;
-            }
-        }
-        Ok(n)
+        Ok(row.as_deref().map(&mut out).is_some())
     }
 
     fn write_len(&mut self, idx: usize) -> usize {

@@ -94,73 +94,42 @@ impl Access for TplAccess<'_> {
         Ok(())
     }
 
-    fn index_scan(
+    /// Phantom protection is the lock set. For a range, `execute`
+    /// acquired a shared lock on *every* slot of it, present or absent —
+    /// the lock on an absent slot is the gap/next-key lock that blocks a
+    /// concurrent insert into the range until this transaction releases
+    /// (and a delete needs the same exclusive lock). For an index scan,
+    /// the scanned key's posting-list record is a declared read, so its
+    /// shared lock is held for the whole transaction — and an *empty*
+    /// posting list is still a locked record, i.e. the gap lock that
+    /// blocks a concurrent NewOrder from adding the key's first member.
+    /// Maintenance (NewOrder/Delivery) needs the same lock exclusively, so
+    /// the membership observed is stable. Member rows are read WITHOUT
+    /// their own slot locks, under the covering-writer contract: their
+    /// payloads cannot change (or be deleted/torn) while we read them.
+    ///
+    /// # Safety
+    ///
+    /// `rid` must be covered (the trait's contract): that coverage is the
+    /// lock this read relies on. A row beyond the table's capacity panics.
+    unsafe fn read_covered(
         &mut self,
-        idx: usize,
-        mut out: impl FnMut(u64, &[u8]),
-    ) -> Result<u64, AbortReason> {
-        // Phantom protection is the **key-granular index lock**: the
-        // scanned key's posting-list record is a declared read, so
-        // `execute` holds its shared lock for the whole transaction — and
-        // an *empty* posting list is still a locked record, i.e. the gap
-        // lock that blocks a concurrent NewOrder from adding the key's
-        // first member until this transaction releases. Maintenance
-        // (NewOrder/Delivery) needs the same lock exclusively, so the
-        // membership observed here is stable.
-        //
-        // Member rows are read WITHOUT their own slot locks, under the
-        // covering-writer contract (see `Access::index_scan`): any writer
-        // of an indexed row holds the row's posting-list lock exclusively
-        // in the same transaction, which conflicts with our shared lock —
-        // so member payloads cannot change (or be deleted/torn) while we
-        // read them.
-        let s = self.txn.index_scans[idx];
-        let list_rid = self.txn.reads[s.list];
-        let lt = self.store.table(list_rid);
-        let dt = &self.store.tables()[s.table.index()];
-        if !lt.is_present(list_rid.row as usize) {
-            return Ok(0); // index key has no posting list: empty result
+        rid: RecordId,
+        mut out: impl FnMut(&[u8]),
+    ) -> Result<bool, AbortReason> {
+        let table = self.store.table(rid);
+        assert!(
+            (rid.row as usize) < table.rows(),
+            "{rid:?} beyond table capacity {}",
+            table.rows()
+        );
+        if !table.is_present(rid.row as usize) {
+            return Ok(false);
         }
-        let mut n = 0;
-        // SAFETY: shared (or exclusive) lock held on the posting-list slot
-        // for the duration of the transaction (declared read-set entry).
-        unsafe {
-            lt.read(list_rid.row as usize, &mut |list| {
-                for row in bohm_common::index::posting_rows(list) {
-                    if (row as usize) >= dt.rows() || !dt.is_present(row as usize) {
-                        continue; // contract violation tolerance: skip
-                    }
-                    // SAFETY: covering-writer contract (see above).
-                    dt.read(row as usize, &mut |b| out(row, b));
-                    n += 1;
-                }
-            });
-        }
-        Ok(n)
-    }
-
-    fn scan(&mut self, idx: usize, mut out: impl FnMut(u64, &[u8])) -> Result<u64, AbortReason> {
-        // Phantom protection is the lock set: `execute` acquired a shared
-        // lock on *every* slot of the range, present or absent — the lock
-        // on an absent slot is the gap/next-key lock that blocks a
-        // concurrent insert into the range until this transaction releases
-        // (and a delete needs the same exclusive lock). The membership
-        // observed here is therefore stable for the whole transaction.
-        let s = self.txn.scans[idx];
-        let table = self.store.table(RecordId {
-            table: s.table,
-            row: s.lo,
-        });
-        let mut n = 0;
-        for row in s.rows() {
-            if !table.is_present(row as usize) {
-                continue;
-            }
-            // SAFETY: shared lock held on this slot for the whole txn.
-            unsafe { table.read(row as usize, &mut |b| out(row, b)) };
-            n += 1;
-        }
-        Ok(n)
+        // SAFETY: the caller's coverage: a shared lock on the slot, or on
+        // the posting list that lists it (covering-writer contract).
+        unsafe { table.read(rid.row as usize, &mut out) };
+        Ok(true)
     }
 
     fn write_len(&mut self, idx: usize) -> usize {
@@ -249,10 +218,6 @@ impl Engine for TwoPhaseLocking {
             },
             Err(e) => unreachable!("2PL cannot raise {e:?}"),
         }
-    }
-
-    fn read_u64(&self, rid: RecordId) -> Option<u64> {
-        Engine::read_record(self, rid).map(|d| bohm_common::value::get_u64(&d, 0))
     }
 
     fn read_record(&self, rid: RecordId) -> Option<bohm_common::Value> {

@@ -1,5 +1,6 @@
 //! The Hekaton / SI engine proper.
 
+use crate::recycle::{Recycler, Retired, Spare};
 use crate::store::HekatonStore;
 use crate::txn::{state, HkTxn};
 use crate::version::{txn_word, unpack, HkVersion, WordView, END_INF};
@@ -7,8 +8,8 @@ use bohm_common::engine::{Engine, ExecOutcome};
 use bohm_common::{AbortReason, Access, RecordId, Txn};
 use bohm_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use bohm_sync::Mutex;
-use crossbeam_epoch as epoch;
 use crossbeam_utils::CachePadded;
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 /// Isolation level of a [`Hekaton`] instance.
@@ -49,25 +50,35 @@ const ACTIVE_SLOTS: usize = 512;
 /// each transaction attempt and `u64::MAX` while idle; the minimum over all
 /// slots is the GC **watermark** — no in-flight transaction can read below
 /// it, and future transactions draw strictly larger timestamps, so versions
-/// whose end timestamp is at or below it are unreachable garbage.
-struct SlotPool {
+/// whose end timestamp is at or below it are unreachable garbage. The same
+/// registry decides when what was unlinked may be reused
+/// (`crate::recycle`): a slot also protects every pointer its holder
+/// loaded while it held it.
+pub(crate) struct Registry {
     active: Box<[CachePadded<AtomicU64>]>,
     next: AtomicUsize,
     free: Mutex<Vec<usize>>,
+    /// What dropped workers left unrecycled. The next worker made adopts
+    /// it; `sweep_now` frees it once the watermark allows.
+    orphans: Mutex<Vec<Retired>>,
+    /// Free versions the workers share (`crate::recycle`).
+    spare: Arc<Spare>,
 }
 
-impl SlotPool {
-    fn new() -> Self {
+impl Registry {
+    pub(crate) fn new() -> Self {
         let mut active = Vec::with_capacity(ACTIVE_SLOTS);
         active.resize_with(ACTIVE_SLOTS, || CachePadded::new(AtomicU64::new(u64::MAX)));
         Self {
             active: active.into_boxed_slice(),
             next: AtomicUsize::new(0),
             free: Mutex::new(Vec::new()),
+            orphans: Mutex::new(Vec::new()),
+            spare: Arc::default(),
         }
     }
 
-    fn acquire(&self) -> usize {
+    pub(crate) fn acquire(&self) -> usize {
         if let Some(slot) = self.free.lock().pop() {
             return slot;
         }
@@ -81,19 +92,57 @@ impl SlotPool {
         slot
     }
 
+    /// Register `slot` before looking at anything shared: publish a lower
+    /// bound of the holder's begin timestamp, then draw one with `draw`.
+    ///
+    /// Ordering matters: a draw-then-publish window would let a pruner scan
+    /// the registry between the two, miss this holder, compute a watermark
+    /// above its timestamp, and unlink — or recycle — a version it still
+    /// needs. With the bound published first (all SeqCst), any scan that
+    /// misses it is ordered before the draw, and a draw after a retirement's
+    /// stamp synchronizes with it (`crate::recycle`).
+    pub(crate) fn enter(
+        &self,
+        slot: usize,
+        counter: &AtomicU64,
+        draw: impl FnOnce() -> u64,
+    ) -> u64 {
+        self.active[slot].store(counter.load(Ordering::SeqCst), Ordering::SeqCst);
+        let ts = draw();
+        self.active[slot].store(ts, Ordering::SeqCst);
+        ts
+    }
+
+    /// Clear `slot`: the holder reads nothing shared any more. Release: a
+    /// scan that loads the cleared slot synchronizes with every access the
+    /// holder made under it, which is what lets a recycler reuse them.
+    pub(crate) fn leave(&self, slot: usize) {
+        self.active[slot].store(u64::MAX, Ordering::Release);
+    }
+
     /// Minimum begin timestamp over all in-flight transactions, or
     /// `u64::MAX` when the engine is idle.
     ///
     /// SeqCst loads: the sweep-side safety argument
     /// (see [`sweep_watermark`]) places this scan in the single total
     /// order against workers' bound-publish stores and counter draws.
-    fn watermark(&self) -> u64 {
+    pub(crate) fn watermark(&self) -> u64 {
         let n = self.next.load(Ordering::SeqCst).min(ACTIVE_SLOTS);
         self.active[..n]
             .iter()
             .map(|s| s.load(Ordering::SeqCst))
             .min()
             .unwrap_or(u64::MAX)
+    }
+}
+
+impl Drop for Registry {
+    fn drop(&mut self) {
+        for r in self.orphans.get_mut().drain(..) {
+            // SAFETY: the registry drops with the engine and the last
+            // worker, so no reader is left.
+            unsafe { r.free() };
+        }
     }
 }
 
@@ -110,11 +159,13 @@ impl SlotPool {
 /// Clamping to a prior counter snapshot `c` restores the invariant: any
 /// transaction the registry scan missed draws `b ≥ c` (its SeqCst counter
 /// draw is ordered after our SeqCst snapshot, by the same total-order
-/// reasoning as the publish-before-draw rule in `execute`), so every
-/// version the sweep frees has `end ≤ c ≤ b` — already invisible to it.
-fn sweep_watermark(counter: &AtomicU64, slots: &SlotPool) -> u64 {
+/// reasoning as the publish-before-draw rule in [`Registry::enter`]), so
+/// every version the sweep unlinks has `end ≤ c ≤ b` — already invisible
+/// to it. The same value is the recycling watermark of `crate::recycle`:
+/// an entry stamped below it can no longer be reached.
+pub(crate) fn sweep_watermark(counter: &AtomicU64, registry: &Registry) -> u64 {
     let snapshot = counter.load(Ordering::SeqCst);
-    snapshot.min(slots.watermark())
+    snapshot.min(registry.watermark())
 }
 
 /// Per-worker reusable state.
@@ -124,20 +175,27 @@ pub struct HkWorker {
     scratch: bohm_common::ExecScratch,
     /// This worker's slot in the active-transaction registry.
     slot: usize,
-    slots: Arc<SlotPool>,
+    registry: Arc<Registry>,
     /// Xorshift state drawing the post-commit chain-pruning sample.
     prune_rng: u64,
+    /// Limbo and pools: what this worker pruned or finished with, on its
+    /// way back to its next writes and attempts.
+    recycler: Recycler,
 }
 
 impl Drop for HkWorker {
     fn drop(&mut self) {
-        self.slots.active[self.slot].store(u64::MAX, Ordering::Release);
-        self.slots.free.lock().push(self.slot);
+        self.registry.leave(self.slot);
+        // Readers may still stand on what is in limbo: the engine keeps it.
+        self.recycler.hand_over(&mut self.registry.orphans.lock());
+        self.registry.free.lock().push(self.slot);
     }
 }
 
-// SAFETY: raw version pointers are only dereferenced while the creating
-// attempt's epoch pin is held (the pruner defers frees past live pins).
+// SAFETY: the raw pointers in `reads`/`writes` are dereferenced only while
+// the worker holds its registry slot in `execute`, which keeps what they
+// name from being reused; pooled and limbo objects are exclusively the
+// worker's (`crate::recycle`).
 unsafe impl Send for HkWorker {}
 
 /// Hekaton-style MVCC engine (optimistic, with a global timestamp counter
@@ -146,10 +204,11 @@ pub struct Hekaton {
     store: HekatonStore,
     /// **The** global counter (paper §2.1/§4.2.2). Deliberately a single
     /// contended cache line — that contention is a measured phenomenon.
-    counter: CachePadded<AtomicU64>,
+    pub(crate) counter: CachePadded<AtomicU64>,
     isolation: IsolationLevel,
-    /// Active-transaction registry driving the chain pruner's watermark.
-    slots: Arc<SlotPool>,
+    /// Active-transaction registry driving the chain pruner's watermark
+    /// and the workers' recycling.
+    pub(crate) registry: Arc<Registry>,
     /// Versions retired by the pruner (diagnostics). Padded: committers
     /// bump it, and it must not share a line with the read-mostly fields
     /// every access loads.
@@ -162,7 +221,7 @@ impl Hekaton {
             store,
             counter: CachePadded::new(AtomicU64::new(1)), // ts 0 = preload
             isolation,
-            slots: Arc::new(SlotPool::new()),
+            registry: Arc::new(Registry::new()),
             pruned: CachePadded::new(AtomicU64::new(0)),
         }
     }
@@ -170,21 +229,35 @@ impl Hekaton {
     /// Run one full synchronous sweep over every slot of every table with
     /// the current watermark: the only pass that reaches a key no later
     /// transaction touches (see the crate docs). Used by tests and
-    /// quiescent maintenance windows. Returns the number of versions
-    /// retired.
+    /// maintenance windows; it may run beside workers. It holds no registry
+    /// slot: its walks run under each record's prune lock, which no other
+    /// pruner can unlink under, and it dereferences no transaction. What it
+    /// unlinks — and what dropped workers left — is freed here once the
+    /// watermark passes its stamp, else kept for a later sweep or worker.
+    /// Returns the number of versions retired.
     pub fn sweep_now(&self) -> usize {
-        let watermark = sweep_watermark(&self.counter, &self.slots);
-        let guard = epoch::pin();
+        let watermark = sweep_watermark(&self.counter, &self.registry);
+        let mut retired = std::mem::take(&mut *self.registry.orphans.lock());
         let mut freed = 0;
         for table in 0..self.store.table_count() {
             for row in 0..self.store.rows(table as u32) {
                 let rid = RecordId::new(table as u32, row as u64);
-                freed += self.store.prune(rid, watermark, &guard);
+                freed += self.store.prune(rid, watermark, &mut retired);
             }
         }
         if freed > 0 {
             // RELAXED: monotonic statistics counter.
             self.pruned.fetch_add(freed as u64, Ordering::Relaxed);
+        }
+        // The stamp: a draw after every unlink above (`crate::recycle`).
+        let stamp = self.counter.fetch_add(1, Ordering::SeqCst);
+        if sweep_watermark(&self.counter, &self.registry) > stamp {
+            for r in retired {
+                // SAFETY: the watermark passed the stamp: unreachable.
+                unsafe { r.free() };
+            }
+        } else {
+            self.registry.orphans.lock().append(&mut retired);
         }
         freed
     }
@@ -220,7 +293,7 @@ impl Hekaton {
     /// `Err(())` means the resolution consumed state of an aborted
     /// transaction and the caller
     /// must concurrency-abort. `Ok(None)` means no visible version.
-    fn resolve(
+    pub(crate) fn resolve(
         &self,
         rid: RecordId,
         ts: u64,
@@ -239,8 +312,8 @@ impl Hekaton {
         for _ in 0..64 {
             let mut cur = self.store.head(rid).load(Ordering::Acquire);
             while !cur.is_null() {
-                // SAFETY: every caller holds an epoch pin; the pruner
-                // defers version destruction past in-flight pins.
+                // SAFETY: every caller holds a registry slot, so nothing
+                // it reaches is reused under it (`crate::recycle`).
                 let v = unsafe { &*cur };
                 if self.begin_visible(v, ts, me)? && self.end_visible(v, ts, me)? {
                     return Ok(Some(cur));
@@ -269,7 +342,7 @@ impl Hekaton {
     fn stably_absent(&self, rid: RecordId, ts: u64) -> bool {
         let mut cur = self.store.head(rid).load(Ordering::Acquire);
         while !cur.is_null() {
-            // SAFETY: callers hold an epoch pin (see `resolve`).
+            // SAFETY: callers hold a registry slot (see `resolve`).
             let v = unsafe { &*cur };
             match unpack(v.begin.load(Ordering::Acquire)) {
                 WordView::Ts(crate::version::ABORTED_SENTINEL) => {}
@@ -310,8 +383,9 @@ impl Hekaton {
                         return Ok(true); // own write
                     }
                 }
-                // SAFETY: txn objects are epoch-protected while referenced
-                // from version words; callers hold a pinned guard.
+                // SAFETY: a transaction object is reused only after every
+                // holder of a registry slot that could have loaded a marker
+                // naming it has left; callers hold one.
                 let producer = unsafe { &*p };
                 match self.settled_state(producer) {
                     state::ACTIVE => Ok(false),
@@ -400,6 +474,7 @@ impl Hekaton {
         me: &HkTxn,
         reads: &mut Vec<ReadRec>,
         w: &mut Vec<WriteRec>,
+        recycler: &mut Recycler,
     ) -> Result<(), ()> {
         let old = if let Some(prev) = w.iter().rev().find(|r| r.rid == rid) {
             prev.new
@@ -410,10 +485,10 @@ impl Hekaton {
                 .unwrap_or(std::ptr::null())
         };
         // SAFETY: non-null resolve results and our own versions stay live
-        // under the caller's epoch pin.
+        // while the caller holds its registry slot.
         let old_ref = unsafe { old.as_ref() };
         if let (Some(data), None) = (data, old_ref) {
-            return self.install_insert(rid, data, me, w);
+            return self.install_insert(rid, data, me, w, recycler);
         }
         let Some(old_ref) = old_ref.filter(|v| data.is_some() || !v.is_tombstone()) else {
             reads.push(ReadRec { rid, version: old }); // delete of an absent record
@@ -426,10 +501,9 @@ impl Hekaton {
         {
             return Err(()); // write-write conflict: first writer wins
         }
-        let nv = Box::into_raw(Box::new(match data {
-            Some(data) => HkVersion::uncommitted(me, data.into()),
-            None => HkVersion::uncommitted_tombstone(me),
-        }));
+        let nv = recycler
+            .version(txn_word(me), data.unwrap_or_default())
+            .as_ptr();
         self.store.push(rid, nv);
         w.push(WriteRec { rid, old, new: nv });
         Ok(())
@@ -449,31 +523,31 @@ impl Hekaton {
         data: &[u8],
         me: &HkTxn,
         w: &mut Vec<WriteRec>,
+        recycler: &mut Recycler,
     ) -> Result<(), ()> {
         let head = self.store.head(rid).load(Ordering::Acquire);
         // The whole chain must be aborted-insert garbage (or empty): a live
         // version anywhere means the key is not insertable at this point.
         let mut cur = head;
         while !cur.is_null() {
-            // SAFETY: caller holds an epoch pin (see `resolve`).
+            // SAFETY: caller holds a registry slot (see `resolve`).
             let v = unsafe { &*cur };
             if !v.is_aborted_garbage() {
                 return Err(());
             }
             cur = v.prev.load(Ordering::Acquire);
         }
-        let nv = Box::into_raw(Box::new(HkVersion::uncommitted(me, data.into())));
-        if self.store.try_push(rid, head, nv) {
+        let nv = recycler.version(txn_word(me), data);
+        if self.store.try_push(rid, head, nv.as_ptr()) {
             w.push(WriteRec {
                 rid,
                 old: std::ptr::null(),
-                new: nv,
+                new: nv.as_ptr(),
             });
             Ok(())
         } else {
             // Lost the insert race; nv was never published.
-            // SAFETY: exclusively ours, unreachable from the store.
-            drop(unsafe { Box::from_raw(nv) });
+            recycler.unused(nv);
             Err(())
         }
     }
@@ -483,26 +557,30 @@ impl Hekaton {
     /// commit counter: a deterministic period can resonate with a periodic
     /// workload's record-to-commit pattern and starve some records of
     /// probes entirely (the same hazard BOHM's CC probe counter documents).
-    fn maybe_prune(&self, w: &mut HkWorker, guard: &epoch::Guard) {
+    ///
+    /// The same registry scan first returns this worker's limbo entries to
+    /// its pools. It is a sweep watermark in the sense of
+    /// [`sweep_watermark`]: the worker's own begin timestamp, drawn before
+    /// the scan, is in the registry and caps the minimum.
+    fn maybe_prune(&self, w: &mut HkWorker) {
         w.prune_rng ^= w.prune_rng << 13;
         w.prune_rng ^= w.prune_rng >> 7;
         w.prune_rng ^= w.prune_rng << 17;
         if w.prune_rng & 0x3 != 0 {
             return;
         }
-        let watermark = self.slots.watermark();
-        if watermark == u64::MAX {
-            return; // nothing registered (diagnostic-only contexts)
-        }
+        let watermark = self.registry.watermark();
+        w.recycler.drain(watermark);
+        let retired = &mut w.recycler.pending;
         let mut freed = 0usize;
         for wr in &w.writes {
-            freed += self.store.prune(wr.rid, watermark, guard);
+            freed += self.store.prune(wr.rid, watermark, retired);
         }
         // Reads too: a key that is never written again (e.g. deleted and
         // retired from the hot set) would otherwise keep its dead suffix
         // forever; this way any later probe of it reclaims the chain.
         for r in &w.reads {
-            freed += self.store.prune(r.rid, watermark, guard);
+            freed += self.store.prune(r.rid, watermark, retired);
         }
         if freed > 0 {
             // RELAXED: monotonic statistics counter.
@@ -588,6 +666,7 @@ struct HkAccess<'a> {
     me: &'a HkTxn,
     reads: &'a mut Vec<ReadRec>,
     writes: &'a mut Vec<WriteRec>,
+    recycler: &'a mut Recycler,
 }
 
 impl<'a> HkAccess<'a> {
@@ -603,8 +682,8 @@ impl<'a> HkAccess<'a> {
             .map_err(|()| AbortReason::Conflict)?;
         let version = v.unwrap_or(std::ptr::null());
         self.reads.push(ReadRec { rid, version });
-        // SAFETY: alive under the attempt's epoch pin, which outlives this
-        // access; payloads are immutable once published.
+        // SAFETY: not reused while the attempt holds its registry slot,
+        // which outlives this access; payloads are immutable once published.
         let v = unsafe { version.as_ref() };
         Ok(v.filter(|v| !v.is_tombstone()).map(HkVersion::data))
     }
@@ -618,14 +697,21 @@ impl Access for HkAccess<'_> {
     fn write(&mut self, idx: usize, data: &[u8]) -> Result<(), AbortReason> {
         let rid = self.txn.writes[idx];
         self.eng
-            .install(rid, Some(data), self.me, self.reads, self.writes)
+            .install(
+                rid,
+                Some(data),
+                self.me,
+                self.reads,
+                self.writes,
+                self.recycler,
+            )
             .map_err(|()| AbortReason::Conflict)
     }
 
     fn delete(&mut self, idx: usize) -> Result<(), AbortReason> {
         let rid = self.txn.writes[idx];
         self.eng
-            .install(rid, None, self.me, self.reads, self.writes)
+            .install(rid, None, self.me, self.reads, self.writes, self.recycler)
             .map_err(|()| AbortReason::Conflict)
     }
 
@@ -646,8 +732,9 @@ impl Access for HkAccess<'_> {
     ///
     /// # Safety
     ///
-    /// None beyond the trait's contract: versions are read under the
-    /// attempt's epoch pin. A row beyond the table's capacity panics.
+    /// None beyond the trait's contract: versions are read while the
+    /// attempt holds its registry slot. A row beyond the table's capacity
+    /// panics.
     unsafe fn read_covered(
         &mut self,
         rid: RecordId,
@@ -689,58 +776,43 @@ impl Engine for Hekaton {
     }
 
     fn make_worker(&self) -> HkWorker {
+        let mut recycler = Recycler::new(Arc::clone(&self.registry.spare));
+        // Adopt what dropped workers left: it is stamped again at this
+        // worker's first draw, which only delays it.
+        recycler.pending.append(&mut self.registry.orphans.lock());
         HkWorker {
             reads: Vec::with_capacity(32),
             writes: Vec::with_capacity(16),
             scratch: bohm_common::ExecScratch::new(),
-            slot: self.slots.acquire(),
-            slots: Arc::clone(&self.slots),
+            slot: self.registry.acquire(),
+            registry: Arc::clone(&self.registry),
             // RELAXED: any racy snapshot works — it only seeds the
             // worker's prune-sampling RNG.
-            prune_rng: 0x9E37_79B9_7F4A_7C15 ^ (self.slots.next.load(Ordering::Relaxed) as u64),
+            prune_rng: 0x9E37_79B9_7F4A_7C15 ^ (self.registry.next.load(Ordering::Relaxed) as u64),
+            recycler,
         }
     }
 
     fn execute(&self, txn: &Txn, w: &mut HkWorker) -> ExecOutcome {
         let mut attempts = 0u64;
         loop {
-            w.reads.clear();
-            w.writes.clear();
-            let guard = epoch::pin();
-            // Publish a *lower bound* in the active registry BEFORE drawing
-            // the begin timestamp, then refine it. Ordering matters: a
-            // draw-then-publish window would let a pruner scan the registry
-            // between the two, miss this transaction, compute a watermark
-            // above our timestamp, and free a version we still need. With
-            // the bound published first (all SeqCst), any scan that misses
-            // it is ordered before our draw — and then every end timestamp
-            // the pruner can observe is below ours, so nothing it frees is
-            // visible to us.
-            self.slots.active[w.slot].store(self.counter.load(Ordering::SeqCst), Ordering::SeqCst);
-            let begin_ts = self.counter.fetch_add(1, Ordering::SeqCst);
-            self.slots.active[w.slot].store(begin_ts, Ordering::SeqCst);
-            let me_ptr = Box::into_raw(Box::new(HkTxn::new(begin_ts)));
-            // SAFETY: freed via epoch deferral below.
-            let me = unsafe { &*me_ptr };
+            let me_ptr = self.begin(w);
+            // SAFETY: exclusively this attempt's until `end` retires it.
+            let me = unsafe { me_ptr.as_ref() };
 
             txn.think();
-            let mut scratch = std::mem::take(&mut w.scratch);
-            let mut reads = std::mem::take(&mut w.reads);
-            let mut writes = std::mem::take(&mut w.writes);
             let result = bohm_common::execute_procedure(
                 txn,
                 &mut HkAccess {
                     eng: self,
                     txn,
                     me,
-                    reads: &mut reads,
-                    writes: &mut writes,
+                    reads: &mut w.reads,
+                    writes: &mut w.writes,
+                    recycler: &mut w.recycler,
                 },
-                &mut scratch,
+                &mut w.scratch,
             );
-            w.scratch = scratch;
-            w.reads = reads;
-            w.writes = writes;
 
             let decision = match result {
                 Ok(fp) => {
@@ -748,7 +820,7 @@ impl Engine for Hekaton {
                         // Reclaim dead versions behind this commit's writes
                         // (sampled; the registry still holds our begin_ts,
                         // bounding the watermark from above).
-                        self.maybe_prune(w, &guard);
+                        self.maybe_prune(w);
                         Some(ExecOutcome {
                             committed: true,
                             fingerprint: fp,
@@ -773,11 +845,7 @@ impl Engine for Hekaton {
                 Err(e) => unreachable!("{e:?}"),
             };
 
-            // SAFETY: all version words referencing `me` were replaced by
-            // post-processing; in-flight readers hold epoch guards.
-            unsafe { guard.defer_unchecked(move || drop(Box::from_raw(me_ptr))) };
-            self.slots.active[w.slot].store(u64::MAX, Ordering::Release);
-            drop(guard);
+            self.end(w, me_ptr);
 
             match decision {
                 Some(out) => return out,
@@ -793,10 +861,10 @@ impl Engine for Hekaton {
         if (rid.row as usize) >= self.store.rows(rid.table.0) {
             return None;
         }
-        let _guard = epoch::pin();
+        let _slot = self.reader_slot();
         match self.resolve(rid, END_INF, None) {
             Ok(Some(v)) => {
-                // SAFETY: alive under the pin (pruner defers frees).
+                // SAFETY: not reused while we hold the registry slot.
                 let vr = unsafe { &*v };
                 if vr.is_tombstone() {
                     return None; // committed absence
@@ -811,18 +879,68 @@ impl Engine for Hekaton {
         // Quiescent by the trait contract, so resolving each row at the
         // infinite horizon yields exactly the committed state (the same
         // walk `read_record` does, over the whole dense keyspace).
-        let _guard = epoch::pin();
+        let _slot = self.reader_slot();
         for table in 0..self.store.table_count() as u32 {
             for row in 0..self.store.rows(table) as u64 {
                 let rid = RecordId::new(table, row);
                 if let Ok(Some(v)) = self.resolve(rid, END_INF, None) {
-                    // SAFETY: alive under the pin (pruner defers frees).
+                    // SAFETY: not reused while we hold the registry slot.
                     let vr = unsafe { &*v };
                     if !vr.is_tombstone() {
                         f(rid, vr.data());
                     }
                 }
             }
+        }
+    }
+}
+
+/// A registry slot held by a reader outside any transaction
+/// ([`Hekaton::reader_slot`]); dropping it leaves the registry.
+struct ReaderSlot<'a> {
+    registry: &'a Registry,
+    slot: usize,
+}
+
+impl Drop for ReaderSlot<'_> {
+    fn drop(&mut self) {
+        self.registry.leave(self.slot);
+        self.registry.free.lock().push(self.slot);
+    }
+}
+
+impl Hekaton {
+    /// Start an attempt on `w`: register, draw the begin timestamp, stamp
+    /// what was retired before the draw, and take a transaction object.
+    fn begin(&self, w: &mut HkWorker) -> NonNull<HkTxn> {
+        w.reads.clear();
+        w.writes.clear();
+        let begin_ts = self.registry.enter(w.slot, &self.counter, || {
+            self.counter.fetch_add(1, Ordering::SeqCst)
+        });
+        w.recycler.stamp(begin_ts);
+        w.recycler.txn(begin_ts)
+    }
+
+    /// End the attempt `me` of `w`, committed or aborted: post-processing
+    /// or the abort replaced every marker naming `me`, and readers that
+    /// loaded one before still hold registry slots, so it is retired, not
+    /// reused; then leave the registry.
+    fn end(&self, w: &mut HkWorker, me: NonNull<HkTxn>) {
+        w.recycler.pending.push(Retired::Txn(me));
+        self.registry.leave(w.slot);
+    }
+
+    /// Hold a registry slot for a diagnostic read, so nothing the walk
+    /// reaches is reused under it. Its "draw" is a load: it only has to
+    /// follow the published bound (`crate::recycle`).
+    fn reader_slot(&self) -> ReaderSlot<'_> {
+        let slot = self.registry.acquire();
+        self.registry
+            .enter(slot, &self.counter, || self.counter.load(Ordering::SeqCst));
+        ReaderSlot {
+            registry: &self.registry,
+            slot,
         }
     }
 }
@@ -842,6 +960,53 @@ mod tests {
     fn rmw(k: u64, delta: u64) -> Txn {
         let rid = RecordId::new(0, k);
         Txn::new(vec![rid], vec![rid], Procedure::ReadModifyWrite { delta })
+    }
+
+    /// The schedule `concurrent_hot_key_increments_are_exact` relies on,
+    /// made by hand: A begins and reads the hot key, B commits an RMW of
+    /// it, and only then does A write — first-writer-wins must refuse A,
+    /// and A's retry must count B's increment.
+    #[test]
+    fn a_commit_between_read_and_write_forces_an_exact_retry() {
+        for iso in [
+            IsolationLevel::Serializable,
+            IsolationLevel::SnapshotIsolation,
+        ] {
+            let e = Hekaton::new(store(2), iso);
+            let hot = RecordId::new(0, 1);
+            let t = rmw(1, 1);
+            let (mut a, mut b) = (e.make_worker(), e.make_worker());
+            let me_ptr = e.begin(&mut a);
+            // SAFETY: A's attempt owns it until `end` below.
+            let me = unsafe { me_ptr.as_ref() };
+            let mut access = HkAccess {
+                eng: &e,
+                txn: &t,
+                me,
+                reads: &mut a.reads,
+                writes: &mut a.writes,
+                recycler: &mut a.recycler,
+            };
+            let mut seen = 0;
+            assert!(access
+                .read_maybe(0, |v| seen = bohm_common::value::get_u64(v, 0))
+                .unwrap());
+            assert_eq!(seen, 1, "seed of row 1");
+            assert!(e.execute(&t, &mut b).committed);
+            let write = access.write(0, &bohm_common::value::of_u64(seen + 1, 8));
+            assert_eq!(write, Err(AbortReason::Conflict), "{iso:?}: A overwrote B");
+            e.abort_txn(me, &mut a);
+            e.end(&mut a, me_ptr);
+            assert_eq!(e.read_u64(hot), Some(2), "{iso:?}: B's increment alone");
+            let retry = e.execute(&t, &mut a);
+            assert!(retry.committed);
+            assert_eq!(retry.cc_retries, 0);
+            assert_eq!(
+                e.read_u64(hot),
+                Some(3),
+                "{iso:?}: seed 1, plus B's 1, plus A's 1"
+            );
+        }
     }
 
     #[test]
@@ -1149,8 +1314,13 @@ mod tests {
                 handles.push(std::thread::spawn(move || {
                     let mut w = e.make_worker();
                     let mut retries = 0;
+                    // A think time between the begin draw and the read: a
+                    // commit by any other thread meanwhile must cost this
+                    // attempt a ww-conflict, however short the rest is.
+                    let mut t = rmw(1, 1);
+                    t.think_us = 10;
                     for _ in 0..2_000 {
-                        let out = e.execute(&rmw(1, 1), &mut w);
+                        let out = e.execute(&t, &mut w);
                         assert!(out.committed);
                         retries += out.cc_retries;
                     }
@@ -1223,10 +1393,6 @@ mod tests {
             let t = mk(y);
             std::thread::spawn(move || {
                 let mut w = e.make_worker();
-                // Warm up this thread's epoch participant before the
-                // barrier: first-pin registration takes a global lock,
-                // which would otherwise serialize the intended race.
-                drop(epoch::pin());
                 b.wait();
                 e.execute(&t, &mut w)
             })
@@ -1237,10 +1403,6 @@ mod tests {
             let t = mk(x);
             std::thread::spawn(move || {
                 let mut w = e.make_worker();
-                // Warm up this thread's epoch participant before the
-                // barrier: first-pin registration takes a global lock,
-                // which would otherwise serialize the intended race.
-                drop(epoch::pin());
                 b.wait();
                 e.execute(&t, &mut w)
             })

@@ -30,11 +30,14 @@
 //!   last sampled prune until a later transaction probes it or
 //!   `sweep_now` runs.
 //!
-//! Transaction objects referenced from version words are reclaimed through
-//! `crossbeam-epoch` once post-processing has replaced the markers with
-//! real timestamps.
+//! What a prune unlinks, and each transaction object once post-processing
+//! has replaced the markers naming it, is not freed: the worker keeps it in
+//! limbo, stamped with its next counter draw, and reuses it once the
+//! registry's watermark has passed the stamp (`recycle`). In steady state a
+//! transaction allocates nothing.
 
 pub mod engine;
+mod recycle;
 pub mod store;
 pub mod txn;
 pub mod version;

@@ -8,15 +8,17 @@
 //! primitive: the engine calls it on a sampled commit's read and write
 //! sets, and over every slot in `Hekaton::sweep_now`. Nothing else prunes,
 //! so an untouched key keeps the versions written after its last sampled
-//! prune.
+//! prune. What a prune unlinks is not freed but retired to the caller,
+//! which reuses it once no reader can still stand on it (`crate::recycle`).
 
 // HOT-PATH: push/prune/scan run per write and per GC pass; no clocks,
 // no syscalls, no I/O (enforced by the lint).
 
+use crate::recycle::Retired;
 use crate::version::{unpack, HkVersion, WordView, ABORTED_SENTINEL, END_INF};
 use bohm_common::RecordId;
 use bohm_sync::atomic::{AtomicPtr, AtomicU8, Ordering};
-use crossbeam_epoch as epoch;
+use std::ptr::NonNull;
 
 /// One record's slot: chain head and pruner try-lock together, padded to a
 /// cache line. Any worker may CAS any head, so without the padding adjacent
@@ -42,12 +44,14 @@ pub struct HekatonStore {
 }
 
 impl HekatonStore {
-    /// Create empty tables; `specs[t] = (rows, record_size)`.
+    /// Create empty tables; `specs[t] = (rows, record_size)`. Record sizes
+    /// are positive: an empty payload marks a tombstone.
     pub fn new(specs: &[(u64, usize)]) -> Self {
         Self {
             tables: specs
                 .iter()
                 .map(|&(rows, record_size)| {
+                    assert!(record_size > 0, "records must have a payload");
                     let mut slots = Vec::with_capacity(rows as usize);
                     slots.resize_with(rows as usize, || Slot {
                         head: AtomicPtr::new(std::ptr::null_mut()),
@@ -148,17 +152,17 @@ impl HekatonStore {
             .is_ok()
     }
 
-    /// Number of versions in a record's chain (diagnostics; racy).
+    /// Number of versions in a record's chain (diagnostics). The walk holds
+    /// no registry slot, so it relies on quiescence: call it while no
+    /// worker recycles what it prunes — between transactions, or beside a
+    /// pruner that keeps what it unlinks, as the model harnesses do.
     pub fn chain_depth(&self, rid: RecordId) -> usize {
-        // The epoch pin keeps any version the walk can reach alive: the
-        // pruner defers physical destruction past in-flight pins.
-        let _g = epoch::pin();
         let mut n = 0;
         let mut cur = self.head(rid).load(Ordering::Acquire);
         while !cur.is_null() {
             n += 1;
-            // SAFETY: non-null chain pointers loaded under the epoch pin
-            // above stay live — pruners defer frees past in-flight pins.
+            // SAFETY: nothing reachable is reused under a quiescent walk
+            // (see above); versions are freed only when the store drops.
             cur = unsafe { &*cur }.prev.load(Ordering::Acquire);
         }
         n
@@ -187,10 +191,13 @@ impl HekatonStore {
     /// fully-deleted, never-reinserted key retained one version forever.
     ///
     /// Runs under the record's prune try-lock; contenders return 0
-    /// immediately. Physical destruction is deferred through `guard`'s
-    /// epoch, so concurrent readers mid-walk stay safe. Returns the number
-    /// of versions retired.
-    pub(crate) fn prune(&self, rid: RecordId, watermark: u64, guard: &epoch::Guard) -> usize {
+    /// immediately. Under the lock the chain's structure is single-writer,
+    /// so the walk needs no other protection. Unlinked versions are pushed
+    /// onto `retired`, not freed: readers that reached them before the
+    /// unlink may still be walking them, so the caller keeps them until the
+    /// recycling grace period has passed (`crate::recycle`). Returns the
+    /// number of versions retired.
+    pub(crate) fn prune(&self, rid: RecordId, watermark: u64, retired: &mut Vec<Retired>) -> usize {
         let t = &self.tables[rid.table.index()];
         let slot = &t.slots[rid.row as usize];
         let lock = &slot.prune_lock;
@@ -205,8 +212,8 @@ impl HekatonStore {
         let mut freed = 0;
         let head = slot.head.load(Ordering::Acquire);
         if !head.is_null() {
-            // SAFETY: only pruners free versions, and we hold this record's
-            // prune lock; the head itself is never freed.
+            // SAFETY: only pruners unlink versions, and we hold this
+            // record's prune lock; the head itself is never unlinked here.
             let mut pred = unsafe { &*head };
             loop {
                 let cur = pred.prev.load(Ordering::Acquire);
@@ -217,11 +224,10 @@ impl HekatonStore {
                 let v = unsafe { &*cur };
                 if v.is_aborted_garbage() {
                     // Unlink the single aborted version (readers skip it
-                    // anyway; the epoch defers its destruction past them).
+                    // anyway, but one may be standing on it).
                     let next = v.prev.load(Ordering::Acquire);
                     pred.prev.store(next, Ordering::Release);
-                    // SAFETY: unlinked under the prune lock; Box-allocated.
-                    unsafe { guard.defer_unchecked(move || drop(Box::from_raw(cur))) };
+                    retired.push(Retired::Version(NonNull::from(v)));
                     freed += 1;
                     continue; // same pred, new successor
                 }
@@ -232,15 +238,12 @@ impl HekatonStore {
                         // smaller end, or aborted garbage).
                         pred.prev.store(std::ptr::null_mut(), Ordering::Release);
                         let mut dead = cur;
-                        while !dead.is_null() {
-                            // SAFETY: the suffix is unreachable from the
-                            // head; destruction deferred past live pins.
-                            let older = unsafe { &*dead }.prev.load(Ordering::Acquire);
-                            let p = dead;
-                            // SAFETY: as above — unreachable suffix node.
-                            unsafe { guard.defer_unchecked(move || drop(Box::from_raw(p))) };
+                        while let Some(d) = NonNull::new(dead) {
+                            // SAFETY: the suffix is unreachable from the head
+                            // now, and retired, not freed.
+                            dead = unsafe { d.as_ref() }.prev.load(Ordering::Acquire);
+                            retired.push(Retired::Version(d));
                             freed += 1;
-                            dead = older;
                         }
                         break;
                     }
@@ -258,7 +261,7 @@ impl HekatonStore {
         // tombstone first (a re-insert): leave everything to them.
         let head = slot.head.load(Ordering::Acquire);
         if !head.is_null() {
-            // SAFETY: reachable under the prune lock; epoch-deferred frees.
+            // SAFETY: reachable under the prune lock.
             let h = unsafe { &*head };
             if h.is_tombstone() && h.prev.load(Ordering::Acquire).is_null() {
                 if let WordView::Ts(b) = unpack(h.begin.load(Ordering::Acquire)) {
@@ -281,8 +284,7 @@ impl HekatonStore {
                             )
                             .is_ok()
                     {
-                        // SAFETY: unlinked; destruction deferred past pins.
-                        unsafe { guard.defer_unchecked(move || drop(Box::from_raw(head))) };
+                        retired.push(Retired::Version(NonNull::from(h)));
                         freed += 1;
                     }
                 }
@@ -364,13 +366,18 @@ mod tests {
 /// seeds reach. The invariants the models assert are the ones the stress
 /// tests can only sample: a scanner never observes a depth outside the
 /// set of chain shapes the protocol can produce, the seeded committed
-/// version is never reclaimed, and the prune try-lock plus epoch deferral
-/// never let a reader walk freed memory (the race detector and address
-/// sanitizer of the model runtime would flag it).
+/// version is never reclaimed, and the prune try-lock plus the recycling
+/// rule never let a reader walk a version reused under it (the race
+/// detector of the model runtime would flag the reuse's payload write).
 #[cfg(all(test, bohm_modelcheck))]
 mod modelcheck {
     use super::*;
+    use crate::engine::{sweep_watermark, Hekaton};
+    use crate::recycle::Recycler;
+    use crate::txn::HkTxn;
+    use crate::version::txn_word;
     use bohm_sync::model;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
 
     /// One record seeded with a committed version; a writer stacks an
@@ -384,14 +391,14 @@ mod modelcheck {
         let writer = {
             let s = Arc::clone(&s);
             bohm_sync::thread::spawn(move || {
-                let t = crate::txn::HkTxn::new(5);
+                let t = HkTxn::new(5);
                 let aborted = Box::into_raw(Box::new(HkVersion::uncommitted(
                     &t,
                     bohm_common::value::of_u64(2, 8),
                 )));
                 s.push(rid, aborted);
                 // SAFETY: published above; the store now owns the
-                // allocation and frees it via prune's epoch deferral.
+                // allocation, and the pruner only retires it.
                 unsafe { &*aborted }.mark_aborted();
                 // A committed successor on top, leaving the aborted
                 // version as a mid-chain node prune must unlink.
@@ -405,8 +412,11 @@ mod modelcheck {
         let pruner = {
             let s = Arc::clone(&s);
             bohm_sync::thread::spawn(move || {
-                let g = epoch::pin();
-                s.prune(rid, 0, &g);
+                // Kept, not reused, until the threads are joined: the
+                // scanner walks without a registry slot.
+                let mut retired = Vec::new();
+                s.prune(rid, 0, &mut retired);
+                retired
             })
         };
         let scanner = {
@@ -418,14 +428,17 @@ mod modelcheck {
             })
         };
         writer.join().unwrap();
-        pruner.join().unwrap();
+        let mut retired = pruner.join().unwrap();
         scanner.join().unwrap();
         // Quiescent cleanup: whatever the racing pruner managed, one more
         // pass must leave exactly [committed(7), seed] — the aborted node
         // gone, the live seed untouched.
-        let g = epoch::pin();
-        s.prune(rid, 0, &g);
-        drop(g);
+        s.prune(rid, 0, &mut retired);
+        assert_eq!(retired.len(), 1, "exactly the aborted version is retired");
+        for r in retired {
+            // SAFETY: every model thread is joined; nothing can reach it.
+            unsafe { r.free() };
+        }
         assert_eq!(s.chain_depth(rid), 2);
         let head = s.head(rid).load(Ordering::Acquire);
         // SAFETY: all model threads joined; no concurrent reclamation.
@@ -439,5 +452,114 @@ mod modelcheck {
     #[test]
     fn push_prune_scan_explored() {
         model::explore(model::Options::default(), push_prune_scan_model);
+    }
+
+    /// Record 0 holds only a committed tombstone (a deleted key); record 1
+    /// holds the value 11. A registered reader resolves record 0 — absent
+    /// at every timestamp — while a pruner seals the tombstone and unlinks
+    /// it, stamps it with a draw, waits until a sweep watermark is strictly
+    /// above the stamp, and re-installs the recycled version over record 1
+    /// as an uncommitted tombstone (for a transaction that stays active).
+    /// A reader that reached the tombstone before the unlink keeps the
+    /// watermark at or below the stamp until it leaves, so it never sees
+    /// the version's next life.
+    ///
+    /// `by_end_timestamp = true` recycles on the rule that looks right and
+    /// is not: the sealed tombstone's end (its begin, 0) is at or below the
+    /// watermark at once. A reader still standing on it then reads the
+    /// reused payload cell under the recycler's write, or follows the
+    /// reused version's `prev` into record 1 and returns 11 for a deleted
+    /// key.
+    fn reader_vs_recycled_tombstone(by_end_timestamp: bool) {
+        let s = HekatonStore::new(&[(2, 8)]);
+        s.seed_rows_u64(0, 2, |_| 11);
+        let (r0, r1) = (RecordId::new(0, 0), RecordId::new(0, 1));
+        // Replace record 0's seeded version by a tombstone (setup, single
+        // threaded: the seeded version is simply freed).
+        let seeded = s.head(r0).swap(std::ptr::null_mut(), Ordering::Relaxed);
+        // SAFETY: unpublished setup; nothing else has seen the store.
+        drop(unsafe { Box::from_raw(seeded) });
+        let tomb = Box::into_raw(Box::new(HkVersion::committed(0, Box::new([]))));
+        s.push(r0, tomb);
+        let tomb = tomb as usize;
+        let e = Arc::new(Hekaton::serializable(s));
+        // The re-installing transaction: never resolves, so its version
+        // stays invisible and readers walk past it.
+        let creator = Arc::new(HkTxn::new(u64::MAX - 2));
+        let reader = {
+            let e = Arc::clone(&e);
+            bohm_sync::thread::spawn(move || {
+                let slot = e.registry.acquire();
+                let ts = e.registry.enter(slot, &e.counter, || {
+                    e.counter.fetch_add(1, Ordering::SeqCst)
+                });
+                if let Ok(Some(v)) = e.resolve(r0, ts, None) {
+                    // SAFETY: we hold a registry slot.
+                    let v = unsafe { &*v };
+                    assert!(v.is_tombstone(), "a deleted record read as {:?}", v.data());
+                }
+                e.registry.leave(slot);
+            })
+        };
+        let recycler = {
+            let e = Arc::clone(&e);
+            let creator = Arc::clone(&creator);
+            bohm_sync::thread::spawn(move || {
+                let mut rec = Recycler::new(Default::default());
+                let watermark = sweep_watermark(&e.counter, &e.registry);
+                assert_eq!(e.store().prune(r0, watermark, &mut rec.pending), 1);
+                let stamp = e.counter.fetch_add(1, Ordering::SeqCst);
+                rec.stamp(stamp);
+                if by_end_timestamp {
+                    rec.drain(u64::MAX);
+                } else {
+                    while rec.drain(sweep_watermark(&e.counter, &e.registry)) == 0 {
+                        bohm_sync::thread::yield_now();
+                    }
+                }
+                let v = rec.version(txn_word(&*creator), &[]);
+                assert_eq!(
+                    v.as_ptr() as usize,
+                    tomb,
+                    "the pool hands back the tombstone"
+                );
+                e.store().push(r1, v.as_ptr());
+            })
+        };
+        reader.join().unwrap();
+        recycler.join().unwrap();
+        // Quiescent: record 0 is gone, record 1 is [tombstone, 11].
+        assert!(e.store().head(r0).load(Ordering::Acquire).is_null());
+        assert_eq!(e.store().chain_depth(r1), 2);
+    }
+
+    #[test]
+    fn reader_vs_recycled_tombstone_explored() {
+        model::explore(model::Options::default(), || {
+            reader_vs_recycled_tombstone(false)
+        });
+    }
+
+    /// The broken twin: recycling by end timestamp must fail within a
+    /// bounded seed scan, and the failing seed must fail again on replay.
+    #[test]
+    fn recycling_by_end_timestamp_is_a_replayable_failure() {
+        let failing = |seed| {
+            catch_unwind(AssertUnwindSafe(|| {
+                model::run(seed, || reader_vs_recycled_tombstone(true));
+            }))
+        };
+        let seed = (1..=256)
+            .find(|&s| failing(s).is_err())
+            .expect("no seed in 1..=256 exposed the reader on the recycled tombstone");
+        for _ in 0..2 {
+            let err = failing(seed).expect_err("the failing seed must fail deterministically");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("data race detected") || msg.contains("a deleted record read as"),
+                "got: {msg}"
+            );
+            assert!(msg.contains(&format!("seed {seed}")), "got: {msg}");
+        }
     }
 }

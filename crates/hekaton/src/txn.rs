@@ -23,8 +23,9 @@ pub mod state {
 }
 
 /// A running transaction. Heap-allocated; version words hold tagged
-/// pointers to it while it is in flight, and it is retired through
-/// `crossbeam-epoch` after post-processing.
+/// pointers to it while it is in flight. Once post-processing (or the
+/// abort) has replaced every marker naming it, its worker retires it into
+/// limbo and later reuses it for another attempt (`crate::recycle`).
 pub struct HkTxn {
     pub begin_ts: u64,
     /// Valid once state ≥ PREPARING.
@@ -51,6 +52,18 @@ impl HkTxn {
             dep_aborted: AtomicBool::new(false),
             dependents: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Ready a recycled object for an attempt that drew `begin_ts`. The
+    /// `dependents` list is already empty (every attempt ends in
+    /// [`resolve`](Self::resolve)) and keeps its capacity.
+    pub(crate) fn reuse(&mut self, begin_ts: u64) {
+        self.begin_ts = begin_ts;
+        *self.end_ts.get_mut() = 0;
+        *self.state.get_mut() = state::ACTIVE;
+        *self.deps.get_mut() = 0;
+        *self.dep_aborted.get_mut() = false;
+        debug_assert!(self.dependents.get_mut().is_empty());
     }
 
     #[inline]

@@ -7,11 +7,13 @@
 //! timestamps after commit; aborted creations become garbage (begin =
 //! `ABORTED_SENTINEL`) that readers skip until a prune unlinks it —
 //! `HekatonStore::prune`, run on a sample of commits and by
-//! `Hekaton::sweep_now`.
+//! `Hekaton::sweep_now`. An unlinked version is not freed: it waits in the
+//! pruning worker's limbo and is then reused, payload buffer and all
+//! (`crate::recycle`).
 
 use crate::txn::HkTxn;
 use bohm_sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::cell::UnsafeCell;
+use bohm_sync::cell::UnsafeCell;
 
 /// Tag bit: the word is a pointer to an [`HkTxn`], not a timestamp.
 pub const TXN_FLAG: u64 = 1 << 63;
@@ -51,65 +53,72 @@ pub struct HkVersion {
     /// for the chain pruner, which unlinks dead suffixes under the record's
     /// prune lock (see `HekatonStore::prune`).
     pub prev: AtomicPtr<HkVersion>,
-    /// Deletion tombstone: this version's visibility interval means "the
-    /// record does not exist". Set at construction, immutable.
-    tombstone: bool,
-    /// Payload, written by the creating transaction before publication and
-    /// immutable afterwards (empty for tombstones).
+    /// Payload, written while the version is unpublished (by its creator,
+    /// or by the worker reusing it) and immutable while reachable. Empty
+    /// payload ⇔ deletion **tombstone**: its visibility interval means "the
+    /// record does not exist" (every table's records are at least 8 bytes).
+    /// A tracked cell, so the model checker sees a reuse racing a reader.
     data: UnsafeCell<Box<[u8]>>,
 }
 
-// SAFETY: `data` is written only before the version becomes reachable
-// (publication via the record slot's CAS is the release point).
+// SAFETY: `data` is written only while the version is unreachable — before
+// publication (the record slot's CAS is the release point) or after the
+// recycling grace period (`crate::recycle`).
 unsafe impl Send for HkVersion {}
-// SAFETY: same pre-publication argument as `Send` above.
+// SAFETY: same unpublished-writes argument as `Send` above.
 unsafe impl Sync for HkVersion {}
 
 impl HkVersion {
     /// A committed version (preloading).
     pub fn committed(begin_ts: u64, data: Box<[u8]>) -> Self {
-        Self {
-            begin: AtomicU64::new(begin_ts),
-            end: AtomicU64::new(END_INF),
-            prev: AtomicPtr::new(std::ptr::null_mut()),
-            tombstone: false,
-            data: UnsafeCell::new(data),
-        }
+        Self::new(begin_ts, data)
     }
 
-    /// A version under creation by `creator` (begin holds the txn marker).
+    /// A version under creation by `creator` (begin holds the txn marker);
+    /// an empty `data` makes it a tombstone.
     pub fn uncommitted(creator: *const HkTxn, data: Box<[u8]>) -> Self {
+        Self::new(txn_word(creator), data)
+    }
+
+    /// A version whose `begin` word is `begin` (a timestamp or a
+    /// transaction marker).
+    pub(crate) fn new(begin: u64, data: Box<[u8]>) -> Self {
         Self {
-            begin: AtomicU64::new(txn_word(creator)),
+            begin: AtomicU64::new(begin),
             end: AtomicU64::new(END_INF),
             prev: AtomicPtr::new(std::ptr::null_mut()),
-            tombstone: false,
             data: UnsafeCell::new(data),
         }
     }
 
-    /// A deletion tombstone under creation by `creator`: once committed,
-    /// readers in its visibility window observe the record as absent.
-    pub fn uncommitted_tombstone(creator: *const HkTxn) -> Self {
-        Self {
-            begin: AtomicU64::new(txn_word(creator)),
-            end: AtomicU64::new(END_INF),
-            prev: AtomicPtr::new(std::ptr::null_mut()),
-            tombstone: true,
-            data: UnsafeCell::new(Box::new([])),
-        }
+    /// Make a recycled version a fresh one: `begin` word `begin`, end ∞ and
+    /// payload `data` (the buffer is kept, so its length must match).
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the version exclusively: it is unpublished, or it
+    /// was unlinked and has waited out the recycling grace period, so no
+    /// reader can still reach it.
+    pub(crate) unsafe fn reuse(&self, begin: u64, data: &[u8]) {
+        // RELAXED: the version is unreachable; the Release CAS that
+        // publishes it again orders these stores before any reader's loads.
+        self.begin.store(begin, Ordering::Relaxed);
+        // RELAXED: as above.
+        self.end.store(END_INF, Ordering::Relaxed);
+        // SAFETY: exclusive ownership, per this function's contract.
+        unsafe { self.data.with_mut(|d| (*d).copy_from_slice(data)) };
     }
 
     /// Is this version a deletion tombstone?
     #[inline]
     pub fn is_tombstone(&self) -> bool {
-        self.tombstone
+        self.data().is_empty()
     }
 
     #[inline]
     pub fn data(&self) -> &[u8] {
-        // SAFETY: immutable after publication (see field docs).
-        unsafe { &*self.data.get() }
+        // SAFETY: immutable while reachable (see field docs).
+        unsafe { self.data.with(|d| &**d) }
     }
 
     /// Mark the creation aborted: readers skip this version forever.

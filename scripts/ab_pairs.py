@@ -31,15 +31,19 @@ the page faults per transaction (`core.minor_faults_per_txn`), taken as
 the children report them. Every BOHM child record in a run's `--json` output carries the
 thread's `cpu_share` and the child's throughput windows; a child's figure is
 `cpu_share` ÷ its median window, a run's is the median over its children
-(one per round), and a side's is the median [q1, q3] over its runs. Layer
-figures are reported, never judged: the verdicts above are the result.
+(one per round), and a side's is the median [q1, q3] over its runs. Beside
+BOHM's, the baselines' budgets: tpl.cpu_us_per_txn, occ.cpu_us_per_txn,
+hekaton.cpu_us_per_txn and hekaton.abort_ratio, as the tpl.*, occ.* and
+hekaton.* children report them under `per_layer`, with the same medians.
+Layer figures are reported, never judged: the verdicts above are the result.
 
 With --record it appends one row per side to the checked-in trajectory file,
 BENCH_perfbench.json (a JSON array, one row per line, oldest first): sha
 (the change is HEAD, marked `-dirty` while the working tree differs from it
 — it usually does, so name the change with --label, e.g. "PR 22"), date,
 host cores, workload, pairs and seeds, the median of every end-to-end metric,
-the --budget medians when given, and the tree's `analysis --loc` total. The
+the --budget medians when given (the baselines' as `baseline_budget`), and
+the tree's `analysis --loc` total. The
 next reader of the trajectory reads a file, not prose.
 
 Exits non-zero only on usage errors; a failed run is reported and its pair
@@ -103,14 +107,19 @@ BUDGET_THREADS = ["driver", "core.seq", "core.cc", "core.exec"]
 # run's BOHM children): where a layout change's saving lands — kernel time
 # on the CC thread, page faults per transaction.
 BUDGET_FIGURES = ["core.cc.sys_share", "core.minor_faults_per_txn"]
+# The baselines' budgets, each from the children of the engine it names.
+BASELINE_FIGURES = ["tpl.cpu_us_per_txn", "occ.cpu_us_per_txn", "hekaton.cpu_us_per_txn", "hekaton.abort_ratio"]
 
 
 def budget_of(path):
-    """One run's CPU µs per transaction by thread, plus BUDGET_FIGURES, from its --json file."""
+    """One run's CPU µs per transaction by thread, plus BUDGET_FIGURES and BASELINE_FIGURES, from its --json file."""
     with open(path) as f:
         children = json.load(f)["children"]
-    per_child = {t: [] for t in BUDGET_THREADS + BUDGET_FIGURES}
+    per_child = {t: [] for t in BUDGET_THREADS + BUDGET_FIGURES + BASELINE_FIGURES}
     for name, child in children.items():
+        for t in BASELINE_FIGURES:
+            if t.split(".")[0] == name.split(".")[0] and t in child.get("per_layer", {}):
+                per_child[t].append(child["per_layer"][t])
         if name.startswith("bohm."):
             txn_per_s = statistics.median(child["windows"])
             for t in BUDGET_THREADS:
@@ -155,7 +164,12 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--budget", action="store_true", help="also print CPU µs per transaction by thread")
+    ap.add_argument(
+        "--budget",
+        action="store_true",
+        help="also print BOHM's CPU µs per transaction by thread, and the baselines' "
+        + ", ".join(BASELINE_FIGURES),
+    )
     ap.add_argument("--record", action="store_true", help=f"append one row per side to {TRAJECTORY}")
     ap.add_argument("--label", default="", help="with --record: what to call the change in its rows")
     args = ap.parse_args()
@@ -251,6 +265,12 @@ def main():
             cells = ["{1:.4g} [{0:.4g}, {2:.4g}]".format(*quartiles(side)) for side in sides]
             delta = statistics.median(sides[1]) - statistics.median(sides[0])
             print(f"  {t:<24} {cells[0]:<38} {cells[1]:<38} {delta:+.4g}")
+        print("  baselines, per child as reported (median over a run's children):")
+        for t in BASELINE_FIGURES:
+            sides = [[run[t] for run in budgets[side]] for side in ("parent", "change")]
+            cells = ["{1:.4g} [{0:.4g}, {2:.4g}]".format(*quartiles(side)) for side in sides]
+            delta = statistics.median(sides[1]) - statistics.median(sides[0])
+            print(f"  {t:<24} {cells[0]:<38} {cells[1]:<38} {delta:+.4g}")
     if args.record:
         head = sh(["git", "rev-parse", "HEAD"]).stdout.strip()
         dirty = sh(["git", "status", "--porcelain", "--untracked-files=no"]).stdout.strip()
@@ -268,6 +288,7 @@ def main():
                 threads = BUDGET_THREADS + ["total"]
                 row["budget_us_per_txn"] = {t: statistics.median(r[t] for r in budgets[side]) for t in threads}
                 row["budget_figures"] = {t: statistics.median(r[t] for r in budgets[side]) for t in BUDGET_FIGURES}
+                row["baseline_budget"] = {t: statistics.median(r[t] for r in budgets[side]) for t in BASELINE_FIGURES}
             rows.append(row)
         record(rows)
         print(f"  recorded {len(rows)} rows in {TRAJECTORY}")

@@ -46,14 +46,32 @@
 //! transaction boxed its per-scan slot list at seal time, and the same
 //! window made 8240.
 //!
+//! The Hekaton audit makes the same claim for the baseline's write path:
+//! two workers on two threads run ten-RMW transactions, and their versions
+//! (payload buffers included) and transaction objects come back from the
+//! workers' pools once the active-transaction registry's watermark passes
+//! their stamps. All threads together are held to `N/8 + 128` calls per
+//! window. Before that recycling, each transaction made about 30: a
+//! version and a payload per write, a transaction object and a boxed
+//! closure for its deferred free, and a boxed closure per pruned version.
+//! It measures 0–58 calls per 4096 transactions (138 273 before), and 1–341
+//! per 50 000 in two of three runs. The exception is a worker descheduled
+//! in mid-transaction (preemption, or a hypervisor stealing the CPU): it
+//! holds back the other worker's reclamation for as long, and what the
+//! other allocates meanwhile is kept in the spare lists afterwards, so
+//! only a stall longer than every earlier one reaches the allocator again.
+//! The third 50 000-transaction run met such a stall and made 38 121.
+//!
 //! Kept in its own test binary so concurrent tests cannot pollute the
 //! measurement window (the audits in here take turns under a lock).
 //! Scaled by `BOHM_STRESS_ITERS` like the other stress suites.
 
-use bohm_common::engine::{BatchEngine, Session};
+use bohm_common::engine::{BatchEngine, Engine, Session};
 use bohm_common::{Procedure, RecordId, ScanRange, TpcCProc, Txn};
 use bohm_suite::core::{Bohm, BohmConfig, CatalogSpec};
+use bohm_suite::hekaton::{Hekaton, HekatonStore};
 use bohm_suite::testkit::CountingAlloc;
+use std::sync::Barrier;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -238,5 +256,73 @@ fn bohm_scans_steady_state_allocate_nothing_per_txn() {
         &steady_state_allocations(n, Shape::Scan),
         "8-row OrderHistory scans",
         "a scanning transaction allocates per transaction",
+    );
+}
+
+/// Ten-RMW transactions the two Hekaton workers run before the window, at
+/// least: long enough for the chains, limbo lists and pools over `ROWS` to
+/// reach their high-water marks (at 2048, the window still allocated
+/// 350–700 versions). Longer windows warm up four times their length, so
+/// that the longest stall (module docs) more likely falls in the warm-up.
+const HEKATON_WARM_UP: usize = 32_768;
+
+/// Allocator calls, across all threads, over a window of `n` ten-RMW
+/// transactions that two Hekaton workers run on two threads (half each),
+/// after each has run half of a warm-up stream.
+fn hekaton_steady_state_allocations(n: usize) -> u64 {
+    let _turn = ONE_AT_A_TIME.lock();
+    let store = HekatonStore::new(&[(ROWS, 8)]);
+    store.seed_u64(0, |r| r);
+    let engine = Hekaton::serializable(store);
+    let warm = build_txns(HEKATON_WARM_UP.max(4 * n), 7, Shape::Rmw);
+    let measured = build_txns(n, 99, Shape::Rmw);
+    // Warmed up / counted / measured / counted again.
+    let phase = Barrier::new(3);
+    let mut before = 0;
+    let mut after = 0;
+    std::thread::scope(|s| {
+        for half in 0..2 {
+            let (engine, phase) = (&engine, &phase);
+            let (warm, measured) = (&warm, &measured);
+            s.spawn(move || {
+                let mut w = engine.make_worker();
+                for t in warm.iter().skip(half).step_by(2) {
+                    assert!(engine.execute(t, &mut w).committed);
+                }
+                phase.wait();
+                phase.wait();
+                for t in measured.iter().skip(half).step_by(2) {
+                    assert!(engine.execute(t, &mut w).committed);
+                }
+                phase.wait();
+                phase.wait();
+            });
+        }
+        phase.wait();
+        before = CountingAlloc::allocations();
+        phase.wait();
+        phase.wait();
+        after = CountingAlloc::allocations();
+        phase.wait();
+    });
+    after - before
+}
+
+/// Hekaton's write path: versions (with their payload buffers) and
+/// transaction objects come back from the workers' pools under the
+/// registry watermark, so a window of `N` ten-RMW transactions — `10·N`
+/// versions and `N` transaction objects, each formerly two allocator calls
+/// plus a boxed closure for its deferred free — stays within `N/8 + 128`
+/// allocator calls.
+#[test]
+fn hekaton_rmw_steady_state_recycles_versions_and_txns() {
+    let n = bohm_common::stress_iters(4_096);
+    let calls = hekaton_steady_state_allocations(n as usize);
+    let budget = n / 8 + 128;
+    eprintln!("steady-state window: {n} Hekaton 10-RMW txns on two workers, {calls} allocations (budget {budget})");
+    assert!(
+        calls <= budget,
+        "{n} Hekaton 10-RMW txns made {calls} allocator calls (budget {budget}): versions or \
+         transaction objects are reaching the allocator instead of the workers' pools"
     );
 }

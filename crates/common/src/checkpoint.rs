@@ -219,10 +219,17 @@ pub fn cut(
 /// that the snapshot does **not** contain becomes an `Apply` delete. After
 /// this, the engine's state equals the checkpointed state exactly,
 /// secondary-index posting lists included (they are ordinary records).
+///
+/// Chunks are pipelined: up to 32 are submitted and unreaped at a time (the
+/// session reaps in submission order), so a batching engine waits out its
+/// linger at most once per 32 chunks, not once per chunk.
 pub fn restore_into<E: BatchEngine + ?Sized>(ckp: &Checkpoint, engine: &E) {
     /// Writes per restore transaction — a batch-friendly size that keeps
     /// `Apply` transactions well under any record-size cap.
     const CHUNK: usize = 512;
+    /// Chunks submitted and unreaped at most: 16k records, whose values are
+    /// held meanwhile (16 MB of 1000-byte records).
+    const IN_FLIGHT: usize = 32;
     let present: HashSet<RecordId> = ckp.records.iter().map(|(rid, _)| *rid).collect();
     // Seeded but absent from the snapshot: deleted by the time it was taken.
     let mut gone = Vec::new();
@@ -241,9 +248,12 @@ pub fn restore_into<E: BatchEngine + ?Sized>(ckp: &Checkpoint, engine: &E) {
         let (rids, values): (Vec<RecordId>, Vec<_>) = todo.by_ref().take(CHUNK).unzip();
         let values = values.into();
         session.submit(Txn::new(vec![], rids, Procedure::Apply { values }));
-        while session.in_flight() > 0 {
+        while session.in_flight() > IN_FLIGHT {
             session.reap();
         }
+    }
+    while session.in_flight() > 0 {
+        session.reap();
     }
     engine.quiesce();
 }

@@ -136,14 +136,18 @@ pub fn recover<E: BatchEngine + ?Sized>(
         }
         None => 0,
     };
-    let suffix: Vec<_> = log.iter().filter(|b| b.epoch >= base).collect();
-    report.batches_skipped = log.len() - suffix.len();
-    let outcomes = replay_into(suffix.iter().copied(), engine)?;
+    let epoch = log.iter().map(|b| b.epoch).fold(base, u64::max);
+    let batches = log.len();
+    // The log is recovery's own: its transactions move into the engine.
+    let suffix: Vec<_> = log.into_iter().filter(|b| b.epoch >= base).collect();
+    report.batches_skipped = batches - suffix.len();
+    let logged: usize = suffix.iter().map(|b| b.txns.len()).sum();
+    let outcomes = replay_into(suffix, engine)?;
     report.txns_replayed = outcomes.len();
-    report.txns_aborted = suffix.iter().map(|b| b.txns.len()).sum::<usize>() - outcomes.len();
+    report.txns_aborted = logged - outcomes.len();
     Ok(Recovered {
         wal: Wal::open(config)?,
-        epoch: log.iter().map(|b| b.epoch).fold(base, u64::max),
+        epoch,
         report,
         outcomes,
     })

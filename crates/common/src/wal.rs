@@ -567,8 +567,8 @@ impl LogSink for Wal {
 ///
 /// [`InvalidData`](io::ErrorKind::InvalidData) when a replayed outcome
 /// contradicts its logged decision: the durable history cannot be trusted.
-pub fn replay_into<'a, E: BatchEngine + ?Sized>(
-    batches: impl IntoIterator<Item = &'a LoggedBatch>,
+pub fn replay_into<E: BatchEngine + ?Sized>(
+    batches: impl IntoIterator<Item = LoggedBatch>,
     engine: &E,
 ) -> io::Result<Vec<ExecOutcome>> {
     let mut session = engine.open_session();
@@ -577,12 +577,12 @@ pub fn replay_into<'a, E: BatchEngine + ?Sized>(
     // from an input-only record), in submission order — which is reap order.
     let mut logged = VecDeque::new();
     for batch in batches {
-        for (i, txn) in batch.txns.iter().enumerate() {
+        for (i, txn) in batch.txns.into_iter().enumerate() {
             let decision = batch.outcomes.as_ref().map(|o| o[i]);
             if decision.is_some_and(|d| !d.committed) {
                 continue;
             }
-            session.submit(txn.clone());
+            session.submit(txn);
             logged.push_back(decision);
             while session.in_flight() > 8192 {
                 reap_checked(&mut session, logged.pop_front().flatten(), &mut out)?;

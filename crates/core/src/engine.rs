@@ -71,23 +71,24 @@ impl Inner {
     /// has timestamp 0). Opens no log and spawns nothing.
     pub(crate) fn new(config: BohmConfig, catalog: CatalogSpec) -> Self {
         config.validate();
-        let index = HashIndex::with_capacity(config.effective_index_capacity(catalog.total_rows()));
+        let mut index =
+            HashIndex::with_capacity(config.effective_index_capacity(catalog.total_rows()));
         {
-            // Preloading happens before any worker exists, so the
-            // single-writer-per-chain invariant holds trivially.
-            // Each seeded version is built in place: a placeholder filled
-            // with the seed, no intermediate buffer.
+            // Preloading happens before any worker exists, so the index is
+            // this thread's alone (`bulk_insert`'s contract: every row of
+            // every table is a distinct key, inserted once) and the
+            // single-writer-per-chain invariant holds trivially. Each
+            // seeded version is built in place: a placeholder filled with
+            // the seed, no intermediate buffer.
             let guard = epoch::pin();
             for (tid, spec) in catalog.tables.iter().enumerate() {
                 assert!(spec.record_size >= 8, "record too small for a u64 payload");
-                for row in 0..spec.rows {
-                    let rid = RecordId::new(tid as u32, row);
+                let rids = (0..spec.rows).map(|row| RecordId::new(tid as u32, row));
+                index.bulk_insert(rids, |rid, chain| {
                     let v = Version::placeholder(0, spec.record_size);
-                    v.fill_with(|d| bohm_common::value::put_u64(d, 0, (spec.seed)(row)));
-                    index
-                        .get_or_insert(rid, &guard)
-                        .install(Owned::new(v), &guard);
-                }
+                    v.fill_with(|d| bohm_common::value::put_u64(d, 0, (spec.seed)(rid.row)));
+                    chain.install(Owned::new(v), &guard);
+                });
             }
         }
         let record_sizes = catalog.tables.iter().map(|t| t.record_size).collect();
@@ -1237,7 +1238,7 @@ mod tests {
         let log = Wal::read_log(&dir).unwrap();
         assert_eq!(log.iter().map(|b| b.txns.len()).sum::<usize>(), 160);
         let fresh = Bohm::start(BohmConfig::small(), catalog());
-        let outcomes = wal::replay_into(&log, &fresh).expect("input-only log");
+        let outcomes = wal::replay_into(log, &fresh).expect("input-only log");
         assert!(outcomes.iter().all(|o| o.committed));
         let got: Vec<u64> = (0..16).map(|k| fresh.read_u64(rid(k)).unwrap()).collect();
         assert_eq!(got, expect, "replayed state must match the logged run");

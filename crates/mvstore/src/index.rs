@@ -24,6 +24,11 @@
 //! epoch-deferred free, so it is reused only once no walk can still hold
 //! it.
 //!
+//! A store nobody else can see yet is loaded with
+//! [`HashIndex::bulk_insert`], which lands every key where a concurrent
+//! insert would but skips what only concurrency needs: the slab mutex, the
+//! bucket CAS and the `len` update per key.
+//!
 //! A probe is a chain of dependent loads — bucket slot → entry → head
 //! version → what lies behind it — and BOHM's callers know their keys long
 //! before they probe. [`HashIndex::look_ahead`] lets them walk that chain
@@ -109,6 +114,32 @@ impl Entry {
     }
 }
 
+/// Make the slot `take` handed out a fresh entry for `key` with an empty
+/// chain, and return it.
+///
+/// # Safety
+/// `slot` came from [`Slab::take`] with `reused` as it said, and is the
+/// caller's alone until published. A given-back slot is an `Entry` husk
+/// whose chain was dropped: its key is rewritten through the audited
+/// accessor (see `Entry::key`) and a new chain written over the old one's
+/// remains. A carved slot is raw memory, written whole.
+unsafe fn fill_slot(slot: *mut Entry, reused: bool, key: Key) -> *mut Entry {
+    // SAFETY: per the contract above.
+    unsafe {
+        if reused {
+            (*slot).key.with_mut(|k| *k = key);
+            ptr::addr_of_mut!((*slot).chain).write(ManuallyDrop::new(Chain::new()));
+        } else {
+            slot.write(Entry {
+                key: UnsafeCell::new(key),
+                next: AtomicPtr::new(ptr::null_mut()),
+                chain: ManuallyDrop::new(Chain::new()),
+            });
+        }
+    }
+    slot
+}
+
 /// Where a [`HashIndex`]'s entries live: 64-byte-aligned blocks the index
 /// owns, carved front to back by a bump pointer, plus a free list of the
 /// slots retired entries gave back (linked through their `next` words).
@@ -164,7 +195,12 @@ impl Slab {
     /// the next uncarved one. `true` with a given-back slot, whose key cell
     /// holds its previous life's key; a carved slot is uninitialised.
     fn take(&self) -> (*mut Entry, bool) {
-        let mut s = self.slots.lock();
+        self.take_from(&mut self.slots.lock())
+    }
+
+    /// [`take`](Self::take) under a lock the caller already holds — the
+    /// bulk path takes it once for all its slots.
+    fn take_from(&self, s: &mut Slots) -> (*mut Entry, bool) {
         if !s.free.is_null() {
             let slot = s.free;
             // SAFETY: a given-back slot stays a valid `Entry` husk.
@@ -537,24 +573,78 @@ impl HashIndex {
     /// chain. Unpublished: the caller owns it.
     fn new_entry(&self, key: Key) -> *mut Entry {
         let (slot, reused) = self.slab.take();
-        // SAFETY: the slot is ours alone until published. A given-back slot
-        // is an `Entry` husk whose chain was dropped: its key is rewritten
-        // through the audited accessor (see `Entry::key`) and a new chain
-        // written over the old one's remains. A carved slot is raw memory,
-        // written whole.
-        unsafe {
-            if reused {
-                (*slot).key.with_mut(|k| *k = key);
-                ptr::addr_of_mut!((*slot).chain).write(ManuallyDrop::new(Chain::new()));
-            } else {
-                slot.write(Entry {
-                    key: UnsafeCell::new(key),
-                    next: AtomicPtr::new(ptr::null_mut()),
-                    chain: ManuallyDrop::new(Chain::new()),
-                });
+        // SAFETY: fresh from the slab.
+        unsafe { fill_slot(slot, reused, key) }
+    }
+
+    /// How many keys ahead of its insert [`bulk_insert`](Self::bulk_insert)
+    /// asks for a key's bucket slot: enough misses in flight to cover the
+    /// one per key a random slot costs, few enough that the slots are still
+    /// cached when their turn comes.
+    const BULK_AHEAD: usize = 16;
+
+    /// Insert every key of `rids`, in order, and hand each new key's empty
+    /// chain to `init` — the loader's path, for a store nobody else can
+    /// see yet.
+    ///
+    /// Each key lands exactly as [`get_or_insert`](VersionIndex::get_or_insert)
+    /// would put it: the same slab slot (given-back slots first, then
+    /// carved in order) at the head of the same bucket list, so an index
+    /// built this way is indistinguishable from one built key by key. What
+    /// it saves is what only concurrency needs: it takes the slab's mutex
+    /// once instead of once per key, links each entry with a plain store
+    /// instead of a CAS, adds to `len` once, and asks for each key's bucket
+    /// slot 16 keys before it gets there.
+    ///
+    /// # Contract
+    /// - **Exclusive.** `&mut self`: no other thread holds the index, so
+    ///   nothing can walk a bucket while it changes, and no pin is needed.
+    ///   Sharing the index afterwards (an `Arc`, a thread spawn) publishes
+    ///   what was written here.
+    /// - **Absent and unique.** No key of `rids` is in the index, and none
+    ///   occurs twice. Debug builds assert both with a lookup per key;
+    ///   release builds look nothing up, so a duplicate key would be
+    ///   indexed twice and every probe would find the copy inserted last.
+    /// - `init` runs with the entry already linked; it may install versions
+    ///   (as the chain's single writer) but cannot reach the index.
+    pub fn bulk_insert(
+        &mut self,
+        rids: impl IntoIterator<Item = RecordId>,
+        mut init: impl FnMut(RecordId, &Chain),
+    ) {
+        // A handle of its own, so the lock stays held across `&mut self`.
+        let slab = Arc::clone(&self.slab);
+        let mut slots = slab.slots.lock();
+        let mut rids = rids.into_iter();
+        let mut ahead = std::collections::VecDeque::with_capacity(Self::BULK_AHEAD);
+        let mut inserted = 0;
+        loop {
+            while ahead.len() < Self::BULK_AHEAD {
+                let Some(rid) = rids.next() else { break };
+                let hash = rid.stable_hash();
+                prefetch_read(self.bucket(hash));
+                ahead.push_back(Key { rid, hash });
             }
+            let Some(key) = ahead.pop_front() else { break };
+            debug_assert!(
+                self.find(key.rid, key.hash).is_none(),
+                "bulk_insert: {} is already in the index",
+                key.rid
+            );
+            let (slot, reused) = slab.take_from(&mut slots);
+            // SAFETY: fresh from the slab; ours until linked below.
+            let e = unsafe { fill_slot(slot, reused, key) };
+            let head = self.buckets[(key.hash & self.mask) as usize].get_mut();
+            // SAFETY: unpublished, and `&mut self` excludes every walk of
+            // the bucket it joins.
+            *unsafe { &mut *e }.next.get_mut() = *head;
+            *head = e;
+            inserted += 1;
+            // SAFETY: linked above; entries are freed only by `sweep_retire`
+            // or the index's drop, neither of which can run meanwhile.
+            init(key.rid, &unsafe { &*e }.chain);
         }
-        slot
+        *self.len.get_mut() += inserted;
     }
 
     #[inline]
@@ -954,6 +1044,121 @@ mod tests {
         assert_eq!(idx.get(r, &g).map(|c| c as *const Chain), Some(a));
         assert_eq!(idx.get_or_insert(r, &g) as *const Chain, a);
         assert_eq!(idx.len(), 1);
+    }
+
+    /// Keys over three tables, as a loader inserts them: table by table,
+    /// row by row.
+    fn load_order() -> Vec<RecordId> {
+        (0..3)
+            .flat_map(|t| (0..300).map(move |k| rid(t, k * 7 + t as u64)))
+            .collect()
+    }
+
+    fn seeded(r: RecordId) -> Owned<Version> {
+        let v = r.row * 1_000 + r.table.0 as u64;
+        Owned::new(Version::ready(1, bohm_common::value::of_u64(v, 8)))
+    }
+
+    /// Every `(key, value)` in `for_each` order — bucket order, and list
+    /// order inside a bucket, so two indexes agree on it only if every
+    /// key sits at the same place in the same bucket list.
+    fn walk(idx: &HashIndex) -> Vec<(RecordId, u64)> {
+        let g = epoch::pin();
+        let mut out = Vec::new();
+        idx.for_each(&g, &mut |r, c| {
+            let v = c
+                .latest(&g)
+                .map_or(u64::MAX, |v| bohm_common::value::get_u64(v.data(), 0));
+            out.push((r, v));
+        });
+        out
+    }
+
+    #[test]
+    fn a_bulk_loaded_index_is_indistinguishable_from_one_built_key_by_key() {
+        // 900 keys over 256 buckets: most buckets hold a list.
+        let keys = load_order();
+        let by_key = HashIndex::with_capacity(256);
+        let g = epoch::pin();
+        for &r in &keys {
+            by_key.get_or_insert(r, &g).install(seeded(r), &g);
+        }
+        let mut bulk = HashIndex::with_capacity(256);
+        bulk.bulk_insert(keys.iter().copied(), |r, c| {
+            c.install(seeded(r), &g);
+        });
+        assert_eq!(bulk.len(), by_key.len());
+        assert_eq!(bulk.len(), keys.len());
+        for &r in &keys {
+            let read = |idx: &HashIndex| {
+                let v = idx.get(r, &g).expect("loaded key").latest(&g).unwrap();
+                bohm_common::value::get_u64(v.data(), 0)
+            };
+            assert_eq!(read(&bulk), read(&by_key), "{r}");
+        }
+        assert!(bulk.get(rid(0, 1), &g).is_none(), "row 1 was never loaded");
+        assert_eq!(walk(&bulk), walk(&by_key));
+        // Entries were carved in key order, back to back, from the slab.
+        let at: Vec<usize> = keys[..32]
+            .iter()
+            .map(|&r| entry_of(bulk.get(r, &g).unwrap()))
+            .collect();
+        assert!(at
+            .windows(2)
+            .all(|w| w[1] - w[0] == std::mem::size_of::<Entry>()));
+
+        // Afterwards both behave the same: one sweep, then more inserts.
+        for idx in [&bulk, &by_key] {
+            let retired =
+                idx.sweep_retire(5, idx.bucket_count(), &g, &mut |r, _, _| r.row % 3 == 0);
+            assert_eq!(retired, keys.iter().filter(|r| r.row % 3 == 0).count());
+            for k in 0..50 {
+                idx.get_or_insert(rid(4, k), &g)
+                    .install(seeded(rid(4, k)), &g);
+            }
+        }
+        assert_eq!(bulk.len(), by_key.len());
+        assert_eq!(walk(&bulk), walk(&by_key));
+    }
+
+    #[test]
+    fn a_bulk_insert_takes_given_back_slots_first() {
+        let mut idx = HashIndex::with_capacity(16);
+        let g = epoch::pin();
+        let gone: Vec<usize> = (0..3)
+            .map(|k| entry_of(idx.get_or_insert(rid(0, k), &g)))
+            .collect();
+        assert_eq!(
+            idx.sweep_retire(0, idx.bucket_count(), &g, &mut |_, _, _| true),
+            3
+        );
+        drop(g);
+        drive_collector_until(|| idx.slab.free_slots() == 3);
+        let mut got = Vec::new();
+        idx.bulk_insert((10..15).map(|k| rid(0, k)), |_, c| got.push(entry_of(c)));
+        assert_eq!(idx.len(), 5);
+        assert_eq!(idx.slab.free_slots(), 0);
+        // Given-back slots first, as `get_or_insert` takes them.
+        let mut reused = got[..3].to_vec();
+        reused.sort_unstable();
+        let mut gone = gone;
+        gone.sort_unstable();
+        assert_eq!(reused, gone);
+        assert!(got[3..].iter().all(|e| !gone.contains(e)));
+        let g = epoch::pin();
+        for k in 10..15 {
+            let c = idx.get(rid(0, k), &g).expect("bulk-inserted key");
+            assert!(c.latest(&g).is_none(), "with a fresh chain");
+        }
+        assert!(idx.get(rid(0, 0), &g).is_none());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "already in the index")]
+    fn a_bulk_insert_of_a_present_key_is_refused_in_debug_builds() {
+        let mut idx = HashIndex::with_capacity(16);
+        idx.bulk_insert([rid(0, 1), rid(0, 2), rid(0, 1)], |_, _| {});
     }
 
     #[test]

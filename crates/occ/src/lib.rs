@@ -484,15 +484,23 @@ mod tests {
 
     #[test]
     fn concurrent_hot_key_increments_are_exact() {
-        let e = Arc::new(engine(2));
+        // Each RMW reads the hot key first and then a run of the thread's
+        // own cold keys, so its validation trails the hot read by that many
+        // reads: a commit to the hot key by any thread running meanwhile
+        // fails it, preempted or not.
+        const COLD: u64 = 32;
+        let e = Arc::new(engine(1 + 8 * COLD as usize));
         let mut handles = Vec::new();
-        for _ in 0..8 {
+        for t in 0..8 {
             let e = Arc::clone(&e);
             handles.push(std::thread::spawn(move || {
+                let mut keys = vec![RecordId::new(0, 0)];
+                keys.extend((1..=COLD).map(|c| RecordId::new(0, t * COLD + c)));
+                let txn = Txn::new(keys.clone(), keys, Procedure::ReadModifyWrite { delta: 1 });
                 let mut w = e.make_worker();
                 let mut retries = 0;
                 for _ in 0..5_000 {
-                    let out = e.execute(&rmw(1, 1), &mut w);
+                    let out = e.execute(&txn, &mut w);
                     assert!(out.committed);
                     retries += out.cc_retries;
                 }
@@ -500,10 +508,10 @@ mod tests {
             }));
         }
         let total_retries: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(e.read_u64(RecordId::new(0, 1)), Some(1 + 40_000));
+        assert_eq!(e.read_u64(RecordId::new(0, 0)), Some(40_000));
         // A fully-contended hot key must have caused validation failures —
-        // otherwise validation is vacuous. Requires real parallelism: on a
-        // single-CPU host short txns are rarely preempted mid-validation.
+        // otherwise validation is vacuous. Two threads must run at once for
+        // a commit to land between a read and its validation.
         if std::thread::available_parallelism().is_ok_and(|n| n.get() > 1) {
             assert!(
                 total_retries > 0,

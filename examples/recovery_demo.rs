@@ -255,7 +255,7 @@ fn replay(dir: &Path) {
     );
     let db = spec();
     let engine = Bohm::start(BohmConfig::with_threads(2, 2), catalog_of(&db));
-    let outcomes = wal::replay_into(&log, &engine).expect("an input-only log replays whole");
+    let outcomes = wal::replay_into(log, &engine).expect("an input-only log replays whole");
     // Fold a run fingerprint for eyeballing across runs.
     let fp = outcomes.iter().fold(0u64, |acc, o| {
         acc.wrapping_mul(31)

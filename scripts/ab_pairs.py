@@ -35,6 +35,11 @@ thread's `cpu_share` and the child's throughput windows; a child's figure is
 BOHM's, the baselines' budgets: tpl.cpu_us_per_txn, occ.cpu_us_per_txn,
 hekaton.cpu_us_per_txn and hekaton.abort_ratio, as the tpl.*, occ.* and
 hekaton.* children report them under `per_layer`, with the same medians.
+Then each engine child's set-up seconds and the recovery seconds, so a
+set-up change shows which engine moved: tpl.setup_s, occ.setup_s,
+hekaton.setup_s and bohm.setup_s from the tpl.*, occ.*, hekaton.* and bohm.*
+children's `setup_s`, and recover.recover_s from the recover.* children's
+`recover_s` (the end-to-end setup_s sums the four engines' medians).
 Layer figures are reported, never judged: the verdicts above are the result.
 
 With --record it appends one row per side to the checked-in trajectory file,
@@ -42,7 +47,8 @@ BENCH_perfbench.json (a JSON array, one row per line, oldest first): sha
 (the change is HEAD, marked `-dirty` while the working tree differs from it
 — it usually does, so name the change with --label, e.g. "PR 22"), date,
 host cores, workload, pairs and seeds, the median of every end-to-end metric,
-the --budget medians when given (the baselines' as `baseline_budget`), and
+the --budget medians when given (the baselines' as `baseline_budget`, the
+set-up and recovery seconds as `setup_figures`), and
 the tree's `analysis --loc` total. The
 next reader of the trajectory reads a file, not prose.
 
@@ -109,14 +115,21 @@ BUDGET_THREADS = ["driver", "core.seq", "core.cc", "core.exec"]
 BUDGET_FIGURES = ["core.cc.sys_share", "core.minor_faults_per_txn"]
 # The baselines' budgets, each from the children of the engine it names.
 BASELINE_FIGURES = ["tpl.cpu_us_per_txn", "occ.cpu_us_per_txn", "hekaton.cpu_us_per_txn", "hekaton.abort_ratio"]
+# Seconds per child, named `<child prefix>.<field>`: each engine child's
+# set-up and each recovery round's replay.
+SETUP_FIGURES = ["tpl.setup_s", "occ.setup_s", "hekaton.setup_s", "bohm.setup_s", "recover.recover_s"]
 
 
 def budget_of(path):
-    """One run's CPU µs per transaction by thread, plus BUDGET_FIGURES and BASELINE_FIGURES, from its --json file."""
+    """One run's CPU µs per transaction by thread, plus BUDGET_FIGURES, BASELINE_FIGURES and SETUP_FIGURES, from its --json file."""
     with open(path) as f:
         children = json.load(f)["children"]
-    per_child = {t: [] for t in BUDGET_THREADS + BUDGET_FIGURES + BASELINE_FIGURES}
+    per_child = {t: [] for t in BUDGET_THREADS + BUDGET_FIGURES + BASELINE_FIGURES + SETUP_FIGURES}
     for name, child in children.items():
+        for t in SETUP_FIGURES:
+            prefix, field = t.split(".")
+            if name.split(".")[0] == prefix and field in child:
+                per_child[t].append(child[field])
         for t in BASELINE_FIGURES:
             if t.split(".")[0] == name.split(".")[0] and t in child.get("per_layer", {}):
                 per_child[t].append(child["per_layer"][t])
@@ -167,8 +180,10 @@ def main():
     ap.add_argument(
         "--budget",
         action="store_true",
-        help="also print BOHM's CPU µs per transaction by thread, and the baselines' "
-        + ", ".join(BASELINE_FIGURES),
+        help="also print BOHM's CPU µs per transaction by thread, the baselines' "
+        + ", ".join(BASELINE_FIGURES)
+        + ", and the seconds per child "
+        + ", ".join(SETUP_FIGURES),
     )
     ap.add_argument("--record", action="store_true", help=f"append one row per side to {TRAJECTORY}")
     ap.add_argument("--label", default="", help="with --record: what to call the change in its rows")
@@ -271,6 +286,12 @@ def main():
             cells = ["{1:.4g} [{0:.4g}, {2:.4g}]".format(*quartiles(side)) for side in sides]
             delta = statistics.median(sides[1]) - statistics.median(sides[0])
             print(f"  {t:<24} {cells[0]:<38} {cells[1]:<38} {delta:+.4g}")
+        print("  set-up and recovery seconds, per child as reported (median over a run's children):")
+        for t in SETUP_FIGURES:
+            sides = [[run[t] for run in budgets[side]] for side in ("parent", "change")]
+            cells = ["{1:.4g} [{0:.4g}, {2:.4g}]".format(*quartiles(side)) for side in sides]
+            delta = statistics.median(sides[1]) - statistics.median(sides[0])
+            print(f"  {t:<24} {cells[0]:<38} {cells[1]:<38} {delta:+.4g}")
     if args.record:
         head = sh(["git", "rev-parse", "HEAD"]).stdout.strip()
         dirty = sh(["git", "status", "--porcelain", "--untracked-files=no"]).stdout.strip()
@@ -289,6 +310,7 @@ def main():
                 row["budget_us_per_txn"] = {t: statistics.median(r[t] for r in budgets[side]) for t in threads}
                 row["budget_figures"] = {t: statistics.median(r[t] for r in budgets[side]) for t in BUDGET_FIGURES}
                 row["baseline_budget"] = {t: statistics.median(r[t] for r in budgets[side]) for t in BASELINE_FIGURES}
+                row["setup_figures"] = {t: statistics.median(r[t] for r in budgets[side]) for t in SETUP_FIGURES}
             rows.append(row)
         record(rows)
         print(f"  recorded {len(rows)} rows in {TRAJECTORY}")

@@ -305,3 +305,41 @@ fn bitrot_in_the_newest_checkpoint_is_refused_not_skipped() {
     assert_refused(&dir, &db, "bitrot");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A restore keeps many chunks in flight. Sixty-four 512-record chunks into
+/// an engine whose linger is 20 ms take a few lingers, not one per chunk:
+/// waiting for each chunk before submitting the next took 64 × 20 ms.
+#[test]
+fn a_restore_pipelines_its_chunks_instead_of_waiting_out_a_linger_per_chunk() {
+    use bohm_suite::common::checkpoint::{restore_into, Checkpoint};
+    use std::time::{Duration, Instant};
+    const CHUNKS: u32 = 64;
+    const ROWS: u64 = CHUNKS as u64 * 512;
+    let linger = Duration::from_millis(20);
+    let cfg = BohmConfig {
+        batch_linger: linger,
+        ..BohmConfig::with_threads(1, 1)
+    };
+    let engine = Bohm::start(cfg, CatalogSpec::new().table(ROWS, 8, |r| r));
+    let ckp = Checkpoint {
+        epoch: 1,
+        records: (0..ROWS)
+            .map(|r| {
+                let data: Box<[u8]> = (3 * r + 1).to_le_bytes().into();
+                (RecordId::new(0, r), data)
+            })
+            .collect(),
+    };
+    let t0 = Instant::now();
+    restore_into(&ckp, &engine);
+    let took = t0.elapsed();
+    assert!(
+        took < CHUNKS * linger / 4,
+        "restoring {CHUNKS} chunks took {took:?}, against {:?} for one linger per chunk",
+        CHUNKS * linger
+    );
+    for r in (0..ROWS).step_by(97).chain([ROWS - 1]) {
+        assert_eq!(engine.read_u64(RecordId::new(0, r)), Some(3 * r + 1));
+    }
+    engine.shutdown();
+}

@@ -403,7 +403,7 @@ fn kill_and_recover_matches_serial_oracle() {
     // the complete final state.
     let db = spec();
     let engine = Bohm::start(BohmConfig::with_threads(2, 2), catalog_of(&db));
-    let outcomes = wal::replay_into(&log, &engine).expect("input-only log");
+    let outcomes = wal::replay_into(log, &engine).expect("input-only log");
     assert_eq!(outcomes.len(), txns.len());
     let res = check_serial_equivalence(&db, &txns, &outcomes, |rid| engine.read_u64(rid));
     engine.shutdown();

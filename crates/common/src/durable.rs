@@ -32,13 +32,19 @@
 //!
 //! 1. restore the newest [`Checkpoint`](checkpoint::Checkpoint), if any;
 //! 2. replay the log suffix stamped at or after its epoch through
-//!    [`replay_into`], the one loop over logged transactions: an
-//!    input-only record (BOHM's) replays whole, a decided record (this
-//!    wrapper's) replays exactly the transactions it marks *committed*, in
-//!    log (= commit) order, each cross-checked against its logged
-//!    fingerprint;
-//! 3. only then open the log for appending ([`Wal::open`], which repairs a
-//!    torn tail and starts a fresh segment).
+//!    [`BatchEngine::replay`]. Its default is
+//!    [`replay_into`](crate::wal::replay_into), the per-transaction loop
+//!    this wrapper keeps: an input-only record replays whole, a decided
+//!    record (this wrapper's) replays exactly the transactions it marks
+//!    *committed*, in log (= commit) order, each cross-checked against its
+//!    logged fingerprint. BOHM overrides it: log order is its serial order,
+//!    so a logged batch replays as one sealed batch;
+//! 3. only then open the log for appending ([`Wal::open`]'s tail repair and
+//!    fresh segment, fed the tail the log read found, so no record is
+//!    decoded twice).
+//!
+//! [`RecoveryReport`] times each phase: log read, checkpoint restore,
+//! replay and log open.
 //!
 //! The engine has no log while it replays, so recovery never logs: neither
 //! the replayed transactions nor the barriers that end restore and replay
@@ -69,13 +75,14 @@
 use crate::checkpoint;
 use crate::engine::{BatchEngine, Engine, ExecOutcome};
 use crate::txn::Txn;
-use crate::wal::{replay_into, DurabilityConfig, LogSink, TxnDecision, Wal};
+use crate::wal::{DurabilityConfig, LogSink, TxnDecision, Wal};
 use bohm_sync::atomic::{AtomicU64, Ordering};
 use bohm_sync::Mutex;
 use std::io;
+use std::time::{Duration, Instant};
 
 /// What [`recover`] did to bring an engine back: how much state came from
-/// a checkpoint and how much from log replay.
+/// a checkpoint and how much from log replay, and how long each phase took.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Epoch of the checkpoint restored, if one was found.
@@ -90,6 +97,17 @@ pub struct RecoveryReport {
     /// Logged transactions whose recorded decision was *abort* — their
     /// inputs are in the log but replay does not execute them.
     pub txns_aborted: usize,
+    /// Wall time spent reading the log's segments and checking their
+    /// records (decoding them is part of replay).
+    pub read_log: Duration,
+    /// Wall time spent loading the newest checkpoint and restoring it.
+    pub restore: Duration,
+    /// Wall time spent decoding and replaying the log, closing barrier
+    /// included.
+    pub replay: Duration,
+    /// Wall time spent opening the log for appending (tail repair and the
+    /// fresh segment).
+    pub open_log: Duration,
 }
 
 /// What [`recover`] hands back: the log, opened for appending behind
@@ -124,33 +142,55 @@ pub fn recover<E: BatchEngine + ?Sized>(
     engine: &E,
     config: &DurabilityConfig,
 ) -> io::Result<Recovered> {
-    let log = Wal::read_log(&config.dir)?;
-    let ckp = checkpoint::load_latest(&config.dir)?;
     let mut report = RecoveryReport::default();
-    let base = match &ckp {
-        Some(c) => {
+    let (records, tail) = timed(&mut report.read_log, || Wal::read_records(&config.dir))?;
+    let base = timed(&mut report.restore, || {
+        let ckp = checkpoint::load_latest(&config.dir)?;
+        Ok::<_, io::Error>(ckp.map_or(0, |c| {
             report.checkpoint_epoch = Some(c.epoch);
             report.checkpoint_records = c.records.len();
-            checkpoint::restore_into(c, engine);
+            checkpoint::restore_into(&c, engine);
             c.epoch
-        }
-        None => 0,
-    };
-    let epoch = log.iter().map(|b| b.epoch).fold(base, u64::max);
-    let batches = log.len();
-    // The log is recovery's own: its transactions move into the engine.
-    let suffix: Vec<_> = log.into_iter().filter(|b| b.epoch >= base).collect();
-    report.batches_skipped = batches - suffix.len();
-    let logged: usize = suffix.iter().map(|b| b.txns.len()).sum();
-    let outcomes = replay_into(suffix, engine)?;
+        }))
+    })?;
+    // Each record is decoded once, as replay reaches it. The log is
+    // recovery's own: its transactions move into the engine.
+    let (mut epoch, mut logged, mut fault) = (base, 0, None);
+    let suffix = records
+        .decode()
+        .map_while(|b| b.map_err(|e| fault = Some(e)).ok())
+        .inspect(|b| epoch = epoch.max(b.epoch))
+        .filter(|b| {
+            let covered = b.epoch < base;
+            report.batches_skipped += usize::from(covered);
+            !covered
+        })
+        .inspect(|b| logged += b.txns.len());
+    let replayed = timed(&mut report.replay, || engine.replay(suffix));
+    // A record that does not decode ends replay early: that is the error.
+    if let Some(e) = fault {
+        return Err(e);
+    }
+    let outcomes = replayed?;
     report.txns_replayed = outcomes.len();
     report.txns_aborted = logged - outcomes.len();
+    // Replay has read the log's tail already, and nothing has written to
+    // the directory since: opening it need not decode the last segment again.
+    let wal = timed(&mut report.open_log, || Wal::open_after(config, tail))?;
     Ok(Recovered {
-        wal: Wal::open(config)?,
+        wal,
         epoch,
         report,
         outcomes,
     })
+}
+
+/// Run `f`, adding its wall time to `phase`.
+fn timed<T>(phase: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *phase += t0.elapsed();
+    out
 }
 
 /// What one [`DurableEngine::checkpoint`] call accomplished.

@@ -17,7 +17,9 @@
 //!   fills).
 
 use crate::txn::Txn;
+use crate::wal::LoggedBatch;
 use std::collections::VecDeque;
+use std::io;
 
 /// Outcome of running one transaction to a final decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,6 +127,28 @@ pub trait BatchEngine: Send + Sync + 'static {
     /// always quiescent (the default no-op); pipelined engines must drain
     /// their in-flight batches.
     fn quiesce(&self) {}
+
+    /// Re-execute recovered log `batches` in log order, then quiesce, and
+    /// return the replayed transactions' outcomes in that order — the replay
+    /// step of [`durable::recover`](crate::durable::recover), which decodes
+    /// each batch as replay takes it. Unless it fails, replay takes every
+    /// batch. The engine must not be logging (see
+    /// [`replay_into`](crate::wal::replay_into)).
+    ///
+    /// The default is [`replay_into`](crate::wal::replay_into): one
+    /// transaction at a time through a session, each held to its logged
+    /// decision if the record carries one. An engine whose log order is its
+    /// serial order may override it to replay a logged batch as a batch.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`replay_into`](crate::wal::replay_into).
+    fn replay(
+        &self,
+        batches: impl IntoIterator<Item = LoggedBatch>,
+    ) -> io::Result<Vec<ExecOutcome>> {
+        crate::wal::replay_into(batches, self)
+    }
 }
 
 /// [`Session`] adapter over an interactive [`Engine`] worker: `submit`

@@ -13,7 +13,7 @@
 //! * the batch-riding write-ahead log ([`wal`]): the sealer logs each
 //!   formed batch's inputs before releasing it, and every durable engine
 //!   recovers through one routine ([`durable::recover`]), whose replay is
-//!   [`wal::replay_into`] — see the workspace's
+//!   [`engine::BatchEngine::replay`] — see the workspace's
 //!   `recovery_demo` example for the end-to-end open-log → run → kill →
 //!   replay → fingerprint-check walkthrough.
 //!

@@ -8,10 +8,12 @@
 //! according to the configured [`FsyncPolicy`], and only then releases the
 //! batch to the CC threads. Group commit falls out of the existing
 //! size/linger batching for free, and recovery is deterministic replay
-//! ([`replay_into`]): re-submit the logged transactions in log order
-//! through the normal pipeline and the rebuilt state is
-//! fingerprint-identical to a serial oracle over the same inputs (batch
-//! boundaries do not affect outcomes — only order matters).
+//! ([`BatchEngine::replay`]): re-execute the logged transactions in log
+//! order and the rebuilt state is fingerprint-identical to a serial oracle
+//! over the same inputs (batch boundaries do not affect outcomes — only
+//! order matters). The default replay is [`replay_into`], one transaction
+//! at a time through a session; BOHM replays each logged batch as one
+//! sealed batch.
 //!
 //! # On-disk format
 //!
@@ -65,8 +67,9 @@
 //! logs batch inputs through it, and `common::durable::DurableEngine` logs
 //! the other four engines' commit orders with their decisions. Both read
 //! the log back through one recovery routine, `common::durable::recover`,
-//! which replays with [`replay_into`] into an engine that is not logging
-//! yet and only then opens the log for appending — so recovery never logs.
+//! which replays with [`BatchEngine::replay`] (by default [`replay_into`])
+//! into an engine that is not logging yet and only then opens the log for
+//! appending — so recovery never logs.
 //! [`Wal::log_bytes`] and [`Wal::truncate_before`] are the hooks
 //! checkpointing (`common::checkpoint::cut`) drives: once a checkpoint
 //! covers every effect up to epoch `e`, all segments whose batches are
@@ -86,6 +89,7 @@
 //! kill → replay → fingerprint-check walkthrough, and `DESIGN.md`
 //! ("Durability & recovery") for the design rationale.
 
+use crate::arena::{Arena, ArenaPool, SetBuf};
 use crate::codec::{checksum, foreign_magic, put_u64, put_var, sync_dir, Numbered, Reader};
 use crate::engine::{BatchEngine, ExecOutcome, Session};
 use crate::txn::{IndexScan, ScanRange, Txn};
@@ -303,30 +307,41 @@ impl Wal {
     /// that is not [`SEGMENT_MAGIC`], is not a tear: open refuses with
     /// [`InvalidData`](io::ErrorKind::InvalidData) and changes nothing.
     pub fn open(config: &DurabilityConfig) -> io::Result<Self> {
+        let mut tail = Tail::list(&config.dir)?;
+        if let Some((index, path, _)) = tail.segments.last() {
+            let mut last = Segment::new(*index, fs::read(path)?);
+            tail.end = last.check(true)?;
+            Records(vec![last]).decode().try_for_each(|b| b.map(drop))?;
+        }
+        Self::open_after(config, tail)
+    }
+
+    /// [`open`](Self::open) behind a log [`read_records`](Self::read_records)
+    /// has just read: its check of the last segment stands in for open's, and
+    /// decoding is the reader's, so recovery decodes each record once.
+    /// Nothing may have written to the directory in between.
+    pub(crate) fn open_after(config: &DurabilityConfig, tail: Tail) -> io::Result<Self> {
         config.validate();
         fs::create_dir_all(&config.dir)?;
-        let mut existing = SEGMENTS.list(&config.dir)?;
-        // Torn-tail repair. A loop, because a file shorter than its header
-        // holds nothing and is removed, promoting the previous (sealed,
-        // so normally intact) segment to "last".
-        while let Some((idx, path, _)) = existing.last() {
-            let mut data = Vec::new();
-            File::open(path)?.read_to_end(&mut data)?;
-            let mut scratch = Vec::new();
-            let scan = read_segment(&data, true, *idx, &mut scratch)?;
-            if scan.intact {
-                break;
-            }
-            if scan.valid_len >= SEGMENT_MAGIC.len() {
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(scan.valid_len as u64)?;
-                f.sync_all()?;
-                existing.last_mut().unwrap().2 = scan.valid_len as u64;
-                break;
-            }
-            fs::remove_file(path)?;
+        let Tail {
+            segments: mut existing,
+            stubs,
+            end,
+        } = tail;
+        // Torn-tail repair. A file shorter than its header holds nothing and
+        // is removed, which makes the segment before it (sealed, so normally
+        // intact) the last; a torn record is truncated off the last segment.
+        for stub in stubs.iter().rev() {
+            fs::remove_file(stub)?;
+        }
+        if !stubs.is_empty() {
             sync_dir(&config.dir)?;
-            existing.pop();
+        }
+        if let (false, Some((_, path, bytes))) = (end.intact, existing.last_mut()) {
+            let f = OpenOptions::new().write(true).open(&*path)?;
+            f.set_len(end.valid_len as u64)?;
+            f.sync_all()?;
+            *bytes = end.valid_len as u64;
         }
         let next = existing.last().map_or(0, |(idx, _, _)| idx + 1);
         let sealed: Vec<SealedSegment> = existing
@@ -436,24 +451,106 @@ impl Wal {
     /// before it is read as the last — what [`open`](Self::open)'s repair
     /// leaves.
     pub fn read_log(dir: &Path) -> io::Result<Vec<LoggedBatch>> {
-        let mut segs = SEGMENTS.list(dir)?;
-        while segs
+        Self::read_records(dir)?.0.decode().collect()
+    }
+
+    /// [`read_log`](Self::read_log) up to the decoding: every segment read
+    /// and checked, torn tail dropped, each record's decode left to the
+    /// caller — plus what the check found at the log's tail, for
+    /// [`open_after`](Self::open_after) to repair.
+    pub(crate) fn read_records(dir: &Path) -> io::Result<(Records, Tail)> {
+        let mut tail = Tail::list(dir)?;
+        let mut segments = Vec::with_capacity(tail.segments.len());
+        let last = tail.segments.len().saturating_sub(1);
+        for (i, (index, path, _)) in tail.segments.iter().enumerate() {
+            let mut segment = Segment::new(*index, fs::read(path)?);
+            let scan = segment.check(i == last)?;
+            // Only the last segment can end torn; any other errored above.
+            if i == last {
+                tail.end = scan;
+            }
+            segments.push(segment);
+        }
+        Ok((Records(segments), tail))
+    }
+}
+
+/// A log read back and checked but not decoded: every whole, checksummed
+/// record of every segment, in log order.
+pub(crate) struct Records(Vec<Segment>);
+
+impl Records {
+    /// Decode the records one by one, in log order, packing their sets into
+    /// one arena (see [`Decoder`]). A checksummed record that fails to
+    /// decode is corruption, not a tear: an error.
+    pub(crate) fn decode(self) -> impl Iterator<Item = io::Result<LoggedBatch>> {
+        let Records(segments) = self;
+        let records: Vec<(usize, usize)> = (segments.iter().enumerate())
+            .flat_map(|(i, s)| s.records.iter().map(move |&at| (i, at)))
+            .collect();
+        let mut decoder = Decoder::new(ArenaPool::default().arena());
+        records.into_iter().map(move |(i, at)| {
+            let Segment { index, bytes, .. } = &segments[i];
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+            let payload = &bytes[at + RECORD_HEADER..][..len as usize];
+            decoder
+                .batch(payload)
+                .ok_or_else(|| corrupt(*index, at, "checksummed record fails to decode"))
+        })
+    }
+}
+
+/// One segment file's bytes and where its records start.
+struct Segment {
+    index: u64,
+    bytes: Vec<u8>,
+    /// Offsets of the records [`check`](Self::check) found whole.
+    records: Vec<usize>,
+}
+
+impl Segment {
+    fn new(index: u64, bytes: Vec<u8>) -> Self {
+        Self {
+            index,
+            bytes,
+            records: Vec::new(),
+        }
+    }
+}
+
+/// A log directory's segment files, and how the last one ends: what
+/// [`Wal::open_after`] needs to repair the tail.
+pub(crate) struct Tail {
+    /// The segments holding at least a header, in log order: `(index,
+    /// path, bytes)`.
+    segments: Vec<(u64, PathBuf, u64)>,
+    /// Trailing files shorter than a header, in log order. They hold
+    /// nothing; the segment before them is read as the last.
+    stubs: Vec<PathBuf>,
+    /// The last segment's scan (intact when there is none).
+    end: SegScan,
+}
+
+impl Tail {
+    /// List `dir`'s segments, setting the trailing stubs aside; the last
+    /// segment is not scanned yet.
+    fn list(dir: &Path) -> io::Result<Self> {
+        let mut segments = SEGMENTS.list(dir)?;
+        let mut stubs = Vec::new();
+        while segments
             .last()
             .is_some_and(|(_, _, bytes)| *bytes < SEGMENT_MAGIC.len() as u64)
         {
-            segs.pop();
+            stubs.insert(0, segments.pop().expect("checked above").1);
         }
-        let mut out = Vec::new();
-        let last = segs.len().saturating_sub(1);
-        for (i, (idx, path, _)) in segs.iter().enumerate() {
-            let is_last = i == last;
-            let mut bytes = Vec::new();
-            File::open(path)?.read_to_end(&mut bytes)?;
-            if !read_segment(&bytes, is_last, *idx, &mut out)?.intact {
-                break; // torn tail: ignore anything after it
-            }
-        }
-        Ok(out)
+        Ok(Self {
+            segments,
+            stubs,
+            end: SegScan {
+                intact: true,
+                valid_len: 0,
+            },
+        })
     }
 }
 
@@ -541,7 +638,7 @@ impl LogSink for Wal {
 }
 
 /// Re-submit recovered batches through an engine's normal pipeline, in
-/// log order, and quiesce — the one loop over logged transactions, which
+/// log order, and quiesce — the default of [`BatchEngine::replay`], which
 /// every durable engine's recovery (`common::durable::recover`) runs.
 /// Returns the replayed transactions' outcomes in that order.
 ///
@@ -556,7 +653,9 @@ impl LogSink for Wal {
 /// Batch boundaries are *not* reproduced: the engine re-forms its own
 /// batches, which is safe because outcomes depend only on transaction
 /// order, never on where batch seals fell (the same argument that lets
-/// the size/linger triggers vary freely between runs).
+/// the size/linger triggers vary freely between runs). Each transaction
+/// costs a submission and a reap; BOHM's own replay keeps the logged
+/// batches instead, and this loop stays its differential oracle.
 ///
 /// `engine` must not log: replaying into an engine that appends to the
 /// directory the batches came from would log them a second time, and the
@@ -876,86 +975,129 @@ fn decode_rid(r: &mut Reader) -> Option<RecordId> {
     Some(RecordId::new(table, r.var()?))
 }
 
-fn decode_txn(r: &mut Reader) -> Option<Txn> {
-    // Loop bounds come from the decoded counts, never `Vec::capacity()`:
-    // `with_capacity(n)` only promises capacity >= n, and an allocator
-    // that rounds up must not make us decode extra elements. Every count
-    // is checked against the bytes left (`Reader::count`), and the shared
-    // prefix against the read set, so no allocation outgrows the payload.
-    let proc = decode_proc(r)?;
-    let think_us = r.var_u32()?;
-    let n_reads = r.count(2)?;
-    let mut reads = Vec::with_capacity(n_reads);
-    for _ in 0..n_reads {
-        reads.push(decode_rid(r)?);
-    }
-    let shared = usize::try_from(r.var()?).ok().filter(|&s| s <= n_reads)?;
-    let n_rest = r.count(2)?;
-    let mut writes = Vec::with_capacity(shared + n_rest);
-    writes.extend_from_slice(&reads[..shared]);
-    for _ in 0..n_rest {
-        writes.push(decode_rid(r)?);
-    }
-    let n_scans = r.count(3)?;
-    let mut scans = Vec::with_capacity(n_scans);
-    for _ in 0..n_scans {
-        let table = r.var_u32()?;
-        let lo = r.var()?;
-        scans.push(ScanRange::new(table, lo, r.var()?));
-    }
-    let n_index_scans = r.count(2)?;
-    let mut index_scans = Vec::with_capacity(n_index_scans);
-    for _ in 0..n_index_scans {
-        // The posting list must be one of the transaction's reads.
-        let list = usize::try_from(r.var()?).ok().filter(|&l| l < n_reads)?;
-        index_scans.push(IndexScan::new(list, r.var_u32()?));
-    }
-    let mut txn = Txn::new(reads, writes, proc);
-    txn.scans = scans.into();
-    txn.index_scans = index_scans.into();
-    txn.think_us = think_us;
-    Some(txn)
+/// Decodes records, packing every transaction's sets into one arena: a set
+/// costs a bump of the arena's pointer, not an allocation, and a BOHM engine
+/// replaying the transactions finds them packed already.
+pub(crate) struct Decoder {
+    arena: Arena,
+    // Scratch for one transaction's sets, emptied and kept.
+    reads: Vec<RecordId>,
+    writes: Vec<RecordId>,
+    scans: Vec<ScanRange>,
+    index_scans: Vec<IndexScan>,
 }
 
-/// Decode one record's payload; `None` when it does not parse. Never
-/// panics, whatever the bytes: the checksum is not what keeps it safe.
-pub(crate) fn decode_batch(payload: &[u8]) -> Option<LoggedBatch> {
-    let mut r = Reader::new(payload);
-    let epoch = r.u64()?;
-    let n = r.count(MIN_TXN_BYTES)?;
-    let mut txns = Vec::with_capacity(n);
-    for _ in 0..n {
-        txns.push(decode_txn(&mut r)?);
+/// Copy `items` into `arena` and empty them.
+fn pack<T: Copy>(arena: &mut Arena, items: &mut Vec<T>) -> SetBuf<T> {
+    let packed = SetBuf::Packed(arena.alloc_copy(items));
+    items.clear();
+    packed
+}
+
+impl Decoder {
+    pub(crate) fn new(arena: Arena) -> Self {
+        Self {
+            arena,
+            reads: Vec::new(),
+            writes: Vec::new(),
+            scans: Vec::new(),
+            index_scans: Vec::new(),
+        }
     }
-    // Optional trailing commit-outcomes section (nondeterministic-engine
-    // records); its presence is decided by payload length.
-    let outcomes = if r.at_end() {
-        None
-    } else {
-        if r.u8()? != OUTCOMES_TAG {
-            return None;
+
+    fn txn(&mut self, r: &mut Reader) -> Option<Txn> {
+        // Loop bounds come from the decoded counts, never `Vec::capacity()`.
+        // Every count is checked against the bytes left (`Reader::count`),
+        // and the shared prefix against the read set, before it reserves, so
+        // no allocation outgrows the payload. A transaction that fails to
+        // decode leaves scratch behind: each set starts by clearing it.
+        let proc = decode_proc(r)?;
+        let think_us = r.var_u32()?;
+        let n_reads = r.count(2)?;
+        let reads = &mut self.reads;
+        reads.clear();
+        reads.reserve(n_reads);
+        for _ in 0..n_reads {
+            reads.push(decode_rid(r)?);
         }
-        let mut decisions = Vec::with_capacity(n);
+        let shared = usize::try_from(r.var()?).ok().filter(|&s| s <= n_reads)?;
+        let n_rest = r.count(2)?;
+        let writes = &mut self.writes;
+        writes.clear();
+        writes.reserve(shared + n_rest);
+        writes.extend_from_slice(&reads[..shared]);
+        for _ in 0..n_rest {
+            writes.push(decode_rid(r)?);
+        }
+        let n_scans = r.count(3)?;
+        let scans = &mut self.scans;
+        scans.clear();
+        scans.reserve(n_scans);
+        for _ in 0..n_scans {
+            let table = r.var_u32()?;
+            let lo = r.var()?;
+            scans.push(ScanRange::new(table, lo, r.var()?));
+        }
+        let n_index_scans = r.count(2)?;
+        let index_scans = &mut self.index_scans;
+        index_scans.clear();
+        index_scans.reserve(n_index_scans);
+        for _ in 0..n_index_scans {
+            // The posting list must be one of the transaction's reads.
+            let list = usize::try_from(r.var()?).ok().filter(|&l| l < n_reads)?;
+            index_scans.push(IndexScan::new(list, r.var_u32()?));
+        }
+        let arena = &mut self.arena;
+        Some(Txn {
+            reads: pack(arena, reads),
+            writes: pack(arena, writes),
+            scans: pack(arena, scans),
+            index_scans: pack(arena, index_scans),
+            proc,
+            think_us,
+        })
+    }
+
+    /// Decode one record's payload; `None` when it does not parse. Never
+    /// panics, whatever the bytes: the checksum is not what keeps it safe.
+    pub(crate) fn batch(&mut self, payload: &[u8]) -> Option<LoggedBatch> {
+        let mut r = Reader::new(payload);
+        let epoch = r.u64()?;
+        let n = r.count(MIN_TXN_BYTES)?;
+        let mut txns = Vec::with_capacity(n);
         for _ in 0..n {
-            let committed = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            decisions.push(TxnDecision {
-                committed,
-                fingerprint: r.u64()?,
-            });
+            txns.push(self.txn(&mut r)?);
         }
-        Some(decisions)
-    };
-    // Trailing bytes after the declared sections would mean the writer
-    // and reader disagree about the format.
-    r.at_end().then_some(LoggedBatch {
-        epoch,
-        txns,
-        outcomes,
-    })
+        // Optional trailing commit-outcomes section (nondeterministic-engine
+        // records); its presence is decided by payload length.
+        let outcomes = if r.at_end() {
+            None
+        } else {
+            if r.u8()? != OUTCOMES_TAG {
+                return None;
+            }
+            let mut decisions = Vec::with_capacity(n);
+            for _ in 0..n {
+                let committed = match r.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                };
+                decisions.push(TxnDecision {
+                    committed,
+                    fingerprint: r.u64()?,
+                });
+            }
+            Some(decisions)
+        };
+        // Trailing bytes after the declared sections would mean the writer
+        // and reader disagree about the format.
+        r.at_end().then_some(LoggedBatch {
+            epoch,
+            txns,
+            outcomes,
+        })
+    }
 }
 
 fn corrupt(segment: u64, offset: usize, what: &str) -> io::Error {
@@ -993,68 +1135,62 @@ struct SegScan {
     valid_len: usize,
 }
 
-/// Decode one segment's records into `out`. A torn tail is dropped and
-/// reported via [`SegScan`] (legal only when `is_last`; otherwise it is
-/// corruption and errors).
-fn read_segment(
-    bytes: &[u8],
-    is_last: bool,
-    segment: u64,
-    out: &mut Vec<LoggedBatch>,
-) -> io::Result<SegScan> {
-    let torn = |offset: usize, valid_len: usize, what: &str| {
-        if is_last {
-            // crash mid-append: drop the tail
-            Ok(SegScan {
-                intact: false,
-                valid_len,
-            })
-        } else {
-            Err(corrupt(segment, offset, what))
-        }
-    };
-    // Only a file shorter than the magic can be a tear (`create_segment`
-    // syncs the header before naming the file); a full-length header that
-    // is not the magic is another version or damage, refused wherever the
-    // segment sits.
-    let Some(magic) = bytes.get(..SEGMENT_MAGIC.len()) else {
-        return torn(0, 0, "short segment header");
-    };
-    if magic != SEGMENT_MAGIC {
-        return Err(foreign_magic(
-            &format!("wal segment {segment}"),
-            magic,
-            &SEGMENT_MAGIC,
-        ));
-    }
-    let mut pos = SEGMENT_MAGIC.len();
-    while pos < bytes.len() {
-        let Some(header) = bytes.get(pos..pos + RECORD_HEADER) else {
-            return torn(pos, pos, "short record header");
+impl Segment {
+    /// Find the segment's whole, checksummed records. A torn tail is
+    /// dropped and reported via [`SegScan`] (legal only when `is_last`;
+    /// otherwise it is corruption and errors).
+    fn check(&mut self, is_last: bool) -> io::Result<SegScan> {
+        let (bytes, segment) = (&self.bytes, self.index);
+        let torn = |offset: usize, valid_len: usize, what: &str| {
+            if is_last {
+                // crash mid-append: drop the tail
+                Ok(SegScan {
+                    intact: false,
+                    valid_len,
+                })
+            } else {
+                Err(corrupt(segment, offset, what))
+            }
         };
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let sum = u64::from_le_bytes(header[4..RECORD_HEADER].try_into().unwrap());
-        if len > MAX_RECORD_BYTES {
-            return torn(pos, pos, "record length out of range");
-        }
-        let start = pos + RECORD_HEADER;
-        let Some(payload) = bytes.get(start..start + len as usize) else {
-            return torn(pos, pos, "short record payload");
+        // Only a file shorter than the magic can be a tear (`create_segment`
+        // syncs the header before naming the file); a full-length header that
+        // is not the magic is another version or damage, refused wherever the
+        // segment sits.
+        let Some(magic) = bytes.get(..SEGMENT_MAGIC.len()) else {
+            return torn(0, 0, "short segment header");
         };
-        if checksum(payload) != sum {
-            return torn(pos, pos, "record checksum mismatch");
+        if magic != SEGMENT_MAGIC {
+            return Err(foreign_magic(
+                &format!("wal segment {segment}"),
+                magic,
+                &SEGMENT_MAGIC,
+            ));
         }
-        // Past the checksum, failure to decode is always corruption: the
-        // bytes made it to disk intact but do not parse.
-        let batch = decode_batch(payload)
-            .ok_or_else(|| corrupt(segment, pos, "checksummed record fails to decode"))?;
-        out.push(batch);
-        pos = start + len as usize;
+        let mut pos = SEGMENT_MAGIC.len();
+        while pos < bytes.len() {
+            let Some(header) = bytes.get(pos..pos + RECORD_HEADER) else {
+                return torn(pos, pos, "short record header");
+            };
+            let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+            let sum = u64::from_le_bytes(header[4..RECORD_HEADER].try_into().unwrap());
+            if len > MAX_RECORD_BYTES {
+                return torn(pos, pos, "record length out of range");
+            }
+            let start = pos + RECORD_HEADER;
+            let Some(payload) = bytes.get(start..start + len as usize) else {
+                return torn(pos, pos, "short record payload");
+            };
+            if checksum(payload) != sum {
+                return torn(pos, pos, "record checksum mismatch");
+            }
+            self.records.push(pos);
+            pos = start + len as usize;
+        }
+        Ok(SegScan {
+            intact: true,
+            valid_len: pos,
+        })
     }
-    Ok(SegScan {
-        intact: true,
-        valid_len: pos,
-    })
 }
 
 #[cfg(test)]
@@ -1070,6 +1206,10 @@ mod tests {
 
     fn rid(t: u32, r: u64) -> RecordId {
         RecordId::new(t, r)
+    }
+
+    fn decoder() -> Decoder {
+        Decoder::new(ArenaPool::default().arena())
     }
 
     fn apply_proc() -> Procedure {
@@ -1249,7 +1389,7 @@ mod tests {
         txn.index_scans = vec![IndexScan::new(2, 3)].into();
         let mut record = Vec::new();
         encode_record(&mut record, 1, &mut std::iter::once(&txn), None);
-        assert!(decode_batch(&record[RECORD_HEADER..]).is_none());
+        assert!(decoder().batch(&record[RECORD_HEADER..]).is_none());
         let dir = tmpdir("index-scan-list");
         fs::create_dir_all(&dir).unwrap();
         let mut segment = Vec::from(SEGMENT_MAGIC);
@@ -1270,7 +1410,7 @@ mod tests {
         // prefix, no further writes, no scans of either kind.
         assert_eq!(buf.len(), 3 + 1 + 10 * 4 + 4);
         let mut r = Reader::new(&buf);
-        assert_txn_eq(&decode_txn(&mut r).unwrap(), &txn);
+        assert_txn_eq(&decoder().txn(&mut r).unwrap(), &txn);
         assert!(r.at_end());
     }
 
@@ -1360,13 +1500,17 @@ mod tests {
         let corpus = [input, decided, ckp_body];
         let mut rng = crate::rng::FastRng::seed_from(0xF022);
         let rounds = crate::stress_iters(3_000);
+        // The decoder's arena chunk is recycled across records, not sized
+        // by any one of them: every round draws the same warm chunk.
+        let pool = ArenaPool::default();
+        drop(pool.arena().alloc_copy(&[0u8]));
         for round in 0..rounds {
             let mut bytes = corpus[round as usize % corpus.len()].clone();
             for _ in 0..=rng.below(3) {
                 mutate(&mut rng, &mut bytes);
             }
             let budget = ALLOC_PER_INPUT_BYTE * bytes.len() + 1024;
-            let wal = allocated_by(|| decode_batch(&bytes));
+            let wal = allocated_by(|| Decoder::new(pool.arena()).batch(&bytes));
             let ckp = allocated_by(|| crate::Checkpoint::decode_body(&bytes));
             assert!(
                 wal <= budget && ckp <= budget,

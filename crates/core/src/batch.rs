@@ -12,12 +12,14 @@
 //! there to be polled the moment its executor marks it `Complete`. A
 //! *wake-up* is paid only when a thread is actually parked on that word.
 //! Batch boundaries are an engine-internal amortization artifact;
-//! submitters never see them.
+//! submitters never see them. A *replayed* transaction has no submitter and
+//! no word: its executor leaves the outcome in the [`TxnState`], where
+//! replay reads it once the batch has retired.
 
 use crate::engine::Inner;
 use bohm_common::{ASlice, Arena, RecordId, Timestamp, Txn};
 use bohm_mvstore::Version;
-use bohm_sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use bohm_sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use bohm_sync::{Condvar, Mutex};
 use std::ptr;
 use std::sync::Arc;
@@ -304,8 +306,15 @@ pub struct TxnState {
     /// One slot per write-set entry: the placeholder version installed by
     /// the owning CC thread (§3.2.2).
     pub(crate) write_refs: ASlice<AtomicPtr<Version>>,
-    /// Where the submitter learns the outcome.
-    pub(crate) completion: Arc<Completion>,
+    /// Where the submitter learns the outcome; `None` for a replayed
+    /// transaction, whose outcome stays in `committed` and `fingerprint`.
+    pub(crate) completion: Option<Arc<Completion>>,
+    /// A replayed transaction's decision, stored before `state` turns
+    /// `Complete` and read once its batch has retired
+    /// ([`replayed_outcome`](Self::replayed_outcome)). Untouched when there
+    /// is a completion word.
+    committed: AtomicBool,
+    fingerprint: AtomicU64,
 }
 
 impl TxnState {
@@ -334,7 +343,7 @@ impl TxnState {
         txn: Txn,
         ts: Timestamp,
         annotate_max_reads: usize,
-        completion: Arc<Completion>,
+        completion: Option<Arc<Completion>>,
         arena: &mut Arena,
     ) -> Self {
         let annotate = txn.reads.len() <= annotate_max_reads;
@@ -371,6 +380,8 @@ impl TxnState {
             read_refs,
             write_refs,
             completion,
+            committed: AtomicBool::new(false),
+            fingerprint: AtomicU64::new(0),
         }
     }
 
@@ -404,12 +415,36 @@ impl TxnState {
     }
 
     /// Mark a claimed transaction `Complete` with its decision; delivers
-    /// the outcome straight to the submitter's [`Completion`].
+    /// the outcome straight to the submitter's [`Completion`], or keeps it
+    /// here for replay.
     #[inline]
     pub(crate) fn complete(&self, committed: bool, fingerprint: u64) {
         debug_assert_eq!(self.status(), txn_status::EXECUTING);
+        if let Some(completion) = &self.completion {
+            self.state.store(txn_status::COMPLETE, Ordering::Release);
+            return completion.record(committed, fingerprint);
+        }
+        // RELAXED: published by the Release store of `Complete` below. The
+        // thread responsible for this transaction Acquires that before it
+        // counts out of the batch, and retirement follows the last count-out.
+        self.committed.store(committed, Ordering::Relaxed);
+        // RELAXED: as above.
+        self.fingerprint.store(fingerprint, Ordering::Relaxed);
         self.state.store(txn_status::COMPLETE, Ordering::Release);
-        self.completion.record(committed, fingerprint);
+    }
+
+    /// The decision of a replayed transaction (one without a completion
+    /// word). Only for a batch that has retired: `Window::retired`'s
+    /// Acquire makes its executors' stores visible.
+    pub(crate) fn replayed_outcome(&self) -> TxnOutcome {
+        debug_assert!(self.completion.is_none());
+        debug_assert_eq!(self.status(), txn_status::COMPLETE);
+        TxnOutcome {
+            // RELAXED: ordered by the caller's Acquire of the retirement.
+            committed: self.committed.load(Ordering::Relaxed),
+            // RELAXED: as above.
+            fingerprint: self.fingerprint.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -447,7 +482,7 @@ impl Batch {
     /// order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        entries: impl IntoIterator<Item = (Txn, Arc<Completion>)>,
+        entries: impl IntoIterator<Item = (Txn, Option<Arc<Completion>>)>,
         base_ts: Timestamp,
         id: u64,
         epoch: u64,
@@ -516,13 +551,13 @@ pub(crate) mod tests {
     }
 
     /// `n` single-key RMWs, each with its own fresh completion.
-    pub(crate) fn entries(n: usize) -> Vec<(Txn, Arc<Completion>)> {
-        (0..n).map(|_| (txn(), Completion::new())).collect()
+    pub(crate) fn entries(n: usize) -> Vec<(Txn, Option<Arc<Completion>>)> {
+        (0..n).map(|_| (txn(), Some(Completion::new()))).collect()
     }
 
     fn lone_state() -> (TxnState, Arc<Completion>) {
         let c = Completion::new();
-        let t = TxnState::new(txn(), 5, 64, Arc::clone(&c), &mut test_arena());
+        let t = TxnState::new(txn(), 5, 64, Some(Arc::clone(&c)), &mut test_arena());
         (t, c)
     }
 
@@ -557,7 +592,7 @@ pub(crate) mod tests {
     fn plan_of(reads: &[u64], writes: &[u64]) -> Vec<(Option<usize>, Option<usize>)> {
         let rids = |rows: &[u64]| rows.iter().map(|&r| RecordId::new(0, r)).collect();
         let t = Txn::new(rids(reads), rids(writes), Procedure::ReadOnly);
-        let t = TxnState::new(t, 9, 64, Completion::new(), &mut test_arena());
+        let t = TxnState::new(t, 9, 64, None, &mut test_arena());
         for e in t.plan.iter() {
             let rid = match (e.read(), e.write()) {
                 (_, Some(w)) => t.txn.writes[w],
@@ -666,7 +701,7 @@ pub(crate) mod tests {
                 read_only(70),
                 wide_rmw,
             ];
-            txns.into_iter().map(|t| (t, Completion::new()))
+            txns.into_iter().map(|t| (t, None))
         };
         let pending = |b: &Batch| b.exec_pending.load(Ordering::Acquire);
         // Above the limit *and* write-free: positions 1 and 4.
@@ -685,7 +720,10 @@ pub(crate) mod tests {
     #[test]
     fn each_transaction_decides_its_own_word_as_it_completes() {
         let entries = entries(2);
-        let words: Vec<_> = entries.iter().map(|(_, c)| Arc::clone(c)).collect();
+        let words: Vec<_> = entries
+            .iter()
+            .map(|(_, c)| Arc::clone(c.as_ref().unwrap()))
+            .collect();
         let b = Batch::new(entries, 1, 0, 0, 1, 1, 64, &mut test_arena());
         assert!(!words[0].is_done() && !words[1].is_done());
         b.txns[1].try_claim();

@@ -86,8 +86,8 @@ pub struct BohmConfig {
     /// ([`durable::recover`](bohm_common::durable::recover)) restores the
     /// newest checkpoint, replays the log suffix into the engine before it
     /// has a log, then attaches the log, so nothing is logged twice.
-    /// [`replay_into`](bohm_common::wal::replay_into) alone replays a log
-    /// into some *other*, memory-only engine.
+    /// [`BatchEngine::replay`](bohm_common::engine::BatchEngine::replay)
+    /// alone replays a log into some *other*, memory-only engine.
     pub durability: Option<bohm_common::wal::DurabilityConfig>,
 }
 

@@ -113,7 +113,7 @@ impl Inner {
 
 /// A running BOHM engine. See the [crate docs](crate) for the protocol.
 pub struct Bohm {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -173,10 +173,10 @@ impl Bohm {
     /// [`durable::recover`](bohm_common::durable::recover) — the routine
     /// `DurableEngine::open` runs too — restores the newest
     /// [`Checkpoint`](bohm_common::checkpoint::Checkpoint), if any, and
-    /// replays the log suffix stamped at or after its epoch (an ordinary
-    /// session and a closing
-    /// [`quiesce`](bohm_common::engine::BatchEngine::quiesce)), and only
-    /// then is the log opened, its torn tail repaired, and attached. So
+    /// replays the log suffix stamped at or after its epoch — each logged
+    /// batch sealed as one batch, see
+    /// [`ingest`](crate::ingest) — and only then is the log opened, its
+    /// torn tail repaired, and attached. So
     /// recovery logs nothing — neither the replayed suffix, which the
     /// inherited segments already hold, nor the barriers that end restore
     /// and replay — and work submitted afterwards is logged exactly once
@@ -202,7 +202,7 @@ impl Bohm {
     ///
     /// Panics if `config.durability` is `None`: recovery without a log
     /// directory is meaningless. (Replay into a memory-only engine is
-    /// [`wal::replay_into`](bohm_common::wal::replay_into).)
+    /// [`BatchEngine::replay`](bohm_common::engine::BatchEngine::replay).)
     pub fn recover(
         config: BohmConfig,
         catalog: CatalogSpec,
@@ -823,9 +823,7 @@ mod tests {
     /// Run the CC phase of a hand-built batch (timestamps from 1) on the
     /// calling thread, as the engine's only CC thread would.
     fn cc_phase_of(e: &Bohm, txns: Vec<Txn>) -> Arc<crate::batch::Batch> {
-        let entries = txns
-            .into_iter()
-            .map(|t| (t, crate::batch::Completion::new()));
+        let entries = txns.into_iter().map(|t| (t, None));
         let mut arena = crate::batch::tests::test_arena();
         let batch = crate::batch::Batch::new(entries, 1, 0, 0, 1, 1, 64, &mut arena);
         cc::process_batch(&e.inner, 0, &batch, &mut bohm_mvstore::VersionPool::new());
@@ -1219,7 +1217,8 @@ mod tests {
 
     #[test]
     fn wal_engine_logs_every_batch_and_replay_rebuilds_state() {
-        use bohm_common::wal::{self, DurabilityConfig, Wal};
+        use bohm_common::engine::BatchEngine as _;
+        use bohm_common::wal::{DurabilityConfig, Wal};
         let dir = std::env::temp_dir().join(format!("bohm-core-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let catalog = || CatalogSpec::new().table(16, 8, |r| r);
@@ -1238,7 +1237,7 @@ mod tests {
         let log = Wal::read_log(&dir).unwrap();
         assert_eq!(log.iter().map(|b| b.txns.len()).sum::<usize>(), 160);
         let fresh = Bohm::start(BohmConfig::small(), catalog());
-        let outcomes = wal::replay_into(log, &fresh).expect("input-only log");
+        let outcomes = fresh.replay(log).expect("input-only log");
         assert!(outcomes.iter().all(|o| o.committed));
         let got: Vec<u64> = (0..16).map(|k| fresh.read_u64(rid(k)).unwrap()).collect();
         assert_eq!(got, expect, "replayed state must match the logged run");
@@ -1543,9 +1542,9 @@ mod tests {
         }
         e.shutdown();
         assert_eq!(logged(), 10 + 3, "one no-op per quiesce");
-        // Recovery quiesces too (`replay_into`'s closing barrier, and
-        // `restore_into`'s after the checkpoint below) — before the log is
-        // attached, so none of that reaches it.
+        // Recovery waits for replay to retire, and `restore_into` quiesces
+        // after the checkpoint below — before the log is attached, so none
+        // of that reaches it.
         let (e, outcomes) = Bohm::recover(cfg(), catalog()).unwrap();
         assert_eq!(outcomes.len(), 13);
         // One more logged no-op, which the cut reclaims with every segment

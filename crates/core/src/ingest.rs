@@ -10,7 +10,16 @@
 //!   the open batch, repack the transaction's sets into the sequencer's
 //!   arena, append it with its completion word. Lock order *is* log order,
 //!   the serialization order; one submission is one transaction is one
-//!   completion word, and there is no other way in.
+//!   completion word.
+//! * **Replay** (`Inner::replay`, behind BOHM's
+//!   [`BatchEngine::replay`](bohm_common::engine::BatchEngine::replay)): the
+//!   other way in. Log order is serial order, so a logged batch is a sealed
+//!   batch already: replay takes the mutex once per logged batch, appends its
+//!   transactions without completion words and seals them through the same
+//!   path as a size-triggered seal, splitting only a batch larger than
+//!   `batch_size`. Their outcomes stay in the batch's transaction states,
+//!   where replay reads them once the batch has retired — no handle, heap
+//!   allocation or reap per transaction.
 //! * **Seal by size.** The submission that brings the open batch to
 //!   [`batch_size`](crate::BohmConfig::batch_size) seals it before letting go
 //!   of the mutex — a group-commit leader, as in Aether's consolidated log
@@ -51,9 +60,12 @@
 
 use crate::batch::{Batch, Completion};
 use crate::engine::Inner;
-use bohm_common::{Arena, Txn};
+use bohm_common::engine::ExecOutcome;
+use bohm_common::{Arena, LoggedBatch, Txn};
 use bohm_sync::atomic::{AtomicU64, Ordering};
 use bohm_sync::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,8 +83,9 @@ pub(crate) struct Ingest {
 
 struct Open {
     /// The open batch's transactions in log order, with their completion
-    /// words. Every seal drains it and keeps the capacity.
-    entries: Vec<(Txn, Arc<Completion>)>,
+    /// words (none for a replayed one). Every seal drains it and keeps the
+    /// capacity.
+    entries: Vec<(Txn, Option<Arc<Completion>>)>,
     /// One arena across batches: consecutive batches pack their sets and CC
     /// plans into the same chunks, and a chunk recycles once every batch
     /// holding slices into it has retired — bounded by the window depth, so
@@ -124,12 +137,80 @@ impl Inner {
         // hot data is contiguous in log order and the client's `Vec`s are
         // freed here, off the execution path.
         txn.repack(&mut open.arena);
-        open.entries.push((txn, completion));
+        open.entries.push((txn, Some(completion)));
         let id = open.next_batch;
         if open.entries.len() >= self.config.batch_size {
             self.seal(&mut open);
         }
         id
+    }
+
+    /// Replay `batches` — a recovered log, in log order — into `engine`
+    /// (this engine), one sealed batch per logged batch, and return every
+    /// transaction's outcome in log order once the last batch has retired.
+    /// See the module docs.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`replay_into`](bohm_common::wal::replay_into), which
+    /// replays a record that carries decisions; and an engine that fails
+    /// (its log rejects an append) replays nothing more.
+    pub(crate) fn replay(
+        &self,
+        engine: &crate::Bohm,
+        batches: impl IntoIterator<Item = LoggedBatch>,
+    ) -> io::Result<Vec<ExecOutcome>> {
+        let mut out = Vec::new();
+        // Sealed batches whose outcomes are not read yet, in id order.
+        let mut sealed = VecDeque::new();
+        let harvest = |out: &mut Vec<_>, sealed: &mut VecDeque<Arc<Batch>>| {
+            let retired = self.window.retired();
+            while sealed.front().is_some_and(|b: &Arc<Batch>| b.id < retired) {
+                let b = sealed.pop_front().expect("checked above");
+                out.extend(b.txns.iter().map(|t| {
+                    let o = t.replayed_outcome();
+                    ExecOutcome {
+                        committed: o.committed,
+                        fingerprint: o.fingerprint,
+                        // BOHM never aborts for concurrency control (§3.3.3).
+                        cc_retries: 0,
+                    }
+                }));
+            }
+        };
+        for logged in batches {
+            if logged.outcomes.is_some() {
+                // Another engine's record: its decisions are checked one by
+                // one, behind everything sealed so far.
+                self.window.wait_retired();
+                harvest(&mut out, &mut sealed);
+                out.extend(bohm_common::wal::replay_into([logged], engine)?);
+                continue;
+            }
+            let mut txns = logged.txns.into_iter().peekable();
+            // A logged batch larger than this engine's batches (logged under
+            // a larger `batch_size`) is split; no other boundary moves.
+            while txns.peek().is_some() {
+                let mut open = self.ingest.open.lock();
+                assert!(!open.closed, "engine is shut down");
+                // Whatever a session left open seals on its own first.
+                self.seal(&mut open);
+                for mut txn in txns.by_ref().take(self.config.batch_size) {
+                    txn.repack(&mut open.arena);
+                    open.entries.push((txn, None));
+                }
+                let batch = self.seal(&mut open).ok_or_else(|| {
+                    io::Error::other("BOHM engine failed (write-ahead log append error)")
+                })?;
+                drop(open);
+                sealed.push_back(batch);
+                harvest(&mut out, &mut sealed);
+            }
+        }
+        // The closing barrier: no transaction of its own, only a wait.
+        self.window.wait_retired();
+        harvest(&mut out, &mut sealed);
+        Ok(out)
     }
 
     /// The time trigger, run by a handle of batch `id`: seal the batch if it
@@ -144,7 +225,8 @@ impl Inner {
         while open.next_batch == id && !open.closed {
             let deadline = open.open_since + self.config.batch_linger;
             if Instant::now() >= deadline {
-                return self.seal(&mut open);
+                self.seal(&mut open);
+                return;
             }
             if !block {
                 return;
@@ -166,10 +248,11 @@ impl Inner {
         }
     }
 
-    /// Seal the open batch; the caller holds the mutex.
-    fn seal(&self, open: &mut Open) {
+    /// Seal the open batch, if it holds anything; the caller holds the
+    /// mutex. Returns the batch, unless the log failed it.
+    fn seal(&self, open: &mut Open) -> Option<Arc<Batch>> {
         if open.entries.is_empty() {
-            return;
+            return None;
         }
         let id = open.next_batch;
         // Sample the epoch at seal time: every batch sealed after a
@@ -183,10 +266,11 @@ impl Inner {
             use bohm_common::wal::LogSink as _;
             if let Err(e) = wal.log_batch(epoch, &mut open.entries.iter().map(|(t, _)| t)) {
                 eprintln!("bohm: WAL append failed ({e}); failing the engine");
-                for (_, completion) in open.entries.drain(..) {
+                for completion in open.entries.drain(..).filter_map(|(_, c)| c) {
                     completion.poison();
                 }
-                return self.close_locked(open);
+                self.close_locked(open);
+                return None;
             }
         }
         let batch = Batch::new(
@@ -206,9 +290,10 @@ impl Inner {
         }
         // Registration publishes the batch to the CC threads; it blocks
         // while the ring is full — the backpressure.
-        self.window.push(batch);
+        self.window.push(Arc::clone(&batch));
         self.ingest.sealed.store(id + 1, Ordering::Release);
         self.wake_lingering(open);
+        Some(batch)
     }
 
     /// Stop taking submissions; the caller holds the mutex. The pipeline
@@ -434,7 +519,8 @@ mod modelcheck {
         let completion = Completion::new();
         let mut open = inner.ingest.open.lock();
         let batch = open.next_batch;
-        open.entries.push((tagged(tag), Arc::clone(&completion)));
+        open.entries
+            .push((tagged(tag), Some(Arc::clone(&completion))));
         if open.entries.len() >= inner.config.batch_size {
             twin_seal(inner, open);
         }

@@ -5,8 +5,9 @@
 use crate::batch::{Completion, TxnHandle};
 use crate::engine::{Bohm, Inner};
 use bohm_common::engine::{BatchEngine, ExecOutcome, Session};
-use bohm_common::{RecordId, Txn};
+use bohm_common::{LoggedBatch, RecordId, Txn};
 use std::collections::VecDeque;
+use std::io;
 use std::sync::Arc;
 
 /// A client's submission handle into a running [`Bohm`] engine.
@@ -131,6 +132,17 @@ impl BatchEngine for Bohm {
             Vec::new(),
             bohm_common::Procedure::ReadOnly,
         )]);
+    }
+
+    /// Replay at pipeline speed: log order is serial order, so each logged
+    /// batch is sealed as one batch, with no session, completion word or
+    /// reap per transaction, and the outcomes are read off each batch once
+    /// it retires (see [`ingest`](crate::ingest)).
+    fn replay(
+        &self,
+        batches: impl IntoIterator<Item = LoggedBatch>,
+    ) -> io::Result<Vec<ExecOutcome>> {
+        self.inner.replay(self, batches)
     }
 }
 

@@ -941,7 +941,7 @@ mod modelcheck {
         // reader. No CC layer: born ready for execution.
         let rid = bohm_common::RecordId::new(0, 1);
         let reader = bohm_common::Txn::new(vec![rid], vec![], bohm_common::Procedure::ReadOnly);
-        let entries = vec![(reader, crate::batch::Completion::new())];
+        let entries = vec![(reader, Some(crate::batch::Completion::new()))];
         w.push(Batch::new(entries, 1, 0, 0, 0, 1, 0, &mut arena));
         let quiescer = {
             let w = Arc::clone(&w);

@@ -32,8 +32,9 @@
 //! workload survived in the log, its replay is bit-identical to what the
 //! killed process had executed.
 
+use bohm_suite::common::engine::BatchEngine as _;
 use bohm_suite::common::rng::FastRng;
-use bohm_suite::common::wal::{self, DurabilityConfig, Wal};
+use bohm_suite::common::wal::{DurabilityConfig, Wal};
 use bohm_suite::common::{checkpoint, Procedure, RecordId, SmallBankProc, Txn};
 use bohm_suite::core::{Bohm, BohmConfig, CatalogSpec};
 use bohm_suite::testkit::check_serial_equivalence;
@@ -255,7 +256,7 @@ fn replay(dir: &Path) {
     );
     let db = spec();
     let engine = Bohm::start(BohmConfig::with_threads(2, 2), catalog_of(&db));
-    let outcomes = wal::replay_into(log, &engine).expect("an input-only log replays whole");
+    let outcomes = engine.replay(log).expect("an input-only log replays whole");
     // Fold a run fingerprint for eyeballing across runs.
     let fp = outcomes.iter().fold(0u64, |acc, o| {
         acc.wrapping_mul(31)

@@ -66,7 +66,7 @@
 //! Scaled by `BOHM_STRESS_ITERS` like the other stress suites.
 
 use bohm_common::engine::{BatchEngine, Engine, Session};
-use bohm_common::{Procedure, RecordId, ScanRange, TpcCProc, Txn};
+use bohm_common::{LoggedBatch, Procedure, RecordId, ScanRange, TpcCProc, Txn};
 use bohm_suite::core::{Bohm, BohmConfig, CatalogSpec};
 use bohm_suite::hekaton::{Hekaton, HekatonStore};
 use bohm_suite::testkit::CountingAlloc;
@@ -255,6 +255,105 @@ fn bohm_scans_steady_state_allocate_nothing_per_txn() {
         "8-row OrderHistory scans",
         "a scanning transaction allocates per transaction",
     );
+}
+
+/// Logged batches in a replay audit.
+const REPLAYED_BATCHES: usize = 64;
+
+/// A log as recovery hands it to replay, already read: `REPLAYED_BATCHES`
+/// records of `BATCH` transactions each.
+fn logged(seed: u64, shape: Shape) -> Vec<LoggedBatch> {
+    (0..REPLAYED_BATCHES as u64)
+        .map(|i| LoggedBatch {
+            epoch: 0,
+            txns: build_txns(BATCH, seed + i, shape),
+            outcomes: None,
+        })
+        .collect()
+}
+
+/// Replay, BOHM's way: a logged batch is sealed as one batch, its
+/// transactions carry no completion word, handle or reap, and their
+/// outcomes are read off the retired batch. Replaying an already-read log of
+/// `REPLAYED_BATCHES` batches, on every thread, stays within 16 allocator
+/// calls per batch (a batch and its transaction states, arena chunks, the
+/// outcome vector's growth). The per-transaction default, `replay_into`,
+/// makes at least one completion word per transaction: replaying the same
+/// shape of log that way on the same engine is held to exceed the budget,
+/// which is what the budget tells apart.
+#[test]
+fn bohm_replay_allocates_per_batch_not_per_txn() {
+    let _turn = ONE_AT_A_TIME.lock();
+    let cfg = BohmConfig {
+        batch_size: BATCH,
+        ..BohmConfig::with_threads(1, 1)
+    };
+    let engine = Bohm::start(cfg, CatalogSpec::new().table(ROWS, 8, |r| r));
+    let shape = Shape::Reads(READS_PER_TXN);
+    // Warm-up: arena chunks, epoch bags, the execution thread's scratch.
+    assert!(engine
+        .replay(logged(7, shape))
+        .unwrap()
+        .iter()
+        .all(|o| o.committed));
+    let log = logged(99, shape);
+    let before = CountingAlloc::allocations();
+    let outcomes = engine.replay(log).unwrap();
+    let batched = CountingAlloc::allocations() - before;
+    assert_eq!(outcomes.len(), REPLAYED_BATCHES * BATCH);
+    assert!(outcomes.iter().all(|o| o.committed));
+    let log = logged(123, shape);
+    let before = CountingAlloc::allocations();
+    let outcomes = bohm_common::wal::replay_into(log, &engine).unwrap();
+    let per_txn = CountingAlloc::allocations() - before;
+    assert_eq!(outcomes.len(), REPLAYED_BATCHES * BATCH);
+    engine.shutdown();
+    let budget = REPLAYED_BATCHES as u64 * 16;
+    eprintln!(
+        "replaying {REPLAYED_BATCHES} batches of {BATCH}: {batched} allocations in batches \
+         (budget {budget}), {per_txn} one transaction at a time"
+    );
+    assert!(
+        batched <= budget,
+        "replaying {REPLAYED_BATCHES} batches of {BATCH} read-only transactions made {batched} \
+         allocator calls (budget {budget}): replay allocates per transaction again"
+    );
+    assert!(
+        per_txn > budget,
+        "the per-transaction replay made only {per_txn} calls: the budget tells nothing apart"
+    );
+}
+
+/// A replay longer than the window ring waits in `Window::push` for room,
+/// holding the open batch's mutex, as a sealing session does; with two
+/// slots, every batch after the second goes through that wait.
+#[test]
+fn bohm_replay_through_a_two_batch_ring_completes() {
+    let _turn = ONE_AT_A_TIME.lock();
+    let cfg = BohmConfig {
+        batch_size: BATCH,
+        max_inflight_batches: 2,
+        ..BohmConfig::with_threads(1, 1)
+    };
+    let engine = Bohm::start(cfg, CatalogSpec::new().table(ROWS, 8, |_| 0));
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(|| tx.send(engine.replay(logged(5, Shape::Rmw)).unwrap()));
+        let limit = std::time::Duration::from_secs(60);
+        let outcomes = rx
+            .recv_timeout(limit)
+            .unwrap_or_else(|_| panic!("a replay through a two-slot ring hung for {limit:?}"));
+        assert_eq!(outcomes.len(), REPLAYED_BATCHES * BATCH);
+        assert!(outcomes.iter().all(|o| o.committed));
+    });
+    let increments: u64 = (0..ROWS)
+        .map(|r| engine.read_u64(RecordId::new(0, r)).unwrap())
+        .sum();
+    assert_eq!(
+        increments,
+        (REPLAYED_BATCHES * BATCH * READS_PER_TXN) as u64
+    );
+    engine.shutdown();
 }
 
 /// Ten-RMW transactions the two Hekaton workers run before the window, at

@@ -12,6 +12,7 @@
 //! * **across restarts**: a checkpoint taken after `Bohm::recover`
 //!   reclaims the log segments the previous process wrote.
 
+use bohm_suite::common::durable;
 use bohm_suite::common::engine::ExecOutcome;
 use bohm_suite::common::rng::FastRng;
 use bohm_suite::common::wal::{DurabilityConfig, FsyncPolicy};
@@ -342,4 +343,41 @@ fn a_restore_pipelines_its_chunks_instead_of_waiting_out_a_linger_per_chunk() {
         assert_eq!(engine.read_u64(RecordId::new(0, r)), Some(3 * r + 1));
     }
     engine.shutdown();
+}
+
+#[test]
+fn recovery_reports_how_long_each_phase_took() {
+    let dir = fresh_dir("phases");
+    let db = spec();
+    let mut rng = FastRng::seed_from(37);
+    let engine = Bohm::start(durable_cfg(&dir), catalog_of(&db));
+    for round in 0..20 {
+        if round == 10 {
+            engine.checkpoint().expect("checkpoint");
+        }
+        engine.execute_sync((0..10).map(|_| gen_txn(&mut rng)).collect());
+    }
+    engine.shutdown();
+    // `Bohm::recover` keeps the report to itself: recover a memory-only
+    // engine through the routine it runs.
+    let fresh = Bohm::start(BohmConfig::with_threads(2, 2), catalog_of(&db));
+    let durability = durable_cfg(&dir).durability.expect("durable");
+    let t0 = std::time::Instant::now();
+    let recovered = durable::recover(&fresh, &durability).expect("recover");
+    let wall = t0.elapsed();
+    let r = recovered.report;
+    assert!(r.checkpoint_epoch.is_some() && r.txns_replayed > 0);
+    let phases = [r.read_log, r.restore, r.replay, r.open_log];
+    assert!(
+        phases.iter().all(|p| !p.is_zero()),
+        "a phase went unrecorded: {r:?}"
+    );
+    let sum: std::time::Duration = phases.iter().sum();
+    assert!(
+        sum <= wall,
+        "phases sum to {sum:?}, more than the {wall:?} the call took"
+    );
+    drop(recovered);
+    fresh.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -16,7 +16,7 @@
 //!   engine, and checks every commit decision, every read fingerprint,
 //!   and the complete final state against the serial oracle.
 
-use bohm_suite::common::engine::ExecOutcome;
+use bohm_suite::common::engine::{BatchEngine as _, ExecOutcome};
 use bohm_suite::common::rng::FastRng;
 use bohm_suite::common::wal::{self, DurabilityConfig, FsyncPolicy, LogSink as _, Wal};
 use bohm_suite::common::{stress_iters, Procedure, RecordId, ScanRange, SmallBankProc, Txn};
@@ -403,7 +403,7 @@ fn kill_and_recover_matches_serial_oracle() {
     // the complete final state.
     let db = spec();
     let engine = Bohm::start(BohmConfig::with_threads(2, 2), catalog_of(&db));
-    let outcomes = wal::replay_into(log, &engine).expect("input-only log");
+    let outcomes = engine.replay(log).expect("input-only log");
     assert_eq!(outcomes.len(), txns.len());
     let res = check_serial_equivalence(&db, &txns, &outcomes, |rid| engine.read_u64(rid));
     engine.shutdown();

@@ -52,9 +52,10 @@
 //! checkpoint-restored with zero store-specific code.
 
 use crate::codec::{checksum, foreign_magic, put_u32, put_u64, sync_dir, Numbered, Reader};
-use crate::engine::{BatchEngine, Session};
+use crate::engine::BatchEngine;
 use crate::txn::Txn;
 use crate::types::RecordId;
+use crate::wal::LoggedBatch;
 use crate::{Procedure, Value};
 use std::collections::HashSet;
 use std::fs::{self, OpenOptions};
@@ -220,16 +221,18 @@ pub fn cut(
 /// this, the engine's state equals the checkpointed state exactly,
 /// secondary-index posting lists included (they are ordinary records).
 ///
-/// Chunks are pipelined: up to 32 are submitted and unreaped at a time (the
-/// session reaps in submission order), so a batching engine waits out its
-/// linger at most once per 32 chunks, not once per chunk.
-pub fn restore_into<E: BatchEngine + ?Sized>(ckp: &Checkpoint, engine: &E) {
+/// The writes go to [`BatchEngine::replay`] in chunks, one input-only
+/// logged batch per chunk, built as replay takes them: a batching engine
+/// seals each as it arrives instead of waiting out a linger, and the values
+/// held at once are bounded by what the engine keeps in flight.
+///
+/// # Errors
+///
+/// Those of [`BatchEngine::replay`].
+pub fn restore_into<E: BatchEngine + ?Sized>(ckp: &Checkpoint, engine: &E) -> io::Result<()> {
     /// Writes per restore transaction — a batch-friendly size that keeps
     /// `Apply` transactions well under any record-size cap.
     const CHUNK: usize = 512;
-    /// Chunks submitted and unreaped at most: 16k records, whose values are
-    /// held meanwhile (16 MB of 1000-byte records).
-    const IN_FLIGHT: usize = 32;
     let present: HashSet<RecordId> = ckp.records.iter().map(|(rid, _)| *rid).collect();
     // Seeded but absent from the snapshot: deleted by the time it was taken.
     let mut gone = Vec::new();
@@ -243,19 +246,17 @@ pub fn restore_into<E: BatchEngine + ?Sized>(ckp: &Checkpoint, engine: &E) {
         .iter()
         .map(|(rid, data)| (*rid, Some(Value::from(&data[..]))));
     let mut todo = writes.chain(gone).peekable();
-    let mut session = engine.open_session();
-    while todo.peek().is_some() {
+    let chunks = std::iter::from_fn(|| {
+        todo.peek()?;
         let (rids, values): (Vec<RecordId>, Vec<_>) = todo.by_ref().take(CHUNK).unzip();
         let values = values.into();
-        session.submit(Txn::new(vec![], rids, Procedure::Apply { values }));
-        while session.in_flight() > IN_FLIGHT {
-            session.reap();
-        }
-    }
-    while session.in_flight() > 0 {
-        session.reap();
-    }
-    engine.quiesce();
+        Some(LoggedBatch {
+            epoch: ckp.epoch,
+            txns: vec![Txn::new(vec![], rids, Procedure::Apply { values })],
+            outcomes: None,
+        })
+    });
+    engine.replay(chunks).map(drop)
 }
 
 #[cfg(test)]

@@ -145,13 +145,13 @@ pub fn recover<E: BatchEngine + ?Sized>(
     let mut report = RecoveryReport::default();
     let (records, tail) = timed(&mut report.read_log, || Wal::read_records(&config.dir))?;
     let base = timed(&mut report.restore, || {
-        let ckp = checkpoint::load_latest(&config.dir)?;
-        Ok::<_, io::Error>(ckp.map_or(0, |c| {
-            report.checkpoint_epoch = Some(c.epoch);
-            report.checkpoint_records = c.records.len();
-            checkpoint::restore_into(&c, engine);
-            c.epoch
-        }))
+        let Some(c) = checkpoint::load_latest(&config.dir)? else {
+            return Ok::<_, io::Error>(0);
+        };
+        report.checkpoint_epoch = Some(c.epoch);
+        report.checkpoint_records = c.records.len();
+        checkpoint::restore_into(&c, engine)?;
+        Ok(c.epoch)
     })?;
     // Each record is decoded once, as replay reaches it. The log is
     // recovery's own: its transactions move into the engine.

@@ -1,4 +1,4 @@
-//! Batches, per-transaction runtime state, and completion delivery.
+//! Batches, per-transaction runtime state, and outcome delivery.
 //!
 //! BOHM amortizes all cross-thread coordination over batches (paper §3.2.4):
 //! CC threads process a batch independently and meet at one atomic
@@ -7,19 +7,19 @@
 //! write containing the correct version reference for a read is to
 //! pre-allocated space within a transaction" (§3.2.3).
 //!
-//! Completion is *published* **per transaction**: every transaction carries
-//! the `Completion` word of the submission it arrived as, and its outcome is
-//! there to be polled the moment its executor marks it `Complete`. A
-//! *wake-up* is paid only when a thread is actually parked on that word.
-//! Batch boundaries are an engine-internal amortization artifact;
-//! submitters never see them. A *replayed* transaction has no submitter and
-//! no word: its executor leaves the outcome in the [`TxnState`], where
-//! replay reads it once the batch has retired.
+//! Outcomes go the same way: every batch has one `Outcomes` block, opened
+//! with the batch, with one slot per position. Whoever executes the
+//! transaction at timestamp `ts` decides slot `ts − base_ts` the moment it
+//! finishes, whether a submitter's [`TxnHandle`] will read it or replay
+//! will, once the batch has retired. A *wake-up* is paid only when a thread
+//! is actually parked on that slot. Batch boundaries are an engine-internal
+//! amortization artifact; submitters never see them.
 
 use crate::engine::Inner;
+use bohm_common::engine::ExecOutcome;
 use bohm_common::{ASlice, Arena, RecordId, Timestamp, Txn};
 use bohm_mvstore::Version;
-use bohm_sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use bohm_sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use bohm_sync::{Condvar, Mutex};
 use std::ptr;
 use std::sync::Arc;
@@ -31,25 +31,15 @@ pub(crate) mod txn_status {
     pub const COMPLETE: u8 = 2;
 }
 
-/// Result of one transaction, readable once its handle reports done.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TxnOutcome {
-    /// Whether the transaction committed (`false` ⇒ user/logic abort —
-    /// BOHM has no concurrency-control aborts, §3.3.3).
-    pub committed: bool,
-    /// Procedure-defined digest of the values read (used by equivalence
-    /// tests to compare engines); 0 for aborted transactions.
-    pub fingerprint: u64,
-}
-
 // ---------------------------------------------------------------------------
-// Completion: one word per submitted transaction
+// Outcome block: one per batch, one slot per transaction
 // ---------------------------------------------------------------------------
 
-/// Completion state of one submitted transaction.
+/// Where the transactions of one batch are decided: one slot per position,
+/// and one mutex/condvar pair shared by every waiter on the batch.
 ///
-/// `state` holds at most one decision — `COMMITTED`, `USER_ABORT` or
-/// `FAILED` — plus the waiter's `PARKED` announcement. The completer and a
+/// A slot's `state` holds at most one decision — `COMMITTED`, `USER_ABORT`
+/// or `FAILED` — plus a waiter's `PARKED` announcement. The completer and a
 /// waiter each do **one RMW on that word**, so its modification order
 /// decides the race between them: whichever `fetch_or` comes second sees
 /// the other's bit in the value it returns. Either the waiter finds the
@@ -57,14 +47,25 @@ pub struct TxnOutcome {
 /// mutex — which the waiter holds from its re-check until it is inside
 /// `Condvar::wait` — to notify it. The mutex/condvar pair carries only that
 /// edge, never the data; with nobody parked — every transaction a
-/// pipelining session has not caught up with — completion is a store and
-/// one `fetch_or`.
-pub(crate) struct Completion {
+/// pipelining session has not caught up with, and every replayed one —
+/// deciding is a store and one `fetch_or`.
+///
+/// The condvar is the block's, not the slot's, so a completer that finds
+/// `PARKED` wakes **every** waiter on the batch: one woken at random might
+/// be waiting on another slot, go back to sleep, and leave this slot's
+/// waiter asleep for good. The others re-check their own slot and sleep
+/// again. No slot is reused: a block lives as long as its batch or the last
+/// handle into it, whichever is later.
+pub(crate) struct Outcomes {
+    slots: Box<[Slot]>,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+struct Slot {
     state: AtomicU8,
     /// Written once, before the decision is published.
     fingerprint: AtomicU64,
-    lock: Mutex<()>,
-    cv: Condvar,
 }
 
 const COMMITTED: u8 = 1;
@@ -72,58 +73,66 @@ const USER_ABORT: u8 = 2;
 /// Engine fault (e.g. a WAL append failure): the transaction will never
 /// execute. Waiters panic with a clear message instead of blocking forever.
 const FAILED: u8 = 4;
-/// A waiter is (about to be) asleep on `cv`.
+/// A waiter is (about to be) asleep on the block's condvar.
 const PARKED: u8 = 8;
 const DECIDED: u8 = COMMITTED | USER_ABORT | FAILED;
 
 #[cfg(test)]
 thread_local! {
-    /// Condvar waits this thread entered in [`Completion::wait`].
+    /// Condvar waits this thread entered in [`Outcomes::wait`].
     pub(crate) static PARKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-impl Completion {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self {
+impl Outcomes {
+    /// A block of `len` undecided slots.
+    pub(crate) fn new(len: usize) -> Arc<Self> {
+        let slot = |_| Slot {
             state: AtomicU8::new(0),
             fingerprint: AtomicU64::new(0),
+        };
+        Arc::new(Self {
+            slots: (0..len).map(slot).collect(),
             lock: Mutex::new(()),
             cv: Condvar::new(),
         })
     }
 
-    /// Publish `decision`; wake the waiter if one announced itself first.
-    fn decide(&self, decision: u8) {
-        let before = self.state.fetch_or(decision, Ordering::AcqRel);
-        // A fault notifies unconditionally: it is rare, and a hang is the
-        // one outcome the failure path must not have.
-        if decision == FAILED || before & PARKED != 0 {
-            let _g = self.lock.lock();
-            self.cv.notify_all();
-        }
-    }
-
-    /// Record the transaction's decision.
-    pub(crate) fn record(&self, committed: bool, fingerprint: u64) {
-        // RELAXED: the Release half of `decide`'s `fetch_or` publishes the
+    /// Record slot `i`'s decision. Returns whether a waiter announced
+    /// itself first, i.e. whether the caller owes the block a
+    /// [`wake`](Self::wake).
+    pub(crate) fn decide(&self, i: usize, committed: bool, fingerprint: u64) -> bool {
+        let slot = &self.slots[i];
+        // RELAXED: the Release half of the `fetch_or` below publishes the
         // fingerprint; readers Acquire the decision first.
-        self.fingerprint.store(fingerprint, Ordering::Relaxed);
-        self.decide(if committed { COMMITTED } else { USER_ABORT });
+        slot.fingerprint.store(fingerprint, Ordering::Relaxed);
+        let decision = if committed { COMMITTED } else { USER_ABORT };
+        slot.state.fetch_or(decision, Ordering::AcqRel) & PARKED != 0
     }
 
-    /// Mark the transaction as never-executing because the engine failed
-    /// (stop-the-world fault, e.g. the WAL rejected an append): a waiter's
-    /// [`wait`](Self::wait) panics with the fault instead of hanging on an
-    /// outcome that will never arrive. Idempotent.
-    pub(crate) fn poison(&self) {
-        self.decide(FAILED);
+    /// Wake every waiter on the block (see the type docs for why all).
+    pub(crate) fn wake(&self) {
+        let _g = self.lock.lock();
+        self.cv.notify_all();
     }
 
-    /// Block until the transaction is decided and return its outcome.
-    pub(crate) fn wait(&self) -> TxnOutcome {
-        let mut state = self.state.load(Ordering::Acquire);
+    /// Mark the first `n` slots as never-executing because the engine
+    /// failed (stop-the-world fault, e.g. the WAL rejected an append): their
+    /// waiters panic with the fault instead of hanging on an outcome that
+    /// will never arrive. Notifies unconditionally: a fault is rare, and a
+    /// hang is the one outcome the failure path must not have. Idempotent.
+    pub(crate) fn poison(&self, n: usize) {
+        for slot in &self.slots[..n] {
+            slot.state.fetch_or(FAILED, Ordering::AcqRel);
+        }
+        self.wake();
+    }
+
+    /// Block until slot `i` is decided and return its outcome.
+    pub(crate) fn wait(&self, i: usize) -> ExecOutcome {
+        let slot = &self.slots[i];
+        let mut state = slot.state.load(Ordering::Acquire);
         if state & DECIDED == 0 {
-            state = self.state.fetch_or(PARKED, Ordering::AcqRel);
+            state = slot.state.fetch_or(PARKED, Ordering::AcqRel);
         }
         if state & DECIDED == 0 {
             // Announced before the decision (see the type docs): re-check
@@ -131,7 +140,7 @@ impl Completion {
             // notification cannot fall between the check and the sleep.
             let mut g = self.lock.lock();
             loop {
-                state = self.state.load(Ordering::Acquire);
+                state = slot.state.load(Ordering::Acquire);
                 if state & DECIDED != 0 {
                     break;
                 }
@@ -145,17 +154,34 @@ impl Completion {
             "BOHM engine failed (write-ahead log append error): \
              this transaction was never executed"
         );
-        TxnOutcome {
-            committed: state & COMMITTED != 0,
-            // RELAXED: ordered by the Acquire read of the decision above.
-            fingerprint: self.fingerprint.load(Ordering::Relaxed),
-        }
+        self.outcome(i)
     }
 
     /// Non-blocking [`wait`](Self::wait) probe; one Acquire load. A `true`
-    /// synchronizes with the completing thread, so the outcome is visible.
-    pub(crate) fn is_done(&self) -> bool {
-        self.state.load(Ordering::Acquire) & DECIDED != 0
+    /// synchronizes with the deciding thread, so the outcome is visible.
+    pub(crate) fn is_done(&self, i: usize) -> bool {
+        self.slots[i].state.load(Ordering::Acquire) & DECIDED != 0
+    }
+
+    /// Slot `i`'s outcome, once the caller has synchronized with its
+    /// decision: through [`is_done`](Self::is_done) or `wait`, or — for
+    /// replay — through `Window::retired`'s Acquire, which follows every
+    /// decision of a retired batch.
+    pub(crate) fn outcome(&self, i: usize) -> ExecOutcome {
+        let slot = &self.slots[i];
+        // RELAXED: ordered by the caller's Acquire (see above).
+        let state = slot.state.load(Ordering::Relaxed);
+        debug_assert!(
+            state & (COMMITTED | USER_ABORT) != 0,
+            "slot {i} is undecided"
+        );
+        ExecOutcome {
+            committed: state & COMMITTED != 0,
+            // RELAXED: as above.
+            fingerprint: slot.fingerprint.load(Ordering::Relaxed),
+            // BOHM never aborts for concurrency control (§3.3.3).
+            cc_retries: 0,
+        }
     }
 }
 
@@ -166,7 +192,7 @@ impl Completion {
 /// Handle to one submitted transaction
 /// (returned by [`BohmSession::submit`](crate::BohmSession::submit)).
 ///
-/// Completion is published per transaction, the moment an execution thread
+/// The outcome is published per transaction, the moment an execution thread
 /// finishes it — not when its (engine-internal) batch drains — so
 /// [`is_done`](Self::is_done) turns true exactly then. The executing thread
 /// pays for a wake-up only if somebody is parked in [`wait`](Self::wait).
@@ -175,14 +201,19 @@ impl Completion {
 /// is still open, the handle is what seals it by time (see
 /// [`ingest`](crate::ingest)): nothing else watches the clock.
 pub struct TxnHandle {
-    pub(crate) completion: Arc<Completion>,
+    /// The outcome block of the batch the transaction joined.
+    pub(crate) outcomes: Arc<Outcomes>,
+    /// The transaction's position in that batch.
+    pub(crate) slot: usize,
     /// Id of the batch the transaction joined.
     pub(crate) batch: u64,
     pub(crate) inner: Arc<Inner>,
 }
 
 impl TxnHandle {
-    /// Block until the transaction has executed and return its outcome.
+    /// Block until the transaction has executed and return its outcome
+    /// (`cc_retries` is always 0: BOHM has no concurrency-control aborts,
+    /// §3.3.3).
     ///
     /// If its batch is still open, first wait until the batch has been open
     /// for [`batch_linger`](crate::BohmConfig::batch_linger) — other
@@ -196,11 +227,11 @@ impl TxnHandle {
     ///
     /// Panics if the engine failed before the transaction reached a sealed
     /// batch (a write-ahead log append error).
-    pub fn wait(&self) -> TxnOutcome {
-        if !self.completion.is_done() {
+    pub fn wait(&self) -> ExecOutcome {
+        if !self.outcomes.is_done(self.slot) {
             self.inner.seal_lingered(self.batch, true);
         }
-        self.completion.wait()
+        self.outcomes.wait(self.slot)
     }
 
     /// Has the transaction finished? (Non-blocking.)
@@ -209,7 +240,7 @@ impl TxnHandle {
     /// [`batch_linger`](crate::BohmConfig::batch_linger) seals that batch
     /// first, so a client that only polls still gets its work done.
     pub fn is_done(&self) -> bool {
-        if self.completion.is_done() {
+        if self.outcomes.is_done(self.slot) {
             return true;
         }
         self.inner.seal_lingered(self.batch, false);
@@ -306,15 +337,6 @@ pub struct TxnState {
     /// One slot per write-set entry: the placeholder version installed by
     /// the owning CC thread (§3.2.2).
     pub(crate) write_refs: ASlice<AtomicPtr<Version>>,
-    /// Where the submitter learns the outcome; `None` for a replayed
-    /// transaction, whose outcome stays in `committed` and `fingerprint`.
-    pub(crate) completion: Option<Arc<Completion>>,
-    /// A replayed transaction's decision, stored before `state` turns
-    /// `Complete` and read once its batch has retired
-    /// ([`replayed_outcome`](Self::replayed_outcome)). Untouched when there
-    /// is a completion word.
-    committed: AtomicBool,
-    fingerprint: AtomicU64,
 }
 
 impl TxnState {
@@ -343,7 +365,6 @@ impl TxnState {
         txn: Txn,
         ts: Timestamp,
         annotate_max_reads: usize,
-        completion: Option<Arc<Completion>>,
         arena: &mut Arena,
     ) -> Self {
         let annotate = txn.reads.len() <= annotate_max_reads;
@@ -379,9 +400,6 @@ impl TxnState {
             plan,
             read_refs,
             write_refs,
-            completion,
-            committed: AtomicBool::new(false),
-            fingerprint: AtomicU64::new(0),
         }
     }
 
@@ -413,39 +431,6 @@ impl TxnState {
         debug_assert_eq!(self.status(), txn_status::EXECUTING);
         self.state.store(txn_status::UNPROCESSED, Ordering::Release);
     }
-
-    /// Mark a claimed transaction `Complete` with its decision; delivers
-    /// the outcome straight to the submitter's [`Completion`], or keeps it
-    /// here for replay.
-    #[inline]
-    pub(crate) fn complete(&self, committed: bool, fingerprint: u64) {
-        debug_assert_eq!(self.status(), txn_status::EXECUTING);
-        if let Some(completion) = &self.completion {
-            self.state.store(txn_status::COMPLETE, Ordering::Release);
-            return completion.record(committed, fingerprint);
-        }
-        // RELAXED: published by the Release store of `Complete` below. The
-        // thread responsible for this transaction Acquires that before it
-        // counts out of the batch, and retirement follows the last count-out.
-        self.committed.store(committed, Ordering::Relaxed);
-        // RELAXED: as above.
-        self.fingerprint.store(fingerprint, Ordering::Relaxed);
-        self.state.store(txn_status::COMPLETE, Ordering::Release);
-    }
-
-    /// The decision of a replayed transaction (one without a completion
-    /// word). Only for a batch that has retired: `Window::retired`'s
-    /// Acquire makes its executors' stores visible.
-    pub(crate) fn replayed_outcome(&self) -> TxnOutcome {
-        debug_assert!(self.completion.is_none());
-        debug_assert_eq!(self.status(), txn_status::COMPLETE);
-        TxnOutcome {
-            // RELAXED: ordered by the caller's Acquire of the retirement.
-            committed: self.committed.load(Ordering::Relaxed),
-            // RELAXED: as above.
-            fingerprint: self.fingerprint.load(Ordering::Relaxed),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -465,6 +450,8 @@ pub struct Batch {
     pub epoch: u64,
     /// The batch's transactions in timestamp order, with runtime state.
     pub txns: Box<[TxnState]>,
+    /// Where `txns[i]` is decided: slot `i`.
+    pub(crate) outcomes: Arc<Outcomes>,
     /// CC threads yet to finish this batch (the §3.2.4 amortized barrier).
     pub(crate) cc_pending: AtomicUsize,
     /// Positions in `txns` of the detached readers, ascending. The read
@@ -477,12 +464,14 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Assemble a batch from its entries in log order. Per-transaction
+    /// Assemble a batch from its transactions in log order, decided into
+    /// `outcomes` (a slot per transaction, at least). Per-transaction
     /// runtime buffers are carved from `arena`, contiguous in timestamp
     /// order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        entries: impl IntoIterator<Item = (Txn, Option<Arc<Completion>>)>,
+        txns: impl IntoIterator<Item = Txn>,
+        outcomes: Arc<Outcomes>,
         base_ts: Timestamp,
         id: u64,
         epoch: u64,
@@ -491,13 +480,10 @@ impl Batch {
         annotate_max_reads: usize,
         arena: &mut Arena,
     ) -> Arc<Self> {
-        let txns: Box<[TxnState]> = entries
-            .into_iter()
-            .zip(base_ts..)
-            .map(|((txn, completion), ts)| {
-                TxnState::new(txn, ts, annotate_max_reads, completion, arena)
-            })
+        let txns: Box<[TxnState]> = (txns.into_iter().zip(base_ts..))
+            .map(|(txn, ts)| TxnState::new(txn, ts, annotate_max_reads, arena))
             .collect();
+        debug_assert!(txns.len() <= outcomes.slots.len());
         let readers: Box<[u32]> = (0..txns.len() as u32)
             .filter(|&i| txns[i as usize].is_detached())
             .collect();
@@ -508,8 +494,27 @@ impl Batch {
             cc_pending: AtomicUsize::new(cc_threads),
             exec_pending: AtomicUsize::new(exec_threads + usize::from(!readers.is_empty())),
             txns,
+            outcomes,
             readers,
         })
+    }
+
+    /// Mark `t`, a transaction of this batch the caller has claimed,
+    /// `Complete` with its decision. The decision lands in its slot
+    /// *before* the state turns `Complete`: the thread responsible for `t`
+    /// Acquires `Complete` before it counts out of the batch, so the
+    /// decision is in place by the time the batch retires (what replay
+    /// reads). A parked waiter is woken after, so a dependent spinning on
+    /// `t`'s state never waits for the wake-up.
+    #[inline]
+    pub(crate) fn complete(&self, t: &TxnState, committed: bool, fingerprint: u64) {
+        debug_assert_eq!(t.status(), txn_status::EXECUTING);
+        let slot = (t.ts - self.base_ts) as usize;
+        let parked = self.outcomes.decide(slot, committed, fingerprint);
+        t.state.store(txn_status::COMPLETE, Ordering::Release);
+        if parked {
+            self.outcomes.wake();
+        }
     }
 
     /// Largest timestamp in the batch (the Condition-3 GC bound once every
@@ -550,38 +555,51 @@ pub(crate) mod tests {
         bohm_common::ArenaPool::default().arena()
     }
 
-    /// `n` single-key RMWs, each with its own fresh completion.
-    pub(crate) fn entries(n: usize) -> Vec<(Txn, Option<Arc<Completion>>)> {
-        (0..n).map(|_| (txn(), Some(Completion::new()))).collect()
+    /// `n` single-key RMWs.
+    pub(crate) fn entries(n: usize) -> Vec<Txn> {
+        (0..n).map(|_| txn()).collect()
     }
 
-    fn lone_state() -> (TxnState, Arc<Completion>) {
-        let c = Completion::new();
-        let t = TxnState::new(txn(), 5, 64, Some(Arc::clone(&c)), &mut test_arena());
-        (t, c)
+    /// A batch of `n` single-key RMWs from timestamp 1, with a block of
+    /// `n` slots.
+    fn batch(n: usize) -> Arc<Batch> {
+        Batch::new(
+            entries(n),
+            Outcomes::new(n),
+            1,
+            0,
+            0,
+            1,
+            1,
+            64,
+            &mut test_arena(),
+        )
     }
+
+    const COMMITTED_7: ExecOutcome = ExecOutcome {
+        committed: true,
+        fingerprint: 7,
+        cc_retries: 0,
+    };
 
     #[test]
     fn state_machine_transitions() {
-        let (t, completion) = lone_state();
+        let b = batch(1);
+        let t = &b.txns[0];
         assert_eq!(t.status(), txn_status::UNPROCESSED);
         assert!(t.try_claim());
         assert!(!t.try_claim(), "double claim must fail");
         t.park();
         assert!(t.try_claim(), "parked txn is claimable again");
-        t.complete(true, 42);
+        b.complete(t, true, 7);
         assert_eq!(t.status(), txn_status::COMPLETE);
         assert!(!t.try_claim(), "complete txn is not claimable");
-        let want = TxnOutcome {
-            committed: true,
-            fingerprint: 42,
-        };
-        assert_eq!(completion.wait(), want);
+        assert_eq!(b.outcomes.wait(0), COMMITTED_7);
     }
 
     #[test]
     fn annotation_slots_match_set_sizes() {
-        let (t, _c) = lone_state();
+        let t = TxnState::new(txn(), 5, 64, &mut test_arena());
         assert_eq!(t.read_refs.len(), 1);
         assert_eq!(t.write_refs.len(), 1);
         assert!(t.read_refs[0].load(Ordering::Relaxed).is_null());
@@ -592,7 +610,7 @@ pub(crate) mod tests {
     fn plan_of(reads: &[u64], writes: &[u64]) -> Vec<(Option<usize>, Option<usize>)> {
         let rids = |rows: &[u64]| rows.iter().map(|&r| RecordId::new(0, r)).collect();
         let t = Txn::new(rids(reads), rids(writes), Procedure::ReadOnly);
-        let t = TxnState::new(t, 9, 64, None, &mut test_arena());
+        let t = TxnState::new(t, 9, 64, &mut test_arena());
         for e in t.plan.iter() {
             let rid = match (e.read(), e.write()) {
                 (_, Some(w)) => t.txn.writes[w],
@@ -680,7 +698,17 @@ pub(crate) mod tests {
 
     #[test]
     fn batch_timestamps_are_dense() {
-        let b = Batch::new(entries(3), 100, 0, 0, 2, 2, 64, &mut test_arena());
+        let b = Batch::new(
+            entries(3),
+            Outcomes::new(3),
+            100,
+            0,
+            0,
+            2,
+            2,
+            64,
+            &mut test_arena(),
+        );
         assert_eq!(b.last_ts(), 102);
         assert!(b.contains(100) && b.contains(102));
         assert!(!b.contains(99) && !b.contains(103));
@@ -693,51 +721,68 @@ pub(crate) mod tests {
         let shapes = || {
             let read_only = |n| Txn::new(rids(n), vec![], Procedure::ReadOnly);
             let wide_rmw = Txn::new(rids(70), rids(1), Procedure::ReadModifyWrite { delta: 1 });
-            let txns = [
+            [
                 txn(),
                 read_only(65),
                 read_only(64),
                 read_only(0),
                 read_only(70),
                 wide_rmw,
-            ];
-            txns.into_iter().map(|t| (t, None))
+            ]
         };
         let pending = |b: &Batch| b.exec_pending.load(Ordering::Acquire);
+        let new = |annotate_max_reads| {
+            let outcomes = Outcomes::new(6);
+            Batch::new(
+                shapes(),
+                outcomes,
+                1,
+                0,
+                0,
+                1,
+                2,
+                annotate_max_reads,
+                &mut test_arena(),
+            )
+        };
         // Above the limit *and* write-free: positions 1 and 4.
-        let b = Batch::new(shapes(), 1, 0, 0, 1, 2, 64, &mut test_arena());
+        let b = new(64);
         assert_eq!(&*b.readers, [1, 4]);
         assert_eq!(pending(&b), 3, "two execution threads and the lane");
         // Annotation off (limit 0): every read-only transaction that reads.
-        let b = Batch::new(shapes(), 1, 0, 0, 1, 2, 0, &mut test_arena());
+        let b = new(0);
         assert_eq!(&*b.readers, [1, 2, 4]);
         // No reader, no lane.
-        let b = Batch::new(entries(3), 1, 0, 0, 1, 2, 64, &mut test_arena());
+        let b = Batch::new(
+            entries(3),
+            Outcomes::new(3),
+            1,
+            0,
+            0,
+            1,
+            2,
+            64,
+            &mut test_arena(),
+        );
         assert!(b.readers.is_empty());
         assert_eq!(pending(&b), 2);
     }
 
     #[test]
-    fn each_transaction_decides_its_own_word_as_it_completes() {
-        let entries = entries(2);
-        let words: Vec<_> = entries
-            .iter()
-            .map(|(_, c)| Arc::clone(c.as_ref().unwrap()))
-            .collect();
-        let b = Batch::new(entries, 1, 0, 0, 1, 1, 64, &mut test_arena());
-        assert!(!words[0].is_done() && !words[1].is_done());
+    fn each_transaction_decides_its_own_slot_as_it_completes() {
+        let b = batch(2);
+        assert!(!b.outcomes.is_done(0) && !b.outcomes.is_done(1));
         b.txns[1].try_claim();
-        b.txns[1].complete(false, 0);
-        assert!(words[1].is_done(), "done the moment its executor says so");
-        assert!(!words[0].is_done(), "and nobody else's word moves");
+        b.complete(&b.txns[1], false, 0);
+        assert!(
+            b.outcomes.is_done(1),
+            "done the moment its executor says so"
+        );
+        assert!(!b.outcomes.is_done(0), "and nobody else's slot moves");
         b.txns[0].try_claim();
-        b.txns[0].complete(true, 7);
-        let want = TxnOutcome {
-            committed: true,
-            fingerprint: 7,
-        };
-        assert_eq!(words[0].wait(), want);
-        assert!(!words[1].wait().committed);
+        b.complete(&b.txns[0], true, 7);
+        assert_eq!(b.outcomes.wait(0), COMMITTED_7);
+        assert!(!b.outcomes.wait(1).committed);
     }
 
     /// Condvar waits `f` entered on this thread.
@@ -748,41 +793,47 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn waiter_on_a_decided_word_never_parks() {
-        let c = Completion::new();
-        c.record(true, 3);
-        assert!(c.is_done());
+    fn waiter_on_a_decided_slot_never_parks() {
+        let o = Outcomes::new(2);
+        assert!(!o.decide(1, true, 7), "nobody was parked");
+        assert!(o.is_done(1));
         let parks = parks_during(|| {
-            let want = TxnOutcome {
-                committed: true,
-                fingerprint: 3,
-            };
-            assert_eq!(c.wait(), want);
-            assert_eq!(c.wait(), want, "and may be asked again");
+            assert_eq!(o.wait(1), COMMITTED_7);
+            assert_eq!(o.wait(1), COMMITTED_7, "and may be asked again");
         });
         assert_eq!(parks, 0);
-        assert_eq!(c.state.load(Ordering::Acquire) & PARKED, 0, "fast path");
+        assert_eq!(
+            o.slots[1].state.load(Ordering::Acquire) & PARKED,
+            0,
+            "fast path"
+        );
+    }
+
+    /// Wait until a waiter has announced itself on slot `i` of `o`.
+    fn until_parked(o: &Outcomes, i: usize) {
+        while o.slots[i].state.load(Ordering::Acquire) & PARKED == 0 {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
     fn waiter_ahead_of_the_decision_parks_at_most_once_and_is_woken() {
-        let c = Completion::new();
+        let o = Outcomes::new(1);
         let waiter = {
-            let c = Arc::clone(&c);
+            let o = Arc::clone(&o);
             std::thread::spawn(move || {
                 let mut out = None;
-                (parks_during(|| out = Some(c.wait())), out.unwrap())
+                (parks_during(|| out = Some(o.wait(0))), out.unwrap())
             })
         };
         // Forced interleaving: the decision follows the announcement, so
         // the waiter is on its slow path and the completer owes it a
         // notification. (Zero parks is the re-check under the mutex
         // catching the decision; the model harness enumerates both.)
-        while c.state.load(Ordering::Acquire) & PARKED == 0 {
-            std::thread::yield_now();
-        }
-        assert!(!c.is_done());
-        c.record(false, 0);
+        until_parked(&o, 0);
+        assert!(!o.is_done(0));
+        assert!(o.decide(0, false, 0), "the completer sees the announcement");
+        o.wake();
         let (parks, out) = waiter.join().unwrap();
         assert!(parks <= 1, "one decision wakes one sleep, got {parks}");
         assert!(!out.committed);
@@ -790,56 +841,57 @@ pub(crate) mod tests {
 
     #[test]
     fn poison_wakes_a_parked_waiter_into_the_fault_panic() {
-        let c = Completion::new();
+        let o = Outcomes::new(4);
         let waiter = {
-            let c = Arc::clone(&c);
+            let o = Arc::clone(&o);
             std::thread::spawn(move || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.wait()))
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| o.wait(1)))
             })
         };
-        while c.state.load(Ordering::Acquire) & PARKED == 0 {
-            std::thread::yield_now();
-        }
-        c.poison();
+        until_parked(&o, 1);
+        o.poison(2);
         let woke = waiter.join().unwrap();
         let msg = woke.expect_err("poisoned wait must panic, not return");
         assert!(msg
             .downcast_ref::<&str>()
             .is_some_and(|m| m.contains("engine failed")));
-        assert!(c.is_done(), "pollers must not spin on a failed engine");
-        c.poison(); // idempotent
-        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.wait()));
+        assert!(
+            o.is_done(0) && o.is_done(1),
+            "pollers must not spin on a failed engine"
+        );
+        assert!(!o.is_done(2), "only the filled slots are poisoned");
+        o.poison(2); // idempotent
+        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| o.wait(0)));
         assert!(late.is_err(), "late waiters observe the fault too");
     }
 
     #[test]
     fn outcome_and_fingerprint_are_visible_once_is_done_says_so() {
-        let c = Completion::new();
+        let o = Outcomes::new(1);
         let poller = {
-            let c = Arc::clone(&c);
+            let o = Arc::clone(&o);
             std::thread::spawn(move || {
-                while !c.is_done() {
+                while !o.is_done(0) {
                     std::thread::yield_now();
                 }
                 // RELAXED: exactly what a poller relies on — `is_done`'s
                 // Acquire ordered this read after the fingerprint store.
-                let seen = c.fingerprint.load(Ordering::Relaxed);
+                let seen = o.slots[0].fingerprint.load(Ordering::Relaxed);
                 let mut out = None;
-                (seen, parks_during(|| out = Some(c.wait())), out.unwrap())
+                (seen, parks_during(|| out = Some(o.wait(0))), out.unwrap())
             })
         };
-        c.record(true, 0xfeed);
-        let want = TxnOutcome {
-            committed: true,
+        o.decide(0, true, 0xfeed);
+        let want = ExecOutcome {
             fingerprint: 0xfeed,
+            ..COMMITTED_7
         };
         assert_eq!(poller.join().unwrap(), (0xfeed, 0, want));
     }
 
     #[test]
     fn only_one_claimer_wins_under_contention() {
-        let (t, _c) = lone_state();
-        let t = Arc::new(t);
+        let t = Arc::new(TxnState::new(txn(), 5, 64, &mut test_arena()));
         let winners: Vec<bool> = (0..8)
             .map(|_| {
                 let t = Arc::clone(&t);
@@ -853,10 +905,11 @@ pub(crate) mod tests {
     }
 }
 
-/// Model-checked completion handshake (`RUSTFLAGS="--cfg bohm_modelcheck"
+/// Model-checked outcome handshake (`RUSTFLAGS="--cfg bohm_modelcheck"
 /// cargo test -p bohm modelcheck`): a lost wake-up is a model *deadlock*
-/// with a replayable seed. Mutation-checked by the two broken twins below,
-/// each of which breaks "one RMW per side on one word" in one place.
+/// with a replayable seed. Mutation-checked by the three broken twins below:
+/// two break "one RMW per side on one word" in one place, the third wakes
+/// one waiter of the block's shared condvar instead of all of them.
 #[cfg(all(test, bohm_modelcheck))]
 pub(crate) mod modelcheck {
     use super::*;
@@ -875,47 +928,75 @@ pub(crate) mod modelcheck {
         /// `fetch_or`: a waiter announcing itself in between is never
         /// notified.
         CompleterLoadsParkedFirst,
+        /// The completer that finds `PARKED` wakes one waiter of the block:
+        /// it may be another slot's, which goes back to sleep.
+        CompleterNotifiesOne,
     }
 
-    /// An outcome racing a waiter on its way to sleep.
-    fn outcome_model(fault: Fault) {
-        let c = Completion::new();
-        let completer = {
-            let c = Arc::clone(&c);
-            thread::spawn(move || {
-                if fault != Fault::CompleterLoadsParkedFirst {
-                    return c.record(true, 7);
-                }
-                let parked = c.state.load(Ordering::SeqCst) & PARKED != 0;
-                // RELAXED: as in `record`.
-                c.fingerprint.store(7, Ordering::Relaxed);
-                c.state.fetch_or(COMMITTED, Ordering::SeqCst);
+    const COMMITTED_7: ExecOutcome = ExecOutcome {
+        committed: true,
+        fingerprint: 7,
+        cc_retries: 0,
+    };
+
+    /// Decide slot `i` committed with fingerprint 7, as `Batch::complete`
+    /// does (less the transaction's state word), or as the twin does.
+    fn decide(o: &Outcomes, i: usize, fault: Fault) {
+        match fault {
+            Fault::CompleterLoadsParkedFirst => {
+                let slot = &o.slots[i];
+                let parked = slot.state.load(Ordering::SeqCst) & PARKED != 0;
+                // RELAXED: as in `decide`.
+                slot.fingerprint.store(7, Ordering::Relaxed);
+                slot.state.fetch_or(COMMITTED, Ordering::SeqCst);
                 if parked {
-                    let _g = c.lock.lock();
-                    c.cv.notify_all();
+                    o.wake();
                 }
-            })
+            }
+            Fault::CompleterNotifiesOne => {
+                if o.decide(i, true, 7) {
+                    let _g = o.lock.lock();
+                    o.cv.notify_one();
+                }
+            }
+            Fault::None | Fault::WaiterSkipsRecheck => {
+                if o.decide(i, true, 7) {
+                    o.wake();
+                }
+            }
+        }
+    }
+
+    /// An outcome racing a waiter on its way to sleep, on slot 1 of a
+    /// two-slot block.
+    fn outcome_model(fault: Fault) {
+        let o = Outcomes::new(2);
+        let completer = {
+            let o = Arc::clone(&o);
+            thread::spawn(move || decide(&o, 1, fault))
         };
         if fault == Fault::WaiterSkipsRecheck
-            && c.state.fetch_or(PARKED, Ordering::SeqCst) & DECIDED == 0
+            && o.slots[1].state.fetch_or(PARKED, Ordering::SeqCst) & DECIDED == 0
         {
-            let mut g = c.lock.lock();
-            c.cv.wait(&mut g);
+            let mut g = o.lock.lock();
+            o.cv.wait(&mut g);
         }
-        let out = c.wait();
-        assert!(out.committed && out.fingerprint == 7);
+        assert_eq!(o.wait(1), COMMITTED_7);
         completer.join().unwrap();
+        assert!(!o.is_done(0), "nobody else's slot moves");
     }
 
-    /// A fault racing a waiter on its way to sleep: the waiter must wake and
-    /// report the fault, whichever side gets to the word first.
+    /// A fault racing a waiter on its way to sleep: the seal that failed
+    /// poisons the two filled slots of a three-slot block, and the waiter on
+    /// the second must wake and report the fault, whichever side gets to
+    /// the word first.
     fn poison_model() {
-        let c = Completion::new();
+        let o = Outcomes::new(3);
         let sealer = {
-            let c = Arc::clone(&c);
-            thread::spawn(move || c.poison())
+            let o = Arc::clone(&o);
+            thread::spawn(move || o.poison(2))
         };
-        let woke = catch_unwind(AssertUnwindSafe(|| c.wait()));
+        let woke = catch_unwind(AssertUnwindSafe(|| o.wait(1)));
         let msg = woke.expect_err("a poisoned wait must panic, not return");
         assert!(
             msg.downcast_ref::<&str>()
@@ -923,6 +1004,26 @@ pub(crate) mod modelcheck {
             "woken by something other than the fault"
         );
         sealer.join().unwrap();
+        assert!(o.is_done(0) && !o.is_done(2), "exactly the filled slots");
+    }
+
+    /// Two waiters parked on two slots of one block, and a completer
+    /// deciding both: each decision that finds `PARKED` must reach its own
+    /// waiter through the one condvar they share.
+    fn two_waiters_model(fault: Fault) {
+        let o = Outcomes::new(2);
+        let waiters: Vec<_> = (0..2)
+            .map(|i| {
+                let o = Arc::clone(&o);
+                thread::spawn(move || o.wait(i))
+            })
+            .collect();
+        for i in 0..2 {
+            decide(&o, i, fault);
+        }
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), COMMITTED_7);
+        }
     }
 
     #[test]
@@ -933,6 +1034,11 @@ pub(crate) mod modelcheck {
     #[test]
     fn poison_racing_a_parking_waiter_explored() {
         model::explore(model::Options::default(), poison_model);
+    }
+
+    #[test]
+    fn two_waiters_on_one_block_are_both_woken_explored() {
+        model::explore(model::Options::default(), || two_waiters_model(Fault::None));
     }
 
     /// A broken twin must fail — with `what` in the message — under some
@@ -951,7 +1057,7 @@ pub(crate) mod modelcheck {
         }
     }
 
-    /// A lost wake-up strands the waiter: a model deadlock.
+    /// A lost wake-up strands a waiter: a model deadlock.
     fn twin_deadlocks_replayably(fault: Fault) {
         twin_fails_replayably("deadlock", || outcome_model(fault));
     }
@@ -964,5 +1070,12 @@ pub(crate) mod modelcheck {
     #[test]
     fn completer_that_loads_parked_before_its_rmw_is_a_replayable_lost_wakeup() {
         twin_deadlocks_replayably(Fault::CompleterLoadsParkedFirst);
+    }
+
+    #[test]
+    fn completer_that_notifies_one_waiter_of_the_block_is_a_replayable_lost_wakeup() {
+        twin_fails_replayably("deadlock", || {
+            two_waiters_model(Fault::CompleterNotifiesOne)
+        });
     }
 }

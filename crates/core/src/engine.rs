@@ -1,11 +1,12 @@
 //! Engine assembly: threads, ingest, public API.
 
-use crate::batch::{TxnHandle, TxnOutcome};
+use crate::batch::TxnHandle;
 use crate::config::{BohmConfig, CatalogSpec};
 use crate::ingest::Ingest;
 use crate::session::BohmSession;
 use crate::window::Window;
 use crate::{cc, exec};
+use bohm_common::engine::ExecOutcome;
 use bohm_common::wal::Wal;
 use bohm_common::{RecordId, TableId, Txn};
 use bohm_mvstore::{HashIndex, Version, VersionIndex, VersionState};
@@ -94,7 +95,7 @@ impl Inner {
         let record_sizes = catalog.tables.iter().map(|t| t.record_size).collect();
         Inner {
             lane: exec::Lane::default(),
-            ingest: Ingest::new(bohm_common::ArenaPool::default().arena()),
+            ingest: Ingest::new(bohm_common::ArenaPool::default().arena(), config.batch_size),
             gc_bound: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             gc_retired: AtomicU64::new(0),
@@ -206,7 +207,7 @@ impl Bohm {
     pub fn recover(
         config: BohmConfig,
         catalog: CatalogSpec,
-    ) -> std::io::Result<(Self, Vec<TxnOutcome>)> {
+    ) -> std::io::Result<(Self, Vec<ExecOutcome>)> {
         let durability = config
             .durability
             .clone()
@@ -221,15 +222,7 @@ impl Bohm {
             .wal
             .set(recovered.wal)
             .expect("the log is attached once");
-        let outcomes = recovered
-            .outcomes
-            .into_iter()
-            .map(|o| TxnOutcome {
-                committed: o.committed,
-                fingerprint: o.fingerprint,
-            })
-            .collect();
-        Ok((engine, outcomes))
+        Ok((engine, recovered.outcomes))
     }
 
     /// Snapshot the current committed state to a durable
@@ -335,7 +328,7 @@ impl Bohm {
     }
 
     /// Open a submission session: the per-client handle for submitting
-    /// single transactions with per-transaction completion.
+    /// single transactions, each with its own outcome.
     ///
     /// Sessions are independent of the engine's lifetime (they hold a
     /// reference to its shared state, not to the `Bohm`); submitting
@@ -356,7 +349,7 @@ impl Bohm {
     /// Other sessions may interleave with `txns` in the serial order (the
     /// order submissions take the open batch's mutex, §3.2.1); what they
     /// submit meanwhile is not waited for.
-    pub fn execute_sync(&self, txns: Vec<Txn>) -> Vec<TxnOutcome> {
+    pub fn execute_sync(&self, txns: Vec<Txn>) -> Vec<ExecOutcome> {
         let session = self.session();
         let handles: Vec<TxnHandle> = txns.into_iter().map(|t| session.submit(t)).collect();
         let outcomes = handles.iter().map(TxnHandle::wait).collect();
@@ -823,9 +816,9 @@ mod tests {
     /// Run the CC phase of a hand-built batch (timestamps from 1) on the
     /// calling thread, as the engine's only CC thread would.
     fn cc_phase_of(e: &Bohm, txns: Vec<Txn>) -> Arc<crate::batch::Batch> {
-        let entries = txns.into_iter().map(|t| (t, None));
+        let outcomes = crate::batch::Outcomes::new(txns.len());
         let mut arena = crate::batch::tests::test_arena();
-        let batch = crate::batch::Batch::new(entries, 1, 0, 0, 1, 1, 64, &mut arena);
+        let batch = crate::batch::Batch::new(txns, outcomes, 1, 0, 0, 1, 1, 64, &mut arena);
         cc::process_batch(&e.inner, 0, &batch, &mut bohm_mvstore::VersionPool::new());
         batch
     }
@@ -1432,7 +1425,7 @@ mod tests {
                 }
                 drop(tx);
             });
-            // Completion is per transaction: the three batches that fit in
+            // Outcomes are per transaction: the three batches that fit in
             // the ring behind batch 0 execute while the reader runs.
             let ahead: Vec<_> = rx.iter().take(6).collect();
             assert!(gate.wait().committed && ahead.iter().all(|h| h.wait().committed));
@@ -1581,7 +1574,7 @@ mod tests {
         let session = e.session();
         let observed_fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // Keep submitting until either a wait panics (poisoned
-            // completion) or a submit panics (engine closed) — both are
+            // outcome) or a submit panics (engine closed) — both are
             // the observable engine fault; hanging here is the bug.
             for i in 0..10_000u64 {
                 session.submit(rmw(&[i % 8], 1)).wait();

@@ -47,9 +47,10 @@
 //! unblocks a sealer waiting on the in-flight budget and counts the batch
 //! as retired for `Window::wait_retired`, the engine's one barrier. A
 //! retired batch has no unfinished transaction. Nothing at retirement is per
-//! transaction: each completion was published as its transaction finished
-//! (`TxnState::complete`) — a store and one `fetch_or`, plus a wake-up only
-//! for a waiter parked on that very transaction.
+//! transaction: each outcome was decided into the batch's outcome block as
+//! its transaction finished (`Batch::complete`) — a store and one
+//! `fetch_or`, plus a wake-up only if a waiter is parked on that very slot.
+//! Replay reads a retired batch's outcomes off the same block.
 
 use crate::access::BohmAccess;
 use crate::batch::{txn_status, Batch, TxnState};
@@ -124,7 +125,7 @@ fn run_readers<'a>(
     for &i in positions {
         let t = &batch.txns[i as usize];
         if t.try_claim() {
-            let done = run_claimed(inner, t, scratch, 0);
+            let done = run_claimed(inner, batch, t, scratch, 0);
             debug_assert!(done, "a detached reader never parks");
         }
     }
@@ -272,7 +273,7 @@ pub(crate) fn run_batch(
                 txn_status::EXECUTING => true, // someone else is on it
                 _ => {
                     if t.try_claim() {
-                        !run_claimed(inner, t, scratch, 0)
+                        !run_claimed(inner, batch, t, scratch, 0)
                     } else {
                         true
                     }
@@ -287,13 +288,15 @@ pub(crate) fn run_batch(
     }
 }
 
-/// Evaluate a transaction this thread has claimed (state = `Executing`).
+/// Evaluate a transaction of `batch` this thread has claimed (state =
+/// `Executing`), and decide it into the batch's outcome block.
 ///
 /// Returns `true` if the transaction reached `Complete`; `false` if it was
 /// parked back to `Unprocessed` because a dependency is executing on
 /// another thread.
 pub(crate) fn run_claimed(
     inner: &Inner,
+    batch: &Batch,
     t: &TxnState,
     scratch: &mut [ExecScratch],
     depth: usize,
@@ -321,7 +324,7 @@ pub(crate) fn run_claimed(
         match result {
             Ok(fp) => {
                 debug_assert!(all_writes_resolved(t), "procedure must fill every write");
-                t.complete(true, fp);
+                batch.complete(t, true, fp);
                 return true;
             }
             Err(AbortReason::User) => {
@@ -329,7 +332,7 @@ pub(crate) fn run_claimed(
                 // their predecessors (paper §3.3.1, "write dependencies").
                 match copy_through(inner, t, &guard) {
                     Ok(()) => {
-                        t.complete(false, 0);
+                        batch.complete(t, false, 0);
                         return true;
                     }
                     Err(dep_ts) => {
@@ -400,7 +403,7 @@ fn resolve_dependency(
             }
             _ => {
                 if dep.try_claim() {
-                    return run_claimed(inner, dep, scratch, depth + 1);
+                    return run_claimed(inner, &dep_batch, dep, scratch, depth + 1);
                 }
                 // Lost the claim race; observe the new state and decide.
             }

@@ -6,20 +6,21 @@
 //! its own: here the submitting client takes its position under the open
 //! batch's mutex, and whoever fills a batch seals it.
 //!
+//! * **One append path.** The open batch comes with its outcome block
+//!   (`crate::batch::Outcomes`, one slot per position): appending a
+//!   transaction repacks its sets into the sequencer's arena, pushes it and
+//!   takes the next slot. Lock order *is* log order, the serialization
+//!   order. Each seal moves the block into its batch and opens a fresh one.
 //! * **Submit** ([`BohmSession::submit`](crate::BohmSession::submit)): lock
-//!   the open batch, repack the transaction's sets into the sequencer's
-//!   arena, append it with its completion word. Lock order *is* log order,
-//!   the serialization order; one submission is one transaction is one
-//!   completion word.
+//!   the open batch, append, and hand back a handle on the block's slot.
 //! * **Replay** (`Inner::replay`, behind BOHM's
 //!   [`BatchEngine::replay`](bohm_common::engine::BatchEngine::replay)): the
 //!   other way in. Log order is serial order, so a logged batch is a sealed
 //!   batch already: replay takes the mutex once per logged batch, appends its
-//!   transactions without completion words and seals them through the same
-//!   path as a size-triggered seal, splitting only a batch larger than
-//!   `batch_size`. Their outcomes stay in the batch's transaction states,
-//!   where replay reads them once the batch has retired — no handle, heap
-//!   allocation or reap per transaction.
+//!   transactions and seals them through the same path as a size-triggered
+//!   seal, splitting only a batch larger than `batch_size`. It reads their
+//!   outcomes off the batch's block once the batch has retired — no handle,
+//!   heap allocation or reap per transaction.
 //! * **Seal by size.** The submission that brings the open batch to
 //!   [`batch_size`](crate::BohmConfig::batch_size) seals it before letting go
 //!   of the mutex — a group-commit leader, as in Aether's consolidated log
@@ -31,7 +32,7 @@
 //!   with the mutex held, so every other submitter waits behind the sealer:
 //!   that is the backpressure, and what it bounds is one open batch. No
 //!   pipeline thread ever takes this mutex, so nothing can deadlock on it.
-//! * **Seal by time: whoever waits seals.** A [`TxnHandle`](crate::TxnHandle)
+//! * **Seal by time: whoever waits seals.** A [`TxnHandle`]
 //!   knows its batch. [`wait`](crate::TxnHandle::wait) on a transaction
 //!   whose batch is still open parks until the batch has been open for
 //!   [`batch_linger`](crate::BohmConfig::batch_linger), then seals it;
@@ -42,8 +43,8 @@
 //! * **Close.** Dropping the engine seals what is open, then closes the
 //!   ring and the lane at the number of batches sealed: the CC and execution
 //!   threads finish those and exit.
-//! * **A WAL fault** in any seal fails the engine: the open batch's
-//!   completions are poisoned (their waiters panic instead of hanging), the
+//! * **A WAL fault** in any seal fails the engine: the open block's filled
+//!   slots are poisoned (their waiters panic instead of hanging), the
 //!   ring and the lane close behind the batches already sealed — those were
 //!   logged, so they still run — and later submissions panic.
 //!
@@ -58,12 +59,12 @@
 //! stride unused. Gaps are invisible to the protocol (only order matters)
 //! and buy the window's O(1) timestamp→batch arithmetic.
 
-use crate::batch::{Batch, Completion};
+use crate::batch::{Batch, Outcomes, TxnHandle};
 use crate::engine::Inner;
 use bohm_common::engine::ExecOutcome;
 use bohm_common::{Arena, LoggedBatch, Txn};
 use bohm_sync::atomic::{AtomicU64, Ordering};
-use bohm_sync::{Condvar, Mutex};
+use bohm_sync::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
@@ -82,10 +83,12 @@ pub(crate) struct Ingest {
 }
 
 struct Open {
-    /// The open batch's transactions in log order, with their completion
-    /// words (none for a replayed one). Every seal drains it and keeps the
-    /// capacity.
-    entries: Vec<(Txn, Option<Arc<Completion>>)>,
+    /// The open batch's transactions in log order. Every seal drains it
+    /// and keeps the capacity.
+    entries: Vec<Txn>,
+    /// Where the open batch's transactions will be decided: slot `i` for
+    /// `entries[i]`. Every seal moves it into its batch.
+    outcomes: Arc<Outcomes>,
     /// One arena across batches: consecutive batches pack their sets and CC
     /// plans into the same chunks, and a chunk recycles once every batch
     /// holding slices into it has retired — bounded by the window depth, so
@@ -102,10 +105,11 @@ struct Open {
 }
 
 impl Ingest {
-    pub fn new(arena: Arena) -> Self {
+    pub fn new(arena: Arena, batch_size: usize) -> Self {
         Self {
             open: Mutex::new(Open {
                 entries: Vec::new(),
+                outcomes: Outcomes::new(batch_size),
                 arena,
                 next_batch: 0,
                 open_since: Instant::now(),
@@ -120,29 +124,48 @@ impl Ingest {
 
 impl Inner {
     /// Append `txn` to the open batch — its position there is its timestamp
-    /// — and seal the batch if that filled it. Returns the batch id.
+    /// — and seal the batch if that filled it. Returns the handle on the
+    /// transaction's slot in the batch's outcome block.
     ///
     /// Blocks while a seal waits for room in the ring. Panics if the engine
     /// has shut down.
-    pub(crate) fn submit(&self, mut txn: Txn, completion: Arc<Completion>) -> u64 {
-        let mut open = self.ingest.open.lock();
+    pub(crate) fn submit(self: &Arc<Self>, txn: Txn) -> TxnHandle {
+        let mut open = self.open();
+        let slot = self.append(&mut open, txn);
+        let (outcomes, batch) = (Arc::clone(&open.outcomes), open.next_batch);
+        if open.entries.len() >= self.config.batch_size {
+            self.seal(&mut open);
+        }
+        drop(open);
+        TxnHandle {
+            outcomes,
+            slot,
+            batch,
+            inner: Arc::clone(self),
+        }
+    }
+
+    /// The open batch, locked. Panics if the engine has shut down.
+    fn open(&self) -> MutexGuard<'_, Open> {
+        let open = self.ingest.open.lock();
         if open.closed {
             drop(open);
             panic!("engine is shut down");
         }
+        open
+    }
+
+    /// Append `txn` to the open batch, which has room for it, and return
+    /// its slot. Moves the client-allocated sets into arena slices, so the
+    /// batch's hot data is contiguous in log order and the client's `Vec`s
+    /// are freed here, off the execution path.
+    fn append(&self, open: &mut Open, mut txn: Txn) -> usize {
         if open.entries.is_empty() {
             open.open_since = Instant::now();
         }
-        // Move the client-allocated sets into arena slices, so the batch's
-        // hot data is contiguous in log order and the client's `Vec`s are
-        // freed here, off the execution path.
         txn.repack(&mut open.arena);
-        open.entries.push((txn, Some(completion)));
-        let id = open.next_batch;
-        if open.entries.len() >= self.config.batch_size {
-            self.seal(&mut open);
-        }
-        id
+        open.entries.push(txn);
+        open.entries.len() - 1
     }
 
     /// Replay `batches` — a recovered log, in log order — into `engine`
@@ -167,15 +190,7 @@ impl Inner {
             let retired = self.window.retired();
             while sealed.front().is_some_and(|b: &Arc<Batch>| b.id < retired) {
                 let b = sealed.pop_front().expect("checked above");
-                out.extend(b.txns.iter().map(|t| {
-                    let o = t.replayed_outcome();
-                    ExecOutcome {
-                        committed: o.committed,
-                        fingerprint: o.fingerprint,
-                        // BOHM never aborts for concurrency control (§3.3.3).
-                        cc_retries: 0,
-                    }
-                }));
+                out.extend((0..b.txns.len()).map(|i| b.outcomes.outcome(i)));
             }
         };
         for logged in batches {
@@ -191,13 +206,11 @@ impl Inner {
             // A logged batch larger than this engine's batches (logged under
             // a larger `batch_size`) is split; no other boundary moves.
             while txns.peek().is_some() {
-                let mut open = self.ingest.open.lock();
-                assert!(!open.closed, "engine is shut down");
+                let mut open = self.open();
                 // Whatever a session left open seals on its own first.
                 self.seal(&mut open);
-                for mut txn in txns.by_ref().take(self.config.batch_size) {
-                    txn.repack(&mut open.arena);
-                    open.entries.push((txn, None));
+                for txn in txns.by_ref().take(self.config.batch_size) {
+                    self.append(&mut open, txn);
                 }
                 let batch = self.seal(&mut open).ok_or_else(|| {
                     io::Error::other("BOHM engine failed (write-ahead log append error)")
@@ -264,17 +277,18 @@ impl Inner {
         // fault: continuing would silently break the recovery guarantee.
         if let Some(wal) = self.wal.get() {
             use bohm_common::wal::LogSink as _;
-            if let Err(e) = wal.log_batch(epoch, &mut open.entries.iter().map(|(t, _)| t)) {
+            if let Err(e) = wal.log_batch(epoch, &mut open.entries.iter()) {
                 eprintln!("bohm: WAL append failed ({e}); failing the engine");
-                for completion in open.entries.drain(..).filter_map(|(_, c)| c) {
-                    completion.poison();
-                }
+                open.outcomes.poison(open.entries.len());
+                open.entries.clear();
                 self.close_locked(open);
                 return None;
             }
         }
+        let outcomes = std::mem::replace(&mut open.outcomes, Outcomes::new(self.config.batch_size));
         let batch = Batch::new(
             open.entries.drain(..),
+            outcomes,
             1 + id * self.config.batch_size as u64,
             id,
             epoch,
@@ -450,9 +464,7 @@ mod tests {
 #[cfg(all(test, bohm_modelcheck))]
 mod modelcheck {
     use super::*;
-    use crate::batch::TxnHandle;
     use crate::config::{BohmConfig, CatalogSpec};
-    use crate::BohmSession;
     use bohm_common::wal::{DurabilityConfig, FsyncPolicy, LogSink, Wal};
     use bohm_common::{Procedure, RecordId};
     use bohm_sync::{model, thread};
@@ -493,8 +505,11 @@ mod modelcheck {
         }
         let id = open.next_batch;
         open.next_batch = id + 1;
+        let outcomes =
+            std::mem::replace(&mut open.outcomes, Outcomes::new(inner.config.batch_size));
         let batch = Batch::new(
             open.entries.drain(..),
+            outcomes,
             1 + id * inner.config.batch_size as u64,
             id,
             0,
@@ -514,18 +529,17 @@ mod modelcheck {
     /// Submit through the real session path, or the twin's.
     fn submit(inner: &Arc<Inner>, fault: Fault, tag: u64) -> TxnHandle {
         if fault == Fault::None {
-            return BohmSession::new(Arc::clone(inner)).submit(tagged(tag));
+            return inner.submit(tagged(tag));
         }
-        let completion = Completion::new();
         let mut open = inner.ingest.open.lock();
-        let batch = open.next_batch;
-        open.entries
-            .push((tagged(tag), Some(Arc::clone(&completion))));
+        let slot = inner.append(&mut open, tagged(tag));
+        let (outcomes, batch) = (Arc::clone(&open.outcomes), open.next_batch);
         if open.entries.len() >= inner.config.batch_size {
             twin_seal(inner, open);
         }
         TxnHandle {
-            completion,
+            outcomes,
+            slot,
             batch,
             inner: Arc::clone(inner),
         }
@@ -572,7 +586,7 @@ mod modelcheck {
                     inner.window.cc_done(&b);
                     for t in b.txns.iter() {
                         assert!(t.try_claim());
-                        t.complete(true, b.id);
+                        b.complete(t, true, b.id);
                         tags.push(tag_of(&t.txn));
                     }
                     inner.window.count_out(id);

@@ -31,10 +31,11 @@
 //!    recursively executes the producing transaction — resolved back to its
 //!    batch in O(1) through the [`window`] ring — or parks the current
 //!    transaction back to `Unprocessed` if the producer is already being
-//!    executed elsewhere. Each finished transaction publishes its outcome
-//!    in its submitter's completion word immediately — one submitted
-//!    transaction, one word, and a wake-up only if the submitter is parked
-//!    on it (see [`batch`]).
+//!    executed elsewhere. Each finished transaction decides its outcome
+//!    into its slot of the batch's outcome block immediately — one block
+//!    per batch, one word per transaction, and a wake-up only if a
+//!    submitter is parked on that slot. Replay reads the same slots once
+//!    the batch has retired (see [`batch`]).
 //! 4. **The read lane** ([`exec`]): a transaction that writes nothing and
 //!    reads too much to annotate — the paper's 10,000-read transactions —
 //!    is ordered and logged like any other but executed off the execution
@@ -80,7 +81,7 @@
 //!
 //! // Clients submit single transactions through sessions, which form the
 //! // batches as they go. Increment record 7 a hundred times, pipelined,
-//! // then reap each transaction's own completion.
+//! // then wait for each transaction's own outcome.
 //! let session = engine.session();
 //! let handles: Vec<_> = (0..100)
 //!     .map(|_| {
@@ -121,7 +122,7 @@ mod lookahead;
 pub mod session;
 pub mod window;
 
-pub use batch::{TxnHandle, TxnOutcome};
+pub use batch::TxnHandle;
 pub use config::{BohmConfig, CatalogSpec, MAX_INDEX_CAPACITY_HINT};
 pub use engine::Bohm;
 pub use session::BohmSession;

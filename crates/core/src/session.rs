@@ -1,8 +1,9 @@
-//! Client sessions: per-transaction submission with per-transaction
-//! completion, plus the [`BatchEngine`] facade impl that lets one driver
-//! code path run BOHM next to the interactive baselines.
+//! Client sessions: per-transaction submission, with each outcome read off
+//! its slot in the batch's outcome block, plus the [`BatchEngine`] facade
+//! impl that lets one driver code path run BOHM next to the interactive
+//! baselines.
 
-use crate::batch::{Completion, TxnHandle};
+use crate::batch::TxnHandle;
 use crate::engine::{Bohm, Inner};
 use bohm_common::engine::{BatchEngine, ExecOutcome, Session};
 use bohm_common::{LoggedBatch, RecordId, Txn};
@@ -23,9 +24,11 @@ use std::sync::Arc;
 /// `submit` waits behind it — engine backpressure reaches the client
 /// instead of unbounded queueing.
 ///
-/// The session path costs the pipeline plain stores per transaction: a
-/// completion is one atomic word the executing thread sets, and nobody is
-/// woken unless a thread is parked on that very handle. A pipelining client
+/// The session path costs the pipeline plain stores per transaction: an
+/// outcome is one atomic word in the batch's outcome block that the
+/// executing thread sets, and nobody is woken unless a thread is parked on
+/// that very slot. It costs the client no allocation: the handle shares the
+/// block its batch opened with. A pipelining client
 /// should therefore poll ([`TxnHandle::is_done`]) or reap through the
 /// [`Session`] facade, whose [`reap`](Session::reap) parks rarely (see
 /// there); `submit(txn).wait()` stays a precise round trip, sealing the
@@ -55,13 +58,7 @@ impl BohmSession {
     /// Blocks while a seal waits for room in the in-flight ring (its own,
     /// or another session's). Panics if the engine has shut down.
     pub fn submit(&self, txn: Txn) -> TxnHandle {
-        let completion = Completion::new();
-        let batch = self.inner.submit(txn, Arc::clone(&completion));
-        TxnHandle {
-            completion,
-            batch,
-            inner: Arc::clone(&self.inner),
-        }
+        self.inner.submit(txn)
     }
 }
 
@@ -91,13 +88,7 @@ impl Session for BohmSession {
         let handle = self.pending.pop_front().expect("front was just read");
         // Still a precise wait: with several execution threads the handle
         // parked on above may complete before the front does.
-        let out = handle.wait();
-        ExecOutcome {
-            committed: out.committed,
-            fingerprint: out.fingerprint,
-            // BOHM never aborts for concurrency control (§3.3.3).
-            cc_retries: 0,
-        }
+        handle.wait()
     }
 }
 
@@ -135,8 +126,8 @@ impl BatchEngine for Bohm {
     }
 
     /// Replay at pipeline speed: log order is serial order, so each logged
-    /// batch is sealed as one batch, with no session, completion word or
-    /// reap per transaction, and the outcomes are read off each batch once
+    /// batch is sealed as one batch, with no session, handle or reap per
+    /// transaction, and the outcomes are read off each batch's block once
     /// it retires (see [`ingest`](crate::ingest)).
     fn replay(
         &self,
@@ -236,6 +227,54 @@ mod tests {
             assert_eq!(depth / REAP_PARK_DIVISOR, 0);
             parks_of_closed_loop(depth, 300);
         }
+    }
+
+    #[test]
+    fn waiters_on_one_batch_share_its_block_and_all_wake_within_a_deadline() {
+        // Several threads each submit one transaction into the one open
+        // batch and wait on it: they share its outcome block and the one
+        // condvar in it. Each transaction thinks for a while, so waiters
+        // park on their slots before the executors decide them, and every
+        // decision wakes the waiters of other slots too; each must still
+        // come back with its own outcome.
+        const WAITERS: u64 = 6;
+        let mut cfg = BohmConfig::small();
+        cfg.batch_size = 1024;
+        cfg.batch_linger = std::time::Duration::from_millis(2);
+        let e = Bohm::start(cfg, CatalogSpec::new().table(8, 8, |_| 0));
+        let joined = Arc::new(std::sync::Barrier::new(WAITERS as usize));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut threads = Vec::new();
+        for k in 0..WAITERS {
+            let (session, joined, tx) = (e.session(), Arc::clone(&joined), tx.clone());
+            threads.push(std::thread::spawn(move || {
+                let mut t = rmw(k);
+                t.think_us = 20_000;
+                let h = session.submit(t);
+                // Nobody seals before everybody has joined the batch.
+                joined.wait();
+                tx.send((h.batch, h.slot, h.wait())).unwrap();
+            }));
+        }
+        drop(tx);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let mut slots = Vec::new();
+        for _ in 0..WAITERS {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let (batch, slot, out) = rx
+                .recv_timeout(left)
+                .expect("a waiter on a shared outcome block was never woken");
+            assert_eq!(batch, 0, "one open batch");
+            // An RMW of a fresh key reads the seed, 0.
+            assert_eq!((out.committed, out.fingerprint), (true, 0));
+            slots.push(slot);
+        }
+        slots.sort_unstable();
+        assert_eq!(slots, (0..WAITERS as usize).collect::<Vec<_>>());
+        for t in threads {
+            t.join().unwrap();
+        }
+        e.shutdown();
     }
 
     #[test]

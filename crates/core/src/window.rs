@@ -350,7 +350,17 @@ mod tests {
     /// Batch `id` with `n` transactions at the strided base timestamp.
     fn mk_batch(id: u64, n: usize) -> Arc<Batch> {
         let mut arena = crate::batch::tests::test_arena();
-        Batch::new(entries(n), 1 + id * STRIDE, id, 0, 1, 1, 64, &mut arena)
+        Batch::new(
+            entries(n),
+            crate::batch::Outcomes::new(n),
+            1 + id * STRIDE,
+            id,
+            0,
+            1,
+            1,
+            64,
+            &mut arena,
+        )
     }
 
     fn window() -> Window {
@@ -509,6 +519,7 @@ mod tests {
             let mut arena = crate::batch::tests::test_arena();
             w.push(Batch::new(
                 entries(1),
+                crate::batch::Outcomes::new(1),
                 1 + id * STRIDE,
                 id,
                 0,
@@ -615,7 +626,17 @@ mod modelcheck {
     fn mk_batch(id: u64, n: usize) -> Arc<Batch> {
         let mut arena = crate::batch::tests::test_arena();
         let entries = crate::batch::tests::entries(n);
-        Batch::new(entries, 1 + id * STRIDE, id, 0, 1, 1, 64, &mut arena)
+        Batch::new(
+            entries,
+            crate::batch::Outcomes::new(n),
+            1 + id * STRIDE,
+            id,
+            0,
+            1,
+            1,
+            64,
+            &mut arena,
+        )
     }
 
     /// Capacity-2 ring, three batches: the third push targets the slot
@@ -842,6 +863,7 @@ mod modelcheck {
             // No CC layer here: born ready for execution.
             w.push(Batch::new(
                 entries,
+                crate::batch::Outcomes::new(1),
                 1 + id * STRIDE,
                 id,
                 0,
@@ -941,8 +963,18 @@ mod modelcheck {
         // reader. No CC layer: born ready for execution.
         let rid = bohm_common::RecordId::new(0, 1);
         let reader = bohm_common::Txn::new(vec![rid], vec![], bohm_common::Procedure::ReadOnly);
-        let entries = vec![(reader, Some(crate::batch::Completion::new()))];
-        w.push(Batch::new(entries, 1, 0, 0, 0, 1, 0, &mut arena));
+        let outcomes = crate::batch::Outcomes::new(1);
+        w.push(Batch::new(
+            vec![reader],
+            outcomes,
+            1,
+            0,
+            0,
+            0,
+            1,
+            0,
+            &mut arena,
+        ));
         let quiescer = {
             let w = Arc::clone(&w);
             bohm_sync::thread::spawn(move || w.wait_retired())
@@ -951,6 +983,7 @@ mod modelcheck {
             let entries = crate::batch::tests::entries(1);
             w.push(Batch::new(
                 entries,
+                crate::batch::Outcomes::new(1),
                 1 + id * STRIDE,
                 id,
                 0,

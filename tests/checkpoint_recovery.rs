@@ -13,7 +13,6 @@
 //!   reclaims the log segments the previous process wrote.
 
 use bohm_suite::common::durable;
-use bohm_suite::common::engine::ExecOutcome;
 use bohm_suite::common::rng::FastRng;
 use bohm_suite::common::wal::{DurabilityConfig, FsyncPolicy};
 use bohm_suite::common::{Procedure, RecordId, SmallBankProc, Txn};
@@ -91,16 +90,6 @@ fn durable_cfg(dir: &Path) -> BohmConfig {
     c
 }
 
-fn to_exec(outs: &[bohm_suite::core::TxnOutcome]) -> Vec<ExecOutcome> {
-    outs.iter()
-        .map(|o| ExecOutcome {
-            committed: o.committed,
-            fingerprint: o.fingerprint,
-            cc_retries: 0,
-        })
-        .collect()
-}
-
 #[test]
 fn checkpoint_bounds_replay_and_shrinks_log() {
     let dir = fresh_dir("bounds");
@@ -112,7 +101,7 @@ fn checkpoint_bounds_replay_and_shrinks_log() {
     let mut outcomes = Vec::new();
     for _ in 0..20 {
         let txns: Vec<Txn> = (0..10).map(|_| gen_txn(&mut rng)).collect();
-        outcomes.extend(to_exec(&engine.execute_sync(txns.clone())));
+        outcomes.extend(engine.execute_sync(txns.clone()));
         all.extend(txns);
     }
     let before = engine.log_bytes();
@@ -129,7 +118,7 @@ fn checkpoint_bounds_replay_and_shrinks_log() {
     let mut suffix_len = 0;
     for _ in 0..15 {
         let txns: Vec<Txn> = (0..10).map(|_| gen_txn(&mut rng)).collect();
-        outcomes.extend(to_exec(&engine.execute_sync(txns.clone())));
+        outcomes.extend(engine.execute_sync(txns.clone()));
         suffix_len += txns.len();
         all.extend(txns);
     }
@@ -142,7 +131,7 @@ fn checkpoint_bounds_replay_and_shrinks_log() {
         "recovery must replay exactly the post-checkpoint suffix"
     );
     assert_eq!(
-        to_exec(&replayed),
+        replayed,
         &outcomes[all.len() - suffix_len..],
         "replayed decisions must match the live run"
     );
@@ -159,7 +148,7 @@ fn a_checkpoint_after_a_restart_reclaims_the_pre_restart_log() {
     let mut rng = FastRng::seed_from(97);
     let engine = Bohm::start(durable_cfg(&dir), catalog_of(&db));
     let mut all: Vec<Txn> = (0..200).map(|_| gen_txn(&mut rng)).collect();
-    let mut outcomes = to_exec(&engine.execute_sync(all.clone()));
+    let mut outcomes = engine.execute_sync(all.clone());
     engine.shutdown();
     let pre_restart = dir.join("wal-00000000.seg");
     let pre_restart_bytes = std::fs::metadata(&pre_restart).unwrap().len();
@@ -167,7 +156,7 @@ fn a_checkpoint_after_a_restart_reclaims_the_pre_restart_log() {
     let (engine, replayed) = Bohm::recover(durable_cfg(&dir), catalog_of(&db)).expect("recover");
     assert_eq!(replayed.len(), all.len());
     let more: Vec<Txn> = (0..100).map(|_| gen_txn(&mut rng)).collect();
-    outcomes.extend(to_exec(&engine.execute_sync(more.clone())));
+    outcomes.extend(engine.execute_sync(more.clone()));
     all.extend(more);
     let before = engine.log_bytes();
     let stats = engine.checkpoint().expect("checkpoint");
@@ -223,10 +212,10 @@ fn damaged_checkpoint_is_refused_and_dangling_tmp_ignored() {
         let mut rng = FastRng::seed_from(53);
         let engine = Bohm::start(durable_cfg(&dir), catalog_of(&db));
         let prefix: Vec<Txn> = (0..120).map(|_| gen_txn(&mut rng)).collect();
-        let mut outcomes = to_exec(&engine.execute_sync(prefix.clone()));
+        let mut outcomes = engine.execute_sync(prefix.clone());
         engine.checkpoint().expect("first checkpoint");
         let mid: Vec<Txn> = (0..80).map(|_| gen_txn(&mut rng)).collect();
-        outcomes.extend(to_exec(&engine.execute_sync(mid.clone())));
+        outcomes.extend(engine.execute_sync(mid.clone()));
         engine.shutdown();
         damage(&dir);
         (dir, rng, prefix, mid, outcomes)
@@ -250,7 +239,7 @@ fn damaged_checkpoint_is_refused_and_dangling_tmp_ignored() {
     // Continue: more work, a checkpoint, and one more recovery — which now
     // replays nothing.
     let tail: Vec<Txn> = (0..60).map(|_| gen_txn(&mut rng)).collect();
-    outcomes.extend(to_exec(&recovered.execute_sync(tail.clone())));
+    outcomes.extend(recovered.execute_sync(tail.clone()));
     recovered.checkpoint().expect("second checkpoint");
     recovered.shutdown();
     let (again, replayed) =
@@ -332,7 +321,7 @@ fn a_restore_pipelines_its_chunks_instead_of_waiting_out_a_linger_per_chunk() {
             .collect(),
     };
     let t0 = Instant::now();
-    restore_into(&ckp, &engine);
+    restore_into(&ckp, &engine).unwrap();
     let took = t0.elapsed();
     assert!(
         took < CHUNKS * linger / 4,

@@ -2,8 +2,8 @@
 //!
 //! BOHM overrides `BatchEngine::replay`: log order is its serial order, so
 //! each logged batch is sealed as one batch, and outcomes are read off the
-//! retired batches instead of out of one completion word per transaction.
-//! The default it overrides, `wal::replay_into`, submits and reaps one
+//! retired batches instead of through one handle per transaction. The
+//! default it overrides, `wal::replay_into`, submits and reaps one
 //! transaction at a time; the interactive engines keep it. That loop is the
 //! oracle here. Every log below is recovered three times through
 //! `durable::recover`, from identical copies of the directory:

@@ -21,23 +21,13 @@ fn catalog_of(spec: &DatabaseSpec) -> CatalogSpec {
     c
 }
 
-fn as_exec(o: bohm_suite::core::TxnOutcome) -> bohm_suite::common::engine::ExecOutcome {
-    bohm_suite::common::engine::ExecOutcome {
-        committed: o.committed,
-        fingerprint: o.fingerprint,
-        cc_retries: 0,
-    }
-}
-
 /// Run txns through BOHM — one session, the whole stream in flight, the
 /// sequencer sealing `batch`-sized batches — then check equivalence with
 /// serial log-order replay.
 fn run_and_check(spec: DatabaseSpec, txns: Vec<Txn>, mut cfg: BohmConfig, batch: usize) {
     cfg.batch_size = batch;
     let engine = Bohm::start(cfg, catalog_of(&spec));
-    let outcomes: Vec<_> = (engine.execute_sync(txns.clone()).into_iter())
-        .map(as_exec)
-        .collect();
+    let outcomes = engine.execute_sync(txns.clone());
     let res = check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid));
     engine.shutdown();
     res.unwrap();
@@ -385,7 +375,7 @@ fn session_single_txn_submission_matches_serial_order() {
         let engine = Bohm::start(cfg, catalog_of(&spec));
         let session = engine.session();
         let handles: Vec<_> = txns.iter().map(|t| session.submit(t.clone())).collect();
-        let outcomes: Vec<_> = handles.iter().map(|h| as_exec(h.wait())).collect();
+        let outcomes: Vec<_> = handles.iter().map(|h| h.wait()).collect();
         // Quiesce with a barrier submission before direct state reads.
         engine.execute_sync(vec![Txn::new(
             vec![RecordId::new(0, 0)],
@@ -475,7 +465,7 @@ fn sequential_submissions_interleave_correctly() {
         let txns = rmw_mix(8, 50, true, 100 + round);
         let got = engine.execute_sync(txns.clone());
         all.extend(txns);
-        outcomes.extend(got.into_iter().map(as_exec));
+        outcomes.extend(got);
     }
     let res = check_serial_equivalence(&spec, &all, &outcomes, |rid| engine.read_u64(rid));
     engine.shutdown();
@@ -596,7 +586,7 @@ fn quiesce_implies_detached_readers_are_complete() {
         handles.iter().all(|h| h.is_done()),
         "a retired batch has no unfinished transaction"
     );
-    let outcomes: Vec<_> = handles.iter().map(|h| as_exec(h.wait())).collect();
+    let outcomes: Vec<_> = handles.iter().map(|h| h.wait()).collect();
     let res = check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid));
     engine.shutdown();
     res.unwrap();
@@ -641,7 +631,6 @@ fn detached_readers_replay_from_the_log_as_they_ran() {
         replayed, outcomes,
         "replay re-runs the readers where they ran"
     );
-    let outcomes: Vec<_> = outcomes.into_iter().map(as_exec).collect();
     let res = check_serial_equivalence(&spec, &txns, &outcomes, |rid| engine.read_u64(rid));
     engine.shutdown();
     res.unwrap();

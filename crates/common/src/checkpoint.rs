@@ -223,8 +223,8 @@ pub fn cut(
 ///
 /// The writes go to [`BatchEngine::replay`] in chunks, one input-only
 /// logged batch per chunk, built as replay takes them: a batching engine
-/// seals each as it arrives instead of waiting out a linger, and the values
-/// held at once are bounded by what the engine keeps in flight.
+/// seals each as it arrives instead of waiting for the one before, and the
+/// values held at once are bounded by what the engine keeps in flight.
 ///
 /// # Errors
 ///

@@ -7,7 +7,7 @@
 //! epoch stamp — into one length-prefixed, checksummed record, fsyncs
 //! according to the configured [`FsyncPolicy`], and only then releases the
 //! batch to the CC threads. Group commit falls out of the existing
-//! size/linger batching for free, and recovery is deterministic replay
+//! size/idle batching for free, and recovery is deterministic replay
 //! ([`BatchEngine::replay`]): re-execute the logged transactions in log
 //! order and the rebuilt state is fingerprint-identical to a serial oracle
 //! over the same inputs (batch boundaries do not affect outcomes — only
@@ -653,7 +653,7 @@ impl LogSink for Wal {
 /// Batch boundaries are *not* reproduced: the engine re-forms its own
 /// batches, which is safe because outcomes depend only on transaction
 /// order, never on where batch seals fell (the same argument that lets
-/// the size/linger triggers vary freely between runs). Each transaction
+/// the size/idle triggers vary freely between runs). Each transaction
 /// costs a submission and a reap; BOHM's own replay keeps the logged
 /// batches instead, and this loop stays its differential oracle.
 ///

@@ -198,8 +198,8 @@ impl Outcomes {
 /// pays for a wake-up only if somebody is parked in [`wait`](Self::wait).
 ///
 /// A handle also knows which batch its transaction joined. While that batch
-/// is still open, the handle is what seals it by time (see
-/// [`ingest`](crate::ingest)): nothing else watches the clock.
+/// is still open and nothing fills it, the handle is what seals it, once no
+/// batch is in flight (see [`ingest`](crate::ingest)): there is no timer.
 pub struct TxnHandle {
     /// The outcome block of the batch the transaction joined.
     pub(crate) outcomes: Arc<Outcomes>,
@@ -215,13 +215,13 @@ impl TxnHandle {
     /// (`cc_retries` is always 0: BOHM has no concurrency-control aborts,
     /// §3.3.3).
     ///
-    /// If its batch is still open, first wait until the batch has been open
-    /// for [`batch_linger`](crate::BohmConfig::batch_linger) — other
-    /// submissions may fill and seal it meanwhile — and then seal it here.
-    /// After that the wait is precise: the caller parks on *this*
-    /// transaction and is woken by the thread that completes it (a
-    /// `submit(txn).wait()` round trip waits for nothing else). The handle
-    /// may be moved to, and waited on from, any thread.
+    /// If its batch is still open, first wait until no batch is in flight —
+    /// other submissions may fill and seal it meanwhile — and then seal it
+    /// here; on an idle engine that is at once. After that the wait is
+    /// precise: the caller parks on *this* transaction and is woken by the
+    /// thread that completes it (a `submit(txn).wait()` round trip waits
+    /// for nothing else). The handle may be moved to, and waited on from,
+    /// any thread.
     ///
     /// # Panics
     ///
@@ -229,21 +229,21 @@ impl TxnHandle {
     /// batch (a write-ahead log append error).
     pub fn wait(&self) -> ExecOutcome {
         if !self.outcomes.is_done(self.slot) {
-            self.inner.seal_lingered(self.batch, true);
+            self.inner.seal_idle(self.batch, true);
         }
         self.outcomes.wait(self.slot)
     }
 
     /// Has the transaction finished? (Non-blocking.)
     ///
-    /// A `false` about a transaction whose batch is still open but past its
-    /// [`batch_linger`](crate::BohmConfig::batch_linger) seals that batch
-    /// first, so a client that only polls still gets its work done.
+    /// A `false` about a transaction whose batch is still open while no
+    /// batch is in flight seals that batch first, so a client that only
+    /// polls still gets its work done.
     pub fn is_done(&self) -> bool {
         if self.outcomes.is_done(self.slot) {
             return true;
         }
-        self.inner.seal_lingered(self.batch, false);
+        self.inner.seal_idle(self.batch, false);
         false
     }
 }

@@ -1,7 +1,5 @@
 //! Engine configuration and catalog declaration.
 
-use std::time::Duration;
-
 /// Hard ceiling applied to [`BohmConfig::index_capacity`] when sizing the
 /// hash index (2^22 buckets ≈ 32 MiB of bucket heads). The *hint* is
 /// clamped to this; the actual row count never is — see
@@ -50,7 +48,10 @@ pub struct BohmConfig {
     pub index_capacity: usize,
     /// Transactions per batch (the §3.2.4 coordination-amortization knob):
     /// the submission that brings the open batch to this size seals it (see
-    /// [`ingest`](crate::ingest)). Also the timestamp *stride* reserved per
+    /// [`ingest`](crate::ingest)). A partly filled batch has no timer: a
+    /// client waiting on (or polling) one of its transactions seals it once
+    /// no batch is in flight, so it is held back only while the pipeline
+    /// has work. Also the timestamp *stride* reserved per
     /// batch: batch `b` owns timestamps `1 + b·batch_size .. 1 +
     /// (b+1)·batch_size`, which is what makes the window's timestamp→batch
     /// lookup O(1) arithmetic.
@@ -61,14 +62,6 @@ pub struct BohmConfig {
     /// (Little's law). The default, 2048, leaves four batches in flight at
     /// the benchmark's 8192 outstanding; 4096 left two, and CC waited.
     pub batch_size: usize,
-    /// How long a partially-filled batch stays open waiting for more
-    /// transactions (the time trigger; the size trigger is
-    /// [`batch_size`](Self::batch_size)). There is no timer thread: a
-    /// client waiting on one of the batch's transactions seals it once the
-    /// batch has been open this long, and a client polling one seals it
-    /// when it finds the time passed. Low values favour latency, higher
-    /// values let more sparse or depth-1 submissions share a batch.
-    pub batch_linger: Duration,
     /// In-flight batch budget: the number of sealed-but-unretired batches
     /// the pipeline may hold (rounded up to a power of two — it is the
     /// window ring's capacity). When the budget is exhausted the submitter
@@ -79,7 +72,7 @@ pub struct BohmConfig {
     /// Opt-in durability: when set, sealing appends every batch's inputs to
     /// a write-ahead log ([`bohm_common::wal::Wal`]) and applies the
     /// configured fsync policy *before* releasing the batch to the CC
-    /// threads — group commit riding the existing size/linger batching.
+    /// threads — group commit riding the existing size/idle batching.
     /// `None` (the default) keeps the engine memory-only. Recover with
     /// [`Bohm::recover`](crate::Bohm::recover) on the same directory: the
     /// recovery routine every durable engine shares
@@ -99,7 +92,6 @@ impl Default for BohmConfig {
             annotate_max_reads: 64,
             index_capacity: 1 << 20,
             batch_size: 2048,
-            batch_linger: Duration::from_micros(200),
             max_inflight_batches: 8,
             durability: None,
         }

@@ -51,9 +51,9 @@ pub(crate) struct Inner {
     pub cc_busy_ns: AtomicU64,
     pub exec_busy_ns: AtomicU64,
     /// The write-ahead log, when durability is configured: every sealed
-    /// batch is appended here *before* it is released to CC. Set once —
-    /// by [`Bohm::start`] before the first submission, or by
-    /// [`Bohm::recover`] after replay, so recovery never logs.
+    /// batch is appended here *before* it is released to CC. Set once, by
+    /// [`Bohm::recover`] (which a durable [`Bohm::start`] runs) after
+    /// replay, so recovery never logs.
     pub wal: OnceLock<Wal>,
 }
 
@@ -120,23 +120,29 @@ pub struct Bohm {
 
 impl Bohm {
     /// Build the store from `catalog`, preload it (every seeded version has
-    /// timestamp 0), spawn `cc_threads + exec_threads` worker threads and
-    /// the read lane, and open the log when
-    /// [`durability`](BohmConfig::durability) is set. Sequencing needs no
-    /// thread: submitters do it (see [`ingest`](crate::ingest)).
+    /// timestamp 0) and spawn `cc_threads + exec_threads` worker threads and
+    /// the read lane. Sequencing needs no thread: submitters do it (see
+    /// [`ingest`](crate::ingest)).
+    ///
+    /// With [`durability`](BohmConfig::durability) set, a start is a
+    /// [`recover`](Self::recover) whose replayed outcomes are dropped: what
+    /// the directory already holds is restored and replayed before the log
+    /// is attached, so new work is never appended to a log the engine has
+    /// not replayed (on an empty directory there is nothing to replay).
     ///
     /// # Panics
     ///
-    /// Panics if the log cannot be opened: failing to open durable storage
-    /// fails engine startup, not a later batch seal.
+    /// Panics if the log cannot be recovered or opened: failing to open
+    /// durable storage fails engine startup, not a later batch seal.
     pub fn start(config: BohmConfig, catalog: CatalogSpec) -> Self {
-        let engine = Self::spawn(config, catalog);
-        if let Some(d) = &engine.inner.config.durability {
-            let wal = Wal::open(d)
-                .unwrap_or_else(|e| panic!("failed to open WAL at {}: {e}", d.dir.display()));
-            engine.inner.wal.set(wal).expect("the log is attached once");
+        let Some(d) = &config.durability else {
+            return Self::spawn(config, catalog);
+        };
+        let dir = d.dir.clone();
+        match Self::recover(config, catalog) {
+            Ok((engine, _replayed)) => engine,
+            Err(e) => panic!("failed to recover the WAL at {}: {e}", dir.display()),
         }
-        engine
     }
 
     /// [`start`](Self::start) without the log.
@@ -746,12 +752,11 @@ mod tests {
     }
 
     #[test]
-    fn tiny_batches_with_linger_trigger() {
-        // Force the *time* trigger: batch_size far above what we submit, so
-        // every seal comes from the linger timer.
+    fn tiny_batches_with_idle_trigger() {
+        // Force the *idle* trigger: batch_size far above what we submit, so
+        // every seal comes from a waiter that found no batch in flight.
         let mut cfg = BohmConfig::small();
         cfg.batch_size = 1 << 16;
-        cfg.batch_linger = std::time::Duration::from_micros(50);
         let e = Bohm::start(cfg, CatalogSpec::new().table(8, 8, |_| 0));
         for _ in 0..5 {
             let out = e.execute_sync((0..16).map(|i| rmw(&[i % 8], 1)).collect());
@@ -1301,6 +1306,38 @@ mod tests {
     }
 
     #[test]
+    fn a_durable_start_on_a_logged_dir_replays_before_it_appends() {
+        use bohm_common::wal::{DurabilityConfig, FsyncPolicy};
+        let dir = std::env::temp_dir().join(format!("bohm-core-restart-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let catalog = || CatalogSpec::new().table(8, 8, |_| 0);
+        let cfg = || {
+            let mut c = BohmConfig::small();
+            let mut d = DurabilityConfig::new(&dir);
+            d.fsync = FsyncPolicy::Off;
+            c.durability = Some(d);
+            c
+        };
+        let state =
+            |e: &Bohm| -> Vec<u64> { (0..8).map(|k| e.read_u64(rid(k)).unwrap()).collect() };
+        // Run A, then a plain start on the same directory and run B: B must
+        // run on A's state, or the state it leaves is not the one a replay
+        // of the log — A, then B — rebuilds.
+        let e = Bohm::start(cfg(), catalog());
+        e.execute_sync((0..24).map(|i| rmw(&[i % 8], i + 1)).collect());
+        e.shutdown();
+        let e = Bohm::start(cfg(), catalog());
+        e.execute_sync((0..24).map(|i| rmw(&[(i * 3) % 8], 100)).collect());
+        let ran = state(&e);
+        e.shutdown();
+        let (e, replayed) = Bohm::recover(cfg(), catalog()).unwrap();
+        assert_eq!(replayed.len(), 48, "both runs logged once");
+        assert_eq!(state(&e), ran, "recovery rebuilds the state run B left");
+        e.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn execute_sync_returns_with_its_batches_retired_and_the_gc_bound_past_them() {
         // One transaction per batch on a fresh engine: the k-th transaction
         // ever submitted has timestamp k, so the bound is checkable exactly.
@@ -1561,7 +1598,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = BohmConfig::small();
         // Every submission seals its own batch: the fault hits a size-seal,
-        // inside `submit`. (A waiter's linger-seal is `ingest`'s test.)
+        // inside `submit`. (A waiter's idle seal is `ingest`'s test.)
         cfg.batch_size = 1;
         let mut d = DurabilityConfig::new(&dir);
         d.fsync = FsyncPolicy::Off;

@@ -32,14 +32,16 @@
 //!   with the mutex held, so every other submitter waits behind the sealer:
 //!   that is the backpressure, and what it bounds is one open batch. No
 //!   pipeline thread ever takes this mutex, so nothing can deadlock on it.
-//! * **Seal by time: whoever waits seals.** A [`TxnHandle`]
-//!   knows its batch. [`wait`](crate::TxnHandle::wait) on a transaction
-//!   whose batch is still open parks until the batch has been open for
-//!   [`batch_linger`](crate::BohmConfig::batch_linger), then seals it;
-//!   [`is_done`](crate::TxnHandle::is_done) seals a batch already past its
-//!   linger. So depth-1 sessions still collect into one batch for up to a
-//!   linger, a closed loop's drain seals after one, and a pure poller makes
-//!   progress.
+//! * **Seal when idle: whoever waits seals.** A [`TxnHandle`] knows its
+//!   batch. [`wait`](crate::TxnHandle::wait) on a transaction whose batch
+//!   is still open parks on the window ring (`Window::idle_for`) until that
+//!   batch is sealed by somebody else, or no batch is left in flight, and in
+//!   the latter case seals it; [`is_done`](crate::TxnHandle::is_done) seals
+//!   it if nothing is in flight already. This is Nagle's rule (RFC 896): a
+//!   partly filled batch is held back only while the pipeline has work, so
+//!   depth-1 sessions share a batch for as long as the one before it runs, a
+//!   lone transaction waits for nothing, and a pure poller makes progress.
+//!   No clock is read: the window's own emptiness is the trigger.
 //! * **Close.** Dropping the engine seals what is open, then closes the
 //!   ring and the lane at the number of batches sealed: the CC and execution
 //!   threads finish those and exit.
@@ -48,11 +50,11 @@
 //!   ring and the lane close behind the batches already sealed — those were
 //!   logged, so they still run — and later submissions panic.
 //!
-//! Who sleeps where: a waiter lingering on an open batch raises
-//! `Open::waiter_parked` under the mutex and parks on `Ingest::lingering`
-//! until the linger deadline; a seal notifies only if it finds (and takes)
-//! that flag. A streaming session therefore pays one uncontended lock per
-//! transaction and no wake-up at all.
+//! Who sleeps where: a waiter on an open batch parks on the window ring's
+//! condvar, holding no ingest mutex, and is woken by the push that seals
+//! the batch, the retirement that empties the ring, or close. A seal
+//! notifies nobody but the ring's waiters, so a streaming session pays one
+//! uncontended lock per transaction and no wake-up at all.
 //!
 //! Timestamps are strided: batch `b` owns `1 + b·batch_size ..=
 //! (b+1)·batch_size`, and a partially-filled batch leaves the tail of its
@@ -63,23 +65,16 @@ use crate::batch::{Batch, Outcomes, TxnHandle};
 use crate::engine::Inner;
 use bohm_common::engine::ExecOutcome;
 use bohm_common::{Arena, LoggedBatch, Txn};
-use bohm_sync::atomic::{AtomicU64, Ordering};
-use bohm_sync::{Condvar, Mutex, MutexGuard};
+use bohm_sync::atomic::Ordering;
+use bohm_sync::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// The sequencer's state: the open batch and the lock-free count of the
-/// batches sealed before it.
+/// The sequencer's state: the open batch. The batches sealed before it are
+/// counted by the window ring (`Window::pushed`).
 pub(crate) struct Ingest {
     open: Mutex<Open>,
-    /// Batches sealed so far (ids `0..sealed` are logged and in the ring, or
-    /// already retired). Stored after each registration; a handle whose
-    /// batch is below it skips the mutex.
-    sealed: AtomicU64,
-    /// Waiters lingering on the open batch (see the module docs).
-    lingering: Condvar,
 }
 
 struct Open {
@@ -96,12 +91,8 @@ struct Open {
     arena: Arena,
     /// Id of the open batch, i.e. batches sealed so far.
     next_batch: u64,
-    /// When the open batch received its first transaction.
-    open_since: Instant,
     /// No more submissions: the engine was dropped, or its WAL failed.
     closed: bool,
-    /// A waiter is (about to be) asleep on `lingering`.
-    waiter_parked: bool,
 }
 
 impl Ingest {
@@ -112,12 +103,8 @@ impl Ingest {
                 outcomes: Outcomes::new(batch_size),
                 arena,
                 next_batch: 0,
-                open_since: Instant::now(),
                 closed: false,
-                waiter_parked: false,
             }),
-            sealed: AtomicU64::new(0),
-            lingering: Condvar::new(),
         }
     }
 }
@@ -160,9 +147,6 @@ impl Inner {
     /// batch's hot data is contiguous in log order and the client's `Vec`s
     /// are freed here, off the execution path.
     fn append(&self, open: &mut Open, mut txn: Txn) -> usize {
-        if open.entries.is_empty() {
-            open.open_since = Instant::now();
-        }
         txn.repack(&mut open.arena);
         open.entries.push(txn);
         open.entries.len() - 1
@@ -226,26 +210,19 @@ impl Inner {
         Ok(out)
     }
 
-    /// The time trigger, run by a handle of batch `id`: seal the batch if it
-    /// is still open and has been for `batch_linger`. Before then, with
-    /// `block`, park until the deadline (or until somebody else seals it);
-    /// without, return at once.
-    pub(crate) fn seal_lingered(&self, id: u64, block: bool) {
-        if self.ingest.sealed.load(Ordering::Acquire) > id {
+    /// The idle trigger, run by a handle of batch `id`: seal the batch if
+    /// it is still open and no batch is in flight. While batches are in
+    /// flight, with `block`, park on the window ring until one of the two
+    /// changes (holding no ingest mutex); without, return at once.
+    pub(crate) fn seal_idle(&self, id: u64, block: bool) {
+        if !self.window.idle_for(id, block) {
             return;
         }
+        // Only batch `id` can be pushed next, so while it is open the ring
+        // stays as empty as the probe found it.
         let mut open = self.ingest.open.lock();
-        while open.next_batch == id && !open.closed {
-            let deadline = open.open_since + self.config.batch_linger;
-            if Instant::now() >= deadline {
-                self.seal(&mut open);
-                return;
-            }
-            if !block {
-                return;
-            }
-            open.waiter_parked = true;
-            self.ingest.lingering.wait_until(&mut open, deadline);
+        if open.next_batch == id && !open.closed {
+            self.seal(&mut open);
         }
     }
 
@@ -305,8 +282,6 @@ impl Inner {
         // Registration publishes the batch to the CC threads; it blocks
         // while the ring is full — the backpressure.
         self.window.push(Arc::clone(&batch));
-        self.ingest.sealed.store(id + 1, Ordering::Release);
-        self.wake_lingering(open);
         Some(batch)
     }
 
@@ -316,13 +291,6 @@ impl Inner {
         open.closed = true;
         self.window.close(open.next_batch);
         self.lane.close();
-        self.wake_lingering(open);
-    }
-
-    fn wake_lingering(&self, open: &mut Open) {
-        if std::mem::take(&mut open.waiter_parked) {
-            self.ingest.lingering.notify_all();
-        }
     }
 }
 
@@ -395,14 +363,12 @@ mod tests {
     #[test]
     fn depth_one_sessions_still_share_batches() {
         // Eight sessions, each waiting for every transaction before the
-        // next: what lets them share a batch is that a waiter lingers before
-        // it seals. A waiter that sealed at once would log about one batch
-        // per transaction.
+        // next: what lets them share a batch is that a waiter seals only
+        // once the window has drained, so every session that submits while
+        // a batch runs joins the one open behind it. A waiter that sealed
+        // at once would log about one batch per transaction.
         let (mut cfg, dir) = durable("depth1");
         cfg.batch_size = 1024;
-        // Long enough that a busy host still schedules the other sessions
-        // inside it.
-        cfg.batch_linger = Duration::from_millis(5);
         let e = Bohm::start(cfg, catalog());
         const SESSIONS: u64 = 8;
         const EACH: u64 = 40;
@@ -428,8 +394,8 @@ mod tests {
     }
 
     #[test]
-    fn a_wal_fault_in_a_waiters_linger_seal_poisons_the_whole_open_batch() {
-        let (mut cfg, dir) = durable("lingerfault");
+    fn a_wal_fault_in_a_waiters_idle_seal_poisons_the_whole_open_batch() {
+        let (mut cfg, dir) = durable("idlefault");
         cfg.batch_size = 1024;
         cfg.durability.as_mut().unwrap().segment_bytes = 1; // rotate per batch
         let e = Bohm::start(cfg, catalog());
@@ -438,8 +404,8 @@ mod tests {
         std::fs::create_dir(dir.join("wal-00000001.seg")).unwrap();
         let session = e.session();
         let handles: Vec<_> = (0..5).map(|k| session.submit(rmw(k))).collect();
-        // Nothing filled the batch: the first wait seals it by linger and
-        // hits the fault.
+        // Nothing filled the batch and nothing is in flight: the first wait
+        // seals it and hits the fault.
         let first = catch_unwind(AssertUnwindSafe(|| handles[0].wait()));
         assert!(first.is_err(), "the waiter observes the fault");
         for h in &handles {
@@ -458,15 +424,16 @@ mod tests {
 }
 
 /// Model-checked sealing (`RUSTFLAGS="--cfg bohm_modelcheck" cargo test -p
-/// bohm modelcheck`): the real submit, linger-seal and close paths against a
+/// bohm modelcheck`): the real submit, idle-seal and close paths against a
 /// real WAL and window ring, with a pipeline stand-in that executes each
-/// batch as it arrives.
+/// batch as it arrives and counts it out, so the ring drains.
 #[cfg(all(test, bohm_modelcheck))]
 mod modelcheck {
     use super::*;
     use crate::config::{BohmConfig, CatalogSpec};
     use bohm_common::wal::{DurabilityConfig, FsyncPolicy, LogSink, Wal};
     use bohm_common::{Procedure, RecordId};
+    use bohm_sync::thread::JoinHandle;
     use bohm_sync::{model, thread};
     use std::path::Path;
 
@@ -478,6 +445,10 @@ mod modelcheck {
         /// appends it to the WAL after letting go: a sealer behind it can
         /// log first.
         AppendsAfterUnlock,
+        /// The idle-sealing waiter asks whether the ring is empty outside
+        /// the ring's mutex and then parks without asking again: the last
+        /// retirement can land in between, and nothing wakes it after.
+        ProbesIdleUnlocked,
     }
 
     fn tagged(tag: u64) -> Txn {
@@ -494,6 +465,38 @@ mod modelcheck {
             Procedure::ReadModifyWrite { delta } => delta,
             _ => unreachable!("`tagged` builds RMWs"),
         }
+    }
+
+    /// An engine core with stride 2 and a capacity-2 ring, and no threads.
+    fn model_inner() -> Arc<Inner> {
+        let mut cfg = BohmConfig::with_threads(1, 1);
+        cfg.batch_size = 2;
+        cfg.max_inflight_batches = 2;
+        cfg.index_capacity = 16;
+        Arc::new(Inner::new(cfg, CatalogSpec::new().table(4, 8, |_| 0)))
+    }
+
+    /// The pipeline stand-in: executes each batch as it arrives and counts
+    /// it out, which retires it. Returns the batches and the tags it ran,
+    /// in order, once the ring closes.
+    fn pipeline(inner: &Arc<Inner>) -> JoinHandle<(u64, Vec<u64>)> {
+        let inner = Arc::clone(inner);
+        thread::spawn(move || {
+            let mut tags = Vec::new();
+            let mut id = 0;
+            while let Some(b) = inner.window.next_for_cc(id) {
+                assert_eq!(b.base_ts, 1 + id * 2, "strided timestamps");
+                inner.window.cc_done(&b);
+                for t in b.txns.iter() {
+                    assert!(t.try_claim());
+                    b.complete(t, true, b.id);
+                    tags.push(tag_of(&t.txn));
+                }
+                inner.window.count_out(id);
+                id += 1;
+            }
+            (id, tags)
+        })
     }
 
     /// The twin's seal: everything `Inner::seal` does, with the log append
@@ -519,7 +522,6 @@ mod modelcheck {
             &mut open.arena,
         );
         inner.window.push(Arc::clone(&batch));
-        inner.ingest.sealed.store(id + 1, Ordering::Release);
         drop(guard);
         let wal = inner.wal.get().expect("durable");
         wal.log_batch(0, &mut batch.txns.iter().map(|t| &t.txn))
@@ -528,7 +530,7 @@ mod modelcheck {
 
     /// Submit through the real session path, or the twin's.
     fn submit(inner: &Arc<Inner>, fault: Fault, tag: u64) -> TxnHandle {
-        if fault == Fault::None {
+        if fault != Fault::AppendsAfterUnlock {
             return inner.submit(tagged(tag));
         }
         let mut open = inner.ingest.open.lock();
@@ -545,56 +547,46 @@ mod modelcheck {
         }
     }
 
-    /// Wait for `h` as `TxnHandle::wait` does (linger 0: seal at once), or
-    /// with the twin's seal.
+    /// Wait for `h` as `TxnHandle::wait` does, or with the twin's seal or
+    /// idle probe.
     fn wait(h: &TxnHandle, fault: Fault) -> bool {
-        if fault == Fault::AppendsAfterUnlock {
-            let open = h.inner.ingest.open.lock();
-            if open.next_batch == h.batch {
-                twin_seal(&h.inner, open);
+        let inner = &h.inner;
+        match fault {
+            Fault::None => {}
+            Fault::AppendsAfterUnlock => {
+                // Idle or not: the twin's departure is in the seal.
+                let open = inner.ingest.open.lock();
+                if open.next_batch == h.batch {
+                    twin_seal(inner, open);
+                }
+            }
+            Fault::ProbesIdleUnlocked => {
+                if inner.window.idle_for_probing_unlocked(h.batch) {
+                    let mut open = inner.ingest.open.lock();
+                    if open.next_batch == h.batch {
+                        inner.seal(&mut open);
+                    }
+                }
             }
         }
         h.wait().committed
     }
 
     /// Two submitters (stride 2, a capacity-2 ring): one submits tags 1 and
-    /// 2; the other submits 3, waits for it — sealing its batch by linger —
-    /// and submits 4. Then the engine-drop path seals the rest and closes.
-    /// A stand-in pipeline thread executes each batch as it arrives. Checked:
-    /// batches are registered in id order (`Window::push` asserts it) and
-    /// each sealed batch reaches the pipeline; the WAL holds the batches'
-    /// transactions in batch-id order; every handle is decided, committed,
-    /// in the batch it was told.
+    /// 2; the other submits 3, waits for it — sealing its batch once the
+    /// ring has drained, if nobody filled it — and submits 4. Then the
+    /// engine-drop path seals the rest and closes. Checked: batches are
+    /// registered in id order (`Window::push` asserts it) and each sealed
+    /// batch reaches the pipeline; the WAL holds the batches' transactions
+    /// in batch-id order; every handle is decided, committed, in the batch
+    /// it was told.
     fn ingest_model(fault: Fault, dir: &Path) {
         let _ = std::fs::remove_dir_all(dir);
-        let mut cfg = BohmConfig::with_threads(1, 1);
-        cfg.batch_size = 2;
-        cfg.batch_linger = std::time::Duration::ZERO;
-        cfg.max_inflight_batches = 2;
-        cfg.index_capacity = 16;
         let mut d = DurabilityConfig::new(dir);
         d.fsync = FsyncPolicy::Off;
-        let inner = Arc::new(Inner::new(cfg, CatalogSpec::new().table(4, 8, |_| 0)));
+        let inner = model_inner();
         inner.wal.set(Wal::open(&d).unwrap()).unwrap();
-        let pipeline = {
-            let inner = Arc::clone(&inner);
-            thread::spawn(move || {
-                let mut tags = Vec::new();
-                let mut id = 0;
-                while let Some(b) = inner.window.next_for_cc(id) {
-                    assert_eq!(b.base_ts, 1 + id * 2, "strided timestamps");
-                    inner.window.cc_done(&b);
-                    for t in b.txns.iter() {
-                        assert!(t.try_claim());
-                        b.complete(t, true, b.id);
-                        tags.push(tag_of(&t.txn));
-                    }
-                    inner.window.count_out(id);
-                    id += 1;
-                }
-                (id, tags)
-            })
-        };
+        let pipeline = pipeline(&inner);
         let first = {
             let inner = Arc::clone(&inner);
             thread::spawn(move || [1, 2].map(|t| submit(&inner, fault, t)))
@@ -611,7 +603,7 @@ mod modelcheck {
         handles.extend(second.join().unwrap());
         inner.close_ingest();
         let (batches, executed) = pipeline.join().unwrap();
-        assert_eq!(batches, inner.ingest.sealed.load(Ordering::Acquire));
+        assert_eq!(batches, inner.window.pushed());
         for h in &handles {
             assert!(h.is_done(), "every handle is decided");
             let out = h.wait();
@@ -626,6 +618,23 @@ mod modelcheck {
         assert_eq!(logged, executed, "WAL records out of order");
         drop(inner);
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The idle seal on its own: tags 1 and 2 fill batch 0, which the
+    /// pipeline runs and retires while the submitter puts tag 3 in batch 1
+    /// and waits for it. Nothing else will fill batch 1, so the waiter must
+    /// hear the retirement that empties the ring, whenever it lands, and
+    /// seal; a waiter that misses it parks for good — a model deadlock.
+    fn idle_seal_model(fault: Fault) {
+        let inner = model_inner();
+        let pipeline = pipeline(&inner);
+        let full = [1, 2].map(|t| inner.submit(tagged(t)));
+        let h3 = inner.submit(tagged(3));
+        assert_eq!(h3.batch, 1);
+        assert!(wait(&h3, fault));
+        assert!(full.iter().all(|h| h.wait().committed));
+        inner.close_ingest();
+        assert_eq!(pipeline.join().unwrap(), (2, vec![1, 2, 3]));
     }
 
     fn model_dir(name: &str) -> std::path::PathBuf {
@@ -647,5 +656,17 @@ mod modelcheck {
             ingest_model(Fault::AppendsAfterUnlock, &dir)
         });
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_waiter_on_the_open_batch_hears_the_last_retirement_and_seals() {
+        model::explore(model::Options::default(), || idle_seal_model(Fault::None));
+    }
+
+    #[test]
+    fn a_waiter_that_probes_idleness_outside_the_ring_mutex_is_a_replayable_lost_wakeup() {
+        crate::batch::modelcheck::twin_fails_replayably("deadlock", || {
+            idle_seal_model(Fault::ProbesIdleUnlocked)
+        });
     }
 }

@@ -12,12 +12,12 @@
 //!    so lock order is log order. This one timestamp plays the role of both
 //!    `t_begin` and `t_end` of conventional MVCC — the transaction appears
 //!    to execute atomically at `ts`. Batches are sealed by **size** — the
-//!    submission that fills one seals it — or by **time**, by a client
-//!    waiting on (or polling) a transaction of a batch that has lingered;
-//!    sealing logs the batch and registers it in the window ring. A full
-//!    ring (the in-flight-batch budget) blocks the sealer, and every other
-//!    submitter behind it — backpressure, not unbounded queueing. See
-//!    [`ingest`].
+//!    submission that fills one seals it — or when **idle**, by a client
+//!    waiting on (or polling) a transaction of the open batch once no batch
+//!    is in flight; sealing logs the batch and registers it in the window
+//!    ring. A full ring (the in-flight-batch budget) blocks the sealer, and
+//!    every other submitter behind it — backpressure, not unbounded
+//!    queueing. See [`ingest`].
 //! 2. **Concurrency-control threads** (§3.2.2-§3.2.4): each owns a static
 //!    hash partition of the key space. For every transaction, in timestamp
 //!    order, the owner of each written record installs an *uninitialized

@@ -32,7 +32,7 @@ use std::sync::Arc;
 /// should therefore poll ([`TxnHandle::is_done`]) or reap through the
 /// [`Session`] facade, whose [`reap`](Session::reap) parks rarely (see
 /// there); `submit(txn).wait()` stays a precise round trip, sealing the
-/// transaction's batch after one linger if nothing else fills it.
+/// transaction's batch once no batch is in flight if nothing else fills it.
 pub struct BohmSession {
     inner: Arc<Inner>,
     /// FIFO of handles for the [`Session`] facade (`submit`+`reap`).
@@ -240,7 +240,6 @@ mod tests {
         const WAITERS: u64 = 6;
         let mut cfg = BohmConfig::small();
         cfg.batch_size = 1024;
-        cfg.batch_linger = std::time::Duration::from_millis(2);
         let e = Bohm::start(cfg, CatalogSpec::new().table(8, 8, |_| 0));
         let joined = Arc::new(std::sync::Barrier::new(WAITERS as usize));
         let (tx, rx) = std::sync::mpsc::channel();

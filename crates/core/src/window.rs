@@ -42,6 +42,10 @@
 //! * **wait_retired** (the engine's one barrier): snapshot how many batches
 //!   have been pushed and wait until that many have retired. Counting is
 //!   enough because batches retire in id order.
+//! * **idle_for** (a client waiting on a transaction of the open batch
+//!   `id`): wait until `id` is pushed, the ring closed, or no batch is in
+//!   flight — the cue for the idle seal (see [`ingest`](crate::ingest)).
+//!   The waiter holds no ingest mutex while it parks here.
 //!
 //! Every wait is spin-then-park on one mutex + condvar meaning "the ring
 //! changed"; push, the last CC countdown, finish and close each notify it
@@ -307,6 +311,49 @@ impl Window {
     pub fn is_empty(&self) -> bool {
         let retired = self.retired.load(Ordering::Acquire);
         retired == self.pushed.load(Ordering::Acquire)
+    }
+
+    /// Batches pushed so far (ids `0..pushed` are in the ring or retired).
+    pub fn pushed(&self) -> u64 {
+        self.pushed.load(Ordering::Acquire)
+    }
+
+    /// Should a waiter on batch `id`, open when it looked, seal it now?
+    /// `true` once no batch is in flight while `id` is still not pushed —
+    /// the idle seal (see [`ingest`](crate::ingest)); `false` once `id` is
+    /// pushed or the ring closed. While batches are in flight, with `block`
+    /// wait like every ring waiter until one of those holds; without,
+    /// `false`. The probe reads `pushed`, which [`push`](Self::push) stores
+    /// before it notifies.
+    pub fn idle_for(&self, id: u64, block: bool) -> bool {
+        if block {
+            self.wait_for(|| self.idle_probe(id))
+        } else {
+            self.idle_probe(id) == Some(true)
+        }
+    }
+
+    fn idle_probe(&self, id: u64) -> Option<bool> {
+        let closed = self.closed_at.load(Ordering::Acquire) != u64::MAX;
+        if closed || self.pushed() > id {
+            return Some(false);
+        }
+        self.is_empty().then_some(true)
+    }
+
+    /// [`idle_for`](Self::idle_for)`(id, true)` that probes outside the
+    /// mutex and then parks without probing again: a retirement between
+    /// the probe and the wait is never heard (the ingest model's broken
+    /// twin).
+    #[cfg(all(test, bohm_modelcheck))]
+    pub fn idle_for_probing_unlocked(&self, id: u64) -> bool {
+        loop {
+            if let Some(seal) = self.idle_probe(id) {
+                return seal;
+            }
+            let mut g = self.lock.lock();
+            self.changed.wait(&mut g);
+        }
     }
 
     /// Count one execution thread out of batch `id`, the last one running

@@ -9,7 +9,9 @@
 //!   [`hint::spin_loop`] is `std::hint::spin_loop`, re-exported: zero code,
 //!   zero cost. [`Mutex`]/[`Condvar`] are `parking_lot`-shaped
 //!   wrappers (guards handed out directly, no poisoning) a few lines deep
-//!   over the `std::sync` locks.
+//!   over the `std::sync` locks. There are no timed waits in either
+//!   personality: a [`Condvar`] waiter is woken by a notify, so under the
+//!   model a lost wake-up is always reported as a deadlock.
 //!
 //! * **`--cfg bohm_modelcheck` builds** (`RUSTFLAGS="--cfg bohm_modelcheck"`)
 //!   — every load, store, RMW, lock, unlock, wait and notify becomes a

@@ -11,7 +11,6 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, PoisonError};
-use std::time::Instant;
 
 use super::rt;
 use super::rt::LockMeta;
@@ -155,22 +154,9 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
 // Condvar
 // ---------------------------------------------------------------------------
 
-/// Result of a timed wait.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// Instrumented condition variable.
-///
-/// Under the model, timed waits never consult a clock: they are woken as
-/// "timed out" only when the execution would otherwise be stuck, which is
-/// exactly the set of schedules where a real timer could fire first.
+/// Instrumented condition variable. There are no timed waits: a model
+/// thread that waits is woken by a notify or not at all, so a lost wake-up
+/// shows as a deadlock.
 #[derive(Default)]
 pub struct Condvar {
     raw: StdCondvar,
@@ -191,34 +177,11 @@ impl Condvar {
     /// Block until notified, releasing `guard`'s mutex while waiting.
     pub fn wait<T: ?Sized>(&self, guard: &mut MutexGuard<'_, T>) {
         if guard.model {
-            rt::condvar_wait(&guard.lock.meta, guard.lock.key(), self.key(), false);
+            rt::condvar_wait(&guard.lock.meta, guard.lock.key(), self.key());
         } else {
             let g = guard.raw.take().expect("guard present outside wait");
             guard.raw = Some(self.raw.wait(g).unwrap_or_else(PoisonError::into_inner));
         }
-    }
-
-    /// Block until notified or `deadline` passes.
-    pub fn wait_until<T: ?Sized>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        if guard.model {
-            let timed_out = rt::condvar_wait(&guard.lock.meta, guard.lock.key(), self.key(), true);
-            return WaitTimeoutResult(timed_out);
-        }
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        if timeout.is_zero() {
-            return WaitTimeoutResult(true);
-        }
-        let g = guard.raw.take().expect("guard present outside wait");
-        let (g, res) = self
-            .raw
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.raw = Some(g);
-        WaitTimeoutResult(res.timed_out())
     }
 
     /// Wake one waiter (a seeded scheduling decision under the model).

@@ -9,7 +9,7 @@ mod lock;
 mod rt;
 mod thread_impl;
 
-pub use lock::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use lock::{Condvar, Mutex, MutexGuard};
 
 /// Instrumented `std::sync::atomic` twins (orderings are the real enum).
 pub mod atomic {

@@ -195,9 +195,8 @@ impl Parker {
 pub(crate) enum Block {
     /// Waiting on the virtual lock with this key.
     Lock(usize),
-    /// Waiting on the condvar with this key; `timed` waits may be woken by
-    /// the scheduler when nothing else can run.
-    Condvar { key: usize, timed: bool },
+    /// Waiting on the condvar with this key.
+    Condvar(usize),
     /// Waiting for thread `tid` to finish.
     Join(usize),
 }
@@ -214,8 +213,6 @@ pub(crate) struct Th {
     pub prio: i64,
     pub clock: VClock,
     pub parker: std::sync::Arc<Parker>,
-    /// Set when a timed condvar wait was woken by the idle-timeout rule.
-    pub timed_out: bool,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -354,69 +351,53 @@ impl RtState {
     }
 
     /// Pick the next thread to run, or `None` when every thread has
-    /// finished. Converts an all-blocked state into timed wakeups when
-    /// possible; otherwise reports deadlock via `Err`.
+    /// finished. A state where every live thread is blocked is a deadlock,
+    /// reported via `Err`: nothing in the model expires on its own.
     fn pick(&mut self) -> Result<Option<usize>, String> {
-        loop {
-            let runnable: Vec<usize> = self
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.status == Status::Runnable)
-                .map(|(i, _)| i)
-                .collect();
-            if runnable.is_empty() {
-                if self.threads.iter().all(|t| t.status == Status::Finished) {
-                    return Ok(None);
-                }
-                // Idle-timeout rule: timed waits only ever expire when the
-                // execution would otherwise be stuck — time does not exist
-                // in the model, but forward progress must.
-                let mut woke = false;
-                for t in self.threads.iter_mut() {
-                    if let Status::Blocked(Block::Condvar { timed: true, .. }) = t.status {
-                        t.status = Status::Runnable;
-                        t.timed_out = true;
-                        woke = true;
-                    }
-                }
-                if woke {
-                    continue;
-                }
-                let mut msg = format!(
-                    "deadlock: every live thread is blocked (seed {})",
-                    self.seed
-                );
-                for (i, t) in self.threads.iter().enumerate() {
-                    msg.push_str(&format!("\n  thread {i}: {:?}", t.status));
-                }
-                return Err(msg);
+        let runnable: Vec<usize> = self
+            .threads
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.status == Status::Runnable)
+            .map(|(i, _)| i)
+            .collect();
+        if runnable.is_empty() {
+            if self.threads.iter().all(|t| t.status == Status::Finished) {
+                return Ok(None);
             }
-            let idx = match self.mode {
-                Mode::Pct => {
-                    let mut best = runnable[0];
-                    for &r in &runnable[1..] {
-                        if self.threads[r].prio > self.threads[best].prio {
-                            best = r;
-                        }
-                    }
-                    runnable.iter().position(|&r| r == best).unwrap_or(0)
-                }
-                Mode::Random => (self.rng_next() % runnable.len() as u64) as usize,
-                Mode::Dfs => {
-                    let depth = self.choices.len();
-                    let i = self
-                        .replay
-                        .get(depth)
-                        .map_or(0, |&c| (c as usize).min(runnable.len() - 1));
-                    self.choices.push((runnable.len() as u8, i as u8));
-                    i
-                }
-            };
-            let chosen = runnable[idx];
-            self.mix(chosen as u64 + 1);
-            return Ok(Some(chosen));
+            let mut msg = format!(
+                "deadlock: every live thread is blocked (seed {})",
+                self.seed
+            );
+            for (i, t) in self.threads.iter().enumerate() {
+                msg.push_str(&format!("\n  thread {i}: {:?}", t.status));
+            }
+            return Err(msg);
         }
+        let idx = match self.mode {
+            Mode::Pct => {
+                let mut best = runnable[0];
+                for &r in &runnable[1..] {
+                    if self.threads[r].prio > self.threads[best].prio {
+                        best = r;
+                    }
+                }
+                runnable.iter().position(|&r| r == best).unwrap_or(0)
+            }
+            Mode::Random => (self.rng_next() % runnable.len() as u64) as usize,
+            Mode::Dfs => {
+                let depth = self.choices.len();
+                let i = self
+                    .replay
+                    .get(depth)
+                    .map_or(0, |&c| (c as usize).min(runnable.len() - 1));
+                self.choices.push((runnable.len() as u8, i as u8));
+                i
+            }
+        };
+        let chosen = runnable[idx];
+        self.mix(chosen as u64 + 1);
+        Ok(Some(chosen))
     }
 }
 
@@ -522,8 +503,7 @@ pub(crate) fn block_current(mut st: std::sync::MutexGuard<'_, RtState>, me: usiz
     let next = match st.pick() {
         Ok(Some(n)) => n,
         // Every *other* thread finished while we block: with no possible
-        // waker this is a deadlock unless the idle-timeout rule fired and
-        // made `me` runnable again (pick() retries after waking).
+        // waker this is a deadlock.
         Ok(None) => {
             let msg = format!(
                 "all threads finished with thread {me} blocked (seed {})",
@@ -533,11 +513,6 @@ pub(crate) fn block_current(mut st: std::sync::MutexGuard<'_, RtState>, me: usiz
         }
         Err(msg) => fail(st, msg),
     };
-    if next == me {
-        // Idle-timeout rule woke us inside pick(); no switch needed.
-        st.threads[me].status = Status::Runnable;
-        return;
-    }
     switch_from(st, me, next);
 }
 
@@ -557,9 +532,7 @@ pub(crate) fn notify_condvar(st: &mut RtState, key: usize, all: bool) {
         .threads
         .iter()
         .enumerate()
-        .filter(
-            |(_, t)| matches!(t.status, Status::Blocked(Block::Condvar { key: k, .. }) if k == key),
-        )
+        .filter(|(_, t)| t.status == Status::Blocked(Block::Condvar(key)))
         .map(|(i, _)| i)
         .collect();
     if waiters.is_empty() {
@@ -606,7 +579,6 @@ pub(crate) fn register_child(me: usize) -> (u64, usize, std::sync::Arc<Parker>) 
         prio,
         clock,
         parker: std::sync::Arc::clone(&parker),
-        timed_out: false,
     });
     (st.gen, tid, parker)
 }
@@ -737,7 +709,6 @@ pub(crate) fn run_one(
             prio,
             clock: VClock::new(),
             parker: Parker::new(),
-            timed_out: false,
         });
         set_current(Some((st.gen, 0)));
     }
@@ -1097,42 +1068,26 @@ pub(crate) fn lock_release(meta: &StdMutex<LockMeta>, key: usize) {
 }
 
 /// Condvar wait (the mutex's virtual state is released around the block).
-/// Returns whether the wait ended via the idle-timeout rule.
-pub(crate) fn condvar_wait(
-    mutex_meta: &StdMutex<LockMeta>,
-    mutex_key: usize,
-    cv_key: usize,
-    timed: bool,
-) -> bool {
+pub(crate) fn condvar_wait(mutex_meta: &StdMutex<LockMeta>, mutex_key: usize, cv_key: usize) {
     yield_point();
     let Some((gen, me)) = current() else {
-        return false;
+        return;
     };
     // Release the mutex.
     lock_release(mutex_meta, mutex_key);
-    let mut st = lock_state();
+    let st = lock_state();
     if st.gen != gen {
         set_current(None);
-        return false;
+        return;
     }
     if st.dead {
         drop(st);
         dead_panic();
-        return false;
+        return;
     }
-    st.threads[me].timed_out = false;
-    block_current(st, me, Block::Condvar { key: cv_key, timed });
-    let timed_out = {
-        let mut st = lock_state();
-        if st.gen == gen {
-            std::mem::take(&mut st.threads[me].timed_out)
-        } else {
-            false
-        }
-    };
+    block_current(st, me, Block::Condvar(cv_key));
     // Reacquire the mutex before returning to the waiter's critical section.
     lock_acquire(mutex_meta, mutex_key);
-    timed_out
 }
 
 /// Condvar notify.

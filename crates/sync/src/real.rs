@@ -5,7 +5,7 @@
 //! both personalities.
 
 mod lock;
-pub use lock::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use lock::{Condvar, Mutex, MutexGuard};
 
 /// `std::sync::atomic`, verbatim.
 pub mod atomic {

@@ -6,7 +6,6 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Mutex
@@ -81,16 +80,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 // Condvar
 // ---------------------------------------------------------------------------
 
-/// Result of a timed wait.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
@@ -106,24 +95,6 @@ impl Condvar {
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.guard.take().expect("guard present outside wait");
         guard.guard = Some(self.inner.wait(g).unwrap_or_else(PoisonError::into_inner));
-    }
-
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        if timeout.is_zero() {
-            return WaitTimeoutResult(true);
-        }
-        let g = guard.guard.take().expect("guard present outside wait");
-        let (g, res) = self
-            .inner
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.guard = Some(g);
-        WaitTimeoutResult(res.timed_out())
     }
 
     pub fn notify_one(&self) {
@@ -175,15 +146,6 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         t.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_until_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(5));
-        assert!(res.timed_out());
     }
 
     #[test]

@@ -144,12 +144,16 @@ struct Window {
 /// pool and arena high-water marks the window will need.
 fn steady_state_allocations(n: usize, shape: Shape) -> Window {
     let _turn = ONE_AT_A_TIME.lock();
+    // Seals are size-triggered but for a few: a reap that waits on a
+    // transaction of the open batch seals it once nothing is in flight. A
+    // reap waits there only while the front is unfinished and the handle
+    // `len / 4` into the full queue is in the open batch, which then holds
+    // three quarters of a batch; so such a seal follows at least
+    // `3 * BATCH / 4` submissions, and the window's last batch is one more:
+    // at most 4/3 as many seals as by size alone, each within the per-batch
+    // epsilon the submitter's budget allows.
     let cfg = BohmConfig {
         batch_size: BATCH,
-        // Size-triggered seals only (but for the window's last batch), so
-        // the per-batch epsilon does not depend on how the reaps are
-        // scheduled against the pipeline.
-        batch_linger: std::time::Duration::from_millis(20),
         ..BohmConfig::with_threads(1, 1)
     };
     let engine = Bohm::start(cfg, CatalogSpec::new().table(ROWS, 8, |r| r));

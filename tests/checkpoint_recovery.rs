@@ -13,10 +13,11 @@
 //!   reclaims the log segments the previous process wrote.
 
 use bohm_suite::common::durable;
+use bohm_suite::common::engine::{BatchEngine, ExecOutcome};
 use bohm_suite::common::rng::FastRng;
 use bohm_suite::common::wal::{DurabilityConfig, FsyncPolicy};
-use bohm_suite::common::{Procedure, RecordId, SmallBankProc, Txn};
-use bohm_suite::core::{Bohm, BohmConfig, CatalogSpec};
+use bohm_suite::common::{LoggedBatch, Procedure, RecordId, SmallBankProc, Txn, Value};
+use bohm_suite::core::{Bohm, BohmConfig, BohmSession, CatalogSpec};
 use bohm_suite::testkit::check_serial_equivalence;
 use bohm_suite::workloads::{DatabaseSpec, TableDef};
 use std::path::{Path, PathBuf};
@@ -296,21 +297,75 @@ fn bitrot_in_the_newest_checkpoint_is_refused_not_skipped() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A restore keeps many chunks in flight. Sixty-four 512-record chunks into
-/// an engine whose linger is 20 ms take a few lingers, not one per chunk:
-/// waiting for each chunk before submitting the next took 64 × 20 ms.
+/// A BOHM engine whose replay notes, each time it asks for the next logged
+/// batch, how many of the batches it sealed before have not retired yet.
+struct Watched {
+    engine: Bohm,
+    /// Batches in flight at each pull, after the first.
+    in_flight: bohm_sync::Mutex<Vec<u64>>,
+}
+
+impl BatchEngine for Watched {
+    type Session<'a> = BohmSession;
+
+    fn name(&self) -> &'static str {
+        "watched Bohm"
+    }
+
+    fn open_session(&self) -> BohmSession {
+        self.engine.session()
+    }
+
+    fn read_record(&self, rid: RecordId) -> Option<Value> {
+        BatchEngine::read_record(&self.engine, rid)
+    }
+
+    fn snapshot_records(&self, f: &mut dyn FnMut(RecordId, &[u8])) {
+        self.engine.snapshot_records(f)
+    }
+
+    fn replay(
+        &self,
+        batches: impl IntoIterator<Item = LoggedBatch>,
+    ) -> std::io::Result<Vec<ExecOutcome>> {
+        // One-transaction batches on a fresh engine: batch `k` holds the
+        // `k`-th chunk at timestamp `1 + k * stride`, and the GC bound is
+        // the timestamp of the newest retired one.
+        let stride = BohmConfig::default().batch_size as u64;
+        let mut batches = batches.into_iter();
+        let mut sealed = 0u64;
+        let pulls = std::iter::from_fn(|| {
+            if sealed > 0 {
+                let bound = self.engine.gc_bound();
+                let retired = if bound == 0 {
+                    0
+                } else {
+                    (bound - 1) / stride + 1
+                };
+                self.in_flight.lock().push(sealed - retired);
+            }
+            sealed += 1;
+            batches.next()
+        });
+        self.engine.replay(pulls)
+    }
+}
+
+/// A restore keeps many chunks in flight: replay asks for the next chunk
+/// as soon as it has sealed one, not once it has retired. Sixty-four
+/// 512-record chunks, one per batch, fill the eight-batch ring on a 1 + 1
+/// thread engine; a replay that waited for each chunk before sealing the
+/// next would find none in flight at any pull.
 #[test]
-fn a_restore_pipelines_its_chunks_instead_of_waiting_out_a_linger_per_chunk() {
+fn a_restore_pipelines_its_chunks_instead_of_waiting_for_each_to_retire() {
     use bohm_suite::common::checkpoint::{restore_into, Checkpoint};
-    use std::time::{Duration, Instant};
-    const CHUNKS: u32 = 64;
-    const ROWS: u64 = CHUNKS as u64 * 512;
-    let linger = Duration::from_millis(20);
-    let cfg = BohmConfig {
-        batch_linger: linger,
-        ..BohmConfig::with_threads(1, 1)
+    const CHUNKS: u64 = 64;
+    const ROWS: u64 = CHUNKS * 512;
+    let catalog = CatalogSpec::new().table(ROWS, 8, |r| r);
+    let watched = Watched {
+        engine: Bohm::start(BohmConfig::with_threads(1, 1), catalog),
+        in_flight: Default::default(),
     };
-    let engine = Bohm::start(cfg, CatalogSpec::new().table(ROWS, 8, |r| r));
     let ckp = Checkpoint {
         epoch: 1,
         records: (0..ROWS)
@@ -320,14 +375,18 @@ fn a_restore_pipelines_its_chunks_instead_of_waiting_out_a_linger_per_chunk() {
             })
             .collect(),
     };
-    let t0 = Instant::now();
-    restore_into(&ckp, &engine).unwrap();
-    let took = t0.elapsed();
-    assert!(
-        took < CHUNKS * linger / 4,
-        "restoring {CHUNKS} chunks took {took:?}, against {:?} for one linger per chunk",
-        CHUNKS * linger
+    restore_into(&ckp, &watched).unwrap();
+    let in_flight = watched.in_flight.into_inner();
+    assert_eq!(
+        in_flight.len() as u64,
+        CHUNKS,
+        "one pull per chunk, and the end"
     );
+    assert!(
+        in_flight.iter().any(|&n| n > 1),
+        "replay never had two chunks in flight; in flight at each pull: {in_flight:?}"
+    );
+    let engine = watched.engine;
     for r in (0..ROWS).step_by(97).chain([ROWS - 1]) {
         assert_eq!(engine.read_u64(RecordId::new(0, r)), Some(3 * r + 1));
     }

@@ -595,8 +595,9 @@ fn quiesce_implies_detached_readers_are_complete() {
 #[test]
 fn detached_readers_replay_from_the_log_as_they_ran() {
     use bohm_suite::common::wal::{DurabilityConfig, FsyncPolicy};
-    // Whole batches only (the stream is a multiple of the batch size and
-    // the linger never fires), so the log's framing is the same every run.
+    // Whole batches only (the stream is a multiple of the batch size, and
+    // every wait is on a batch its submission filled), so the log's
+    // framing is the same every run.
     let txns = lane_stream(24 * 64, 0xD09, 1);
     let spec = striped_table(1);
     let run = |name: &str, annotate_max_reads: usize| {
@@ -604,7 +605,6 @@ fn detached_readers_replay_from_the_log_as_they_ran() {
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = BohmConfig::with_threads(2, 2);
         cfg.batch_size = 64;
-        cfg.batch_linger = std::time::Duration::from_secs(30);
         cfg.annotate_max_reads = annotate_max_reads;
         let mut d = DurabilityConfig::new(&dir);
         d.fsync = FsyncPolicy::Off;
@@ -621,11 +621,6 @@ fn detached_readers_replay_from_the_log_as_they_ran() {
     let (plain_dir, _, plain_outcomes, plain_bytes) = run("off", usize::MAX);
     assert_eq!(outcomes, plain_outcomes);
     assert_eq!(bytes, plain_bytes, "the lane changed what is logged");
-    // (Replay ends in a barrier no-op, which only the linger seals.)
-    let cfg = BohmConfig {
-        batch_linger: BohmConfig::default().batch_linger,
-        ..cfg
-    };
     let (engine, replayed) = Bohm::recover(cfg, catalog_of(&spec)).unwrap();
     assert_eq!(
         replayed, outcomes,

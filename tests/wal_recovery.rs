@@ -273,7 +273,7 @@ fn recover_then_continue_on_same_dir_matches_oracle_across_two_crashes() {
         .flat_map(|b| b.txns.iter().cloned())
         .collect();
     // The tear drops exactly the final record; that record holds at
-    // most one 10-txn submission (linger may have split one, never
+    // most one 10-txn submission (an idle seal may have split one, never
     // merged two — each submission waits for completion).
     assert!(
         (290..300).contains(&prefix.len()),

@@ -503,7 +503,7 @@ mod tests {
     fn facade_rule_exempts_sync_and_shims() {
         let src = "use std::sync::atomic::AtomicU64; use parking_lot::Mutex;";
         assert!(findings("crates/sync/src/real.rs", src).is_empty());
-        assert!(findings("crates/shims/crossbeam-utils/src/lib.rs", src).is_empty());
+        assert!(findings("crates/shims/crossbeam-epoch/src/lib.rs", src).is_empty());
         assert_eq!(findings("crates/core/src/window.rs", src).len(), 2);
     }
 

@@ -6,6 +6,7 @@ use crate::ingest::Ingest;
 use crate::session::BohmSession;
 use crate::window::Window;
 use crate::{cc, exec};
+use bohm_common::durable::RecoveryReport;
 use bohm_common::engine::ExecOutcome;
 use bohm_common::wal::Wal;
 use bohm_common::{RecordId, TableId, Txn};
@@ -21,8 +22,6 @@ pub(crate) struct Inner {
     record_sizes: Vec<usize>,
     pub index: HashIndex,
     pub window: Window,
-    /// The read lane's queue (see `crate::exec`).
-    pub lane: exec::Lane,
     /// The open batch and its mutex (see `crate::ingest`). Only submitters
     /// and their handles touch it.
     pub ingest: Ingest,
@@ -55,6 +54,12 @@ pub(crate) struct Inner {
     /// [`Bohm::recover`] (which a durable [`Bohm::start`] runs) after
     /// replay, so recovery never logs.
     pub wal: OnceLock<Wal>,
+    /// Test hooks on the read lane: execution threads leave every detached
+    /// reader to it, and how many transactions it has claimed.
+    #[cfg(test)]
+    pub lane_takes_every_reader: bohm_sync::atomic::AtomicBool,
+    #[cfg(test)]
+    pub lane_claims: bohm_sync::atomic::AtomicUsize,
 }
 
 impl Inner {
@@ -94,7 +99,6 @@ impl Inner {
         }
         let record_sizes = catalog.tables.iter().map(|t| t.record_size).collect();
         Inner {
-            lane: exec::Lane::default(),
             ingest: Ingest::new(bohm_common::ArenaPool::default().arena(), config.batch_size),
             gc_bound: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
@@ -107,6 +111,10 @@ impl Inner {
             record_sizes,
             index,
             wal: OnceLock::new(),
+            #[cfg(test)]
+            lane_takes_every_reader: Default::default(),
+            #[cfg(test)]
+            lane_claims: Default::default(),
             config,
         }
     }
@@ -116,6 +124,8 @@ impl Inner {
 pub struct Bohm {
     pub(crate) inner: Arc<Inner>,
     threads: Vec<JoinHandle<()>>,
+    /// What [`recover`](Self::recover) did, on a recovered engine.
+    recovery: Option<RecoveryReport>,
 }
 
 impl Bohm {
@@ -169,7 +179,11 @@ impl Bohm {
             let role = move |inner: &Inner| cc::cc_loop(inner, i);
             spawn(format!("bohm-cc-{i}"), Box::new(role));
         }
-        Self { inner, threads }
+        Self {
+            inner,
+            threads,
+            recovery: None,
+        }
     }
 
     /// Recover a durable engine from its own log directory, then keep
@@ -218,8 +232,9 @@ impl Bohm {
             .durability
             .clone()
             .expect("Bohm::recover requires BohmConfig::durability");
-        let engine = Self::spawn(config, catalog);
+        let mut engine = Self::spawn(config, catalog);
         let recovered = bohm_common::durable::recover(&engine, &durability)?;
+        engine.recovery = Some(recovered.report);
         // The epoch must resume past everything recovered, or the next
         // checkpoint's cut could collide with replayed stamps.
         engine.inner.epoch.store(recovered.epoch, Ordering::Release);
@@ -440,6 +455,14 @@ impl Bohm {
     /// Number of CC / execution threads (for harness reporting).
     pub fn thread_counts(&self) -> (usize, usize) {
         (self.inner.config.cc_threads, self.inner.config.exec_threads)
+    }
+
+    /// What [`recover`](Self::recover) did — checkpoint restored, batches
+    /// skipped, transactions replayed, the time of each phase — on an engine
+    /// it built (a durable [`start`](Self::start) included); `None` on a
+    /// memory-only engine.
+    pub fn recovery_report(&self) -> Option<RecoveryReport> {
+        self.recovery
     }
 
     /// The write-ahead log, when [`BohmConfig::durability`] was set.
@@ -1306,6 +1329,40 @@ mod tests {
     }
 
     #[test]
+    fn a_recovered_engine_keeps_its_recovery_report() {
+        use bohm_common::wal::{DurabilityConfig, FsyncPolicy};
+        let dir = std::env::temp_dir().join(format!("bohm-core-report-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let catalog = || CatalogSpec::new().table(8, 8, |_| 0);
+        let cfg = || {
+            let mut c = BohmConfig::small();
+            let mut d = DurabilityConfig::new(&dir);
+            d.fsync = FsyncPolicy::Off;
+            c.durability = Some(d);
+            c
+        };
+        let memory_only = Bohm::start(BohmConfig::small(), catalog());
+        assert!(memory_only.recovery_report().is_none());
+        memory_only.shutdown();
+        // A durable start on an empty directory recovers nothing.
+        let e = Bohm::start(cfg(), catalog());
+        assert_eq!(e.recovery_report().map(|r| r.txns_replayed), Some(0));
+        const N: u64 = 3 * 24;
+        for round in 0..3 {
+            let out = e.execute_sync((0..N / 3).map(|i| rmw(&[(i + round) % 8], 1)).collect());
+            assert!(out.iter().all(|o| o.committed));
+        }
+        e.shutdown();
+        let (e, outcomes) = Bohm::recover(cfg(), catalog()).unwrap();
+        assert_eq!(outcomes.len(), N as usize);
+        let report = e.recovery_report().expect("a recovered engine has a report");
+        assert_eq!(report.txns_replayed, outcomes.len());
+        assert_eq!((report.checkpoint_epoch, report.txns_aborted), (None, 0));
+        e.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn a_durable_start_on_a_logged_dir_replays_before_it_appends() {
         use bohm_common::wal::{DurabilityConfig, FsyncPolicy};
         let dir = std::env::temp_dir().join(format!("bohm-core-restart-{}", std::process::id()));
@@ -1404,10 +1461,13 @@ mod tests {
     }
 
     #[test]
-    fn a_stream_without_detached_readers_never_wakes_the_lane() {
-        let mut cfg = BohmConfig::small();
+    fn a_batch_without_detached_readers_leaves_the_lane_out() {
+        // The lane walks every batch id, but a batch without detached
+        // readers neither counts it in nor loses a transaction to it.
+        let mut cfg = BohmConfig::with_threads(1, 1);
         cfg.batch_size = 16;
         let e = Bohm::start(cfg, CatalogSpec::new().table(8, 8, |_| 0));
+        e.inner.lane_takes_every_reader.store(true, Ordering::SeqCst);
         // Neither a short read-only transaction nor a writer with a read
         // set too large to annotate is detached.
         let short_read = || Txn::new(vec![rid(1), rid(2)], vec![], Procedure::ReadOnly);
@@ -1415,39 +1475,50 @@ mod tests {
             let reads = (0..70).map(|i| rid(i % 8)).collect();
             Txn::new(reads, vec![rid(0)], Procedure::ReadModifyWrite { delta: 1 })
         };
+        let mixed = |i: u64| match i % 10 {
+            0 => short_read(),
+            1 => wide_rmw(),
+            _ => rmw(&[i % 8], 1),
+        };
+        // Batch 0 opens with a gate that keeps the one execution thread
+        // inside it, so batch 1 waits in the ring as it was sealed.
+        let session = e.session();
+        let mut gate = rmw(&[0], 1);
+        gate.think_us = 200_000;
+        let gate = session.submit(gate);
+        let rest: Vec<_> = (1..32).map(|i| session.submit(mixed(i))).collect();
+        let batch1 = e.inner.window.lookup(17).expect("batch 1 is sealed and in flight");
+        let pending = batch1.exec_pending.load(Ordering::SeqCst);
+        assert!(!gate.is_done(), "the gate ended before batch 1 was read");
+        assert_eq!(pending, 1, "the execution thread only: the lane is not counted in");
+        assert!(gate.wait().committed && rest.iter().all(|h| h.wait().committed));
+        drop(batch1);
         for _ in 0..50 {
-            let out = e.execute_sync(
-                (0..40)
-                    .map(|i| match i % 10 {
-                        0 => short_read(),
-                        1 => wide_rmw(),
-                        _ => rmw(&[i % 8], 1),
-                    })
-                    .collect(),
-            );
+            let out = e.execute_sync((0..40).map(mixed).collect());
             assert!(out.iter().all(|o| o.committed));
         }
-        let wakeups = e.inner.lane.wakeups.load(Ordering::SeqCst);
-        assert_eq!(wakeups, 0, "no batch had a reader: the lane stays parked");
+        let claims = || e.inner.lane_claims.load(Ordering::SeqCst);
+        assert_eq!(claims(), 0, "no batch had a reader: the lane claimed nothing");
         // One reader is enough to need it.
         assert!(e.execute_sync(vec![long_read(&[0, 1, 2])])[0].committed);
+        assert_eq!(claims(), 1);
         e.shutdown();
     }
 
     #[test]
     fn a_long_reader_holds_back_only_the_window_behind_it() {
         use bohm_common::Procedure::BlindWrite;
-        // Batch 0 is [gate, reader]. The gate keeps the one execution thread
-        // busy for long enough that the lane — which needs only the batch's
-        // CC phase — is the one to claim the reader, whose think time then
-        // outlasts everything below.
+        // Batch 0 is [gate, reader]. The execution threads leave every
+        // reader to the lane, whose think time then outlasts everything
+        // below.
         let mut cfg = BohmConfig::with_threads(1, 1);
         cfg.batch_size = 2;
         cfg.max_inflight_batches = 4;
         let e = Bohm::start(cfg, CatalogSpec::new().table(4, 8, |_| 0));
+        e.inner.lane_takes_every_reader.store(true, Ordering::SeqCst);
         let session = e.session();
-        let (mut gate, mut reader) = (rmw(&[0], 1), long_read(&[0, 1]));
-        (gate.think_us, reader.think_us) = (100_000, 600_000);
+        let (gate, mut reader) = (rmw(&[0], 1), long_read(&[0, 1]));
+        reader.think_us = 600_000;
         let (gate, reader) = (session.submit(gate), session.submit(reader));
         const FRESH: u64 = 64;
         let (tx, rx) = std::sync::mpsc::channel::<TxnHandle>();

@@ -18,13 +18,14 @@
 //! through `Chain::visible(ts)`. It is still sequenced, timestamped, logged
 //! and replayed like any transaction, but nobody is *responsible* for it:
 //!
-//! * The lane thread, `bohm-exec-ro`, takes from its queue (`Lane`) only the
-//!   batches that have readers, waits for that batch's CC phase, and claims
-//!   and runs its readers from the front.
+//! * The lane thread, `bohm-exec-ro`, chases the window ring like the
+//!   execution threads do (`Window::next_for_lane`), but stops only at the
+//!   batches that have readers: it waits for that batch's CC phase, and
+//!   claims and runs its readers from the front. A batch without readers is
+//!   skipped, and never counts the lane in.
 //! * An execution thread that has finished its own transactions of a batch
 //!   claims what is left of the batch's readers from the far end, so the
-//!   readers split over both kinds of thread by whoever is free. A batch
-//!   without readers never reaches the lane and runs no code of it.
+//!   readers split over both kinds of thread by whoever is free.
 //! * A reader that meets a pending version has the producer resolved *in
 //!   place* (`InPlace`) instead of aborting with `NotReady`: re-running a
 //!   10,000-read procedure from the top per dependency is the cost a writer
@@ -43,10 +44,11 @@
 //! retirement cursor (`Window::finish`), which retires every consecutive
 //! counted-out batch in id order and, per retired batch, stores the
 //! Condition-3 bound (`gc_bound` = its last timestamp, §3.3.2's low
-//! watermark) and releases its ring slot — which
-//! unblocks a sealer waiting on the in-flight budget and counts the batch
-//! as retired for `Window::wait_retired`, the engine's one barrier. A
-//! retired batch has no unfinished transaction. Nothing at retirement is per
+//! watermark) and takes the batch out of its ring slot — which unblocks a
+//! sealer waiting on the in-flight budget and counts the batch as retired
+//! for `Window::wait_retired`, the engine's one barrier. The slot owned the
+//! batch, so the retiring thread drops that reference itself, right there.
+//! A retired batch has no unfinished transaction. Nothing at retirement is per
 //! transaction: each outcome was decided into the batch's outcome block as
 //! its transaction finished (`Batch::complete`) — a store and one
 //! `fetch_or`, plus a wake-up only if a waiter is parked on that very slot.
@@ -60,10 +62,8 @@ use bohm_common::{execute_procedure, AbortReason, ExecScratch};
 use bohm_mvstore::Version;
 use bohm_sync::atomic::Ordering;
 use bohm_sync::hint::prefetch_read;
-use bohm_sync::{Condvar, Mutex};
+use bohm_sync::Backoff;
 use crossbeam_epoch as epoch;
-use crossbeam_utils::Backoff;
-use std::collections::VecDeque;
 
 /// Main loop of execution thread `me`. Exits once the ingest has closed
 /// the window and every batch sealed before that has been through here.
@@ -74,8 +74,15 @@ pub(crate) fn exec_loop(inner: &Inner, me: usize) {
         let t0 = std::time::Instant::now();
         run_batch(inner, me, &batch, &mut scratch, &mut remaining);
         // Own transactions done: take what is left of the batch's readers,
-        // from the end the lane is not working on.
-        run_readers(inner, &batch, batch.readers.iter().rev(), &mut scratch);
+        // from the end the lane is not working on (unless a test leaves
+        // every reader to the lane).
+        #[cfg(test)]
+        let steal = !inner.lane_takes_every_reader.load(Ordering::Acquire);
+        #[cfg(not(test))]
+        let steal = true;
+        if steal {
+            run_readers(inner, &batch, batch.readers.iter().rev(), &mut scratch);
+        }
         inner
             .exec_busy_ns
             // RELAXED: monotonic statistics counter.
@@ -86,15 +93,17 @@ pub(crate) fn exec_loop(inner: &Inner, me: usize) {
 
 /// Main loop of the read lane (`bohm-exec-ro`): for every batch that has
 /// detached readers, in id order, run the readers nobody has claimed yet.
-/// Exits once the ingest has closed the lane and its queue is drained.
+/// Exits once the ingest has closed the window and the lane has passed
+/// every batch sealed before that.
 pub(crate) fn lane_loop(inner: &Inner) {
     let mut scratch = [ExecScratch::new(), ExecScratch::new()];
-    while let Some(id) = inner.lane.next() {
-        // Queued ⇒ sealed, so the ring cannot close below it; and it cannot
-        // retire before this thread has counted out of it. The chase waits
-        // for its push (queued just before) and its CC phase.
-        let batch = (inner.window.next_for_exec(id)).expect("a queued batch gets pushed");
-        run_readers(inner, &batch, batch.readers.iter(), &mut scratch);
+    let batches = (0..).map_while(|id| inner.window.next_for_lane(id));
+    // A batch with readers cannot retire before this thread counts out of
+    // it, so it is still in its slot when the chase reaches it.
+    for batch in batches.flatten() {
+        let _claimed = run_readers(inner, &batch, batch.readers.iter(), &mut scratch);
+        #[cfg(test)]
+        inner.lane_claims.fetch_add(_claimed, Ordering::SeqCst);
         count_out(inner, &batch);
     }
 }
@@ -113,66 +122,26 @@ fn count_out(inner: &Inner, batch: &Batch) {
 }
 
 /// Claim and run the detached readers of `batch` at `positions` that nobody
-/// has claimed yet. A claimed reader always runs to `Complete` (it resolves
-/// its dependencies in place), so when the threads of a batch have all come
-/// through here and counted out, none of its readers is unfinished.
+/// has claimed yet; returns how many this thread claimed. A claimed reader
+/// always runs to `Complete` (it resolves its dependencies in place), so
+/// when the threads of a batch have all come through here and counted out,
+/// none of its readers is unfinished.
 fn run_readers<'a>(
     inner: &Inner,
     batch: &Batch,
     positions: impl Iterator<Item = &'a u32>,
     scratch: &mut [ExecScratch],
-) {
+) -> usize {
+    let mut claimed = 0;
     for &i in positions {
         let t = &batch.txns[i as usize];
         if t.try_claim() {
+            claimed += 1;
             let done = run_claimed(inner, batch, t, scratch, 0);
             debug_assert!(done, "a detached reader never parks");
         }
     }
-}
-
-/// The read lane's queue: ids of the batches that have detached readers, in
-/// id order, pushed by the sealer just before `Window::push`. One `VecDeque`
-/// push per such batch (not per transaction); a batch without readers never
-/// comes near it, so over a reader-free stream the lane thread stays parked.
-#[derive(Default)]
-pub(crate) struct Lane {
-    /// The queue, and whether the ingest has closed.
-    state: Mutex<(VecDeque<u64>, bool)>,
-    ready: Condvar,
-    /// Times the lane thread came back from `ready.wait`.
-    #[cfg(test)]
-    pub(crate) wakeups: bohm_sync::atomic::AtomicUsize,
-}
-
-impl Lane {
-    /// Queue batch `id` for the lane. The sealer only, under the ingest mutex.
-    pub fn push(&self, id: u64) {
-        self.state.lock().0.push_back(id);
-        self.ready.notify_one();
-    }
-
-    /// The ingest has closed: the lane drains its queue and exits.
-    pub fn close(&self) {
-        self.state.lock().1 = true;
-        self.ready.notify_one();
-    }
-
-    /// The next queued batch id; `None` once closed and drained.
-    fn next(&self) -> Option<u64> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(id) = st.0.pop_front() {
-                return Some(id);
-            }
-            if st.1 {
-                return None;
-            }
-            self.ready.wait(&mut st);
-            #[cfg(test)]
-            self.wakeups.fetch_add(1, Ordering::SeqCst);
-        }
-    }
+    claimed
 }
 
 /// How a detached reader gets a pending version produced: evaluate the

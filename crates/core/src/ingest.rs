@@ -26,9 +26,9 @@
 //!   of the mutex — a group-commit leader, as in Aether's consolidated log
 //!   insert (Johnson et al., PVLDB 2010): sample the checkpoint epoch,
 //!   append the batch to the WAL (the durability point: nothing runs that is
-//!   not logged), build the [`Batch`], queue it on the read lane if it has
-//!   detached readers, and register it in the window ring (`crate::window`),
-//!   which hands it to the CC threads. A full ring blocks that registration
+//!   not logged), build the [`Batch`] and register it in the window ring
+//!   (`crate::window`), which hands it to the CC threads and the read lane —
+//!   the one hand-off of a sealed batch. A full ring blocks that registration
 //!   with the mutex held, so every other submitter waits behind the sealer:
 //!   that is the backpressure, and what it bounds is one open batch. No
 //!   pipeline thread ever takes this mutex, so nothing can deadlock on it.
@@ -43,11 +43,11 @@
 //!   lone transaction waits for nothing, and a pure poller makes progress.
 //!   No clock is read: the window's own emptiness is the trigger.
 //! * **Close.** Dropping the engine seals what is open, then closes the
-//!   ring and the lane at the number of batches sealed: the CC and execution
-//!   threads finish those and exit.
+//!   ring at the number of batches sealed: the CC and execution threads and
+//!   the read lane finish those and exit.
 //! * **A WAL fault** in any seal fails the engine: the open block's filled
 //!   slots are poisoned (their waiters panic instead of hanging), the
-//!   ring and the lane close behind the batches already sealed — those were
+//!   ring closes behind the batches already sealed — those were
 //!   logged, so they still run — and later submissions panic.
 //!
 //! Who sleeps where: a waiter on an open batch parks on the window ring's
@@ -226,8 +226,8 @@ impl Inner {
         }
     }
 
-    /// Engine shutdown: seal what is open, then close the ring and the lane
-    /// behind it. Idempotent.
+    /// Engine shutdown: seal what is open, then close the ring behind it.
+    /// Idempotent.
     pub(crate) fn close_ingest(&self) {
         let mut open = self.ingest.open.lock();
         if !open.closed {
@@ -275,12 +275,8 @@ impl Inner {
             &mut open.arena,
         );
         open.next_batch = id + 1;
-        // The read lane hears of a batch only if it has detached readers.
-        if !batch.readers.is_empty() {
-            self.lane.push(id);
-        }
-        // Registration publishes the batch to the CC threads; it blocks
-        // while the ring is full — the backpressure.
+        // Registration publishes the batch to the CC threads and the read
+        // lane; it blocks while the ring is full — the backpressure.
         self.window.push(Arc::clone(&batch));
         Some(batch)
     }
@@ -290,7 +286,6 @@ impl Inner {
     fn close_locked(&self, open: &mut Open) {
         open.closed = true;
         self.window.close(open.next_batch);
-        self.lane.close();
     }
 }
 

@@ -39,7 +39,9 @@
 //! 4. **The read lane** ([`exec`]): a transaction that writes nothing and
 //!    reads too much to annotate — the paper's 10,000-read transactions —
 //!    is ordered and logged like any other but executed off the execution
-//!    threads' rotation, by a lane thread and by whichever execution thread
+//!    threads' rotation, by a lane thread that chases the window ring like
+//!    every other pipeline thread (stopping only at batches with such
+//!    readers) and by whichever execution thread
 //!    has finished its own share of the batch, resolving any pending version
 //!    it meets in place. Its batch cannot retire before it is done, which is
 //!    all the snapshot protection it needs.
@@ -63,9 +65,10 @@
 //! owning CC thread truncates them on its next write to the record and
 //! reuses them, header and payload, as its next placeholders (a per-thread
 //! `VersionPool`; no allocator, no epoch collector on that path). Batch
-//! retirement releases the window ring slot and advances that bound.
-//! `crossbeam-epoch` (RCU) still protects what every thread traverses:
-//! hash-index entries and the window ring.
+//! retirement takes the batch out of its window ring slot — the slot owns
+//! it, so the retiring thread drops it — and advances that bound.
+//! `crossbeam-epoch` (RCU) still protects what every thread traverses and
+//! Condition 3 does not cover: hash-index entries.
 //!
 //! See `DESIGN.md` at the repository root for the system map.
 //!

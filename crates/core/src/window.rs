@@ -1,5 +1,5 @@
-//! The batch window: a lock-free bounded ring of in-flight batches, and the
-//! pipeline's only batch hand-off.
+//! The batch window: a bounded ring of in-flight batches, the pipeline's
+//! only batch hand-off, and their owner.
 //!
 //! Execution and concurrency control operate on different batches
 //! concurrently (paper §3.3.1), and a thread on batch `b+1` may hit a read
@@ -7,18 +7,20 @@
 //! resolves a producer *timestamp* (a version's `begin` — the paper's "txn
 //! pointer") back to its batch so the dependency can be executed
 //! recursively. The same registry delivers the batches: the sealer
-//! publishes a batch once, here, and every CC and execution thread *chases*
-//! the ring with a private `next` batch id instead of being mailed a copy.
+//! publishes a batch once, here, and every CC thread, execution thread and
+//! the read lane *chases* the ring with a private `next` batch id instead of
+//! being mailed a copy.
 //!
 //! # Design
 //!
 //! Sealing strides timestamps by `BohmConfig::batch_size` per batch id, so
 //! the batch containing timestamp `ts` is `(ts - 1) / stride` — pure
 //! arithmetic, no search. The window is then just a power-of-two ring of
-//! `AtomicPtr<Batch>` slots indexed by `id & mask`:
+//! slots indexed by `id & mask`, each a small mutex around the batch it
+//! owns (`Option<Arc<Batch>>`):
 //!
 //! * **push** (the sealer, under the ingest mutex, so in id order): wait
-//!   until slot `id & mask` is vacant, then store. Capacity is the
+//!   until slot `id & mask` is vacant, then fill it. Capacity is the
 //!   in-flight-batch budget — a full ring *is* the pipeline's backpressure:
 //!   the sealer waits here holding the ingest mutex, and every submitting
 //!   session waits behind it.
@@ -28,14 +30,21 @@
 //!   countdown's AcqRel in `Window::cc_done`). `None` once the ingest
 //!   `close`d the ring at exactly `next` batches: every pushed batch is
 //!   still handed to every consumer, then they exit.
-//! * **lookup** (execution threads, blocked-read path): one load + two
-//!   field checks under an epoch pin. No lock, no scan, no shared-memory
-//!   write.
+//! * **next_for_lane** (the read lane): the same walk over every id, but
+//!   only a batch with detached readers is waited for (until its CC phase
+//!   is done) and handed over; a batch without readers is skipped, found in
+//!   its slot or — since it may retire, and its slot be reused, before the
+//!   lane looks — because `retired` is past it. A batch with readers cannot
+//!   retire before the lane has counted out of it, so `retired > id` never
+//!   skips one.
+//! * **lookup** (execution threads, blocked-read path): lock the slot, check
+//!   the id and the timestamp, clone. No scan, no wait.
 //! * **finish** (whoever counted a batch's `exec_pending` to zero): the
 //!   retirement *cursor*. Under the ring mutex, retire every consecutive
-//!   counted-out batch starting at `retired`: hand it to the caller's
-//!   callback (which stores the Condition-3 GC bound), null its slot, defer the reference drop through the epoch
-//!   collector, advance `retired`. Batches are counted out in any order —
+//!   counted-out batch starting at `retired`: take it out of its slot, hand
+//!   it to the caller's callback (which stores the Condition-3 GC bound),
+//!   advance `retired` — and drop the window's reference after unlocking,
+//!   on the thread that retired it. Batches are counted out in any order —
 //!   the read lane lags the execution threads — and retire in id order by
 //!   construction; what everything else leans on is that *a retired batch
 //!   has no unfinished transaction*.
@@ -51,7 +60,7 @@
 //! changed"; push, the last CC countdown, finish and close each notify it
 //! with the mutex held, and a waiter re-probes under the mutex before every
 //! wait, so a wakeup cannot slip between its check and its wait — no
-//! timeouts anywhere.
+//! timeouts anywhere. Lock order is ring mutex, then slot.
 //!
 //! A lookup that finds a vacant slot (or a different batch id) means the
 //! asked-for batch already retired — every transaction in it is `Complete`
@@ -68,19 +77,19 @@
 
 use crate::batch::Batch;
 use bohm_common::Timestamp;
-use bohm_sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use bohm_sync::{Condvar, Mutex};
-use crossbeam_epoch as epoch;
-use crossbeam_utils::{Backoff, CachePadded};
+use bohm_sync::atomic::{AtomicU64, Ordering};
+use bohm_sync::{Backoff, CachePadded, Condvar, Mutex};
 use std::sync::Arc;
+
+/// A ring slot: the batch it owns from push to retirement, if any.
+type Slot = Mutex<Option<Arc<Batch>>>;
 
 pub(crate) struct Window {
     /// One padded slot per in-flight batch. Adjacent slots belong to
-    /// *different* batches touched by different threads (the sealer
-    /// stores slot `i` while execution retires slot `i-1`); without the
-    /// padding a retirement's store would false-share with the neighbouring
-    /// slot's lookups.
-    slots: Box<[CachePadded<AtomicPtr<Batch>>]>,
+    /// *different* batches touched by different threads (the sealer fills
+    /// slot `i` while execution retires slot `i-1`); without the padding a
+    /// retirement would false-share with the neighbouring slot's lookups.
+    slots: Box<[CachePadded<Slot>]>,
     mask: u64,
     /// Timestamp stride per batch id (`BohmConfig::batch_size`).
     stride: u64,
@@ -105,7 +114,7 @@ impl Window {
         assert!(capacity >= 2 && stride >= 1);
         let n = capacity.next_power_of_two();
         let mut slots = Vec::with_capacity(n);
-        slots.resize_with(n, || CachePadded::new(AtomicPtr::new(std::ptr::null_mut())));
+        slots.resize_with(n, || CachePadded::new(Mutex::new(None)));
         Self {
             slots: slots.into_boxed_slice(),
             mask: (n - 1) as u64,
@@ -116,6 +125,11 @@ impl Window {
             lock: Mutex::new(()),
             changed: Condvar::new(),
         }
+    }
+
+    /// The slot batch `id` lives in while it is in flight.
+    fn slot(&self, id: u64) -> &Slot {
+        &self.slots[(id & self.mask) as usize]
     }
 
     /// Block until `probe` yields: spin briefly — the awaited change is
@@ -160,13 +174,15 @@ impl Window {
             "batch {} registered out of order",
             b.id
         );
-        let slot = &self.slots[(b.id & self.mask) as usize];
-        self.wait_for(|| slot.load(Ordering::Acquire).is_null().then_some(()));
+        let slot = self.slot(b.id);
+        // Only `finish` vacates a slot and only this (one) sealer fills one,
+        // so the slot stays vacant between the wait and the fill.
+        self.wait_for(|| slot.lock().is_none().then_some(()));
         // Counted before it is visible: whoever learns of the batch through
         // its slot — or through an outcome of one of its transactions —
         // also finds it in `pushed`.
         self.pushed.store(b.id + 1, Ordering::Release);
-        slot.store(Arc::into_raw(b) as *mut Batch, Ordering::Release);
+        *slot.lock() = Some(b);
         self.notify();
     }
 
@@ -189,12 +205,12 @@ impl Window {
     /// Called by whoever counted a batch's `exec_pending` to zero (after
     /// that AcqRel decrement), whichever batch it was.
     ///
-    /// Under the ring mutex: while the oldest un-retired batch (`retired` is
-    /// its id) has been counted out, hand it to `on_retire` — where the
-    /// caller publishes what retirement publishes, the Condition-3 bound —
-    /// then release its slot (the reference drop is
-    /// deferred through the epoch collector) and advance `retired`; finally
-    /// notify, for a sealer parked on the full ring or a quiescer.
+    /// Per retired batch, under the ring mutex: while the oldest un-retired
+    /// batch (`retired` is its id) has been counted out, take it out of its
+    /// slot, hand it to `on_retire` — where the caller publishes what
+    /// retirement publishes, the Condition-3 bound — advance `retired` and
+    /// notify, for a sealer parked on the full ring or a quiescer. The
+    /// window's reference is dropped after the mutex is released.
     ///
     /// Batches may be *counted out* in any order — the read lane lags the
     /// execution threads — but retire in id order by construction, and none
@@ -203,31 +219,21 @@ impl Window {
     /// at the cursor, or the thread that later moves the cursor to `b` locks
     /// after it and sees the zero.
     pub fn finish(&self, mut on_retire: impl FnMut(&Batch)) {
-        let _g = self.lock.lock();
         loop {
+            let g = self.lock.lock();
             let id = self.retired.load(Ordering::Acquire);
-            let slot = &self.slots[(id & self.mask) as usize];
-            let ptr = slot.load(Ordering::Acquire);
-            // SAFETY: only this function unlinks a batch, under the mutex
-            // held here, so a non-null slot pointer stays valid meanwhile.
-            let Some(b) = (unsafe { ptr.as_ref() }) else {
-                break; // batch `id` is not pushed yet
-            };
-            debug_assert_eq!(b.id, id, "the cursor's slot holds the cursor's batch");
-            if b.exec_pending.load(Ordering::Acquire) != 0 {
-                break;
-            }
-            on_retire(b);
-            slot.store(std::ptr::null_mut(), Ordering::Release);
-            // Readers racing `get` may still hold the raw pointer; drop the
-            // window's reference only after their epoch pins release.
-            // SAFETY: `ptr` came from `Arc::into_raw` in `push` and was just
-            // unlinked from the slot; any concurrent `get` upgraded its own
-            // reference under an epoch pin taken before this defer runs.
-            unsafe { epoch::pin().defer_unchecked(move || drop(Arc::from_raw(ptr))) };
+            let taken = self.slot(id).lock().take_if(|b| {
+                debug_assert_eq!(b.id, id, "the cursor's slot holds the cursor's batch");
+                b.exec_pending.load(Ordering::Acquire) == 0
+            });
+            // Batch `id` is not pushed yet, or not counted out.
+            let Some(b) = taken else { return };
+            on_retire(&b);
             self.retired.store(id + 1, Ordering::Release);
+            self.changed.notify_all();
+            drop(g);
+            drop(b);
         }
-        self.changed.notify_all();
     }
 
     /// Batches retired so far — the id of the oldest batch still in flight.
@@ -243,36 +249,19 @@ impl Window {
     /// the caller.
     pub fn wait_retired(&self) {
         let target = self.pushed.load(Ordering::Acquire);
-        self.wait_for(|| (self.retired.load(Ordering::Acquire) >= target).then_some(()));
+        self.wait_for(|| (self.retired() >= target).then_some(()));
     }
 
     /// Batch `id`, if its slot currently holds it and it passes `ok` — the
-    /// one slot-load-and-upgrade body behind `lookup` and both chasers.
+    /// one slot-lock-and-clone body behind `lookup` and the chasers.
     fn get(&self, id: u64, ok: impl FnOnce(&Batch) -> bool) -> Option<Arc<Batch>> {
-        let slot = &self.slots[(id & self.mask) as usize];
-        let guard = epoch::pin();
-        let ptr = slot.load(Ordering::Acquire);
-        if ptr.is_null() {
-            return None;
-        }
-        // SAFETY: non-null slot pointers are valid while our epoch pin
-        // predates any retirement's deferred drop (see `finish`).
-        let b = unsafe { &*ptr };
-        if b.id != id || !ok(b) {
-            return None; // vacated and reused by a newer batch, or not `ok` yet
-        }
-        // Upgrade to an owned reference while the pin protects the count.
-        // SAFETY: the window's own reference keeps the count ≥ 1 until the
-        // deferred drop, which cannot run while we are pinned.
-        unsafe {
-            Arc::increment_strong_count(ptr);
-            drop(guard);
-            Some(Arc::from_raw(ptr))
-        }
+        let slot = self.slot(id).lock();
+        // Another id: vacated and reused by a newer batch, or not pushed yet.
+        slot.as_ref().filter(|b| b.id == id && ok(b)).cloned()
     }
 
     /// Find the batch containing timestamp `ts` — O(1): one divide, one
-    /// load, two checks.
+    /// slot lock, two checks.
     ///
     /// `None` means the batch already completed (retired) — the producing
     /// transaction is `Complete` and its versions are resolved, so the
@@ -304,12 +293,28 @@ impl Window {
         self.chase(id, |b| b.cc_pending.load(Ordering::Acquire) == 0)
     }
 
+    /// The read lane's step at batch `id`: `Some(Some(b))` once `b` — a
+    /// batch with detached readers — is through its CC phase (Acquire, as
+    /// in [`next_for_exec`](Self::next_for_exec)); `Some(None)` for a batch
+    /// without readers, found in its slot or already retired; `None` once
+    /// the ring closed at `id` batches. A batch with readers cannot retire
+    /// before the lane has counted out of it, so `retired > id` proves the
+    /// batch had none, whatever has happened to its slot since.
+    pub fn next_for_lane(&self, id: u64) -> Option<Option<Arc<Batch>>> {
+        let ready = |b: &Batch| b.readers.is_empty() || b.cc_pending.load(Ordering::Acquire) == 0;
+        self.wait_for(|| match self.get(id, ready) {
+            Some(b) => Some(Some((!b.readers.is_empty()).then_some(b))),
+            None if self.retired() > id => Some(Some(None)),
+            None => (self.closed_at.load(Ordering::Acquire) == id).then_some(None),
+        })
+    }
+
     /// True when no batch is between `push` and retirement. `retired` is read
     /// first — it can only equal an *older* `pushed` — so a `true` was true
     /// at one instant; see `Bohm::read_quiescent` for how a caller makes the
     /// answer stick.
     pub fn is_empty(&self) -> bool {
-        let retired = self.retired.load(Ordering::Acquire);
+        let retired = self.retired();
         retired == self.pushed.load(Ordering::Acquire)
     }
 
@@ -356,6 +361,22 @@ impl Window {
         }
     }
 
+    /// [`next_for_lane`](Self::next_for_lane) that reads a vacant slot as a
+    /// retired batch without asking `retired`: it skips a batch with readers
+    /// that is not pushed yet (the lane model's broken twin).
+    #[cfg(all(test, bohm_modelcheck))]
+    pub fn next_for_lane_reading_vacancy_as_retirement(
+        &self,
+        id: u64,
+    ) -> Option<Option<Arc<Batch>>> {
+        let ready = |b: &Batch| b.readers.is_empty() || b.cc_pending.load(Ordering::Acquire) == 0;
+        self.wait_for(|| match self.get(id, ready) {
+            Some(b) => Some(Some((!b.readers.is_empty()).then_some(b))),
+            None if self.closed_at.load(Ordering::Acquire) == id => Some(None),
+            None => self.slot(id).lock().is_none().then_some(Some(None)),
+        })
+    }
+
     /// Count one execution thread out of batch `id`, the last one running
     /// the cursor — what `exec::count_out` does, minus its publications.
     #[cfg(test)]
@@ -369,20 +390,8 @@ impl Window {
     /// Number of batches in flight (tests; racy by nature).
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        let retired = self.retired.load(Ordering::Acquire);
+        let retired = self.retired();
         (self.pushed.load(Ordering::Acquire) - retired) as usize
-    }
-}
-
-impl Drop for Window {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let ptr = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !ptr.is_null() {
-                // SAFETY: exclusive access via &mut self; no readers remain.
-                drop(unsafe { Arc::from_raw(ptr) });
-            }
-        }
     }
 }
 
@@ -689,8 +698,9 @@ mod modelcheck {
     /// Capacity-2 ring, three batches: the third push targets the slot
     /// batch 0 still occupies and must park until the retirer frees it,
     /// while a reader hammers lookups across all three ids. Covers
-    /// push/retire slot hand-off, the park/notify path, and the lookup
-    /// epoch-pin upgrade, in every schedule the seeds reach.
+    /// push/retire slot hand-off, the park/notify path, and a lookup's
+    /// lock-check-clone racing the retirement that takes its batch out of
+    /// the slot, in every schedule the seeds reach.
     fn ring_model() {
         let w = Arc::new(Window::new(2, STRIDE));
         w.push(mk_batch(0, 1));
@@ -1052,6 +1062,100 @@ mod modelcheck {
     #[test]
     fn cursor_retires_in_id_order_whatever_order_batches_are_counted_out_in() {
         model::explore(model::Options::default(), || cursor_model(Fault::None));
+    }
+
+    /// The read lane's chase on a capacity-2 ring with three batches, only
+    /// batch 1 with a reader: the lane (started first, so that in most
+    /// schedules it probes before the pushes), an executor, an early
+    /// quiescer, and a sealer that then waits for everything to retire and
+    /// closes. Checked: the lane counts out of exactly the reader batch —
+    /// skipping batch 0, found in its slot or retired, and batch 2, which
+    /// may have retired and had its slot vacated before the lane looks —
+    /// and all three retire; a reader batch the lane skips never retires,
+    /// which deadlocks the model. The lane probes at most ids 0..=3: the
+    /// twin may walk on past the close over vacant slots.
+    fn lane_model(reads_vacancy_as_retirement: bool) {
+        let w = Arc::new(Window::new(2, STRIDE));
+        let lane = {
+            let w = Arc::clone(&w);
+            bohm_sync::thread::spawn(move || {
+                let (mut counted, mut exited) = (Vec::new(), false);
+                for id in 0..4 {
+                    let next = match reads_vacancy_as_retirement {
+                        false => w.next_for_lane(id),
+                        true => w.next_for_lane_reading_vacancy_as_retirement(id),
+                    };
+                    let Some(batch) = next else {
+                        exited = true;
+                        break;
+                    };
+                    if let Some(b) = batch {
+                        assert!(!b.readers.is_empty(), "the lane runs only reader batches");
+                        assert_eq!(b.cc_pending.load(Ordering::Acquire), 0);
+                        counted.push(b.id);
+                        w.count_out(b.id);
+                    }
+                }
+                assert!(exited || reads_vacancy_as_retirement, "the close ends the walk");
+                counted
+            })
+        };
+        let executor = {
+            let w = Arc::clone(&w);
+            bohm_sync::thread::spawn(move || {
+                for id in 0.. {
+                    let Some(b) = w.next_for_exec(id) else { break };
+                    w.count_out(b.id);
+                }
+            })
+        };
+        let mut arena = crate::batch::tests::test_arena();
+        // No CC layer: born ready for execution. Batch 1 is one detached
+        // reader (`annotate_max_reads` 0), the others one RMW each.
+        let rid = bohm_common::RecordId::new(0, 1);
+        let reader = || bohm_common::Txn::new(vec![rid], vec![], bohm_common::Procedure::ReadOnly);
+        let mut push = |id: u64| {
+            let (txns, annotate_max_reads) = match id {
+                1 => (vec![reader()], 0),
+                _ => (crate::batch::tests::entries(1), 64),
+            };
+            let outcomes = crate::batch::Outcomes::new(1);
+            let base_ts = 1 + id * STRIDE;
+            w.push(Batch::new(
+                txns,
+                outcomes,
+                base_ts,
+                id,
+                0,
+                0,
+                1,
+                annotate_max_reads,
+                &mut arena,
+            ));
+        };
+        push(0);
+        let quiescer = {
+            let w = Arc::clone(&w);
+            bohm_sync::thread::spawn(move || w.wait_retired())
+        };
+        push(1);
+        push(2);
+        w.wait_retired();
+        assert!(w.is_empty(), "all three retired");
+        w.close(3);
+        assert_eq!(lane.join().unwrap(), [1], "the lane counted out of the reader batch only");
+        executor.join().unwrap();
+        quiescer.join().unwrap();
+    }
+
+    #[test]
+    fn the_lane_chase_counts_out_of_exactly_the_reader_batches() {
+        model::explore(model::Options::default(), || lane_model(false));
+    }
+
+    #[test]
+    fn a_lane_that_reads_a_vacant_slot_as_retired_replayably_strands_a_reader_batch() {
+        crate::batch::modelcheck::twin_fails_replayably("deadlock", || lane_model(true));
     }
 
     /// See [`twin_fails_replayably`](crate::batch::modelcheck::twin_fails_replayably).

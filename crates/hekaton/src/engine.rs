@@ -7,8 +7,7 @@ use crate::version::{txn_word, unpack, HkVersion, WordView, END_INF};
 use bohm_common::engine::{Engine, ExecOutcome};
 use bohm_common::{AbortReason, Access, RecordId, Txn};
 use bohm_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use bohm_sync::Mutex;
-use crossbeam_utils::CachePadded;
+use bohm_sync::{CachePadded, Mutex};
 use std::ptr::NonNull;
 use std::sync::Arc;
 
@@ -308,7 +307,7 @@ impl Hekaton {
         // the end-word CAS), so a handful of retries always suffices. A
         // genuinely absent record — a null head, or a chain holding only
         // versions that can never become visible at `ts` — is judged `None`.
-        let backoff = crossbeam_utils::Backoff::new();
+        let backoff = bohm_sync::Backoff::new();
         for _ in 0..64 {
             let mut cur = self.store.head(rid).load(Ordering::Acquire);
             while !cur.is_null() {
@@ -364,7 +363,7 @@ impl Hekaton {
     fn settled_state(&self, t: &HkTxn) -> u32 {
         let mut s = t.state();
         if s == state::ENDING {
-            let backoff = crossbeam_utils::Backoff::new();
+            let backoff = bohm_sync::Backoff::new();
             while s == state::ENDING {
                 backoff.snooze();
                 s = t.state();

@@ -145,7 +145,7 @@ impl HkTxn {
     /// Spin until every producer this transaction speculatively read from
     /// has resolved. Returns `false` if any of them aborted (cascade).
     pub fn wait_for_dependencies(&self) -> bool {
-        let backoff = crossbeam_utils::Backoff::new();
+        let backoff = bohm_sync::Backoff::new();
         while self.deps.load(Ordering::Acquire) > 0 {
             backoff.snooze();
         }

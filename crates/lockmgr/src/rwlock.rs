@@ -2,7 +2,7 @@
 //!
 //! One `AtomicU32` per record: bit 31 is the writer flag, bits 0..31 count
 //! readers. Writers wait for readers to drain; acquisition spins with
-//! `crossbeam_utils::Backoff` (spin → yield), which is the non-blocking
+//! `bohm_sync::Backoff` (spin → yield), which is the non-blocking
 //! thread model the paper's baselines use ("instead of yielding control to
 //! another thread, the thread temporarily stops working", §4 — at lock
 //! granularity our waits are short because transactions are short and
@@ -12,7 +12,7 @@
 // no I/O (enforced by the lint).
 
 use bohm_sync::atomic::{AtomicU32, Ordering};
-use crossbeam_utils::Backoff;
+use bohm_sync::Backoff;
 
 const WRITER: u32 = 1 << 31;
 

@@ -1,9 +1,13 @@
-//! Offline shim for `crossbeam-utils`: `CachePadded` and `Backoff`.
+//! Spin-then-yield backoff and cache-line padding, in both personalities.
+//!
+//! Built on the facade's own [`hint`](crate::hint) and
+//! [`thread`](crate::thread), so under `--cfg bohm_modelcheck` every spin
+//! and yield is a scheduling point.
 
 use std::ops::{Deref, DerefMut};
 
-/// Pads and aligns a value to 128 bytes (two x86-64 cache lines, matching
-/// the adjacent-line prefetcher assumption the real crate makes).
+/// Pads and aligns a value to 128 bytes (two x86-64 cache lines, for the
+/// adjacent-line prefetcher).
 #[derive(Default, Debug)]
 #[repr(align(128))]
 pub struct CachePadded<T> {
@@ -71,10 +75,10 @@ impl Backoff {
         // pause burst: burning 2^step virtual steps would only shrink the
         // schedules a bounded exploration can reach.
         #[cfg(bohm_modelcheck)]
-        bohm_sync::hint::spin_loop();
+        crate::hint::spin_loop();
         #[cfg(not(bohm_modelcheck))]
         for _ in 0..1u32 << self.step.get().min(SPIN_LIMIT) {
-            bohm_sync::hint::spin_loop();
+            crate::hint::spin_loop();
         }
         if self.step.get() <= SPIN_LIMIT {
             self.step.set(self.step.get() + 1);
@@ -84,14 +88,14 @@ impl Backoff {
     /// Spin first, then yield the thread (for blocking-ish waits).
     pub fn snooze(&self) {
         #[cfg(bohm_modelcheck)]
-        bohm_sync::thread::yield_now();
+        crate::thread::yield_now();
         #[cfg(not(bohm_modelcheck))]
         if self.step.get() <= SPIN_LIMIT {
             for _ in 0..1u32 << self.step.get() {
-                bohm_sync::hint::spin_loop();
+                crate::hint::spin_loop();
             }
         } else {
-            bohm_sync::thread::yield_now();
+            crate::thread::yield_now();
         }
         if self.step.get() <= YIELD_LIMIT {
             self.step.set(self.step.get() + 1);

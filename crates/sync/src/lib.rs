@@ -40,6 +40,10 @@
 //! * Structures that want model-checkable payload-race detection store
 //!   shared plain data in [`cell::UnsafeCell`] and access it through
 //!   [`cell::UnsafeCell::with`] / [`cell::UnsafeCell::with_mut`].
+//! * Spin-then-yield waits use [`Backoff`] (under the model it escalates to
+//!   "completed" after two snoozes, so a spin-then-park loop reaches its
+//!   park path inside a bounded exploration); hot per-thread or per-slot
+//!   words sit in [`CachePadded`].
 
 #[cfg(not(bohm_modelcheck))]
 mod real;
@@ -53,3 +57,6 @@ pub use model_impl::*;
 
 #[cfg(bohm_modelcheck)]
 pub mod selftest;
+
+mod backoff;
+pub use backoff::{Backoff, CachePadded};

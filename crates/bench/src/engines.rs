@@ -62,20 +62,15 @@ impl EngineKind {
     }
 }
 
-/// Build a BOHM engine preloaded from `spec` with the given thread split;
-/// the index-capacity hint is sized to the database **capacity** (seeded
-/// rows plus insert headroom, so insert-heavy workloads keep load factor
-/// ≤ 1).
+/// Build a BOHM engine preloaded from `spec` with the given thread split.
 pub fn build_bohm(spec: &DatabaseSpec, cc: usize, exec: usize) -> Bohm {
-    let mut cfg = BohmConfig::with_threads(cc, exec);
-    cfg.index_capacity = (spec.total_capacity() as usize).next_power_of_two();
-    build_bohm_with(spec, cfg)
+    build_bohm_with(spec, BohmConfig::with_threads(cc, exec))
 }
 
 /// Build a BOHM engine preloaded from `spec` with a full custom config
 /// (the benchmark sets its thread split and durability this way). The
-/// config is honoured verbatim — including `index_capacity`, whose
-/// effective value still floors at the row count (`effective_index_capacity`).
+/// catalog declares only the seeded rows: a BOHM table addresses 2^32 rows
+/// whatever it declares, so insert headroom needs no declaring.
 pub fn build_bohm_with(spec: &DatabaseSpec, cfg: BohmConfig) -> Bohm {
     let mut catalog = CatalogSpec::new();
     for t in &spec.tables {
@@ -85,27 +80,9 @@ pub fn build_bohm_with(spec: &DatabaseSpec, cfg: BohmConfig) -> Bohm {
     Bohm::start(cfg, catalog)
 }
 
-/// Refuse to build an array-backed substrate over a growable table: the
-/// slot array is pre-sized at build time, so rows beyond the declared
-/// capacity have nowhere to live — failing loudly here beats an
-/// out-of-bounds panic (or silent wraparound) mid-run.
-fn reject_growable(spec: &DatabaseSpec, substrate: &str) {
-    for (i, t) in spec.tables.iter().enumerate() {
-        assert!(
-            !t.growable,
-            "table {i} is declared growable, but the {substrate} substrate \
-             pre-sizes its slot array and cannot grow dynamically; cap the \
-             table (growable: false) for array-backed engines, or run the \
-             workload on BOHM (hash-indexed, grows freely)"
-        );
-    }
-}
-
 /// Build a preloaded single-version store (OCC / 2PL substrate). Tables
-/// with insert headroom get absent spare slots after the seeded prefix;
-/// growable tables are rejected with a clear error (see `reject_growable`).
+/// with insert headroom get absent spare slots after the seeded prefix.
 pub fn build_sv_store(spec: &DatabaseSpec) -> StoreBuilder {
-    reject_growable(spec, "single-version");
     let mut b = StoreBuilder::new();
     for t in &spec.tables {
         let id = b.add_table_with_spare(t.rows as usize, t.spare_rows as usize, t.record_size);
@@ -115,10 +92,8 @@ pub fn build_sv_store(spec: &DatabaseSpec) -> StoreBuilder {
 }
 
 /// Build a preloaded Hekaton store. Slots beyond the seeded prefix keep
-/// null heads — records that exist only once inserted. Growable tables
-/// are rejected with a clear error (see `reject_growable`).
+/// null heads — records that exist only once inserted.
 pub fn build_hekaton_store(spec: &DatabaseSpec) -> HekatonStore {
-    reject_growable(spec, "Hekaton array-index");
     let s = HekatonStore::new(&spec.shapes());
     for (i, t) in spec.tables.iter().enumerate() {
         s.seed_rows_u64(i as u32, t.rows, t.seed);
@@ -303,7 +278,6 @@ mod tests {
             spare_rows: 0,
             record_size: 8,
             seed: |r| r,
-            growable: false,
         }])
     }
 
@@ -317,69 +291,51 @@ mod tests {
     }
 
     #[test]
-    fn bohm_grows_growable_tables_where_array_engines_refuse() {
-        use bohm_workloads::tpcc::{self, TpccConfig};
-        let cfg = TpccConfig {
-            warehouses: 1,
-            districts_per_warehouse: 1,
-            customers_per_district: 4,
-            order_capacity: 32, // declared hint, deliberately tiny
-            order_stripes: 1,
-            delivery_batch: 2,
-            orders_per_customer: 4,
-            unbounded_orders: true,
-            think_us: 0,
-        };
-        let spec = cfg.spec();
-        // Array-backed engines must refuse the growable table at build
-        // time with a clear error, not wrap or corrupt at run time.
-        for kind in [
-            EngineKind::Tpl,
-            EngineKind::Occ,
-            EngineKind::Hekaton,
-            EngineKind::Si,
-        ] {
-            let err = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                kind.build(&spec, 2)
-            })) {
-                Err(e) => e,
-                Ok(_) => panic!("{}: accepted a growable table", kind.name()),
+    fn a_row_past_its_table_is_refused_before_it_can_lock_a_neighbours_row() {
+        use std::sync::Arc;
+        let two_tables = || {
+            let table = |seed: fn(u64) -> u64| TableDef {
+                rows: 4,
+                spare_rows: 0,
+                record_size: 8,
+                seed,
             };
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
+            DatabaseSpec::new(vec![table(|r| r), table(|r| 100 + r)])
+        };
+        let rmw = |rid| {
+            let delta = bohm_common::Procedure::ReadModifyWrite { delta: 1 };
+            Txn::new(vec![rid], vec![rid], delta)
+        };
+        for kind in [EngineKind::Tpl, EngineKind::Occ] {
+            let engine = Arc::new(kind.build(&two_tables(), 2));
+            // Row 4 of table 0 has the flat slot of table 1's row 0.
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.open_session().submit(rmw(RecordId::new(0, 4)));
+            }));
             assert!(
-                msg.contains("growable"),
-                "{}: refusal must name the growable table, got: {msg}",
+                refused.is_err(),
+                "{}: accepted a row past table 0",
+                kind.name()
+            );
+            let (tx, rx) = std::sync::mpsc::channel();
+            let e = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let mut session = e.open_session();
+                session.submit(rmw(RecordId::new(1, 0)));
+                tx.send(session.reap()).unwrap();
+            });
+            let out = rx
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("{}: table 1's row 0 stayed locked", kind.name()));
+            assert!(out.committed, "{}", kind.name());
+            engine.quiesce();
+            assert_eq!(
+                engine.read_u64(RecordId::new(1, 0)),
+                Some(101),
+                "{}",
                 kind.name()
             );
         }
-        // BOHM's hash index grows past the declared capacity freely.
-        let engine = EngineKind::Bohm.build(&spec, 4);
-        let mut session = engine.open_session();
-        let grown = 4 * cfg.order_capacity;
-        for row in 0..grown {
-            session.submit(tpcc::new_order(&cfg, 0, 0, row % 4, row, 1));
-            while session.in_flight() > 64 {
-                assert!(session.reap().committed);
-            }
-        }
-        while session.in_flight() > 0 {
-            assert!(session.reap().committed);
-        }
-        drop(session);
-        engine.quiesce();
-        for row in [0, cfg.order_capacity, grown - 1] {
-            assert!(
-                engine
-                    .read_u64(RecordId::new(tpcc::tables::ORDER, row))
-                    .is_some(),
-                "order row {row} must exist beyond the declared capacity"
-            );
-        }
-        engine.shutdown();
     }
 
     #[test]
@@ -408,7 +364,6 @@ mod tests {
             spare_rows: 4,
             record_size: 8,
             seed: |r| r,
-            growable: false,
         }]);
         let fresh = RecordId::new(0, 6);
         for kind in EngineKind::ALL {

@@ -117,9 +117,9 @@ pub trait Access {
     /// re-resolution, or BOHM's timestamp-filtered probe.
     ///
     /// Array-backed engines and the serial oracle panic, naming the
-    /// table's capacity, on a row beyond it; dynamically-indexed engines
-    /// read such a row as ordinarily absent. Only growable-table
-    /// workloads, which run on the latter exclusively, may scan past it.
+    /// table's capacity, on a row beyond it; BOHM, whose tables address
+    /// rows far past their declared capacity, reads such a row as
+    /// ordinarily absent.
     ///
     /// # Safety
     ///

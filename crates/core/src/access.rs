@@ -4,12 +4,12 @@
 //! (paper §3.2.3's read-set optimization: a direct pointer to the correct
 //! version, no chain traversal, no shared-memory writes). When annotations
 //! are disabled (ablation) the read falls back to the paper's base
-//! mechanism: walking the version chain's backward references until the
-//! version with `begin < ts ≤ end` is found.
+//! mechanism: find the record's chain at `table[row]` and walk its backward
+//! references until the version with `begin < ts ≤ end` is found.
 //!
 //! Scans are not annotated: §3.2.3 annotates the declared *reads*, and a
 //! range's rows (like an index scan's members) resolve through the same
-//! timestamp-filtered probe as the fallback, which orders every insert and
+//! timestamp-filtered walk as the fallback, which orders every insert and
 //! delete into the range against the scan by timestamp.
 //!
 //! A read that lands on a still-`Pending` placeholder returns
@@ -29,18 +29,16 @@
 use crate::batch::TxnState;
 use crate::exec::InPlace;
 use crate::lookahead::LookAhead;
+use crate::store::Store;
 use bohm_common::{AbortReason, Access, RecordId};
-use bohm_mvstore::{HashIndex, ProbeFor, Version, VersionIndex, VersionState};
+use bohm_mvstore::{Version, VersionState};
 use bohm_sync::atomic::Ordering;
 use crossbeam_epoch::Guard;
 
 pub(crate) struct BohmAccess<'a> {
     pub t: &'a TxnState,
-    pub index: &'a HashIndex,
+    pub store: &'a Store,
     pub guard: &'a Guard,
-    /// `Inner::deletes_seen` — bumped when a tombstone is published, which
-    /// arms the CC threads' key sweep (a pure gate; see `cc::sweep_keys`).
-    pub deletes: &'a bohm_sync::atomic::AtomicU64,
     /// Look-ahead over an un-annotated read set, started by its first read
     /// (see [`version_for_read`](Self::version_for_read)).
     pub ahead: Option<FallbackAhead<'a>>,
@@ -49,29 +47,28 @@ pub(crate) struct BohmAccess<'a> {
     pub in_place: Option<InPlace<'a>>,
 }
 
-/// The un-annotated fallback's look-ahead: the reads to come through four
-/// stages — slot, entry, head, payload; a fifth, for keys behind a
-/// collision, cost the reader more than it saved — four reads apart.
-type FallbackAhead<'a> = LookAhead<std::slice::Iter<'a, RecordId>, 4, 4>;
+/// The un-annotated fallback's look-ahead: the reads to come through three
+/// stages — chain line, head, payload — four reads apart.
+type FallbackAhead<'a> = LookAhead<std::slice::Iter<'a, RecordId>, 3, 4>;
 
 impl<'a> BohmAccess<'a> {
     /// Resolve read-set entry `idx` to its version, or `None` if the record
     /// does not exist at this transaction's timestamp.
     ///
-    /// The annotation slot is null when CC found the key absent from the
-    /// index (or annotations are off / the read set was too large). The
-    /// fallback re-probe filters by `ts`, so a key inserted by a *later*
-    /// transaction — whose chain and placeholder may well exist by now,
-    /// installed between CC time and execution — correctly reads as absent
-    /// rather than as that later version.
+    /// The annotation slot is null when CC found the record's chain empty
+    /// (or annotations are off / the read set was too large). The fallback
+    /// walk filters by `ts`, so a record inserted by a *later* transaction
+    /// — whose placeholder may well be on the chain by now, installed
+    /// between CC time and execution — correctly reads as absent rather
+    /// than as that later version.
     ///
     /// A read set with no annotation slots at all (larger than
     /// `annotate_max_reads` — the paper's 10,000-read transactions) would
-    /// make every read a serial four-deep miss chain: bucket, entry, head
+    /// make every read a serial three-deep miss chain: chain line, head
     /// version, payload. But the set is declared, and procedures walk it in
     /// order, so the first such read starts a [`LookAhead`] over the reads
     /// after it and every later one advances it — the same staged hints the
-    /// CC thread runs in front of its probes, ending at the payload instead
+    /// CC thread runs in front of its installs, ending at the payload instead
     /// of the predecessor. The hints dereference a head version, which is
     /// sound while this transaction is executing: every install at or below
     /// its timestamp happened before it started, so whatever supersedes
@@ -81,10 +78,8 @@ impl<'a> BohmAccess<'a> {
         // Large read sets carry no annotation slots (BohmConfig::
         // annotate_max_reads): go straight to traversal.
         let ptr = if self.t.read_refs.is_empty() {
-            let (t, index, guard) = (self.t, self.index, self.guard);
-            let hint = |stage, rid: &RecordId| {
-                index.look_ahead(stage, rid.stable_hash(), ProbeFor::Read, guard);
-            };
+            let (t, store, guard) = (self.t, self.store, self.guard);
+            let hint = |stage, rid: &RecordId| store.look_ahead(stage, *rid, false, guard);
             match &mut self.ahead {
                 Some(ahead) => ahead.step(hint),
                 None => self.ahead = Some(LookAhead::start(t.txn.reads[idx + 1..].iter(), hint)),
@@ -136,15 +131,14 @@ impl<'a> BohmAccess<'a> {
         })
     }
 
-    /// The ts-filtered probe every un-annotated access goes through. The
-    /// filter answers "absent" for a key whose chain a later-timestamp
-    /// transaction created between CC time and now, and every
-    /// earlier-timestamp placeholder is installed before this batch
-    /// executes, so the probe needs no help from the CC phase.
+    /// The ts-filtered walk every un-annotated access goes through. The
+    /// filter answers "absent" for a record a later-timestamp transaction
+    /// inserted between CC time and now, and every earlier-timestamp
+    /// placeholder is installed before this batch executes, so the walk
+    /// needs no help from the CC phase. A row whose segment was never
+    /// allocated has never been written: absent too.
     fn visible(&self, rid: RecordId) -> Option<&'a Version> {
-        self.index
-            .get(rid, self.guard)?
-            .visible(self.t.ts, self.guard)
+        self.store.chain(rid)?.visible(self.t.ts, self.guard)
     }
 }
 
@@ -197,8 +191,9 @@ impl Access for BohmAccess<'_> {
     ///
     /// # Safety
     ///
-    /// None beyond the trait's contract: the probe is sound for any row,
-    /// and a row past a table's preload reads as absent.
+    /// None beyond the trait's contract: the walk is sound for any row, and
+    /// a row past a table's preload, or past what a table can address,
+    /// reads as absent.
     unsafe fn read_covered(
         &mut self,
         rid: RecordId,
@@ -216,7 +211,7 @@ impl Access for BohmAccess<'_> {
         // are declared write-set entries), readers above this timestamp
         // observe absence, and the superseded tail becomes reclaimable
         // once the Condition-3 bound passes it — a later re-insert of the
-        // key supersedes the tombstone itself, which then truncates too.
+        // row supersedes the tombstone itself, which then truncates too.
         let ptr = self.t.write_refs[idx].load(Ordering::Acquire);
         assert!(
             !ptr.is_null(),
@@ -224,11 +219,7 @@ impl Access for BohmAccess<'_> {
         );
         // SAFETY: placeholder liveness per Condition 3; unique producer.
         let v = unsafe { &*ptr };
-        if v.fill_tombstone_once() {
-            // RELAXED: monotone per-batch delete tally; consumed after the
-            // batch barrier synchronizes.
-            self.deletes.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if !v.fill_tombstone_once() {
             // Already resolved. A legal replay (re-run after a blocked
             // read) finds the tombstone from the first pass; finding
             // *data* means the procedure wrote this entry earlier in the

@@ -16,6 +16,7 @@
 //! amortization artifact; submitters never see them.
 
 use crate::engine::Inner;
+use crate::store::line_hash;
 use bohm_common::engine::ExecOutcome;
 use bohm_common::{ASlice, Arena, RecordId, Timestamp, Txn};
 use bohm_mvstore::Version;
@@ -252,21 +253,19 @@ impl TxnHandle {
 // Plan entries
 // ---------------------------------------------------------------------------
 
-/// One access-plan entry — **one per record the CC phase must probe** —
+/// One access-plan entry — **one per record the CC phase must look up** —
 /// scanned by every CC thread.
 ///
 /// Every CC thread must examine every transaction's sets (paper §3.2.2 —
 /// the acknowledged Amdahl component of the design), so that scan has to be
-/// cheap: sealing pre-hashes each record once, and the CC threads
-/// iterate a contiguous array doing one modulo per entry instead of
-/// re-hashing `RecordId`s out of the sets `m` times over. The entry keeps
-/// the **whole** [`stable_hash`](bohm_common::RecordId::stable_hash): the
-/// top half picks the partition, the bottom half the index bucket, so
-/// neither the probe nor the look-ahead in front of it hashes again.
+/// cheap: sealing hashes each record's cache line of chains once
+/// (`store::line_hash`), and the CC threads iterate a
+/// contiguous array doing one modulo per entry instead of re-hashing
+/// `RecordId`s out of the sets `m` times over.
 ///
 /// A record the transaction both reads and writes gets a single *fused*
-/// entry carrying both set positions: the CC thread probes once, annotates
-/// the read with the chain's latest version and installs the placeholder
+/// entry carrying both set positions: the CC thread finds the chain once,
+/// annotates the read with its latest version and installs the placeholder
 /// over it. A plan is the transaction's pure reads (`write` is none)
 /// followed by one entry per write (`read` is none for a blind write).
 /// Order between the two groups is what keeps the un-fusable leftovers
@@ -274,7 +273,7 @@ impl TxnHandle {
 /// [`TxnState::new`]) is annotated before that write installs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct PlanEntry {
-    /// `stable_hash` of the record.
+    /// `line_hash` of the record: picks its CC partition.
     pub hash: u64,
     read: u32,
     write: u32,
@@ -384,9 +383,9 @@ impl TxnState {
         let plan = arena.alloc_with(n_pure + nw, |i| match i.checked_sub(n_pure) {
             None => {
                 let r = pure_reads.next().expect("counted above");
-                PlanEntry::new(reads[r].stable_hash(), Some(r), None)
+                PlanEntry::new(line_hash(reads[r]), Some(r), None)
             }
-            Some(w) => PlanEntry::new(writes[w].stable_hash(), paired(writes, w, reads), Some(w)),
+            Some(w) => PlanEntry::new(line_hash(writes[w]), paired(writes, w, reads), Some(w)),
         });
         let nulls = |arena: &mut Arena, n: usize| -> ASlice<AtomicPtr<Version>> {
             arena.alloc_with(n, |_| AtomicPtr::new(ptr::null_mut()))
@@ -617,7 +616,7 @@ pub(crate) mod tests {
                 (Some(r), None) => t.txn.reads[r],
                 (None, None) => panic!("empty plan entry"),
             };
-            assert_eq!(e.hash, rid.stable_hash(), "entries carry the full hash");
+            assert_eq!(e.hash, line_hash(rid), "entries carry the line hash");
             if let (Some(r), Some(w)) = (e.read(), e.write()) {
                 assert_eq!(t.txn.reads[r], t.txn.writes[w], "fused across records");
             }

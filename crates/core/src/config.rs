@@ -1,11 +1,5 @@
 //! Engine configuration and catalog declaration.
 
-/// Hard ceiling applied to [`BohmConfig::index_capacity`] when sizing the
-/// hash index (2^22 buckets ≈ 32 MiB of bucket heads). The *hint* is
-/// clamped to this; the actual row count never is — see
-/// [`BohmConfig::effective_index_capacity`].
-pub const MAX_INDEX_CAPACITY_HINT: usize = 1 << 22;
-
 /// Tunables of a [`Bohm`](crate::Bohm) instance.
 ///
 /// The split between concurrency-control and execution threads is the
@@ -14,7 +8,7 @@ pub const MAX_INDEX_CAPACITY_HINT: usize = 1 << 22;
 #[derive(Clone, Debug)]
 pub struct BohmConfig {
     /// Number of concurrency-control threads (`m` in the paper). Each owns
-    /// `1/m` of the key space by hash partition.
+    /// `1/m` of the records, by a hash of their chains' cache lines.
     pub cc_threads: usize,
     /// Number of execution threads (`k`). Thread `i` is responsible for
     /// transactions `i, i+k, i+2k, …` of each batch.
@@ -40,11 +34,10 @@ pub struct BohmConfig {
     /// get out of the writers' way" are the same property. At `0`, every
     /// read-only transaction that reads anything takes the lane.
     pub annotate_max_reads: usize,
-    /// Sizing *hint* for the latch-free hash index. The effective capacity
-    /// is never below the catalog's row count and the hint is clamped to
-    /// [`MAX_INDEX_CAPACITY_HINT`]; see
-    /// [`effective_index_capacity`](Self::effective_index_capacity) for the
-    /// exact rule.
+    /// Has no effect. It sized the hash index BOHM once looked records up
+    /// in; records now live at `table[row]`, and every table addresses
+    /// 2^32 rows whatever it declares. The field stays only because the
+    /// benchmark package still assigns it.
     pub index_capacity: usize,
     /// Transactions per batch (the §3.2.4 coordination-amortization knob):
     /// the submission that brings the open batch to this size seals it (see
@@ -104,7 +97,6 @@ impl BohmConfig {
         Self {
             cc_threads: 2,
             exec_threads: 2,
-            index_capacity: 1 << 10,
             ..Self::default()
         }
     }
@@ -118,21 +110,6 @@ impl BohmConfig {
         }
     }
 
-    /// The hash-index capacity actually used for a catalog of `total_rows`.
-    ///
-    /// Rule: `max(total_rows, min(index_capacity, MAX_INDEX_CAPACITY_HINT))`.
-    /// The configured value is a **hint that can only grow** the index
-    /// beyond the preloaded rows (head-room for inserts); a hint *smaller*
-    /// than the row count is intentionally overridden — shrinking the index
-    /// below the data it must preload would only degrade every lookup, and
-    /// doing that silently was a past footgun (the clamp used to hide in
-    /// `Bohm::start`). The hint alone is clamped to
-    /// [`MAX_INDEX_CAPACITY_HINT`] so a fat-fingered constant cannot
-    /// allocate gigabytes of empty buckets; row counts are trusted as-is.
-    pub fn effective_index_capacity(&self, total_rows: u64) -> usize {
-        (total_rows as usize).max(self.index_capacity.min(MAX_INDEX_CAPACITY_HINT))
-    }
-
     pub(crate) fn validate(&self) {
         assert!(self.cc_threads >= 1, "need at least one CC thread");
         assert!(self.exec_threads >= 1, "need at least one execution thread");
@@ -141,11 +118,6 @@ impl BohmConfig {
             self.max_inflight_batches >= 2,
             "max_inflight_batches must be at least 2 (CC and execution work \
              on different batches concurrently)"
-        );
-        assert!(
-            self.index_capacity >= 1,
-            "index_capacity must be at least 1 (it is a sizing hint, see \
-             BohmConfig::effective_index_capacity)"
         );
         if let Some(d) = &self.durability {
             d.validate();
@@ -181,7 +153,9 @@ impl CatalogSpec {
     }
 
     /// Declare a table of `rows` records of `record_size` bytes, each
-    /// preloaded (at timestamp 0) with `seed(row)` in its u64 prefix.
+    /// preloaded (at timestamp 0) with `seed(row)` in its u64 prefix. Rows
+    /// past the preload start absent; any of them below 2^32 may be
+    /// inserted.
     pub fn table(
         mut self,
         rows: u64,
@@ -200,10 +174,6 @@ impl CatalogSpec {
     /// Record size of table `t`.
     pub fn record_size(&self, t: usize) -> usize {
         self.tables[t].record_size
-    }
-
-    pub(crate) fn total_rows(&self) -> u64 {
-        self.tables.iter().map(|t| t.rows).sum()
     }
 }
 
@@ -247,34 +217,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "index_capacity")]
-    fn zero_index_capacity_rejected() {
-        let mut cfg = BohmConfig::small();
-        cfg.index_capacity = 0;
-        cfg.validate();
-    }
-
-    #[test]
-    fn index_capacity_hint_never_shrinks_below_rows() {
-        let mut cfg = BohmConfig::small();
-        cfg.index_capacity = 16; // hint far below the data
-        assert_eq!(cfg.effective_index_capacity(10_000), 10_000);
-        // A generous hint grows the index beyond the preload.
-        cfg.index_capacity = 1 << 14;
-        assert_eq!(cfg.effective_index_capacity(100), 1 << 14);
-    }
-
-    #[test]
-    fn index_capacity_hint_is_clamped_but_rows_are_not() {
-        let mut cfg = BohmConfig::small();
-        cfg.index_capacity = usize::MAX; // absurd hint: clamped
-        assert_eq!(cfg.effective_index_capacity(100), MAX_INDEX_CAPACITY_HINT);
-        // Real data above the clamp is still honoured in full.
-        let rows = (MAX_INDEX_CAPACITY_HINT as u64) * 2;
-        assert_eq!(cfg.effective_index_capacity(rows), rows as usize);
-    }
-
-    #[test]
     #[should_panic(expected = "segment_bytes")]
     fn invalid_durability_config_rejected() {
         let mut cfg = BohmConfig::small();
@@ -289,7 +231,6 @@ mod tests {
         let c = CatalogSpec::new().table(10, 8, |_| 0).table(5, 1000, |r| r);
         assert_eq!(c.tables.len(), 2);
         assert_eq!(c.record_size(1), 1000);
-        assert_eq!(c.total_rows(), 15);
         assert_eq!((c.tables[1].seed)(3), 3);
     }
 }

@@ -280,9 +280,8 @@ pub(crate) fn run_claimed(
             .expect("a scratch per nesting level");
         let mut access = BohmAccess {
             t,
-            index: &inner.index,
+            store: &inner.store,
             guard: &guard,
-            deletes: &inner.deletes_seen,
             ahead: None,
             in_place: (t.is_detached()).then_some(InPlace {
                 inner,
@@ -299,7 +298,7 @@ pub(crate) fn run_claimed(
             Err(AbortReason::User) => {
                 // Logic abort: the transaction's versions carry the data of
                 // their predecessors (paper §3.3.1, "write dependencies").
-                match copy_through(inner, t, &guard) {
+                match copy_through(t, &guard) {
                     Ok(()) => {
                         batch.complete(t, false, 0);
                         return true;
@@ -383,10 +382,8 @@ fn resolve_dependency(
 /// On a logic abort, fill each still-pending placeholder with its
 /// predecessor's data so later readers observe the pre-transaction state
 /// (paper §3.3.1). Fails with the producer timestamp if a predecessor is
-/// itself unresolved. Tombstone fills arm the key sweep's
-/// `deletes_seen` gate like committed deletes do (an aborted fresh insert
-/// leaves a reclaimable sole-tombstone chain behind).
-fn copy_through(inner: &Inner, t: &TxnState, guard: &epoch::Guard) -> Result<(), u64> {
+/// itself unresolved.
+fn copy_through(t: &TxnState, guard: &epoch::Guard) -> Result<(), u64> {
     for wi in 0..t.txn.writes.len() {
         let ptr = t.write_refs[wi].load(Ordering::Acquire);
         debug_assert!(!ptr.is_null());
@@ -403,20 +400,13 @@ fn copy_through(inner: &Inner, t: &TxnState, guard: &epoch::Guard) -> Result<(),
                 // Aborted insert of a fresh record: publish a tombstone so
                 // readers see continued absence.
                 v.fill_tombstone();
-                // RELAXED: monotone hint that unlocks the key sweep; a
-                // stale zero there only delays GC.
-                inner.deletes_seen.fetch_add(1, Ordering::Relaxed);
             }
             Some(prev) => {
                 if !prev.is_resolved() {
                     return Err(prev.begin());
                 }
                 match prev.state() {
-                    bohm_mvstore::VersionState::Tombstone => {
-                        v.fill_tombstone();
-                        // RELAXED: monotone sweep hint, as above.
-                        inner.deletes_seen.fetch_add(1, Ordering::Relaxed);
-                    }
+                    bohm_mvstore::VersionState::Tombstone => v.fill_tombstone(),
                     _ => {
                         v.fill_once(prev.data());
                     }

@@ -11,14 +11,18 @@
 //!   transaction repacks its sets into the sequencer's arena, pushes it and
 //!   takes the next slot. Lock order *is* log order, the serialization
 //!   order. Each seal moves the block into its batch and opens a fresh one.
-//! * **Submit** ([`BohmSession::submit`](crate::BohmSession::submit)): lock
-//!   the open batch, append, and hand back a handle on the block's slot.
+//! * **Submit** ([`BohmSession::submit`](crate::BohmSession::submit)): admit
+//!   the transaction to the record store on the caller's thread — refuse a
+//!   record no table can hold, allocate the chains of rows nobody has named
+//!   yet (`crate::store`) — then lock the open batch, append, and hand back
+//!   a handle on the block's slot.
 //! * **Replay** (`Inner::replay`, behind BOHM's
 //!   [`BatchEngine::replay`](bohm_common::engine::BatchEngine::replay)): the
 //!   other way in. Log order is serial order, so a logged batch is a sealed
-//!   batch already: replay takes the mutex once per logged batch, appends its
-//!   transactions and seals them through the same path as a size-triggered
-//!   seal, splitting only a batch larger than `batch_size`. It reads their
+//!   batch already: replay admits a logged batch's transactions, takes the
+//!   mutex once per logged batch, appends them and seals them through the
+//!   same path as a size-triggered seal, splitting only a batch larger than
+//!   `batch_size`. A record no table can hold refuses the log. It reads their
 //!   outcomes off the batch's block once the batch has retired — no handle,
 //!   heap allocation or reap per transaction.
 //! * **Seal by size.** The submission that brings the open batch to
@@ -115,8 +119,12 @@ impl Inner {
     /// transaction's slot in the batch's outcome block.
     ///
     /// Blocks while a seal waits for room in the ring. Panics if the engine
-    /// has shut down.
+    /// has shut down, and — before taking anything — if `txn` names a
+    /// record no table can hold (`Store::admit`).
     pub(crate) fn submit(self: &Arc<Self>, txn: Txn) -> TxnHandle {
+        if let Err(refusal) = self.store.admit(&txn) {
+            panic!("{refusal}");
+        }
         let mut open = self.open();
         let slot = self.append(&mut open, txn);
         let (outcomes, batch) = (Arc::clone(&open.outcomes), open.next_batch);
@@ -160,8 +168,11 @@ impl Inner {
     /// # Errors
     ///
     /// Those of [`replay_into`](bohm_common::wal::replay_into), which
-    /// replays a record that carries decisions; and an engine that fails
-    /// (its log rejects an append) replays nothing more.
+    /// replays a record that carries decisions; an engine that fails (its
+    /// log rejects an append) replays nothing more; and
+    /// [`InvalidData`](io::ErrorKind::InvalidData) for a logged transaction
+    /// that names a record no table of this engine can hold, before any of
+    /// its batch is sealed.
     pub(crate) fn replay(
         &self,
         engine: &crate::Bohm,
@@ -178,6 +189,11 @@ impl Inner {
             }
         };
         for logged in batches {
+            for txn in &logged.txns {
+                self.store
+                    .admit(txn)
+                    .map_err(|refusal| io::Error::new(io::ErrorKind::InvalidData, refusal))?;
+            }
             if logged.outcomes.is_some() {
                 // Another engine's record: its decisions are checked one by
                 // one, behind everything sealed so far.
@@ -290,11 +306,12 @@ impl Inner {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::config::{BohmConfig, CatalogSpec};
     use crate::Bohm;
     use bohm_common::wal::{DurabilityConfig, FsyncPolicy};
     use bohm_common::{Procedure, RecordId, Txn};
+    use bohm_sync::atomic::{AtomicU64, Ordering};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
@@ -323,7 +340,10 @@ mod tests {
     }
 
     /// `f`'s result, or a failure — instead of a hang — after `limit`.
-    fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    pub(crate) fn within<T: Send + 'static>(
+        what: &str,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
         let limit = Duration::from_secs(20);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || tx.send(f()));
@@ -357,33 +377,64 @@ mod tests {
 
     #[test]
     fn depth_one_sessions_still_share_batches() {
-        // Eight sessions, each waiting for every transaction before the
-        // next: what lets them share a batch is that a waiter seals only
-        // once the window has drained, so every session that submits while
-        // a batch runs joins the one open behind it. A waiter that sealed
-        // at once would log about one batch per transaction.
+        // What lets depth-one sessions share a batch is the sealing rule: a
+        // waiter seals the open batch only once no batch is in flight, so
+        // every session that submits while one runs joins the batch open
+        // behind it. A gate with a think time holds a batch in flight while
+        // eight depth-one sessions submit and wait behind it; nothing may
+        // be sealed meanwhile, and then the eight share one batch. The rule
+        // is checked only while the gate demonstrably still runs: a round
+        // in which it ended first proves nothing and runs again with a
+        // longer gate, so the test does not depend on how the sessions are
+        // scheduled.
         let (mut cfg, dir) = durable("depth1");
         cfg.batch_size = 1024;
         let e = Bohm::start(cfg, catalog());
+        let window = &e.inner.window;
+        let logged = || e.wal().expect("durable").batches_logged();
         const SESSIONS: u64 = 8;
-        const EACH: u64 = 40;
-        std::thread::scope(|s| {
-            for c in 0..SESSIONS {
-                let e = &e;
-                s.spawn(move || {
-                    let session = e.session();
-                    for i in 0..EACH {
-                        assert!(session.submit(rmw(c * 8 + i % 8)).wait().committed);
-                    }
-                });
+        let mut think_us = 50_000;
+        let checked = loop {
+            window.wait_retired();
+            let (pushed, batches) = (window.pushed(), logged());
+            let mut gate = rmw(63);
+            gate.think_us = think_us;
+            let gate = e.session().submit(gate);
+            // Nothing is in flight: polling seals the gate's batch.
+            assert!(!gate.is_done());
+            assert_eq!(window.pushed(), pushed + 1, "the poll sealed the gate");
+            let waiting = AtomicU64::new(0);
+            let during_gate = std::thread::scope(|s| {
+                for c in 0..SESSIONS {
+                    let (e, waiting) = (&e, &waiting);
+                    s.spawn(move || {
+                        let h = e.session().submit(rmw(c));
+                        waiting.fetch_add(1, Ordering::SeqCst);
+                        assert!(h.wait().committed);
+                    });
+                }
+                while waiting.load(Ordering::SeqCst) < SESSIONS {
+                    std::thread::yield_now();
+                }
+                // Give the waiters time to reach their seal decision; the
+                // observation below holds however long they take.
+                std::thread::sleep(Duration::from_millis(20));
+                let seen = window.pushed();
+                (!gate.is_done()).then_some(seen)
+            });
+            assert!(gate.wait().committed);
+            if let Some(seen) = during_gate {
+                assert_eq!(seen, pushed + 1, "a waiter sealed while the gate ran");
+                window.wait_retired();
+                break logged() - batches;
             }
-        });
-        let batches = e.wal().expect("durable").batches_logged();
-        let txns = SESSIONS * EACH;
-        assert!(
-            batches < txns / 2,
-            "{batches} batches for {txns} transactions at depth 1"
-        );
+            think_us *= 2;
+            assert!(
+                think_us <= 3_200_000,
+                "the gate never outlasted the sessions"
+            );
+        };
+        assert_eq!(checked, 2, "the gate's batch, then one shared by all eight");
         e.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -467,7 +518,6 @@ mod modelcheck {
         let mut cfg = BohmConfig::with_threads(1, 1);
         cfg.batch_size = 2;
         cfg.max_inflight_batches = 2;
-        cfg.index_capacity = 16;
         Arc::new(Inner::new(cfg, CatalogSpec::new().table(4, 8, |_| 0)))
     }
 

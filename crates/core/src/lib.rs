@@ -19,7 +19,8 @@
 //!    every other submitter behind it — backpressure, not unbounded
 //!    queueing. See [`ingest`].
 //! 2. **Concurrency-control threads** (§3.2.2-§3.2.4): each owns a static
-//!    hash partition of the key space. For every transaction, in timestamp
+//!    partition of the records — whole cache lines of their version chains,
+//!    which live at `table[row]` (see `store`). For every transaction, in timestamp
 //!    order, the owner of each written record installs an *uninitialized
 //!    placeholder version* and the owner of each read record annotates the
 //!    transaction with a direct pointer to the version it must read. No CC
@@ -66,9 +67,9 @@
 //! reuses them, header and payload, as its next placeholders (a per-thread
 //! `VersionPool`; no allocator, no epoch collector on that path). Batch
 //! retirement takes the batch out of its window ring slot — the slot owns
-//! it, so the retiring thread drops it — and advances that bound.
-//! `crossbeam-epoch` (RCU) still protects what every thread traverses and
-//! Condition 3 does not cover: hash-index entries.
+//! it, so the retiring thread drops it — and advances that bound. Chains
+//! are never freed while the engine runs, so nothing else needs reclaiming:
+//! a deleted row keeps one tombstone until its next install.
 //!
 //! See `DESIGN.md` at the repository root for the system map.
 //!
@@ -123,9 +124,10 @@ pub mod exec;
 pub mod ingest;
 mod lookahead;
 pub mod session;
+mod store;
 pub mod window;
 
 pub use batch::TxnHandle;
-pub use config::{BohmConfig, CatalogSpec, MAX_INDEX_CAPACITY_HINT};
+pub use config::{BohmConfig, CatalogSpec};
 pub use engine::Bohm;
 pub use session::BohmSession;

@@ -3,10 +3,10 @@
 //! BOHM knows every record a transaction will touch before anything runs
 //! (§3.2.2: CC work is a pure function of the pre-declared sets), so the
 //! addresses its loops will miss on are computable long before the loop
-//! gets there. Reaching one takes a *chain* of dependent loads — bucket
-//! slot → index entry → head version → predecessor or payload — so a single
-//! prefetch a fixed distance ahead is not enough: the second load's address
-//! is not known until the first has arrived. A [`LookAhead`] therefore runs
+//! gets there. Reaching one takes a *chain* of dependent loads — the
+//! record's chain line (at `table[row]`) → head version → predecessor or
+//! payload — so a single prefetch a fixed distance ahead is not enough: the
+//! second load's address is not known until the first has arrived. A [`LookAhead`] therefore runs
 //! a small software pipeline in front of the working cursor: each upcoming
 //! item passes through `stages` hint stages, `dist` items apart, each stage
 //! issuing the next load of the chain for a line the stage before it asked
@@ -15,13 +15,13 @@
 //! # The rule: carry nothing you will dereference
 //! The ring holds *items* — keys, set positions, transaction indices —
 //! never pointers into the store. Every stage derives what it needs afresh
-//! (from the bucket, under the caller's current pin; from the annotation
-//! slot), so whatever happened between two stages — the same key written
-//! again inside the window, a version recycled, the caller re-pinned — at
-//! worst makes a hint fetch a line nobody needs. The working loop never
-//! reads anything a stage produced; deleting every `step` call changes no
-//! result. What each stage may dereference is argued where the stage is
-//! implemented (`HashIndex::look_ahead`, `exec::hint_txn`).
+//! (from the record's chain; from the annotation slot), so whatever
+//! happened between two stages — the same record written again inside the
+//! window, a version recycled — at worst makes a hint fetch a line nobody
+//! needs. The working loop never reads anything a stage produced; deleting
+//! every `step` call changes no result. What each stage may dereference is
+//! argued where the stage is implemented (`Store::look_ahead`,
+//! `exec::hint_txn`).
 
 /// Ring capacity (a power of two); `STAGES × DIST` must stay below it.
 const RING: usize = 32;

@@ -1096,7 +1096,10 @@ mod modelcheck {
                         w.count_out(b.id);
                     }
                 }
-                assert!(exited || reads_vacancy_as_retirement, "the close ends the walk");
+                assert!(
+                    exited || reads_vacancy_as_retirement,
+                    "the close ends the walk"
+                );
                 counted
             })
         };
@@ -1143,7 +1146,11 @@ mod modelcheck {
         w.wait_retired();
         assert!(w.is_empty(), "all three retired");
         w.close(3);
-        assert_eq!(lane.join().unwrap(), [1], "the lane counted out of the reader batch only");
+        assert_eq!(
+            lane.join().unwrap(),
+            [1],
+            "the lane counted out of the reader batch only"
+        );
         executor.join().unwrap();
         quiescer.join().unwrap();
     }

@@ -28,23 +28,15 @@ use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
 
 /// The version chain of one record.
 ///
-/// Three words, naturally aligned: the chain is not padded itself. The
-/// hash index inlines one per entry and aligns the *entry* to a cache line,
-/// so a probe that found the key has the chain's words in the line it
-/// already holds, and installs on one record never false-share with a
-/// neighbour's.
+/// Two words, naturally aligned, and all-zero when empty: the chain is not
+/// padded itself. BOHM keeps one per row in line-aligned arrays of zeroed
+/// memory, four to a cache line, so a row nobody has written costs nothing
+/// until its page is touched.
 pub struct Chain {
     head: Atomic<Version>,
-    /// Largest timestamp of any transaction whose read the owning CC
-    /// thread annotated with a direct pointer into this chain. Written
-    /// only by that thread (timestamps arrive monotonically), read by the
-    /// same thread's key-reclamation sweep: an index entry may only be
-    /// retired once every possible annotation holder has executed
-    /// (`annotated_ts ≤ GC bound`) — the annotation-safe lifetime rule.
-    annotated_ts: AtomicU64,
     /// The Condition-3 bound the engine last walked this chain under
-    /// ([`mark_gc`](Self::mark_gc)). Same single writer and reader as
-    /// `annotated_ts`. The engine installs above every bound already
+    /// ([`mark_gc`](Self::mark_gc)). Written and read only by the owning CC
+    /// thread. The engine installs above every bound already
     /// published, so a version installed after a walk ends its predecessor
     /// *above* that walk's bound: re-walking under an unchanged bound can
     /// find nothing new, and
@@ -64,26 +56,16 @@ impl Chain {
     pub fn new() -> Self {
         Self {
             head: Atomic::null(),
-            annotated_ts: AtomicU64::new(0),
             gc_mark: AtomicU64::new(0),
         }
     }
 
-    /// Record that the owning CC thread handed a direct pointer into this
-    /// chain to the (not-yet-executed) transaction at `ts`. Single-writer,
-    /// monotonic — see the field docs.
+    /// Whether no version has been installed here yet. The head pointer
+    /// is loaded and never followed, so this is safe for any caller at any
+    /// time.
     #[inline]
-    pub fn note_annotation(&self, ts: Timestamp) {
-        // RELAXED: single-writer monotonic watermark read only by the same
-        // CC thread's reclamation sweep; no payload is published through it.
-        self.annotated_ts.store(ts, Ordering::Relaxed);
-    }
-
-    /// Largest timestamp ever passed to [`note_annotation`](Self::note_annotation).
-    #[inline]
-    pub fn annotated_ts(&self) -> Timestamp {
-        // RELAXED: same-thread read of the single-writer watermark above.
-        self.annotated_ts.load(Ordering::Relaxed)
+    pub fn is_empty(&self, guard: &Guard) -> bool {
+        self.head.load(Ordering::Acquire, guard).is_null()
     }
 
     /// Note that the owning CC thread is about to walk this chain under the
@@ -105,25 +87,6 @@ impl Chain {
         // RELAXED: as above.
         self.gc_mark.store(bound, Ordering::Relaxed);
         true
-    }
-
-    /// If the whole chain is exactly one *resolved tombstone*, return its
-    /// begin timestamp. This is the reclaimable shape of a fully-deleted
-    /// key: combined with `begin ≤ GC bound` (every reader that could still
-    /// need to observe the deletion has executed) and the annotation rule,
-    /// the key's index entry can be retired outright.
-    pub fn sole_tombstone(&self, guard: &Guard) -> Option<Timestamp> {
-        let head = self.head.load(Ordering::Acquire, guard);
-        // SAFETY: the head has end = ∞ and is never truncated; only key
-        // retirement frees it, epoch-deferred past `guard`.
-        let v = unsafe { head.as_ref() }?;
-        if v.state() == crate::version::VersionState::Tombstone
-            && v.prev.load(Ordering::Acquire, guard).is_null()
-        {
-            Some(v.begin())
-        } else {
-            None
-        }
     }
 
     /// Install `version` as the new latest version.
@@ -337,9 +300,27 @@ mod tests {
     fn empty_chain_has_no_visible_version() {
         let c = Chain::new();
         let g = epoch::pin();
+        assert!(c.is_empty(&g));
         assert!(c.latest(&g).is_none());
         assert!(c.visible(100, &g).is_none());
         assert_eq!(c.depth(&g), 0);
+        c.install(ready(1, 1), &g);
+        assert!(!c.is_empty(&g));
+    }
+
+    /// Two words, four to a cache line, and all-zero when empty: BOHM's
+    /// record store hands out zeroed memory as empty chains. Pinned in the
+    /// real build only: the model checker's atomics are larger.
+    #[cfg(not(bohm_modelcheck))]
+    #[test]
+    fn a_chain_is_two_zero_words_when_empty() {
+        assert_eq!(std::mem::size_of::<Chain>(), 16);
+        // SAFETY: the claim under test — all-zero bytes are an empty chain.
+        let c: Chain = unsafe { std::mem::zeroed() };
+        let g = epoch::pin();
+        assert!(c.is_empty(&g) && c.latest(&g).is_none());
+        c.install(ready(1, 7), &g);
+        assert_eq!(get_u64(c.visible(2, &g).unwrap().data(), 0), 7);
     }
 
     #[test]
@@ -460,27 +441,6 @@ mod tests {
         assert_eq!(c.truncate(300, &g), 1);
         assert_eq!(c.depth(&g), 1);
         assert_eq!(get_u64(c.latest(&g).unwrap().data(), 0), 3);
-    }
-
-    #[test]
-    fn sole_tombstone_shape_and_annotation_bookkeeping() {
-        let c = Chain::new();
-        let g = epoch::pin();
-        assert!(c.sole_tombstone(&g).is_none(), "empty chain");
-        c.install(ready(100, 1), &g);
-        assert!(c.sole_tombstone(&g).is_none(), "live value");
-        let del = c.install(Owned::new(Version::placeholder(200, 8)), &g);
-        // SAFETY: `del` was just installed under `g` and nothing truncates.
-        unsafe { del.as_ref() }.unwrap().fill_tombstone();
-        assert!(
-            c.sole_tombstone(&g).is_none(),
-            "predecessor value still linked"
-        );
-        assert_eq!(c.truncate(200, &g), 1);
-        assert_eq!(c.sole_tombstone(&g), Some(200), "fully-deleted shape");
-        assert_eq!(c.annotated_ts(), 0);
-        c.note_annotation(250);
-        assert_eq!(c.annotated_ts(), 250);
     }
 
     #[test]

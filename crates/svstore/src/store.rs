@@ -27,9 +27,17 @@ impl SingleVersionStore {
     }
 
     /// Flat slot index of `rid` across all tables (dense, `< total_slots`).
+    ///
+    /// Panics if `rid` is past its table: the flat index would be another
+    /// table's slot, and a lock taken on it would outlive the panic the
+    /// access itself then raises.
     #[inline]
     pub fn slot(&self, rid: RecordId) -> u64 {
-        debug_assert!((rid.row as usize) < self.tables[rid.table.index()].rows());
+        let rows = self.tables[rid.table.index()].rows();
+        assert!(
+            (rid.row as usize) < rows,
+            "record {rid} is past its table's {rows} rows"
+        );
         self.slot_base[rid.table.index()] + rid.row
     }
 

@@ -385,7 +385,6 @@ pub fn index_phantom_hammer<E: bohm_common::engine::BatchEngine>(
     use bohm_common::value::{checksum, of_u64, put_u64};
     use bohm_sync::atomic::{AtomicBool, Ordering};
     use bohm_workloads::tpcc;
-    assert!(cfg.has_customer_index(), "hammer needs the customer index");
     let batch = cfg.delivery_batch;
     assert_eq!(
         cfg.orders_per_stripe(),
@@ -603,7 +602,6 @@ mod tests {
             spare_rows: 0,
             record_size: 8,
             seed: |r| r * 100,
-            growable: false,
         }])
     }
 
@@ -613,7 +611,6 @@ mod tests {
             spare_rows: 3,
             record_size: 8,
             seed: |r| r * 100,
-            growable: false,
         }])
     }
 

@@ -32,7 +32,6 @@ impl MicroConfig {
             spare_rows: 0,
             record_size: 8,
             seed: |_| 0,
-            growable: false,
         }])
     }
 }

@@ -53,21 +53,18 @@ impl SmallBankConfig {
                 spare_rows: 0,
                 record_size: 8,
                 seed: |row| row,
-                growable: false,
             },
             TableDef {
                 rows: self.customers,
                 spare_rows: 0,
                 record_size: 8,
                 seed: |_| 10_000,
-                growable: false,
             },
             TableDef {
                 rows: self.customers,
                 spare_rows: 0,
                 record_size: 8,
                 seed: |_| 10_000,
-                growable: false,
             },
         ])
     }

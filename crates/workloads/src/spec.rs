@@ -24,20 +24,12 @@ pub struct TableDef {
     pub spare_rows: u64,
     pub record_size: usize,
     pub seed: fn(u64) -> u64,
-    /// The table may grow beyond [`capacity`](Self::capacity): row ids at
-    /// or above it are legal insert targets. Only engines with a dynamic
-    /// index support this — BOHM's latch-free hash index accepts any row
-    /// id, while the array-backed substrates (single-version slabs, the
-    /// Hekaton fixed-size array index) pre-size their slot arrays and
-    /// **refuse to build** a growable table with a clear error instead of
-    /// silently wrapping or corrupting neighbours. For growable tables,
-    /// `capacity()` degrades to a sizing hint.
-    pub growable: bool,
 }
 
 impl TableDef {
-    /// Total addressable rows: seeded prefix plus insert headroom (for
-    /// [`growable`](Self::growable) tables, a hint rather than a bound).
+    /// Total addressable rows: seeded prefix plus insert headroom. Every
+    /// engine addresses at least these; the array-backed ones exactly
+    /// these.
     #[inline]
     pub fn capacity(&self) -> u64 {
         self.rows + self.spare_rows
@@ -105,7 +97,6 @@ impl DatabaseSpec {
             spare_rows: 0,
             record_size: bohm_common::index::posting_record_size(def.max_entries),
             seed: |_| 0, // count word 0: every key starts with an empty list
-            growable: false,
         });
         self.indexes.push((def, (self.tables.len() - 1) as u32));
         self
@@ -143,7 +134,6 @@ mod tests {
             spare_rows: 16,
             record_size: 32,
             seed: |_| 0,
-            growable: false,
         }])
         .with_index(IndexDef {
             on_table: 0,
@@ -158,7 +148,6 @@ mod tests {
         assert_eq!(t.rows, 4, "one posting-list row per key, all seeded");
         assert_eq!(t.record_size, 8 + 8 * 3);
         assert_eq!((t.seed)(2), 0, "lists start empty (count word 0)");
-        assert!(!t.growable);
     }
 
     #[test]
@@ -179,14 +168,12 @@ mod tests {
                 spare_rows: 0,
                 record_size: 8,
                 seed: |r| r,
-                growable: false,
             },
             TableDef {
                 rows: 5,
                 spare_rows: 3,
                 record_size: 1000,
                 seed: |_| 0,
-                growable: false,
             },
         ]);
         assert_eq!(spec.shapes(), vec![(10, 8), (8, 1000)]);

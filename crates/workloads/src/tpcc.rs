@@ -44,10 +44,7 @@
 //! per-stripe **partition** of the customer space (global customer row ≡
 //! stripe mod `order_stripes`) — so one generator sees all orders of its
 //! customers — and a NewOrder aimed at a full customer becomes a Delivery
-//! instead, exactly like a full stripe ring. Under
-//! [`unbounded_orders`](TpccConfig::unbounded_orders) the index is
-//! disabled (fixed-size lists cannot back an unbounded stream) and the
-//! pre-index transaction shapes are generated.
+//! instead, exactly like a full stripe ring.
 
 use crate::spec::{DatabaseSpec, IndexDef, TableDef};
 use crate::TxnGen;
@@ -66,8 +63,7 @@ pub mod tables {
     pub const DELIVERY: u32 = 4;
     /// The customer→orders secondary index: one posting-list record per
     /// customer (row id = global customer row), holding the customer's
-    /// live order rows. Absent from the schema under
-    /// `TpccConfig::unbounded_orders`.
+    /// live order rows.
     pub const CUSTOMER_ORDERS: u32 = 5;
 }
 
@@ -87,25 +83,11 @@ pub struct TpccConfig {
     /// Posting-list capacity of the customer→orders index: the maximum
     /// live orders any single customer may hold. The generator enforces
     /// the bound (a NewOrder aimed at a full customer delivers instead),
-    /// so maintenance can never overflow a list. Ignored (the index is
-    /// disabled) under [`unbounded_orders`](Self::unbounded_orders).
+    /// so maintenance can never overflow a list.
     pub orders_per_customer: u64,
-    /// Let the order table grow beyond [`order_capacity`](Self::order_capacity):
-    /// stripes become huge virtual ranges ([`UNBOUNDED_STRIPE_SPAN`] rows
-    /// each), so NewOrder streams insert fresh ever-larger row ids instead
-    /// of recycling a capped ring. Only dynamically-indexed engines (BOHM)
-    /// can run this configuration — the array-backed baselines refuse to
-    /// build a growable spec with a clear error; keep this `false` for
-    /// cross-engine parity runs.
-    pub unbounded_orders: bool,
     /// Per-transaction busy-spin, µs.
     pub think_us: u32,
 }
-
-/// Virtual rows per stripe under [`TpccConfig::unbounded_orders`] — large
-/// enough that no realistic stream ever wraps a stripe, small enough that
-/// `stripe * span` cannot overflow `u64` for any sane stripe count.
-pub const UNBOUNDED_STRIPE_SPAN: u64 = 1 << 40;
 
 impl Default for TpccConfig {
     fn default() -> Self {
@@ -117,7 +99,6 @@ impl Default for TpccConfig {
             order_stripes: 64,
             delivery_batch: 4,
             orders_per_customer: 64,
-            unbounded_orders: false,
             think_us: 0,
         }
     }
@@ -130,14 +111,6 @@ impl TpccConfig {
 
     pub fn customers(&self) -> u64 {
         self.districts() * self.customers_per_district
-    }
-
-    /// Is the customer→orders secondary index part of the schema? Yes
-    /// except under [`unbounded_orders`](Self::unbounded_orders), whose
-    /// ever-growing per-customer order sets cannot fit fixed-size posting
-    /// lists.
-    pub fn has_customer_index(&self) -> bool {
-        !self.unbounded_orders
     }
 
     /// Check the configuration for the mistakes that used to fail late and
@@ -165,9 +138,6 @@ impl TpccConfig {
             return Err(
                 "delivery_batch must be ≥ 1 (a Delivery consumes at least one order)".into(),
             );
-        }
-        if self.unbounded_orders {
-            return Ok(()); // virtual stripe spans; capacity is only a hint
         }
         if self.order_capacity < self.order_stripes {
             return Err(format!(
@@ -209,13 +179,8 @@ impl TpccConfig {
             .unwrap_or_else(|e| panic!("invalid TpccConfig: {e}"));
     }
 
-    /// Order slots owned by one generator stripe. Under
-    /// [`unbounded_orders`](Self::unbounded_orders) this is the virtual
-    /// span — effectively "never wrap".
+    /// Order slots owned by one generator stripe.
     pub fn orders_per_stripe(&self) -> u64 {
-        if self.unbounded_orders {
-            return UNBOUNDED_STRIPE_SPAN;
-        }
         // Defensive twin of `validate` (callers that skip spec()/TpccGen
         // still get a clear message, not a raw divide-by-zero).
         assert!(
@@ -259,42 +224,32 @@ impl TpccConfig {
                 spare_rows: 0,
                 record_size: 8,
                 seed: |_| 0, // w_ytd
-                growable: false,
             },
             TableDef {
                 rows: self.districts(),
                 spare_rows: 0,
                 record_size: 16,
                 seed: |_| 0, // d_next_o_id counter / d_ytd share the prefix
-                growable: false,
             },
             TableDef {
                 rows: self.customers(),
                 spare_rows: 0,
                 record_size: 16,
                 seed: |_| 100_000, // c_balance (cents)
-                growable: false,
             },
             TableDef {
                 rows: 0,
-                // Under unbounded_orders the capacity degrades to an
-                // index-sizing hint; array engines refuse growable tables.
                 spare_rows: self.order_capacity,
                 record_size: 32,
                 seed: |_| 0, // never invoked: the table starts empty
-                growable: self.unbounded_orders,
             },
             TableDef {
                 rows: self.order_stripes,
                 spare_rows: 0,
                 record_size: 8,
                 seed: |_| 0, // delivered-order count per stripe
-                growable: false,
             },
         ]);
-        if !self.has_customer_index() {
-            return base;
-        }
         // The customer→orders index: one posting-list row per customer
         // (the index key is the global customer row), seeded empty.
         base.with_index(IndexDef {
@@ -334,17 +289,14 @@ fn order_list(global_customer: u64) -> RecordId {
     RecordId::new(tables::CUSTOMER_ORDERS, global_customer)
 }
 
-/// Build a NewOrder transaction inserting order row `o_row`. With the
-/// customer→orders index in the schema, the customer's posting list is a
-/// third read/write pair — the transactional index maintenance.
+/// Build a NewOrder transaction inserting order row `o_row`. The
+/// customer's posting list is a third read/write pair — the transactional
+/// index maintenance.
 pub fn new_order(cfg: &TpccConfig, w: u64, d: u64, c: u64, o_row: u64, lines: u32) -> Txn {
     let cust = customer(cfg, w, d, c);
-    let mut reads = vec![district(cfg, w, d), cust];
-    let mut writes = vec![district(cfg, w, d), order(o_row)];
-    if cfg.has_customer_index() {
-        reads.push(order_list(cust.row));
-        writes.push(order_list(cust.row));
-    }
+    let list = order_list(cust.row);
+    let reads = vec![district(cfg, w, d), cust, list];
+    let writes = vec![district(cfg, w, d), order(o_row), list];
     let mut t = Txn::new(reads, writes, Procedure::TpcC(TpcCProc::NewOrder { lines }));
     t.think_us = cfg.think_us;
     t
@@ -356,10 +308,6 @@ pub fn new_order(cfg: &TpccConfig, w: u64, d: u64, c: u64, o_row: u64, lines: u3
 /// [`TpcCProc::CustomerStatus`]: reads = `[customer(c), order_list(c)]`,
 /// index_scans = `[{list: 1, table: order}]`, writes = `[]`.
 pub fn customer_status(cfg: &TpccConfig, w: u64, d: u64, c: u64) -> Txn {
-    assert!(
-        cfg.has_customer_index(),
-        "CustomerStatus needs the customer→orders index (disabled under unbounded_orders)"
-    );
     let cust = customer(cfg, w, d, c);
     let mut t = Txn::with_index_scans(
         vec![cust, order_list(cust.row)],
@@ -387,8 +335,8 @@ pub fn payment(cfg: &TpccConfig, w: u64, d: u64, c: u64, amount: u64) -> Txn {
 /// starting at ring position `first` (the stripe's oldest undelivered
 /// order). `customers[i]` is the global customer row of the i-th consumed
 /// order — write sets are declared up front, so the posting lists the
-/// deletes must unmaintain are part of the declared shape (deduplicated;
-/// ignored when the schema has no index). Reads = writes =
+/// deletes must unmaintain are part of the declared shape (deduplicated).
+/// Reads = writes =
 /// `[cursor, order…, list…]`, per the [`TpcCProc::Delivery`] layout.
 pub fn delivery(cfg: &TpccConfig, stripe: u64, first: u64, count: u64, customers: &[u64]) -> Txn {
     let per = cfg.orders_per_stripe();
@@ -396,17 +344,15 @@ pub fn delivery(cfg: &TpccConfig, stripe: u64, first: u64, count: u64, customers
     let mut rids = Vec::with_capacity(1 + 2 * count as usize);
     rids.push(delivery_cursor(stripe));
     rids.extend((0..count).map(|i| order(base + (first + i) % per)));
-    if cfg.has_customer_index() {
-        assert_eq!(
-            customers.len() as u64,
-            count,
-            "one customer per consumed order (declared write sets)"
-        );
-        let mut lists = customers.to_vec();
-        lists.sort_unstable();
-        lists.dedup();
-        rids.extend(lists.into_iter().map(order_list));
-    }
+    assert_eq!(
+        customers.len() as u64,
+        count,
+        "one customer per consumed order (declared write sets)"
+    );
+    let mut lists = customers.to_vec();
+    lists.sort_unstable();
+    lists.dedup();
+    rids.extend(lists.into_iter().map(order_list));
     let mut t = Txn::new(rids.clone(), rids, Procedure::TpcC(TpcCProc::Delivery));
     t.think_us = cfg.think_us;
     t
@@ -459,11 +405,10 @@ pub struct TpccGen {
     /// Global customer row of each live order, oldest first (parallel to
     /// ring positions `delivered..created`) — the declared-write-set
     /// knowledge Delivery needs to name the posting lists it unmaintains.
-    /// Empty when the schema has no index.
     pending_custs: VecDeque<u64>,
     /// Live-order count per customer of this stripe's partition (ordinal
     /// `o` is global row `stripe + o·order_stripes`): the generator-side
-    /// enforcement of the posting-list capacity. Empty without the index.
+    /// enforcement of the posting-list capacity.
     cust_live: Vec<u64>,
     /// Customers in this stripe's partition.
     partition: u64,
@@ -479,11 +424,7 @@ impl TpccGen {
         assert!(stripe < cfg.order_stripes, "stripe beyond order_stripes");
         let stripe_base = stripe * cfg.orders_per_stripe();
         let partition = cfg.stripe_customers(stripe);
-        let cust_live = if cfg.has_customer_index() {
-            vec![0u64; partition as usize]
-        } else {
-            Vec::new()
-        };
+        let cust_live = vec![0u64; partition as usize];
         Self {
             cfg,
             rng: FastRng::seed_from(seed),
@@ -528,48 +469,38 @@ impl TpccGen {
         let undelivered = self.created - self.delivered;
         debug_assert!(undelivered > 0);
         let count = self.cfg.delivery_batch.min(undelivered);
-        let custs: Vec<u64> = if self.cfg.has_customer_index() {
-            let custs: Vec<u64> = self.pending_custs.drain(..count as usize).collect();
-            for &g in &custs {
-                let ord = (g - self.stripe) / self.cfg.order_stripes;
-                self.cust_live[ord as usize] -= 1;
-            }
-            custs
-        } else {
-            Vec::new()
-        };
+        let custs: Vec<u64> = self.pending_custs.drain(..count as usize).collect();
+        for &g in &custs {
+            let ord = (g - self.stripe) / self.cfg.order_stripes;
+            self.cust_live[ord as usize] -= 1;
+        }
         let t = delivery(&self.cfg, self.stripe, self.delivered, count, &custs);
         self.delivered += count;
         t
     }
 
     /// Issue a NewOrder inserting at the stripe's ring head — or a
-    /// Delivery when the ring is full or (with the index) the chosen
-    /// customer's posting list is at capacity, so the stream frees slots
-    /// and list entries before growing again. `(w, d, c)` is used only
-    /// without the index; with it, the customer comes from this stripe's
-    /// partition so each posting list has a single maintaining generator.
-    fn next_new_order(&mut self, w: u64, d: u64, c: u64) -> Txn {
+    /// Delivery when the ring is full or the chosen customer's posting list
+    /// is at capacity, so the stream frees slots and list entries before
+    /// growing again. The customer comes from this stripe's partition, so
+    /// each posting list has a single maintaining generator.
+    fn next_new_order(&mut self) -> Txn {
         let per = self.cfg.orders_per_stripe();
         if self.created - self.delivered == per {
             // Stripe full: deliver instead, so the next NewOrder inserts
             // into a genuinely recycled (absent) slot.
             return self.next_delivery();
         }
-        let (w, d, c) = if self.cfg.has_customer_index() {
-            let ord = self.rng.below(self.partition);
-            if self.cust_live[ord as usize] >= self.cfg.orders_per_customer {
-                // The customer's posting list is full: deliver instead
-                // (there is at least one live order to consume).
-                return self.next_delivery();
-            }
-            let g = self.stripe + ord * self.cfg.order_stripes;
-            self.cust_live[ord as usize] += 1;
-            self.pending_custs.push_back(g);
-            self.cfg.customer_coords(g)
-        } else {
-            (w, d, c)
-        };
+        let ord = self.rng.below(self.partition);
+        if self.cust_live[ord as usize] >= self.cfg.orders_per_customer {
+            // The customer's posting list is full: deliver instead (there
+            // is at least one live order to consume).
+            return self.next_delivery();
+        }
+        let g = self.stripe + ord * self.cfg.order_stripes;
+        self.cust_live[ord as usize] += 1;
+        self.pending_custs.push_back(g);
+        let (w, d, c) = self.cfg.customer_coords(g);
         let o_row = self.stripe_base + self.created % per;
         self.created += 1;
         let lines = 1 + self.rng.below(10) as u32;
@@ -579,7 +510,6 @@ impl TpccGen {
     /// Index-scan a customer of this stripe's partition (the customers
     /// whose posting lists this generator's NewOrders/Deliveries churn).
     fn next_customer_status(&mut self) -> Txn {
-        debug_assert!(self.cfg.has_customer_index());
         let ord = self.rng.below(self.partition);
         let g = self.stripe + ord * self.cfg.order_stripes;
         let (w, d, c) = self.cfg.customer_coords(g);
@@ -605,7 +535,7 @@ impl TxnGen for TpccGen {
         let (w, d, c) = self.wdc();
         let per = self.cfg.orders_per_stripe();
         match self.rng.below(100) {
-            0..=42 => self.next_new_order(w, d, c),
+            0..=42 => self.next_new_order(),
             43..=78 => payment(&self.cfg, w, d, c, 1 + self.rng.below(5_000)),
             79..=83 => {
                 if self.created == self.delivered {
@@ -632,15 +562,7 @@ impl TxnGen for TpccGen {
                 order_status(&self.cfg, w, d, c, o_row)
             }
             90..=93 => self.next_order_history(w, d, c),
-            _ => {
-                if self.cfg.has_customer_index() {
-                    self.next_customer_status()
-                } else {
-                    // Index-less schema (unbounded_orders): keep the slot
-                    // read-only with an extra history scan instead.
-                    self.next_order_history(w, d, c)
-                }
-            }
+            _ => self.next_customer_status(),
         }
     }
 }
@@ -659,7 +581,6 @@ mod tests {
             order_stripes: 4,
             delivery_batch: 3,
             orders_per_customer: 8,
-            unbounded_orders: false,
             think_us: 0,
         }
     }
@@ -723,15 +644,8 @@ mod tests {
             ..small()
         };
         assert!(cfg.validate().unwrap_err().contains("cover"), "{cfg:?}");
-        // The defaults (and the unbounded configuration) stay valid.
+        // The defaults stay valid.
         assert!(TpccConfig::default().validate().is_ok());
-        assert!(TpccConfig {
-            unbounded_orders: true,
-            order_capacity: 65,
-            ..small()
-        }
-        .validate()
-        .is_ok());
     }
 
     #[test]
@@ -920,40 +834,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn unbounded_orders_grow_past_declared_capacity() {
-        let cfg = TpccConfig {
-            unbounded_orders: true,
-            ..small()
-        };
-        assert_eq!(cfg.orders_per_stripe(), UNBOUNDED_STRIPE_SPAN);
-        assert!(cfg.spec().tables[tables::ORDER as usize].growable);
-        let mut g = TpccGen::new(cfg.clone(), 7, 2);
-        let lo = 2 * UNBOUNDED_STRIPE_SPAN;
-        let mut max_row = 0;
-        for _ in 0..5_000 {
-            let t = g.next_txn();
-            for rid in t.reads.iter().chain(t.writes.iter()) {
-                if rid.table == bohm_common::TableId(tables::ORDER) {
-                    assert!(
-                        (lo..lo + UNBOUNDED_STRIPE_SPAN).contains(&rid.row),
-                        "stripe leak at row {}",
-                        rid.row
-                    );
-                    max_row = max_row.max(rid.row);
-                }
-            }
-        }
-        // The stream kept inserting fresh rows far past the (capped-mode)
-        // per-stripe ring of order_capacity / order_stripes = 16 rows.
-        assert!(
-            max_row - lo > 64,
-            "unbounded stream must outgrow the capped ring (got {})",
-            max_row - lo
-        );
-        assert!(g.orders_created() > 64);
     }
 
     /// FNV-1a over `format!("{txn:?}")` of a generator's first 20,000

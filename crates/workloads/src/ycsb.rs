@@ -55,7 +55,6 @@ impl YcsbConfig {
             spare_rows: 0,
             record_size: self.record_size,
             seed: |row| row,
-            growable: false,
         }])
     }
 }

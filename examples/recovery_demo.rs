@@ -54,21 +54,18 @@ fn spec() -> DatabaseSpec {
             spare_rows: 0,
             record_size: 8,
             seed: |r| 1000 + r,
-            growable: false,
         },
         TableDef {
             rows: ROWS,
             spare_rows: 0,
             record_size: 8,
             seed: |r| 500 + r,
-            growable: false,
         },
         TableDef {
             rows: ROWS,
             spare_rows: ROWS,
             record_size: 16,
             seed: |r| r,
-            growable: true,
         },
     ])
 }

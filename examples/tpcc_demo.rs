@@ -28,7 +28,6 @@ fn main() {
         order_stripes: 1,
         delivery_batch: 4,
         orders_per_customer: 64,
-        unbounded_orders: false,
         think_us: 0,
     };
     let spec = cfg.spec();

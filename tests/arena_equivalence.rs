@@ -24,7 +24,6 @@ fn cfg() -> TpccConfig {
         order_stripes: 1,
         delivery_batch: 4,
         orders_per_customer: 64,
-        unbounded_orders: false,
         think_us: 0,
     }
 }

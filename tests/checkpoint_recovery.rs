@@ -31,14 +31,12 @@ fn spec() -> DatabaseSpec {
             spare_rows: 0,
             record_size: 8,
             seed: |r| 1000 + r,
-            growable: false,
         },
         TableDef {
             rows: ROWS,
             spare_rows: 0,
             record_size: 8,
             seed: |r| 500 + r,
-            growable: false,
         },
     ])
 }

@@ -37,9 +37,6 @@ use std::path::{Path, PathBuf};
 const ROWS: u64 = 96;
 
 /// Savings + checking + a fixed-capacity insert/delete scratch table.
-/// Unlike the BOHM-only suite, the scratch table is *not* growable: the
-/// array-backed substrates (2PL/OCC/Hekaton) pre-size their slot arrays
-/// and reject growable tables at build time.
 fn spec() -> DatabaseSpec {
     DatabaseSpec::new(vec![
         TableDef {
@@ -47,21 +44,18 @@ fn spec() -> DatabaseSpec {
             spare_rows: 0,
             record_size: 8,
             seed: |r| 1000 + r,
-            growable: false,
         },
         TableDef {
             rows: ROWS,
             spare_rows: 0,
             record_size: 8,
             seed: |r| 500 + r,
-            growable: false,
         },
         TableDef {
             rows: ROWS,
             spare_rows: ROWS,
             record_size: 16,
             seed: |r| r,
-            growable: false,
         },
     ])
 }

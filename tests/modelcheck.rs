@@ -24,18 +24,13 @@
 //!   stays silent. A twin whose low reader is *still running* when the
 //!   watermark passes it (Condition 3 broken) must be reported as a data
 //!   race on the recycled object, with a replayable seed.
-//! * **mvstore look-ahead models** — the staged hint walk
-//!   ([`HashIndex::look_ahead`](bohm_mvstore::HashIndex::look_ahead); the
-//!   prefetch itself compiles to nothing here, the loads that compute its
-//!   operand are real): a chain's owner walking its stages through a bucket
-//!   a neighbour is being CAS-inserted into, swept out of and re-inserted
-//!   into, and a reader's stages racing the owner's reclaim → take →
-//!   install under a watermark held below the reader. Two twins must be
-//!   reported as races: a stage that *keeps* the head reference it looked
-//!   at and reads through it after the watermark has passed (on the
-//!   recycled version), and a sweep that hands the neighbour's index slot
-//!   back before the grace period, so the re-insert reuses it under the
-//!   owner's walk (on the slot's key).
+//! * **mvstore look-ahead model** — a reader's staged hints past a chain's
+//!   line (head version, then payload; the prefetch itself compiles to
+//!   nothing here, the loads that compute its operand are real) racing the
+//!   owner's reclaim → take → install under a watermark held below the
+//!   reader. Its twin must be reported as a race: a stage that *keeps* the
+//!   head reference it looked at and reads through it after the watermark
+//!   has passed (on the recycled version).
 //! * **lock-manager model** — `RwSpin` guarding a facade
 //!   [`UnsafeCell`](bohm_sync::cell::UnsafeCell) payload: the vector-clock
 //!   detector proves the lock's Acquire/Release edges actually order the
@@ -323,13 +318,13 @@ mod chain {
 }
 
 // ---------------------------------------------------------------------------
-// mvstore: staged look-ahead vs. bucket churn and version recycling
+// mvstore: a reader's staged look-ahead vs. version recycling
 // ---------------------------------------------------------------------------
 
 mod look_ahead {
     use super::*;
-    use bohm_common::{RecordId, Timestamp};
-    use bohm_mvstore::{HashIndex, ProbeFor, Version, VersionIndex, VersionPool};
+    use bohm_common::Timestamp;
+    use bohm_mvstore::{Chain, Version, VersionPool};
     use bohm_sync::atomic::{AtomicU64, Ordering};
     use crossbeam_epoch as epoch;
 
@@ -337,117 +332,13 @@ mod look_ahead {
         epoch::Owned::new(Version::ready(ts, bohm_common::value::of_u64(ts, 8)))
     }
 
-    /// Two rows of table 0 that share a bucket of the smallest index.
-    fn bucket_mates(index: &HashIndex) -> (RecordId, RecordId) {
-        let mask = index.bucket_count() as u64 - 1;
-        let a = RecordId::new(0, 0);
-        let b = (1..)
-            .map(|row| RecordId::new(0, row))
-            .find(|b| b.stable_hash() & mask == a.stable_hash() & mask)
-            .unwrap();
-        (a, b)
-    }
-
-    /// Every stage, in order, the way a `LookAhead` runs them for one key.
-    fn stages(index: &HashIndex, rid: RecordId, probe: ProbeFor, g: &epoch::Guard) {
-        for stage in 0..HashIndex::LOOK_AHEAD_STAGES {
-            index.look_ahead(stage, rid.stable_hash(), probe, g);
-        }
-    }
-
-    /// The owner of `mine` runs its staged walk, probes and installs — twice
-    /// — while another thread CAS-inserts `neighbour` at the head of the
-    /// same bucket (so the owner's walk goes *through* the neighbour's
-    /// entry), sweeps it out again and re-inserts it. The walk dereferences
-    /// entries only under its pin, and a retired entry's slot goes back to
-    /// the index's slab only after the grace period, so nothing it touches
-    /// can be freed or reused under it; the owner's chain comes out intact
-    /// and the neighbour back.
-    ///
-    /// `grace = false` is the bug the grace period exists to exclude: the
-    /// sweep frees through the unprotected guard, so the slot goes back at
-    /// once and the re-insert takes it — while the owner's walk may still be
-    /// holding the neighbour's previous life.
-    fn owner_walk_vs_neighbour_churn(grace: bool) {
-        let index = Arc::new(HashIndex::with_capacity(1));
-        let (mine, neighbour) = bucket_mates(&index);
-        {
-            let g = epoch::pin();
-            index.get_or_insert(mine, &g).install(ready(1), &g);
-        }
-        let owner = {
-            let index = Arc::clone(&index);
-            bohm_sync::thread::spawn(move || {
-                let mut pool = VersionPool::new();
-                for ts in [5u64, 9] {
-                    let g = epoch::pin();
-                    stages(&index, mine, ProbeFor::Install, &g);
-                    let chain = index.get_or_insert_hashed(mine, mine.stable_hash(), &g);
-                    // SAFETY: this thread is the chain's only writer, and
-                    // every reader below `ts - 1` has finished (there are
-                    // none at all).
-                    unsafe { pool.reclaim(chain, ts - 1, &g) };
-                    let v = chain.install(pool.take(ts, 8), &g);
-                    // SAFETY: just installed under `g`.
-                    unsafe { v.as_ref() }.unwrap().fill(&ts.to_le_bytes());
-                }
-            })
-        };
-        let churn = {
-            let index = Arc::clone(&index);
-            bohm_sync::thread::spawn(move || {
-                let g = epoch::pin();
-                index.get_or_insert(neighbour, &g);
-                let sweep_guard = if grace {
-                    &g
-                } else {
-                    // SAFETY: deliberately unsound — this is the broken twin.
-                    unsafe { epoch::unprotected() }
-                };
-                let n =
-                    index.sweep_retire(0, index.bucket_count(), sweep_guard, &mut |rid, _, _| {
-                        rid == neighbour
-                    });
-                assert_eq!(n, 1);
-                index.get_or_insert(neighbour, &g);
-            })
-        };
-        owner.join().unwrap();
-        churn.join().unwrap();
-        let g = epoch::pin();
-        let back = index.get(neighbour, &g).expect("the neighbour is back");
-        assert!(back.latest(&g).is_none(), "with a fresh chain");
-        let chain = index.get(mine, &g).expect("the owner's key survives");
-        assert_eq!(chain.latest(&g).map(|v| v.begin()), Some(9));
-        assert_eq!(index.len(), 2);
-    }
-
-    #[test]
-    fn owner_walk_through_a_churning_bucket_explored() {
-        model::explore(model::Options::default(), || {
-            owner_walk_vs_neighbour_churn(true)
-        });
-    }
-
-    /// The broken twin: a slot handed back before the grace period is
-    /// caught as a race between its next life's key and the owner's walk,
-    /// within a bounded seed scan, and the failing seed fails identically
-    /// on replay.
-    #[test]
-    fn a_slot_reused_before_the_grace_period_is_a_replayable_race() {
-        let failing = |seed| {
-            catch_unwind(AssertUnwindSafe(|| {
-                model::run(seed, || owner_walk_vs_neighbour_churn(false));
-            }))
-        };
-        let seed = (1..=256)
-            .find(|&s| failing(s).is_err())
-            .expect("no seed in 1..=256 exposed the early slot reuse");
-        for _ in 0..2 {
-            let err = failing(seed).expect_err("the failing seed must fail deterministically");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("data race detected"), "got: {msg}");
-            assert!(msg.contains(&format!("seed {seed}")), "got: {msg}");
+    /// The stages BOHM's un-annotated reads run ahead of themselves past
+    /// the chain's line, in order: the head version, then its payload. Each
+    /// derives the head afresh.
+    fn stages(chain: &Chain, g: &epoch::Guard) {
+        chain.prefetch_head(g);
+        if let Some(head) = chain.latest(g) {
+            head.prefetch_payload();
         }
     }
 
@@ -471,29 +362,26 @@ mod look_ahead {
     /// before the first transaction) and reads through it later, after the
     /// watermarks went out — by which time it may be the recycled object.
     fn reader_stages_vs_recycling(carry_nothing: bool) {
-        let index = Arc::new(HashIndex::with_capacity(1));
-        let key = RecordId::new(0, 0);
+        let chain = Arc::new(Chain::new());
         let watermark = Arc::new(AtomicU64::new(0));
         {
             let g = epoch::pin();
-            let chain = index.get_or_insert(key, &g);
             for ts in [5, 10] {
                 chain.install(ready(ts), &g);
             }
         }
         let owner = {
-            let index = Arc::clone(&index);
+            let chain = Arc::clone(&chain);
             let watermark = Arc::clone(&watermark);
             bohm_sync::thread::spawn(move || {
                 let mut pool = VersionPool::new();
                 let g = epoch::pin();
-                let chain = index.get(key, &g).unwrap();
                 for ts in [20u64, 30] {
                     let bound = watermark.load(Ordering::Acquire);
                     // SAFETY: only writer of the chain; `bound` is the
                     // Acquire-loaded watermark, published only after every
                     // transaction at or below it finished.
-                    unsafe { pool.reclaim(chain, bound, &g) };
+                    unsafe { pool.reclaim(&chain, bound, &g) };
                     let v = chain.install(pool.take(ts, 8), &g);
                     // SAFETY: just installed under `g`; heads are not
                     // truncated.
@@ -503,14 +391,13 @@ mod look_ahead {
             })
         };
         let reader = {
-            let index = Arc::clone(&index);
+            let chain = Arc::clone(&chain);
             let watermark = Arc::clone(&watermark);
             bohm_sync::thread::spawn(move || {
                 let g = epoch::pin();
-                let chain = index.get(key, &g).unwrap();
                 let read_at = |ts: Timestamp| {
-                    stages(&index, key, ProbeFor::Read, &g);
-                    let v = chain.visible(ts, &g).expect("the key exists at every ts");
+                    stages(&chain, &g);
+                    let v = chain.visible(ts, &g).expect("the row exists at every ts");
                     let begin = v.begin();
                     assert!(begin < ts);
                     if v.is_resolved() {
@@ -536,7 +423,6 @@ mod look_ahead {
         owner.join().unwrap();
         reader.join().unwrap();
         let g = epoch::pin();
-        let chain = index.get(key, &g).unwrap();
         assert_eq!(chain.visible(100, &g).map(|v| v.begin()), Some(30));
     }
 

@@ -39,14 +39,12 @@ fn spec() -> DatabaseSpec {
             spare_rows: 0,
             record_size: 8,
             seed: |r| 100 + r,
-            growable: false,
         },
         TableDef {
             rows: ROWS,
             spare_rows: 0,
             record_size: 16,
             seed: |r| 50 * r,
-            growable: false,
         },
     ])
 }

@@ -18,7 +18,6 @@ fn spec() -> DatabaseSpec {
         spare_rows: 0,
         record_size: 8,
         seed: |r| r,
-        growable: false,
     }])
 }
 

@@ -39,7 +39,6 @@ fn one_table(rows: u64) -> DatabaseSpec {
         spare_rows: 0,
         record_size: 8,
         seed: |r| r * 3,
-        growable: false,
     }])
 }
 
@@ -237,7 +236,6 @@ fn fused_plan_shapes_match_serial_order() {
             spare_rows: 16,
             record_size: 8,
             seed: |r| r * 3,
-            growable: false,
         }])
     };
     for (case, (cc, annotate)) in [(1, true), (3, true), (1, false), (3, false)]
@@ -248,9 +246,6 @@ fn fused_plan_shapes_match_serial_order() {
         if !annotate {
             cfg.annotate_max_reads = 0;
         }
-        // Small keyspace, so the key sweep reclaims deleted rows' entries
-        // under the look-ahead as well.
-        cfg.index_capacity = 8;
         let txns = fusion_shapes(4_000, 0xF05E + case as u64);
         run_and_check(spec(), txns, cfg, 128);
     }
@@ -266,21 +261,18 @@ fn smallbank_with_aborts_matches_serial_order() {
             spare_rows: 0,
             record_size: 8,
             seed: |r| r,
-            growable: false,
         },
         TableDef {
             rows: 16,
             spare_rows: 0,
             record_size: 8,
             seed: |_| 50,
-            growable: false,
         },
         TableDef {
             rows: 16,
             spare_rows: 0,
             record_size: 8,
             seed: |_| 50,
-            growable: false,
         },
     ]);
     let mut rng = FastRng::seed_from(7);

@@ -26,7 +26,6 @@ fn small_cfg() -> TpccConfig {
         order_stripes: 1, // single generator: no wrap within the test sizes
         delivery_batch: 4,
         orders_per_customer: 64,
-        unbounded_orders: false,
         think_us: 0,
     }
 }
@@ -392,7 +391,6 @@ fn index_key_phantom_hammer_on_every_engine() {
         order_stripes: 1,
         delivery_batch: 4,
         orders_per_customer: 8,
-        unbounded_orders: false,
         think_us: 0,
     };
     let spec = cfg.spec();

@@ -35,21 +35,18 @@ fn spec() -> DatabaseSpec {
             spare_rows: 0,
             record_size: 8,
             seed: |r| 1000 + r,
-            growable: false,
         },
         TableDef {
             rows: ROWS,
             spare_rows: 0,
             record_size: 8,
             seed: |r| 500 + r,
-            growable: false,
         },
         TableDef {
             rows: ROWS,
             spare_rows: ROWS,
             record_size: 16,
             seed: |r| r,
-            growable: true,
         },
     ])
 }
@@ -408,5 +405,79 @@ fn kill_and_recover_matches_serial_oracle() {
     let res = check_serial_equivalence(&db, &txns, &outcomes, |rid| engine.read_u64(rid));
     engine.shutdown();
     res.expect("replayed state diverged from the serial oracle");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A durable BOHM config on `dir` that does not fsync.
+fn durable(dir: &Path) -> BohmConfig {
+    let mut cfg = BohmConfig::with_threads(2, 2);
+    let mut d = DurabilityConfig::new(dir);
+    d.fsync = FsyncPolicy::Off;
+    cfg.durability = Some(d);
+    cfg
+}
+
+#[test]
+fn inserts_far_past_the_seeded_rows_recover_into_a_catalog_of_seeded_rows() {
+    // Rows 2^17 and up lie in a segment of their own that nothing touches
+    // before the inserts below. The catalog declares the seeded rows
+    // alone — no insert headroom, as the benchmark's recovery child builds
+    // it — and recovery must still land every insert where it was.
+    const FAR: u64 = 1 << 17;
+    let spec = DatabaseSpec::new(vec![TableDef {
+        rows: 8,
+        spare_rows: FAR + 8,
+        record_size: 16,
+        seed: |r| 1000 + r,
+    }]);
+    let far = |k: u64| RecordId::new(0, FAR + k);
+    let mut txns: Vec<Txn> = (0..8)
+        .map(|k| Txn::new(vec![], vec![far(k)], Procedure::BlindWrite { value: k }))
+        .collect();
+    txns.extend((0..8).map(|k| {
+        let rmw = Procedure::ReadModifyWrite { delta: 10 * k };
+        Txn::new(vec![far(k % 3)], vec![far(k % 3)], rmw)
+    }));
+    let (guard, del) = (RecordId::new(0, 0), Procedure::GuardedDelete { min: 0 });
+    txns.push(Txn::new(vec![guard], vec![far(5)], del));
+    txns.push(Txn::with_scans(
+        vec![guard],
+        vec![],
+        vec![ScanRange::new(0, FAR, FAR + 8)],
+        Procedure::TpcC(bohm_suite::common::TpcCProc::OrderHistory),
+    ));
+    let dir = fresh_dir("far");
+    let e = Bohm::start(durable(&dir), catalog_of(&spec));
+    let ran = e.execute_sync(txns.clone());
+    e.shutdown();
+    let (e, replayed) = Bohm::recover(durable(&dir), catalog_of(&spec)).unwrap();
+    assert_eq!(
+        replayed, ran,
+        "recovery decides every transaction as the run did"
+    );
+    let res = check_serial_equivalence(&spec, &txns, &replayed, |rid| e.read_u64(rid));
+    e.shutdown();
+    res.expect("recovered state diverged from the serial oracle");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_log_record_naming_a_row_no_table_can_hold_is_refused() {
+    let dir = fresh_dir("refused");
+    let mut d = DurabilityConfig::new(&dir);
+    d.fsync = FsyncPolicy::Off;
+    let wal = Wal::open(&d).unwrap();
+    let ok = RecordId::new(0, 1);
+    let nowhere = RecordId::new(0, u64::MAX);
+    let blind = |rid| Txn::new(vec![], vec![rid], Procedure::BlindWrite { value: 1 });
+    wal.log_batch(0, &mut [blind(ok), blind(nowhere)].iter())
+        .unwrap();
+    wal.sync().unwrap();
+    drop(wal);
+    let err = match Bohm::recover(durable(&dir), catalog_of(&spec())) {
+        Ok(_) => panic!("recovered a log that names {nowhere}"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -246,19 +246,15 @@ pub enum Procedure {
 }
 
 /// Reusable per-worker execution scratch: the byte workhorse plus every
-/// buffer any procedure used to allocate per call (the RMW position indices
-/// and the Delivery removal list). One `ExecScratch` lives in each engine
-/// worker / exec thread and is reused across transactions, so the procedure
-/// layer performs **zero** heap allocation per call in steady state — even
-/// when a set overflows the stack-inline fast paths.
+/// buffer any procedure used to allocate per call (the Delivery removal
+/// list, the index scan's posting list). One `ExecScratch` lives in each
+/// engine worker / exec thread and is reused across transactions, so the
+/// procedure layer performs **zero** heap allocation per call in steady
+/// state — even when a set overflows the stack-inline fast paths.
 #[derive(Default)]
 pub struct ExecScratch {
     /// Record-image workhorse buffer (reads copied in, writes staged out).
     pub bytes: Vec<u8>,
-    /// RMW read-set position index (heap fallback of `sorted_positions`).
-    idx_r: Vec<u32>,
-    /// RMW write-set position index (heap fallback of `sorted_positions`).
-    idx_w: Vec<u32>,
     /// Delivery's (customer key, order row) removal list (heap fallback).
     removals: Vec<(u64, u64)>,
     /// Index scan's copy of its posting list, which the member reads
@@ -304,7 +300,7 @@ pub fn execute_procedure<A: Access>(
             Ok(acc)
         }
         Procedure::ReadModifyWrite { delta } => {
-            read_modify_write(*delta, reads, writes, access, scratch)
+            read_modify_write(*delta, reads, writes, access, &mut scratch.bytes)
         }
         Procedure::BlindWrite { value: v } => {
             let bytes = &mut scratch.bytes;
@@ -387,119 +383,57 @@ pub fn execute_procedure<A: Access>(
     }
 }
 
-/// `ReadModifyWrite` body.
+/// `ReadModifyWrite` body: pure reads in read order, then each write in
+/// write order — a read-modify-write of the *first* read of its record, or
+/// a blind write of the delta if no read names it.
 ///
-/// The naive formulation scanned `writes` per read-set entry and `reads`
-/// per write-set entry — O(R·W) positional searches per transaction, which
-/// is measurable on the 10-RMW YCSB figure. The read↔write mapping is now
-/// precomputed once per call; the fold order (pure reads in read order,
-/// then RMW old-values in write order, each mapping to the *first* matching
-/// read position) is unchanged, so fingerprints are bit-identical.
+/// Pairing scans the other set, O(R·W) comparisons of 12-byte keys. That
+/// is the cheap way for every RMW set in the tree — 10 × 10 at most in the
+/// workloads — where sorting both sets first cost more than ten times the
+/// scan. Identical sets skip the scan: write `w` pairs with read `w`, the
+/// pairing BOHM's planner tries first, which is the first read of its
+/// record unless the set names a record twice.
 fn read_modify_write<A: Access>(
     delta: u64,
     reads: &[crate::RecordId],
     writes: &[crate::RecordId],
     access: &mut A,
-    scratch: &mut ExecScratch,
+    scratch: &mut Vec<u8>,
 ) -> Result<u64, AbortReason> {
-    // Split borrows: the position indices stay borrowed across the byte
-    // workhorse's uses below.
-    let ExecScratch {
-        bytes: scratch,
-        idx_r,
-        idx_w,
-        ..
-    } = scratch;
     let mut acc = 0u64;
-    let blind = |access: &mut A, w: usize, scratch: &mut Vec<u8>| {
-        // Blind write: full-size record with the delta prefix.
-        let len = access.write_len(w);
-        scratch.clear();
-        scratch.extend_from_slice(&delta.to_le_bytes());
-        scratch.resize(len, 0);
-        access.write(w, scratch)
-    };
-    let rmw = |access: &mut A,
-               r: usize,
-               w: usize,
-               scratch: &mut Vec<u8>,
-               acc: &mut u64|
-     -> Result<(), AbortReason> {
-        scratch.clear();
-        access.read(r, |b| scratch.extend_from_slice(b))?;
-        let old = value::get_u64(scratch, 0);
-        value::put_u64(scratch, 0, old.wrapping_add(delta));
-        access.write(w, scratch)?;
-        *acc = acc.wrapping_mul(31).wrapping_add(old);
-        Ok(())
-    };
-    // Fast path: identical declared sets (the 10-RMW / microbenchmark
-    // shape) — every position is its own mapping, nothing is a pure read.
-    if reads == writes {
-        for w in 0..writes.len() {
-            rmw(access, w, w, scratch, &mut acc)?;
-        }
-        return Ok(acc);
-    }
-    // General path: sort positional indices by (rid, position) once, so
-    // membership and first-occurrence lookups are binary searches. Small
-    // sets (all paper workloads) stay on stack buffers; bigger ones land in
-    // the reusable scratch indices.
-    const INLINE: usize = 64;
-    let mut rbuf = [0u32; INLINE];
-    let mut wbuf = [0u32; INLINE];
-    let ridx = sorted_positions(reads, &mut rbuf, idx_r);
-    let widx = sorted_positions(writes, &mut wbuf, idx_w);
-    // Pass 1: pure reads (read-set entries that are not RMW targets).
-    for (i, rid) in reads.iter().enumerate() {
-        if first_position(widx, writes, rid).is_none() {
-            let mut c = 0u64;
-            access.read(i, |b| c = value::checksum(b))?;
-            acc = acc.wrapping_mul(31).wrapping_add(c);
+    // Identical declared sets (the 10-RMW / microbenchmark shape) have no
+    // pure read.
+    let same = reads == writes;
+    if !same {
+        for (i, rid) in reads.iter().enumerate() {
+            if !writes.contains(rid) {
+                let mut c = 0u64;
+                access.read(i, |b| c = value::checksum(b))?;
+                acc = acc.wrapping_mul(31).wrapping_add(c);
+            }
         }
     }
-    // Pass 2: read-modify-writes / blind writes.
     for (w, rid) in writes.iter().enumerate() {
-        match first_position(ridx, reads, rid) {
-            Some(r) => rmw(access, r, w, scratch, &mut acc)?,
-            None => blind(access, w, scratch)?,
+        scratch.clear();
+        let paired = if same {
+            Some(w)
+        } else {
+            reads.iter().position(|x| x == rid)
+        };
+        if let Some(r) = paired {
+            access.read(r, |b| scratch.extend_from_slice(b))?;
+            let old = value::get_u64(scratch, 0);
+            value::put_u64(scratch, 0, old.wrapping_add(delta));
+            access.write(w, scratch)?;
+            acc = acc.wrapping_mul(31).wrapping_add(old);
+        } else {
+            let len = access.write_len(w);
+            scratch.extend_from_slice(&delta.to_le_bytes());
+            scratch.resize(len, 0);
+            access.write(w, scratch)?;
         }
     }
     Ok(acc)
-}
-
-/// Positions `0..set.len()` sorted by `(set[i], i)`; uses `buf` when the
-/// set fits, else the reusable `heap` buffer (no allocation once its
-/// capacity has grown to the workload's set sizes).
-fn sorted_positions<'a>(
-    set: &[crate::RecordId],
-    buf: &'a mut [u32],
-    heap: &'a mut Vec<u32>,
-) -> &'a [u32] {
-    let idx: &mut [u32] = if set.len() <= buf.len() {
-        let idx = &mut buf[..set.len()];
-        for (i, slot) in idx.iter_mut().enumerate() {
-            *slot = i as u32;
-        }
-        idx
-    } else {
-        heap.clear();
-        heap.extend(0..set.len() as u32);
-        heap
-    };
-    // Stable tie order by position: first occurrence of each rid leads.
-    idx.sort_unstable_by_key(|&i| (set[i as usize], i));
-    idx
-}
-
-/// First (lowest-position) occurrence of `rid` in `set`, via the sorted
-/// position index.
-fn first_position(idx: &[u32], set: &[crate::RecordId], rid: &crate::RecordId) -> Option<usize> {
-    let p = idx.partition_point(|&i| set[i as usize] < *rid);
-    match idx.get(p) {
-        Some(&i) if set[i as usize] == *rid => Some(i as usize),
-        _ => None,
-    }
 }
 
 fn write_u64(
@@ -822,6 +756,8 @@ mod tests {
         /// or listed as `None`, is absent).
         covered: Vec<(u64, Option<Vec<u8>>)>,
         len: usize,
+        /// Every positional read (`false`) and write (`true`), in order.
+        calls: Vec<(bool, usize)>,
     }
 
     impl MemAccess {
@@ -835,6 +771,7 @@ mod tests {
                 deleted: vec![false; n_writes],
                 covered: Vec::new(),
                 len,
+                calls: Vec::new(),
             }
         }
 
@@ -868,9 +805,11 @@ mod tests {
 
     impl Access for MemAccess {
         fn read_maybe(&mut self, idx: usize, out: impl FnMut(&[u8])) -> Result<bool, AbortReason> {
+            self.calls.push((false, idx));
             Ok(self.read_vals[idx].as_deref().map(out).is_some())
         }
         fn write(&mut self, idx: usize, data: &[u8]) -> Result<(), AbortReason> {
+            self.calls.push((true, idx));
             self.written[idx] = Some(data.to_vec());
             self.deleted[idx] = false;
             Ok(())
@@ -977,9 +916,9 @@ mod tests {
         }
     }
 
-    /// The pre-optimization `ReadModifyWrite` body, kept verbatim as the
-    /// fingerprint reference: the precomputed-mapping version must be
-    /// bit-identical on every input.
+    /// The first `ReadModifyWrite` body, kept verbatim as the reference:
+    /// the kernel must make the same calls in the same order and return the
+    /// same fingerprint on every input.
     fn rmw_reference(
         delta: u64,
         reads: &[RecordId],
@@ -1014,11 +953,43 @@ mod tests {
         Ok(acc)
     }
 
+    /// Run the kernel and the reference on the same sets and read values;
+    /// they must agree on the fingerprint, the calls and what they wrote.
+    fn assert_rmw_matches_reference(rkeys: &[u64], wkeys: &[u64], vals: Vec<u64>) {
+        let reads: Vec<RecordId> = rkeys.iter().map(|&k| rid(k)).collect();
+        let writes: Vec<RecordId> = wkeys.iter().map(|&k| rid(k)).collect();
+        let mut scratch = ExecScratch::new();
+        let mut a = MemAccess::new(vals.clone(), writes.len(), 16);
+        let got = exec_no_scans(
+            &Procedure::ReadModifyWrite { delta: 3 },
+            &reads,
+            &writes,
+            &mut a,
+            &mut scratch,
+        )
+        .unwrap();
+        let mut b = MemAccess::new(vals, writes.len(), 16);
+        let want = rmw_reference(3, &reads, &writes, &mut b, &mut scratch.bytes).unwrap();
+        assert_eq!(got, want, "fingerprint diverged on {rkeys:?}/{wkeys:?}");
+        assert_eq!(a.calls, b.calls, "calls diverged on {rkeys:?}/{wkeys:?}");
+        assert_eq!(
+            a.written, b.written,
+            "writes diverged on {rkeys:?}/{wkeys:?}"
+        );
+    }
+
+    /// xorshift64: a seeded, dependency-free stream for the tests below.
+    fn next(rng: &mut u64) -> u64 {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        *rng
+    }
+
     #[test]
     fn rmw_mapping_is_fingerprint_identical_to_reference() {
-        // Shapes covering the identity fast path, partial overlap, pure
-        // reads, blind writes, duplicates in both sets, and an oversized
-        // set that spills off the stack buffers.
+        // Shapes covering identical sets, partial overlap, pure reads, blind
+        // writes, duplicates in both sets, and a large reversed overlap.
         let shapes: Vec<(Vec<u64>, Vec<u64>)> = vec![
             (vec![1, 2, 3], vec![1, 2, 3]),                 // identity
             (vec![1, 2, 3, 4, 5], vec![2, 4]),              // 2RMW-3R
@@ -1026,38 +997,55 @@ mod tests {
             (vec![5, 5, 9], vec![5, 11]),                   // duplicate reads
             (vec![6, 9], vec![9, 9, 6]),                    // duplicate writes
             (vec![3, 1, 2], vec![2, 3]),                    // unsorted overlap
-            ((0..100).collect(), (0..100).rev().collect()), // > stack buffer
+            ((0..100).collect(), (0..100).rev().collect()), // large overlap
         ];
         let mut rng = 0x1234_5678_9abc_def0u64;
         for (rkeys, wkeys) in shapes {
-            let reads: Vec<RecordId> = rkeys.iter().map(|&k| rid(k)).collect();
-            let writes: Vec<RecordId> = wkeys.iter().map(|&k| rid(k)).collect();
-            let vals: Vec<u64> = rkeys
-                .iter()
-                .map(|_| {
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
-                    rng
-                })
-                .collect();
-            let mut scratch = ExecScratch::new();
-            let mut a = MemAccess::new(vals.clone(), writes.len(), 16);
-            let got = exec_no_scans(
-                &Procedure::ReadModifyWrite { delta: 3 },
-                &reads,
-                &writes,
-                &mut a,
-                &mut scratch,
-            )
-            .unwrap();
-            let mut b = MemAccess::new(vals, writes.len(), 16);
-            let want = rmw_reference(3, &reads, &writes, &mut b, &mut scratch.bytes).unwrap();
-            assert_eq!(got, want, "fingerprint diverged on {rkeys:?}/{wkeys:?}");
-            assert_eq!(
-                a.written, b.written,
-                "writes diverged on {rkeys:?}/{wkeys:?}"
-            );
+            let vals = rkeys.iter().map(|_| next(&mut rng)).collect();
+            assert_rmw_matches_reference(&rkeys, &wkeys, vals);
+        }
+    }
+
+    #[test]
+    fn identical_sets_pair_each_write_with_the_read_at_its_position() {
+        // Also where a record repeats, and the reference would pair both
+        // writes of record 4 with read 0.
+        let keys = [rid(4), rid(4), rid(7)];
+        let mut a = MemAccess::new(vec![1, 2, 3], 3, 16);
+        let rmw = Procedure::ReadModifyWrite { delta: 3 };
+        exec_no_scans(&rmw, &keys, &keys, &mut a, &mut ExecScratch::new()).unwrap();
+        let positional: Vec<_> = (0..3).flat_map(|i| [(false, i), (true, i)]).collect();
+        assert_eq!(a.calls, positional);
+    }
+
+    /// Seeded random sets, 0 to 300 entries each, drawn from a key space
+    /// small enough for duplicates and overlaps; some write sets are the
+    /// read set itself, some share nothing with it (blind writes only).
+    /// Identical sets get distinct records, as every generator's have:
+    /// with a repeated record they pair by position (the test above).
+    #[test]
+    fn rmw_matches_reference_on_random_sets() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for case in 0..2_000 {
+            let len = |rng: &mut u64| match next(rng) % 4 {
+                0 => (next(rng) % 301) as usize,
+                _ => (next(rng) % 13) as usize,
+            };
+            let (nr, nw) = (len(&mut rng), len(&mut rng));
+            let space = 1 + next(&mut rng) % (2 * (nr + nw) as u64 + 1);
+            let mut rkeys: Vec<u64> = (0..nr).map(|_| next(&mut rng) % space).collect();
+            let mut wkeys: Vec<u64> = match case % 4 {
+                0 => rkeys.clone(),
+                1 => (0..nw).map(|_| space + next(&mut rng) % space).collect(),
+                _ => (0..nw).map(|_| next(&mut rng) % space).collect(),
+            };
+            if wkeys == rkeys {
+                let mut seen = std::collections::HashSet::new();
+                rkeys.retain(|&k| seen.insert(k));
+                wkeys = rkeys.clone();
+            }
+            let vals = rkeys.iter().map(|_| next(&mut rng)).collect();
+            assert_rmw_matches_reference(&rkeys, &wkeys, vals);
         }
     }
 

@@ -29,7 +29,7 @@
 use crate::batch::TxnState;
 use crate::exec::InPlace;
 use crate::lookahead::LookAhead;
-use crate::store::Store;
+use crate::store::{look_ahead, Store};
 use bohm_common::{AbortReason, Access, RecordId};
 use bohm_mvstore::{Version, VersionState};
 use bohm_sync::atomic::Ordering;
@@ -79,7 +79,11 @@ impl<'a> BohmAccess<'a> {
         // annotate_max_reads): go straight to traversal.
         let ptr = if self.t.read_refs.is_empty() {
             let (t, store, guard) = (self.t, self.store, self.guard);
-            let hint = |stage, rid: &RecordId| store.look_ahead(stage, *rid, false, guard);
+            let hint = |stage, rid: &RecordId| {
+                if let Some(chain) = store.chain(*rid) {
+                    look_ahead(stage, chain, false, guard);
+                }
+            };
             match &mut self.ahead {
                 Some(ahead) => ahead.step(hint),
                 None => self.ahead = Some(LookAhead::start(t.txn.reads[idx + 1..].iter(), hint)),

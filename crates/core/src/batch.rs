@@ -16,13 +16,13 @@
 //! amortization artifact; submitters never see them.
 
 use crate::engine::Inner;
-use crate::store::line_hash;
+use crate::store::{self, Store};
 use bohm_common::engine::ExecOutcome;
 use bohm_common::{ASlice, Arena, RecordId, Timestamp, Txn};
-use bohm_mvstore::Version;
+use bohm_mvstore::{Chain, Version};
 use bohm_sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use bohm_sync::{Condvar, Mutex};
-use std::ptr;
+use std::ptr::{self, NonNull};
 use std::sync::Arc;
 
 /// Execution state machine of one transaction (paper §3.3.1).
@@ -258,10 +258,11 @@ impl TxnHandle {
 ///
 /// Every CC thread must examine every transaction's sets (paper §3.2.2 —
 /// the acknowledged Amdahl component of the design), so that scan has to be
-/// cheap: sealing hashes each record's cache line of chains once
-/// (`store::line_hash`), and the CC threads iterate a
-/// contiguous array doing one modulo per entry instead of re-hashing
-/// `RecordId`s out of the sets `m` times over.
+/// cheap: sealing finds each record's chain once (`Store::reserve`) and
+/// keeps its address, and the CC threads iterate a contiguous array that
+/// names the chain itself — its owner is a hash of the chain's cache line
+/// (`store::owner`) — instead of resolving `RecordId`s out of the sets `m`
+/// times over.
 ///
 /// A record the transaction both reads and writes gets a single *fused*
 /// entry carrying both set positions: the CC thread finds the chain once,
@@ -273,26 +274,47 @@ impl TxnHandle {
 /// [`TxnState::new`]) is annotated before that write installs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct PlanEntry {
-    /// `line_hash` of the record: picks its CC partition.
-    pub hash: u64,
+    /// The record's chain in the store that sealed the batch.
+    chain: NonNull<Chain>,
     read: u32,
     write: u32,
 }
+
+// SAFETY: the entry is two positions and the address of a chain, which is
+// `Sync` and, while its store lives, never moves or goes away (`store`'s
+// module docs); only `chain()`, whose caller vouches for the store, follows
+// the address.
+unsafe impl Send for PlanEntry {}
+// SAFETY: as above.
+unsafe impl Sync for PlanEntry {}
 
 impl PlanEntry {
     /// "No such position" in `read` / `write`.
     const NONE: u32 = u32::MAX;
 
-    fn new(hash: u64, read: Option<usize>, write: Option<usize>) -> Self {
+    fn new(chain: &Chain, read: Option<usize>, write: Option<usize>) -> Self {
         let pack = |i: Option<usize>| i.map_or(Self::NONE, |i| i as u32);
         let (read, write) = (pack(read), pack(write));
-        PlanEntry { hash, read, write }
+        let chain = NonNull::from(chain);
+        PlanEntry { chain, read, write }
+    }
+
+    /// The record's chain.
+    ///
+    /// # Safety
+    ///
+    /// The store the entry was planned against must outlive `'a`.
+    #[inline]
+    pub unsafe fn chain<'a>(self) -> &'a Chain {
+        // SAFETY: planned from a `&Chain` of that store, which the caller
+        // keeps alive; chains never move or go away while their store lives.
+        unsafe { self.chain.as_ref() }
     }
 
     /// CC partition owning this record, for `m` CC threads.
     #[inline]
     pub fn partition(self, m: usize) -> usize {
-        ((self.hash >> 32) % m as u64) as usize
+        store::owner(self.chain.as_ptr(), m)
     }
 
     /// Read-set position to annotate, if the transaction reads the record.
@@ -353,6 +375,10 @@ impl TxnState {
     /// read sets get no annotation slots and no read plan entries — their
     /// plan is one blind entry per write, and nothing is paired.
     ///
+    /// Each entry's chain is reserved in `store` here (`Store::reserve`):
+    /// once per planned record, and for nothing else — an un-annotated read
+    /// finds a segment no plan ever named absent on its own.
+    ///
     /// Pairing a write with the read of the same record tries the same
     /// position first (`reads[i] == writes[i]`, the shape every generator
     /// here produces for its RMWs) and otherwise searches, within
@@ -364,6 +390,7 @@ impl TxnState {
         txn: Txn,
         ts: Timestamp,
         annotate_max_reads: usize,
+        store: &Store,
         arena: &mut Arena,
     ) -> Self {
         let annotate = txn.reads.len() <= annotate_max_reads;
@@ -383,9 +410,9 @@ impl TxnState {
         let plan = arena.alloc_with(n_pure + nw, |i| match i.checked_sub(n_pure) {
             None => {
                 let r = pure_reads.next().expect("counted above");
-                PlanEntry::new(line_hash(reads[r]), Some(r), None)
+                PlanEntry::new(store.reserve(reads[r]), Some(r), None)
             }
-            Some(w) => PlanEntry::new(line_hash(writes[w]), paired(writes, w, reads), Some(w)),
+            Some(w) => PlanEntry::new(store.reserve(writes[w]), paired(writes, w, reads), Some(w)),
         });
         let nulls = |arena: &mut Arena, n: usize| -> ASlice<AtomicPtr<Version>> {
             arena.alloc_with(n, |_| AtomicPtr::new(ptr::null_mut()))
@@ -464,9 +491,9 @@ pub struct Batch {
 
 impl Batch {
     /// Assemble a batch from its transactions in log order, decided into
-    /// `outcomes` (a slot per transaction, at least). Per-transaction
-    /// runtime buffers are carved from `arena`, contiguous in timestamp
-    /// order.
+    /// `outcomes` (a slot per transaction, at least), planned against
+    /// `store`. Per-transaction runtime buffers are carved from `arena`,
+    /// contiguous in timestamp order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         txns: impl IntoIterator<Item = Txn>,
@@ -477,10 +504,11 @@ impl Batch {
         cc_threads: usize,
         exec_threads: usize,
         annotate_max_reads: usize,
+        store: &Store,
         arena: &mut Arena,
     ) -> Arc<Self> {
         let txns: Box<[TxnState]> = (txns.into_iter().zip(base_ts..))
-            .map(|(txn, ts)| TxnState::new(txn, ts, annotate_max_reads, arena))
+            .map(|(txn, ts)| TxnState::new(txn, ts, annotate_max_reads, store, arena))
             .collect();
         debug_assert!(txns.len() <= outcomes.slots.len());
         let readers: Box<[u32]> = (0..txns.len() as u32)
@@ -554,6 +582,27 @@ pub(crate) mod tests {
         bohm_common::ArenaPool::default().arena()
     }
 
+    /// A store for test batches to be planned against: table 0, no rows
+    /// seeded.
+    pub(crate) fn planning_store() -> Store {
+        Store::new(&crate::CatalogSpec::new().table(0, 8, |_| 0))
+    }
+
+    /// The planning store the ordinary tests share. Never dropped, so no
+    /// batch outlives the store its plan points into.
+    pub(crate) fn test_store() -> &'static Store {
+        static STORE: std::sync::OnceLock<Store> = std::sync::OnceLock::new();
+        STORE.get_or_init(planning_store)
+    }
+
+    /// A planning store of its own, never dropped: for model-checked runs,
+    /// where an object must not carry one execution's history into the
+    /// next.
+    #[cfg(bohm_modelcheck)]
+    pub(crate) fn leaked_store() -> &'static Store {
+        Box::leak(Box::new(planning_store()))
+    }
+
     /// `n` single-key RMWs.
     pub(crate) fn entries(n: usize) -> Vec<Txn> {
         (0..n).map(|_| txn()).collect()
@@ -571,6 +620,7 @@ pub(crate) mod tests {
             1,
             1,
             64,
+            test_store(),
             &mut test_arena(),
         )
     }
@@ -598,7 +648,7 @@ pub(crate) mod tests {
 
     #[test]
     fn annotation_slots_match_set_sizes() {
-        let t = TxnState::new(txn(), 5, 64, &mut test_arena());
+        let t = TxnState::new(txn(), 5, 64, test_store(), &mut test_arena());
         assert_eq!(t.read_refs.len(), 1);
         assert_eq!(t.write_refs.len(), 1);
         assert!(t.read_refs[0].load(Ordering::Relaxed).is_null());
@@ -609,14 +659,20 @@ pub(crate) mod tests {
     fn plan_of(reads: &[u64], writes: &[u64]) -> Vec<(Option<usize>, Option<usize>)> {
         let rids = |rows: &[u64]| rows.iter().map(|&r| RecordId::new(0, r)).collect();
         let t = Txn::new(rids(reads), rids(writes), Procedure::ReadOnly);
-        let t = TxnState::new(t, 9, 64, &mut test_arena());
+        let store = test_store();
+        let t = TxnState::new(t, 9, 64, store, &mut test_arena());
         for e in t.plan.iter() {
             let rid = match (e.read(), e.write()) {
                 (_, Some(w)) => t.txn.writes[w],
                 (Some(r), None) => t.txn.reads[r],
                 (None, None) => panic!("empty plan entry"),
             };
-            assert_eq!(e.hash, line_hash(rid), "entries carry the line hash");
+            // SAFETY: the test store is never dropped.
+            let chain = unsafe { e.chain() };
+            assert!(
+                std::ptr::eq(chain, store.chain(rid).unwrap()),
+                "entries carry the chain"
+            );
             if let (Some(r), Some(w)) = (e.read(), e.write()) {
                 assert_eq!(t.txn.reads[r], t.txn.writes[w], "fused across records");
             }
@@ -706,6 +762,7 @@ pub(crate) mod tests {
             2,
             2,
             64,
+            test_store(),
             &mut test_arena(),
         );
         assert_eq!(b.last_ts(), 102);
@@ -741,6 +798,7 @@ pub(crate) mod tests {
                 1,
                 2,
                 annotate_max_reads,
+                test_store(),
                 &mut test_arena(),
             )
         };
@@ -761,6 +819,7 @@ pub(crate) mod tests {
             1,
             2,
             64,
+            test_store(),
             &mut test_arena(),
         );
         assert!(b.readers.is_empty());
@@ -890,7 +949,7 @@ pub(crate) mod tests {
 
     #[test]
     fn only_one_claimer_wins_under_contention() {
-        let t = Arc::new(TxnState::new(txn(), 5, 64, &mut test_arena()));
+        let t = Arc::new(TxnState::new(txn(), 5, 64, test_store(), &mut test_arena()));
         let winners: Vec<bool> = (0..8)
             .map(|_| {
                 let t = Arc::clone(&t);

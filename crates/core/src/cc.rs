@@ -1,10 +1,10 @@
 //! The concurrency-control phase (paper §3.2).
 //!
 //! Each CC thread owns a static partition of the record space — whole cache
-//! lines of chains (`crate::store::line_hash`) — and runs the same loop:
-//! for every transaction of every batch, in timestamp order, for every
-//! record of its partition the transaction declared — **one chain lookup
-//! per record**, at `table[row]` —
+//! lines of chains (`crate::store::owner`) — and runs the same loop: for
+//! every transaction of every batch, in timestamp order, for every record
+//! of its partition the transaction declared — **no lookup at all**: the
+//! plan entry carries the chain sealing found for it —
 //!
 //! * annotate the read-set entry, if the transaction reads the record, with
 //!   the current latest version (§3.2.3 — this *is* the version a reader at
@@ -43,10 +43,10 @@
 //! (A batch is in the ring before any CC thread sees it, so execution can
 //! always resolve read dependencies into in-flight batches.)
 
-use crate::batch::{Batch, TxnState};
+use crate::batch::{Batch, PlanEntry};
 use crate::engine::Inner;
 use crate::lookahead::LookAhead;
-use bohm_common::RecordId;
+use crate::store::look_ahead;
 use bohm_mvstore::{Version, VersionPool};
 use bohm_sync::atomic::Ordering;
 use crossbeam_epoch as epoch;
@@ -69,7 +69,7 @@ pub(crate) fn cc_loop(inner: &Inner, me: usize) {
 }
 
 /// Look-ahead stages: chain line, head version, predecessor
-/// (`Store::look_ahead`).
+/// (`store::look_ahead`).
 const STAGES: usize = 3;
 
 /// Plan entries between two look-ahead stages: the access runs 12 entries
@@ -79,18 +79,8 @@ const STAGE_DISTANCE: usize = 4;
 
 #[cfg(test)]
 thread_local! {
-    /// Chain lookups this thread made in [`process_batch`]'s plan loop.
+    /// Plan entries this thread's [`process_batch`] loop accessed.
     pub(crate) static PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// The record a plan entry of `t` names: its write's, else its read's.
-#[inline]
-fn target(t: &TxnState, read: Option<usize>, write: Option<usize>) -> RecordId {
-    match (read, write) {
-        (_, Some(w)) => t.txn.writes[w],
-        (Some(r), None) => t.txn.reads[r],
-        (None, None) => unreachable!("a plan entry names a read or a write"),
-    }
 }
 
 /// Process every transaction of `batch` for partition `me`.
@@ -103,16 +93,16 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, pool: &mut 
     let mine = batch
         .txns
         .iter()
-        .flat_map(|t| t.plan.iter().map(move |&e| (t, e)))
-        .filter(|(_, e)| e.partition(m) == me);
+        .flat_map(|t| t.plan.iter().copied())
+        .filter(|e| e.partition(m) == me);
     // One look-ahead stage for an entry this thread will reach later. A
     // pure read stores the head pointer without following it, so its hints
     // stop at the chain line.
-    let hint = |stage, (t, e): (&TxnState, crate::batch::PlanEntry)| {
+    let hint = |stage, e: PlanEntry| {
         let install = e.write().is_some();
         if stage == 0 || install {
-            let rid = target(t, e.read(), e.write());
-            inner.store.look_ahead(stage, rid, install, &guard);
+            // SAFETY: `inner.store` planned the batch and outlives this call.
+            look_ahead(stage, unsafe { e.chain() }, install, &guard);
         }
     };
     let mut ahead: LookAhead<_, STAGES, STAGE_DISTANCE> = LookAhead::start(mine, hint);
@@ -130,18 +120,15 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, pool: &mut 
             #[cfg(test)]
             PROBES.with(|p| p.set(p.get() + 1));
             let (ri, wi) = (e.read(), e.write());
-            // Admission gave every declared record a chain before the batch
-            // was sealed. An empty one — a record nobody has inserted yet,
-            // in timestamp order up to this transaction — leaves the
-            // annotation slot null on purpose: the executor falls back to
-            // the timestamp-filtered walk, which reports "absent" even
-            // though a placeholder — this transaction's own, for an RMW, or
-            // a later one's — has appeared on the chain by then (see
-            // `BohmAccess`).
-            let chain = inner
-                .store
-                .chain(target(t, ri, wi))
-                .expect("admission allocates every declared record's chain");
+            // Sealing gave the entry its record's chain. An empty one — a
+            // record nobody has inserted yet, in timestamp order up to this
+            // transaction — leaves the annotation slot null on purpose: the
+            // executor falls back to the timestamp-filtered walk, which
+            // reports "absent" even though a placeholder — this
+            // transaction's own, for an RMW, or a later one's — has appeared
+            // on the chain by then (see `BohmAccess`).
+            // SAFETY: `inner.store` planned the batch and outlives this call.
+            let chain = unsafe { e.chain() };
             // An RMW resolves its read to the predecessor version before
             // its own placeholder goes on top of it.
             if let (Some(ri), Some(v)) = (ri, chain.latest(&guard)) {

@@ -58,9 +58,10 @@ pub(crate) struct Inner {
 
 impl Inner {
     // CC ownership of a record is static partitioning by cache line of
-    // chains (§3.2.2): CC thread `(line_hash(rid) >> 32) % cc_threads` —
-    // encoded in [`PlanEntry::partition`](crate::batch::PlanEntry), which
-    // pre-hashes accesses so the per-batch scan never re-hashes a `RecordId`.
+    // chains (§3.2.2): `store::owner` of the chain's address — reached
+    // through [`PlanEntry::partition`](crate::batch::PlanEntry), which
+    // carries the chain sealing found, so the per-batch scan never resolves
+    // a `RecordId`.
 
     #[inline]
     pub fn record_size(&self, table: TableId) -> usize {
@@ -806,7 +807,18 @@ mod tests {
     fn cc_phase_of(e: &Bohm, txns: Vec<Txn>) -> Arc<crate::batch::Batch> {
         let outcomes = crate::batch::Outcomes::new(txns.len());
         let mut arena = crate::batch::tests::test_arena();
-        let batch = crate::batch::Batch::new(txns, outcomes, 1, 0, 0, 1, 1, 64, &mut arena);
+        let batch = crate::batch::Batch::new(
+            txns,
+            outcomes,
+            1,
+            0,
+            0,
+            1,
+            1,
+            64,
+            &e.inner.store,
+            &mut arena,
+        );
         cc::process_batch(&e.inner, 0, &batch, &mut bohm_mvstore::VersionPool::new());
         batch
     }
@@ -820,7 +832,7 @@ mod tests {
         let keys: Vec<u64> = (0..10).map(|k| k * 5 + 1).collect();
         cc::PROBES.with(|p| p.set(0));
         let batch = cc_phase_of(&e, vec![rmw(&keys, 1), rmw(&keys[..3], 1)]);
-        assert_eq!(cc::PROBES.with(|p| p.get()), 10 + 3, "one lookup per RMW");
+        assert_eq!(cc::PROBES.with(|p| p.get()), 10 + 3, "one entry per RMW");
         // Every read is annotated with the version its own placeholder
         // went on top of.
         let guard = epoch::pin();
@@ -837,6 +849,66 @@ mod tests {
         // The second transaction read the first one's placeholders.
         let first = batch.txns[0].write_refs[0].load(Ordering::Acquire);
         assert_eq!(batch.txns[1].read_refs[0].load(Ordering::Acquire), first);
+        drop(guard);
+        e.shutdown();
+    }
+
+    #[test]
+    fn cc_takes_every_chain_from_the_plan_and_looks_nothing_up() {
+        let e = Bohm::start(
+            BohmConfig::with_threads(1, 1),
+            CatalogSpec::new().table(64, 8, |r| r),
+        );
+        let rids = |rows: &[u64]| rows.iter().map(|&r| rid(r)).collect::<Vec<_>>();
+        let keys: Vec<u64> = (0..10).map(|k| k * 5 + 1).collect();
+        // A row of a segment no batch has named before this one.
+        let far = 3 << 16;
+        let rmw = |r: &[u64], w: &[u64]| {
+            Txn::new(rids(r), rids(w), Procedure::ReadModifyWrite { delta: 1 })
+        };
+        let txns = vec![
+            rmw(&keys, &keys),
+            rmw(&keys, &keys[..2]),
+            rmw(&[2, 3], &[far, 3]),
+            Txn::new(rids(&[far, 4]), vec![], Procedure::ReadOnly),
+        ];
+        crate::store::LOOKUPS.with(|n| n.set(0));
+        cc::PROBES.with(|p| p.set(0));
+        let batch = cc_phase_of(&e, txns);
+        assert_eq!(
+            crate::store::LOOKUPS.with(|n| n.get()),
+            0,
+            "no Store::chain call"
+        );
+        let store = &e.inner.store;
+        let mut entries = 0;
+        for t in batch.txns.iter() {
+            for p in t.plan.iter() {
+                let rid = match (p.read(), p.write()) {
+                    (_, Some(w)) => t.txn.writes[w],
+                    (Some(r), _) => t.txn.reads[r],
+                    (None, None) => unreachable!("a plan entry names a record"),
+                };
+                // SAFETY: `e` owns the store the batch was planned against.
+                let chain = unsafe { p.chain() };
+                assert!(std::ptr::eq(chain, store.chain(rid).expect("reserved")));
+                entries += 1;
+            }
+        }
+        assert_eq!(entries, 10 + (8 + 2) + (1 + 2) + 2);
+        assert_eq!(cc::PROBES.with(|p| p.get()), entries);
+        // Every write went onto its record's chain.
+        let guard = epoch::pin();
+        for t in batch.txns.iter() {
+            for (w, slot) in t.write_refs.iter().enumerate() {
+                let v = slot.load(Ordering::Acquire);
+                let mut on = store.chain(t.txn.writes[w]).unwrap().latest(&guard);
+                while on.is_some_and(|on| !std::ptr::eq(on, v)) {
+                    on = on.and_then(|on| on.prev(&guard));
+                }
+                assert!(on.is_some(), "ts {} write {w}", t.ts);
+            }
+        }
         drop(guard);
         e.shutdown();
     }

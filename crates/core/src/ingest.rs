@@ -11,15 +11,15 @@
 //!   transaction repacks its sets into the sequencer's arena, pushes it and
 //!   takes the next slot. Lock order *is* log order, the serialization
 //!   order. Each seal moves the block into its batch and opens a fresh one.
-//! * **Submit** ([`BohmSession::submit`](crate::BohmSession::submit)): admit
-//!   the transaction to the record store on the caller's thread — refuse a
-//!   record no table can hold, allocate the chains of rows nobody has named
-//!   yet (`crate::store`) — then lock the open batch, append, and hand back
-//!   a handle on the block's slot.
+//! * **Submit** ([`BohmSession::submit`](crate::BohmSession::submit)): check
+//!   the transaction against the record store on the caller's thread —
+//!   refuse a record no table can hold (`crate::store`) — then lock the open
+//!   batch, append, and hand back a handle on the block's slot. The chains
+//!   its plan names are reserved when its batch is sealed.
 //! * **Replay** (`Inner::replay`, behind BOHM's
 //!   [`BatchEngine::replay`](bohm_common::engine::BatchEngine::replay)): the
 //!   other way in. Log order is serial order, so a logged batch is a sealed
-//!   batch already: replay admits a logged batch's transactions, takes the
+//!   batch already: replay checks a logged batch's transactions, takes the
 //!   mutex once per logged batch, appends them and seals them through the
 //!   same path as a size-triggered seal, splitting only a batch larger than
 //!   `batch_size`. A record no table can hold refuses the log. It reads their
@@ -120,9 +120,9 @@ impl Inner {
     ///
     /// Blocks while a seal waits for room in the ring. Panics if the engine
     /// has shut down, and — before taking anything — if `txn` names a
-    /// record no table can hold (`Store::admit`).
+    /// record no table can hold (`Store::check`).
     pub(crate) fn submit(self: &Arc<Self>, txn: Txn) -> TxnHandle {
-        if let Err(refusal) = self.store.admit(&txn) {
+        if let Err(refusal) = self.store.check(&txn) {
             panic!("{refusal}");
         }
         let mut open = self.open();
@@ -191,7 +191,7 @@ impl Inner {
         for logged in batches {
             for txn in &logged.txns {
                 self.store
-                    .admit(txn)
+                    .check(txn)
                     .map_err(|refusal| io::Error::new(io::ErrorKind::InvalidData, refusal))?;
             }
             if logged.outcomes.is_some() {
@@ -288,6 +288,7 @@ impl Inner {
             self.config.cc_threads,
             self.config.exec_threads,
             self.config.annotate_max_reads,
+            &self.store,
             &mut open.arena,
         );
         open.next_batch = id + 1;
@@ -564,6 +565,7 @@ mod modelcheck {
             inner.config.cc_threads,
             inner.config.exec_threads,
             inner.config.annotate_max_reads,
+            &inner.store,
             &mut open.arena,
         );
         inner.window.push(Arc::clone(&batch));

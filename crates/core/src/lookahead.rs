@@ -12,16 +12,17 @@
 //! issuing the next load of the chain for a line the stage before it asked
 //! for `dist` items ago.
 //!
-//! # The rule: carry nothing you will dereference
-//! The ring holds *items* — keys, set positions, transaction indices —
-//! never pointers into the store. Every stage derives what it needs afresh
-//! (from the record's chain; from the annotation slot), so whatever
-//! happened between two stages — the same record written again inside the
-//! window, a version recycled — at worst makes a hint fetch a line nobody
-//! needs. The working loop never reads anything a stage produced; deleting
-//! every `step` call changes no result. What each stage may dereference is
-//! argued where the stage is implemented (`Store::look_ahead`,
-//! `exec::hint_txn`).
+//! # The rule: carry nothing that can change under you
+//! The ring holds *items* — keys, set positions, transaction indices, and
+//! chain addresses, which stay good for the store's lifetime (a chain never
+//! moves or goes away while its store lives) — never a version or anything
+//! else reached *through* a chain. Every stage derives what it needs afresh
+//! from the chain or the annotation slot, so whatever happened between two
+//! stages — the same record written again inside the window, a version
+//! recycled — at worst makes a hint fetch a line nobody needs. The working
+//! loop never reads anything a stage produced; deleting every `step` call
+//! changes no result. What each stage may dereference is argued where the
+//! stage is implemented (`store::look_ahead`, `exec::hint_txn`).
 
 /// Ring capacity (a power of two); `STAGES × DIST` must stay below it.
 const RING: usize = 32;

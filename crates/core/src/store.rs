@@ -10,27 +10,32 @@
 //! written costs no memory until its page is touched, and a null directory
 //! entry means every row behind it is absent.
 //!
-//! * **Who allocates.** A segment is allocated when a transaction naming
-//!   one of its rows in its read or write set is admitted
-//!   (`Store::admit`: by `submit`, on the caller's thread, and by replay),
-//!   before the transaction takes its log position. Whoever seals the
-//!   batch holding it therefore publishes the segment to the CC threads
-//!   with the batch (`Window::push`), and the CC threads never allocate:
-//!   each row's chain exists, at a fixed address, before any CC thread
-//!   looks for it. Racing admissions of one segment serialize on the
-//!   table's allocation mutex, which the fast path never takes. Segments
-//!   are freed only when the store drops.
+//! * **Who allocates.** Submission ([`Store::check`], on the caller's
+//!   thread, and replay) only refuses a record no table can hold. A
+//!   segment is allocated when a batch is sealed whose plan — the records
+//!   the CC phase will look up: every write and every annotated read — names
+//!   one of its rows ([`Store::reserve`], from `TxnState::new`). The plan
+//!   entry keeps the chain's address, and the sealer publishes segment and
+//!   plan to the CC threads with the batch (`Window::push`), so the CC
+//!   threads neither allocate nor look anything up. Racing reservations of
+//!   one segment serialize on the table's allocation mutex, which the fast
+//!   path never takes.
+//! * **Chains never move.** Segments are freed only when the store drops,
+//!   and a segment's chains sit at fixed addresses inside it, so a chain's
+//!   address is good for as long as the store lives.
 //! * **Who reads the directory.** Everyone else Acquire-loads it: a row of
-//!   a scan range, or an index-scan member, may sit in a segment a later
-//!   batch is allocating right now. A null entry is then correctly absent
-//!   at the reader's timestamp — every write at or below it was admitted
-//!   before the reader's batch was sealed.
+//!   a scan range, an index-scan member or an un-annotated read may sit in
+//!   a segment a later batch is allocating right now. A null entry is then
+//!   correctly absent at the reader's timestamp — every write at or below
+//!   it had its segment reserved by the time the reader's batch was
+//!   sealed.
 //! * **CC ownership is by cache line.** Four chains share a 64-byte line, so
-//!   a CC thread owns every row of a line (`line_hash`), and no line is
-//!   written by two CC threads: the single-writer-per-chain rule the
-//!   version store relies on holds per line.
+//!   a CC thread owns every chain of a line ([`owner`], from the chain's
+//!   address), and no line is written by two CC threads: the
+//!   single-writer-per-chain rule the version store relies on holds per
+//!   line.
 //! * **Rows past a table's directory** ([`MAX_ROWS`]) and unknown tables are
-//!   refused at admission. A deleted row keeps its tombstone until its next
+//!   refused at submission. A deleted row keeps its tombstone until its next
 //!   install truncates it: at most one per row, so nothing needs a sweep.
 
 use crate::config::CatalogSpec;
@@ -64,16 +69,44 @@ const DIRECTORY_LEN: usize = 1 << DIRECTORY_BITS;
 pub(crate) const MAX_ROWS: u64 = 1 << (SEGMENT_BITS + DIRECTORY_BITS);
 
 const LINE: usize = 64;
-/// Chains per cache line.
-const CHAINS_PER_LINE: u64 = 4;
+// Four chains per cache line.
 #[cfg(not(bohm_modelcheck))]
-const _: () = assert!(std::mem::size_of::<Chain>() * CHAINS_PER_LINE as usize == LINE);
+const _: () = assert!(std::mem::size_of::<Chain>() * 4 == LINE);
 
-/// The hash that assigns `rid`'s chain to a CC thread: the same for every
-/// row of its cache line, so no line is written by two CC threads.
+/// The CC thread, of `m`, that owns `chain`: a hash of its cache line's
+/// address, so the same for every chain of the line and no line is written
+/// by two CC threads.
 #[inline]
-pub(crate) fn line_hash(rid: RecordId) -> u64 {
-    RecordId::new(rid.table.0, rid.row / CHAINS_PER_LINE).stable_hash()
+pub(crate) fn owner(chain: *const Chain, m: usize) -> usize {
+    let line = (chain as usize / LINE) as u64;
+    ((line.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % m as u64) as usize
+}
+
+/// Look-ahead stages for a later access to `chain`: (0) its line, (1) its
+/// head version, (2) what lies behind the head — its predecessor for an
+/// installer (`install`), else its payload. Hints only: each stage derives
+/// its addresses afresh from the chain and returns nothing.
+///
+/// Stage 2 dereferences the head, so it is for callers the head cannot
+/// be recycled under: the chain's CC owner, or a transaction that is
+/// executing (see `BohmAccess`).
+#[inline]
+pub(crate) fn look_ahead(stage: usize, chain: &Chain, install: bool, guard: &Guard) {
+    match stage {
+        0 => prefetch_read(chain),
+        1 => chain.prefetch_head(guard),
+        _ => match chain.latest(guard) {
+            Some(head) if install => head.prefetch_prev(guard),
+            Some(head) => head.prefetch_payload(),
+            None => {}
+        },
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`Store::chain`] calls this thread made.
+    pub(crate) static LOOKUPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// `len` values of `T` in one line-aligned allocation of zeroed memory,
@@ -139,7 +172,7 @@ impl<T> Drop for Zeroed<T> {
 /// One table: its directory, and the segments behind it.
 struct Table {
     /// Entry `s` points at the chains of rows `s·SEGMENT_ROWS ..`, or is
-    /// null while none of them has been admitted.
+    /// null while no sealed plan has named one of them.
     dir: Zeroed<AtomicPtr<Chain>>,
     /// The segments the directory points into, in allocation order; the
     /// mutex serializes allocation.
@@ -234,55 +267,43 @@ impl Store {
         Some((table, entry))
     }
 
-    /// `rid`'s chain, or `None` if no transaction naming a row of its
-    /// segment has been admitted — every such row is absent — or `rid` is
-    /// not addressable.
+    /// `rid`'s chain, or `None` if no sealed plan has named a row of its
+    /// segment — every such row is absent — or `rid` is not addressable.
     #[inline]
     pub fn chain(&self, rid: RecordId) -> Option<&Chain> {
+        #[cfg(test)]
+        LOOKUPS.with(|n| n.set(n.get() + 1));
         let (_, entry) = self.entry(rid)?;
         Table::segment(entry).map(|chains| &chains[rid.row as usize & (SEGMENT_ROWS - 1)])
     }
 
-    /// Check that every record `txn` reads or writes is addressable, and
-    /// allocate the segments of those that have none yet, so each has a
-    /// chain before the transaction takes its log position. The error
-    /// names the first record that is not addressable.
-    pub fn admit(&self, txn: &Txn) -> Result<(), String> {
-        for &rid in txn.reads.iter().chain(txn.writes.iter()) {
-            let Some((table, entry)) = self.entry(rid) else {
-                return Err(if rid.table.index() < self.tables.len() {
-                    format!("record {rid} is past the {MAX_ROWS} rows a table holds")
-                } else {
-                    format!(
-                        "record {rid} names table {}, which does not exist",
-                        rid.table
-                    )
-                });
-            };
-            table.reserve(entry);
-        }
-        Ok(())
+    /// `rid`'s chain, its segment allocated first if need be.
+    ///
+    /// # Panics
+    ///
+    /// If `rid` is not addressable: [`check`](Self::check) refuses such a
+    /// transaction before it is logged.
+    #[inline]
+    pub fn reserve(&self, rid: RecordId) -> &Chain {
+        let (table, entry) = self.entry(rid).expect("submission checks every record");
+        let chains = Table::segment(entry).unwrap_or_else(|| table.reserve(entry));
+        &chains[rid.row as usize & (SEGMENT_ROWS - 1)]
     }
 
-    /// Look-ahead stages for a later access to `rid`'s chain: (0) the
-    /// chain's line, (1) its head version, (2) what lies behind the head —
-    /// its predecessor for an installer (`install`), else its payload. Hints
-    /// only: each stage derives its addresses afresh and returns nothing.
-    ///
-    /// Stage 2 dereferences the head, so it is for callers the head cannot
-    /// be recycled under: the chain's CC owner, or a transaction that is
-    /// executing (see `BohmAccess`).
-    #[inline]
-    pub fn look_ahead(&self, stage: usize, rid: RecordId, install: bool, guard: &Guard) {
-        let Some(chain) = self.chain(rid) else { return };
-        match stage {
-            0 => prefetch_read(chain),
-            1 => chain.prefetch_head(guard),
-            _ => match chain.latest(guard) {
-                Some(head) if install => head.prefetch_prev(guard),
-                Some(head) => head.prefetch_payload(),
-                None => {}
-            },
+    /// Check that every record `txn` reads or writes is addressable. The
+    /// error names the first record that is not. Allocates nothing: a
+    /// segment is reserved when a sealed plan names it.
+    pub fn check(&self, txn: &Txn) -> Result<(), String> {
+        let bad = |rid: &&RecordId| self.entry(**rid).is_none();
+        match txn.reads.iter().chain(txn.writes.iter()).find(bad) {
+            None => Ok(()),
+            Some(rid) if rid.table.index() < self.tables.len() => Err(format!(
+                "record {rid} is past the {MAX_ROWS} rows a table holds"
+            )),
+            Some(rid) => Err(format!(
+                "record {rid} names table {}, which does not exist",
+                rid.table
+            )),
         }
     }
 
@@ -353,14 +374,14 @@ mod tests {
     }
 
     #[test]
-    fn admission_allocates_the_segments_a_transaction_names_once() {
+    fn reservation_allocates_a_segment_once() {
         let s = store();
         let far = rid(1, 5 * SEGMENT_ROWS as u64 + 3);
         assert!(s.chain(far).is_none());
-        s.admit(&blind(far)).unwrap();
-        let chain = s.chain(far).expect("allocated") as *const Chain;
-        s.admit(&blind(rid(1, 5 * SEGMENT_ROWS as u64))).unwrap();
-        assert_eq!(s.chain(far).unwrap() as *const Chain, chain, "not again");
+        let chain = s.reserve(far) as *const Chain;
+        assert_eq!(s.chain(far).unwrap() as *const Chain, chain);
+        s.reserve(rid(1, 5 * SEGMENT_ROWS as u64));
+        assert_eq!(s.reserve(far) as *const Chain, chain, "not again");
         assert_eq!(s.tables[1].segments.lock().len(), 1);
         let mut rows = Vec::new();
         s.for_each(&mut |r, _| rows.push(r));
@@ -369,27 +390,32 @@ mod tests {
     }
 
     #[test]
-    fn admission_refuses_unknown_tables_and_rows_past_the_directory() {
+    fn check_refuses_unknown_tables_and_rows_past_the_directory_and_allocates_nothing() {
         let s = store();
-        let err = s.admit(&blind(rid(0, MAX_ROWS))).unwrap_err();
+        let err = s.check(&blind(rid(0, MAX_ROWS))).unwrap_err();
         assert!(err.contains("past the"), "{err}");
-        let err = s.admit(&blind(rid(9, 0))).unwrap_err();
+        let err = s.check(&blind(rid(9, 0))).unwrap_err();
         assert!(err.contains("does not exist"), "{err}");
         let read = Txn::new(vec![rid(0, u64::MAX)], vec![], Procedure::ReadOnly);
-        assert!(s.admit(&read).is_err(), "reads are checked too");
+        assert!(s.check(&read).is_err(), "reads are checked too");
+        let far = rid(1, MAX_ROWS - 1);
+        s.check(&blind(far)).unwrap();
+        assert!(s.chain(far).is_none(), "a check reserves nothing");
     }
 
     #[test]
+    #[cfg(not(bohm_modelcheck))]
     fn four_rows_share_a_line_and_its_owner() {
-        assert_eq!(line_hash(rid(0, 4)), line_hash(rid(0, 7)));
-        assert_ne!(line_hash(rid(0, 7)), line_hash(rid(0, 8)));
-        assert_ne!(line_hash(rid(0, 4)), line_hash(rid(1, 4)));
-        #[cfg(not(bohm_modelcheck))]
-        {
-            let s = store();
-            let at = |row| s.chain(rid(0, row)).unwrap() as *const Chain as usize;
-            assert_eq!(at(0) % LINE, 0, "segments are line-aligned");
-            assert_eq!(at(4) - at(0), LINE);
+        let s = store();
+        let at = |row| s.chain(rid(0, row)).unwrap() as *const Chain as usize;
+        assert_eq!(at(0) % LINE, 0, "segments are line-aligned");
+        assert_eq!(at(4) - at(0), LINE);
+        let owners = |row, m| owner(s.reserve(rid(1, row)), m);
+        for m in 1..=8 {
+            assert!((4..8).all(|row| owners(row, m) == owners(4, m)));
+            assert!(owners(4, m) < m);
         }
+        // Neighbouring lines hash apart (seen with many owners).
+        assert_ne!(owners(7, 1 << 16), owners(8, 1 << 16));
     }
 }

@@ -415,6 +415,7 @@ mod tests {
             1,
             1,
             64,
+            crate::batch::tests::test_store(),
             &mut arena,
         )
     }
@@ -582,6 +583,7 @@ mod tests {
                 2,
                 2,
                 64,
+                crate::batch::tests::test_store(),
                 &mut arena,
             ));
         }
@@ -691,6 +693,7 @@ mod modelcheck {
             1,
             1,
             64,
+            crate::batch::tests::leaked_store(),
             &mut arena,
         )
     }
@@ -927,6 +930,7 @@ mod modelcheck {
                 0,
                 2,
                 64,
+                crate::batch::tests::leaked_store(),
                 &mut arena,
             ));
             if id == 0 {
@@ -1030,6 +1034,7 @@ mod modelcheck {
             0,
             1,
             0,
+            crate::batch::tests::leaked_store(),
             &mut arena,
         ));
         let quiescer = {
@@ -1047,6 +1052,7 @@ mod modelcheck {
                 0,
                 1,
                 64,
+                crate::batch::tests::leaked_store(),
                 &mut arena,
             ));
         }
@@ -1133,6 +1139,7 @@ mod modelcheck {
                 0,
                 1,
                 annotate_max_reads,
+                crate::batch::tests::leaked_store(),
                 &mut arena,
             ));
         };
